@@ -55,12 +55,22 @@
 # ceiling. The codec rate controller joins the fuzz smokes, and the full
 # conformance run now also pins the viewport-weighted S-PSNR column of
 # every golden case.
+#
+# PR 12 changed the codec's P-block syntax (skip flag + coded-block
+# pattern), which moves every payload the system stores and serves: the
+# codec's frame decoder gets a native fuzz smoke beside the other decoders
+# (differential against the reference decoder in reference_test.go), the
+# bench/ module — a nested module the root `go test ./...` does not reach,
+# and the one that checks every payload end to end — runs its own tests,
+# and the two tests de-flaked in that PR are repeated so they stay that way.
 set -eux
 
 test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test -race -shuffle=on ./...
+(cd bench && go test ./...)
+go test -count=20 -run 'TestLiveBackpressure|TestCacheSingleflight' ./internal/server ./internal/ptlut
 go test ./internal/telemetry -run=NONE -bench=TelemetryOverhead -benchtime=1x
 go test ./internal/server -run='^$' -fuzz=FuzzUnmarshalBitstream -fuzztime=5s
 go test ./internal/server -run='^$' -fuzz=FuzzManifestJSON -fuzztime=5s
@@ -68,6 +78,7 @@ go test ./internal/headtrace -run='^$' -fuzz=FuzzHeadtraceCSV -fuzztime=5s
 go test ./internal/delivery -run='^$' -fuzz=FuzzUnmarshalTile -fuzztime=5s
 go test ./internal/chaos -run='^$' -fuzz=FuzzChaosScenario -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzRateControllerObserve -fuzztime=5s
+go test ./internal/codec -run='^$' -fuzz=FuzzDecode -fuzztime=5s
 go run ./cmd/evrconform -fast
 go run ./cmd/evrconform
 go run ./cmd/evrbench -lut -lut-width 256 -lut-frames 2 -users 2 -bench-out "${TMPDIR:-/tmp}/bench_lut_smoke.json"

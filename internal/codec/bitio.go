@@ -8,35 +8,35 @@ import (
 // errBitstream reports a truncated or corrupt bitstream.
 var errBitstream = errors.New("codec: truncated or corrupt bitstream")
 
-// bitWriter packs bits MSB-first into a byte slice.
+// bitWriter packs bits MSB-first into a byte slice through a 64-bit
+// accumulator: whole bytes leave it once per write, not once per bit.
 type bitWriter struct {
-	buf  []byte
-	cur  byte
-	nCur uint // bits used in cur
+	buf []byte
+	acc uint64 // pending bits in the low n positions; higher bits are stale
+	n   uint   // pending bit count, < 8 between writes
 }
 
-func (w *bitWriter) writeBit(b uint) {
-	w.cur = w.cur<<1 | byte(b&1)
-	w.nCur++
-	if w.nCur == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.nCur = 0, 0
-	}
-}
-
-// writeBits writes the low n bits of v, MSB first.
+// writeBits writes the low n bits of v, MSB first; n must be ≤ 56.
 func (w *bitWriter) writeBits(v uint64, n uint) {
-	for i := int(n) - 1; i >= 0; i-- {
-		w.writeBit(uint(v >> uint(i)))
+	w.acc = w.acc<<n | v&(1<<n-1)
+	w.n += n
+	for w.n >= 8 {
+		w.n -= 8
+		w.buf = append(w.buf, byte(w.acc>>w.n))
 	}
 }
 
-// writeUE writes v with unsigned exponential-Golomb coding.
+// writeUE writes v with unsigned exponential-Golomb coding: x = v+1 in
+// bits.Len(x) bits, preceded by one zero per bit after the first.
 func (w *bitWriter) writeUE(v uint32) {
 	x := uint64(v) + 1
 	n := uint(bits.Len64(x))
-	w.writeBits(0, n-1) // leading zeros
-	w.writeBits(x, n)
+	if 2*n-1 > 56 {
+		w.writeBits(0, n-1)
+		w.writeBits(x, n)
+		return
+	}
+	w.writeBits(x, 2*n-1)
 }
 
 // writeSE writes v with signed exponential-Golomb coding.
@@ -52,63 +52,62 @@ func (w *bitWriter) writeSE(v int32) {
 
 // bytes flushes the partial byte (zero-padded) and returns the buffer.
 func (w *bitWriter) bytes() []byte {
-	if w.nCur > 0 {
-		w.buf = append(w.buf, w.cur<<(8-w.nCur))
-		w.cur, w.nCur = 0, 0
+	if w.n > 0 {
+		w.buf = append(w.buf, byte(w.acc<<(8-w.n)))
+		w.n = 0
 	}
 	return w.buf
 }
 
-// bitReader reads bits MSB-first from a byte slice.
+// bitReader reads bits MSB-first from a byte slice through a 64-bit
+// accumulator refilled a byte at a time.
 type bitReader struct {
 	buf []byte
-	pos int  // byte position
-	bit uint // bit position within buf[pos], 0 = MSB
+	pos int    // next byte of buf to load
+	acc uint64 // unread bits, left-aligned; bits below the top n are zero
+	n   uint   // unread bits in acc
 }
 
 func newBitReader(buf []byte) *bitReader { return &bitReader{buf: buf} }
 
-func (r *bitReader) readBit() (uint, error) {
-	if r.pos >= len(r.buf) {
-		return 0, errBitstream
-	}
-	b := uint(r.buf[r.pos]>>(7-r.bit)) & 1
-	r.bit++
-	if r.bit == 8 {
-		r.bit = 0
+func (r *bitReader) fill() {
+	for r.n <= 56 && r.pos < len(r.buf) {
+		r.acc |= uint64(r.buf[r.pos]) << (56 - r.n)
 		r.pos++
+		r.n += 8
 	}
-	return b, nil
 }
 
+// bitsLeft returns the number of unread bits.
+func (r *bitReader) bitsLeft() int { return int(r.n) + 8*(len(r.buf)-r.pos) }
+
+// readBits reads n ≤ 56 bits.
 func (r *bitReader) readBits(n uint) (uint64, error) {
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		b, err := r.readBit()
-		if err != nil {
-			return 0, err
+	if r.n < n {
+		r.fill()
+		if r.n < n {
+			return 0, errBitstream
 		}
-		v = v<<1 | uint64(b)
 	}
+	v := r.acc >> (64 - n) // a shift by 64 (n = 0) yields 0
+	r.acc <<= n
+	r.n -= n
 	return v, nil
 }
 
 // readUE reads an unsigned exponential-Golomb value.
 func (r *bitReader) readUE() (uint32, error) {
-	var zeros uint
-	for {
-		b, err := r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 1 {
-			break
-		}
-		zeros++
-		if zeros > 32 {
-			return 0, errBitstream
-		}
+	if r.n < 33 {
+		r.fill()
 	}
+	// With no set bit among the unread bits, the prefix either runs off
+	// the payload or is longer than any 32-bit value's.
+	zeros := uint(bits.LeadingZeros64(r.acc))
+	if zeros >= r.n || zeros > 32 {
+		return 0, errBitstream
+	}
+	r.acc <<= zeros + 1
+	r.n -= zeros + 1
 	rest, err := r.readBits(zeros)
 	if err != nil {
 		return 0, err

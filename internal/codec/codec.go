@@ -16,9 +16,24 @@
 // quantization, exp-Golomb entropy coding, full-search motion compensation —
 // but it is a real, deterministic codec: every byte the system streams,
 // stores, or measures is produced by Encode and consumed by Decode.
+//
+// Bitstream layout (all fields MSB first; DESIGN.md §2 has the table):
+//
+//	frame   := type:8 ('I'|'P')  W:16  H:16  quality:8  flags:8  block*
+//	flags   := bit0 ChromaCoding, bit1 HalfPel, bit2 skip/CBP syntax (required)
+//	I block := coeffs(ch0) coeffs(ch1) coeffs(ch2)
+//	P block := skip:1                                  -- 1: copy of the reference block
+//	         | skip:1=0  SE(mvx) SE(mvy)  cbp:3  coeffs(ch) for each set cbp bit
+//	coeffs  := { UE(run) SE(level) }*  UE(64)          -- zigzag order
+//
+// A P-block is a skip when its motion vector is (0, 0) and all three
+// channels quantize to zero; cbp bit ch says whether channel ch carries any
+// coefficient. An empty P-block therefore costs one bit, not two motion
+// components and three end-of-block markers.
 package codec
 
 import (
+	"errors"
 	"fmt"
 
 	"evr/internal/display"
@@ -88,6 +103,209 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 // — used by the server at temporal-segment boundaries.
 func (e *Encoder) ForceKeyframe() { e.count = 0 }
 
+// Header flag bits. flagSkipCBP marks the P-block syntax of the package
+// comment; every stream this package writes sets it and the decoder
+// refuses a stream without it, so a payload from before the syntax change
+// fails loudly instead of decoding garbage.
+const (
+	flagChroma  = 1 << iota // ChromaCoding
+	flagHalfPel             // motion vectors in half-pel units
+	flagSkipCBP             // P-blocks carry a skip flag and a coded-block pattern
+	flagsKnown  = flagChroma | flagHalfPel | flagSkipCBP
+)
+
+// ErrStaleFormat reports a frame written before the skip/CBP block syntax:
+// its bytes cannot be decoded by this package any more.
+var ErrStaleFormat = errors.New("codec: bitstream predates the skip/CBP block syntax (header flag bit 2 not set); re-ingest the video")
+
+const (
+	blockLen   = blockSize * blockSize
+	rowBytes   = blockSize * 3 // one block row of interleaved RGB
+	blockBytes = blockSize * rowBytes
+
+	eobRun = 64 // run value that terminates a coefficient list
+	// The fewest bits a block can take: three end-of-block markers (13-bit
+	// UE(64)) in an I-frame, one skip flag in a P-frame. Decode checks a
+	// header's block count against them before it allocates the frame.
+	minIntraBlockBits = 3 * 13
+	minInterBlockBits = 1
+	maxMotion         = 128 // largest motion component the decoder accepts
+)
+
+// pixBlock is one 8×8 block of interleaved RGB, rows of rowBytes.
+type pixBlock [blockBytes]byte
+
+// intraPred is the "prediction" of an intra block: mid-gray.
+var intraPred = func() (b pixBlock) {
+	for i := range b {
+		b[i] = 128
+	}
+	return b
+}()
+
+// loadBlock copies the block at (bx, by), which must lie inside f.
+func loadBlock(f *frame.Frame, bx, by int, dst *pixBlock) {
+	for y := 0; y < blockSize; y++ {
+		off := ((by+y)*f.W + bx) * 3
+		copy(dst[y*rowBytes:(y+1)*rowBytes], f.Pix[off:off+rowBytes])
+	}
+}
+
+// storeBlock writes src over the block at (bx, by), which must lie inside f.
+func storeBlock(f *frame.Frame, bx, by int, src *pixBlock) {
+	for y := 0; y < blockSize; y++ {
+		off := ((by+y)*f.W + bx) * 3
+		copy(f.Pix[off:off+rowBytes], src[y*rowBytes:(y+1)*rowBytes])
+	}
+}
+
+// copyBlock copies the block at (bx, by) from src to the same place in dst
+// — what a skipped block decodes to.
+func copyBlock(dst, src *frame.Frame, bx, by int) {
+	for y := 0; y < blockSize; y++ {
+		off := ((by+y)*src.W + bx) * 3
+		copy(dst.Pix[off:off+rowBytes], src.Pix[off:off+rowBytes])
+	}
+}
+
+// blockCoder holds the per-frame parameters both directions code blocks
+// with.
+type blockCoder struct {
+	steps   [3][blockLen]float64 // quantizer step per channel and coefficient
+	halfPel bool
+}
+
+func newBlockCoder(quality int, chroma, halfPel bool) *blockCoder {
+	c := &blockCoder{halfPel: halfPel}
+	for ch := range c.steps {
+		q := quality
+		// Chroma channels are quantized twice as coarsely under ChromaCoding.
+		if chroma && ch > 0 {
+			q = min(2*q, 64)
+		}
+		for ky := 0; ky < blockSize; ky++ {
+			for kx := 0; kx < blockSize; kx++ {
+				c.steps[ch][ky*blockSize+kx] = quantStep(ky, kx, q)
+			}
+		}
+	}
+	return c
+}
+
+// quantize transforms the residual of channel ch (px − pred) and quantizes
+// it into q, reporting whether any level is nonzero.
+func (c *blockCoder) quantize(px, pred *pixBlock, ch int, q *[blockLen]int32) bool {
+	var spatial, freq [blockLen]float64
+	for i := range spatial {
+		spatial[i] = float64(px[i*3+ch]) - float64(pred[i*3+ch])
+	}
+	fdct(&spatial, &freq)
+	coded := false
+	for i, f := range freq {
+		f /= c.steps[ch][i]
+		if f >= 0 {
+			q[i] = int32(f + 0.5)
+		} else {
+			q[i] = int32(f - 0.5)
+		}
+		if q[i] != 0 {
+			coded = true
+		}
+	}
+	return coded
+}
+
+// reconstruct dequantizes and inverse-transforms q and writes pred plus
+// that residual, rounded and clamped to [0, 255], into channel ch of out.
+// Encoder and decoder both build their reference frames with it.
+func (c *blockCoder) reconstruct(q *[blockLen]int32, pred, out *pixBlock, ch int) {
+	var freq, rec [blockLen]float64
+	for i, level := range q {
+		freq[i] = float64(level) * c.steps[ch][i]
+	}
+	idct(&freq, &rec)
+	for i, r := range rec {
+		v := int(r + float64(pred[i*3+ch]) + 0.5)
+		if v < 0 {
+			v = 0
+		}
+		if v > 255 {
+			v = 255
+		}
+		out[i*3+ch] = byte(v)
+	}
+}
+
+// writeCoeffs entropy-codes one quantized block as (run, level) pairs in
+// zigzag order, terminated by run eobRun.
+func writeCoeffs(w *bitWriter, q *[blockLen]int32) {
+	run := uint32(0)
+	for _, zi := range zigzag {
+		if q[zi] == 0 {
+			run++
+			continue
+		}
+		w.writeUE(run)
+		w.writeSE(q[zi])
+		run = 0
+	}
+	w.writeUE(eobRun)
+}
+
+// readCoeffs is the inverse of writeCoeffs; q must be zero on entry.
+func readCoeffs(r *bitReader, q *[blockLen]int32) error {
+	pos := 0
+	for {
+		run, err := r.readUE()
+		if err != nil {
+			return err
+		}
+		if run >= eobRun {
+			return nil
+		}
+		pos += int(run)
+		if pos >= blockLen {
+			return errBitstream
+		}
+		if q[zigzag[pos]], err = r.readSE(); err != nil {
+			return err
+		}
+		pos++
+	}
+}
+
+// predict fills dst with the motion-compensated prediction of the block at
+// (bx, by). Vectors are in half-pel units when c.halfPel is set; a vector
+// with an odd component bilinearly interpolates the reference, any other
+// reads it directly — by row copies when the displaced block lies inside
+// the frame, pixel by pixel with border clamping otherwise.
+func (c *blockCoder) predict(ref *frame.Frame, bx, by, mvx, mvy int, dst *pixBlock) {
+	if c.halfPel {
+		if (mvx|mvy)&1 != 0 {
+			fx, fy := float64(mvx)/2, float64(mvy)/2
+			for y := 0; y < blockSize; y++ {
+				for x := 0; x < blockSize; x++ {
+					i := y*rowBytes + x*3
+					dst[i], dst[i+1], dst[i+2] = ref.BilinearAt(float64(bx+x)+fx, float64(by+y)+fy)
+				}
+			}
+			return
+		}
+		mvx, mvy = mvx/2, mvy/2
+	}
+	x0, y0 := bx+mvx, by+mvy
+	if x0 >= 0 && y0 >= 0 && x0+blockSize <= ref.W && y0+blockSize <= ref.H {
+		loadBlock(ref, x0, y0, dst)
+		return
+	}
+	for y := 0; y < blockSize; y++ {
+		for x := 0; x < blockSize; x++ {
+			i := y*rowBytes + x*3
+			dst[i], dst[i+1], dst[i+2] = ref.At(x0+x, y0+y)
+		}
+	}
+}
+
 // Encode compresses one frame, returning its bitstream and type. The encoder
 // maintains the reconstructed reference internally, so encode drift matches
 // the decoder exactly.
@@ -107,12 +325,12 @@ func (e *Encoder) Encode(f *frame.Frame) ([]byte, FrameType, error) {
 	w.writeBits(uint64(f.W), 16)
 	w.writeBits(uint64(f.H), 16)
 	w.writeBits(uint64(e.cfg.Quality), 8)
-	flags := uint64(0)
+	flags := uint64(flagSkipCBP)
 	if e.cfg.ChromaCoding {
-		flags |= 1
+		flags |= flagChroma
 	}
 	if e.cfg.HalfPel {
-		flags |= 2
+		flags |= flagHalfPel
 	}
 	w.writeBits(flags, 8)
 
@@ -121,17 +339,27 @@ func (e *Encoder) Encode(f *frame.Frame) ([]byte, FrameType, error) {
 	if e.cfg.ChromaCoding {
 		src = display.ToYCbCr(f)
 	}
-	recon := frame.New(f.W, f.H)
+	fe := frameEncoder{
+		blockCoder:  newBlockCoder(e.cfg.Quality, e.cfg.ChromaCoding, e.cfg.HalfPel),
+		w:           w,
+		src:         src,
+		ref:         e.ref,
+		recon:       frame.New(f.W, f.H),
+		searchRange: e.cfg.SearchRange,
+	}
+	if ft == PFrame {
+		fe.srcY, fe.refY = lumaPlane(src), lumaPlane(e.ref)
+	}
 	for by := 0; by < f.H; by += blockSize {
 		for bx := 0; bx < f.W; bx += blockSize {
 			if ft == IFrame {
-				encodeIntraBlock(w, src, recon, bx, by, e.cfg)
+				fe.intraBlock(bx, by)
 			} else {
-				encodeInterBlock(w, src, e.ref, recon, bx, by, e.cfg)
+				fe.interBlock(bx, by)
 			}
 		}
 	}
-	e.ref = recon
+	e.ref = fe.recon
 	e.count++
 	if e.count >= e.cfg.GOP {
 		e.count = 0
@@ -139,233 +367,103 @@ func (e *Encoder) Encode(f *frame.Frame) ([]byte, FrameType, error) {
 	return w.bytes(), ft, nil
 }
 
-// Decoder decompresses a stream produced by Encoder. Frames must be decoded
-// in encode order; an I-frame resets the prediction chain.
-type Decoder struct {
-	ref *frame.Frame
+// frameEncoder is the state of one Encode call.
+type frameEncoder struct {
+	*blockCoder
+	w           *bitWriter
+	src, ref    *frame.Frame // ref is nil in an I-frame
+	recon       *frame.Frame // what the decoder will reconstruct
+	srcY, refY  []uint8      // luma planes of src and ref, P-frames only
+	searchRange int
 }
 
-// NewDecoder returns a fresh decoder.
-func NewDecoder() *Decoder { return &Decoder{} }
-
-// Decode decompresses one frame.
-func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
-	r := newBitReader(data)
-	ftBits, err := r.readBits(8)
-	if err != nil {
-		return nil, err
-	}
-	ft := FrameType(ftBits)
-	if ft != IFrame && ft != PFrame {
-		return nil, fmt.Errorf("codec: unknown frame type %q", byte(ft))
-	}
-	wBits, err := r.readBits(16)
-	if err != nil {
-		return nil, err
-	}
-	hBits, err := r.readBits(16)
-	if err != nil {
-		return nil, err
-	}
-	qBits, err := r.readBits(8)
-	if err != nil {
-		return nil, err
-	}
-	flagBits, err := r.readBits(8)
-	if err != nil {
-		return nil, err
-	}
-	w, h, quality := int(wBits), int(hBits), int(qBits)
-	chroma := flagBits&1 != 0
-	halfPel := flagBits&2 != 0
-	if w <= 0 || h <= 0 || w%blockSize != 0 || h%blockSize != 0 || quality < 1 || quality > 64 || flagBits > 3 {
-		return nil, errBitstream
-	}
-	cfg := Config{Quality: quality, ChromaCoding: chroma, HalfPel: halfPel}
-	if ft == PFrame {
-		if d.ref == nil {
-			return nil, fmt.Errorf("codec: P-frame without reference")
-		}
-		if d.ref.W != w || d.ref.H != h {
-			return nil, fmt.Errorf("codec: P-frame size %dx%d mismatches reference %dx%d", w, h, d.ref.W, d.ref.H)
-		}
-	}
-	out := frame.New(w, h)
-	for by := 0; by < h; by += blockSize {
-		for bx := 0; bx < w; bx += blockSize {
-			if ft == IFrame {
-				if err := decodeIntraBlock(r, out, bx, by, cfg); err != nil {
-					return nil, err
-				}
-			} else {
-				if err := decodeInterBlock(r, out, d.ref, bx, by, cfg); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	d.ref = out
-	if chroma {
-		return display.ToRGB(out), nil
-	}
-	return out, nil
-}
-
-// channelBlock extracts one 8×8 channel block (ch = 0/1/2 for R/G/B), with
-// border clamping.
-func channelBlock(f *frame.Frame, bx, by, ch int, dst *[blockSize * blockSize]float64) {
-	for y := 0; y < blockSize; y++ {
-		for x := 0; x < blockSize; x++ {
-			r, g, b := f.At(bx+x, by+y)
-			v := [3]byte{r, g, b}[ch]
-			dst[y*blockSize+x] = float64(v)
-		}
-	}
-}
-
-// storeBlock writes one channel block back, clamping to [0, 255].
-func storeBlock(f *frame.Frame, bx, by, ch int, src *[blockSize * blockSize]float64) {
-	for y := 0; y < blockSize; y++ {
-		for x := 0; x < blockSize; x++ {
-			v := int(src[y*blockSize+x] + 0.5)
-			if v < 0 {
-				v = 0
-			}
-			if v > 255 {
-				v = 255
-			}
-			r, g, b := f.At(bx+x, by+y)
-			switch ch {
-			case 0:
-				f.Set(bx+x, by+y, byte(v), g, b)
-			case 1:
-				f.Set(bx+x, by+y, r, byte(v), b)
-			default:
-				f.Set(bx+x, by+y, r, g, byte(v))
-			}
-		}
-	}
-}
-
-// writeCoeffBlock transforms, quantizes, and entropy-codes one spatial
-// block; it also reconstructs what the decoder will see into recon.
-func writeCoeffBlock(w *bitWriter, spatial *[blockSize * blockSize]float64, quality int, recon *[blockSize * blockSize]float64) {
-	var freq [blockSize * blockSize]float64
-	fdct(spatial, &freq)
-	var q [blockSize * blockSize]int32
-	for ky := 0; ky < blockSize; ky++ {
-		for kx := 0; kx < blockSize; kx++ {
-			i := ky*blockSize + kx
-			step := quantStep(ky, kx, quality)
-			c := freq[i] / step
-			if c >= 0 {
-				q[i] = int32(c + 0.5)
-			} else {
-				q[i] = int32(c - 0.5)
-			}
-			freq[i] = float64(q[i]) * step // dequantized, for recon
-		}
-	}
-	// (run, level) pairs in zigzag order; run 64 terminates.
-	run := uint32(0)
-	for _, zi := range zigzag {
-		if q[zi] == 0 {
-			run++
-			continue
-		}
-		w.writeUE(run)
-		w.writeSE(q[zi])
-		run = 0
-	}
-	w.writeUE(64) // end of block
-	idct(&freq, recon)
-}
-
-// readCoeffBlock entropy-decodes, dequantizes, and inverse-transforms one
-// block.
-func readCoeffBlock(r *bitReader, quality int, out *[blockSize * blockSize]float64) error {
-	var freq [blockSize * blockSize]float64
-	pos := 0
-	for {
-		run, err := r.readUE()
-		if err != nil {
-			return err
-		}
-		if run >= 64 {
-			break
-		}
-		pos += int(run)
-		if pos >= blockSize*blockSize {
-			return errBitstream
-		}
-		level, err := r.readSE()
-		if err != nil {
-			return err
-		}
-		zi := zigzag[pos]
-		ky, kx := zi/blockSize, zi%blockSize
-		freq[zi] = float64(level) * quantStep(ky, kx, quality)
-		pos++
-	}
-	idct(&freq, out)
-	return nil
-}
-
-// chQuality returns the quantizer scale for a channel: chroma channels
-// (1, 2) are quantized twice as coarsely under ChromaCoding.
-func chQuality(cfg Config, ch int) int {
-	q := cfg.Quality
-	if cfg.ChromaCoding && ch > 0 {
-		q *= 2
-		if q > 64 {
-			q = 64
-		}
-	}
-	return q
-}
-
-func encodeIntraBlock(w *bitWriter, src, recon *frame.Frame, bx, by int, cfg Config) {
+func (e *frameEncoder) intraBlock(bx, by int) {
+	var px, out pixBlock
+	loadBlock(e.src, bx, by, &px)
 	for ch := 0; ch < 3; ch++ {
-		var spatial, rec [blockSize * blockSize]float64
-		channelBlock(src, bx, by, ch, &spatial)
-		for i := range spatial {
-			spatial[i] -= 128
-		}
-		writeCoeffBlock(w, &spatial, chQuality(cfg, ch), &rec)
-		for i := range rec {
-			rec[i] += 128
-		}
-		storeBlock(recon, bx, by, ch, &rec)
+		var q [blockLen]int32
+		e.quantize(&px, &intraPred, ch, &q)
+		writeCoeffs(e.w, &q)
+		e.reconstruct(&q, &intraPred, &out, ch)
 	}
+	storeBlock(e.recon, bx, by, &out)
 }
 
-func decodeIntraBlock(r *bitReader, out *frame.Frame, bx, by int, cfg Config) error {
-	for ch := 0; ch < 3; ch++ {
-		var rec [blockSize * blockSize]float64
-		if err := readCoeffBlock(r, chQuality(cfg, ch), &rec); err != nil {
-			return err
-		}
-		for i := range rec {
-			rec[i] += 128
-		}
-		storeBlock(out, bx, by, ch, &rec)
+// interBlock quantizes all three channels before it writes anything: the
+// skip flag and the coded-block pattern precede the coefficients they
+// describe.
+func (e *frameEncoder) interBlock(bx, by int) {
+	// Motion vectors are coded in half-pel units when refinement is on,
+	// integer pixels otherwise (the header flag disambiguates).
+	mvx, mvy := e.motionSearch(bx, by)
+	if e.halfPel {
+		mvx, mvy = e.refineHalfPel(bx, by, mvx, mvy)
 	}
-	return nil
+	var px, pred pixBlock
+	loadBlock(e.src, bx, by, &px)
+	e.predict(e.ref, bx, by, mvx, mvy, &pred)
+	var q [3][blockLen]int32
+	cbp := uint64(0)
+	for ch := range q {
+		if e.quantize(&px, &pred, ch, &q[ch]) {
+			cbp |= 1 << ch
+		}
+	}
+	if cbp == 0 && mvx == 0 && mvy == 0 {
+		e.w.writeBits(1, 1)
+		copyBlock(e.recon, e.ref, bx, by)
+		return
+	}
+	e.w.writeBits(0, 1)
+	e.w.writeSE(int32(mvx))
+	e.w.writeSE(int32(mvy))
+	e.w.writeBits(cbp, 3)
+	out := pred // an uncoded channel reconstructs to its prediction
+	for ch := range q {
+		if cbp&(1<<ch) != 0 {
+			writeCoeffs(e.w, &q[ch])
+			e.reconstruct(&q[ch], &pred, &out, ch)
+		}
+	}
+	storeBlock(e.recon, bx, by, &out)
+}
+
+// luma601 is the integer BT.601 luma of frame.Luma, in [0, 255].
+func luma601(r, g, b byte) int { return (299*int(r) + 587*int(g) + 114*int(b)) / 1000 }
+
+// lumaPlane returns the luma of every pixel, row-major, so motion search
+// reads one byte per sample.
+func lumaPlane(f *frame.Frame) []uint8 {
+	y := make([]uint8, f.W*f.H)
+	for i := range y {
+		y[i] = uint8(luma601(f.Pix[i*3], f.Pix[i*3+1], f.Pix[i*3+2]))
+	}
+	return y
 }
 
 // motionSearch finds the (dx, dy) within the search range minimizing the
-// luma SAD between the source block and the reference.
-func motionSearch(src, ref *frame.Frame, bx, by, searchRange int) (dx, dy int) {
+// luma SAD between the source block and the reference; among equal SADs
+// the first in raster order of (dy, dx) wins.
+func (e *frameEncoder) motionSearch(bx, by int) (dx, dy int) {
+	w, h := e.src.W, e.src.H
 	bestSAD := int(^uint(0) >> 1)
-	for cy := -searchRange; cy <= searchRange; cy++ {
-		for cx := -searchRange; cx <= searchRange; cx++ {
-			var sad int
-			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					sad += absInt(src.Luma(bx+x, by+y) - ref.Luma(bx+x+cx, by+y+cy))
+	for cy := -e.searchRange; cy <= e.searchRange; cy++ {
+		for cx := -e.searchRange; cx <= e.searchRange; cx++ {
+			x0, y0 := bx+cx, by+cy
+			inside := x0 >= 0 && y0 >= 0 && x0+blockSize <= w && y0+blockSize <= h
+			sad := 0
+			for y := 0; y < blockSize && sad < bestSAD; y++ {
+				srcRow := e.srcY[(by+y)*w+bx:][:blockSize]
+				if inside {
+					refRow := e.refY[(y0+y)*w+x0:][:blockSize]
+					for x, s := range srcRow {
+						sad += absInt(int(s) - int(refRow[x]))
+					}
+					continue
 				}
-				if sad >= bestSAD {
-					break
+				refRow := e.refY[clampTo(y0+y, h-1)*w:][:w]
+				for x, s := range srcRow {
+					sad += absInt(int(s) - int(refRow[clampTo(x0+x, w-1)]))
 				}
 			}
 			if sad < bestSAD {
@@ -383,34 +481,20 @@ func absInt(v int) int {
 	return v
 }
 
-func encodeInterBlock(w *bitWriter, src, ref, recon *frame.Frame, bx, by int, cfg Config) {
-	dx, dy := motionSearch(src, ref, bx, by, cfg.SearchRange)
-	// Motion vectors are coded in half-pel units when refinement is on,
-	// integer pixels otherwise (the header flag disambiguates).
-	mvx, mvy := dx, dy
-	if cfg.HalfPel {
-		mvx, mvy = refineHalfPel(src, ref, bx, by, dx, dy)
+// clampTo clamps v to [0, hi].
+func clampTo(v, hi int) int {
+	if v < 0 {
+		return 0
 	}
-	w.writeSE(int32(mvx))
-	w.writeSE(int32(mvy))
-	for ch := 0; ch < 3; ch++ {
-		var spatial, pred, rec [blockSize * blockSize]float64
-		channelBlock(src, bx, by, ch, &spatial)
-		predict(ref, bx, by, mvx, mvy, ch, cfg.HalfPel, &pred)
-		for i := range spatial {
-			spatial[i] -= pred[i]
-		}
-		writeCoeffBlock(w, &spatial, chQuality(cfg, ch), &rec)
-		for i := range rec {
-			rec[i] += pred[i]
-		}
-		storeBlock(recon, bx, by, ch, &rec)
+	if v > hi {
+		return hi
 	}
+	return v
 }
 
 // refineHalfPel evaluates the 3×3 half-pel neighborhood around the integer
 // motion vector and returns the best vector in half-pel units.
-func refineHalfPel(src, ref *frame.Frame, bx, by, dx, dy int) (mvx, mvy int) {
+func (e *frameEncoder) refineHalfPel(bx, by, dx, dy int) (mvx, mvy int) {
 	best := int(^uint(0) >> 1)
 	mvx, mvy = 2*dx, 2*dy
 	for hy := -1; hy <= 1; hy++ {
@@ -418,16 +502,11 @@ func refineHalfPel(src, ref *frame.Frame, bx, by, dx, dy int) (mvx, mvy int) {
 			cx, cy := 2*dx+hx, 2*dy+hy
 			var sad int
 			for y := 0; y < blockSize && sad < best; y++ {
-				for x := 0; x < blockSize; x++ {
-					r, g, b := ref.BilinearAt(
+				srcRow := e.srcY[(by+y)*e.src.W+bx:][:blockSize]
+				for x, s := range srcRow {
+					sad += absInt(int(s) - luma601(e.ref.BilinearAt(
 						float64(bx+x)+float64(cx)/2,
-						float64(by+y)+float64(cy)/2)
-					refLuma := (299*int(r) + 587*int(g) + 114*int(b)) / 1000
-					d := src.Luma(bx+x, by+y) - refLuma
-					if d < 0 {
-						d = -d
-					}
-					sad += d
+						float64(by+y)+float64(cy)/2)))
 				}
 			}
 			if sad < best {
@@ -438,52 +517,128 @@ func refineHalfPel(src, ref *frame.Frame, bx, by, dx, dy int) (mvx, mvy int) {
 	return mvx, mvy
 }
 
-// predict fills the motion-compensated prediction: integer-pel reads the
-// reference directly, half-pel bilinearly interpolates it.
-func predict(ref *frame.Frame, bx, by, mvx, mvy, ch int, halfPel bool, dst *[blockSize * blockSize]float64) {
-	if !halfPel {
-		predictBlock(ref, bx+mvx, by+mvy, ch, dst)
-		return
-	}
-	fx := float64(mvx) / 2
-	fy := float64(mvy) / 2
-	for y := 0; y < blockSize; y++ {
-		for x := 0; x < blockSize; x++ {
-			r, g, b := ref.BilinearAt(float64(bx+x)+fx, float64(by+y)+fy)
-			v := [3]byte{r, g, b}[ch]
-			dst[y*blockSize+x] = float64(v)
-		}
-	}
+// Decoder decompresses a stream produced by Encoder. Frames must be decoded
+// in encode order; an I-frame resets the prediction chain.
+type Decoder struct {
+	ref *frame.Frame
 }
 
-func decodeInterBlock(r *bitReader, out, ref *frame.Frame, bx, by int, cfg Config) error {
-	dx32, err := r.readSE()
-	if err != nil {
-		return err
+// NewDecoder returns a fresh decoder.
+func NewDecoder() *Decoder { return &Decoder{} }
+
+// Decode decompresses one frame. The frame it allocates is bounded by the
+// payload: a header claiming more blocks than the payload has bits for is
+// rejected first.
+func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
+	r := newBitReader(data)
+	var hdr [5]uint64 // type, W, H, quality, flags
+	for i, n := range [...]uint{8, 16, 16, 8, 8} {
+		v, err := r.readBits(n)
+		if err != nil {
+			return nil, err
+		}
+		hdr[i] = v
 	}
-	dy32, err := r.readSE()
-	if err != nil {
-		return err
+	ft, w, h, quality, flags := FrameType(hdr[0]), int(hdr[1]), int(hdr[2]), int(hdr[3]), hdr[4]
+	if ft != IFrame && ft != PFrame {
+		return nil, fmt.Errorf("codec: unknown frame type %q", byte(ft))
 	}
-	mvx, mvy := int(dx32), int(dy32)
-	if absInt(mvx) > 128 || absInt(mvy) > 128 {
-		return errBitstream
+	if w <= 0 || h <= 0 || w%blockSize != 0 || h%blockSize != 0 || quality < 1 || quality > 64 || flags&^flagsKnown != 0 {
+		return nil, errBitstream
 	}
+	if flags&flagSkipCBP == 0 {
+		return nil, ErrStaleFormat
+	}
+	minBits := minIntraBlockBits
+	if ft == PFrame {
+		if d.ref == nil {
+			return nil, fmt.Errorf("codec: P-frame without reference")
+		}
+		if d.ref.W != w || d.ref.H != h {
+			return nil, fmt.Errorf("codec: P-frame size %dx%d mismatches reference %dx%d", w, h, d.ref.W, d.ref.H)
+		}
+		minBits = minInterBlockBits
+	}
+	if blocks := (w / blockSize) * (h / blockSize); blocks*minBits > r.bitsLeft() {
+		return nil, errBitstream
+	}
+	chroma := flags&flagChroma != 0
+	c := newBlockCoder(quality, chroma, flags&flagHalfPel != 0)
+	out := frame.New(w, h)
+	for by := 0; by < h; by += blockSize {
+		for bx := 0; bx < w; bx += blockSize {
+			var err error
+			if ft == IFrame {
+				err = c.decodeIntraBlock(r, out, bx, by)
+			} else {
+				err = c.decodeInterBlock(r, out, d.ref, bx, by)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	d.ref = out
+	if chroma {
+		return display.ToRGB(out), nil
+	}
+	return out, nil
+}
+
+func (c *blockCoder) decodeIntraBlock(r *bitReader, out *frame.Frame, bx, by int) error {
+	var px pixBlock
 	for ch := 0; ch < 3; ch++ {
-		var pred, rec [blockSize * blockSize]float64
-		if err := readCoeffBlock(r, chQuality(cfg, ch), &rec); err != nil {
+		var q [blockLen]int32
+		if err := readCoeffs(r, &q); err != nil {
 			return err
 		}
-		predict(ref, bx, by, mvx, mvy, ch, cfg.HalfPel, &pred)
-		for i := range rec {
-			rec[i] += pred[i]
-		}
-		storeBlock(out, bx, by, ch, &rec)
+		c.reconstruct(&q, &intraPred, &px, ch)
 	}
+	storeBlock(out, bx, by, &px)
 	return nil
 }
 
-// predictBlock reads the motion-compensated prediction from the reference.
-func predictBlock(ref *frame.Frame, bx, by, ch int, dst *[blockSize * blockSize]float64) {
-	channelBlock(ref, bx, by, ch, dst)
+// decodeInterBlock does only what the syntax says is there: a skipped
+// block is eight row copies from the reference, an uncoded channel is a
+// byte copy of its prediction, and only coded channels are dequantized
+// and inverse-transformed.
+func (c *blockCoder) decodeInterBlock(r *bitReader, out, ref *frame.Frame, bx, by int) error {
+	skip, err := r.readBits(1)
+	if err != nil {
+		return err
+	}
+	if skip == 1 {
+		copyBlock(out, ref, bx, by)
+		return nil
+	}
+	mvx, err := r.readSE()
+	if err != nil {
+		return err
+	}
+	mvy, err := r.readSE()
+	if err != nil {
+		return err
+	}
+	if absInt(int(mvx)) > maxMotion || absInt(int(mvy)) > maxMotion {
+		return errBitstream
+	}
+	cbp, err := r.readBits(3)
+	if err != nil {
+		return err
+	}
+	var pred pixBlock
+	c.predict(ref, bx, by, int(mvx), int(mvy), &pred)
+	px := pred
+	for ch := 0; ch < 3; ch++ {
+		if cbp&(1<<ch) == 0 {
+			continue
+		}
+		var q [blockLen]int32
+		if err := readCoeffs(r, &q); err != nil {
+			return err
+		}
+		c.reconstruct(&q, &pred, &px, ch)
+	}
+	storeBlock(out, bx, by, &px)
+	return nil
 }

@@ -135,6 +135,23 @@ func TestInterBeatsIntraOnPannedVideo(t *testing.T) {
 	}
 }
 
+func TestStaticSceneCostsAlmostNothing(t *testing.T) {
+	// The other half of §5.4: where nothing moves, a P-frame is close to
+	// free. With 41 fixed bits per block these were 4× smaller than their
+	// I-frame; a skipped block costs one bit.
+	still := rsFrames(t, 128, 64, 1)[0]
+	bs, err := EncodeSequence(Config{GOP: 30, Quality: 4, SearchRange: 4}, []*frame.Frame{still, still, still, still})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(bs.Frames); i++ {
+		if len(bs.Frames[i])*8 > len(bs.Frames[0]) {
+			t.Errorf("static P-frame %d is %d bytes against a %d-byte I-frame, want ≥ 8× smaller",
+				i, len(bs.Frames[i]), len(bs.Frames[0]))
+		}
+	}
+}
+
 func TestSequenceRoundTrip(t *testing.T) {
 	var frames []*frame.Frame
 	base := noisyGradient(48, 48, 4)

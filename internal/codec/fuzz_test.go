@@ -1,9 +1,14 @@
 package codec
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"evr/internal/display"
+	"evr/internal/frame"
 )
 
 // TestDecodeNeverPanicsOnGarbage feeds random byte soup to the decoder:
@@ -78,16 +83,155 @@ func TestDecodeNeverPanicsOnMutatedValidStreams(t *testing.T) {
 	}
 }
 
-// TestDecoderBoundedWorkOnAdversarialInput guards against quadratic or
-// unbounded loops: a stream claiming a huge frame must fail fast.
+// TestDecoderBoundedWorkOnAdversarialInput guards against unbounded work
+// and memory: a 7-byte payload whose header claims a 65528×65528 frame
+// (12.9 GB of pixels) must fail before anything is allocated for it.
 func TestDecoderBoundedWorkOnAdversarialInput(t *testing.T) {
-	// Handcraft a header claiming a 65528×65528 frame with no payload.
 	w := &bitWriter{}
 	w.writeBits(uint64(IFrame), 8)
 	w.writeBits(65528, 16)
 	w.writeBits(65528, 16)
 	w.writeBits(4, 8)
-	if _, err := NewDecoder().Decode(w.bytes()); err == nil {
-		t.Error("giant empty frame accepted")
+	w.writeBits(flagSkipCBP, 8)
+	payload := w.bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewDecoder().Decode(payload)
+	_, seqErr := DecodeSequence(&Bitstream{W: 65528, H: 65528, Frames: [][]byte{payload}, Types: []FrameType{IFrame}})
+	runtime.ReadMemStats(&after)
+	if err == nil || seqErr == nil {
+		t.Errorf("giant empty frame accepted (Decode: %v, DecodeSequence: %v)", err, seqErr)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("rejecting a 7-byte payload allocated %d bytes, want < 1 MB", got)
+	}
+}
+
+func TestDecodeSequenceChecksDeclaredDimensions(t *testing.T) {
+	bs, err := EncodeSequence(Config{GOP: 2, Quality: 4, SearchRange: 1}, []*frame.Frame{noisyGradient(16, 16, 82), noisyGradient(16, 16, 83)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSequence(bs); err != nil {
+		t.Fatal(err)
+	}
+	bs.W = 32
+	if _, err := DecodeSequence(bs); err == nil {
+		t.Error("16×16 frames accepted in a bitstream declaring 32×16")
+	}
+}
+
+// FuzzDecode feeds the payload to a decoder holding a 16×16 reference (so
+// P-frame headers get as far as the block loop): it must return a frame or
+// an error — no panic, no frame larger than the payload's bits can pay
+// for, and the same answer as the reference decoder. The payload then
+// doubles as picture content and encoder settings for a round trip:
+// decode∘encode must agree with the reference decoder and stay within the
+// quantizer's error bound.
+func FuzzDecode(f *testing.F) {
+	textured := noisyGradient(16, 16, 84)
+	for _, cfg := range []Config{
+		{GOP: 4, Quality: 4, SearchRange: 2},
+		{GOP: 4, Quality: 9, SearchRange: 1, ChromaCoding: true, HalfPel: true},
+	} {
+		// I, a panned P, then a skip-heavy P (the same picture again).
+		bs, err := EncodeSequence(cfg, []*frame.Frame{textured, shifted(textured, 1, 1), shifted(textured, 1, 1)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, data := range bs.Frames {
+			f.Add(data)
+		}
+	}
+	keyEnc, _ := NewEncoder(Config{GOP: 1, Quality: 4})
+	key, _, err := keyEnc.Encode(textured)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec, ref := NewDecoder(), &refDecoder{}
+		dec.Decode(key)
+		ref.decode(key)
+		got, err := dec.Decode(data)
+		want, refErr := ref.decode(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoder: %v, reference decoder: %v", err, refErr)
+		}
+		if err == nil {
+			if blocks := got.W * got.H / (blockSize * blockSize); blocks > 8*len(data) {
+				t.Fatalf("%d-byte payload decoded to %d blocks", len(data), blocks)
+			}
+			if !got.Equal(want) {
+				t.Fatal("decoded pixels differ from the reference decoder's")
+			}
+		}
+		if len(data) < 4 {
+			return
+		}
+		cfg := Config{GOP: 2, Quality: 1 + int(data[0])%64, SearchRange: int(data[1]) % 4, ChromaCoding: data[2]&1 != 0, HalfPel: data[2]&2 != 0}
+		var frames [2]*frame.Frame
+		for i := range frames {
+			frames[i] = frame.New(16, 8)
+			for j := range frames[i].Pix {
+				frames[i].Pix[j] = data[(j+i*len(data)/2)%len(data)]
+			}
+		}
+		fuzzRoundTrip(t, cfg, frames[:])
+	})
+}
+
+// fuzzRoundTrip encodes frames and checks each decoded frame against the
+// reference decoder and against the quantizer's error bound: the DCT is
+// orthonormal, so a block's squared reconstruction error is at most the
+// squared half-steps of its 64 coefficients, plus half a level of pixel
+// rounding per sample (clamping to [0, 255] only moves a sample toward
+// its source). The bound holds in the space the prediction loop runs in,
+// YCbCr under ChromaCoding.
+func fuzzRoundTrip(t *testing.T, cfg Config, frames []*frame.Frame) {
+	bs, err := EncodeSequence(cfg, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := refDecodeSequence(bs.Frames)
+	if err != nil {
+		t.Fatalf("reference decoder rejects the encoder's stream: %v", err)
+	}
+	c := newBlockCoder(cfg.Quality, cfg.ChromaCoding, cfg.HalfPel)
+	dec := NewDecoder()
+	for i, data := range bs.Frames {
+		got, err := dec.Decode(data)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !got.Equal(want[i]) {
+			t.Fatalf("frame %d: decoded pixels differ from the reference decoder's", i)
+		}
+		src := frames[i]
+		if cfg.ChromaCoding {
+			src = display.ToYCbCr(src)
+		}
+		for ch := 0; ch < 3; ch++ {
+			var coeffErr float64
+			for _, step := range c.steps[ch] {
+				coeffErr += step * step / 4
+			}
+			bound := math.Pow(math.Sqrt(coeffErr)+math.Sqrt(blockLen*0.25), 2) + 1e-6
+			for by := 0; by < src.H; by += blockSize {
+				for bx := 0; bx < src.W; bx += blockSize {
+					var a, b pixBlock
+					loadBlock(src, bx, by, &a)
+					loadBlock(dec.ref, bx, by, &b)
+					var sq float64
+					for k := ch; k < blockBytes; k += 3 {
+						d := float64(a[k]) - float64(b[k])
+						sq += d * d
+					}
+					if sq > bound {
+						t.Fatalf("%+v frame %d block (%d,%d) channel %d: squared error %.1f exceeds the quantizer bound %.1f",
+							cfg, i, bx, by, ch, sq, bound)
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package codec
 
-import "evr/internal/frame"
+import (
+	"fmt"
+
+	"evr/internal/frame"
+)
 
 // Bitstream is an encoded frame sequence: the unit the server stores and
 // streams. Frames are independently addressable but P-frames depend on
@@ -53,14 +57,18 @@ func EncodeSequence(cfg Config, frames []*frame.Frame) (*Bitstream, error) {
 	return bs, nil
 }
 
-// DecodeSequence decompresses a whole bitstream.
+// DecodeSequence decompresses a whole bitstream. Every frame must have the
+// dimensions the bitstream declares.
 func DecodeSequence(bs *Bitstream) ([]*frame.Frame, error) {
 	dec := NewDecoder()
 	out := make([]*frame.Frame, 0, len(bs.Frames))
-	for _, data := range bs.Frames {
+	for i, data := range bs.Frames {
 		f, err := dec.Decode(data)
 		if err != nil {
 			return nil, err
+		}
+		if f.W != bs.W || f.H != bs.H {
+			return nil, fmt.Errorf("codec: frame %d is %dx%d in a %dx%d bitstream", i, f.W, f.H, bs.W, bs.H)
 		}
 		out = append(out, f)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"evr/internal/frame"
 	"evr/internal/geom"
@@ -286,11 +287,9 @@ func TestCacheSingleflight(t *testing.T) {
 	var wg sync.WaitGroup
 	tables := make([]*ptlut.Table, n)
 	wg.Add(n)
-	started := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
 		go func() {
 			defer wg.Done()
-			started <- struct{}{}
 			tbl, err := c.Get(key, build)
 			if err != nil {
 				t.Error(err)
@@ -299,8 +298,13 @@ func TestCacheSingleflight(t *testing.T) {
 			tables[i] = tbl
 		}()
 	}
-	for i := 0; i < n; i++ {
-		<-started
+	// Hold the build until the cache has counted everyone else onto the
+	// flight: a goroutine that had merely started could arrive after the
+	// table is resident and score a hit instead.
+	for deadline := time.Now().Add(10 * time.Second); c.Stats().Coalesced < n-1; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d gets joined the flight", c.Stats().Coalesced, n-1)
+		}
 	}
 	close(gate)
 	wg.Wait()

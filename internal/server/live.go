@@ -97,10 +97,11 @@ type LiveOptions struct {
 	// SegmentInterval is the publish cadence. 0 = real time: the content
 	// duration of one segment (SegmentFrames / FPS).
 	SegmentInterval time.Duration
-	// QueueDepth bounds the producer→publisher pipeline queue: at most
-	// this many encoded-but-unpublished segments wait at once, so a slow
-	// publisher backpressures the renderer instead of buffering the whole
-	// stream. 0 = 2.
+	// QueueDepth bounds the producer→publisher pipeline: beside the
+	// segment the publisher holds for its slot, at most this many more are
+	// rendered or encoded ahead of the edge, so a slow publisher
+	// backpressures the renderer instead of buffering the whole stream.
+	// 0 = 2.
 	QueueDepth int
 	// Clock drives the publish schedule. nil = wall clock.
 	Clock Clock
@@ -154,6 +155,7 @@ type LiveStream struct {
 	man       atomic.Pointer[Manifest]
 	edge      atomic.Int64
 	prepared  atomic.Int64
+	stalls    atomic.Int64   // times the producer had to wait for a credit
 	published []atomic.Int64 // unix nanos per segment; 0 = unpublished
 	startNs   atomic.Int64
 	lag       *telemetry.Histogram // publish lateness vs schedule, seconds
@@ -232,7 +234,9 @@ func (ls *LiveStream) Edge() int { return int(ls.edge.Load()) }
 func (ls *LiveStream) Segments() int { return ls.nSegs }
 
 // Prepared returns how many segments the producer has finished encoding —
-// bounded by Edge() + QueueDepth + 1 at all times (pipeline backpressure).
+// bounded by Edge() + QueueDepth + 1 at all times (pipeline backpressure:
+// the producer takes one of QueueDepth+1 credits before it renders a
+// segment and the publisher returns it once the edge has moved past it).
 func (ls *LiveStream) Prepared() int { return int(ls.prepared.Load()) }
 
 // Clock returns the clock driving the schedule.
@@ -303,17 +307,28 @@ func (ls *LiveStream) Start() error {
 		return fmt.Errorf("server: live stream %s already started", ls.spec.Name)
 	}
 	ls.startNs.Store(ls.clock.Now().UnixNano())
-	queue := make(chan liveSegment, ls.cfg.Live.queueDepth())
-	go ls.producer(queue)
-	go ls.publisher(queue)
+	// One credit per segment between "render started" and "published".
+	// The queue is as large, so a producer holding a credit never blocks
+	// on the send.
+	credits := make(chan struct{}, ls.cfg.Live.queueDepth()+1)
+	queue := make(chan liveSegment, cap(credits))
+	go ls.producer(queue, credits)
+	go ls.publisher(queue, credits)
 	return nil
 }
 
-// producer renders and encodes segments in order, blocking on the bounded
-// queue when the publisher falls behind (backpressure).
-func (ls *LiveStream) producer(queue chan<- liveSegment) {
+// producer renders and encodes segments in order. It takes a credit before
+// it starts on a segment, so when the publisher falls behind it waits
+// without holding (or working on) more than the credits allow.
+func (ls *LiveStream) producer(queue chan<- liveSegment, credits chan<- struct{}) {
 	defer close(queue)
 	for si := 0; si < ls.nSegs; si++ {
+		select {
+		case credits <- struct{}{}:
+		default:
+			ls.stalls.Add(1)
+			credits <- struct{}{}
+		}
 		start := si * ls.cfg.SAS.SegmentFrames
 		frames := ls.cfg.SAS.SegmentFrames
 		if start+frames > ls.total {
@@ -334,7 +349,7 @@ func (ls *LiveStream) producer(queue chan<- liveSegment) {
 // first, then publish timestamp, manifest swap, edge advance, and the
 // purge hooks — so a request admitted after the edge moves always finds
 // the payload.
-func (ls *LiveStream) publisher(queue <-chan liveSegment) {
+func (ls *LiveStream) publisher(queue <-chan liveSegment, credits <-chan struct{}) {
 	defer close(ls.done)
 	for item := range queue {
 		for {
@@ -349,8 +364,11 @@ func (ls *LiveStream) publisher(queue <-chan liveSegment) {
 		}
 		if err := ls.st.Put(origKey(ls.spec.Name, item.si), item.payload, nil); err != nil {
 			ls.fail(err)
+			// Keep returning credits so the producer never blocks on a
+			// dead publisher.
+			<-credits
 			for range queue {
-				// Drain so the producer never blocks on a dead publisher.
+				<-credits
 			}
 			return
 		}
@@ -363,6 +381,7 @@ func (ls *LiveStream) publisher(queue <-chan liveSegment) {
 		man.LiveEdge = item.si + 1
 		ls.man.Store(&man)
 		ls.edge.Store(int64(item.si + 1))
+		<-credits
 		if lag := now.Sub(ls.dueTime(item.si)); lag > 0 {
 			ls.lag.Observe(lag.Seconds())
 		} else {

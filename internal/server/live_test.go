@@ -109,8 +109,8 @@ func TestLiveVirtualClockSchedule(t *testing.T) {
 }
 
 // TestLiveBackpressure pins the bounded pipeline: with the clock frozen the
-// producer may run at most QueueDepth+1 segments ahead of the edge (the
-// queue plus the one segment blocked on the send).
+// producer finishes exactly QueueDepth+1 segments — the one the publisher
+// holds for its slot plus the queue — and then waits for a credit.
 func TestLiveBackpressure(t *testing.T) {
 	v, _ := scene.ByName("RS")
 	clock := NewVirtualClock(time.Unix(1000, 0))
@@ -123,14 +123,17 @@ func TestLiveBackpressure(t *testing.T) {
 	if err := ls.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Give the producer real time to encode as far as it can get.
-	deadline := time.Now().Add(2 * time.Second)
-	for ls.Prepared() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	// Once the producer has stalled it cannot finish another segment until
+	// the edge moves, and the edge cannot move while the clock stands
+	// still: what it has prepared by then is all it may.
+	for deadline := time.Now().Add(10 * time.Second); ls.stalls.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("producer never waited for a credit (prepared %d, edge %d)", ls.Prepared(), ls.Edge())
+		}
 	}
-	time.Sleep(50 * time.Millisecond)
-	if got, max := ls.Prepared(), ls.Edge()+2; got > max {
-		t.Fatalf("producer ran %d segments ahead with depth 1 (edge %d) — backpressure broken", got, ls.Edge())
+	if got, want := ls.Prepared(), ls.Edge()+cfg.Live.QueueDepth+1; got != want {
+		t.Fatalf("stalled producer has prepared %d segments at edge %d with depth %d, want %d",
+			got, ls.Edge(), cfg.Live.QueueDepth, want)
 	}
 	for i := 0; i < 4; i++ {
 		clock.Advance(10 * time.Second)
