@@ -2,11 +2,13 @@
 # CI gate: format check, vet, build, and run the full test suite under the
 # race detector (with shuffled test order, so hidden inter-test ordering
 # dependencies surface). The parallel render engine (pt.RenderParallel,
-# pte.RenderParallel, server ingest fan-out), the client fetch layer
-# (prefetcher + singleflight + LRU cache), the telemetry subsystem
-# (registry/histogram/tracer), and the multi-user serving layer (response
-# cache + singleflight + admission control, soaked by loadgen's 32-session
-# test) must stay race-clean; every PR runs this before merge. The
+# pte.RenderParallel, server ingest fan-out), the cache core
+# (internal/cache: the one LRU + singleflight behind the response, edge,
+# mapping-table and client segment caches, repeated -count=5 on its own),
+# the client prefetcher, the telemetry subsystem (registry/histogram/
+# tracer), and the multi-user serving layer (admission control, soaked by
+# loadgen's 32-session test) must stay race-clean; every PR runs this
+# before merge. The
 # benchmark smoke run keeps the telemetry disabled-path overhead benchmarks
 # compiling and executable without timing them, and the fuzz smokes give
 # the wire-format, manifest, and head-trace CSV fuzzers a short budget
@@ -62,7 +64,8 @@
 # (differential against the reference decoder in reference_test.go), the
 # bench/ module — a nested module the root `go test ./...` does not reach,
 # and the one that checks every payload end to end — runs its own tests,
-# and the two tests de-flaked in that PR are repeated so they stay that way.
+# and the two tests de-flaked in that PR are repeated so they stay that way
+# (the singleflight gate test now lives in internal/cache).
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -70,7 +73,8 @@ go vet ./...
 go build ./...
 go test -race -shuffle=on ./...
 (cd bench && go test ./...)
-go test -count=20 -run 'TestLiveBackpressure|TestCacheSingleflight' ./internal/server ./internal/ptlut
+go test -race -count=5 ./internal/cache
+go test -count=20 -run 'TestLiveBackpressure|TestSingleflightCoalesces' ./internal/server ./internal/cache
 go test ./internal/telemetry -run=NONE -bench=TelemetryOverhead -benchtime=1x
 go test ./internal/server -run='^$' -fuzz=FuzzUnmarshalBitstream -fuzztime=5s
 go test ./internal/server -run='^$' -fuzz=FuzzManifestJSON -fuzztime=5s

@@ -1,9 +1,9 @@
 package client
 
 import (
-	"container/list"
-	"sync"
+	"sync/atomic"
 
+	"evr/internal/cache"
 	"evr/internal/frame"
 	"evr/internal/server"
 )
@@ -27,125 +27,28 @@ const (
 	lowCluster  = -3
 )
 
-// segmentEntry is one cached decoded segment: the frames ready for display
-// plus, for FOV videos, their per-frame orientation metadata.
+// segmentEntry is one decoded segment, shared by every request the cache
+// hands it to: the frames ready for display plus, for FOV videos, their
+// per-frame orientation metadata.
 type segmentEntry struct {
 	frames []*frame.Frame
 	meta   []server.FrameMeta
-	// prefetched marks entries inserted by the background prefetcher and is
-	// cleared the first time a demand lookup consumes them, so each prefetch
-	// counts as at most one PrefetchHit.
-	prefetched bool
+	// prefetched is set on entries the background prefetcher loaded and
+	// cleared by the first demand request that receives the entry, so each
+	// prefetch counts as at most one PrefetchHit.
+	prefetched atomic.Bool
 }
 
-// segmentCache is an LRU cache of decoded segments. Holding *decoded*
-// frames (not wire payloads) means a cache hit skips both the network round
-// trip and the P-frame chain decode — the two costs the paper's §5.4
-// fallback path pays mid-render. Safe for concurrent use; capacity is
-// counted in segments because eviction granularity is a whole segment
+// segmentCache is the client's instance of the cache core (internal/cache).
+// Holding *decoded* frames (not wire payloads) means a cache hit skips both
+// the network round trip and the P-frame chain decode — the two costs the
+// paper's §5.4 fallback path pays mid-render. Every entry weighs 1, so the
+// budget is counted in segments: eviction granularity is a whole segment
 // anyway (partial segments are undecodable mid-chain).
-type segmentCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used; values are *cacheNode
-	items map[segmentKey]*list.Element
-
-	evictions int64
-}
-
-type cacheNode struct {
-	key   segmentKey
-	entry segmentEntry
-}
+type segmentCache = cache.Cache[segmentKey, *segmentEntry]
 
 // newSegmentCache returns a cache holding up to capacity segments.
-// capacity ≤ 0 returns a nil cache; all methods tolerate the nil receiver
-// and behave as a cache that never hits.
+// capacity ≤ 0 retains nothing; concurrent identical loads still coalesce.
 func newSegmentCache(capacity int) *segmentCache {
-	if capacity <= 0 {
-		return nil
-	}
-	return &segmentCache{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[segmentKey]*list.Element, capacity),
-	}
-}
-
-// get returns the cached entry for key, promoting it to most-recently-used.
-// wasPrefetched reports whether this is the first demand hit on an entry
-// the prefetcher inserted.
-func (c *segmentCache) get(key segmentKey) (entry segmentEntry, wasPrefetched, ok bool) {
-	if c == nil {
-		return segmentEntry{}, false, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return segmentEntry{}, false, false
-	}
-	c.order.MoveToFront(el)
-	node := el.Value.(*cacheNode)
-	wasPrefetched = node.entry.prefetched
-	node.entry.prefetched = false
-	return node.entry, wasPrefetched, true
-}
-
-// contains reports whether key is cached, without promoting it or
-// consuming its prefetched flag (used by the prefetcher to short-circuit).
-func (c *segmentCache) contains(key segmentKey) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
-}
-
-// put inserts (or refreshes) an entry, evicting the least-recently-used
-// segment beyond capacity.
-func (c *segmentCache) put(key segmentKey, entry segmentEntry) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		// Re-put keeps the existing entry's demand status: a prefetch
-		// landing after a demand fetch must not re-arm the PrefetchHit.
-		node := el.Value.(*cacheNode)
-		entry.prefetched = entry.prefetched && node.entry.prefetched
-		node.entry = entry
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&cacheNode{key: key, entry: entry})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheNode).key)
-		c.evictions++
-	}
-}
-
-// len returns the number of cached segments.
-func (c *segmentCache) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// evicted returns the lifetime eviction count.
-func (c *segmentCache) evicted() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
+	return cache.New[segmentKey](int64(capacity), func(*segmentEntry) int64 { return 1 }, nil, "", cache.Help{})
 }

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"evr/internal/cache"
 	"evr/internal/codec"
 	"evr/internal/delivery"
 	"evr/internal/frame"
@@ -117,9 +118,9 @@ type FetchCounters struct {
 }
 
 // Fetcher is the client's network layer: a retrying, timeout-bearing HTTP
-// transport below an LRU cache of decoded segments, with singleflight
-// deduplication so a prefetch and an on-demand request for the same
-// segment never download it twice. Safe for concurrent use.
+// transport below an LRU cache of decoded segments, whose singleflight
+// loading means a prefetch and an on-demand request for the same segment
+// never download it twice. Safe for concurrent use.
 type Fetcher struct {
 	cfg   FetchConfig
 	http  *http.Client
@@ -137,9 +138,7 @@ type Fetcher struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	mu      sync.Mutex
-	flights map[segmentKey]*flightCall
-	wg      sync.WaitGroup // outstanding prefetch goroutines
+	wg sync.WaitGroup // outstanding prefetch goroutines
 
 	// liveEdge records, per video, the live edge at session join: only
 	// segments at or past it are "at edge" for freshness accounting —
@@ -160,16 +159,6 @@ type Fetcher struct {
 	behindMaxNs     atomic.Int64
 }
 
-// flightCall is one in-flight segment download+decode that concurrent
-// requesters share.
-type flightCall struct {
-	done     chan struct{}
-	entry    segmentEntry
-	err      error
-	prefetch bool // started by the prefetcher
-	consumed bool // a demand requester joined before completion (under Fetcher.mu)
-}
-
 // NewFetcher builds a fetcher. A nil httpClient gets a default client whose
 // end-to-end timeout matches cfg.Timeout; a caller-supplied client is used
 // as-is, with cfg.Timeout still enforced per attempt via request contexts.
@@ -185,7 +174,6 @@ func NewFetcher(cfg FetchConfig, httpClient *http.Client) *Fetcher {
 		ctx:      ctx,
 		cancel:   cancel,
 		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
-		flights:  make(map[segmentKey]*flightCall),
 		liveEdge: make(map[string]int),
 	}
 }
@@ -217,7 +205,7 @@ func (f *Fetcher) Counters() FetchCounters {
 		RetryAfterWaits: f.retryAfterWaits.Load(),
 		TimedOut:        f.timedOut.Load(),
 		BytesFetched:    f.bytesFetched.Load(),
-		Evictions:       f.cache.evicted(),
+		Evictions:       f.cache.Stats().Evictions,
 		LiveWaits:       f.liveWaits.Load(),
 		LiveSegments:    f.liveSegments.Load(),
 		BehindLiveNsSum: f.behindSumNs.Load(),
@@ -244,20 +232,19 @@ func (f *Fetcher) Manifest(baseURL, video string) (*server.Manifest, error) {
 // video, from cache when possible.
 func (f *Fetcher) FOVSegment(baseURL, video string, seg, cluster int) ([]*frame.Frame, []server.FrameMeta, error) {
 	key := segmentKey{video: video, seg: seg, cluster: cluster}
-	e, err := f.segment(key, false, func() (segmentEntry, error) {
+	return f.segment(key, false, func() (*segmentEntry, error) {
 		return f.loadFOV(baseURL, video, seg, cluster)
 	})
-	return e.frames, e.meta, err
 }
 
 // OrigSegment returns the decoded frames of one original (full-panorama)
 // segment, from cache when possible.
 func (f *Fetcher) OrigSegment(baseURL, video string, seg int) ([]*frame.Frame, error) {
 	key := segmentKey{video: video, seg: seg, cluster: origCluster}
-	e, err := f.segment(key, false, func() (segmentEntry, error) {
+	frames, _, err := f.segment(key, false, func() (*segmentEntry, error) {
 		return f.loadOrig(baseURL, video, seg)
 	})
-	return e.frames, err
+	return frames, err
 }
 
 // TileSegment returns the decoded frames of one tile at one quality rung,
@@ -265,32 +252,32 @@ func (f *Fetcher) OrigSegment(baseURL, video string, seg int) ([]*frame.Frame, e
 // apply per tile, exactly as they do per segment.
 func (f *Fetcher) TileSegment(baseURL, video string, seg, tile, rung int) ([]*frame.Frame, error) {
 	key := segmentKey{video: video, seg: seg, cluster: tileCluster, tile: tile, rung: rung}
-	e, err := f.segment(key, false, func() (segmentEntry, error) {
+	frames, _, err := f.segment(key, false, func() (*segmentEntry, error) {
 		return f.loadTile(baseURL, video, seg, tile, rung)
 	})
-	return e.frames, err
+	return frames, err
 }
 
 // TileLowSegment returns the decoded frames of a segment's low-res
 // backfill stream, from cache when possible.
 func (f *Fetcher) TileLowSegment(baseURL, video string, seg int) ([]*frame.Frame, error) {
 	key := segmentKey{video: video, seg: seg, cluster: lowCluster}
-	e, err := f.segment(key, false, func() (segmentEntry, error) {
+	frames, _, err := f.segment(key, false, func() (*segmentEntry, error) {
 		return f.loadTileLow(baseURL, video, seg)
 	})
-	return e.frames, err
+	return frames, err
 }
 
 // PrefetchFOV warms the cache with a FOV video in the background.
 func (f *Fetcher) PrefetchFOV(baseURL, video string, seg, cluster int) {
-	f.prefetchSegment(segmentKey{video: video, seg: seg, cluster: cluster}, func() (segmentEntry, error) {
+	f.prefetchSegment(segmentKey{video: video, seg: seg, cluster: cluster}, func() (*segmentEntry, error) {
 		return f.loadFOV(baseURL, video, seg, cluster)
 	})
 }
 
 // PrefetchOrig warms the cache with an original segment in the background.
 func (f *Fetcher) PrefetchOrig(baseURL, video string, seg int) {
-	f.prefetchSegment(segmentKey{video: video, seg: seg, cluster: origCluster}, func() (segmentEntry, error) {
+	f.prefetchSegment(segmentKey{video: video, seg: seg, cluster: origCluster}, func() (*segmentEntry, error) {
 		return f.loadOrig(baseURL, video, seg)
 	})
 }
@@ -300,8 +287,8 @@ func (f *Fetcher) Wait() { f.wg.Wait() }
 
 // prefetchSegment spawns a background fill of one segment. Prefetch errors
 // are swallowed: a later demand fetch retries and reports them.
-func (f *Fetcher) prefetchSegment(key segmentKey, load func() (segmentEntry, error)) {
-	if f.cache == nil || !f.cfg.Prefetch {
+func (f *Fetcher) prefetchSegment(key segmentKey, load func() (*segmentEntry, error)) {
+	if f.cfg.CacheSegments <= 0 || !f.cfg.Prefetch {
 		return
 	}
 	f.prefetchIssued.Add(1)
@@ -312,81 +299,63 @@ func (f *Fetcher) prefetchSegment(key segmentKey, load func() (segmentEntry, err
 	}()
 }
 
-// segment serves one decoded segment through cache and singleflight.
-func (f *Fetcher) segment(key segmentKey, prefetch bool, load func() (segmentEntry, error)) (segmentEntry, error) {
-	if prefetch {
-		if f.cache.contains(key) {
-			return segmentEntry{}, nil
+// segment serves one decoded segment through the cache: resident entries
+// and joined in-flight loads count as CacheHits for demand requests, and the
+// first demand request to receive a prefetched entry — resident or still
+// loading — claims its one PrefetchHit. A prefetch of a resident segment is
+// a no-op that neither promotes the entry nor touches its flag.
+func (f *Fetcher) segment(key segmentKey, prefetch bool, load func() (*segmentEntry, error)) ([]*frame.Frame, []server.FrameMeta, error) {
+	if prefetch && f.cache.Contains(key) {
+		return nil, nil, nil
+	}
+	e, outcome, err := f.cache.Get(key, func() (*segmentEntry, error) {
+		e, err := load()
+		if err == nil && prefetch {
+			e.prefetched.Store(true)
 		}
-	} else if e, wasPrefetched, ok := f.cache.get(key); ok {
+		return e, err
+	})
+	if !prefetch && outcome != cache.Miss {
 		f.cacheHits.Add(1)
-		if wasPrefetched {
+		if err == nil && e.prefetched.CompareAndSwap(true, false) {
 			f.prefetchHits.Add(1)
 		}
-		return e, nil
 	}
-
-	f.mu.Lock()
-	if c, ok := f.flights[key]; ok {
-		if !prefetch {
-			joinedPrefetch := c.prefetch && !c.consumed
-			c.consumed = true
-			f.cacheHits.Add(1)
-			if joinedPrefetch {
-				f.prefetchHits.Add(1)
-			}
-		}
-		f.mu.Unlock()
-		<-c.done
-		return c.entry, c.err
+	if err != nil {
+		return nil, nil, err
 	}
-	c := &flightCall{done: make(chan struct{}), prefetch: prefetch}
-	f.flights[key] = c
-	f.mu.Unlock()
-
-	c.entry, c.err = load()
-
-	f.mu.Lock()
-	delete(f.flights, key)
-	stillPrefetch := c.prefetch && !c.consumed
-	f.mu.Unlock()
-	if c.err == nil {
-		c.entry.prefetched = stillPrefetch
-		f.cache.put(key, c.entry)
-	}
-	close(c.done)
-	return c.entry, c.err
+	return e.frames, e.meta, nil
 }
 
 // loadFOV downloads and decodes one FOV video plus its metadata.
-func (f *Fetcher) loadFOV(baseURL, video string, seg, cluster int) (segmentEntry, error) {
+func (f *Fetcher) loadFOV(baseURL, video string, seg, cluster int) (*segmentEntry, error) {
 	payload, err := f.getLive(fmt.Sprintf("%s/v/%s/fov/%d/%d", baseURL, video, seg, cluster), video, seg)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
 	frames, err := f.decodePayload(payload)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
 	metaRaw, err := f.getLive(fmt.Sprintf("%s/v/%s/fovmeta/%d/%d", baseURL, video, seg, cluster), video, seg)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
 	tm := f.cfg.Trace.StartTimer(telemetry.StageDecode)
 	var meta []server.FrameMeta
 	err = json.Unmarshal(metaRaw, &meta)
 	tm.Stop()
 	if err != nil {
-		return segmentEntry{}, fmt.Errorf("client: parsing FOV metadata: %w", err)
+		return nil, fmt.Errorf("client: parsing FOV metadata: %w", err)
 	}
-	return segmentEntry{frames: frames, meta: meta}, nil
+	return &segmentEntry{frames: frames, meta: meta}, nil
 }
 
 // loadOrig downloads and decodes one original segment.
-func (f *Fetcher) loadOrig(baseURL, video string, seg int) (segmentEntry, error) {
+func (f *Fetcher) loadOrig(baseURL, video string, seg int) (*segmentEntry, error) {
 	payload, err := f.getLive(fmt.Sprintf("%s/v/%s/orig/%d", baseURL, video, seg), video, seg)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
 	return f.decodePayloadEntry(payload)
 }
@@ -394,32 +363,32 @@ func (f *Fetcher) loadOrig(baseURL, video string, seg int) (segmentEntry, error)
 // loadTile downloads and decodes one tile payload, verifying the wire
 // header names the tile that was asked for — a confused (or hostile)
 // origin must not paint the wrong rectangle.
-func (f *Fetcher) loadTile(baseURL, video string, seg, tile, rung int) (segmentEntry, error) {
+func (f *Fetcher) loadTile(baseURL, video string, seg, tile, rung int) (*segmentEntry, error) {
 	payload, err := f.getLive(fmt.Sprintf("%s/v/%s/tile/%d/%d/%d", baseURL, video, seg, tile, rung), video, seg)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
 	tm := f.cfg.Trace.StartTimer(telemetry.StageDecode)
 	defer tm.Stop()
 	p, err := delivery.UnmarshalTile(payload)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
 	if p.Tile != tile || p.Rung != rung {
-		return segmentEntry{}, fmt.Errorf("client: asked for tile %d rung %d, payload is tile %d rung %d", tile, rung, p.Tile, p.Rung)
+		return nil, fmt.Errorf("client: asked for tile %d rung %d, payload is tile %d rung %d", tile, rung, p.Tile, p.Rung)
 	}
 	frames, err := codec.DecodeSequence(p.Bits)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
-	return segmentEntry{frames: frames}, nil
+	return &segmentEntry{frames: frames}, nil
 }
 
 // loadTileLow downloads and decodes one backfill stream.
-func (f *Fetcher) loadTileLow(baseURL, video string, seg int) (segmentEntry, error) {
+func (f *Fetcher) loadTileLow(baseURL, video string, seg int) (*segmentEntry, error) {
 	payload, err := f.getLive(fmt.Sprintf("%s/v/%s/tilelow/%d", baseURL, video, seg), video, seg)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
 	return f.decodePayloadEntry(payload)
 }
@@ -436,12 +405,12 @@ func (f *Fetcher) decodePayload(payload []byte) ([]*frame.Frame, error) {
 	return codec.DecodeSequence(bits)
 }
 
-func (f *Fetcher) decodePayloadEntry(payload []byte) (segmentEntry, error) {
+func (f *Fetcher) decodePayloadEntry(payload []byte) (*segmentEntry, error) {
 	frames, err := f.decodePayload(payload)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
-	return segmentEntry{frames: frames}, nil
+	return &segmentEntry{frames: frames}, nil
 }
 
 // get performs one HTTP GET with per-attempt timeout, bounded retries with

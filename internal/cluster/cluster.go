@@ -67,7 +67,7 @@ type Cluster struct {
 	opts   Options
 	store  *store.Store
 	reg    *telemetry.Registry
-	edge   *edgeCache // nil when the edge tier is disabled
+	edge   *edgeCache // nil (caches nothing) when the edge tier is disabled
 	shards []*shard
 
 	requests      *telemetry.Counter
@@ -166,9 +166,7 @@ func (c *Cluster) Ingest(v scene.VideoSpec, cfg server.IngestConfig) (*server.Ma
 	for _, sh := range c.shards[1:] {
 		sh.svc.Publish(man)
 	}
-	if c.edge != nil {
-		c.edge.purgeVideo(v.Name)
-	}
+	c.edge.PurgeKeys(edgeOfVideo(v.Name))
 	return man, nil
 }
 
@@ -179,9 +177,7 @@ func (c *Cluster) Publish(man *server.Manifest) {
 	for _, sh := range c.shards {
 		sh.svc.Publish(man)
 	}
-	if c.edge != nil {
-		c.edge.purgeVideo(man.Video)
-	}
+	c.edge.PurgeKeys(edgeOfVideo(man.Video))
 }
 
 // ServeLive attaches a live stream to every replica: each shard serves the
@@ -194,12 +190,10 @@ func (c *Cluster) ServeLive(ls *server.LiveStream) {
 	for _, sh := range c.shards {
 		sh.svc.ServeLive(ls)
 	}
-	if c.edge != nil {
-		video := ls.Video()
-		ls.OnPublish(func(seg int) {
-			c.edge.purgeSegment(video, fmt.Sprintf("%d", seg))
-		})
-	}
+	video := ls.Video()
+	ls.OnPublish(func(seg int) {
+		c.edge.PurgeKeys(edgeOfSegment(video, fmt.Sprintf("%d", seg)))
+	})
 }
 
 // KillShard takes one replica off the ring: its keys move to their ring
@@ -251,9 +245,7 @@ func (c *Cluster) rebuildRingLocked() {
 	c.ring = next
 	c.ringMu.Unlock()
 	c.liveShardsG.Set(int64(len(alive)))
-	if c.edge != nil {
-		c.edge.purgeMoved(func(video, seg string) int { return next.owner(video, seg) })
-	}
+	purgeMoved(c.edge, next.owner)
 }
 
 // currentRing snapshots the ring.
@@ -302,7 +294,7 @@ func (c *Cluster) Stats() Stats {
 		},
 	}
 	if c.edge != nil {
-		es := c.edge.stats()
+		es := c.edge.Stats()
 		st.Edge = &es
 	}
 	for _, sh := range c.shards {

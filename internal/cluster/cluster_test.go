@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"evr/internal/cache"
 	"evr/internal/scene"
 	"evr/internal/server"
 	"evr/internal/store"
@@ -310,9 +311,9 @@ func TestClusterSoakUnderTopologyChurn(t *testing.T) {
 			default:
 			}
 			victim := i % c.NumShards()
-			c.KillShard(victim) //nolint:errcheck // index always in range
+			c.KillShard(victim)
 			time.Sleep(2 * time.Millisecond)
-			c.RestartShard(victim) //nolint:errcheck // index always in range
+			c.RestartShard(victim)
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -403,7 +404,7 @@ func TestClusterMetricsEndpoints(t *testing.T) {
 		}
 	}
 	prom := get(router, "/metrics?format=prom")
-	for _, want := range []string{promRouterRequests, promEdgeHits, promRouterShardRequests} {
+	for _, want := range []string{promRouterRequests, promEdge + "_hits_total", promRouterShardRequests} {
 		if !bytes.Contains(prom.Body.Bytes(), []byte(want)) {
 			t.Errorf("prom exposition missing %s", want)
 		}
@@ -434,88 +435,160 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	}
 }
 
-// TestEdgePurgeVideoDoomsInflight pins the edge tier's overtaken-flight
-// rule: a purge landing while a routed load is in flight serves the load's
-// result to its waiters but never caches it.
-func TestEdgePurgeVideoDoomsInflight(t *testing.T) {
+// routed builds the load a test hands the edge cache: the response a shard
+// (owner ≥ 0) would have answered, passed through uncached when it is not a
+// live shard's 200 — the same rule serveKeyed applies.
+func routed(status int, body string, owner int) func() (*edgeResp, error) {
+	return func() (*edgeResp, error) {
+		resp := &edgeResp{status: status, body: []byte(body), owner: owner}
+		if !resp.cacheable() {
+			return resp, errPassThrough
+		}
+		return resp, nil
+	}
+}
+
+// TestEdgePurgePredicates pins the edge tier's key-scoped purges (the
+// overtaken-flight rule itself is the cache core's, checked there): a video
+// purge takes every segment and kind of the video, a segment purge only
+// that segment's kinds.
+func TestEdgePurgePredicates(t *testing.T) {
 	ec := newEdgeCache(1<<20, telemetry.NewRegistry())
-	loadStarted := make(chan struct{})
-	releaseLoad := make(chan struct{})
-	loads := 0
-	done := make(chan *edgeResp, 1)
-	key := edgeKey{video: "V", seg: "0", kind: "orig"}
-	go func() {
-		resp, _ := ec.get(key, func() (*edgeResp, int) {
-			loads++
-			close(loadStarted)
-			<-releaseLoad
-			return &edgeResp{status: http.StatusOK, body: []byte("stale")}, 0
-		})
-		done <- resp
-	}()
-	<-loadStarted
-	ec.purgeVideo("V")
-	close(releaseLoad)
-	if resp := <-done; string(resp.body) != "stale" {
-		t.Fatalf("waiter got %q, want the in-flight result", resp.body)
+	keys := []edgeKey{
+		{video: "V", seg: "0", kind: "orig"},
+		{video: "V", seg: "0", cluster: "2/1", kind: "tile"},
+		{video: "V", seg: "1", cluster: "0", kind: "fov"},
+		{video: "W", seg: "0", kind: "orig"},
 	}
-	// The doomed flight must not have cached: the next get loads again.
-	fresh, hit := ec.get(key, func() (*edgeResp, int) {
-		loads++
-		return &edgeResp{status: http.StatusOK, body: []byte("fresh")}, 0
-	})
-	if hit || string(fresh.body) != "fresh" || loads != 2 {
-		t.Errorf("purged-during-flight entry was cached: hit=%v body=%q loads=%d", hit, fresh.body, loads)
+	fill := func() {
+		for _, key := range keys {
+			ec.Get(key, routed(http.StatusOK, "body", 0))
+		}
 	}
-	if st := ec.stats(); st.Doomed != 1 {
-		t.Errorf("Doomed = %d, want 1", st.Doomed)
+	resident := func(key edgeKey) bool {
+		_, outcome, _ := ec.Get(key, routed(http.StatusOK, "reloaded", 0))
+		return outcome == cache.Hit
+	}
+	fill()
+	ec.PurgeKeys(edgeOfSegment("V", "0"))
+	for i, want := range []bool{false, false, true, true} {
+		if got := resident(keys[i]); got != want {
+			t.Errorf("after segment purge, %+v resident = %v, want %v", keys[i], got, want)
+		}
+	}
+	fill()
+	ec.PurgeKeys(edgeOfVideo("V"))
+	for i, want := range []bool{false, false, false, true} {
+		if got := resident(keys[i]); got != want {
+			t.Errorf("after video purge, %+v resident = %v, want %v", keys[i], got, want)
+		}
 	}
 }
 
 // TestEdgePurgeMovedTargetsOwnership pins the targeted topology purge:
-// only entries whose key ownership moved are dropped.
+// only entries whose key ownership moved are dropped, and every load in
+// flight across the change is doomed — its recorded owner may be stale.
 func TestEdgePurgeMovedTargetsOwnership(t *testing.T) {
 	ec := newEdgeCache(1<<20, telemetry.NewRegistry())
 	stay := edgeKey{video: "V", seg: "0", kind: "orig"}
 	move := edgeKey{video: "V", seg: "1", kind: "orig"}
-	ec.get(stay, func() (*edgeResp, int) { return &edgeResp{status: 200, body: []byte("a")}, 0 })
-	ec.get(move, func() (*edgeResp, int) { return &edgeResp{status: 200, body: []byte("b")}, 1 })
+	flying := edgeKey{video: "V", seg: "2", kind: "orig"}
+	ec.Get(stay, routed(200, "a", 0))
+	ec.Get(move, routed(200, "b", 1))
+	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		ec.Get(flying, func() (*edgeResp, error) {
+			close(started)
+			<-release
+			return routed(200, "c", 0)()
+		})
+	}()
+	<-started
 
 	// Shard 1 died: its keys now belong to shard 0, shard 0's keys don't move.
-	ec.purgeMoved(func(video, seg string) int { return 0 })
+	purgeMoved(ec, func(video, seg string) int { return 0 })
+	close(release)
+	<-done
 
-	if _, hit := ec.get(stay, func() (*edgeResp, int) { t.Fatal("stable entry reloaded"); return nil, -1 }); !hit {
+	if _, outcome, _ := ec.Get(stay, func() (*edgeResp, error) { t.Error("stable entry reloaded"); return routed(200, "a", 0)() }); outcome != cache.Hit {
 		t.Error("entry with unmoved ownership was purged")
 	}
-	reloaded := false
-	ec.get(move, func() (*edgeResp, int) {
-		reloaded = true
-		return &edgeResp{status: 200, body: []byte("b")}, 0
-	})
-	if !reloaded {
-		t.Error("entry whose ownership moved survived the topology purge")
+	for _, key := range []edgeKey{move, flying} {
+		if _, outcome, _ := ec.Get(key, routed(200, "fresh", 0)); outcome != cache.Miss {
+			t.Errorf("%+v survived the topology purge (%v)", key, outcome)
+		}
 	}
-	if st := ec.stats(); st.Purged != 1 {
-		t.Errorf("Purged = %d, want 1", st.Purged)
+	if st := ec.Stats(); st.Purged != 1 || st.Doomed != 1 {
+		t.Errorf("Purged = %d, Doomed = %d, want 1 and 1", st.Purged, st.Doomed)
 	}
 }
 
-// TestEdgeUncacheableResponsesPassThrough pins that 404s and sheds are
-// never cached — a recovered shard is visible immediately.
+// TestEdgeUncacheableResponsesPassThrough pins the edge ownership rule:
+// 404s, sheds, and responses no live shard served are handed to their
+// requesters and never cached — a recovered shard is visible immediately.
 func TestEdgeUncacheableResponsesPassThrough(t *testing.T) {
 	ec := newEdgeCache(1<<20, telemetry.NewRegistry())
-	key := edgeKey{video: "V", seg: "9", kind: "orig"}
-	loads := 0
-	for i := 0; i < 2; i++ {
-		_, hit := ec.get(key, func() (*edgeResp, int) {
-			loads++
-			return &edgeResp{status: http.StatusNotFound, body: []byte("nope")}, 0
-		})
-		if hit {
-			t.Fatal("uncacheable response served as an edge hit")
+	for _, tc := range []struct {
+		name   string
+		status int
+		owner  int
+	}{
+		{"404", http.StatusNotFound, 0},
+		{"shed", http.StatusServiceUnavailable, 0},
+		{"ownerless 200", http.StatusOK, -1},
+	} {
+		key := edgeKey{video: "V", seg: tc.name, kind: "orig"}
+		for i := 0; i < 2; i++ {
+			resp, outcome, _ := ec.Get(key, routed(tc.status, "nope", tc.owner))
+			if outcome != cache.Miss || resp.status != tc.status || string(resp.body) != "nope" {
+				t.Errorf("%s request %d: outcome %v, response %+v; want the routed response, uncached", tc.name, i, outcome, resp)
+			}
 		}
 	}
-	if loads != 2 {
-		t.Errorf("404 was cached: %d loads, want 2", loads)
+	if st := ec.Stats(); st.Entries != 0 {
+		t.Errorf("uncacheable responses became resident: %+v", st)
+	}
+}
+
+// TestEdgeHitPathDoesNotAllocate guards serve_zipf's edge hit path for
+// this package's instantiation of the core.
+func TestEdgeHitPathDoesNotAllocate(t *testing.T) {
+	ec := newEdgeCache(1<<20, telemetry.NewRegistry())
+	key := edgeKey{video: "video", seg: "3", cluster: "2/1", kind: "tile"}
+	load := routed(http.StatusOK, "payload", 0)
+	ec.Get(key, load)
+	if n := testing.AllocsPerRun(200, func() { ec.Get(key, load) }); n != 0 {
+		t.Errorf("resident edgeKey Get allocates %v times per call, want 0", n)
+	}
+}
+
+// TestPanickingShardHandlerDoesNotStrandKey is the routed face of the
+// stranded-flight fix: a shard handler that panics mid-request (net/http
+// recovers it per connection and keeps serving) must cost only that one
+// request, not every later request for the key.
+func TestPanickingShardHandlerDoesNotStrandKey(t *testing.T) {
+	c := newTestCluster(t, 1, 1<<20)
+	healthy := c.shards[0].handler
+	c.shards[0].handler = http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("shard bug") })
+	router := c.Handler()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("handler panic was swallowed by the router")
+			}
+		}()
+		get(router, "/v/CLUSTER/orig/0")
+	}()
+	c.shards[0].handler = healthy
+	done := make(chan int, 1)
+	go func() { done <- get(router, "/v/CLUSTER/orig/0").Code }()
+	select {
+	case code := <-done:
+		if code != http.StatusOK {
+			t.Errorf("request after the panic: status %d", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("request after a panicked load is still blocked on its flight")
 	}
 }

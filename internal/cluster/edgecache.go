@@ -1,10 +1,10 @@
 package cluster
 
 import (
-	"container/list"
+	"errors"
 	"net/http"
-	"sync"
 
+	"evr/internal/cache"
 	"evr/internal/telemetry"
 )
 
@@ -15,236 +15,79 @@ import (
 type edgeKey struct {
 	video   string
 	seg     string
-	cluster string // "" for originals
-	kind    string // "orig", "fov", "fovmeta"
+	cluster string // "" for originals and backfill; "{tile}/{rung}" for tiles
+	kind    string // "orig", "fov", "fovmeta", "tile", "tilelow"
 }
 
 // edgeResp is one upstream response held by the edge tier: enough of the
 // HTTP surface to replay it byte-identically — status, the content type,
-// the Retry-After shed hint, the live publish timestamp, and the body.
-// publishedAt is safe to cache: a segment's timestamp is immutable per
-// publish, and every publish purges its edge entries first.
+// the Retry-After shed hint, the live publish timestamp, and the body —
+// plus the shard that served it, the ownership record targeted purges match
+// against. publishedAt is safe to cache: a segment's timestamp is immutable
+// per publish, and every publish purges its edge entries first.
 type edgeResp struct {
 	status      int
 	contentType string
 	retryAfter  string
 	publishedAt string // X-EVR-Published-At-Ns, "" for VOD payloads
 	body        []byte
+	owner       int // shard index, -1 when no shard answered
 }
 
 // cacheable reports whether the response may enter the edge cache: only
-// successful payloads. Shed signals (503 + Retry-After), 404s, and errors
-// pass through uncached so a recovered shard is visible immediately.
-func (r *edgeResp) cacheable() bool { return r.status == http.StatusOK }
+// successful payloads from a live shard. Shed signals (503 + Retry-After),
+// 404s, and errors pass through uncached so a recovered shard is visible
+// immediately.
+func (r *edgeResp) cacheable() bool { return r.status == http.StatusOK && r.owner >= 0 }
 
-// edgeFlight is one in-flight routed load shared by concurrent identical
-// requests. doomed (guarded by edgeCache.mu) marks flights overtaken by a
-// purge or a topology change: served, never inserted.
-type edgeFlight struct {
-	done   chan struct{}
-	resp   *edgeResp
-	owner  int
-	doomed bool
-}
-
-// edgeEntry is one resident payload plus the shard that served it — the
-// ownership record targeted purges match against.
-type edgeEntry struct {
-	key   edgeKey
-	resp  *edgeResp
-	owner int
-}
+// errPassThrough rides beside an uncacheable response through the cache
+// core: the response is handed to the requests waiting on it, never retained.
+var errPassThrough = errors.New("cluster: response not cacheable")
 
 // EdgeStats is a point-in-time view of the edge cache.
-type EdgeStats struct {
-	Hits      int64 `json:"hits"`      // served at the edge, no shard touched
-	Misses    int64 `json:"misses"`    // routed to a shard (one per flight)
-	Coalesced int64 `json:"coalesced"` // requests that joined an in-flight identical load
-	Evictions int64 `json:"evictions"` // entries dropped under the byte budget
-	Oversized int64 `json:"oversized"` // payloads larger than the whole budget (served, never cached)
-	Doomed    int64 `json:"doomed"`    // in-flight loads overtaken by a purge or topology change
-	Purged    int64 `json:"purged"`    // entries dropped by video purges and topology changes
-	Entries   int64 `json:"entries"`   // live cached payloads
-	Bytes     int64 `json:"bytes"`     // live cached payload bytes
-	MaxBytes  int64 `json:"maxBytes"`  // configured budget
-}
+type EdgeStats = cache.Stats
 
-// HitRate returns the edge hit fraction over all lookups so far.
-func (s EdgeStats) HitRate() float64 {
-	total := s.Hits + s.Misses + s.Coalesced
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
+// promEdge prefixes the edge tier's Prometheus series (evr_edge_hits_total
+// …); the core appends the per-series suffixes.
+const promEdge = "evr_edge"
 
-// Prometheus metric names for the edge tier.
-const (
-	promEdgeHits      = "evr_edge_hits_total"
-	promEdgeMisses    = "evr_edge_misses_total"
-	promEdgeCoalesced = "evr_edge_coalesced_total"
-	promEdgeEvictions = "evr_edge_evictions_total"
-	promEdgeOversized = "evr_edge_oversized_total"
-	promEdgeDoomed    = "evr_edge_doomed_total"
-	promEdgePurged    = "evr_edge_purged_total"
-	promEdgeEntries   = "evr_edge_entries"
-	promEdgeBytes     = "evr_edge_bytes"
-)
-
-// edgeCache is the router's second-level response cache: a bounded LRU of
-// routed payloads with singleflight coalescing, the same shape as the
-// shard-side respCache but keyed on raw path values and carrying full
-// response envelopes plus shard ownership. It is what absorbs the head of
-// a Zipf popularity distribution before it reaches any shard. Safe for
-// concurrent use.
-type edgeCache struct {
-	hits      *telemetry.Counter
-	misses    *telemetry.Counter
-	coalesced *telemetry.Counter
-	evictions *telemetry.Counter
-	oversized *telemetry.Counter
-	doomed    *telemetry.Counter
-	purged    *telemetry.Counter
-	entriesG  *telemetry.Gauge
-	bytesG    *telemetry.Gauge
-
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	order    *list.List // front = most recently used; values are *edgeEntry
-	items    map[edgeKey]*list.Element
-	flights  map[edgeKey]*edgeFlight
-}
+// edgeCache is the router's second-level response cache, the cache core
+// (internal/cache) keyed on raw path values and holding full response
+// envelopes. It is what absorbs the head of a Zipf popularity distribution
+// before it reaches any shard.
+type edgeCache = cache.Cache[edgeKey, *edgeResp]
 
 // newEdgeCache builds an edge cache with the given payload-byte budget,
 // registering its series on the router's registry. maxBytes ≤ 0 returns
-// nil — the router then forwards every request.
+// the nil cache — the router then forwards every request.
 func newEdgeCache(maxBytes int64, reg *telemetry.Registry) *edgeCache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	reg.SetHelp(promEdgeHits, "segment responses served from the edge cache")
-	reg.SetHelp(promEdgeMisses, "segment responses routed to a shard")
-	reg.SetHelp(promEdgeCoalesced, "segment requests that joined an in-flight identical routed load")
-	reg.SetHelp(promEdgeEvictions, "edge-cache entries evicted under the byte budget")
-	reg.SetHelp(promEdgeOversized, "payloads larger than the whole edge budget (served, never cached)")
-	reg.SetHelp(promEdgeDoomed, "in-flight routed loads overtaken by a purge or topology change")
-	reg.SetHelp(promEdgePurged, "edge-cache entries dropped by video purges and topology changes")
-	reg.SetHelp(promEdgeEntries, "live edge-cache entries")
-	reg.SetHelp(promEdgeBytes, "live edge-cache payload bytes")
-	return &edgeCache{
-		hits:      reg.Counter(promEdgeHits),
-		misses:    reg.Counter(promEdgeMisses),
-		coalesced: reg.Counter(promEdgeCoalesced),
-		evictions: reg.Counter(promEdgeEvictions),
-		oversized: reg.Counter(promEdgeOversized),
-		doomed:    reg.Counter(promEdgeDoomed),
-		purged:    reg.Counter(promEdgePurged),
-		entriesG:  reg.Gauge(promEdgeEntries),
-		bytesG:    reg.Gauge(promEdgeBytes),
-		maxBytes:  maxBytes,
-		order:     list.New(),
-		items:     make(map[edgeKey]*list.Element),
-		flights:   make(map[edgeKey]*edgeFlight),
-	}
+	return cache.New[edgeKey](maxBytes, func(r *edgeResp) int64 { return int64(len(r.body)) }, reg, promEdge, cache.Help{
+		Hits:      "segment responses served from the edge cache",
+		Misses:    "segment responses routed to a shard",
+		Coalesced: "segment requests that joined an in-flight identical routed load",
+		Evictions: "edge-cache entries evicted under the byte budget",
+		Oversized: "payloads larger than the whole edge budget (served, never cached)",
+		Doomed:    "in-flight routed loads overtaken by a purge or topology change",
+		Purged:    "edge-cache entries dropped by video purges and topology changes",
+		Entries:   "live edge-cache entries",
+		Bytes:     "live edge-cache payload bytes",
+	})
 }
 
-// get serves key from the edge when resident, otherwise routes exactly one
-// load per concurrent wave through load (which returns the upstream
-// response and the shard that served it, -1 when routing failed). Only
-// cacheable responses from a live shard are inserted, and only when no
-// purge or topology change overtook the flight. hit reports an edge serve.
-func (c *edgeCache) get(key edgeKey, load func() (*edgeResp, int)) (resp *edgeResp, hit bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		resp := el.Value.(*edgeEntry).resp
-		c.mu.Unlock()
-		c.hits.Inc()
-		return resp, true
-	}
-	if fl, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		c.coalesced.Inc()
-		<-fl.done
-		return fl.resp, false
-	}
-	fl := &edgeFlight{done: make(chan struct{})}
-	c.flights[key] = fl
-	c.mu.Unlock()
-	c.misses.Inc()
-
-	fl.resp, fl.owner = load()
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if fl.doomed {
-		c.doomed.Inc()
-	} else if fl.resp.cacheable() && fl.owner >= 0 {
-		c.insertLocked(key, fl.resp, fl.owner)
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return fl.resp, false
+// edgeOfVideo matches every edge payload of one video — re-ingest purge
+// propagation, with the same overtaken-flight rule the shard cache applies.
+func edgeOfVideo(video string) func(edgeKey) bool {
+	return func(k edgeKey) bool { return k.video == video }
 }
 
-// insertLocked adds an entry and evicts LRU entries past the byte budget.
-// Over-budget payloads are counted and skipped, as in the shard cache.
-func (c *edgeCache) insertLocked(key edgeKey, resp *edgeResp, owner int) {
-	size := int64(len(resp.body))
-	if size > c.maxBytes {
-		c.oversized.Inc()
-		return
-	}
-	if el, ok := c.items[key]; ok {
-		entry := el.Value.(*edgeEntry)
-		c.bytes += size - int64(len(entry.resp.body))
-		entry.resp = resp
-		entry.owner = owner
-		c.order.MoveToFront(el)
-	} else {
-		c.items[key] = c.order.PushFront(&edgeEntry{key: key, resp: resp, owner: owner})
-		c.bytes += size
-	}
-	for c.bytes > c.maxBytes {
-		oldest := c.order.Back()
-		entry := oldest.Value.(*edgeEntry)
-		c.order.Remove(oldest)
-		delete(c.items, entry.key)
-		c.bytes -= int64(len(entry.resp.body))
-		c.evictions.Inc()
-	}
-	c.entriesG.Set(int64(c.order.Len()))
-	c.bytesG.Set(c.bytes)
-}
-
-// purgeVideo drops every edge payload of one video and dooms its in-flight
-// loads — re-ingest purge propagation, with the same overtaken-flight rule
-// the shard cache applies.
-func (c *edgeCache) purgeVideo(video string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.removeLocked(func(e *edgeEntry) bool { return e.key.video == video })
-	for key, fl := range c.flights {
-		if key.video == video {
-			fl.doomed = true
-		}
-	}
-}
-
-// purgeSegment drops every edge payload of one (video, segment) and dooms
-// its in-flight loads — live-publish propagation: the segment transitions
-// from 425 to a real payload, and any cached too-early envelope or stale
-// flight must not outlive the publish.
-func (c *edgeCache) purgeSegment(video, seg string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.removeLocked(func(e *edgeEntry) bool { return e.key.video == video && e.key.seg == seg })
-	for key, fl := range c.flights {
-		if key.video == video && key.seg == seg {
-			fl.doomed = true
-		}
-	}
+// edgeOfSegment matches every edge payload of one (video, segment) —
+// live-publish propagation: the segment transitions from 425 to a real
+// payload, and no stale flight may outlive the publish.
+func edgeOfSegment(video, seg string) func(edgeKey) bool {
+	return func(k edgeKey) bool { return k.video == video && k.seg == seg }
 }
 
 // purgeMoved enforces the edge ownership invariant after a topology
@@ -253,48 +96,9 @@ func (c *edgeCache) purgeSegment(video, seg string) {
 // keys now belong to its ring successors; a restarted shard reclaims keys
 // its stand-ins served) are dropped, and every in-flight load is doomed —
 // its recorded owner may be stale by the time it lands.
-func (c *edgeCache) purgeMoved(owner func(video, seg string) int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.removeLocked(func(e *edgeEntry) bool { return owner(e.key.video, e.key.seg) != e.owner })
-	for _, fl := range c.flights {
-		fl.doomed = true
-	}
-}
-
-// removeLocked drops every entry matching drop and refreshes the gauges.
-func (c *edgeCache) removeLocked(drop func(*edgeEntry) bool) {
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		if entry := el.Value.(*edgeEntry); drop(entry) {
-			c.order.Remove(el)
-			delete(c.items, entry.key)
-			c.bytes -= int64(len(entry.resp.body))
-			c.purged.Inc()
-		}
-		el = next
-	}
-	c.entriesG.Set(int64(c.order.Len()))
-	c.bytesG.Set(c.bytes)
-}
-
-// stats snapshots the edge cache counters.
-func (c *edgeCache) stats() EdgeStats {
-	c.mu.Lock()
-	entries := int64(c.order.Len())
-	bytes := c.bytes
-	maxBytes := c.maxBytes
-	c.mu.Unlock()
-	return EdgeStats{
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Coalesced: c.coalesced.Value(),
-		Evictions: c.evictions.Value(),
-		Oversized: c.oversized.Value(),
-		Doomed:    c.doomed.Value(),
-		Purged:    c.purged.Value(),
-		Entries:   entries,
-		Bytes:     bytes,
-		MaxBytes:  maxBytes,
-	}
+func purgeMoved(c *edgeCache, owner func(video, seg string) int) {
+	c.Purge(
+		func(k edgeKey, r *edgeResp) bool { return owner(k.video, k.seg) != r.owner },
+		func(edgeKey) bool { return true },
+	)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"evr/internal/cache"
 	"evr/internal/server"
 )
 
@@ -33,29 +34,28 @@ func (c *Cluster) Handler() http.Handler {
 	mux.HandleFunc("GET /v/{video}/orig/{seg}", c.segmentProxy("orig"))
 	mux.HandleFunc("GET /v/{video}/fov/{seg}/{cluster}", c.segmentProxy("fov"))
 	mux.HandleFunc("GET /v/{video}/fovmeta/{seg}/{cluster}", c.segmentProxy("fovmeta"))
-	mux.HandleFunc("GET /v/{video}/tile/{seg}/{tile}/{rung}", c.tileProxy)
+	mux.HandleFunc("GET /v/{video}/tile/{seg}/{tile}/{rung}", c.segmentProxy("tile"))
 	mux.HandleFunc("GET /v/{video}/tilelow/{seg}", c.segmentProxy("tilelow"))
 	return mux
 }
 
-// tileProxy serves one tile payload through the edge tier. Tile keys route
-// on (video, seg) — the same ring position as the segment's other payload
-// kinds — so a single shard owns every tile of a segment and its respcache
-// sees the segment's whole tile working set. The edge entry is still keyed
-// per (tile, rung), so distinct rungs never alias.
-func (c *Cluster) tileProxy(w http.ResponseWriter, r *http.Request) {
-	c.requests.Inc()
-	video, seg := r.PathValue("video"), r.PathValue("seg")
-	tileID := r.PathValue("tile") + "/" + r.PathValue("rung")
-	load := func() (*edgeResp, int) { return c.route(video, seg, r) }
-	var resp *edgeResp
-	var hit bool
-	if c.edge != nil {
-		resp, hit = c.edge.get(edgeKey{video: video, seg: seg, cluster: tileID, kind: "tile"}, load)
-	} else {
-		resp, _ = load()
+// serveKeyed answers one keyed payload request from the edge tier, routing
+// it to the owning shard — once per concurrent wave — when it is not
+// resident. Uncacheable responses pass through to everyone waiting on them.
+func (c *Cluster) serveKeyed(w http.ResponseWriter, r *http.Request, key edgeKey) {
+	resp, outcome, _ := c.edge.Get(key, func() (*edgeResp, error) {
+		resp := c.route(key.video, key.seg, r)
+		if !resp.cacheable() {
+			return resp, errPassThrough
+		}
+		return resp, nil
+	})
+	if resp == nil {
+		// The request this one was waiting on panicked inside its shard
+		// handler; answer a retryable error rather than nothing.
+		resp = &edgeResp{status: http.StatusInternalServerError, body: []byte("shard handler failed\n"), owner: -1}
 	}
-	writeResp(w, resp, hit)
+	writeResp(w, resp, outcome == cache.Hit)
 }
 
 // capture is the in-process ResponseWriter the router hands a shard
@@ -115,6 +115,7 @@ func (c *Cluster) forward(si int, r *http.Request) (*edgeResp, bool) {
 	}
 	sh.requests.Inc()
 	resp := cp.resp()
+	resp.owner = si
 	if resp.status == http.StatusServiceUnavailable {
 		sh.shed.Inc()
 		c.shedForwarded.Inc()
@@ -131,51 +132,46 @@ func noShardResp() *edgeResp {
 		status:     http.StatusServiceUnavailable,
 		retryAfter: "1",
 		body:       []byte("no live shard\n"),
+		owner:      -1,
 	}
 }
 
 // route forwards a segment request to the shard owning (video, seg),
-// walking the ring past dead shards. It returns the response and the shard
-// that served it (-1 when nothing could). The ring snapshot is re-read on
+// walking the ring past dead shards. The response records the shard that
+// served it (owner -1 when nothing could). The ring snapshot is re-read on
 // every attempt so a concurrent kill's rebuild takes effect mid-loop.
-func (c *Cluster) route(video, seg string, r *http.Request) (*edgeResp, int) {
+func (c *Cluster) route(video, seg string, r *http.Request) *edgeResp {
 	for attempt := 0; attempt <= len(c.shards); attempt++ {
 		ring := c.currentRing()
 		si := ring.ownerSkipping(segKey(video, seg), func(i int) bool { return c.shards[i].down.Load() })
 		if si < 0 {
 			c.noShard.Inc()
-			return noShardResp(), -1
+			return noShardResp()
 		}
 		if resp, ok := c.forward(si, r); ok {
-			return resp, si
+			return resp
 		}
 		// The owner died between lookup and forward: the rebuilt ring (or
 		// the skip predicate) picks its successor next time around.
 		c.rerouted.Inc()
 	}
 	c.noShard.Inc()
-	return noShardResp(), -1
+	return noShardResp()
 }
 
 // segmentProxy serves one segment payload kind through the edge tier and
-// the ring.
+// the ring. Tile keys route on (video, seg) — the same ring position as the
+// segment's other payload kinds — so a single shard owns every tile of a
+// segment and its respcache sees the segment's whole tile working set. The
+// edge entry is still keyed per (tile, rung), so distinct rungs never alias.
 func (c *Cluster) segmentProxy(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		c.requests.Inc()
-		video, seg := r.PathValue("video"), r.PathValue("seg")
-		clusterID := ""
-		if kind != "orig" {
-			clusterID = r.PathValue("cluster")
+		key := edgeKey{video: r.PathValue("video"), seg: r.PathValue("seg"), cluster: r.PathValue("cluster"), kind: kind}
+		if kind == "tile" {
+			key.cluster = r.PathValue("tile") + "/" + r.PathValue("rung")
 		}
-		load := func() (*edgeResp, int) { return c.route(video, seg, r) }
-		var resp *edgeResp
-		var hit bool
-		if c.edge != nil {
-			resp, hit = c.edge.get(edgeKey{video: video, seg: seg, cluster: clusterID, kind: kind}, load)
-		} else {
-			resp, _ = load()
-		}
-		writeResp(w, resp, hit)
+		c.serveKeyed(w, r, key)
 	}
 }
 

@@ -63,11 +63,7 @@ type ClusterDelta struct {
 
 // EdgeHitRate returns the pass's edge hit fraction over all edge lookups.
 func (d *ClusterDelta) EdgeHitRate() float64 {
-	total := d.EdgeHits + d.EdgeMisses + d.EdgeCoalesced
-	if total == 0 {
-		return 0
-	}
-	return float64(d.EdgeHits) / float64(total)
+	return cluster.EdgeStats{Hits: d.EdgeHits, Misses: d.EdgeMisses, Coalesced: d.EdgeCoalesced}.HitRate()
 }
 
 // Skew returns the pass's per-shard load skew: the max routed-request

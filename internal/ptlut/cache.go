@@ -1,23 +1,16 @@
 package ptlut
 
 import (
-	"container/list"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"evr/internal/cache"
 	"evr/internal/telemetry"
 )
 
-// Prometheus metric names for the mapping-LUT cache.
+// Prometheus metric names for the mapping-LUT cache: the cache core's
+// series under promCache (evr_ptlut_hits_total …) plus the build timer.
 const (
-	promHits      = "evr_ptlut_hits_total"
-	promMisses    = "evr_ptlut_misses_total"
-	promCoalesced = "evr_ptlut_coalesced_total"
-	promEvictions = "evr_ptlut_evictions_total"
-	promOversized = "evr_ptlut_oversized_total"
-	promEntries   = "evr_ptlut_entries"
-	promBytes     = "evr_ptlut_bytes"
+	promCache     = "evr_ptlut"
 	promBuildSecs = "evr_ptlut_build_seconds"
 )
 
@@ -25,57 +18,20 @@ const (
 // bilinear tables (~66 MB each) or hundreds of ingest-scale ones.
 const DefaultCacheBytes = 256 << 20
 
-// CacheStats is a point-in-time view of a mapping-LUT cache.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`      // renders served from a resident table
-	Misses    int64 `json:"misses"`    // table builds (one per flight)
-	Coalesced int64 `json:"coalesced"` // renders that joined an in-flight build
-	Evictions int64 `json:"evictions"` // tables dropped to stay under the byte budget
-	Oversized int64 `json:"oversized"` // tables larger than the whole budget (built, served, never cached)
-	Entries   int64 `json:"entries"`   // resident tables
-	Bytes     int64 `json:"bytes"`     // resident table bytes
-	MaxBytes  int64 `json:"maxBytes"`  // configured budget
-}
+// CacheStats is a point-in-time view of a mapping-LUT cache. Nothing purges
+// a table cache (a table is a pure function of its key), so Doomed and
+// Purged stay zero.
+type CacheStats = cache.Stats
 
-// buildFlight is one in-flight table build that concurrent identical
-// requests share instead of each running the mapping stage themselves.
-type buildFlight struct {
-	done chan struct{}
-	tbl  *Table
-	err  error
-}
-
-// Cache is a bytes-budgeted LRU of mapping tables with singleflight build
-// coalescing, mirroring the server's response cache: tables are immutable
-// and served to many concurrent renders; eviction is size-based because a
-// 1080p bilinear table outweighs an ingest-scale one by ~3 orders of
-// magnitude. Safe for concurrent use. The nil *Cache is valid and caches
-// nothing — every Get builds.
+// Cache is the mapping-table instance of the cache core (internal/cache):
+// tables are immutable and served to many concurrent renders, concurrent
+// identical builds coalesce, and eviction is size-based because a 1080p
+// bilinear table outweighs an ingest-scale one by ~3 orders of magnitude.
+// Safe for concurrent use. The nil *Cache is valid and caches nothing —
+// every Get builds.
 type Cache struct {
-	hits      *telemetry.Counter
-	misses    *telemetry.Counter
-	coalesced *telemetry.Counter
-	evictions *telemetry.Counter
-	oversized *telemetry.Counter
-	entriesG  *telemetry.Gauge
-	bytesG    *telemetry.Gauge
+	lru       *cache.Cache[Key, *Table]
 	buildSecs *telemetry.Histogram
-
-	// Stats counters are kept on the cache itself (atomically) rather than
-	// read back from telemetry: the telemetry handles are nil-safe no-ops
-	// when the cache is built without a registry.
-	nHits      atomic.Int64
-	nMisses    atomic.Int64
-	nCoalesced atomic.Int64
-	nEvictions atomic.Int64
-	nOversized atomic.Int64
-
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	order    *list.List // front = most recently used; values are *Table
-	items    map[Key]*list.Element
-	flights  map[Key]*buildFlight
 }
 
 // NewCache builds a table cache with the given byte budget (<= 0 uses
@@ -84,27 +40,18 @@ func NewCache(maxBytes int64, reg *telemetry.Registry) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
-	reg.SetHelp(promHits, "renders served from a resident mapping table")
-	reg.SetHelp(promMisses, "mapping-table builds")
-	reg.SetHelp(promCoalesced, "renders that joined an in-flight table build")
-	reg.SetHelp(promEvictions, "mapping tables evicted under the byte budget")
-	reg.SetHelp(promOversized, "mapping tables larger than the whole budget (never cached)")
-	reg.SetHelp(promEntries, "resident mapping tables")
-	reg.SetHelp(promBytes, "resident mapping-table bytes")
 	reg.SetHelp(promBuildSecs, "mapping-table build wall time in seconds")
 	return &Cache{
-		hits:      reg.Counter(promHits),
-		misses:    reg.Counter(promMisses),
-		coalesced: reg.Counter(promCoalesced),
-		evictions: reg.Counter(promEvictions),
-		oversized: reg.Counter(promOversized),
-		entriesG:  reg.Gauge(promEntries),
-		bytesG:    reg.Gauge(promBytes),
+		lru: cache.New[Key](maxBytes, (*Table).Bytes, reg, promCache, cache.Help{
+			Hits:      "renders served from a resident mapping table",
+			Misses:    "mapping-table builds",
+			Coalesced: "renders that joined an in-flight table build",
+			Evictions: "mapping tables evicted under the byte budget",
+			Oversized: "mapping tables larger than the whole budget (never cached)",
+			Entries:   "resident mapping tables",
+			Bytes:     "resident mapping-table bytes",
+		}),
 		buildSecs: reg.Histogram(promBuildSecs, telemetry.DefaultStageBuckets()),
-		maxBytes:  maxBytes,
-		order:     list.New(),
-		items:     make(map[Key]*list.Element),
-		flights:   make(map[Key]*buildFlight),
 	}
 }
 
@@ -117,73 +64,13 @@ func (c *Cache) Get(key Key, build func() (*Table, error)) (*Table, error) {
 	if c == nil {
 		return build()
 	}
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		tbl := el.Value.(*Table)
-		c.mu.Unlock()
-		c.nHits.Add(1)
-		c.hits.Inc()
-		return tbl, nil
-	}
-	if fl, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		c.nCoalesced.Add(1)
-		c.coalesced.Inc()
-		<-fl.done
-		return fl.tbl, fl.err
-	}
-	fl := &buildFlight{done: make(chan struct{})}
-	c.flights[key] = fl
-	c.mu.Unlock()
-	c.nMisses.Add(1)
-	c.misses.Inc()
-
-	t0 := time.Now()
-	fl.tbl, fl.err = build()
-	c.buildSecs.ObserveDuration(time.Since(t0))
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if fl.err == nil {
-		c.insertLocked(key, fl.tbl)
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return fl.tbl, fl.err
-}
-
-// insertLocked adds a table and evicts LRU entries past the byte budget.
-// A table larger than the whole budget is rejected up front — inserting it
-// would evict every resident table and still bust the budget — and counted
-// so a mis-sized budget is visible in telemetry.
-func (c *Cache) insertLocked(key Key, tbl *Table) {
-	size := tbl.Bytes()
-	if size > c.maxBytes {
-		c.nOversized.Add(1)
-		c.oversized.Inc()
-		return
-	}
-	if _, ok := c.items[key]; ok {
-		// A concurrent flight for the same key can finish between our
-		// flight-map delete and this insert only if keys collide across
-		// caches — tables are immutable and interchangeable, keep the
-		// resident one.
-		return
-	}
-	c.items[key] = c.order.PushFront(tbl)
-	c.bytes += size
-	for c.bytes > c.maxBytes {
-		oldest := c.order.Back()
-		old := oldest.Value.(*Table)
-		c.order.Remove(oldest)
-		delete(c.items, old.key)
-		c.bytes -= old.Bytes()
-		c.nEvictions.Add(1)
-		c.evictions.Inc()
-	}
-	c.entriesG.Set(int64(c.order.Len()))
-	c.bytesG.Set(c.bytes)
+	tbl, _, err := c.lru.Get(key, func() (*Table, error) {
+		t0 := time.Now()
+		tbl, err := build()
+		c.buildSecs.ObserveDuration(time.Since(t0))
+		return tbl, err
+	})
+	return tbl, err
 }
 
 // Stats snapshots the cache counters. The nil cache reports zeros.
@@ -191,19 +78,5 @@ func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	c.mu.Lock()
-	entries := int64(c.order.Len())
-	bytes := c.bytes
-	maxBytes := c.maxBytes
-	c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.nHits.Load(),
-		Misses:    c.nMisses.Load(),
-		Coalesced: c.nCoalesced.Load(),
-		Evictions: c.nEvictions.Load(),
-		Oversized: c.nOversized.Load(),
-		Entries:   entries,
-		Bytes:     bytes,
-		MaxBytes:  maxBytes,
-	}
+	return c.lru.Stats()
 }

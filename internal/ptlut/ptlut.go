@@ -22,7 +22,8 @@
 //     invisible).
 //
 // Tables live in a bytes-budgeted LRU cache with singleflight build
-// coalescing, mirroring the serving layer's response cache. The exact-pose
+// coalescing — the same cache core (internal/cache) as the serving layer's
+// response cache. The exact-pose
 // render path is byte-identical to pt.RenderParallel — gated by the
 // conformance corpus — while the quantized mode is held to per-boundary-class
 // error budgets like the fixed-point PTE datapath.

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"evr/internal/frame"
 	"evr/internal/geom"
@@ -215,10 +212,11 @@ func TestQuantize(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionAndBudget fills a deliberately small cache and checks
-// LRU eviction keeps bytes under budget, and that an over-budget table is
-// built, served, counted, and never inserted.
-func TestCacheEvictionAndBudget(t *testing.T) {
+// TestCacheBudgetCountsTableBytes pins what the table cache adds to the
+// cache core (internal/cache, where LRU order, oversized accounting and
+// singleflight are checked): the budget is counted in Table.Bytes, and a
+// table too large to cache still renders correctly.
+func TestCacheBudgetCountsTableBytes(t *testing.T) {
 	cfg := testConfig(projection.ERP, pt.Bilinear, 32, 32)
 	tbl, err := ptlut.Build(cfg, geom.Orientation{}, 64, 32, false, 1)
 	if err != nil {
@@ -226,8 +224,7 @@ func TestCacheEvictionAndBudget(t *testing.T) {
 	}
 	size := tbl.Bytes()
 
-	reg := telemetry.NewRegistry()
-	c := ptlut.NewCache(3*size, reg)
+	c := ptlut.NewCache(3*size, nil)
 	r, err := ptlut.NewRenderer(cfg, c, ptlut.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -236,24 +233,10 @@ func TestCacheEvictionAndBudget(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		pt.Recycle(r.Render(full, geom.Orientation{Yaw: float64(i) / 10}, 1))
 	}
-	st := c.Stats()
-	if st.Bytes > 3*size {
-		t.Fatalf("cache bytes %d above budget %d", st.Bytes, 3*size)
-	}
-	if st.Entries != 3 {
-		t.Fatalf("entries = %d, want 3", st.Entries)
-	}
-	if st.Evictions != 3 {
-		t.Fatalf("evictions = %d, want 3", st.Evictions)
-	}
-	// LRU: the most recent pose must still be resident (a hit, no build).
-	before := c.Stats().Misses
-	pt.Recycle(r.Render(full, geom.Orientation{Yaw: 0.5}, 1))
-	if c.Stats().Misses != before {
-		t.Fatal("most recently used table was evicted")
+	if st := c.Stats(); st.Entries != 3 || st.Bytes != 3*size || st.Evictions != 3 || st.MaxBytes != 3*size {
+		t.Fatalf("six tables through a three-table budget: %+v", st)
 	}
 
-	// An oversized table: budget smaller than one table.
 	small := ptlut.NewCache(size/2, nil)
 	rs, err := ptlut.NewRenderer(cfg, small, ptlut.Options{})
 	if err != nil {
@@ -264,61 +247,11 @@ func TestCacheEvictionAndBudget(t *testing.T) {
 	if !want.Equal(got) {
 		t.Fatal("oversized table must still serve correct renders")
 	}
-	sst := small.Stats()
-	if sst.Oversized != 1 || sst.Entries != 0 || sst.Bytes != 0 {
+	if sst := small.Stats(); sst.Oversized != 1 || sst.Entries != 0 || sst.Bytes != 0 {
 		t.Fatalf("oversized accounting: %+v", sst)
 	}
-}
-
-// TestCacheSingleflight launches a wave of concurrent gets for one key and
-// checks exactly one build runs while everyone gets the same table.
-func TestCacheSingleflight(t *testing.T) {
-	c := ptlut.NewCache(1<<30, nil)
-	cfg := testConfig(projection.ERP, pt.Nearest, 16, 16)
-	key := ptlut.MakeKey(cfg, geom.Orientation{}, 32, 16, false)
-	var builds atomic.Int32
-	gate := make(chan struct{})
-	build := func() (*ptlut.Table, error) {
-		builds.Add(1)
-		<-gate
-		return ptlut.Build(cfg, geom.Orientation{}, 32, 16, false, 1)
-	}
-	const n = 16
-	var wg sync.WaitGroup
-	tables := make([]*ptlut.Table, n)
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer wg.Done()
-			tbl, err := c.Get(key, build)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			tables[i] = tbl
-		}()
-	}
-	// Hold the build until the cache has counted everyone else onto the
-	// flight: a goroutine that had merely started could arrive after the
-	// table is resident and score a hit instead.
-	for deadline := time.Now().Add(10 * time.Second); c.Stats().Coalesced < n-1; time.Sleep(100 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d gets joined the flight", c.Stats().Coalesced, n-1)
-		}
-	}
-	close(gate)
-	wg.Wait()
-	if got := builds.Load(); got != 1 {
-		t.Fatalf("%d builds for %d concurrent gets", got, n)
-	}
-	for i := 1; i < n; i++ {
-		if tables[i] != tables[0] {
-			t.Fatal("concurrent gets returned different tables")
-		}
-	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Coalesced != n-1 {
-		t.Fatalf("misses=%d coalesced=%d, want 1/%d", st.Misses, st.Coalesced, n-1)
+	if def := ptlut.NewCache(0, nil).Stats().MaxBytes; def != ptlut.DefaultCacheBytes {
+		t.Fatalf("NewCache(0) budget = %d, want the %d default", def, ptlut.DefaultCacheBytes)
 	}
 }
 

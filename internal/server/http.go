@@ -32,7 +32,7 @@ type Service struct {
 
 	opts       ServiceOptions
 	storeDelay atomic.Int64  // nanoseconds; mutable at runtime (fault injection)
-	cache      *respCache    // nil when RespCacheBytes ≤ 0
+	cache      *respCache    // nil (caches nothing) when RespCacheBytes ≤ 0
 	inflight   chan struct{} // nil when MaxInFlight ≤ 0
 	throttled  *telemetry.Counter
 	tooEarly   *telemetry.Counter
@@ -83,9 +83,7 @@ func (s *Service) ServeLive(ls *LiveStream) {
 	s.mu.Lock()
 	s.live[video] = ls
 	s.mu.Unlock()
-	if s.cache != nil {
-		ls.OnPublish(func(seg int) { s.cache.purgeSegment(video, seg) })
-	}
+	ls.OnPublish(func(seg int) { s.cache.PurgeKeys(respOfSegment(video, seg)) })
 }
 
 // liveStream returns the live stream serving video, if any.
@@ -122,7 +120,7 @@ func (s *Service) RespCacheStats() (stats RespCacheStats, ok bool) {
 	if s.cache == nil {
 		return RespCacheStats{}, false
 	}
-	return s.cache.stats(), true
+	return s.cache.Stats(), true
 }
 
 // Throttled returns how many segment requests admission control has shed.
@@ -139,9 +137,7 @@ func (s *Service) IngestVideo(v scene.VideoSpec, cfg IngestConfig) (*Manifest, e
 	s.mu.Lock()
 	s.manifests[v.Name] = man
 	s.mu.Unlock()
-	if s.cache != nil {
-		s.cache.purgeVideo(v.Name)
-	}
+	s.cache.PurgeKeys(respOfVideo(v.Name))
 	return man, nil
 }
 
@@ -155,9 +151,7 @@ func (s *Service) Publish(man *Manifest) {
 	s.mu.Lock()
 	s.manifests[man.Video] = man
 	s.mu.Unlock()
-	if s.cache != nil {
-		s.cache.purgeVideo(man.Video)
-	}
+	s.cache.PurgeKeys(respOfVideo(man.Video))
 }
 
 // Manifest returns the manifest of a published video. Live streams serve
@@ -344,7 +338,7 @@ func (s *Service) segmentHandler(endpoint string, kind respKind) http.HandlerFun
 // is enabled (hot payloads skip the store read and its copy; concurrent
 // identical misses coalesce into one load).
 func (s *Service) payload(key respKey) ([]byte, bool) {
-	load := func() ([]byte, bool) {
+	data, _, err := s.cache.Get(key, func() ([]byte, error) {
 		if d := time.Duration(s.storeDelay.Load()); d > 0 {
 			time.Sleep(d)
 		}
@@ -361,17 +355,14 @@ func (s *Service) payload(key respKey) ([]byte, bool) {
 		}
 		data, meta, ok := s.store.Get(sk)
 		if !ok {
-			return nil, false
+			return nil, errNotStored
 		}
 		if key.kind == respFOVMeta {
-			return meta, true
+			return meta, nil
 		}
-		return data, true
-	}
-	if s.cache == nil {
-		return load()
-	}
-	return s.cache.get(key, load)
+		return data, nil
+	})
+	return data, err == nil
 }
 
 // admit reserves an in-flight slot, or sheds the request with 503 +

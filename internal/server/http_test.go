@@ -202,7 +202,7 @@ func TestResponseCachePurgedOnReingest(t *testing.T) {
 	if err := svc.store.Put(origKey("V", 0), fresh, nil); err != nil {
 		t.Fatal(err)
 	}
-	svc.cache.purgeVideo("V")
+	svc.cache.PurgeKeys(respOfVideo("V"))
 	data, ok := svc.payload(key)
 	if !ok || string(data) != string(fresh) {
 		t.Error("stale payload served after republish purge")

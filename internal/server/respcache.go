@@ -1,10 +1,10 @@
 package server
 
 import (
-	"container/list"
-	"sync"
+	"errors"
 	"time"
 
+	"evr/internal/cache"
 	"evr/internal/telemetry"
 )
 
@@ -40,17 +40,7 @@ func DefaultServiceOptions() ServiceOptions {
 }
 
 // RespCacheStats is a point-in-time view of the response cache.
-type RespCacheStats struct {
-	Hits      int64 `json:"hits"`      // served straight from the cache
-	Misses    int64 `json:"misses"`    // loaded from the store (one per flight)
-	Coalesced int64 `json:"coalesced"` // requests that joined an in-flight identical miss
-	Evictions int64 `json:"evictions"` // entries dropped to stay under the byte budget
-	Oversized int64 `json:"oversized"` // payloads larger than the whole budget (served, never cached)
-	Doomed    int64 `json:"doomed"`    // in-flight loads overtaken by a purge (served, never cached)
-	Entries   int64 `json:"entries"`   // live cached payloads
-	Bytes     int64 `json:"bytes"`     // live cached payload bytes
-	MaxBytes  int64 `json:"maxBytes"`  // configured budget
-}
+type RespCacheStats = cache.Stats
 
 // respKind distinguishes the payload shapes sharing the cache.
 type respKind uint8
@@ -75,236 +65,55 @@ type respKey struct {
 	kind    respKind
 }
 
-// respFlight is one in-flight store load that concurrent identical
-// requests share instead of issuing their own.
-type respFlight struct {
-	done chan struct{}
-	data []byte
-	ok   bool
-	// doomed marks a flight overtaken by a purge of its video: the cache
-	// cannot prove the flight's store read happened after the republish, so
-	// the result is served to its waiters but never inserted. Guarded by
-	// respCache.mu.
-	doomed bool
-}
+// respCache is the shard's instance of the cache core (internal/cache):
+// encoded response payloads — immutable byte slices served to many requests
+// concurrently — budgeted by payload bytes, not entry count, because FOV
+// metadata is ~KBs while segments are ~MBs. A payload missing from the store
+// is reported as errNotStored: shared with the concurrent requests that
+// asked for it, never cached, so a later request retries.
+type respCache = cache.Cache[respKey, []byte]
 
-// respCache is a bounded LRU of encoded response payloads with
-// singleflight coalescing of concurrent identical misses. Entries are
-// immutable byte slices served to many requests concurrently; eviction is
-// size-based (payload bytes, not entry count, because FOV metadata is ~KBs
-// while segments are ~MBs). Safe for concurrent use.
-type respCache struct {
-	hits      *telemetry.Counter
-	misses    *telemetry.Counter
-	coalesced *telemetry.Counter
-	evictions *telemetry.Counter
-	oversized *telemetry.Counter
-	doomed    *telemetry.Counter
-	entriesG  *telemetry.Gauge
-	bytesG    *telemetry.Gauge
+var errNotStored = errors.New("server: payload not in the store")
 
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	order    *list.List // front = most recently used; values are *respNode
-	items    map[respKey]*list.Element
-	flights  map[respKey]*respFlight
-}
-
-type respNode struct {
-	key  respKey
-	data []byte
-}
-
-// Prometheus metric names for the response cache and admission control.
+// Prometheus metric names for the response cache (the core appends the
+// per-series suffixes) and admission control.
 const (
-	promRespHits      = "evr_respcache_hits_total"
-	promRespMisses    = "evr_respcache_misses_total"
-	promRespCoalesced = "evr_respcache_coalesced_total"
-	promRespEvictions = "evr_respcache_evictions_total"
-	promRespOversized = "evr_respcache_oversized_total"
-	promRespDoomed    = "evr_respcache_doomed_total"
-	promRespEntries   = "evr_respcache_entries"
-	promRespBytes     = "evr_respcache_bytes"
-	promThrottled     = "evr_http_throttled_total"
-	promTooEarly      = "evr_http_too_early_total"
-	promLiveBehind    = "evr_live_behind_seconds"
+	promRespCache  = "evr_respcache"
+	promThrottled  = "evr_http_throttled_total"
+	promTooEarly   = "evr_http_too_early_total"
+	promLiveBehind = "evr_live_behind_seconds"
 )
 
 // newRespCache builds a cache with the given payload-byte budget, hanging
 // its counters on the service's telemetry registry. maxBytes ≤ 0 returns
-// nil; the nil receiver is not tolerated — callers gate on it.
+// the nil cache: every request then reads the store on its own.
 func newRespCache(maxBytes int64, reg *telemetry.Registry) *respCache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	reg.SetHelp(promRespHits, "segment responses served from the response cache")
-	reg.SetHelp(promRespMisses, "segment responses loaded from the store")
-	reg.SetHelp(promRespCoalesced, "segment requests that joined an in-flight identical load")
-	reg.SetHelp(promRespEvictions, "response-cache entries evicted under the byte budget")
-	reg.SetHelp(promRespOversized, "payloads larger than the whole cache budget (served, never cached)")
-	reg.SetHelp(promRespDoomed, "in-flight loads overtaken by a purge (served, never cached)")
-	reg.SetHelp(promRespEntries, "live response-cache entries")
-	reg.SetHelp(promRespBytes, "live response-cache payload bytes")
-	return &respCache{
-		hits:      reg.Counter(promRespHits),
-		misses:    reg.Counter(promRespMisses),
-		coalesced: reg.Counter(promRespCoalesced),
-		evictions: reg.Counter(promRespEvictions),
-		oversized: reg.Counter(promRespOversized),
-		doomed:    reg.Counter(promRespDoomed),
-		entriesG:  reg.Gauge(promRespEntries),
-		bytesG:    reg.Gauge(promRespBytes),
-		maxBytes:  maxBytes,
-		order:     list.New(),
-		items:     make(map[respKey]*list.Element),
-		flights:   make(map[respKey]*respFlight),
-	}
+	return cache.New[respKey](maxBytes, func(data []byte) int64 { return int64(len(data)) }, reg, promRespCache, cache.Help{
+		Hits:      "segment responses served from the response cache",
+		Misses:    "segment responses loaded from the store",
+		Coalesced: "segment requests that joined an in-flight identical load",
+		Evictions: "response-cache entries evicted under the byte budget",
+		Oversized: "payloads larger than the whole cache budget (served, never cached)",
+		Doomed:    "in-flight loads overtaken by a purge (served, never cached)",
+		Purged:    "response-cache entries dropped by re-ingest and live-publish purges",
+		Entries:   "live response-cache entries",
+		Bytes:     "live response-cache payload bytes",
+	})
 }
 
-// get returns the payload for key, serving from cache when possible,
-// otherwise loading it exactly once per concurrent wave: the first miss
-// runs load, every concurrent identical request waits on that flight. A
-// load reporting !ok (key not in the store) is not cached — a later
-// request retries — but concurrent waiters share the negative result.
-func (c *respCache) get(key respKey, load func() ([]byte, bool)) ([]byte, bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		data := el.Value.(*respNode).data
-		c.mu.Unlock()
-		c.hits.Inc()
-		return data, true
-	}
-	if fl, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		c.coalesced.Inc()
-		<-fl.done
-		return fl.data, fl.ok
-	}
-	fl := &respFlight{done: make(chan struct{})}
-	c.flights[key] = fl
-	c.mu.Unlock()
-	c.misses.Inc()
-
-	fl.data, fl.ok = load()
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if fl.ok && !fl.doomed {
-		c.insertLocked(key, fl.data)
-	}
-	if fl.doomed {
-		c.doomed.Inc()
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return fl.data, fl.ok
+// respOfVideo matches every payload of one video — the (re-)ingest purge, so
+// stale responses never outlive a republish. Loads of that video in flight
+// during the purge may have read the pre-republish store and are doomed.
+func respOfVideo(video string) func(respKey) bool {
+	return func(k respKey) bool { return k.video == video }
 }
 
-// insertLocked adds an entry and evicts LRU entries past the byte budget.
-// Payloads larger than the whole budget are served but never cached —
-// inserting one would evict everything resident and still bust the budget —
-// and counted, so a budget sized below the working payload size is visible
-// in telemetry instead of masquerading as a 0% hit rate.
-func (c *respCache) insertLocked(key respKey, data []byte) {
-	if int64(len(data)) > c.maxBytes {
-		c.oversized.Inc()
-		return
-	}
-	if el, ok := c.items[key]; ok {
-		// A purge between flight start and finish can race a re-ingest;
-		// keep the freshest payload.
-		node := el.Value.(*respNode)
-		c.bytes += int64(len(data)) - int64(len(node.data))
-		node.data = data
-		c.order.MoveToFront(el)
-	} else {
-		c.items[key] = c.order.PushFront(&respNode{key: key, data: data})
-		c.bytes += int64(len(data))
-	}
-	for c.bytes > c.maxBytes {
-		oldest := c.order.Back()
-		node := oldest.Value.(*respNode)
-		c.order.Remove(oldest)
-		delete(c.items, node.key)
-		c.bytes -= int64(len(node.data))
-		c.evictions.Inc()
-	}
-	c.entriesG.Set(int64(c.order.Len()))
-	c.bytesG.Set(c.bytes)
-}
-
-// purgeVideo drops every cached payload of one video — called on
-// (re-)ingest so stale responses never outlive a republish. In-flight
-// loads of that video are doomed rather than waited out: a flight that
-// started before the purge may have read the pre-republish store, so its
-// result is served to the waiters it already collected but never inserted.
-// (It used to purge residents only — a slow load interleaved with a
-// re-ingest would complete afterward and repopulate the cache with the
-// stale payload.)
-func (c *respCache) purgeVideo(video string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		if node := el.Value.(*respNode); node.key.video == video {
-			c.order.Remove(el)
-			delete(c.items, node.key)
-			c.bytes -= int64(len(node.data))
-		}
-		el = next
-	}
-	for key, fl := range c.flights {
-		if key.video == video {
-			fl.doomed = true
-		}
-	}
-	c.entriesG.Set(int64(c.order.Len()))
-	c.bytesG.Set(c.bytes)
-}
-
-// purgeSegment drops every cached payload of one (video, segment) and
-// dooms its in-flight loads — the live-publish counterpart of purgeVideo,
-// so a publish (or chaos republish) is immediately visible without
-// evicting the rest of the video.
-func (c *respCache) purgeSegment(video string, seg int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		if node := el.Value.(*respNode); node.key.video == video && node.key.seg == seg {
-			c.order.Remove(el)
-			delete(c.items, node.key)
-			c.bytes -= int64(len(node.data))
-		}
-		el = next
-	}
-	for key, fl := range c.flights {
-		if key.video == video && key.seg == seg {
-			fl.doomed = true
-		}
-	}
-	c.entriesG.Set(int64(c.order.Len()))
-	c.bytesG.Set(c.bytes)
-}
-
-// stats snapshots the cache counters.
-func (c *respCache) stats() RespCacheStats {
-	c.mu.Lock()
-	entries := int64(c.order.Len())
-	bytes := c.bytes
-	maxBytes := c.maxBytes
-	c.mu.Unlock()
-	return RespCacheStats{
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Coalesced: c.coalesced.Value(),
-		Evictions: c.evictions.Value(),
-		Oversized: c.oversized.Value(),
-		Doomed:    c.doomed.Value(),
-		Entries:   entries,
-		Bytes:     bytes,
-		MaxBytes:  maxBytes,
-	}
+// respOfSegment matches every payload of one (video, segment) — the
+// live-publish counterpart of respOfVideo, so a publish (or chaos republish)
+// is immediately visible without evicting the rest of the video.
+func respOfSegment(video string, seg int) func(respKey) bool {
+	return func(k respKey) bool { return k.video == video && k.seg == seg }
 }

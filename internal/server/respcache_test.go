@@ -2,14 +2,18 @@ package server
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"evr/internal/cache"
 	"evr/internal/codec"
 	"evr/internal/telemetry"
 )
+
+// The LRU, singleflight, oversized, doomed-flight and churn behaviours of
+// the response cache are checked once for every cache in internal/cache;
+// what stays here is what this package adds: its key, its purge predicates,
+// the not-stored rule, and the service-level wiring.
 
 func newTestRespCache(maxBytes int64) *respCache {
 	return newRespCache(maxBytes, telemetry.NewRegistry())
@@ -19,274 +23,131 @@ func rk(video string, seg int) respKey {
 	return respKey{video: video, seg: seg, kind: respOrig}
 }
 
-func TestRespCacheHitAfterMiss(t *testing.T) {
+func cached(data string) func() ([]byte, error) {
+	return func() ([]byte, error) { return []byte(data), nil }
+}
+
+// TestRespKeyKindsDoNotAlias pins that the five payload kinds of one
+// (video, segment) — and distinct clusters, tiles and rungs — are distinct
+// cache entries.
+func TestRespKeyKindsDoNotAlias(t *testing.T) {
 	c := newTestRespCache(1 << 20)
-	loads := 0
-	load := func() ([]byte, bool) { loads++; return []byte("payload"), true }
-	for i := 0; i < 3; i++ {
-		data, ok := c.get(rk("v", 0), load)
-		if !ok || string(data) != "payload" {
-			t.Fatalf("get %d = %q, %v", i, data, ok)
+	keys := []respKey{
+		{video: "v", seg: 1, kind: respOrig},
+		{video: "v", seg: 1, kind: respFOV},
+		{video: "v", seg: 1, kind: respFOVMeta},
+		{video: "v", seg: 1, kind: respTile},
+		{video: "v", seg: 1, kind: respTileLow},
+		{video: "v", seg: 1, cluster: 1, kind: respFOV},
+		{video: "v", seg: 1, tile: 1, kind: respTile},
+		{video: "v", seg: 1, tile: 1, rung: 1, kind: respTile},
+	}
+	for i, key := range keys {
+		c.Get(key, cached(fmt.Sprint(i)))
+	}
+	for i, key := range keys {
+		data, _, _ := c.Get(key, func() ([]byte, error) { t.Errorf("key %d %+v was evicted or aliased", i, key); return nil, nil })
+		if string(data) != fmt.Sprint(i) {
+			t.Errorf("key %d %+v serves %q", i, key, data)
 		}
 	}
-	if loads != 1 {
-		t.Errorf("loader ran %d times, want 1", loads)
-	}
-	st := c.stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 || st.Bytes != 7 {
-		t.Errorf("stats = %+v", st)
-	}
 }
 
-func TestRespCacheNegativeResultNotCached(t *testing.T) {
+// TestRespPurgePredicates pins the two purge scopes: a video purge takes
+// every kind and segment of that video and nothing else; a segment purge
+// takes every kind of that one segment, and dooms only that segment's
+// in-flight loads.
+func TestRespPurgePredicates(t *testing.T) {
 	c := newTestRespCache(1 << 20)
-	loads := 0
-	miss := func() ([]byte, bool) { loads++; return nil, false }
-	if _, ok := c.get(rk("v", 0), miss); ok {
-		t.Fatal("missing key reported ok")
-	}
-	if _, ok := c.get(rk("v", 0), miss); ok {
-		t.Fatal("missing key reported ok on retry")
-	}
-	if loads != 2 {
-		t.Errorf("negative result was cached: %d loads, want 2", loads)
-	}
-	if st := c.stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("negative entry leaked into the cache: %+v", st)
-	}
-}
-
-func TestRespCacheSizeBasedEviction(t *testing.T) {
-	c := newTestRespCache(100)
-	payload := make([]byte, 40)
-	fill := func() ([]byte, bool) { return payload, true }
-	mustHit := func(seg int) {
-		t.Helper()
-		c.get(rk("v", seg), func() ([]byte, bool) { t.Errorf("seg %d missed, want hit", seg); return payload, true })
-	}
-	c.get(rk("v", 0), fill)
-	c.get(rk("v", 1), fill)
-	mustHit(0) // promote seg 0: seg 1 is now LRU
-	c.get(rk("v", 2), fill)
-	// 3×40 = 120 > 100: exactly the LRU entry (seg 1) must be gone.
-	st := c.stats()
-	if st.Entries != 2 || st.Bytes != 80 || st.Evictions != 1 {
-		t.Fatalf("after overflow: %+v", st)
-	}
-	mustHit(0)
-	mustHit(2)
-	reloaded := false
-	c.get(rk("v", 1), func() ([]byte, bool) { reloaded = true; return payload, true })
-	if !reloaded {
-		t.Error("evicted entry still served from cache")
-	}
-}
-
-func TestRespCacheOversizedPayloadServedNotCached(t *testing.T) {
-	c := newTestRespCache(10)
-	big := make([]byte, 11)
-	loads := 0
-	load := func() ([]byte, bool) { loads++; return big, true }
-	for i := 0; i < 2; i++ {
-		data, ok := c.get(rk("v", 0), load)
-		if !ok || len(data) != 11 {
-			t.Fatalf("oversized payload not served: %d bytes, %v", len(data), ok)
+	fill := func() {
+		for seg := 0; seg < 3; seg++ {
+			c.Get(respKey{video: "a", seg: seg, kind: respOrig}, cached("abc"))
+			c.Get(respKey{video: "a", seg: seg, tile: 2, kind: respTile}, cached("tile"))
+			c.Get(rk("b", seg), cached("de"))
 		}
 	}
-	if loads != 2 {
-		t.Errorf("oversized payload cached (%d loads)", loads)
+	resident := func(key respKey) bool {
+		_, outcome, _ := c.Get(key, cached("reloaded"))
+		return outcome != cache.Miss
 	}
-	st := c.stats()
-	if st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("oversized payload counted: %+v", st)
-	}
-	// Each rejected insert is visible in the oversized counter, and none of
-	// them churned resident entries to make room for a payload that could
-	// never fit.
-	if st.Oversized != 2 {
-		t.Errorf("Oversized = %d, want 2", st.Oversized)
-	}
-	if st.Evictions != 0 {
-		t.Errorf("oversized payload evicted residents: %+v", st)
-	}
-}
 
-// TestRespCacheOversizedDoesNotEvictResidents pins that an over-budget
-// payload is rejected up front: the small entries already resident survive
-// it untouched.
-func TestRespCacheOversizedDoesNotEvictResidents(t *testing.T) {
-	c := newTestRespCache(100)
-	small := []byte("0123456789")
-	for i := 0; i < 3; i++ {
-		c.get(rk("v", i), func() ([]byte, bool) { return small, true })
+	fill()
+	c.PurgeKeys(respOfVideo("a"))
+	if st := c.Stats(); st.Entries != 3 || st.Bytes != 6 || st.Purged != 6 {
+		t.Fatalf("after video purge: %+v", st)
 	}
-	huge := make([]byte, 101)
-	c.get(rk("v", 99), func() ([]byte, bool) { return huge, true })
-	st := c.stats()
-	if st.Entries != 3 || st.Bytes != 30 {
-		t.Fatalf("residents disturbed by oversized insert: %+v", st)
+	for seg := 0; seg < 3; seg++ {
+		if !resident(rk("b", seg)) {
+			t.Errorf("video purge dropped another video's segment %d", seg)
+		}
 	}
-	if st.Oversized != 1 || st.Evictions != 0 {
-		t.Fatalf("oversized accounting: %+v", st)
-	}
-	// All three residents still answer from cache.
-	hitsBefore := st.Hits
-	for i := 0; i < 3; i++ {
-		c.get(rk("v", i), func() ([]byte, bool) { t.Fatal("resident reloaded"); return nil, false })
-	}
-	if got := c.stats().Hits - hitsBefore; got != 3 {
-		t.Fatalf("residents hit %d times, want 3", got)
-	}
-}
 
-// TestRespCacheSingleflightCoalesces launches N concurrent requests for
-// the same cold key against a loader that blocks until every goroutine has
-// started: exactly one load may run, and the other N-1 requests must be
-// accounted as coalesced waits.
-func TestRespCacheSingleflightCoalesces(t *testing.T) {
-	const n = 16
-	c := newTestRespCache(1 << 20)
-	var loads atomic.Int64
-	started := make(chan struct{}, n)
+	fill()
 	release := make(chan struct{})
-	load := func() ([]byte, bool) {
-		loads.Add(1)
-		<-release // hold the flight open until all requesters are in
-		return []byte("shared"), true
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
+	started := make(chan struct{}, 2)
+	done := make(chan struct{}, 2)
+	for _, seg := range []int{1, 2} {
 		go func() {
-			defer wg.Done()
-			started <- struct{}{}
-			data, ok := c.get(rk("v", 7), load)
-			if !ok || string(data) != "shared" {
-				t.Errorf("coalesced get = %q, %v", data, ok)
-			}
+			c.Get(respKey{video: "a", seg: seg, kind: respFOV}, func() ([]byte, error) {
+				started <- struct{}{}
+				<-release
+				return []byte("in flight"), nil
+			})
+			done <- struct{}{}
 		}()
 	}
-	// Wait for every goroutine to be running, then give the non-leaders a
-	// moment to reach the flight before releasing the loader.
-	for i := 0; i < n; i++ {
-		<-started
-	}
-	for c.coalesced.Value() != n-1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-
-	if got := loads.Load(); got != 1 {
-		t.Errorf("%d loads ran, want 1", got)
-	}
-	st := c.stats()
-	if st.Misses != 1 || st.Coalesced != n-1 {
-		t.Errorf("misses=%d coalesced=%d, want 1 and %d", st.Misses, st.Coalesced, n-1)
-	}
-	if st.Hits != 0 {
-		t.Errorf("hits=%d before any cached serve", st.Hits)
-	}
-}
-
-func TestRespCachePurgeVideo(t *testing.T) {
-	c := newTestRespCache(1 << 20)
-	for seg := 0; seg < 3; seg++ {
-		c.get(rk("a", seg), func() ([]byte, bool) { return []byte{1, 2, 3}, true })
-		c.get(rk("b", seg), func() ([]byte, bool) { return []byte{4, 5}, true })
-	}
-	c.purgeVideo("a")
-	st := c.stats()
-	if st.Entries != 3 || st.Bytes != 6 {
-		t.Fatalf("after purge: %+v", st)
-	}
-	reloads := 0
-	for seg := 0; seg < 3; seg++ {
-		c.get(rk("a", seg), func() ([]byte, bool) { reloads++; return []byte{9}, true })
-		c.get(rk("b", seg), func() ([]byte, bool) { t.Error("purge dropped another video's entry"); return nil, false })
-	}
-	if reloads != 3 {
-		t.Errorf("purged video reloaded %d of 3 entries", reloads)
-	}
-}
-
-// TestRespCachePurgeDoomsInflightLoad pins the re-ingest staleness bug:
-// a flight that started before purgeVideo ran cannot prove its store read
-// happened after the republish, so its result must be served to the
-// waiters it already collected but never inserted into the cache. Before
-// the fix the flight completed after the purge and repopulated the cache
-// with the stale payload.
-func TestRespCachePurgeDoomsInflightLoad(t *testing.T) {
-	c := newTestRespCache(1 << 20)
-	key := rk("V", 0)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	type result struct {
-		data []byte
-		ok   bool
-	}
-	got := make(chan result, 1)
-	go func() {
-		data, ok := c.get(key, func() ([]byte, bool) {
-			close(started)
-			<-release // the load is mid-read while the purge lands
-			return []byte("stale"), true
-		})
-		got <- result{data, ok}
-	}()
 	<-started
-	c.purgeVideo("V") // re-ingest republishes while the load is in flight
-	close(release)
-
-	r := <-got
-	if !r.ok || string(r.data) != "stale" {
-		t.Fatalf("doomed flight not served to its waiters: %q, %v", r.data, r.ok)
-	}
-	// The stale result must not have been cached: the next request reloads
-	// and sees the post-republish payload.
-	reloaded := false
-	data, ok := c.get(key, func() ([]byte, bool) { reloaded = true; return []byte("fresh"), true })
-	if !reloaded {
-		t.Fatal("purged-mid-flight payload was re-inserted into the cache")
-	}
-	if !ok || string(data) != "fresh" {
-		t.Fatalf("post-purge get = %q, %v", data, ok)
-	}
-	st := c.stats()
-	if st.Doomed != 1 {
-		t.Errorf("Doomed = %d, want 1", st.Doomed)
-	}
-	if st.Entries != 1 || string(c.items[key].Value.(*respNode).data) != "fresh" {
-		t.Errorf("cache holds the wrong payload: %+v", st)
-	}
-}
-
-// TestRespCachePurgeDoomsOnlyThatVideo pins the targeting: a purge of one
-// video leaves another video's concurrent flight cacheable.
-func TestRespCachePurgeDoomsOnlyThatVideo(t *testing.T) {
-	c := newTestRespCache(1 << 20)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.get(rk("other", 0), func() ([]byte, bool) {
-			close(started)
-			<-release
-			return []byte("kept"), true
-		})
-	}()
 	<-started
-	c.purgeVideo("V")
+	c.PurgeKeys(respOfSegment("a", 1))
 	close(release)
 	<-done
-	c.get(rk("other", 0), func() ([]byte, bool) {
-		t.Error("unrelated video's in-flight load was doomed by the purge")
-		return nil, false
-	})
-	if st := c.stats(); st.Doomed != 0 {
-		t.Errorf("Doomed = %d, want 0", st.Doomed)
+	<-done
+	for _, tc := range []struct {
+		key  respKey
+		want bool
+	}{
+		{respKey{video: "a", seg: 1, kind: respOrig}, false},
+		{respKey{video: "a", seg: 1, tile: 2, kind: respTile}, false},
+		{respKey{video: "a", seg: 1, kind: respFOV}, false}, // doomed in flight
+		{respKey{video: "a", seg: 2, kind: respFOV}, true},  // other segment's flight kept
+		{respKey{video: "a", seg: 0, kind: respOrig}, true},
+		{respKey{video: "a", seg: 2, tile: 2, kind: respTile}, true},
+		{rk("b", 1), true},
+	} {
+		if got := resident(tc.key); got != tc.want {
+			t.Errorf("after segment purge, %+v resident = %v, want %v", tc.key, got, tc.want)
+		}
+	}
+	if st := c.Stats(); st.Doomed != 1 {
+		t.Errorf("Doomed = %d, want 1", st.Doomed)
+	}
+}
+
+// TestPayloadNotStoredSharedNotCached pins the negative-result rule at the
+// service: a payload missing from the store is a 404 every time — never a
+// cached one, so a later ingest is visible — and leaves nothing resident.
+func TestPayloadNotStoredSharedNotCached(t *testing.T) {
+	svc := fabricateService(t, DefaultServiceOptions())
+	missing := respKey{video: "V", seg: 9, kind: respOrig}
+	for i := 0; i < 2; i++ {
+		if _, ok := svc.payload(missing); ok {
+			t.Fatal("missing payload reported ok")
+		}
+	}
+	if st := svc.cache.Stats(); st.Misses != 2 || st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("negative result was cached or leaked: %+v", st)
+	}
+}
+
+// TestRespCacheHitPathDoesNotAllocate guards serve_zipf's shard hit path
+// for this package's instantiation of the core.
+func TestRespCacheHitPathDoesNotAllocate(t *testing.T) {
+	c := newTestRespCache(1 << 20)
+	key := respKey{video: "video", seg: 3, tile: 2, rung: 1, kind: respTile}
+	load := cached("payload")
+	c.Get(key, load)
+	if n := testing.AllocsPerRun(200, func() { c.Get(key, load) }); n != 0 {
+		t.Errorf("resident respKey Get allocates %v times per call, want 0", n)
 	}
 }
 
@@ -315,14 +176,14 @@ func TestServiceReingestDuringSlowLoad(t *testing.T) {
 	if err := svc.store.Put(origKey("V", 0), fresh, nil); err != nil {
 		t.Fatal(err)
 	}
-	svc.cache.purgeVideo("V")
+	svc.cache.PurgeKeys(respOfVideo("V"))
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 
 	// The doomed flight's payload must not be cached: this request has to
 	// miss and read the republished store.
-	missesBefore := svc.cache.stats().Misses
+	missesBefore := svc.cache.Stats().Misses
 	data, ok := svc.payload(respKey{video: "V", seg: 0, kind: respOrig})
 	if !ok {
 		t.Fatal("post-republish request failed")
@@ -330,51 +191,31 @@ func TestServiceReingestDuringSlowLoad(t *testing.T) {
 	if string(data) != string(fresh) {
 		t.Fatal("post-republish request served the pre-republish payload")
 	}
-	if got := svc.cache.stats().Misses - missesBefore; got != 1 {
+	if got := svc.cache.Stats().Misses - missesBefore; got != 1 {
 		t.Errorf("post-republish request hit the cache (misses delta %d, want 1): stale payload survived the purge", got)
 	}
 }
 
-// TestRespCacheConcurrentChurn hammers a small cache from many goroutines
-// under -race: hits, misses, evictions, and purges all interleaving.
-func TestRespCacheConcurrentChurn(t *testing.T) {
-	c := newTestRespCache(256)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				seg := (g + i) % 12
-				video := fmt.Sprintf("v%d", i%3)
-				data, ok := c.get(respKey{video: video, seg: seg, kind: respFOV}, func() ([]byte, bool) {
-					return make([]byte, 16+seg), true
-				})
-				if !ok || len(data) != 16+seg {
-					t.Errorf("churn get seg %d: %d bytes, %v", seg, len(data), ok)
-					return
-				}
-				if i%50 == 0 {
-					c.purgeVideo(video)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	st := c.stats()
-	if st.Bytes > 256 {
-		t.Errorf("cache grew past budget: %+v", st)
-	}
-	if st.Hits+st.Misses+st.Coalesced != 8*200 {
-		t.Errorf("accounting leak: hits+misses+coalesced = %d, want %d", st.Hits+st.Misses+st.Coalesced, 8*200)
-	}
-}
-
+// TestNewRespCacheDisabled pins that a non-positive budget means no cache,
+// and that the service serves straight from the store without one.
 func TestNewRespCacheDisabled(t *testing.T) {
 	if c := newTestRespCache(0); c != nil {
 		t.Error("zero budget built a cache")
 	}
 	if c := newTestRespCache(-5); c != nil {
 		t.Error("negative budget built a cache")
+	}
+	opts := DefaultServiceOptions()
+	opts.RespCacheBytes = 0
+	svc := fabricateService(t, opts)
+	if _, ok := svc.payload(rk("V", 0)); !ok {
+		t.Error("cacheless service failed to serve a stored payload")
+	}
+	if _, ok := svc.payload(rk("V", 9)); ok {
+		t.Error("cacheless service served a payload the store does not hold")
+	}
+	svc.Publish(svc.manifests["V"]) // purges must tolerate the absent cache
+	if _, ok := svc.RespCacheStats(); ok {
+		t.Error("RespCacheStats reports a cache that is disabled")
 	}
 }
