@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"evr/internal/cluster"
-	"evr/internal/ptlut"
 	"evr/internal/scene"
 	"evr/internal/server"
 	"evr/internal/store"
@@ -43,7 +42,6 @@ func main() {
 	videos := flag.String("videos", "RS", "comma-separated catalog videos to ingest")
 	segments := flag.Int("segments", 4, "temporal segments to ingest per video (0 = all)")
 	live := flag.Bool("live", false, "live-streaming mode: no ingest analysis, no FOV videos (§8.3)")
-	lut := flag.Bool("lut", false, "pre-render FOV videos through the exact-mode mapping-LUT cache (byte-identical output; repeated cluster poses reuse tables)")
 	tiled := flag.Bool("tiled", false, "also ingest per-tile streams and a low-res backfill so clients can use viewport-adaptive tiled delivery")
 	width := flag.Int("width", 192, "panoramic ingest width (height = width/2)")
 	snapshot := flag.String("snapshot", "", "persist the SAS store to this file (loaded on start, saved after ingest)")
@@ -69,12 +67,6 @@ func main() {
 	cfg.MaxSegments = *segments
 	cfg.LiveMode = *live
 	cfg.Tiled = *tiled
-	if *lut {
-		cfg.UseLUT = true
-		// One cache across all ingested videos: same viewport, so clusters
-		// tracking the same orientations share tables across videos too.
-		cfg.LUTCache = ptlut.NewCache(0, nil)
-	}
 
 	st := store.New()
 	if *snapshot != "" {

@@ -186,34 +186,44 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 	}
 	vp := p.HMD.ScaledViewport(p.ViewportScale)
 	method := projection.Method(man.Projection)
-	var engine *pte.Engine
-	if p.UseHAR {
-		pcfg := pte.DefaultConfig(method, pt.Bilinear, vp)
-		if p.PTEFormat != (fixed.Format{}) {
-			pcfg.Format = p.PTEFormat
-		}
-		engine, err = pte.New(pcfg)
-		if err != nil {
-			return stats, nil, err
-		}
-	}
 	refCfg := pt.Config{Projection: method, Filter: pt.Bilinear, Viewport: vp}
 	// Reject a nonsensical manifest (unknown projection, degenerate
 	// viewport) before the playback loop rather than mid-render.
 	if err := refCfg.Validate(); err != nil {
 		return stats, nil, err
 	}
-	var lut *ptlut.Renderer
-	if p.UseLUT && engine == nil {
-		cache := p.LUTCache
-		if cache == nil {
-			cache = ptlut.NewCache(0, nil)
-			p.LUTCache = cache // reuse across Play calls
+	// Pick the fallback-frame renderer once: the PTE, the mapping LUT, or
+	// the reference float pipeline. rendered counts the frames it produced.
+	render := func(full *frame.Frame, o geom.Orientation) (*frame.Frame, error) {
+		return pt.RenderParallelChecked(refCfg, full, o, p.Workers)
+	}
+	var rendered *int
+	switch {
+	case p.UseHAR:
+		pcfg := pte.DefaultConfig(method, pt.Bilinear, vp)
+		if p.PTEFormat != (fixed.Format{}) {
+			pcfg.Format = p.PTEFormat
 		}
-		lut, err = ptlut.NewRenderer(refCfg, cache, p.LUTOptions)
+		engine, err := pte.New(pcfg)
 		if err != nil {
 			return stats, nil, err
 		}
+		render = func(full *frame.Frame, o geom.Orientation) (*frame.Frame, error) {
+			return engine.RenderParallelChecked(full, o, p.Workers)
+		}
+		rendered = &stats.PTEFrames
+	case p.UseLUT:
+		if p.LUTCache == nil {
+			p.LUTCache = ptlut.NewCache(0, nil) // reused across Play calls
+		}
+		lut, err := ptlut.NewRenderer(refCfg, p.LUTCache, p.LUTOptions)
+		if err != nil {
+			return stats, nil, err
+		}
+		render = func(full *frame.Frame, o geom.Orientation) (*frame.Frame, error) {
+			return lut.RenderChecked(full, o, p.Workers)
+		}
+		rendered = &stats.LUTFrames
 	}
 	// ts is nil unless tiled delivery is enabled AND this video carries
 	// tile streams; every tiled branch below is gated on it.
@@ -375,27 +385,15 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 				sp.Stop(telemetry.StageDisplay)
 			} else if f < len(origFrames) {
 				sp.Start(telemetry.StageRender)
-				switch {
-				case engine != nil:
-					out = engine.RenderParallel(origFrames[f], o, p.Workers)
-					stats.PTEFrames++
-				case lut != nil:
-					out, err = lut.RenderChecked(origFrames[f], o, p.Workers)
-					if err != nil {
-						sp.Stop(telemetry.StageRender)
-						sp.Finish() // record the partially-timed frame
-						return stats, nil, err
-					}
-					stats.LUTFrames++
-				default:
-					out, err = pt.RenderParallelChecked(refCfg, origFrames[f], o, p.Workers)
-					if err != nil {
-						sp.Stop(telemetry.StageRender)
-						sp.Finish() // record the partially-timed frame
-						return stats, nil, err
-					}
-				}
+				out, err = render(origFrames[f], o)
 				sp.Stop(telemetry.StageRender)
+				if err != nil {
+					sp.Finish() // record the partially-timed frame
+					return stats, nil, err
+				}
+				if rendered != nil {
+					*rendered++
+				}
 			} else if p.Resilient && len(displayed) > 0 {
 				// Nothing decodable: repeat the last good frame.
 				out = displayed[len(displayed)-1]

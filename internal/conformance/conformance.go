@@ -1,7 +1,8 @@
 // Package conformance is the differential- and metamorphic-testing oracle
-// that pins the repo's three render implementations against each other:
+// that pins the repo's four renderers against each other:
 //
 //   - internal/pt      — the double-precision float reference,
+//   - internal/ptlut   — the same arithmetic from a memoized mapping table,
 //   - internal/pte     — the fixed-point [28, 10] accelerator datapath,
 //   - internal/gpusim  — the GPU texture-mapping baseline.
 //
@@ -10,13 +11,23 @@
 // that claim a machine-checked invariant: a deterministic corpus of
 // (projection × filter × pose) cases — including the poles, the ERP
 // longitude seam, and cube face edges/corners where clamp/wrap behaviour
-// diverges first — is swept through all three implementations, asserting
+// diverges first — is swept through all four, asserting
 //
-//   - byte identity where it must hold (pt serial vs RenderParallel, gpusim
-//     vs pt, pte.Render vs pte.RenderParallel), and
+//   - byte identity where it must hold, and
 //   - per-case error budgets (max abs error, MAE, PSNR, SSIM, fraction of
 //     differing pixels) for pte vs pt, where fixed-point quantization makes
 //     bit-equality impossible by design.
+//
+// The renderers share one row-band driver (pt.RunBands) and one edge policy
+// (frame.Resolve), so the four identities protect different things: pt
+// serial vs RenderParallel checks the driver and the frame pool against the
+// plain double loop; exact-mode ptlut vs pt checks the table packer and the
+// Apply kernels against Mapper.Map + Sample — two genuinely separate code
+// paths. gpusim vs pt and pte.Render vs pte.RenderParallel hold by
+// construction (gpusim calls pt for its pixels, pte.Render is the
+// one-worker RenderParallel); their checks guard that construction — no
+// second pixel path, no state leaking across P-MEM bands — and
+// FuzzRenderFamily extends all of them to random dims and worker counts.
 //
 // Results are checked into a golden manifest (testdata/golden.json,
 // regenerated with `evrconform -update`) so every future change to a render

@@ -230,7 +230,7 @@ func TestChecksumSensitivity(t *testing.T) {
 }
 
 // TestGenerateDeterminism pins that the whole pipeline — scene synthesis,
-// three render paths, metrics, JSON encoding — is bit-reproducible: the
+// every render path, metrics, JSON encoding — is bit-reproducible: the
 // regenerate-and-diff CI gate is only sound if two runs encode identically.
 func TestGenerateDeterminism(t *testing.T) {
 	a := fastManifest(t)

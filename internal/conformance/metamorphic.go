@@ -14,7 +14,7 @@ import (
 // Metamorphic properties: oracle-free invariants of the render pipeline.
 // Where differential testing asks "do the implementations agree?", these ask
 // "does the reference implementation agree with geometry?" — so a bug shared
-// by all three implementations still gets caught.
+// by every implementation still gets caught.
 
 // CheckIdentityPassthrough verifies that a 90°×90° identity-pose render of a
 // CMP panorama with nearest filtering reproduces the +Z (front) face of the

@@ -40,10 +40,27 @@ func (f *Frame) Bytes() int { return len(f.Pix) }
 // In reports whether (x, y) lies inside the frame.
 func (f *Frame) In(x, y int) bool { return x >= 0 && x < f.W && y >= 0 && y < f.H }
 
+// Resolve is the one edge policy every sampler in the repo shares — the
+// float filters below, the mapping-LUT tap packer, the PTE address
+// generator and the GPU texture-cache model. It maps integer texel
+// coordinates onto a w×h raster: y clamps to the border; x wraps modulo the
+// width when wrapX is set and clamps otherwise. Wrapping is the policy of
+// 360° equirectangular frames, whose left and right edges meet at the ±180°
+// longitude seam — clamping there would blend a seam-crossing sample with
+// the wrong side of the panorama; the cubemap layouts clamp.
+func Resolve(w, h int, wrapX bool, x, y int) (int, int) {
+	if !wrapX {
+		x = min(max(x, 0), w-1)
+	} else if x %= w; x < 0 {
+		x += w
+	}
+	return x, min(max(y, 0), h-1)
+}
+
 // At returns the pixel at (x, y). Out-of-range coordinates are clamped to
 // the border, the same edge policy as the PTE's filtering stage.
 func (f *Frame) At(x, y int) (r, g, b byte) {
-	x, y = f.clamp(x, y)
+	x, y = Resolve(f.W, f.H, false, x, y)
 	i := (y*f.W + x) * 3
 	return f.Pix[i], f.Pix[i+1], f.Pix[i+2]
 }
@@ -58,47 +75,11 @@ func (f *Frame) Set(x, y int, r, g, b byte) {
 }
 
 // AtWrapX returns the pixel at (x, y) with horizontal wrap-around: x is
-// taken modulo W while y clamps at the border. This is the edge policy of
-// 360° equirectangular frames, whose left and right edges meet at the ±180°
-// longitude seam; clamping there would blend a seam-crossing sample with the
-// wrong side of the panorama.
+// taken modulo W while y clamps at the border (see Resolve).
 func (f *Frame) AtWrapX(x, y int) (r, g, b byte) {
-	x = f.wrapX(x)
-	if y < 0 {
-		y = 0
-	}
-	if y >= f.H {
-		y = f.H - 1
-	}
+	x, y = Resolve(f.W, f.H, true, x, y)
 	i := (y*f.W + x) * 3
 	return f.Pix[i], f.Pix[i+1], f.Pix[i+2]
-}
-
-func (f *Frame) wrapX(x int) int {
-	if f.W <= 0 {
-		return 0
-	}
-	x %= f.W
-	if x < 0 {
-		x += f.W
-	}
-	return x
-}
-
-func (f *Frame) clamp(x, y int) (int, int) {
-	if x < 0 {
-		x = 0
-	}
-	if x >= f.W {
-		x = f.W - 1
-	}
-	if y < 0 {
-		y = 0
-	}
-	if y >= f.H {
-		y = f.H - 1
-	}
-	return x, y
 }
 
 // Fill sets every pixel to the given color.
@@ -117,44 +98,35 @@ func (f *Frame) Luma(x, y int) int {
 // BilinearAt samples the frame at fractional coordinates (u, v) with
 // bilinear interpolation, the reference (float) version of the PTE's
 // bilinear filtering function.
-func (f *Frame) BilinearAt(u, v float64) (r, g, b byte) {
-	x0 := int(math.Floor(u))
-	y0 := int(math.Floor(v))
-	fx := u - float64(x0)
-	fy := v - float64(y0)
-	r00, g00, b00 := f.At(x0, y0)
-	r10, g10, b10 := f.At(x0+1, y0)
-	r01, g01, b01 := f.At(x0, y0+1)
-	r11, g11, b11 := f.At(x0+1, y0+1)
-	lerp2 := func(c00, c10, c01, c11 byte) byte {
-		top := float64(c00)*(1-fx) + float64(c10)*fx
-		bot := float64(c01)*(1-fx) + float64(c11)*fx
-		v := top*(1-fy) + bot*fy
-		return byte(math.Round(math.Min(255, math.Max(0, v))))
-	}
-	return lerp2(r00, r10, r01, r11), lerp2(g00, g10, g01, g11), lerp2(b00, b10, b01, b11)
-}
+func (f *Frame) BilinearAt(u, v float64) (r, g, b byte) { return f.bilinear(u, v, false) }
 
 // BilinearAtWrapX samples the frame at fractional coordinates (u, v) with
 // bilinear interpolation and horizontal wrap-around (see AtWrapX): samples
 // straddling the longitude seam of an equirectangular frame blend the true
 // neighbor column from the opposite edge instead of repeating the border.
-func (f *Frame) BilinearAtWrapX(u, v float64) (r, g, b byte) {
+func (f *Frame) BilinearAtWrapX(u, v float64) (r, g, b byte) { return f.bilinear(u, v, true) }
+
+// bilinear is the one float blend. The 2×2 neighborhood's four taps are the
+// cross product of two resolved columns and two resolved rows, because the
+// edge policy treats x and y independently.
+func (f *Frame) bilinear(u, v float64, wrapX bool) (r, g, b byte) {
 	x0 := int(math.Floor(u))
 	y0 := int(math.Floor(v))
 	fx := u - float64(x0)
 	fy := v - float64(y0)
-	r00, g00, b00 := f.AtWrapX(x0, y0)
-	r10, g10, b10 := f.AtWrapX(x0+1, y0)
-	r01, g01, b01 := f.AtWrapX(x0, y0+1)
-	r11, g11, b11 := f.AtWrapX(x0+1, y0+1)
+	xa, ya := Resolve(f.W, f.H, wrapX, x0, y0)
+	xb, yb := Resolve(f.W, f.H, wrapX, x0+1, y0+1)
+	p00, p10 := f.Pix[(ya*f.W+xa)*3:], f.Pix[(ya*f.W+xb)*3:]
+	p01, p11 := f.Pix[(yb*f.W+xa)*3:], f.Pix[(yb*f.W+xb)*3:]
 	lerp2 := func(c00, c10, c01, c11 byte) byte {
 		top := float64(c00)*(1-fx) + float64(c10)*fx
 		bot := float64(c01)*(1-fx) + float64(c11)*fx
 		v := top*(1-fy) + bot*fy
 		return byte(math.Round(math.Min(255, math.Max(0, v))))
 	}
-	return lerp2(r00, r10, r01, r11), lerp2(g00, g10, g01, g11), lerp2(b00, b10, b01, b11)
+	return lerp2(p00[0], p10[0], p01[0], p11[0]),
+		lerp2(p00[1], p10[1], p01[1], p11[1]),
+		lerp2(p00[2], p10[2], p01[2], p11[2])
 }
 
 // Equal reports whether two frames have identical dimensions and pixels.

@@ -77,3 +77,28 @@ func TestBilinearAtWrapXMatchesClampAwayFromSeam(t *testing.T) {
 		}
 	}
 }
+
+// TestResolveEdgePolicy pins the one edge policy: y always clamps; x wraps
+// modulo the width when asked to and clamps otherwise, for coordinates any
+// number of widths outside the frame.
+func TestResolveEdgePolicy(t *testing.T) {
+	const w, h = 5, 3
+	for _, tc := range []struct {
+		wrap         bool
+		x, y, wx, wy int
+	}{
+		{false, 2, 1, 2, 1},
+		{false, -1, -1, 0, 0},
+		{false, 5, 3, 4, 2},
+		{false, -12, 40, 0, 2},
+		{true, 2, 1, 2, 1},
+		{true, -1, -1, 4, 0},
+		{true, 5, 3, 0, 2},
+		{true, -12, 40, 3, 2},
+		{true, 14, 0, 4, 0},
+	} {
+		if x, y := Resolve(w, h, tc.wrap, tc.x, tc.y); x != tc.wx || y != tc.wy {
+			t.Errorf("Resolve(wrap=%v, %d, %d) = (%d, %d), want (%d, %d)", tc.wrap, tc.x, tc.y, x, y, tc.wx, tc.wy)
+		}
+	}
+}

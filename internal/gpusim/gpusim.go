@@ -21,11 +21,10 @@ package gpusim
 
 import (
 	"fmt"
-	"sync"
+	"math"
 
 	"evr/internal/frame"
 	"evr/internal/geom"
-	"evr/internal/projection"
 	"evr/internal/pt"
 )
 
@@ -124,82 +123,17 @@ func (g *GPU) ResetStats() { g.stats = Stats{} }
 
 // Render executes one PT frame as texture mapping and returns the FOV frame.
 //
-// The perspective-update and mapping stages are pure per-pixel math, so the
-// (u, v) coordinate grid is precomputed by a parallel worker pool (the GPU's
-// shader cores). The texture-cache model is inherently order-dependent (LRU
-// state), so fetch accounting replays the raster scan serially over the
-// precomputed grid — stats stay deterministic for every worker count.
+// The pixels are the float reference's by definition, so they come from
+// pt.RenderParallelChecked (the GPU's shader cores). The texture-cache model
+// is inherently order-dependent (LRU state), so fetch accounting replays the
+// raster scan serially — stats stay deterministic for every worker count.
+// It panics on a nil or empty input frame.
 func (g *GPU) Render(full *frame.Frame, o geom.Orientation) *frame.Frame {
-	cfg := g.cfg.PT
-	w, h := cfg.Viewport.Width, cfg.Viewport.Height
-	uv := make([]float64, 2*w*h)
-	workers := pt.DefaultWorkers()
-	if workers > h {
-		workers = h
+	out, err := pt.RenderParallelChecked(g.cfg.PT, full, o, 0)
+	if err != nil {
+		panic(err)
 	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		j0, j1 := wk*h/workers, (wk+1)*h/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := cfg.NewMapper(o, full.W, full.H)
-			for j := j0; j < j1; j++ {
-				for i := 0; i < w; i++ {
-					u, v := m.Map(i, j)
-					uv[2*(j*w+i)] = u
-					uv[2*(j*w+i)+1] = v
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	out := frame.New(w, h)
-	tilesPerRow := (full.W + g.cfg.TileW - 1) / g.cfg.TileW
-	wrapX := cfg.Projection == projection.ERP
-	fetch := func(x, y float64) {
-		xi, yi := int(x), int(y)
-		if yi < 0 {
-			yi = 0
-		}
-		if yi >= full.H {
-			yi = full.H - 1
-		}
-		if wrapX {
-			// ERP wraps in longitude: a seam-crossing texel fetch hits the
-			// tile on the opposite edge, matching the filtering fix.
-			xi = ((xi % full.W) + full.W) % full.W
-		} else {
-			if xi < 0 {
-				xi = 0
-			}
-			if xi >= full.W {
-				xi = full.W - 1
-			}
-		}
-		tile := (yi/g.cfg.TileH)*tilesPerRow + xi/g.cfg.TileW
-		g.stats.TexelFetches++
-		if !g.cache.access(tile) {
-			g.stats.CacheMisses++
-			g.stats.DRAMReadBytes += int64(g.cfg.CacheLineB)
-		}
-	}
-	for j := 0; j < h; j++ {
-		for i := 0; i < w; i++ {
-			u, v := uv[2*(j*w+i)], uv[2*(j*w+i)+1]
-			if cfg.Filter == pt.Bilinear {
-				fetch(u, v)
-				fetch(u+1, v)
-				fetch(u, v+1)
-				fetch(u+1, v+1)
-			} else {
-				fetch(u+0.5, v+0.5)
-			}
-			r, gg, b := cfg.Sample(full, u, v)
-			out.Set(i, j, r, gg, b)
-		}
-	}
+	g.replayFetches(full.W, full.H, o)
 	px := int64(out.W) * int64(out.H)
 	secs := float64(px) / g.cfg.ThroughputPixPS
 	g.stats.Frames++
@@ -207,6 +141,42 @@ func (g *GPU) Render(full *frame.Frame, o geom.Orientation) *frame.Frame {
 	g.stats.ActiveSeconds += secs
 	g.stats.EnergyJoules += secs*g.cfg.ActivePowerW + g.cfg.StackEnergyJ
 	return out
+}
+
+// replayFetches walks the output raster in scan order and charges every
+// texel the filter reads to the texture cache. The texels are the ones
+// pt.Config.Sample reads: round-to-nearest for the nearest filter, the floor
+// 2×2 neighborhood for bilinear, each resolved through the shared edge
+// policy (frame.Resolve) — a seam-crossing ERP fetch hits the tile on the
+// opposite edge.
+func (g *GPU) replayFetches(fullW, fullH int, o geom.Orientation) {
+	cfg := g.cfg.PT
+	m := cfg.NewMapper(o, fullW, fullH)
+	wrap := cfg.Projection.WrapsX()
+	tilesPerRow := (fullW + g.cfg.TileW - 1) / g.cfg.TileW
+	fetch := func(x, y int) {
+		x, y = frame.Resolve(fullW, fullH, wrap, x, y)
+		tile := (y/g.cfg.TileH)*tilesPerRow + x/g.cfg.TileW
+		g.stats.TexelFetches++
+		if !g.cache.access(tile) {
+			g.stats.CacheMisses++
+			g.stats.DRAMReadBytes += int64(g.cfg.CacheLineB)
+		}
+	}
+	for j := 0; j < cfg.Viewport.Height; j++ {
+		for i := 0; i < cfg.Viewport.Width; i++ {
+			u, v := m.Map(i, j)
+			if cfg.Filter == pt.Bilinear {
+				x0, y0 := int(math.Floor(u)), int(math.Floor(v))
+				fetch(x0, y0)
+				fetch(x0+1, y0)
+				fetch(x0, y0+1)
+				fetch(x0+1, y0+1)
+			} else {
+				fetch(int(math.Round(u)), int(math.Round(v)))
+			}
+		}
+	}
 }
 
 // FrameEnergyJ returns the modeled energy of one PT frame without running

@@ -160,3 +160,93 @@ func TestGPUEnergyExceedsPTEClassPower(t *testing.T) {
 		t.Errorf("GPU active power %v W implausibly close to PTE's 0.194 W", cfg.ActivePowerW)
 	}
 }
+
+// TestSeamFetchesChargeTheTexelsTheFilterReads pins the cache model to the
+// filter it models: the tiles it touches are exactly the tiles of the texels
+// pt.Config.Sample reads — floor (bilinear) or round (nearest), then the
+// shared edge policy. Just right of the ERP seam (u ∈ (−0.5, 0)) the
+// bilinear filter reads column W−1 and column 0; a model that truncates
+// toward zero instead of flooring charges column 0 twice and never touches
+// the last tile column.
+func TestSeamFetchesChargeTheTexelsTheFilterReads(t *testing.T) {
+	const fullW, fullH = 128, 64
+	full := grad(fullW, fullH)
+	sliver := projection.Viewport{Width: 2, Height: 2, FOVX: 0.01, FOVY: 0.01}
+	// Denser than the panorama, so some pixel of every seam-crossing output
+	// row lands in the half-texel sliver.
+	wide := projection.Viewport{Width: 160, Height: 40, FOVX: geom.Radians(110), FOVY: geom.Radians(110)}
+	for _, tc := range []struct {
+		name   string
+		vp     projection.Viewport
+		filter pt.Filter
+		o      geom.Orientation
+	}{
+		{"bilinear/sliver", sliver, pt.Bilinear, geom.Orientation{Yaw: -math.Pi + 0.012}},
+		{"bilinear/straddling", wide, pt.Bilinear, geom.Orientation{Yaw: math.Pi, Pitch: 0.2}},
+		{"nearest/straddling", wide, pt.Nearest, geom.Orientation{Yaw: math.Pi, Pitch: 0.2}},
+	} {
+		cfg := pt.Config{Projection: projection.ERP, Filter: tc.filter, Viewport: tc.vp}
+		gc := DefaultConfig(cfg)
+		// Direct-mapped with one set per tile: nothing is ever evicted, so
+		// after a render the resident tags are the touched tiles.
+		tilesPerRow := fullW / gc.TileW
+		gc.CacheWays = 1
+		gc.CacheBytes = tilesPerRow * (fullH / gc.TileH) * gc.CacheLineB
+		g, err := New(gc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Render(full, tc.o)
+
+		want := map[int]bool{}
+		fetches, seamPixels, lastColumn := int64(0), 0, false
+		read := func(x, y int) {
+			x, y = frame.Resolve(fullW, fullH, true, x, y)
+			want[(y/gc.TileH)*tilesPerRow+x/gc.TileW] = true
+			lastColumn = lastColumn || x/gc.TileW == tilesPerRow-1
+			fetches++
+		}
+		m := cfg.NewMapper(tc.o, fullW, fullH)
+		for j := 0; j < tc.vp.Height; j++ {
+			for i := 0; i < tc.vp.Width; i++ {
+				u, v := m.Map(i, j)
+				if u > -0.5 && u < 0 {
+					seamPixels++
+				}
+				if tc.filter == pt.Nearest {
+					read(int(math.Round(u)), int(math.Round(v)))
+					continue
+				}
+				x0, y0 := int(math.Floor(u)), int(math.Floor(v))
+				read(x0, y0)
+				read(x0+1, y0)
+				read(x0, y0+1)
+				read(x0+1, y0+1)
+			}
+		}
+		if seamPixels == 0 || !lastColumn {
+			t.Fatalf("%s: pose does not exercise the seam (%d pixels with u in (-0.5, 0), last tile column read: %v)",
+				tc.name, seamPixels, lastColumn)
+		}
+		got := map[int]bool{}
+		for _, set := range g.cache.tags {
+			if set[0] >= 0 {
+				got[set[0]] = true
+			}
+		}
+		for tile := range want {
+			if !got[tile] {
+				t.Errorf("%s: filter reads tile %d (column %d of %d), model never touched it",
+					tc.name, tile, tile%tilesPerRow, tilesPerRow)
+			}
+		}
+		for tile := range got {
+			if !want[tile] {
+				t.Errorf("%s: model touched tile %d, which the filter never reads", tc.name, tile)
+			}
+		}
+		if s := g.Stats(); s.TexelFetches != fetches || s.CacheMisses != int64(len(want)) {
+			t.Errorf("%s: %d fetches / %d misses, want %d / %d", tc.name, s.TexelFetches, s.CacheMisses, fetches, len(want))
+		}
+	}
+}

@@ -54,6 +54,11 @@ func (m Method) String() string {
 	}
 }
 
+// WrapsX reports whether the projection's frame is periodic in x: an
+// equirectangular frame's left and right edges meet at the ±180° longitude
+// seam, so texel columns wrap; the cubemap layouts clamp at the border.
+func (m Method) WrapsX() bool { return m == ERP }
+
 // C2S is the cartesian-to-spherical block shared by ERP and EAC (paper
 // Fig. 9). It returns longitude theta ∈ [-π, π] and latitude phi ∈ [-π/2, π/2].
 func C2S(v geom.Vec3) (theta, phi float64) {

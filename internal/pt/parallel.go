@@ -1,7 +1,6 @@
 package pt
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -13,16 +12,17 @@ import (
 	"evr/internal/telemetry"
 )
 
-// The parallel renderer splits the output viewport into contiguous row
-// bands and renders them concurrently into disjoint slices of one output
-// frame. Every pixel is a pure function of (Config, Orientation, input
-// frame), so the banded schedule is byte-identical to the serial raster
-// scan — parallelism changes wall-clock time, never output. This is the
-// software analogue of the paper's multi-PTU dispatch (§6.2): PTUs share
+// Every renderer in the repo — the float reference here, the mapping-LUT
+// build and apply loops (package ptlut), the fixed-point PTE (package pte) —
+// splits its output viewport into contiguous row bands through RunBands
+// below. Every pixel is a pure function of (configuration, orientation,
+// input frame), so the banded schedule is byte-identical to the serial
+// raster scan — parallelism changes wall-clock time, never output. This is
+// the software analogue of the paper's multi-PTU dispatch (§6.2): PTUs share
 // the per-frame configuration registers and own disjoint output regions.
 
-// defaultWorkers is the worker count substituted when RenderParallel is
-// called with workers == 0. Zero means runtime.GOMAXPROCS(0); cmd/evrbench
+// defaultWorkers is the worker count substituted when a render is asked for
+// workers == 0. Zero means runtime.GOMAXPROCS(0); cmd/evrbench
 // overrides it via the -workers flag.
 var defaultWorkers atomic.Int32
 
@@ -50,7 +50,7 @@ func DefaultWorkers() int {
 }
 
 // bandObserver, when set, receives the wall-clock duration of every row
-// band rendered by RenderParallel — one observation per worker per frame.
+// band RunBands executes — one observation per worker per frame.
 // The histogram's p50-vs-max spread is worker-pool skew: bands are
 // near-equal row counts, so a long tail means uneven per-row cost (pole
 // rows sample fewer source texels than equator rows) or scheduler
@@ -59,7 +59,7 @@ func DefaultWorkers() int {
 var bandObserver atomic.Pointer[telemetry.Histogram]
 
 // SetBandObserver installs (or, with nil, removes) the histogram that
-// receives per-band render durations from RenderParallel.
+// receives per-band durations from RunBands.
 func SetBandObserver(h *telemetry.Histogram) { bandObserver.Store(h) }
 
 // BandObserver returns the installed per-band histogram (nil when off).
@@ -115,49 +115,56 @@ func RenderParallel(c Config, full *frame.Frame, o geom.Orientation, workers int
 
 // RenderParallelChecked is RenderParallel with up-front validation.
 func RenderParallelChecked(c Config, full *frame.Frame, o geom.Orientation, workers int) (*frame.Frame, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.check(full); err != nil {
 		return nil, err
 	}
-	if full == nil || full.W <= 0 || full.H <= 0 {
-		return nil, fmt.Errorf("pt: input frame must be non-empty")
-	}
-	h := c.Viewport.Height
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > h {
-		workers = h
-	}
-	out := newPooledFrame(c.Viewport.Width, h)
-	obs := bandObserver.Load()
-	if workers <= 1 {
-		renderBand(c, full, o, out, 0, h, obs)
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		// Split h rows into `workers` near-equal contiguous bands.
-		j0 := w * h / workers
-		j1 := (w + 1) * h / workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			renderBand(c, full, o, out, j0, j1, obs)
-		}()
-	}
-	wg.Wait()
+	out := newPooledFrame(c.Viewport.Width, c.Viewport.Height)
+	RunBands(out.H, workers, func(j0, j1 int) { c.renderRows(full, o, out, j0, j1) })
 	return out, nil
 }
 
-// renderBand renders one contiguous row band, reporting its duration to
-// the band observer when one is installed. The clock is only read when
-// observing, so the disabled path adds a nil test per band.
-func renderBand(c Config, full *frame.Frame, o geom.Orientation, out *frame.Frame, j0, j1 int, obs *telemetry.Histogram) {
+// BandCount resolves a worker request against a row count, the way RunBands
+// will: workers <= 0 means DefaultWorkers, and there are never more bands
+// than rows.
+func BandCount(rows, workers int) int {
+	if workers <= 0 {
+		workers = DefaultWorkers()
+	}
+	return min(workers, rows)
+}
+
+// RunBands is the one row-band driver: it splits rows [0, rows) into
+// BandCount(rows, workers) near-equal contiguous bands and runs band(j0, j1)
+// once per band, concurrently when there is more than one. band must write
+// only state owned by its rows. A single band runs inline on the caller's
+// goroutine. Each band's duration goes to the band observer when one is
+// installed; the clock is only read when observing, so the disabled path
+// adds a nil test per band.
+func RunBands(rows, workers int, band func(j0, j1 int)) {
+	n := BandCount(rows, workers)
+	obs := bandObserver.Load()
+	if n <= 1 {
+		runBand(obs, band, 0, rows)
+		return
+	}
+	var wg sync.WaitGroup
+	for b := 0; b < n; b++ {
+		j0, j1 := b*rows/n, (b+1)*rows/n
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runBand(obs, band, j0, j1)
+		}()
+	}
+	wg.Wait()
+}
+
+func runBand(obs *telemetry.Histogram, band func(j0, j1 int), j0, j1 int) {
 	if obs == nil {
-		c.renderRows(full, o, out, j0, j1)
+		band(j0, j1)
 		return
 	}
 	t0 := time.Now()
-	c.renderRows(full, o, out, j0, j1)
+	band(j0, j1)
 	obs.ObserveDuration(time.Since(t0))
 }

@@ -105,6 +105,9 @@ func TestRenderCheckedRejectsInvalidInput(t *testing.T) {
 	if _, err := RenderChecked(good, &frame.Frame{}, geom.Orientation{}); err == nil {
 		t.Error("empty input frame accepted")
 	}
+	if _, err := RenderParallelChecked(good, &frame.Frame{W: 8, H: 8, Pix: make([]byte, 8*8*3-1)}, geom.Orientation{}, 2); err == nil {
+		t.Error("parallel: input frame with a short pixel buffer accepted")
+	}
 	if _, err := RenderParallelChecked(Config{}, frame.New(8, 8), geom.Orientation{}, 2); err == nil {
 		t.Error("parallel: invalid config accepted")
 	}

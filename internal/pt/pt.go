@@ -133,23 +133,23 @@ func (m *Mapper) Map(i, j int) (u, v float64) {
 	return nu*m.fullW - 0.5, nv*m.fullH - 0.5
 }
 
-// Sample runs the filtering stage at input coordinates (u, v). ERP input
-// wraps in longitude — its left and right edges are adjacent on the sphere —
-// so samples crossing the ±180° seam blend the opposite edge; the cubemap
+// Sample runs the filtering stage at input coordinates (u, v) under the
+// projection's edge policy (frame.Resolve): ERP input wraps in longitude, so
+// samples crossing the ±180° seam blend the opposite edge; the cubemap
 // projections keep the clamped border policy of their face layout.
 func (c Config) Sample(full *frame.Frame, u, v float64) (r, g, b byte) {
-	if c.Projection == projection.ERP {
-		if c.Filter == Bilinear {
+	wrap := c.Projection.WrapsX()
+	if c.Filter == Bilinear {
+		if wrap {
 			return full.BilinearAtWrapX(u, v)
 		}
-		return full.AtWrapX(int(math.Round(u)), int(math.Round(v)))
-	}
-	switch c.Filter {
-	case Bilinear:
 		return full.BilinearAt(u, v)
-	default:
-		return full.At(int(math.Round(u)), int(math.Round(v)))
 	}
+	x, y := int(math.Round(u)), int(math.Round(v))
+	if wrap {
+		return full.AtWrapX(x, y)
+	}
+	return full.At(x, y)
 }
 
 // Render executes the full PT for one frame: it produces the FOV frame for
@@ -168,15 +168,33 @@ func Render(c Config, full *frame.Frame, o geom.Orientation) *frame.Frame {
 // RenderChecked is Render with up-front validation: it reports an invalid
 // configuration or input frame as an error instead of panicking mid-render.
 func RenderChecked(c Config, full *frame.Frame, o geom.Orientation) (*frame.Frame, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.check(full); err != nil {
 		return nil, err
-	}
-	if full == nil || full.W <= 0 || full.H <= 0 {
-		return nil, fmt.Errorf("pt: input frame must be non-empty")
 	}
 	out := frame.New(c.Viewport.Width, c.Viewport.Height)
 	c.renderRows(full, o, out, 0, c.Viewport.Height)
 	return out, nil
+}
+
+// check is the up-front validation of the float render entry points.
+func (c Config) check(full *frame.Frame) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	return CheckInput(full)
+}
+
+// CheckInput is the one input-frame check behind every renderer's checked
+// entry point (pt, ptlut, pte): a nil, empty or short-buffered panorama is
+// an error, never a nil dereference or an out-of-range index mid-render.
+func CheckInput(full *frame.Frame) error {
+	if full == nil || full.W <= 0 || full.H <= 0 {
+		return fmt.Errorf("pt: input frame must be non-empty")
+	}
+	if len(full.Pix) < full.W*full.H*3 {
+		return fmt.Errorf("pt: input frame holds %d bytes, %dx%d needs %d", len(full.Pix), full.W, full.H, full.W*full.H*3)
+	}
+	return nil
 }
 
 // renderRows renders output rows [j0, j1) into out. Rows are independent, so

@@ -262,21 +262,15 @@ func (d *datapath) pixel(full *frame.Frame, pmem *lineBuffer, i, j int) (r, g, b
 	return blend(r00, r10, r01, r11), blend(g00, g10, g01, g11), blend(b00, b10, b01, b11)
 }
 
-// fetch reads one input pixel through the line buffer. Rows clamp at the
-// frame border like the filtering hardware; columns wrap for ERP input
-// (the hardware address generator computes x mod W, since the left and
-// right edges of an equirectangular frame meet at the ±180° seam) and
-// clamp for the cubemap layouts.
+// fetch reads one input pixel through the line buffer, at the address the
+// shared edge policy (frame.Resolve) gives it: rows clamp at the frame
+// border like the filtering hardware; columns wrap for ERP input (the
+// hardware address generator computes x mod W, since the left and right
+// edges of an equirectangular frame meet at the ±180° seam) and clamp for
+// the cubemap layouts.
 func (d *datapath) fetch(full *frame.Frame, pmem *lineBuffer, x, y int) (r, g, b byte) {
-	if y < 0 {
-		y = 0
-	}
-	if y >= full.H {
-		y = full.H - 1
-	}
+	x, y = frame.Resolve(full.W, full.H, d.cfg.Projection.WrapsX(), x, y)
 	pmem.touch(y)
-	if d.cfg.Projection == projection.ERP {
-		return full.AtWrapX(x, y)
-	}
-	return full.At(x, y)
+	i := (y*full.W + x) * 3
+	return full.Pix[i], full.Pix[i+1], full.Pix[i+2]
 }

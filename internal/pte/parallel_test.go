@@ -72,3 +72,52 @@ func TestERPSeamMatchesReference(t *testing.T) {
 		t.Errorf("seam MAE = %v, want ≤ 2e-2", mae)
 	}
 }
+
+// TestRenderParallelCheckedRejectsBadInput: a nil or empty panorama is an
+// error from the checked entry — the same one pt and ptlut report — and
+// leaves the engine's counters untouched; the unchecked entries panic with
+// that error instead of dereferencing nil.
+func TestRenderParallelCheckedRejectsBadInput(t *testing.T) {
+	vp := projection.Viewport{Width: 8, Height: 8, FOVX: geom.Radians(90), FOVY: geom.Radians(90)}
+	e, err := New(DefaultConfig(projection.ERP, pt.Bilinear, vp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, full := range map[string]*frame.Frame{"nil": nil, "empty": {}, "zero-height": {W: 4}} {
+		if _, err := e.RenderParallelChecked(full, geom.Orientation{}, 2); err == nil {
+			t.Errorf("%s input frame accepted", name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Render(%s) did not panic", name)
+				}
+			}()
+			e.Render(full, geom.Orientation{})
+		}()
+	}
+	if s := e.Stats(); s != (Stats{}) {
+		t.Errorf("rejected renders were charged: %+v", s)
+	}
+	if out, err := e.RenderParallelChecked(noisyFrame(16, 8, 1), geom.Orientation{}, 0); err != nil || out == nil {
+		t.Errorf("valid render failed: %v", err)
+	}
+}
+
+// TestRenderIsRenderParallelOfOne: the serial entry is the one-worker
+// banded render — same pixels, same Stats.
+func TestRenderIsRenderParallelOfOne(t *testing.T) {
+	full := noisyFrame(90, 44, 5)
+	o := geom.Orientation{Yaw: -math.Pi + 0.05, Pitch: 0.6, Roll: 0.2}
+	vp := projection.Viewport{Width: 37, Height: 29, FOVX: geom.Radians(100), FOVY: geom.Radians(100)}
+	for _, m := range projection.Methods {
+		a, _ := New(DefaultConfig(m, pt.Bilinear, vp))
+		b, _ := New(DefaultConfig(m, pt.Bilinear, vp))
+		if !a.Render(full, o).Equal(b.RenderParallel(full, o, 1)) {
+			t.Errorf("%v: Render and RenderParallel(1) pixels differ", m)
+		}
+		if a.Stats() != b.Stats() {
+			t.Errorf("%v: Render stats %+v != RenderParallel(1) stats %+v", m, a.Stats(), b.Stats())
+		}
+	}
+}

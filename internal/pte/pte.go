@@ -20,7 +20,7 @@ package pte
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"evr/internal/fixed"
 	"evr/internal/frame"
@@ -191,24 +191,67 @@ func (e *Engine) Stats() Stats { return e.stats }
 func (e *Engine) ResetStats() { e.stats = Stats{} }
 
 // Render runs the full fixed-point PT for one frame and returns the FOV
-// frame. Timing and memory traffic are accumulated into Stats.
+// frame: RenderParallel with one worker, i.e. the serial raster scan through
+// one P-MEM window of the whole scratchpad. Timing and memory traffic are
+// accumulated into Stats. It panics on a nil or empty input frame.
 func (e *Engine) Render(full *frame.Frame, o geom.Orientation) *frame.Frame {
-	if full.W == 0 || full.H == 0 {
-		panic("pte: empty input frame")
+	return e.RenderParallel(full, o, 1)
+}
+
+// RenderParallel renders with the output viewport banded across a pool of
+// workers, the software analogue of the multi-PTU dispatch (§6.2): each PTU
+// owns a contiguous band of output rows and a private window of the P-MEM
+// scratchpad. workers <= 0 uses NumPTUs. The FOV frame is byte-identical
+// for every worker count (the datapath is pure per pixel); the P-MEM refill
+// count can differ slightly because band boundaries re-fetch shared input
+// rows, exactly as private per-PTU line-buffer windows would. It panics on
+// a nil or empty input frame; use RenderParallelChecked to get the error
+// instead.
+func (e *Engine) RenderParallel(full *frame.Frame, o geom.Orientation, workers int) *frame.Frame {
+	out, err := e.RenderParallelChecked(full, o, workers)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// RenderParallelChecked is RenderParallel with up-front validation of the
+// input frame.
+func (e *Engine) RenderParallelChecked(full *frame.Frame, o geom.Orientation, workers int) (*frame.Frame, error) {
+	if err := pt.CheckInput(full); err != nil {
+		return nil, err
+	}
+	if workers <= 0 {
+		workers = e.cfg.NumPTUs
 	}
 	out := frame.New(e.cfg.Viewport.Width, e.cfg.Viewport.Height)
-	pmem := newLineBuffer(e.cfg.PMEMSize, full.W)
 	e.dp.beginFrame(o, full.W, full.H)
-	for j := 0; j < e.cfg.Viewport.Height; j++ {
-		for i := 0; i < e.cfg.Viewport.Width; i++ {
-			r, g, b := e.dp.pixel(full, pmem, i, j)
-			out.Set(i, j, r, g, b)
-		}
+	pmemBank := e.cfg.PMEMSize / pt.BandCount(out.H, workers)
+	if pmemBank < 1 {
+		pmemBank = 1
 	}
+	var refills atomic.Int64
+	pt.RunBands(out.H, workers, func(j0, j1 int) {
+		pmem := newLineBuffer(pmemBank, full.W)
+		for j := j0; j < j1; j++ {
+			for i := 0; i < e.cfg.Viewport.Width; i++ {
+				r, g, b := e.dp.pixel(full, pmem, i, j)
+				out.Set(i, j, r, g, b)
+			}
+		}
+		refills.Add(pmem.refills)
+	})
+	e.account(refills.Load(), full.W, out)
+	return out, nil
+}
 
+// account charges one rendered frame to Stats: compute cycles at one pixel
+// per PTU per cycle, P-MEM refill and S-MEM write-back DRAM traffic, and
+// the stall cycles of whatever DMA time the compute does not hide.
+func (e *Engine) account(refills int64, fullW int, out *frame.Frame) {
 	px := int64(out.W) * int64(out.H)
 	compute := (px + int64(e.cfg.NumPTUs) - 1) / int64(e.cfg.NumPTUs)
-	readBytes := pmem.refills * int64(full.W) * 3
+	readBytes := refills * int64(fullW) * 3
 	writeBytes := int64(out.Bytes())
 	// The line buffers are double-banked, so DMA overlaps compute; only
 	// DMA time beyond the compute time stalls the pipeline.
@@ -224,78 +267,7 @@ func (e *Engine) Render(full *frame.Frame, o geom.Orientation) *frame.Frame {
 	e.stats.StallCycles += stall
 	e.stats.DRAMReadBytes += readBytes
 	e.stats.DRAMWriteBytes += writeBytes
-	e.stats.PMEMLineRefills += pmem.refills
-	return out
-}
-
-// RenderParallel runs the same pixel pipeline as Render with the output
-// viewport banded across a pool of workers, the software analogue of the
-// multi-PTU dispatch (§6.2): each PTU owns a contiguous band of output rows
-// and a private window of the P-MEM scratchpad. workers <= 0 uses NumPTUs.
-// The FOV frame is byte-identical to Render's for every worker count (the
-// datapath is pure per pixel); the P-MEM refill count can differ slightly
-// because band boundaries re-fetch shared input rows, exactly as private
-// per-PTU line-buffer windows would.
-func (e *Engine) RenderParallel(full *frame.Frame, o geom.Orientation, workers int) *frame.Frame {
-	if full.W == 0 || full.H == 0 {
-		panic("pte: empty input frame")
-	}
-	h := e.cfg.Viewport.Height
-	if workers <= 0 {
-		workers = e.cfg.NumPTUs
-	}
-	if workers > h {
-		workers = h
-	}
-	if workers <= 1 {
-		return e.Render(full, o)
-	}
-	out := frame.New(e.cfg.Viewport.Width, h)
-	e.dp.beginFrame(o, full.W, full.H)
-	pmemBank := e.cfg.PMEMSize / workers
-	if pmemBank < 1 {
-		pmemBank = 1
-	}
-	pmems := make([]*lineBuffer, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		j0, j1 := w*h/workers, (w+1)*h/workers
-		pmem := newLineBuffer(pmemBank, full.W)
-		pmems[w] = pmem
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := j0; j < j1; j++ {
-				for i := 0; i < e.cfg.Viewport.Width; i++ {
-					r, g, b := e.dp.pixel(full, pmem, i, j)
-					out.Set(i, j, r, g, b)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	var refills int64
-	for _, pmem := range pmems {
-		refills += pmem.refills
-	}
-	px := int64(out.W) * int64(out.H)
-	compute := (px + int64(e.cfg.NumPTUs) - 1) / int64(e.cfg.NumPTUs)
-	readBytes := refills * int64(full.W) * 3
-	writeBytes := int64(out.Bytes())
-	dma := (readBytes + writeBytes + dmaBytesPerCycle - 1) / dmaBytesPerCycle
-	stall := dma - compute
-	if stall < 0 {
-		stall = 0
-	}
-	e.stats.Frames++
-	e.stats.OutputPixels += px
-	e.stats.Cycles += compute + pipelineDepth + stall
-	e.stats.StallCycles += stall
-	e.stats.DRAMReadBytes += readBytes
-	e.stats.DRAMWriteBytes += writeBytes
 	e.stats.PMEMLineRefills += refills
-	return out
 }
 
 // RenderVideo runs the PT for a frame sequence with per-frame orientations
@@ -307,7 +279,10 @@ func (e *Engine) RenderVideo(full []*frame.Frame, orientations []geom.Orientatio
 	}
 	out := make([]*frame.Frame, len(full))
 	for i := range full {
-		out[i] = e.Render(full[i], orientations[i])
+		var err error
+		if out[i], err = e.RenderParallelChecked(full[i], orientations[i], 1); err != nil {
+			return nil, fmt.Errorf("pte: frame %d: %w", i, err)
+		}
 	}
 	return out, nil
 }

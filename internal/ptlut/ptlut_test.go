@@ -294,6 +294,16 @@ func TestRendererValidation(t *testing.T) {
 	if _, err := r.RenderChecked(&frame.Frame{}, geom.Orientation{}, 1); err == nil {
 		t.Fatal("empty input frame must be rejected")
 	}
+	tbl, err := r.Table(geom.Orientation{}, 32, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Render(frame.New(16, 16), 1); err == nil {
+		t.Fatal("input frame of other dims than the table's must be rejected")
+	}
+	if _, err := tbl.Render(nil, 1); err == nil {
+		t.Fatal("Table.Render: nil input frame must be rejected")
+	}
 }
 
 // TestTelemetryWiring checks the evr_ptlut_* metrics land in a registry.

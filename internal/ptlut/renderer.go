@@ -77,37 +77,14 @@ func (r *Renderer) Render(full *frame.Frame, o geom.Orientation, workers int) *f
 
 // RenderChecked is Render with up-front validation.
 func (r *Renderer) RenderChecked(full *frame.Frame, o geom.Orientation, workers int) (*frame.Frame, error) {
-	if full == nil || full.W <= 0 || full.H <= 0 {
-		return nil, fmt.Errorf("ptlut: input frame must be non-empty")
+	if err := pt.CheckInput(full); err != nil {
+		return nil, err
 	}
 	tbl, err := r.Table(o, full.W, full.H)
 	if err != nil {
 		return nil, err
 	}
-	h := r.cfg.Viewport.Height
-	if workers <= 0 {
-		workers = pt.DefaultWorkers()
-	}
-	if workers > h {
-		workers = h
-	}
-	out := pt.NewPooledFrame(r.cfg.Viewport.Width, h)
-	if workers <= 1 {
-		tbl.Apply(full, out, 0, h)
-		return out, nil
-	}
-	done := make(chan struct{}, workers)
-	for b := 0; b < workers; b++ {
-		j0, j1 := b*h/workers, (b+1)*h/workers
-		go func() {
-			tbl.Apply(full, out, j0, j1)
-			done <- struct{}{}
-		}()
-	}
-	for b := 0; b < workers; b++ {
-		<-done
-	}
-	return out, nil
+	return tbl.Render(full, workers)
 }
 
 // Stats snapshots the underlying cache (zeros when cache is nil).

@@ -3,11 +3,9 @@ package ptlut
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"evr/internal/frame"
 	"evr/internal/geom"
-	"evr/internal/projection"
 	"evr/internal/pt"
 )
 
@@ -102,53 +100,38 @@ func Build(cfg pt.Config, o geom.Orientation, fullW, fullH int, quantWeights boo
 		t.fy = make([]float64, w*h)
 	}
 
-	if workers <= 0 {
-		workers = pt.DefaultWorkers()
-	}
-	if workers > h {
-		workers = h
-	}
-	if workers <= 1 {
-		t.buildRows(cfg, o, fullW, fullH, 0, h)
-		return t, nil
-	}
-	var wg sync.WaitGroup
-	for b := 0; b < workers; b++ {
-		j0, j1 := b*h/workers, (b+1)*h/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t.buildRows(cfg, o, fullW, fullH, j0, j1)
-		}()
-	}
-	wg.Wait()
+	pt.RunBands(h, workers, func(j0, j1 int) { t.buildRows(cfg, o, fullW, fullH, j0, j1) })
 	return t, nil
 }
 
 // buildRows fills the table entries of output rows [j0, j1). Each entry
 // reproduces exactly the texel choice pt.Config.Sample would make at the
 // mapped coordinate: round-to-nearest for the nearest filter, the floor 2×2
-// neighborhood for bilinear, with ERP's horizontal wrap or the cubemap
-// layouts' border clamp baked into the packed offsets.
+// neighborhood for bilinear, each tap resolved through the shared edge
+// policy (frame.Resolve) and packed as a byte offset into the source Pix.
 func (t *Table) buildRows(cfg pt.Config, o geom.Orientation, fullW, fullH, j0, j1 int) {
 	m := cfg.NewMapper(o, fullW, fullH)
-	wrap := cfg.Projection == projection.ERP
+	wrap := cfg.Projection.WrapsX()
+	offset := func(x, y int) int32 {
+		x, y = frame.Resolve(fullW, fullH, wrap, x, y)
+		return int32((y*fullW + x) * 3)
+	}
 	for j := j0; j < j1; j++ {
 		for i := 0; i < t.w; i++ {
 			p := j*t.w + i
 			u, v := m.Map(i, j)
 			if t.mode == modeNearest {
-				t.idx[p] = packOffset(fullW, fullH, wrap, int(math.Round(u)), int(math.Round(v)))
+				t.idx[p] = offset(int(math.Round(u)), int(math.Round(v)))
 				continue
 			}
 			x0 := int(math.Floor(u))
 			y0 := int(math.Floor(v))
 			fx := u - float64(x0)
 			fy := v - float64(y0)
-			t.taps[4*p+0] = packOffset(fullW, fullH, wrap, x0, y0)
-			t.taps[4*p+1] = packOffset(fullW, fullH, wrap, x0+1, y0)
-			t.taps[4*p+2] = packOffset(fullW, fullH, wrap, x0, y0+1)
-			t.taps[4*p+3] = packOffset(fullW, fullH, wrap, x0+1, y0+1)
+			t.taps[4*p+0] = offset(x0, y0)
+			t.taps[4*p+1] = offset(x0+1, y0)
+			t.taps[4*p+2] = offset(x0, y0+1)
+			t.taps[4*p+3] = offset(x0+1, y0+1)
 			if t.mode == modeBilinearQuant {
 				t.wx[p] = uint16(math.Round(fx * 256))
 				t.wy[p] = uint16(math.Round(fy * 256))
@@ -160,26 +143,20 @@ func (t *Table) buildRows(cfg pt.Config, o geom.Orientation, fullW, fullH, j0, j
 	}
 }
 
-// packOffset resolves integer texel coordinates to a byte offset into the
-// source Pix slice under the frame's edge policy: x wraps modulo the width
-// for ERP (frame.AtWrapX) and clamps otherwise (frame.At); y always clamps.
-func packOffset(w, h int, wrapX bool, x, y int) int32 {
-	if wrapX {
-		x %= w
-		if x < 0 {
-			x += w
-		}
-	} else if x < 0 {
-		x = 0
-	} else if x >= w {
-		x = w - 1
+// Render produces the FOV frame of one input frame through the table, rows
+// banded over the shared driver (workers == 0 uses pt.DefaultWorkers). The
+// input must have the dimensions the table was built for. The frame comes
+// from the shared render buffer pool — return it with pt.Recycle when done.
+func (t *Table) Render(full *frame.Frame, workers int) (*frame.Frame, error) {
+	if err := pt.CheckInput(full); err != nil {
+		return nil, err
 	}
-	if y < 0 {
-		y = 0
-	} else if y >= h {
-		y = h - 1
+	if full.W != t.key.FullW || full.H != t.key.FullH {
+		return nil, fmt.Errorf("ptlut: %dx%d input frame for a table built over %dx%d", full.W, full.H, t.key.FullW, t.key.FullH)
 	}
-	return int32((y*w + x) * 3)
+	out := pt.NewPooledFrame(t.w, t.h)
+	pt.RunBands(t.h, workers, func(j0, j1 int) { t.Apply(full, out, j0, j1) })
+	return out, nil
 }
 
 // Apply renders output rows [j0, j1) of out by sampling full through the

@@ -91,18 +91,6 @@ type IngestConfig struct {
 	// TileLowDiv is the linear downscale of the backfill stream. 0 picks
 	// the largest codec-compatible divisor of 4, 2, 1.
 	TileLowDiv int
-
-	// UseLUT pre-renders FOV videos through the exact-mode mapping-LUT
-	// cache. Cluster trajectories repeat orientations frame to frame (a
-	// carried-forward track keeps its previous centroid), so consecutive
-	// frames of a cluster reuse one table instead of re-running the mapping
-	// stage per frame. Exact mode only: every stored payload stays
-	// byte-identical to the unmemoized pipeline.
-	UseLUT bool
-	// LUTCache optionally shares the mapping-table cache with other ingests
-	// (or the playback side). nil with UseLUT set builds a per-ingest cache
-	// with the default byte budget.
-	LUTCache *ptlut.Cache
 }
 
 // workerCount resolves Workers to an effective pool size.
@@ -362,20 +350,6 @@ func Ingest(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*Manifest, er
 	total, nSegs := segmentSpan(v, cfg)
 	vp := cfg.viewport()
 	ptCfg := pt.Config{Projection: cfg.Projection, Filter: pt.Bilinear, Viewport: vp}
-	var lut *ptlut.Renderer
-	if cfg.UseLUT {
-		cache := cfg.LUTCache
-		if cache == nil {
-			cache = ptlut.NewCache(0, nil)
-		}
-		// Exact mode: stored payloads must not depend on whether the LUT
-		// path was enabled.
-		var err error
-		lut, err = ptlut.NewRenderer(ptCfg, cache, ptlut.Options{})
-		if err != nil {
-			return nil, err
-		}
-	}
 
 	for si := 0; si < nSegs; si++ {
 		start := si * cfg.SAS.SegmentFrames
@@ -428,7 +402,7 @@ func Ingest(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*Manifest, er
 			innerWorkers = (cfg.workerCount() + len(tracks) - 1) / len(tracks)
 		}
 		err = parallelFor(len(tracks), cfg.workerCount(), func(ci int) error {
-			rc, err := preRenderCluster(v, cfg, ptCfg, lut, full, si, ci, tracks[ci], innerWorkers)
+			rc, err := preRenderCluster(v, cfg, ptCfg, full, si, ci, tracks[ci], innerWorkers)
 			if err != nil {
 				return err
 			}
@@ -640,23 +614,34 @@ type renderedCluster struct {
 
 // preRenderCluster pre-renders and encodes one cluster's FOV video from its
 // per-frame trajectory orientations. It only reads shared state, so clusters
-// of a segment pre-render concurrently. A non-nil lut routes the per-frame
-// PT through the mapping-LUT cache (byte-identical in exact mode; a cluster
-// whose track holds one orientation builds its table once).
-func preRenderCluster(v scene.VideoSpec, cfg IngestConfig, ptCfg pt.Config, lut *ptlut.Renderer,
+// of a segment pre-render concurrently.
+//
+// A track that carries its centroid forward repeats the previous frame's
+// pose exactly; those frames render through the exact mapping table of that
+// pose (ptlut, byte-identical to the direct render by the conformance
+// proof), built on the first repeat and dropped when the pose moves, so the
+// mapping stage runs once per resting pose instead of once per frame.
+func preRenderCluster(v scene.VideoSpec, cfg IngestConfig, ptCfg pt.Config,
 	full []*frame.Frame, si, ci int, centers []geom.Orientation, workers int) (renderedCluster, error) {
 
 	fovFrames := make([]*frame.Frame, len(full))
 	meta := make([]FrameMeta, len(full))
+	var held *ptlut.Table // the table of the pose the track is resting on
 	for f := 0; f < len(full); f++ {
 		o := centers[f]
 		meta[f] = FrameMeta{Yaw: o.Yaw, Pitch: o.Pitch}
 		// Server-side PT: the pre-rendering that spares the client (§5.2).
 		var fov *frame.Frame
 		var err error
-		if lut != nil {
-			fov, err = lut.RenderChecked(full[f], o, workers)
+		if f > 0 && o == centers[f-1] {
+			if held == nil {
+				held, err = ptlut.Build(ptCfg, o, cfg.FullW, cfg.FullH, false, workers)
+			}
+			if err == nil {
+				fov, err = held.Render(full[f], workers)
+			}
 		} else {
+			held = nil
 			fov, err = pt.RenderParallelChecked(ptCfg, full[f], o, workers)
 		}
 		if err != nil {

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"testing"
 
-	"evr/internal/ptlut"
+	"evr/internal/codec"
+	"evr/internal/frame"
+	"evr/internal/geom"
+	"evr/internal/pt"
 	"evr/internal/scene"
 	"evr/internal/store"
 )
@@ -57,66 +60,64 @@ func TestIngestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestIngestLUTByteIdentical pins the UseLUT wiring: routing the per-frame
-// pre-render PT through the exact-mode mapping-LUT cache changes no stored
-// byte — manifest, original segments, FOV videos, and metadata all match
-// the unmemoized pipeline, across worker counts.
+// TestIngestLUTByteIdentical pins the pose-repeat path of preRenderCluster:
+// frames whose track repeats the previous pose render through that pose's
+// exact mapping table, and that changes no stored byte. The oracle is the
+// per-frame direct render — every cluster's FOV video is re-rendered here
+// with pt.RenderParallelChecked from the stored poses, re-encoded, and
+// compared with the stored payload — across worker counts, on an ingest
+// whose tracks do contain repeats.
 func TestIngestLUTByteIdentical(t *testing.T) {
 	v, _ := scene.ByName("RS")
-
-	base := smallIngest()
-	baseSt := store.New()
-	baseMan, err := Ingest(v, base, baseSt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseJSON, _ := json.Marshal(baseMan)
-
-	for _, workers := range []int{1, 4} {
+	var firstJSON []byte
+	for _, workers := range []int{1, 3} {
 		cfg := smallIngest()
 		cfg.Workers = workers
-		cfg.UseLUT = true
 		st := store.New()
 		man, err := Ingest(v, cfg, st)
 		if err != nil {
-			t.Fatalf("UseLUT workers=%d: %v", workers, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		mj, _ := json.Marshal(man)
-		if string(mj) != string(baseJSON) {
-			t.Errorf("UseLUT workers=%d: manifest differs from reference ingest", workers)
+		if firstJSON == nil {
+			firstJSON = mj
+		} else if string(mj) != string(firstJSON) {
+			t.Errorf("workers=%d: manifest differs from the 1-worker ingest", workers)
 		}
-		for _, seg := range baseMan.Segments {
-			keys := []string{origKey(v.Name, seg.Index)}
-			for _, cl := range seg.Clusters {
-				keys = append(keys, fovKey(v.Name, seg.Index, cl.ID))
-			}
-			for _, key := range keys {
-				ap, am, aok := baseSt.Get(key)
-				bp, bm, bok := st.Get(key)
-				if !aok || !bok {
-					t.Fatalf("missing key %s: %v / %v", key, aok, bok)
-				}
-				if string(ap) != string(bp) || string(am) != string(bm) {
-					t.Errorf("UseLUT workers=%d: payload for %s differs", workers, key)
-				}
-			}
-		}
-	}
 
-	// A shared cache across ingests of the same video must see exact-pose
-	// reuse: the second ingest renders the same trajectories.
-	cache := ptlut.NewCache(0, nil)
-	for i := 0; i < 2; i++ {
-		cfg := smallIngest()
-		cfg.UseLUT = true
-		cfg.LUTCache = cache
-		if _, err := Ingest(v, cfg, store.New()); err != nil {
-			t.Fatal(err)
+		ptCfg := pt.Config{Projection: cfg.Projection, Filter: pt.Bilinear, Viewport: cfg.viewport()}
+		repeats := 0
+		for _, seg := range man.Segments {
+			full := renderSegmentFrames(v, cfg, seg.Index*cfg.SAS.SegmentFrames, seg.Frames)
+			for _, cl := range seg.Clusters {
+				direct := make([]*frame.Frame, len(cl.Meta))
+				for f, m := range cl.Meta {
+					if f > 0 && m == cl.Meta[f-1] {
+						repeats++
+					}
+					direct[f], err = pt.RenderParallelChecked(ptCfg, full[f], geom.Orientation{Yaw: m.Yaw, Pitch: m.Pitch}, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				bits, err := codec.EncodeSequence(cfg.Codec, direct)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantMeta, _ := json.Marshal(cl.Meta)
+				key := fovKey(v.Name, seg.Index, cl.ID)
+				payload, meta, ok := st.Get(key)
+				if !ok {
+					t.Fatalf("workers=%d: missing key %s", workers, key)
+				}
+				if string(payload) != string(marshalBitstream(bits)) || string(meta) != string(wantMeta) {
+					t.Errorf("workers=%d: stored %s differs from the per-frame direct render", workers, key)
+				}
+			}
 		}
-	}
-	st := cache.Stats()
-	if st.Hits == 0 {
-		t.Errorf("re-ingest through a shared LUT cache produced no table hits: %+v", st)
+		if repeats == 0 {
+			t.Fatalf("workers=%d: no track repeats a pose, the table path never ran", workers)
+		}
 	}
 }
 
