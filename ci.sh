@@ -18,6 +18,10 @@
 #                             differential fuzz over the render family
 #                             (pt / ptlut / gpusim / pte pixel identities at
 #                             random dims and worker counts).
+#   FuzzFixedOps (5 s)        the raw-integer fixed-point core equals the
+#                             reference arithmetic bit for bit, every op, for
+#                             random formats and operands at the path
+#                             boundaries (0, ±2³¹, both saturation bounds).
 #   evrconform -fast, full    renderers against the committed golden manifest:
 #                             byte identities, pte-vs-pt error budgets,
 #                             regenerate-and-diff, metamorphic suite
@@ -51,6 +55,7 @@ go test ./internal/chaos -run='^$' -fuzz=FuzzChaosScenario -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzRateControllerObserve -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzDecode -fuzztime=5s
 go test ./internal/conformance -run='^$' -fuzz=FuzzRenderFamily -fuzztime=5s
+go test ./internal/fixed -run='^$' -fuzz=FuzzFixedOps -fuzztime=5s
 go run ./cmd/evrconform -fast
 go run ./cmd/evrconform
 go run ./cmd/evrbench -lut -lut-width 256 -lut-frames 2 -users 2 -bench-out "${TMPDIR:-/tmp}/bench_lut_smoke.json"

@@ -233,6 +233,10 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 	}
 
 	frameIdx := 0
+	// The hit path's crop, mapped once for the session (crop.go).
+	crop := displayCrop{vp: vp,
+		fracX: geom.Radians(p.HMD.FOVXDeg) / geom.Radians(man.FOVXDeg),
+		fracY: geom.Radians(p.HMD.FOVYDeg) / geom.Radians(man.FOVYDeg)}
 	for si, seg := range man.Segments {
 		if maxSegments > 0 && seg.Index >= maxSegments {
 			break
@@ -379,9 +383,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 				// out of the margin-padded FOV frame and scales it to the
 				// panel — plain pixel manipulation, no PT (§2).
 				sp.Start(telemetry.StageDisplay)
-				out = cropToViewport(fovFrames[f], vp,
-					geom.Radians(p.HMD.FOVXDeg)/geom.Radians(man.FOVXDeg),
-					geom.Radians(p.HMD.FOVYDeg)/geom.Radians(man.FOVYDeg))
+				out = crop.apply(fovFrames[f])
 				sp.Stop(telemetry.StageDisplay)
 			} else if f < len(origFrames) {
 				sp.Start(telemetry.StageRender)
@@ -432,23 +434,4 @@ func bestCluster(seg *server.SegmentInfo, gaze geom.Orientation, tolerance float
 		}
 	}
 	return choice
-}
-
-// cropToViewport extracts the central fracX×fracY region of a FOV frame and
-// bilinearly scales it to the display viewport.
-func cropToViewport(fov *frame.Frame, vp projection.Viewport, fracX, fracY float64) *frame.Frame {
-	out := frame.New(vp.Width, vp.Height)
-	w := float64(fov.W) * fracX
-	h := float64(fov.H) * fracY
-	x0 := (float64(fov.W) - w) / 2
-	y0 := (float64(fov.H) - h) / 2
-	for y := 0; y < vp.Height; y++ {
-		for x := 0; x < vp.Width; x++ {
-			u := x0 + (float64(x)+0.5)/float64(vp.Width)*w - 0.5
-			v := y0 + (float64(y)+0.5)/float64(vp.Height)*h - 0.5
-			r, g, b := fov.BilinearAt(u, v)
-			out.Set(x, y, r, g, b)
-		}
-	}
-	return out
 }

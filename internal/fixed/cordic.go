@@ -9,199 +9,140 @@ import (
 // atan table entries underflow any representable format.
 const maxCORDICIter = 60
 
-// iterations returns the CORDIC iteration count for a format: enough to
-// drive residual rotation below one ulp, matching an RTL whose unrolled
-// stage count is chosen from the datapath width.
-func (f Format) iterations() int {
-	n := f.FracBits() + 2
-	if n < 4 {
-		n = 4
-	}
-	if n > maxCORDICIter {
-		n = maxCORDICIter
-	}
-	return n
-}
-
 // CORDICIterations returns the unrolled CORDIC stage count an RTL
-// implementation of this format would instantiate — used by op-level
+// implementation of this format would instantiate: enough to drive residual
+// rotation below one ulp. Used by the CORDIC itself and by op-level
 // accelerator accounting.
-func (f Format) CORDICIterations() int { return f.iterations() }
-
-// romCache memoizes the per-format CORDIC constants — in hardware these
-// are ROMs synthesized once per design, and rebuilding them per invocation
-// would dominate the simulator's runtime.
-var romCache sync.Map // Format -> *cordicROM
-
-type cordicROM struct {
-	atan []Fix
-	gain Fix
+func (f Format) CORDICIterations() int {
+	return min(max(f.FracBits()+2, 4), maxCORDICIter)
 }
 
-// rom returns the cached CORDIC constants for the format.
-func (f Format) rom(n int) *cordicROM {
-	if v, ok := romCache.Load(f); ok {
-		return v.(*cordicROM)
+// Core is the arithmetic of one Format on raw int64 values: the saturating
+// word operations plus the CORDIC blocks, with everything the format fixes —
+// saturation bounds, rounding term, stage count, the angle ROM, the CORDIC
+// gain, π — derived once. In hardware these are wiring and ROMs synthesized
+// per design; a per-pixel loop holds a Core and never looks at the Format
+// again. A Core is immutable after Format.Core returns it.
+type Core struct {
+	word
+	atan                   [maxCORDICIter]int64 // angle ROM: atan(2^-i), first iters entries used
+	iters                  int
+	gain                   int64 // K = Π 1/√(1+2^-2i) over iters stages
+	one, pi, halfPi, twoPi int64
+}
+
+// cores memoizes Core per format; building one costs ~120 libm calls.
+var cores sync.Map // Format -> *Core
+
+// Core returns the format's arithmetic. Callers on a hot path keep the
+// result (or a copy) rather than calling this per operation.
+func (f Format) Core() *Core {
+	if v, ok := cores.Load(f); ok {
+		return v.(*Core)
 	}
-	r := &cordicROM{atan: make([]Fix, n)}
-	for i := range r.atan {
-		r.atan[i] = f.FromFloat(math.Atan(math.Ldexp(1, -i)))
-	}
+	c := &Core{word: f.word(), iters: f.CORDICIterations()}
 	k := 1.0
-	for i := 0; i < n; i++ {
+	for i := 0; i < c.iters; i++ {
+		c.atan[i] = f.FromFloat(math.Atan(math.Ldexp(1, -i))).Raw
 		k *= 1 / math.Sqrt(1+math.Ldexp(1, -2*i))
 	}
-	r.gain = f.FromFloat(k)
-	actual, _ := romCache.LoadOrStore(f, r)
-	return actual.(*cordicROM)
+	c.gain = f.FromFloat(k).Raw
+	c.one = c.FromInt(1)
+	c.pi = f.FromFloat(math.Pi).Raw
+	c.halfPi = f.FromFloat(math.Pi / 2).Raw
+	c.twoPi = f.FromFloat(2 * math.Pi).Raw
+	v, _ := cores.LoadOrStore(f, c)
+	return v.(*Core)
 }
 
-// atanTable returns atan(2^-i) for i in [0, n) quantized to the format —
-// the contents of the accelerator's angle ROM.
-func (f Format) atanTable(n int) []Fix {
-	return f.rom(n).atan
-}
-
-// cordicGain returns the CORDIC scale factor K = Π 1/sqrt(1+2^-2i) for n
-// iterations, quantized to the format (a single ROM constant in hardware).
-func (f Format) cordicGain(n int) Fix {
-	return f.rom(n).gain
-}
+// The CORDIC blocks share one micro-rotation stage, written out in each loop
+// below because the compiler will not inline it: stage i holds the angle-ROM
+// entry a = atan(2^-i); direction d = 0 turns (x, y) clockwise (x += y>>i,
+// y -= x>>i) and adds a to the angle accumulator z, d = -1 does the opposite.
+// (v^d)-d is v or -v, so the three adder/subtractors need no branch on the
+// data-dependent direction bit. Each output passes the stage's saturator,
+// which almost never fires: one fused range test — v-min has a bit above
+// span iff v is outside [min, max] — keeps the clamps off the loop-carried
+// path.
 
 // SinCos computes sin(a) and cos(a) with CORDIC in rotation mode. The
 // argument may be any representable angle in radians; it is first reduced
 // into [-π, π] and then into [-π/2, π/2] with a sign flip.
-func (f Format) SinCos(a Fix) (sin, cos Fix) {
-	pi := f.Pi()
-	twoPi := f.FromFloat(2 * math.Pi)
-	// Range-reduce into [-π, π].
+func (c *Core) SinCos(a int64) (sin, cos int64) {
+	negPi := c.Neg(c.pi)
 	z := a
-	for z.Cmp(pi) > 0 {
-		z = z.Sub(twoPi)
+	for z > c.pi {
+		z = c.Sub(z, c.twoPi)
 	}
-	for z.Cmp(pi.Neg()) < 0 {
-		z = z.Add(twoPi)
+	for z < negPi {
+		z = c.Add(z, c.twoPi)
 	}
 	// Reduce into [-π/2, π/2]; remember the quadrant flip.
 	flip := false
-	half := f.HalfPi()
-	if z.Cmp(half) > 0 {
-		z = pi.Sub(z)
-		flip = true
-	} else if z.Cmp(half.Neg()) < 0 {
-		z = pi.Neg().Sub(z)
-		flip = true
+	if z > c.halfPi {
+		z, flip = c.Sub(c.pi, z), true
+	} else if z < c.Neg(c.halfPi) {
+		z, flip = c.Sub(negPi, z), true
 	}
-	n := f.iterations()
-	atan := f.atanTable(n)
-	x := f.cordicGain(n)
-	y := f.Zero()
-	for i := 0; i < n; i++ {
-		dx := x.Shr(uint(i))
-		dy := y.Shr(uint(i))
-		if z.Raw >= 0 {
-			x, y = x.Sub(dy), y.Add(dx)
-			z = z.Sub(atan[i])
-		} else {
-			x, y = x.Add(dy), y.Sub(dx)
-			z = z.Add(atan[i])
+	// Turn the unit vector, pre-shrunk by the CORDIC gain, through z.
+	x, y := c.gain, int64(0)
+	lo, span := c.min, c.span
+	for i, a := range c.atan[:c.iters] {
+		d := ^(z >> 63) // drive z to zero: counter-clockwise while z ≥ 0
+		dx, dy := x>>uint(i), y>>uint(i)
+		x, y, z = x-d+(dy^d), y+d-(dx^d), z-d+(a^d)
+		if uint64(x-lo)|uint64(y-lo)|uint64(z-lo) > span {
+			x, y, z = c.Sat(x), c.Sat(y), c.Sat(z)
 		}
 	}
-	sin, cos = y, x
 	if flip {
-		cos = cos.Neg()
+		x = c.Neg(x)
 	}
-	return sin, cos
+	return y, x
 }
 
 // Atan2 computes atan2(y, x) with CORDIC in vectoring mode, returning the
 // angle in (-π, π]. It is the core of the Cartesian-to-Spherical (C2S) block
 // of the mapping engine (§6.2).
-func (f Format) Atan2(y, x Fix) Fix {
-	if x.IsZero() && y.IsZero() {
-		return f.Zero()
+func (c *Core) Atan2(y, x int64) int64 {
+	if x == 0 && y == 0 {
+		return 0
 	}
-	// Pre-rotate into the right half-plane.
-	var offset Fix
-	switch {
-	case x.Raw < 0 && y.Raw >= 0:
-		// Second quadrant: rotate by -π/2 → angle = atan2'(.) + π/2 ... use π offset form.
-		offset = f.Pi()
-		x, y = x.Neg(), y.Neg() // now in third quadrant mirrored; handled below by -π? — see tests
-	case x.Raw < 0 && y.Raw < 0:
-		offset = f.Pi().Neg()
-		x, y = x.Neg(), y.Neg()
+	// Vectoring converges only in the right half-plane, so a left-half-plane
+	// vector is first reflected through the origin, which turns it by
+	// exactly ±π: a second-quadrant vector (x<0, y≥0) lands in the fourth
+	// quadrant at angle θ-π, so π is added back; a third-quadrant vector
+	// lands in the first at θ+π, so π is taken off.
+	var offset int64
+	if x < 0 {
+		offset = c.pi
+		if y < 0 {
+			offset = c.Neg(c.pi)
+		}
+		x, y = c.Neg(x), c.Neg(y)
 	}
-	n := f.iterations()
-	atan := f.atanTable(n)
-	z := f.Zero()
-	for i := 0; i < n; i++ {
-		dx := x.Shr(uint(i))
-		dy := y.Shr(uint(i))
-		if y.Raw >= 0 {
-			x, y = x.Add(dy), y.Sub(dx)
-			z = z.Add(atan[i])
-		} else {
-			x, y = x.Sub(dy), y.Add(dx)
-			z = z.Sub(atan[i])
+	var z int64
+	lo, span := c.min, c.span
+	for i, a := range c.atan[:c.iters] {
+		d := y >> 63 // drive y to zero: clockwise while y ≥ 0
+		dx, dy := x>>uint(i), y>>uint(i)
+		x, y, z = x-d+(dy^d), y+d-(dx^d), z-d+(a^d)
+		if uint64(x-lo)|uint64(y-lo)|uint64(z-lo) > span {
+			x, y, z = c.Sat(x), c.Sat(y), c.Sat(z)
 		}
 	}
-	return z.Add(offset)
-}
-
-// Sqrt computes the square root of a non-negative value with the classic
-// bit-serial (digit-by-digit) integer algorithm on the raw representation.
-// Negative inputs return zero (the RTL clamps and raises a sticky flag).
-func (f Format) Sqrt(a Fix) Fix {
-	if a.Raw <= 0 {
-		return f.Zero()
-	}
-	// sqrt(raw / 2^frac) = sqrt(raw << frac) / 2^frac: widen to 128 bits.
-	frac := uint(f.FracBits())
-	hi := uint64(a.Raw) >> (64 - frac)
-	lo := uint64(a.Raw) << frac
-	if frac == 0 {
-		hi, lo = 0, uint64(a.Raw)
-	}
-	return f.FromRaw(int64(sqrt128(hi, lo)))
-}
-
-// sqrt128 returns floor(sqrt(hi:lo)) for an unsigned 128-bit radicand.
-func sqrt128(hi, lo uint64) uint64 {
-	var rem, root uint64 // remainder and partial root, high parts tracked below
-	var remHi uint64
-	// Process 64 two-bit groups from the most significant end.
-	for i := 0; i < 64; i++ {
-		// Shift two bits from (hi:lo) into (remHi:rem).
-		remHi = (remHi << 2) | (rem >> 62)
-		rem = (rem << 2) | (hi >> 62)
-		hi = (hi << 2) | (lo >> 62)
-		lo <<= 2
-		root <<= 1
-		trial := 2*root + 1
-		if remHi > 0 || rem >= trial {
-			// Subtract trial from (remHi:rem).
-			if rem < trial {
-				remHi--
-			}
-			rem -= trial
-			root++
-		}
-	}
-	return root
+	return c.Add(z, offset)
 }
 
 // Asin computes arcsin(y) for y in [-1, 1] as atan2(y, sqrt(1-y²)), the
 // composition the mapping engine uses for the latitude term. Inputs outside
 // [-1, 1] are clamped.
-func (f Format) Asin(y Fix) Fix {
-	one := f.One()
-	if y.Cmp(one) >= 0 {
-		return f.HalfPi()
+func (c *Core) Asin(y int64) int64 {
+	if y >= c.one {
+		return c.halfPi
 	}
-	if y.Cmp(one.Neg()) <= 0 {
-		return f.HalfPi().Neg()
+	if y <= c.Neg(c.one) {
+		return c.Neg(c.halfPi)
 	}
-	c := f.Sqrt(one.Sub(y.Mul(y)))
-	return f.Atan2(y, c)
+	return c.Atan2(y, c.Sqrt(c.Sub(c.one, c.Mul(y, y))))
 }

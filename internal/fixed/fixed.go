@@ -11,15 +11,18 @@
 // All arithmetic saturates instead of wrapping, matching the modeled RTL:
 // overflow in a hardware datapath is clamped by the saturation logic at each
 // stage's output register. Transcendental functions (Atan2, SinCos, Asin) are
-// computed with CORDIC in the same format, and Sqrt with a bit-serial
-// integer algorithm, so quantization error accumulates exactly as it would
-// in the accelerator — this is what makes the Fig. 11 sweep meaningful.
+// computed with CORDIC in the same format, and Sqrt as an exact integer
+// floor-root, so quantization error accumulates exactly as it would in the
+// accelerator — this is what makes the Fig. 11 sweep meaningful.
+//
+// There is one arithmetic: Core (core.go, cordic.go), which works on raw
+// int64 values with a format's constants derived once. Fix is the
+// self-describing value type over it for code that is not per-pixel.
 package fixed
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Format describes a fixed-point representation.
@@ -45,22 +48,6 @@ func (f Format) Validate() error {
 // FracBits returns the number of fractional bits.
 func (f Format) FracBits() int { return f.TotalBits - f.IntBits }
 
-// maxRaw returns the largest representable raw value.
-func (f Format) maxRaw() int64 {
-	if f.TotalBits == 64 {
-		return math.MaxInt64
-	}
-	return (int64(1) << uint(f.TotalBits-1)) - 1
-}
-
-// minRaw returns the smallest (most negative) representable raw value.
-func (f Format) minRaw() int64 {
-	if f.TotalBits == 64 {
-		return math.MinInt64
-	}
-	return -(int64(1) << uint(f.TotalBits-1))
-}
-
 // String implements fmt.Stringer using the paper's [total, int] notation.
 func (f Format) String() string { return fmt.Sprintf("[%d, %d]", f.TotalBits, f.IntBits) }
 
@@ -71,38 +58,32 @@ type Fix struct {
 	Fmt Format
 }
 
-// saturate clamps raw into the representable range of f.
-func (f Format) saturate(raw int64) int64 {
-	if raw > f.maxRaw() {
-		return f.maxRaw()
-	}
-	if raw < f.minRaw() {
-		return f.minRaw()
-	}
-	return raw
-}
-
 // FromRaw builds a value from a raw integer, saturating to the format.
-func (f Format) FromRaw(raw int64) Fix { return Fix{Raw: f.saturate(raw), Fmt: f} }
+func (f Format) FromRaw(raw int64) Fix {
+	w := f.word()
+	return Fix{Raw: w.Sat(raw), Fmt: f}
+}
 
 // FromFloat quantizes x (round-to-nearest) into the format, saturating.
 func (f Format) FromFloat(x float64) Fix {
-	scaled := x * float64(int64(1)<<uint(f.FracBits()))
+	w := f.word()
+	scaled := x * float64(uint64(1)<<w.frac) // unsigned: 2^63 at 63 fractional bits
 	if math.IsNaN(scaled) {
 		return Fix{Raw: 0, Fmt: f}
 	}
-	if scaled >= float64(f.maxRaw()) {
-		return Fix{Raw: f.maxRaw(), Fmt: f}
+	if scaled >= float64(w.max) {
+		return Fix{Raw: w.max, Fmt: f}
 	}
-	if scaled <= float64(f.minRaw()) {
-		return Fix{Raw: f.minRaw(), Fmt: f}
+	if scaled <= float64(w.min) {
+		return Fix{Raw: w.min, Fmt: f}
 	}
 	return Fix{Raw: int64(math.RoundToEven(scaled)), Fmt: f}
 }
 
 // FromInt converts an integer, saturating.
 func (f Format) FromInt(x int) Fix {
-	return f.FromRaw(int64(x) << uint(f.FracBits()))
+	w := f.word()
+	return Fix{Raw: w.FromInt(x), Fmt: f}
 }
 
 // Zero returns 0 in the format.
@@ -122,7 +103,7 @@ func (f Format) Epsilon() Fix { return Fix{Raw: 1, Fmt: f} }
 
 // Float converts the value back to float64.
 func (a Fix) Float() float64 {
-	return float64(a.Raw) / float64(int64(1)<<uint(a.Fmt.FracBits()))
+	return float64(a.Raw) / float64(uint64(1)<<uint(a.Fmt.FracBits()))
 }
 
 // Int returns the integer part, truncating toward negative infinity.
@@ -132,20 +113,27 @@ func (a Fix) Int() int { return int(a.Raw >> uint(a.Fmt.FracBits())) }
 func (a Fix) String() string { return fmt.Sprintf("%g%s", a.Float(), a.Fmt) }
 
 // Add returns a+b saturated. Both operands must share a format.
-func (a Fix) Add(b Fix) Fix { return a.Fmt.FromRaw(a.Raw + b.Raw) }
+func (a Fix) Add(b Fix) Fix {
+	w := a.Fmt.word()
+	return Fix{Raw: w.Add(a.Raw, b.Raw), Fmt: a.Fmt}
+}
 
 // Sub returns a-b saturated.
-func (a Fix) Sub(b Fix) Fix { return a.Fmt.FromRaw(a.Raw - b.Raw) }
+func (a Fix) Sub(b Fix) Fix {
+	w := a.Fmt.word()
+	return Fix{Raw: w.Sub(a.Raw, b.Raw), Fmt: a.Fmt}
+}
 
 // Neg returns -a saturated.
-func (a Fix) Neg() Fix { return a.Fmt.FromRaw(-a.Raw) }
+func (a Fix) Neg() Fix {
+	w := a.Fmt.word()
+	return Fix{Raw: w.Neg(a.Raw), Fmt: a.Fmt}
+}
 
 // Abs returns |a| saturated.
 func (a Fix) Abs() Fix {
-	if a.Raw < 0 {
-		return a.Neg()
-	}
-	return a
+	w := a.Fmt.word()
+	return Fix{Raw: w.Abs(a.Raw), Fmt: a.Fmt}
 }
 
 // Cmp returns -1, 0, or +1 as a is less than, equal to, or greater than b.
@@ -167,62 +155,21 @@ func (a Fix) IsZero() bool { return a.Raw == 0 }
 // and saturated — the behaviour of a hardware MAC with a wide accumulator
 // and an output saturator.
 func (a Fix) Mul(b Fix) Fix {
-	hi, lo := mul128(a.Raw, b.Raw)
-	frac := uint(a.Fmt.FracBits())
-	// Round to nearest: add half-ulp before shifting right.
-	half := uint64(0)
-	if frac > 0 {
-		half = uint64(1) << (frac - 1)
-	}
-	var carry uint64
-	lo, carry = bits.Add64(lo, half, 0)
-	hi += int64(carry) // signed addition of the carry into the high word
-	// Arithmetic shift of the 128-bit value (hi:lo) right by frac bits.
-	shifted := shiftRight128(hi, lo, frac)
-	return a.Fmt.FromRaw(shifted)
+	w := a.Fmt.word()
+	return Fix{Raw: w.Mul(a.Raw, b.Raw), Fmt: a.Fmt}
 }
 
 // Div returns a/b rounded toward zero and saturated. Division by zero
 // saturates to the sign of a (the RTL raises a sticky flag and clamps).
 func (a Fix) Div(b Fix) Fix {
-	if b.Raw == 0 {
-		if a.Raw >= 0 {
-			return Fix{Raw: a.Fmt.maxRaw(), Fmt: a.Fmt}
-		}
-		return Fix{Raw: a.Fmt.minRaw(), Fmt: a.Fmt}
-	}
-	neg := (a.Raw < 0) != (b.Raw < 0)
-	ua := uint64(abs64(a.Raw))
-	ub := uint64(abs64(b.Raw))
-	// (ua << frac) / ub with a 128-bit numerator.
-	frac := uint(a.Fmt.FracBits())
-	hi := ua >> (64 - frac) // frac is < 64
-	lo := ua << frac
-	if frac == 0 {
-		hi, lo = 0, ua
-	}
-	if hi >= ub {
-		// Quotient would overflow 64 bits; saturate.
-		if neg {
-			return Fix{Raw: a.Fmt.minRaw(), Fmt: a.Fmt}
-		}
-		return Fix{Raw: a.Fmt.maxRaw(), Fmt: a.Fmt}
-	}
-	q, _ := bits.Div64(hi, lo, ub)
-	if q > uint64(math.MaxInt64) {
-		q = uint64(math.MaxInt64)
-	}
-	r := int64(q)
-	if neg {
-		r = -r
-	}
-	return a.Fmt.FromRaw(r)
+	w := a.Fmt.word()
+	return Fix{Raw: w.Div(a.Raw, b.Raw), Fmt: a.Fmt}
 }
 
 // MulInt returns a·k for a plain integer k, saturated.
 func (a Fix) MulInt(k int) Fix {
-	hi, lo := mul128(a.Raw, int64(k))
-	return a.Fmt.FromRaw(shiftRight128(hi, lo, 0))
+	w := a.Fmt.word()
+	return Fix{Raw: w.MulInt(a.Raw, k), Fmt: a.Fmt}
 }
 
 // Shr returns a >> n (arithmetic), the hardware's cheap divide-by-2ⁿ.
@@ -230,66 +177,25 @@ func (a Fix) Shr(n uint) Fix { return Fix{Raw: a.Raw >> n, Fmt: a.Fmt} }
 
 // Shl returns a << n, saturated.
 func (a Fix) Shl(n uint) Fix {
-	r := a.Raw
-	for i := uint(0); i < n; i++ {
-		r2 := r << 1
-		if (r2 >> 1) != r { // overflow of int64 itself
-			if r > 0 {
-				return Fix{Raw: a.Fmt.maxRaw(), Fmt: a.Fmt}
-			}
-			return Fix{Raw: a.Fmt.minRaw(), Fmt: a.Fmt}
-		}
-		r = r2
-	}
-	return a.Fmt.FromRaw(r)
+	w := a.Fmt.word()
+	return Fix{Raw: w.Shl(a.Raw, n), Fmt: a.Fmt}
 }
 
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+// SinCos computes sin(a) and cos(a) with CORDIC in rotation mode; see
+// Core.SinCos.
+func (f Format) SinCos(a Fix) (sin, cos Fix) {
+	s, c := f.Core().SinCos(a.Raw)
+	return Fix{Raw: s, Fmt: f}, Fix{Raw: c, Fmt: f}
 }
 
-// mul128 returns the signed 128-bit product of a and b as (hi, lo).
-func mul128(a, b int64) (hi int64, lo uint64) {
-	neg := (a < 0) != (b < 0)
-	uhi, ulo := bits.Mul64(uint64(abs64(a)), uint64(abs64(b)))
-	if !neg {
-		return int64(uhi), ulo
-	}
-	// Two's complement negation of the 128-bit value.
-	lo = ^ulo + 1
-	hi = ^int64(uhi)
-	if lo == 0 {
-		hi++
-	}
-	return hi, lo
+// Atan2 computes atan2(y, x) with CORDIC in vectoring mode; see Core.Atan2.
+func (f Format) Atan2(y, x Fix) Fix { return Fix{Raw: f.Core().Atan2(y.Raw, x.Raw), Fmt: f} }
+
+// Sqrt computes the square root of a non-negative value; see Core.Sqrt.
+func (f Format) Sqrt(a Fix) Fix {
+	w := f.word()
+	return Fix{Raw: w.Sqrt(a.Raw), Fmt: f}
 }
 
-// shiftRight128 arithmetically shifts the signed 128-bit value (hi:lo) right
-// by n (< 64) bits and returns the low 64 bits of the result, saturating if
-// the true result does not fit in an int64.
-func shiftRight128(hi int64, lo uint64, n uint) int64 {
-	var r uint64
-	if n == 0 {
-		r = lo
-	} else {
-		r = (lo >> n) | (uint64(hi) << (64 - n))
-	}
-	top := hi >> n // remaining high part after the shift
-	if n == 0 {
-		top = hi
-	}
-	// The result fits iff top is the sign extension of r.
-	if top == 0 && r <= uint64(math.MaxInt64) {
-		return int64(r)
-	}
-	if top == -1 && int64(r) < 0 {
-		return int64(r)
-	}
-	if hi >= 0 {
-		return math.MaxInt64
-	}
-	return math.MinInt64
-}
+// Asin computes arcsin(y) for y in [-1, 1]; see Core.Asin.
+func (f Format) Asin(y Fix) Fix { return Fix{Raw: f.Core().Asin(y.Raw), Fmt: f} }

@@ -112,10 +112,10 @@ func TestDivBasic(t *testing.T) {
 
 func TestDivByZeroSaturates(t *testing.T) {
 	f := Q2810
-	if got := f.FromFloat(1).Div(f.Zero()); got.Raw != f.maxRaw() {
+	if got := f.FromFloat(1).Div(f.Zero()); got.Raw != f.word().max {
 		t.Errorf("1/0 = %v, want max", got)
 	}
-	if got := f.FromFloat(-1).Div(f.Zero()); got.Raw != f.minRaw() {
+	if got := f.FromFloat(-1).Div(f.Zero()); got.Raw != f.word().min {
 		t.Errorf("-1/0 = %v, want min", got)
 	}
 }
@@ -150,7 +150,7 @@ func TestShifts(t *testing.T) {
 		t.Errorf("4<<2 = %v", got)
 	}
 	// Shl saturates at the format limit.
-	if got := f.FromFloat(500).Shl(4); got.Raw != f.maxRaw() {
+	if got := f.FromFloat(500).Shl(4); got.Raw != f.word().max {
 		t.Errorf("500<<4 should saturate, got %v", got)
 	}
 }

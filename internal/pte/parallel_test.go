@@ -3,6 +3,7 @@ package pte
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"evr/internal/frame"
@@ -119,5 +120,53 @@ func TestRenderIsRenderParallelOfOne(t *testing.T) {
 		if a.Stats() != b.Stats() {
 			t.Errorf("%v: Render stats %+v != RenderParallel(1) stats %+v", m, a.Stats(), b.Stats())
 		}
+	}
+}
+
+// benchEngine is the gated benchmark's PTE geometry: a 320×160 ERP panorama
+// rendered bilinearly into the 213×120, 110° viewport.
+func benchEngine(tb testing.TB) (*Engine, *frame.Frame, geom.Orientation) {
+	vp := projection.Viewport{Width: 213, Height: 120, FOVX: geom.Radians(110), FOVY: geom.Radians(110)}
+	e, err := New(DefaultConfig(projection.ERP, pt.Bilinear, vp))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e, noisyFrame(320, 160, 7), geom.Orientation{Yaw: 0.7, Pitch: -0.3, Roll: 0.05}
+}
+
+// BenchmarkPixel reports the host cost of one output pixel through the whole
+// datapath (ns/op is per pixel).
+func BenchmarkPixel(b *testing.B) {
+	e, full, o := benchEngine(b)
+	px := e.cfg.Viewport.Pixels()
+	b.ResetTimer()
+	for n := 0; n < b.N; n += px {
+		if _, err := e.RenderParallelChecked(full, o, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRenderAllocations: a one-band render allocates its output frame and a
+// handful of small bookkeeping objects (the P-MEM links, the band closure) —
+// nothing that grows with the pixel count beyond the frame itself.
+func TestRenderAllocations(t *testing.T) {
+	e, full, o := benchEngine(t)
+	var before, after runtime.MemStats
+	const runs = 5
+	objects := testing.AllocsPerRun(runs, func() {
+		if _, err := e.RenderParallelChecked(full, o, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		e.RenderParallelChecked(full, o, 1) //nolint:errcheck // checked above
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	frameBytes := uint64(e.cfg.Viewport.Pixels() * 3)
+	if objects > 12 || perRun > frameBytes+8<<10 {
+		t.Errorf("one render allocates %v objects, %d B; want ≤ 12 objects, ≤ frame (%d B) + 8 kB", objects, perRun, frameBytes)
 	}
 }

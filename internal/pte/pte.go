@@ -232,13 +232,8 @@ func (e *Engine) RenderParallelChecked(full *frame.Frame, o geom.Orientation, wo
 	}
 	var refills atomic.Int64
 	pt.RunBands(out.H, workers, func(j0, j1 int) {
-		pmem := newLineBuffer(pmemBank, full.W)
-		for j := j0; j < j1; j++ {
-			for i := 0; i < e.cfg.Viewport.Width; i++ {
-				r, g, b := e.dp.pixel(full, pmem, i, j)
-				out.Set(i, j, r, g, b)
-			}
-		}
+		pmem := newLineBuffer(pmemBank, full.W, full.H)
+		e.dp.rows(full, out, pmem, j0, j1)
 		refills.Add(pmem.refills)
 	})
 	e.account(refills.Load(), full.W, out)

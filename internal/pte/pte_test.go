@@ -213,7 +213,7 @@ func TestEnergyScalesWithWork(t *testing.T) {
 }
 
 func TestLineBufferSequentialRows(t *testing.T) {
-	lb := newLineBuffer(10*3*4, 4) // 10 rows of a 4-wide frame
+	lb := newLineBuffer(10*3*4, 4, 10) // 10 rows of a 4-wide frame
 	for row := 0; row < 10; row++ {
 		lb.touch(row)
 		lb.touch(row) // second touch must hit
@@ -224,7 +224,7 @@ func TestLineBufferSequentialRows(t *testing.T) {
 }
 
 func TestLineBufferLRUEviction(t *testing.T) {
-	lb := newLineBuffer(2*3*4, 4) // capacity 2 rows
+	lb := newLineBuffer(2*3*4, 4, 3) // capacity 2 rows
 	lb.touch(0)
 	lb.touch(1)
 	lb.touch(0) // refresh row 0
@@ -240,12 +240,76 @@ func TestLineBufferLRUEviction(t *testing.T) {
 }
 
 func TestLineBufferMinimumCapacity(t *testing.T) {
-	lb := newLineBuffer(1, 4096) // smaller than one row
+	lb := newLineBuffer(1, 4096, 2) // smaller than one row
 	lb.touch(0)
 	lb.touch(1)
 	lb.touch(0)
 	if lb.refills != 3 {
 		t.Errorf("capacity-1 buffer refills = %d, want 3", lb.refills)
+	}
+}
+
+// mapLRU is the P-MEM model as it was first written — a map of last-touch
+// stamps, evicting by a scan for the oldest — kept as the oracle for the
+// O(1) recency list.
+type mapLRU struct {
+	capacity int
+	resident map[int]int64
+	clock    int64
+	refills  int64
+}
+
+func (m *mapLRU) touch(row int) {
+	m.clock++
+	if _, ok := m.resident[row]; ok {
+		m.resident[row] = m.clock
+		return
+	}
+	m.refills++
+	if len(m.resident) >= m.capacity {
+		oldest, oldestAt := -1, int64(1<<62)
+		for r, at := range m.resident {
+			if at < oldestAt {
+				oldest, oldestAt = r, at
+			}
+		}
+		delete(m.resident, oldest)
+	}
+	m.resident[row] = m.clock
+}
+
+// TestLineBufferMatchesMapLRU drives both models with the same seeded touch
+// sequences — a drifting 2-row stencil with occasional jumps, the shape of
+// the filtering stage's accesses — at capacities below, at and above the
+// working set, and requires the same refill count after every touch.
+func TestLineBufferMatchesMapLRU(t *testing.T) {
+	const rows, width = 96, 64
+	for _, capacity := range []int{1, 2, 45, rows + 10} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		lb := newLineBuffer(capacity*width*3, width, rows)
+		ref := &mapLRU{capacity: capacity, resident: map[int]int64{}}
+		if lb.capacity != capacity {
+			t.Fatalf("capacity = %d, want %d", lb.capacity, capacity)
+		}
+		at := rows / 2
+		for n := 0; n < 20000; n++ {
+			switch p := rng.Intn(100); {
+			case p < 3:
+				at = rng.Intn(rows)
+			case p < 30:
+				at = min(max(at+rng.Intn(3)-1, 0), rows-1)
+			}
+			for _, row := range []int{at, at, min(at+1, rows-1), min(at+1, rows-1)} {
+				lb.touch(row)
+				ref.touch(row)
+				if lb.refills != ref.refills {
+					t.Fatalf("capacity %d, touch %d (row %d): refills = %d, map LRU %d", capacity, n, row, lb.refills, ref.refills)
+				}
+			}
+		}
+		if lb.refills == 0 {
+			t.Fatalf("capacity %d: no refills", capacity)
+		}
 	}
 }
 

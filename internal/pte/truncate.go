@@ -8,6 +8,7 @@ import (
 	"evr/internal/fixed"
 	"evr/internal/frame"
 	"evr/internal/geom"
+	"evr/internal/pt"
 )
 
 // Latitude-region truncation (SPORT, DESIGN.md §16): instead of one
@@ -144,6 +145,9 @@ func RenderPlanned(cfg Config, plan TruncationPlan, full *frame.Frame, o geom.Or
 	if err := plan.Validate(); err != nil {
 		return PlanRender{}, err
 	}
+	if err := pt.CheckInput(full); err != nil {
+		return PlanRender{}, err
+	}
 	vp := cfg.Viewport
 	region := make([]int, vp.Pixels())
 	counts := make([]int, len(plan.Regions))
@@ -181,7 +185,9 @@ func RenderPlanned(cfg Config, plan TruncationPlan, full *frame.Frame, o geom.Or
 		if err != nil {
 			return PlanRender{}, err
 		}
-		renders[f] = eng.Render(full, o)
+		if renders[f], err = eng.RenderParallelChecked(full, o, 1); err != nil {
+			return PlanRender{}, err
+		}
 	}
 	out := frame.New(vp.Width, vp.Height)
 	for p, r := range region {

@@ -200,6 +200,15 @@ func TestRenderPlannedRejectsBadInput(t *testing.T) {
 	if _, err := RenderPlanned(bad, FlatPlan(fixed.Q2810), full, geom.Orientation{}); err == nil {
 		t.Error("invalid config accepted")
 	}
+	for name, pano := range map[string]*frame.Frame{
+		"nil":       nil,
+		"empty":     {},
+		"short Pix": {W: 96, H: 48, Pix: make([]byte, 96*48*3-1)},
+	} {
+		if _, err := RenderPlanned(cfg, FlatPlan(fixed.Q2810), pano, geom.Orientation{}); err == nil {
+			t.Errorf("%s panorama accepted", name)
+		}
+	}
 	if _, err := FlatPlan(fixed.Q2810).PlanFrameEnergyJ(cfg, 96, 48, []float64{0.5, 0.5}); err == nil {
 		t.Error("share/region mismatch accepted")
 	}
