@@ -22,6 +22,11 @@
 #                             reference arithmetic bit for bit, every op, for
 #                             random formats and operands at the path
 #                             boundaries (0, ±2³¹, both saturation bounds).
+#   FuzzScaler (5 s)          display.Scaler equals the per-pixel crop byte for
+#                             byte at random source, target and crop geometry.
+#   float-path benchmarks     display Scale, delivery Assemble and the pt band
+#                             kernel at the gated benchmark's geometry, one
+#                             iteration each, so they cannot rot.
 #   evrconform -fast, full    renderers against the committed golden manifest:
 #                             byte identities, pte-vs-pt error budgets,
 #                             regenerate-and-diff, metamorphic suite
@@ -56,6 +61,10 @@ go test ./internal/codec -run='^$' -fuzz=FuzzRateControllerObserve -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzDecode -fuzztime=5s
 go test ./internal/conformance -run='^$' -fuzz=FuzzRenderFamily -fuzztime=5s
 go test ./internal/fixed -run='^$' -fuzz=FuzzFixedOps -fuzztime=5s
+go test ./internal/display -run='^$' -fuzz=FuzzScaler -fuzztime=5s
+go test ./internal/display -run='^$' -bench='^BenchmarkScale$' -benchtime=1x
+go test ./internal/delivery -run='^$' -bench='^BenchmarkAssemble$' -benchtime=1x
+go test ./internal/pt -run='^$' -bench='^BenchmarkRenderRows$' -benchtime=1x
 go run ./cmd/evrconform -fast
 go run ./cmd/evrconform
 go run ./cmd/evrbench -lut -lut-width 256 -lut-frames 2 -users 2 -bench-out "${TMPDIR:-/tmp}/bench_lut_smoke.json"

@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"evr/internal/delivery"
+	"evr/internal/display"
 	"evr/internal/fixed"
 	"evr/internal/frame"
 	"evr/internal/geom"
@@ -233,10 +234,10 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 	}
 
 	frameIdx := 0
-	// The hit path's crop, mapped once for the session (crop.go).
-	crop := displayCrop{vp: vp,
-		fracX: geom.Radians(p.HMD.FOVXDeg) / geom.Radians(man.FOVXDeg),
-		fracY: geom.Radians(p.HMD.FOVYDeg) / geom.Radians(man.FOVYDeg)}
+	crop, err := newHitCrop(vp, p.HMD, man)
+	if err != nil {
+		return stats, nil, err
+	}
 	for si, seg := range man.Segments {
 		if maxSegments > 0 && seg.Index >= maxSegments {
 			break
@@ -383,8 +384,12 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 				// out of the margin-padded FOV frame and scales it to the
 				// panel — plain pixel manipulation, no PT (§2).
 				sp.Start(telemetry.StageDisplay)
-				out = crop.apply(fovFrames[f])
+				out, err = crop.Apply(fovFrames[f])
 				sp.Stop(telemetry.StageDisplay)
+				if err != nil {
+					sp.Finish() // record the partially-timed frame
+					return stats, nil, err
+				}
 			} else if f < len(origFrames) {
 				sp.Start(telemetry.StageRender)
 				out, err = render(origFrames[f], o)
@@ -434,4 +439,13 @@ func bestCluster(seg *server.SegmentInfo, gaze geom.Orientation, tolerance float
 		}
 	}
 	return choice
+}
+
+// newHitCrop maps the display processor's hit path (§2) once for a session:
+// the HMD's FOV is the central part of the margin-padded FOV frame, cropped
+// and scaled to the display viewport — plain pixel manipulation, no PT.
+func newHitCrop(vp projection.Viewport, h hmd.Config, man *server.Manifest) (*display.Scaler, error) {
+	return display.NewScaler(vp.Width, vp.Height,
+		geom.Radians(h.FOVXDeg)/geom.Radians(man.FOVXDeg),
+		geom.Radians(h.FOVYDeg)/geom.Radians(man.FOVYDeg))
 }

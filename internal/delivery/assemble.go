@@ -20,23 +20,28 @@ func Assemble(g tiling.Grid, w, h int, low []*frame.Frame, tiles map[int][]*fram
 	if len(low) == 0 {
 		return nil, fmt.Errorf("delivery: assemble needs a backfill stream")
 	}
-	tw, th := w/g.Cols, h/g.Rows
+	// One scaler for the call: every backfill frame of a segment has the
+	// same dimensions, so the taps are mapped once, not per frame.
+	up, err := display.NewScaler(w, h, 1, 1)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]*frame.Frame, len(low))
 	for i, lf := range low {
 		if lf == nil {
 			return nil, fmt.Errorf("delivery: nil backfill frame %d", i)
 		}
-		up, err := display.Scale(lf, w, h)
-		if err != nil {
-			return nil, err
+		if lf.W != low[0].W || lf.H != low[0].H {
+			return nil, fmt.Errorf("delivery: backfill frame %d is %dx%d, frame 0 is %dx%d", i, lf.W, lf.H, low[0].W, low[0].H)
 		}
-		out[i] = up
+		if out[i], err = up.Apply(lf); err != nil {
+			return nil, fmt.Errorf("delivery: backfill frame %d: %w", i, err)
+		}
 	}
 	for t, tf := range tiles {
 		if t < 0 || t >= g.Tiles() {
 			return nil, fmt.Errorf("delivery: tile %d outside %dx%d grid", t, g.Cols, g.Rows)
 		}
-		x, y := (t%g.Cols)*tw, (t/g.Cols)*th
 		for i, f := range tf {
 			if i >= len(out) {
 				break // tile stream longer than backfill; extra frames undisplayable
@@ -44,20 +49,10 @@ func Assemble(g tiling.Grid, w, h int, low []*frame.Frame, tiles map[int][]*fram
 			if f == nil {
 				continue
 			}
-			if f.W != tw || f.H != th {
-				return nil, fmt.Errorf("delivery: tile %d frame %d is %dx%d, rect wants %dx%d", t, i, f.W, f.H, tw, th)
+			if err := g.Paste(out[i], f, t); err != nil {
+				return nil, fmt.Errorf("delivery: frame %d: %w", i, err)
 			}
-			blit(out[i], f, x, y)
 		}
 	}
 	return out, nil
-}
-
-// blit copies src into dst at (x, y). Callers guarantee the rectangle fits.
-func blit(dst, src *frame.Frame, x, y int) {
-	for row := 0; row < src.H; row++ {
-		dstOff := ((y+row)*dst.W + x) * 3
-		srcOff := row * src.W * 3
-		copy(dst.Pix[dstOff:dstOff+src.W*3], src.Pix[srcOff:srcOff+src.W*3])
-	}
 }

@@ -1,8 +1,11 @@
 package delivery
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
+	"evr/internal/conformance"
 	"evr/internal/frame"
 	"evr/internal/tiling"
 )
@@ -72,5 +75,101 @@ func TestAssembleRejects(t *testing.T) {
 	bad := map[int][]*frame.Frame{0: {flatFrame(4, 4, 0, 0, 0)}}
 	if _, err := Assemble(g, 32, 16, low, bad); err == nil {
 		t.Error("wrong tile dims accepted")
+	}
+}
+
+// benchSegment is one tiled_view segment of the gated benchmark: n backfill
+// frames at 80×40 under a 320×160 panorama on the 4×2 grid, 4 of the 8 tiles
+// fetched, all pixels random.
+func benchSegment(n int) (g tiling.Grid, w, h int, low []*frame.Frame, tiles map[int][]*frame.Frame) {
+	rng := rand.New(rand.NewSource(19))
+	random := func(w, h int) *frame.Frame {
+		f := frame.New(w, h)
+		rng.Read(f.Pix)
+		return f
+	}
+	g, w, h = tiling.Grid{Cols: 4, Rows: 2}, 320, 160
+	tiles = map[int][]*frame.Frame{}
+	for i := 0; i < n; i++ {
+		low = append(low, random(w/4, h/4))
+		for _, t := range []int{1, 2, 5, 6} {
+			tiles[t] = append(tiles[t], random(w/g.Cols, h/g.Rows))
+		}
+	}
+	return g, w, h, low, tiles
+}
+
+// TestAssemblePinned holds the assembled panoramas to the checksums the
+// per-pixel upscale and blit of PR 18 produced for the same segment.
+func TestAssemblePinned(t *testing.T) {
+	g, w, h, low, tiles := benchSegment(3)
+	out, err := Assemble(g, w, h, low, tiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []uint64{0xbf0f668d15f0e95b, 0x46da746c3709931, 0xdda8be77a0158ab1} {
+		if sum := conformance.Checksum(out[i]); sum != want {
+			t.Errorf("frame %d: checksum %#x, PR 18 produced %#x", i, sum, want)
+		}
+	}
+}
+
+// TestAssembleRejectsMixedBackfill: a backfill stream has one resolution; a
+// frame of another size is an error, as is one with a short pixel buffer.
+func TestAssembleRejectsMixedBackfill(t *testing.T) {
+	g, w, h, low, tiles := benchSegment(2)
+	low[1] = frame.New(40, 20)
+	if _, err := Assemble(g, w, h, low, tiles); err == nil {
+		t.Error("backfill frame of another size accepted")
+	}
+	low[1] = &frame.Frame{W: 80, H: 40, Pix: make([]byte, 10)}
+	if _, err := Assemble(g, w, h, low, tiles); err == nil {
+		t.Error("short-buffered backfill frame accepted")
+	}
+}
+
+// TestAssembleAllocations: the scaler's taps are mapped once per call and its
+// scratch rows live on the stack, so a segment allocates its canvases plus
+// under 16 kB, not a per-frame surcharge.
+func TestAssembleAllocations(t *testing.T) {
+	const frames = 30
+	g, w, h, low, tiles := benchSegment(frames)
+	perCall := allocBytes(func() {
+		if _, err := Assemble(g, w, h, low, tiles); err != nil {
+			t.Fatal(err)
+		}
+	})
+	canvases := allocBytes(func() {
+		for i := 0; i < frames; i++ {
+			frame.New(w, h)
+		}
+	})
+	if perCall > canvases+16<<10 {
+		t.Errorf("Assemble allocated %d bytes for %d frames, canvases alone are %d: more than 16 kB over", perCall, frames, canvases)
+	}
+}
+
+// allocBytes is the heap allocated by one run of fn, the minimum of three.
+func allocBytes(fn func()) uint64 {
+	best := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// BenchmarkAssemble is one tiled_view segment: 30 frames, 4 of 8 tiles.
+func BenchmarkAssemble(b *testing.B) {
+	g, w, h, low, tiles := benchSegment(30)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Assemble(g, w, h, low, tiles); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

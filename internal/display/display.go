@@ -9,11 +9,7 @@
 // assemble an actual scanout path and tests can verify it end to end.
 package display
 
-import (
-	"fmt"
-
-	"evr/internal/frame"
-)
+import "evr/internal/frame"
 
 // divRound divides with round-half-away-from-zero, correct for negatives.
 func divRound(num, den int) int {
@@ -119,24 +115,6 @@ func Rotate(f *frame.Frame, rot Rotation) *frame.Frame {
 	default:
 		return f.Clone()
 	}
-}
-
-// Scale resizes a frame to (w, h) with bilinear resampling — the display
-// processor's scaler.
-func Scale(f *frame.Frame, w, h int) (*frame.Frame, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("display: target %dx%d must be positive", w, h)
-	}
-	out := frame.New(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			u := (float64(x)+0.5)/float64(w)*float64(f.W) - 0.5
-			v := (float64(y)+0.5)/float64(h)*float64(f.H) - 0.5
-			r, g, b := f.BilinearAt(u, v)
-			out.Set(x, y, r, g, b)
-		}
-	}
-	return out, nil
 }
 
 // Pipeline is a scanout configuration: optional rotation then scaling to

@@ -121,9 +121,6 @@ func TestScale(t *testing.T) {
 			t.Fatal("uniform frame changed under scaling")
 		}
 	}
-	if _, err := Scale(f, 0, 5); err == nil {
-		t.Error("zero target accepted")
-	}
 }
 
 func TestPipelineProcess(t *testing.T) {

@@ -108,25 +108,42 @@ func (f *Frame) BilinearAtWrapX(u, v float64) (r, g, b byte) { return f.bilinear
 
 // bilinear is the one float blend. The 2×2 neighborhood's four taps are the
 // cross product of two resolved columns and two resolved rows, because the
-// edge policy treats x and y independently.
+// edge policy treats x and y independently; a neighborhood wholly inside the
+// raster is its own resolution, so only border samples pay for Resolve.
 func (f *Frame) bilinear(u, v float64, wrapX bool) (r, g, b byte) {
 	x0 := int(math.Floor(u))
 	y0 := int(math.Floor(v))
 	fx := u - float64(x0)
 	fy := v - float64(y0)
-	xa, ya := Resolve(f.W, f.H, wrapX, x0, y0)
-	xb, yb := Resolve(f.W, f.H, wrapX, x0+1, y0+1)
-	p00, p10 := f.Pix[(ya*f.W+xa)*3:], f.Pix[(ya*f.W+xb)*3:]
-	p01, p11 := f.Pix[(yb*f.W+xa)*3:], f.Pix[(yb*f.W+xb)*3:]
-	lerp2 := func(c00, c10, c01, c11 byte) byte {
-		top := float64(c00)*(1-fx) + float64(c10)*fx
-		bot := float64(c01)*(1-fx) + float64(c11)*fx
-		v := top*(1-fy) + bot*fy
-		return byte(math.Round(math.Min(255, math.Max(0, v))))
+	xa, ya, xb, yb := x0, y0, x0+1, y0+1
+	if x0 < 0 || xb >= f.W || y0 < 0 || yb >= f.H {
+		xa, ya = Resolve(f.W, f.H, wrapX, x0, y0)
+		xb, yb = Resolve(f.W, f.H, wrapX, xb, yb)
 	}
-	return lerp2(p00[0], p10[0], p01[0], p11[0]),
-		lerp2(p00[1], p10[1], p01[1], p11[1]),
-		lerp2(p00[2], p10[2], p01[2], p11[2])
+	p00, p10 := f.Pix[(ya*f.W+xa)*3:][:3], f.Pix[(ya*f.W+xb)*3:][:3]
+	p01, p11 := f.Pix[(yb*f.W+xa)*3:][:3], f.Pix[(yb*f.W+xb)*3:][:3]
+	gx, gy := 1-fx, 1-fy
+	return RoundByte((float64(p00[0])*gx+float64(p10[0])*fx)*gy + (float64(p01[0])*gx+float64(p11[0])*fx)*fy),
+		RoundByte((float64(p00[1])*gx+float64(p10[1])*fx)*gy + (float64(p01[1])*gx+float64(p11[1])*fx)*fy),
+		RoundByte((float64(p00[2])*gx+float64(p10[2])*fx)*gy + (float64(p01[2])*gx+float64(p11[2])*fx)*fy)
+}
+
+// RoundByte is the blend's output conversion, shared by every float sampler
+// (bilinear above, the mapping-LUT apply loop, the display scaler): clamp to
+// [0, 255], round half away from zero, narrow to a byte —
+// byte(math.Round(math.Min(255, math.Max(0, v)))) for every finite v. Inside
+// (0, 255) the integer part n and the remainder v−n are exact, so doubling
+// the remainder and truncating adds the rounding carry without a branch on
+// the fraction, the one branch here a predictor cannot learn.
+func RoundByte(v float64) byte {
+	if v <= 0 {
+		return 0
+	}
+	if v >= 255 {
+		return 255
+	}
+	n := int(v)
+	return byte(n + int((v-float64(n))*2))
 }
 
 // Equal reports whether two frames have identical dimensions and pixels.

@@ -121,7 +121,9 @@ func (c Config) NewMapper(o geom.Orientation, fullW, fullH int) *Mapper {
 
 // Map returns the input-frame pixel coordinates for output pixel (i, j).
 // It performs the exact float operations of Viewport.Ray + ToPlane, so the
-// result is bit-identical to the per-pixel MapPixel path.
+// result is bit-identical to the per-pixel MapPixel path. Renders walk
+// Band instead; Map (with Config.Sample) stays as Band's per-pixel oracle and
+// for callers that own their scan order (the GPU texture-cache model).
 func (m *Mapper) Map(i, j int) (u, v float64) {
 	px := (2*(float64(i)+0.5)/m.vpW - 1) * m.tx
 	py := (1 - 2*(float64(j)+0.5)/m.vpH) * m.ty
@@ -131,6 +133,40 @@ func (m *Mapper) Map(i, j int) (u, v float64) {
 	// nu=0 → -0.5 (left edge) and nu=1 → W-0.5 (right edge), i.e. pixel
 	// centers sit at integer coordinates.
 	return nu*m.fullW - 0.5, nv*m.fullH - 0.5
+}
+
+// colChunk is how many output columns of perspective-update products a band
+// holds at once: on its stack, so a render allocates nothing per column.
+const colChunk = 256
+
+// Band runs the perspective-update and mapping stages over output rows
+// [j0, j1), calling px with every pixel's input-frame coordinates — the value
+// Map returns for (i, j), bit for bit — rows in raster order within each
+// chunk of colChunk columns. It is Map with the raster scan's invariants
+// hoisted: M·(px, py, 1) needs M[·][0]·px once per column and M[·][1]·py once
+// per row, and only the two adds, kept in Mat3.Apply's order, per pixel.
+func (m *Mapper) Band(j0, j1 int, px func(i, j int, u, v float64)) {
+	var cols [colChunk][3]float64
+	for i0, w := 0, int(m.vpW); i0 < w; i0 += colChunk {
+		n := min(colChunk, w-i0)
+		for k := 0; k < n; k++ {
+			x := (2*(float64(i0+k)+0.5)/m.vpW - 1) * m.tx
+			cols[k] = [3]float64{m.mat[0][0] * x, m.mat[1][0] * x, m.mat[2][0] * x}
+		}
+		for j := j0; j < j1; j++ {
+			y := (1 - 2*(float64(j)+0.5)/m.vpH) * m.ty
+			r0, r1, r2 := m.mat[0][1]*y, m.mat[1][1]*y, m.mat[2][1]*y
+			for k, col := range cols[:n] {
+				dir := geom.Vec3{
+					X: col[0] + r0 + m.mat[0][2],
+					Y: col[1] + r1 + m.mat[1][2],
+					Z: col[2] + r2 + m.mat[2][2],
+				}.Normalize()
+				nu, nv := projection.ToPlane(m.proj, dir)
+				px(i0+k, j, nu*m.fullW-0.5, nv*m.fullH-0.5)
+			}
+		}
+	}
 }
 
 // Sample runs the filtering stage at input coordinates (u, v) under the
@@ -201,13 +237,11 @@ func CheckInput(full *frame.Frame) error {
 // disjoint row bands of the same output frame may render concurrently.
 func (c Config) renderRows(full *frame.Frame, o geom.Orientation, out *frame.Frame, j0, j1 int) {
 	m := c.NewMapper(o, full.W, full.H)
-	for j := j0; j < j1; j++ {
-		for i := 0; i < c.Viewport.Width; i++ {
-			u, v := m.Map(i, j)
-			r, g, b := c.Sample(full, u, v)
-			out.Set(i, j, r, g, b)
-		}
-	}
+	pix, w := out.Pix, out.W
+	m.Band(j0, j1, func(i, j int, u, v float64) {
+		p := pix[(j*w+i)*3:][:3]
+		p[0], p[1], p[2] = c.Sample(full, u, v)
+	})
 }
 
 // Stats describes the arithmetic work of one PT frame, used by the energy

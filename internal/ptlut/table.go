@@ -116,31 +116,28 @@ func (t *Table) buildRows(cfg pt.Config, o geom.Orientation, fullW, fullH, j0, j
 		x, y = frame.Resolve(fullW, fullH, wrap, x, y)
 		return int32((y*fullW + x) * 3)
 	}
-	for j := j0; j < j1; j++ {
-		for i := 0; i < t.w; i++ {
-			p := j*t.w + i
-			u, v := m.Map(i, j)
-			if t.mode == modeNearest {
-				t.idx[p] = offset(int(math.Round(u)), int(math.Round(v)))
-				continue
-			}
-			x0 := int(math.Floor(u))
-			y0 := int(math.Floor(v))
-			fx := u - float64(x0)
-			fy := v - float64(y0)
-			t.taps[4*p+0] = offset(x0, y0)
-			t.taps[4*p+1] = offset(x0+1, y0)
-			t.taps[4*p+2] = offset(x0, y0+1)
-			t.taps[4*p+3] = offset(x0+1, y0+1)
-			if t.mode == modeBilinearQuant {
-				t.wx[p] = uint16(math.Round(fx * 256))
-				t.wy[p] = uint16(math.Round(fy * 256))
-			} else {
-				t.fx[p] = fx
-				t.fy[p] = fy
-			}
+	m.Band(j0, j1, func(i, j int, u, v float64) {
+		p := j*t.w + i
+		if t.mode == modeNearest {
+			t.idx[p] = offset(int(math.Round(u)), int(math.Round(v)))
+			return
 		}
-	}
+		x0 := int(math.Floor(u))
+		y0 := int(math.Floor(v))
+		fx := u - float64(x0)
+		fy := v - float64(y0)
+		t.taps[4*p+0] = offset(x0, y0)
+		t.taps[4*p+1] = offset(x0+1, y0)
+		t.taps[4*p+2] = offset(x0, y0+1)
+		t.taps[4*p+3] = offset(x0+1, y0+1)
+		if t.mode == modeBilinearQuant {
+			t.wx[p] = uint16(math.Round(fx * 256))
+			t.wy[p] = uint16(math.Round(fy * 256))
+		} else {
+			t.fx[p] = fx
+			t.fy[p] = fy
+		}
+	})
 }
 
 // Render produces the FOV frame of one input frame through the table, rows
@@ -194,13 +191,13 @@ func (t *Table) Apply(full *frame.Frame, out *frame.Frame, j0, j1 int) {
 			// which the byte-identity gate depends on.
 			top := float64(src[a])*gx + float64(src[b])*fx
 			bot := float64(src[c])*gx + float64(src[d])*fx
-			dst[o] = clampRound(top*gy + bot*fy)
+			dst[o] = frame.RoundByte(top*gy + bot*fy)
 			top = float64(src[a+1])*gx + float64(src[b+1])*fx
 			bot = float64(src[c+1])*gx + float64(src[d+1])*fx
-			dst[o+1] = clampRound(top*gy + bot*fy)
+			dst[o+1] = frame.RoundByte(top*gy + bot*fy)
 			top = float64(src[a+2])*gx + float64(src[b+2])*fx
 			bot = float64(src[c+2])*gx + float64(src[d+2])*fx
-			dst[o+2] = clampRound(top*gy + bot*fy)
+			dst[o+2] = frame.RoundByte(top*gy + bot*fy)
 		}
 	case modeBilinearQuant:
 		taps, wxs, wys := t.taps, t.wx, t.wy
@@ -223,10 +220,4 @@ func (t *Table) Apply(full *frame.Frame, out *frame.Frame, j0, j1 int) {
 			dst[o+2] = byte((top*gy + bot*wy + 1<<15) >> 16)
 		}
 	}
-}
-
-// clampRound is frame.BilinearAt's output conversion: clamp to [0, 255],
-// round half away from zero, narrow to a byte.
-func clampRound(v float64) byte {
-	return byte(math.Round(math.Min(255, math.Max(0, v))))
 }

@@ -493,13 +493,15 @@ func ingestTiles(v scene.VideoSpec, cfg IngestConfig, st *store.Store, full []*f
 	// Backfill stream: the whole panorama downscaled by TileLowDiv,
 	// encoded at the coarsest rung quality — its only job is to paper
 	// over mispredicted or lost tiles.
+	down, err := display.NewScaler(cfg.FullW/cfg.TileLowDiv, cfg.FullH/cfg.TileLowDiv, 1, 1)
+	if err != nil {
+		return nil, err
+	}
 	lowFrames := make([]*frame.Frame, len(full))
 	for f, fr := range full {
-		lf, err := display.Scale(fr, cfg.FullW/cfg.TileLowDiv, cfg.FullH/cfg.TileLowDiv)
-		if err != nil {
+		if lowFrames[f], err = down.Apply(fr); err != nil {
 			return nil, err
 		}
-		lowFrames[f] = lf
 	}
 	lc := cfg.Codec
 	lc.Quality = rungQuality(cfg.Codec.Quality, cfg.TileRungs-1)

@@ -95,6 +95,24 @@ func (g Grid) Extract(f *frame.Frame, tile int) *frame.Frame {
 	return out
 }
 
+// Paste is Extract's inverse, the one canvas-composition step of every tiled
+// client: it copies a tile-sized frame over tile's rectangle of canvas, row by
+// row.
+func (g Grid) Paste(canvas, tileFrame *frame.Frame, tile int) error {
+	if tile < 0 || tile >= g.Tiles() {
+		return fmt.Errorf("tiling: tile %d outside %dx%d grid", tile, g.Cols, g.Rows)
+	}
+	tw, th := canvas.W/g.Cols, canvas.H/g.Rows
+	if tileFrame.W != tw || tileFrame.H != th || len(tileFrame.Pix) < tw*th*3 {
+		return fmt.Errorf("tiling: tile %d is %dx%d (%d bytes), rect wants %dx%d", tile, tileFrame.W, tileFrame.H, len(tileFrame.Pix), tw, th)
+	}
+	x, y := (tile%g.Cols)*tw, (tile/g.Cols)*th
+	for row := 0; row < th; row++ {
+		copy(canvas.Pix[((y+row)*canvas.W+x)*3:][:tw*3], tileFrame.Pix[row*tw*3:][:tw*3])
+	}
+	return nil
+}
+
 // Stream is a tiled encoding of a frame sequence: one high-quality
 // bitstream per tile plus one low-resolution full-frame bitstream.
 type Stream struct {
@@ -132,9 +150,13 @@ func Encode(cfg codec.Config, frames []*frame.Frame, g Grid, lowDiv int) (*Strea
 		s.Tiles = append(s.Tiles, bs)
 	}
 	// Low-resolution backing stream.
+	down, err := display.NewScaler(w/lowDiv, h/lowDiv, 1, 1)
+	if err != nil {
+		return nil, err
+	}
 	var lowFrames []*frame.Frame
 	for _, f := range frames {
-		lf, err := display.Scale(f, w/lowDiv, h/lowDiv)
+		lf, err := down.Apply(f)
 		if err != nil {
 			return nil, err
 		}
@@ -188,10 +210,13 @@ func (s *Stream) Assemble(visible []bool) ([]*frame.Frame, error) {
 			tileFrames[i] = tf
 		}
 	}
-	tw, th := s.W/s.Grid.Cols, s.H/s.Grid.Rows
+	up, err := display.NewScaler(s.W, s.H, 1, 1)
+	if err != nil {
+		return nil, err
+	}
 	var out []*frame.Frame
 	for fi, lf := range lowFrames {
-		base, err := display.Scale(lf, s.W, s.H)
+		base, err := up.Apply(lf)
 		if err != nil {
 			return nil, err
 		}
@@ -199,12 +224,8 @@ func (s *Stream) Assemble(visible []bool) ([]*frame.Frame, error) {
 			if tf == nil || fi >= len(tf) {
 				continue
 			}
-			tx, ty := t%s.Grid.Cols, t/s.Grid.Cols
-			for y := 0; y < th; y++ {
-				for x := 0; x < tw; x++ {
-					r, g, b := tf[fi].At(x, y)
-					base.Set(tx*tw+x, ty*th+y, r, g, b)
-				}
+			if err := s.Grid.Paste(base, tf[fi], t); err != nil {
+				return nil, err
 			}
 		}
 		out = append(out, base)

@@ -246,3 +246,29 @@ func TestAssembleDecodesOnlyVisibleTiles(t *testing.T) {
 		t.Error("assembled frame has wrong size")
 	}
 }
+
+// TestPasteInvertsExtract: pasting every extracted tile onto a blank canvas
+// rebuilds the frame, and a tile of the wrong shape or index is an error.
+func TestPasteInvertsExtract(t *testing.T) {
+	g := Grid{Cols: 4, Rows: 2}
+	full := sceneFrames(t, 1)[0]
+	canvas := frame.New(full.W, full.H)
+	for tile := 0; tile < g.Tiles(); tile++ {
+		if err := g.Paste(canvas, g.Extract(full, tile), tile); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !canvas.Equal(full) {
+		t.Error("pasting the extracted tiles did not rebuild the frame")
+	}
+	tw, th := full.W/g.Cols, full.H/g.Rows
+	if err := g.Paste(canvas, frame.New(tw, th), g.Tiles()); err == nil {
+		t.Error("tile index outside the grid accepted")
+	}
+	if err := g.Paste(canvas, frame.New(tw-1, th), 0); err == nil {
+		t.Error("tile of the wrong size accepted")
+	}
+	if err := g.Paste(canvas, &frame.Frame{W: tw, H: th, Pix: make([]byte, 5)}, 0); err == nil {
+		t.Error("short-buffered tile accepted")
+	}
+}
