@@ -25,7 +25,6 @@ import (
 	"evr/internal/pte"
 	"evr/internal/quality"
 	"evr/internal/scene"
-	"evr/internal/tiling"
 	"evr/internal/vision"
 )
 
@@ -362,18 +361,6 @@ func BenchmarkABRSession(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := abr.Simulate(link, ladder, ctrl, segs, 1.0, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTiledEncode(b *testing.B) {
-	v, _ := scene.ByName("RS")
-	frames := v.RenderVideo(projection.ERP, 192, 96, 2)
-	cfg := codec.Config{GOP: 2, Quality: 6, SearchRange: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tiling.Encode(cfg, frames, tiling.DefaultGrid(), 2); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,9 +13,9 @@
 #                             were once flaky stay de-flaked.
 #   telemetry bench smoke     the disabled-path overhead benchmarks still run.
 #   fuzz smokes (5 s each)    every decoder of outside input (bitstream,
-#                             manifest, head-trace CSV, tile, chaos scenario,
-#                             codec frame + rate controller), and the
-#                             differential fuzz over the render family
+#                             manifest, payload address, head-trace CSV, tile,
+#                             chaos scenario, codec frame + rate controller),
+#                             and the differential fuzz over the render family
 #                             (pt / ptlut / gpusim / pte pixel identities at
 #                             random dims and worker counts).
 #   FuzzFixedOps (5 s)        the raw-integer fixed-point core equals the
@@ -24,7 +24,7 @@
 #                             boundaries (0, ±2³¹, both saturation bounds).
 #   FuzzScaler (5 s)          display.Scaler equals the per-pixel crop byte for
 #                             byte at random source, target and crop geometry.
-#   float-path benchmarks     display Scale, delivery Assemble and the pt band
+#   float-path benchmarks     display Scaler.Apply, delivery Assemble and the pt band
 #                             kernel at the gated benchmark's geometry, one
 #                             iteration each, so they cannot rot.
 #   evrconform -fast, full    renderers against the committed golden manifest:
@@ -54,6 +54,7 @@ go test -count=20 -run 'TestLiveBackpressure|TestSingleflightCoalesces' ./intern
 go test ./internal/telemetry -run=NONE -bench=TelemetryOverhead -benchtime=1x
 go test ./internal/server -run='^$' -fuzz=FuzzUnmarshalBitstream -fuzztime=5s
 go test ./internal/server -run='^$' -fuzz=FuzzManifestJSON -fuzztime=5s
+go test ./internal/server -run='^$' -fuzz=FuzzParseRefPath -fuzztime=5s
 go test ./internal/headtrace -run='^$' -fuzz=FuzzHeadtraceCSV -fuzztime=5s
 go test ./internal/delivery -run='^$' -fuzz=FuzzUnmarshalTile -fuzztime=5s
 go test ./internal/chaos -run='^$' -fuzz=FuzzChaosScenario -fuzztime=5s

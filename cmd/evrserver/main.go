@@ -14,10 +14,9 @@
 // router with an edge cache. The HTTP surface is unchanged — clients
 // can't tell a cluster from a single server.
 //
-// Endpoints: /videos, /v/{video}/manifest, /v/{video}/orig/{seg},
-// /v/{video}/fov/{seg}/{cluster}, /v/{video}/fovmeta/{seg}/{cluster},
-// with -tiled also /v/{video}/tile/{seg}/{tile}/{rung} and
-// /v/{video}/tilelow/{seg}, and /metrics (JSON; ?format=prom for Prometheus text exposition). -pprof
+// Endpoints: /videos, /v/{video}/manifest, one route per payload kind
+// (DESIGN.md §10 "Payload address"; the tile routes answer only with -tiled),
+// and /metrics (JSON; ?format=prom for Prometheus text exposition). -pprof
 // serves net/http/pprof profiles on a separate listener.
 package main
 

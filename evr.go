@@ -26,16 +26,13 @@ package evr
 
 import (
 	"net/http"
-	"time"
 
 	"evr/internal/abr"
 	"evr/internal/capture"
-	"evr/internal/chaos"
 	"evr/internal/client"
 	"evr/internal/cluster"
 	"evr/internal/codec"
 	"evr/internal/conformance"
-	"evr/internal/core"
 	"evr/internal/delivery"
 	"evr/internal/experiments"
 	"evr/internal/fixed"
@@ -57,15 +54,15 @@ import (
 // System orchestration.
 type (
 	// System is an end-to-end EVR deployment (cloud analysis + device).
-	System = core.System
+	System = client.System
 	// Summary aggregates an evaluation run over a user population.
-	Summary = core.Summary
+	Summary = client.Summary
 	// EvaluateOptions tunes an evaluation run.
-	EvaluateOptions = core.EvaluateOptions
+	EvaluateOptions = client.EvaluateOptions
 )
 
 // NewSystem returns a system at the paper's default design point.
-func NewSystem() *System { return core.NewSystem() }
+func NewSystem() *System { return client.NewSystem() }
 
 // Device variants and use-cases (§8.1).
 type (
@@ -116,16 +113,11 @@ const DatasetUsers = headtrace.DatasetUsers
 
 // Hardware.
 type (
-	// PTE is the Projective Transformation Engine simulator.
-	PTE = pte.Engine
-	// PTEConfig is its register file.
+	// PTEConfig is the Projective Transformation Engine simulator's register file.
 	PTEConfig = pte.Config
 	// HMD describes a head-mounted display.
 	HMD = hmd.Config
 )
-
-// NewPTE builds a PTE engine.
-func NewPTE(cfg PTEConfig) (*PTE, error) { return pte.New(cfg) }
 
 // OSVRHDK2 returns the paper's evaluation HMD.
 func OSVRHDK2() HMD { return hmd.OSVRHDK2() }
@@ -237,17 +229,6 @@ type (
 // traces (<= 0 uses the default ring size).
 func NewTracer(recent int) *Tracer { return telemetry.NewTracer(recent) }
 
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
-
-// Quality assessment (§8.6).
-type (
-	// Assessor scores panoramic video by projecting to viewer perspectives.
-	Assessor = quality.Assessor
-	// QualityReport holds the per-view and mean PSNR/SSIM scores.
-	QualityReport = quality.Report
-)
-
 // Production-side and delivery extensions.
 type (
 	// Rig is a multi-camera capture assembly (Fig. 1 left half).
@@ -267,34 +248,16 @@ func DefaultLadder() Ladder { return abr.DefaultLadder() }
 // bytes-budgeted LRU so repeated poses skip the mapping stage entirely.
 type (
 	// PTConfig is the reference renderer's configuration (projection,
-	// filter, viewport) — also what a LUTRenderer is built around.
+	// filter, viewport).
 	PTConfig = pt.Config
 	// LUTCache is the bytes-budgeted LRU of mapping tables with
 	// singleflight build coalescing; share one across players and ingests.
 	LUTCache = ptlut.Cache
 	// LUTCacheStats is a point-in-time snapshot of a LUTCache.
 	LUTCacheStats = ptlut.CacheStats
-	// LUTRenderer renders FOV frames through the mapping-LUT cache. The
-	// zero LUTOptions make it byte-identical to the reference renderer.
-	LUTRenderer = ptlut.Renderer
 	// LUTOptions tunes the LUT accuracy/sharing trade-off.
 	LUTOptions = ptlut.Options
 )
-
-// DefaultLUTQuantStep is the default pose-grid step (0.25°) for quantized
-// LUT mode.
-const DefaultLUTQuantStep = ptlut.DefaultQuantStep
-
-// NewLUTCache returns a mapping-table cache with the given byte budget
-// (<= 0 uses the 256 MiB default), optionally registering its metrics.
-func NewLUTCache(maxBytes int64, reg *MetricsRegistry) *LUTCache {
-	return ptlut.NewCache(maxBytes, reg)
-}
-
-// NewLUTRenderer builds a LUT-backed renderer for one render configuration.
-func NewLUTRenderer(cfg PTConfig, cache *LUTCache, opts LUTOptions) (*LUTRenderer, error) {
-	return ptlut.NewRenderer(cfg, cache, opts)
-}
 
 // Viewport-adaptive tiled delivery (see internal/delivery and DESIGN.md
 // §14): a per-segment three-way policy between the pre-rendered FOV
@@ -304,27 +267,10 @@ type (
 	// DeliveryMode identifies one arm of the per-segment policy (FOV,
 	// tiled, orig) or ModeAuto to let the policy decide.
 	DeliveryMode = delivery.Mode
-	// DeliveryPolicy is the three-way decision configuration: predictor-
-	// confidence floor, link model, and bandwidth safety margin.
-	DeliveryPolicy = delivery.PolicyConfig
 	// TiledConfig turns on tiled delivery in a Player (assign to
 	// Player.Tiled); the zero value leaves the classic path untouched.
 	TiledConfig = client.TiledConfig
 )
-
-// Delivery mode constants for TiledConfig.Force and DeliveryPolicy use.
-const (
-	DeliveryAuto  = delivery.ModeAuto
-	DeliveryFOV   = delivery.ModeFOV
-	DeliveryTiled = delivery.ModeTiled
-	DeliveryOrig  = delivery.ModeOrig
-)
-
-// DefaultDeliveryPolicy returns the policy used when TiledConfig leaves it
-// unset: 0.5 confidence floor, WiFi link model, 0.8 bandwidth safety.
-func DefaultDeliveryPolicy(segmentDurationSec float64) DeliveryPolicy {
-	return delivery.DefaultPolicy(segmentDurationSec)
-}
 
 // Conformance: the differential + metamorphic testing oracle that pins the
 // float reference, the fixed-point PTE datapath, and the GPU model against
@@ -335,8 +281,6 @@ type (
 	// ConformanceManifest is an executed corpus: golden checksums, measured
 	// divergence metrics, and per-class error budgets.
 	ConformanceManifest = conformance.Manifest
-	// ConformanceBudget is the acceptance envelope of one divergence class.
-	ConformanceBudget = conformance.Budget
 )
 
 // ConformanceCorpus returns the full deterministic conformance case list.
@@ -351,11 +295,6 @@ func RunConformance(cases []ConformanceCase) (*ConformanceManifest, error) {
 	return conformance.Generate(cases)
 }
 
-// RunConformanceMetamorphic executes the oracle-free metamorphic properties
-// (identity passthrough, yaw equivariance, seam continuity, projection round
-// trips) and returns the violations (empty = all hold).
-func RunConformanceMetamorphic() []string { return conformance.RunMetamorphic() }
-
 // Live ingest and chaos-driven serving (see internal/server/live.go,
 // internal/chaos, and DESIGN.md §15): segments are produced on a clock
 // schedule while serving, ahead-of-edge requests get 425 + Retry-After,
@@ -368,20 +307,8 @@ type (
 	// LiveOptions configures live ingest: segment interval, pipeline
 	// queue depth, and the clock (nil = wall clock).
 	LiveOptions = server.LiveOptions
-	// LiveClock is the schedule clock interface; VirtualClock implements
-	// it for deterministic tests and chaos runs.
+	// LiveClock is the schedule clock interface.
 	LiveClock = server.Clock
-	// VirtualClock is a manually-advanced clock for deterministic live
-	// schedules.
-	VirtualClock = server.VirtualClock
-	// ChaosScenario is a declarative fault-injection scenario: fleet
-	// classes, live spec, seeded fault schedule, and survival SLOs.
-	ChaosScenario = chaos.Scenario
-	// ChaosEngine applies a scenario's faults to a load run and keeps
-	// the executed schedule for the determinism gate.
-	ChaosEngine = chaos.Engine
-	// ChaosGateResult is the survival verdict of one chaos run.
-	ChaosGateResult = chaos.GateResult
 	// ClassSpec describes one heterogeneous fleet class (projection,
 	// delivery mode, PTE bitwidths, cache size, link model).
 	ClassSpec = loadgen.ClassSpec
@@ -389,33 +316,6 @@ type (
 	// energy, and time-behind-live freshness percentiles.
 	ClassStats = loadgen.ClassStats
 )
-
-// PublishedAtHeader carries a live segment's immutable publish timestamp
-// (UnixNano) on every serve.
-const PublishedAtHeader = server.PublishedAtHeader
-
-// NewLiveStream builds a live ingest pipeline for one video over a store;
-// cfg.Live must be set.
-func NewLiveStream(v VideoSpec, cfg IngestConfig, st *Store) (*LiveStream, error) {
-	return server.NewLiveStream(v, cfg, st)
-}
-
-// NewVirtualClock returns a virtual clock starting at origin.
-func NewVirtualClock(origin time.Time) *VirtualClock { return server.NewVirtualClock(origin) }
-
-// LoadChaosScenario resolves a builtin scenario name or a JSON file path.
-func LoadChaosScenario(nameOrPath string) (*ChaosScenario, error) { return chaos.Load(nameOrPath) }
-
-// ChaosBuiltinNames lists the compiled-in chaos scenarios.
-func ChaosBuiltinNames() []string { return chaos.BuiltinNames() }
-
-// NewChaosEngine builds the fault engine for one validated scenario.
-func NewChaosEngine(sc *ChaosScenario) *ChaosEngine { return chaos.NewEngine(sc) }
-
-// EvaluateChaos gates a finished load run against the scenario's SLOs.
-func EvaluateChaos(sc *ChaosScenario, rep *LoadReport) ChaosGateResult {
-	return chaos.Evaluate(sc, rep)
-}
 
 // Spherically-weighted quality metrics and the SPORT optimizer (DESIGN.md
 // §16): solid-angle-aware scoring (S-PSNR, WS-PSNR), per-latitude-band codec

@@ -2,7 +2,13 @@ package evr_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"evr"
@@ -324,5 +330,195 @@ func TestPublicAPISpherical(t *testing.T) {
 	tab := evr.SPORTExperimentTable(r)
 	if tab.ID != "SPORT" || len(tab.Rows) != 2 {
 		t.Errorf("SPORT table shape wrong: %q, %d rows", tab.ID, len(tab.Rows))
+	}
+}
+
+// TestFacadeSurfaceIsReached keeps evr.go from silently regrowing: every
+// exported function, variable and constant of the facade must be named as
+// evr.<Name> by an example, a command or a root test, and every type alias
+// must be reached — named there, in the signature of a function that is, or in
+// an exported field or exported method signature of a reached alias's type
+// (what a caller holding that type is handed or must supply). A constant
+// block is reached when any of its constants is named — enum siblings (S
+// beside SH, CMP beside ERP) come and go together.
+func TestFacadeSurfaceIsReached(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(path string) *ast.File {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parsing %s: %v", path, err)
+		}
+		return f
+	}
+	goFiles := func(dir string) []string {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paths
+	}
+
+	// What examples, commands and root tests name.
+	named := map[string]bool{}
+	users, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{"examples", "cmd"} {
+		filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error { //nolint:errcheck // an unreadable dir fails the parse below
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				users = append(users, path)
+			}
+			return err
+		})
+	}
+	for _, path := range users {
+		ast.Inspect(parse(path), func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "evr" {
+					named[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	// typeRefs lists the types an expression mentions as "importpath.Name",
+	// resolving package qualifiers through the file's imports; an unqualified
+	// name belongs to pkgPath.
+	typeRefs := func(file *ast.File, pkgPath string, expr ast.Node) (refs []string) {
+		imports := map[string]string{}
+		for _, imp := range file.Imports {
+			path := strings.Trim(imp.Path.Value, `"`)
+			imports[filepath.Base(path)] = path
+		}
+		ast.Inspect(expr, func(n ast.Node) bool {
+			switch e := n.(type) {
+			case *ast.SelectorExpr:
+				if pkg, ok := e.X.(*ast.Ident); ok {
+					refs = append(refs, imports[pkg.Name]+"."+e.Sel.Name)
+				}
+				return false
+			case *ast.Ident:
+				refs = append(refs, pkgPath+"."+e.Name)
+			}
+			return true
+		})
+		return refs
+	}
+
+	// The facade: functions, values and constants must be named; aliases are
+	// collected with their targets, seeded as reached when named or in a named
+	// function's signature.
+	facade := parse("evr.go")
+	aliasOf := map[string]string{} // "importpath.Name" → alias
+	reached := map[string]bool{}   // "importpath.Name"
+	for _, decl := range facade.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if !named[d.Name.Name] {
+				t.Errorf("func evr.%s is named by no example, command or root test", d.Name.Name)
+			}
+		case *ast.GenDecl:
+			blockNamed := false
+			var names []string
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					for _, target := range typeRefs(facade, "evr", s.Type) {
+						aliasOf[target] = s.Name.Name
+						reached[target] = named[s.Name.Name]
+					}
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						names = append(names, id.Name)
+						blockNamed = blockNamed || named[id.Name]
+					}
+				}
+			}
+			for _, name := range names {
+				if !named[name] && !(d.Tok == token.CONST && blockNamed) {
+					t.Errorf("%s evr.%s is named by no example, command or root test", d.Tok, name)
+				}
+			}
+		}
+	}
+	targetOf := map[string]string{}
+	for target, alias := range aliasOf {
+		targetOf["evr."+alias] = target
+	}
+	var frontier []string
+	reach := func(refs []string) {
+		for _, ref := range refs {
+			if target, ok := targetOf[ref]; ok {
+				ref = target // a facade signature names the alias, not its target
+			}
+			if _, isAlias := aliasOf[ref]; isAlias && !reached[ref] {
+				reached[ref] = true
+				frontier = append(frontier, ref)
+			}
+		}
+	}
+	for target, r := range reached {
+		if r {
+			frontier = append(frontier, target)
+		}
+	}
+	for _, decl := range facade.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && named[fn.Name.Name] {
+			reach(typeRefs(facade, "evr", fn.Type))
+		}
+	}
+
+	// Close over the reached types' exported fields and method signatures.
+	for len(frontier) > 0 {
+		target := frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		dot := strings.LastIndex(target, ".")
+		pkgPath, typeName := target[:dot], target[dot+1:]
+		for _, path := range goFiles(strings.TrimPrefix(pkgPath, "evr/")) {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			file := parse(path)
+			for _, decl := range file.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil || !d.Name.IsExported() {
+						continue
+					}
+					recv := typeRefs(file, pkgPath, d.Recv.List[0].Type)
+					if len(recv) == 1 && recv[0] == target {
+						reach(typeRefs(file, pkgPath, d.Type))
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
+						if !ok || ts.Name.Name != typeName {
+							continue
+						}
+						st, ok := ts.Type.(*ast.StructType)
+						if !ok {
+							reach(typeRefs(file, pkgPath, ts.Type))
+							continue
+						}
+						for _, field := range st.Fields.List {
+							exported := len(field.Names) == 0 // embedded
+							for _, name := range field.Names {
+								exported = exported || name.IsExported()
+							}
+							if exported {
+								reach(typeRefs(file, pkgPath, field.Type))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for target, alias := range aliasOf {
+		if !reached[target] {
+			t.Errorf("type evr.%s is named by no example, command or root test and reached from no kept signature or field", alias)
+		}
 	}
 }

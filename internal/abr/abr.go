@@ -115,57 +115,18 @@ func Simulate(link netsim.Link, ladder Ladder, ctrl *Controller, topBytes []int6
 	if n == 0 {
 		return res, nil
 	}
-	var clock float64    // downloader wall clock
-	var playWall float64 // wall time playback started (valid once started)
-	started := false
-	contentReady := 0.0 // seconds of content downloaded
-
-	buffer := func() float64 {
-		if !started {
-			return contentReady
-		}
-		played := clock - playWall
-		if played > contentReady {
-			played = contentReady
-		}
-		if played < 0 {
-			played = 0
-		}
-		return contentReady - played
-	}
-
+	tl := netsim.Timeline{Link: link, SegmentDuration: segmentDuration, StartupSegments: startupSegments}
 	lowest := ladder.Rungs() - 1
 	for i := 0; i < n; i++ {
 		rung := lowest // fast start
-		if started || i >= startupSegments {
-			rung = ctrl.Pick(buffer())
+		if tl.Started() {
+			rung = ctrl.Pick(tl.Buffer())
 		}
-		bytes := int64(float64(topBytes[i]) * ladder.Ratios[rung])
 		res.Rungs = append(res.Rungs, rung)
-		res.Bytes += bytes
 		res.MeanRung += float64(rung)
-		clock += link.TransferSeconds(bytes)
-		contentReady += segmentDuration
-
-		if !started && i+1 >= startupSegments {
-			started = true
-			playWall = clock
-			res.StartupDelay = clock
-			continue
-		}
-		if started {
-			// Stall if playback caught up with the download.
-			played := clock - playWall
-			avail := contentReady - segmentDuration // before this segment landed
-			if played > avail {
-				d := played - avail
-				res.Stalls++
-				res.StallTime += d
-				// Playback paused for d: shift its start reference.
-				playWall += d
-			}
-		}
+		tl.Advance(int64(float64(topBytes[i]) * ladder.Ratios[rung]))
 	}
+	res.StartupDelay, res.Stalls, res.StallTime, res.Bytes = tl.StartupDelay, tl.Stalls, tl.StallSec, tl.Bytes
 	res.MeanRung /= float64(n)
 	return res, nil
 }

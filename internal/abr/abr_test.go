@@ -1,6 +1,7 @@
 package abr
 
 import (
+	"reflect"
 	"testing"
 
 	"evr/internal/netsim"
@@ -167,5 +168,29 @@ func TestResultAccounting(t *testing.T) {
 	}
 	if len(r.Rungs) != 4 {
 		t.Errorf("rungs = %v", r.Rungs)
+	}
+}
+
+// TestSimulatePinned pins rung selection over the shared netsim.Timeline to
+// what the pre-merge Simulate (its own inline buffer and stall arithmetic)
+// produced, recorded at the parent commit bit for bit, at startup 1 and 2.
+func TestSimulatePinned(t *testing.T) {
+	link := netsim.Link{BandwidthBps: 8e6, RTTSeconds: 0.02}
+	top := []int64{4e6, 3e6, 5e6, 1e6, 6e6, 4e6, 2e6, 4e6}
+	ctrl, err := NewBufferController(3, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for startup, want := range map[int]Result{
+		1: {Rungs: []int{2, 1, 1, 1, 1, 1, 1, 1}, StartupDelay: 1.42, Stalls: 6, StallTime: 8.140000000000002, Bytes: 16400000, MeanRung: 1.125},
+		2: {Rungs: []int{2, 2, 0, 1, 1, 1, 1, 1}, StartupDelay: 2.49, Stalls: 5, StallTime: 8.320000000000002, Bytes: 17650000, MeanRung: 1.125},
+	} {
+		got, err := Simulate(link, DefaultLadder(), ctrl, top, 1.0, startup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("startup %d:\n got %+v\nwant %+v", startup, got, want)
+		}
 	}
 }

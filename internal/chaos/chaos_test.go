@@ -139,28 +139,6 @@ func TestWrapTransportPassthrough(t *testing.T) {
 	}
 }
 
-func TestSegFromPath(t *testing.T) {
-	cases := map[string]int{
-		"/v/RS/orig/3":        3,
-		"/v/RS/fov/2/1":       2,
-		"/v/RS/fovmeta/5/0":   5,
-		"/v/RS/tile/7/3/1":    7,
-		"/v/RS/tilelow/4":     4,
-		"/v/RS/manifest":      -1,
-		"/videos":             -1,
-		"/metrics":            -1,
-		"/v/RS/orig/x":        -1,
-		"/v/RS/unknown/3":     -1,
-		"/v/RS/orig/-2":       -1,
-		"/v/Paris/orig/0/huh": 0,
-	}
-	for path, want := range cases {
-		if got := segFromPath(path); got != want {
-			t.Errorf("segFromPath(%q) = %d, want %d", path, got, want)
-		}
-	}
-}
-
 // TestFaultTransportLossDeterministic asserts the injected loss pattern is
 // a pure function of (seed, url, attempt) — same across transports and
 // after resetAttempts.

@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"evr/internal/netsim"
+	"evr/internal/server"
 )
 
 // maxInjectedDelay clamps per-request synthetic latency so a scenario with
@@ -73,23 +72,6 @@ func (t *faultTransport) resetAttempts() {
 	t.mu.Unlock()
 }
 
-// segFromPath extracts the segment index from a serving path
-// (/v/{video}/{kind}/{seg}[/...]), -1 when the path has none (manifest,
-// catalog, metrics).
-func segFromPath(path string) int {
-	parts := strings.Split(strings.TrimPrefix(path, "/"), "/")
-	if len(parts) < 4 || parts[0] != "v" {
-		return -1
-	}
-	switch parts[2] {
-	case "orig", "fov", "fovmeta", "tile", "tilelow":
-		if n, err := strconv.Atoi(parts[3]); err == nil && n >= 0 {
-			return n
-		}
-	}
-	return -1
-}
-
 // hashFrac maps (seed, url, attempt) to a uniform [0,1) fraction via a
 // splitmix64-style mix — the deterministic coin every fault decision
 // flips.
@@ -116,8 +98,10 @@ func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	t.mu.Unlock()
 
 	link := t.link
-	if seg := segFromPath(path); seg >= 0 && len(t.trace.Steps) > 0 {
-		link = t.trace.At(seg)
+	if len(t.trace.Steps) > 0 {
+		if ref, err := server.ParseRefPath(path); err == nil {
+			link = t.trace.At(ref.Seg)
+		}
 	}
 	loss := t.loss
 	if link.LossRate > loss {

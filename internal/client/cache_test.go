@@ -5,14 +5,15 @@ import (
 	"time"
 
 	"evr/internal/frame"
+	"evr/internal/server"
 )
 
 // LRU order, eviction accounting and singleflight are checked once for every
 // cache in internal/cache; these tests keep what the client adds — a budget
 // counted in segments and the prefetch flag on the shared entry.
 
-func ckey(seg, cluster int) segmentKey {
-	return segmentKey{video: "v", seg: seg, cluster: cluster}
+func ckey(seg, cluster int) server.Ref {
+	return server.Ref{Video: "v", Kind: server.FOV, Seg: seg, A: cluster}
 }
 
 // loadEntry is a segment load that needs no network.
@@ -26,7 +27,7 @@ func cacheFetcher(t *testing.T, segments int) *Fetcher {
 	return f
 }
 
-func demand(t *testing.T, f *Fetcher, key segmentKey) {
+func demand(t *testing.T, f *Fetcher, key server.Ref) {
 	t.Helper()
 	if frames, _, err := f.segment(key, false, loadEntry); err != nil || len(frames) != 1 {
 		t.Fatalf("demand %+v: %d frames, %v", key, len(frames), err)
@@ -39,7 +40,7 @@ func TestSegmentCacheCountsSegments(t *testing.T) {
 	demand(t, f, ckey(1, 0))
 	demand(t, f, ckey(0, 0)) // touch 0 so 1 is the LRU victim
 	demand(t, f, ckey(2, 0))
-	for key, want := range map[segmentKey]bool{ckey(0, 0): true, ckey(1, 0): false, ckey(2, 0): true} {
+	for key, want := range map[server.Ref]bool{ckey(0, 0): true, ckey(1, 0): false, ckey(2, 0): true} {
 		if got := f.cache.Contains(key); got != want {
 			t.Errorf("%+v cached = %v, want %v", key, got, want)
 		}
@@ -125,7 +126,7 @@ func TestZeroCapacityCachesNothing(t *testing.T) {
 	f := cacheFetcher(t, 0)
 	demand(t, f, ckey(0, 0))
 	demand(t, f, ckey(0, 0))
-	f.PrefetchOrig("http://unused.invalid", "v", 0) // no cache to park in: must not start
+	f.Prefetch("http://unused.invalid", server.Ref{Video: "v", Kind: server.Orig}) // no cache to park in: must not start
 	f.Wait()
 	if c := f.Counters(); c.CacheHits != 0 || c.Evictions != 0 || c.PrefetchIssued != 0 {
 		t.Errorf("capacity-0 cache not inert: %+v", c)

@@ -232,6 +232,22 @@ type Result struct {
 	PTMemoryJ  float64
 }
 
+// Add accumulates another playback's accounting into r.
+func (r *Result) Add(o Result) {
+	r.Ledger.Merge(o.Ledger)
+	r.Net.Add(o.Net)
+	r.FramesTotal += o.FramesTotal
+	r.FramesHit += o.FramesHit
+	r.FramesPT += o.FramesPT
+	r.FOVChecks += o.FOVChecks
+	r.FOVMisses += o.FOVMisses
+	r.DroppedFrames += o.DroppedFrames
+	r.StreamedBytes += o.StreamedBytes
+	r.BaselineStreamedBytes += o.BaselineStreamedBytes
+	r.PTComputeJ += o.PTComputeJ
+	r.PTMemoryJ += o.PTMemoryJ
+}
+
 // MissRate returns the per-frame FOV checker miss rate.
 func (r Result) MissRate() float64 {
 	if r.FOVChecks == 0 {

@@ -217,7 +217,7 @@ func (f *Fetcher) Counters() FetchCounters {
 // change on re-ingest, and are fetched once per playback, so they bypass
 // the segment cache but still get the retrying transport.
 func (f *Fetcher) Manifest(baseURL, video string) (*server.Manifest, error) {
-	body, err := f.get(fmt.Sprintf("%s/v/%s/manifest", baseURL, video))
+	body, err := f.get(baseURL + "/v/" + video + "/manifest")
 	if err != nil {
 		return nil, err
 	}
@@ -228,58 +228,16 @@ func (f *Fetcher) Manifest(baseURL, video string) (*server.Manifest, error) {
 	return &man, nil
 }
 
-// FOVSegment returns the decoded frames and per-frame metadata of one FOV
-// video, from cache when possible.
-func (f *Fetcher) FOVSegment(baseURL, video string, seg, cluster int) ([]*frame.Frame, []server.FrameMeta, error) {
-	key := segmentKey{video: video, seg: seg, cluster: cluster}
-	return f.segment(key, false, func() (*segmentEntry, error) {
-		return f.loadFOV(baseURL, video, seg, cluster)
-	})
+// Segment returns the decoded frames of one payload — and, for a FOV video,
+// its per-frame metadata — from cache when possible. Retries, the response
+// cap and singleflight apply per payload, tiles included.
+func (f *Fetcher) Segment(baseURL string, ref server.Ref) ([]*frame.Frame, []server.FrameMeta, error) {
+	return f.segment(ref, false, func() (*segmentEntry, error) { return f.load(baseURL, ref) })
 }
 
-// OrigSegment returns the decoded frames of one original (full-panorama)
-// segment, from cache when possible.
-func (f *Fetcher) OrigSegment(baseURL, video string, seg int) ([]*frame.Frame, error) {
-	key := segmentKey{video: video, seg: seg, cluster: origCluster}
-	frames, _, err := f.segment(key, false, func() (*segmentEntry, error) {
-		return f.loadOrig(baseURL, video, seg)
-	})
-	return frames, err
-}
-
-// TileSegment returns the decoded frames of one tile at one quality rung,
-// from cache when possible. Retries, the response cap, and singleflight
-// apply per tile, exactly as they do per segment.
-func (f *Fetcher) TileSegment(baseURL, video string, seg, tile, rung int) ([]*frame.Frame, error) {
-	key := segmentKey{video: video, seg: seg, cluster: tileCluster, tile: tile, rung: rung}
-	frames, _, err := f.segment(key, false, func() (*segmentEntry, error) {
-		return f.loadTile(baseURL, video, seg, tile, rung)
-	})
-	return frames, err
-}
-
-// TileLowSegment returns the decoded frames of a segment's low-res
-// backfill stream, from cache when possible.
-func (f *Fetcher) TileLowSegment(baseURL, video string, seg int) ([]*frame.Frame, error) {
-	key := segmentKey{video: video, seg: seg, cluster: lowCluster}
-	frames, _, err := f.segment(key, false, func() (*segmentEntry, error) {
-		return f.loadTileLow(baseURL, video, seg)
-	})
-	return frames, err
-}
-
-// PrefetchFOV warms the cache with a FOV video in the background.
-func (f *Fetcher) PrefetchFOV(baseURL, video string, seg, cluster int) {
-	f.prefetchSegment(segmentKey{video: video, seg: seg, cluster: cluster}, func() (*segmentEntry, error) {
-		return f.loadFOV(baseURL, video, seg, cluster)
-	})
-}
-
-// PrefetchOrig warms the cache with an original segment in the background.
-func (f *Fetcher) PrefetchOrig(baseURL, video string, seg int) {
-	f.prefetchSegment(segmentKey{video: video, seg: seg, cluster: origCluster}, func() (*segmentEntry, error) {
-		return f.loadOrig(baseURL, video, seg)
-	})
+// Prefetch warms the cache with one payload in the background.
+func (f *Fetcher) Prefetch(baseURL string, ref server.Ref) {
+	f.prefetchSegment(ref, func() (*segmentEntry, error) { return f.load(baseURL, ref) })
 }
 
 // Wait blocks until all outstanding prefetches have completed.
@@ -287,7 +245,7 @@ func (f *Fetcher) Wait() { f.wg.Wait() }
 
 // prefetchSegment spawns a background fill of one segment. Prefetch errors
 // are swallowed: a later demand fetch retries and reports them.
-func (f *Fetcher) prefetchSegment(key segmentKey, load func() (*segmentEntry, error)) {
+func (f *Fetcher) prefetchSegment(ref server.Ref, load func() (*segmentEntry, error)) {
 	if f.cfg.CacheSegments <= 0 || !f.cfg.Prefetch {
 		return
 	}
@@ -295,7 +253,7 @@ func (f *Fetcher) prefetchSegment(key segmentKey, load func() (*segmentEntry, er
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
-		f.segment(key, true, load) //nolint:errcheck // best-effort warm-up
+		f.segment(ref, true, load) //nolint:errcheck // best-effort warm-up
 	}()
 }
 
@@ -304,11 +262,11 @@ func (f *Fetcher) prefetchSegment(key segmentKey, load func() (*segmentEntry, er
 // first demand request to receive a prefetched entry — resident or still
 // loading — claims its one PrefetchHit. A prefetch of a resident segment is
 // a no-op that neither promotes the entry nor touches its flag.
-func (f *Fetcher) segment(key segmentKey, prefetch bool, load func() (*segmentEntry, error)) ([]*frame.Frame, []server.FrameMeta, error) {
-	if prefetch && f.cache.Contains(key) {
+func (f *Fetcher) segment(ref server.Ref, prefetch bool, load func() (*segmentEntry, error)) ([]*frame.Frame, []server.FrameMeta, error) {
+	if prefetch && f.cache.Contains(ref) {
 		return nil, nil, nil
 	}
-	e, outcome, err := f.cache.Get(key, func() (*segmentEntry, error) {
+	e, outcome, err := f.cache.Get(ref, func() (*segmentEntry, error) {
 		e, err := load()
 		if err == nil && prefetch {
 			e.prefetched.Store(true)
@@ -327,47 +285,52 @@ func (f *Fetcher) segment(key segmentKey, prefetch bool, load func() (*segmentEn
 	return e.frames, e.meta, nil
 }
 
-// loadFOV downloads and decodes one FOV video plus its metadata.
-func (f *Fetcher) loadFOV(baseURL, video string, seg, cluster int) (*segmentEntry, error) {
-	payload, err := f.getLive(fmt.Sprintf("%s/v/%s/fov/%d/%d", baseURL, video, seg, cluster), video, seg)
+// load downloads and decodes one payload. The kind decides only the decode
+// shape: a tile is an envelope around its bitstream, a FOV video brings its
+// metadata along, and everything else is a bare bitstream.
+func (f *Fetcher) load(baseURL string, ref server.Ref) (*segmentEntry, error) {
+	payload, err := f.getLive(baseURL+ref.Path(), ref.Video, ref.Seg)
 	if err != nil {
 		return nil, err
 	}
-	frames, err := f.decodePayload(payload)
+	e := &segmentEntry{}
+	switch ref.Kind {
+	case server.Tile:
+		e.frames, err = f.decodeTile(payload, ref.A, ref.B)
+	case server.FOV:
+		if e.frames, err = f.decodePayload(payload); err == nil {
+			e.meta, err = f.loadFOVMeta(baseURL, ref)
+		}
+	default:
+		e.frames, err = f.decodePayload(payload)
+	}
 	if err != nil {
 		return nil, err
 	}
-	metaRaw, err := f.getLive(fmt.Sprintf("%s/v/%s/fovmeta/%d/%d", baseURL, video, seg, cluster), video, seg)
+	return e, nil
+}
+
+// loadFOVMeta downloads and parses the per-frame metadata of the FOV video
+// at ref — the FOVMeta payload of the same address.
+func (f *Fetcher) loadFOVMeta(baseURL string, ref server.Ref) ([]server.FrameMeta, error) {
+	ref.Kind = server.FOVMeta
+	raw, err := f.getLive(baseURL+ref.Path(), ref.Video, ref.Seg)
 	if err != nil {
 		return nil, err
 	}
 	tm := f.cfg.Trace.StartTimer(telemetry.StageDecode)
+	defer tm.Stop()
 	var meta []server.FrameMeta
-	err = json.Unmarshal(metaRaw, &meta)
-	tm.Stop()
-	if err != nil {
+	if err := json.Unmarshal(raw, &meta); err != nil {
 		return nil, fmt.Errorf("client: parsing FOV metadata: %w", err)
 	}
-	return &segmentEntry{frames: frames, meta: meta}, nil
+	return meta, nil
 }
 
-// loadOrig downloads and decodes one original segment.
-func (f *Fetcher) loadOrig(baseURL, video string, seg int) (*segmentEntry, error) {
-	payload, err := f.getLive(fmt.Sprintf("%s/v/%s/orig/%d", baseURL, video, seg), video, seg)
-	if err != nil {
-		return nil, err
-	}
-	return f.decodePayloadEntry(payload)
-}
-
-// loadTile downloads and decodes one tile payload, verifying the wire
-// header names the tile that was asked for — a confused (or hostile)
-// origin must not paint the wrong rectangle.
-func (f *Fetcher) loadTile(baseURL, video string, seg, tile, rung int) (*segmentEntry, error) {
-	payload, err := f.getLive(fmt.Sprintf("%s/v/%s/tile/%d/%d/%d", baseURL, video, seg, tile, rung), video, seg)
-	if err != nil {
-		return nil, err
-	}
+// decodeTile unwraps and decodes one tile payload, verifying the wire header
+// names the tile that was asked for — a confused (or hostile) origin must not
+// paint the wrong rectangle.
+func (f *Fetcher) decodeTile(payload []byte, tile, rung int) ([]*frame.Frame, error) {
 	tm := f.cfg.Trace.StartTimer(telemetry.StageDecode)
 	defer tm.Stop()
 	p, err := delivery.UnmarshalTile(payload)
@@ -377,20 +340,7 @@ func (f *Fetcher) loadTile(baseURL, video string, seg, tile, rung int) (*segment
 	if p.Tile != tile || p.Rung != rung {
 		return nil, fmt.Errorf("client: asked for tile %d rung %d, payload is tile %d rung %d", tile, rung, p.Tile, p.Rung)
 	}
-	frames, err := codec.DecodeSequence(p.Bits)
-	if err != nil {
-		return nil, err
-	}
-	return &segmentEntry{frames: frames}, nil
-}
-
-// loadTileLow downloads and decodes one backfill stream.
-func (f *Fetcher) loadTileLow(baseURL, video string, seg int) (*segmentEntry, error) {
-	payload, err := f.getLive(fmt.Sprintf("%s/v/%s/tilelow/%d", baseURL, video, seg), video, seg)
-	if err != nil {
-		return nil, err
-	}
-	return f.decodePayloadEntry(payload)
+	return codec.DecodeSequence(p.Bits)
 }
 
 // decodePayload unmarshals and decodes one bitstream payload, timed as the
@@ -403,14 +353,6 @@ func (f *Fetcher) decodePayload(payload []byte) ([]*frame.Frame, error) {
 		return nil, err
 	}
 	return codec.DecodeSequence(bits)
-}
-
-func (f *Fetcher) decodePayloadEntry(payload []byte) (*segmentEntry, error) {
-	frames, err := f.decodePayload(payload)
-	if err != nil {
-		return nil, err
-	}
-	return &segmentEntry{frames: frames}, nil
 }
 
 // get performs one HTTP GET with per-attempt timeout, bounded retries with

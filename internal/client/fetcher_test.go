@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"evr/internal/server"
 )
 
 // fastFetchConfig returns a test-speed config: real retries and caps, but
@@ -266,7 +268,7 @@ func TestFetcherSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = f.OrigSegment(counting.URL, "RS", 0)
+			_, _, errs[i] = f.Segment(counting.URL, server.Ref{Video: "RS", Kind: server.Orig})
 		}(i)
 	}
 	wg.Wait()

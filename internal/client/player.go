@@ -281,9 +281,9 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			next := man.Segments[si+1]
 			if !(maxSegments > 0 && next.Index >= maxSegments) {
 				if nc := bestCluster(&next, gaze, tolerance); nc >= 0 {
-					ftch.PrefetchFOV(p.BaseURL, video, next.Index, nc)
+					ftch.Prefetch(p.BaseURL, server.Ref{Video: video, Kind: server.FOV, Seg: next.Index, A: nc})
 				}
-				ftch.PrefetchOrig(p.BaseURL, video, next.Index)
+				ftch.Prefetch(p.BaseURL, server.Ref{Video: video, Kind: server.Orig, Seg: next.Index})
 			}
 		}
 
@@ -312,7 +312,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		}
 		if !tiledSeg {
 			if choice >= 0 {
-				fovFrames, fovMeta, err = ftch.FOVSegment(p.BaseURL, video, seg.Index, choice)
+				fovFrames, fovMeta, err = ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.FOV, Seg: seg.Index, A: choice})
 				if err != nil {
 					if !p.Resilient {
 						return stats, nil, err
@@ -324,7 +324,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			}
 			fallback = choice < 0
 			if fallback {
-				origFrames, err = ftch.OrigSegment(p.BaseURL, video, seg.Index)
+				origFrames, _, err = ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.Orig, Seg: seg.Index})
 				if err != nil {
 					if !p.Resilient {
 						return stats, nil, err
@@ -360,7 +360,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			sp.Stop(telemetry.StageFOVCheck)
 			if !fallback && !hit {
 				// FOV miss: request the original segment (§5.4).
-				origFrames, err = ftch.OrigSegment(p.BaseURL, video, seg.Index)
+				origFrames, _, err = ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.Orig, Seg: seg.Index})
 				if err != nil {
 					if !p.Resilient {
 						sp.Finish() // record the partially-timed frame

@@ -1,24 +1,21 @@
-// Package core assembles the complete EVR system (§4): the cloud component
-// (semantic ingest analysis) and the client device (energy-accounted
-// playback under any variant/use-case), plus the aggregation used by every
-// energy figure in the evaluation — per-video results averaged over the
-// 59-user trace corpus.
-package core
+package client
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
 
-	"evr/internal/client"
 	"evr/internal/energy"
 	"evr/internal/headtrace"
 	"evr/internal/sas"
 	"evr/internal/scene"
 )
 
-// System is an EVR deployment: SAS configuration, prepared per-video plans,
-// and the device configuration template.
+// System assembles the complete EVR system (§4): the cloud component
+// (semantic ingest analysis, one prepared SAS plan per video) and the client
+// device (energy-accounted playback under any variant/use-case), plus the
+// aggregation used by every energy figure in the evaluation — per-video
+// results merged over the 59-user trace corpus.
 type System struct {
 	SASConfig sas.Config
 
@@ -41,7 +38,7 @@ func NewSystem() *System {
 func (s *System) Prepare(v scene.VideoSpec) error {
 	plan, err := sas.BuildPlan(v, s.SASConfig)
 	if err != nil {
-		return fmt.Errorf("core: preparing %s: %w", v.Name, err)
+		return fmt.Errorf("client: preparing %s: %w", v.Name, err)
 	}
 	s.mu.Lock()
 	s.plans[v.Name] = plan
@@ -58,27 +55,17 @@ func (s *System) Plan(video string) (*sas.Plan, bool) {
 	return p, ok
 }
 
-// Summary aggregates playback results over a user population.
+// Summary is the playback Result merged over a user population (in user
+// order, so float accumulation is deterministic), labelled with what was
+// played. Result's fields and ratios (MissRate, FPSDropPct,
+// BandwidthSavingPct) are promoted.
 type Summary struct {
 	Video   string
-	Variant client.Variant
-	UseCase client.UseCase
+	Variant Variant
+	UseCase UseCase
 	Users   int
 
-	Ledger energy.Ledger // merged over users
-
-	FramesTotal   int
-	FramesHit     int
-	FramesPT      int
-	FOVChecks     int
-	FOVMisses     int
-	DroppedFrames int
-
-	StreamedBytes         int64
-	BaselineStreamedBytes int64
-	PTComputeJ            float64
-	PTMemoryJ             float64
-	RebufferCount         int
+	Result
 }
 
 // ComputeMemoryJ returns the compute+memory energy — the paper's "compute
@@ -94,30 +81,6 @@ func (s Summary) PTShare() float64 {
 		return 0
 	}
 	return (s.PTComputeJ + s.PTMemoryJ) / cm
-}
-
-// MissRate returns the per-frame FOV miss rate.
-func (s Summary) MissRate() float64 {
-	if s.FOVChecks == 0 {
-		return 0
-	}
-	return float64(s.FOVMisses) / float64(s.FOVChecks)
-}
-
-// FPSDropPct returns the percentage of frames lost to rebuffering.
-func (s Summary) FPSDropPct() float64 {
-	if s.FramesTotal == 0 {
-		return 0
-	}
-	return 100 * float64(s.DroppedFrames) / float64(s.FramesTotal)
-}
-
-// BandwidthSavingPct returns streamed-byte reduction vs the baseline.
-func (s Summary) BandwidthSavingPct() float64 {
-	if s.BaselineStreamedBytes == 0 {
-		return 0
-	}
-	return 100 * (1 - float64(s.StreamedBytes)/float64(s.BaselineStreamedBytes))
 }
 
 // ComputeSavingPct returns this summary's compute+memory energy saving
@@ -141,19 +104,19 @@ func (s Summary) DeviceSavingPct(baseline Summary) float64 {
 
 // EvaluateOptions tunes an evaluation run.
 type EvaluateOptions struct {
-	Users  int           // traces to simulate (default: headtrace.DatasetUsers)
-	Config client.Config // device configuration; zero value → DefaultConfig
+	Users  int    // traces to simulate (default: headtrace.DatasetUsers)
+	Config Config // device configuration; zero value → DefaultConfig
 }
 
 // Evaluate plays a prepared video for a user population under the given
 // variant/use-case and returns the merged summary.
-func (s *System) Evaluate(video string, variant client.Variant, uc client.UseCase, opts EvaluateOptions) (Summary, error) {
+func (s *System) Evaluate(video string, variant Variant, uc UseCase, opts EvaluateOptions) (Summary, error) {
 	s.mu.RLock()
 	plan, ok := s.plans[video]
 	spec, okSpec := s.specs[video]
 	s.mu.RUnlock()
 	if !ok || !okSpec {
-		return Summary{}, fmt.Errorf("core: video %q not prepared", video)
+		return Summary{}, fmt.Errorf("client: video %q not prepared", video)
 	}
 	users := opts.Users
 	if users <= 0 {
@@ -161,7 +124,7 @@ func (s *System) Evaluate(video string, variant client.Variant, uc client.UseCas
 	}
 	cfg := opts.Config
 	if cfg.NominalW == 0 { // zero value: use the evaluation defaults
-		cfg = client.DefaultConfig(variant, uc)
+		cfg = DefaultConfig(variant, uc)
 	} else {
 		cfg.Variant = variant
 		cfg.UseCase = uc
@@ -170,7 +133,7 @@ func (s *System) Evaluate(video string, variant client.Variant, uc client.UseCas
 
 	// Users are independent: simulate them concurrently, then merge in
 	// user order so float accumulation stays deterministic.
-	results := make([]client.Result, users)
+	results := make([]Result, users)
 	errs := make([]error, users)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -181,7 +144,7 @@ func (s *System) Evaluate(video string, variant client.Variant, uc client.UseCas
 			defer wg.Done()
 			defer func() { <-sem }()
 			tr := headtrace.Generate(spec, u)
-			results[u], errs[u] = client.Simulate(spec, tr, plan, cfg)
+			results[u], errs[u] = Simulate(spec, tr, plan, cfg)
 		}(u)
 	}
 	wg.Wait()
@@ -189,21 +152,9 @@ func (s *System) Evaluate(video string, variant client.Variant, uc client.UseCas
 	sum := Summary{Video: video, Variant: variant, UseCase: uc, Users: users}
 	for u := 0; u < users; u++ {
 		if errs[u] != nil {
-			return Summary{}, fmt.Errorf("core: simulating %s user %d: %w", video, u, errs[u])
+			return Summary{}, fmt.Errorf("client: simulating %s user %d: %w", video, u, errs[u])
 		}
-		r := results[u]
-		sum.Ledger.Merge(r.Ledger)
-		sum.FramesTotal += r.FramesTotal
-		sum.FramesHit += r.FramesHit
-		sum.FramesPT += r.FramesPT
-		sum.FOVChecks += r.FOVChecks
-		sum.FOVMisses += r.FOVMisses
-		sum.DroppedFrames += r.DroppedFrames
-		sum.StreamedBytes += r.StreamedBytes
-		sum.BaselineStreamedBytes += r.BaselineStreamedBytes
-		sum.PTComputeJ += r.PTComputeJ
-		sum.PTMemoryJ += r.PTMemoryJ
-		sum.RebufferCount += r.Net.RebufferCount
+		sum.Add(results[u])
 	}
 	return sum, nil
 }

@@ -1,9 +1,8 @@
-package core
+package client
 
 import (
 	"testing"
 
-	"evr/internal/client"
 	"evr/internal/scene"
 )
 
@@ -32,21 +31,21 @@ func TestPrepareAndPlan(t *testing.T) {
 
 func TestEvaluateUnpreparedFails(t *testing.T) {
 	s := NewSystem()
-	if _, err := s.Evaluate("RS", client.Baseline, client.OnlineStreaming, EvaluateOptions{Users: 1}); err == nil {
+	if _, err := s.Evaluate("RS", Baseline, OnlineStreaming, EvaluateOptions{Users: 1}); err == nil {
 		t.Error("unprepared video evaluated")
 	}
 }
 
 func TestEvaluateSummary(t *testing.T) {
 	s := prepared(t, "RS")
-	base, err := s.Evaluate("RS", client.Baseline, client.OnlineStreaming, EvaluateOptions{Users: 3})
+	base, err := s.Evaluate("RS", Baseline, OnlineStreaming, EvaluateOptions{Users: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Users != 3 || base.FramesTotal != 3*1800 {
 		t.Fatalf("summary shape: %+v", base.Users)
 	}
-	sh, err := s.Evaluate("RS", client.SH, client.OnlineStreaming, EvaluateOptions{Users: 3})
+	sh, err := s.Evaluate("RS", SH, OnlineStreaming, EvaluateOptions{Users: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func TestEvaluateSummary(t *testing.T) {
 
 func TestEvaluateDefaultsTo59Users(t *testing.T) {
 	s := prepared(t, "Timelapse")
-	sum, err := s.Evaluate("Timelapse", client.H, client.OfflinePlayback, EvaluateOptions{})
+	sum, err := s.Evaluate("Timelapse", H, OfflinePlayback, EvaluateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

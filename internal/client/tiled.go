@@ -60,7 +60,7 @@ type tiledSession struct {
 	force     delivery.Mode
 	predictor hmp.Predictor
 	ctrl      *abr.Controller
-	timeline  *delivery.Timeline
+	timeline  *netsim.Timeline
 	// fetchVP is the viewport tile visibility is computed against at the
 	// predicted pose: the HMD FOV plus the fetch margin (capped at the
 	// FOV-stream width). needVP is the bare HMD-FOV viewport used to
@@ -122,7 +122,7 @@ func newTiledSession(cfg TiledConfig, man *server.Manifest, hmdFOVXDeg, hmdFOVYD
 		force:     cfg.Force,
 		predictor: predictor,
 		ctrl:      ctrl,
-		timeline:  delivery.NewTimeline(link, segDur),
+		timeline:  &netsim.Timeline{Link: link, SegmentDuration: segDur},
 		fetchVP: projection.Viewport{
 			Width: man.FOVW, Height: man.FOVH,
 			FOVX: geom.Radians(fetchX), FOVY: geom.Radians(fetchY),
@@ -219,7 +219,7 @@ func (ts *tiledSession) plan(seg *server.SegmentInfo, tr headtrace.Trace, frameI
 // paint tiles over.
 func (p *Player) fetchTiled(ts *tiledSession, video string, seg *server.SegmentInfo, plan tiledPlan, stats *PlaybackStats) ([]*frame.Frame, []bool, error) {
 	ftch := p.Fetcher()
-	low, err := ftch.TileLowSegment(p.BaseURL, video, seg.Index)
+	low, _, err := ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.TileLow, Seg: seg.Index})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -236,7 +236,7 @@ func (p *Player) fetchTiled(ts *tiledSession, video string, seg *server.SegmentI
 		wg.Add(1)
 		go func(t, r int) {
 			defer wg.Done()
-			frames, err := ftch.TileSegment(p.BaseURL, video, seg.Index, t, r)
+			frames, _, err := ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.Tile, Seg: seg.Index, A: t, B: r})
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {

@@ -166,7 +166,7 @@ func (c *Cluster) Ingest(v scene.VideoSpec, cfg server.IngestConfig) (*server.Ma
 	for _, sh := range c.shards[1:] {
 		sh.svc.Publish(man)
 	}
-	c.edge.PurgeKeys(edgeOfVideo(v.Name))
+	c.edge.PurgeKeys(server.OfVideo(v.Name))
 	return man, nil
 }
 
@@ -177,7 +177,7 @@ func (c *Cluster) Publish(man *server.Manifest) {
 	for _, sh := range c.shards {
 		sh.svc.Publish(man)
 	}
-	c.edge.PurgeKeys(edgeOfVideo(man.Video))
+	c.edge.PurgeKeys(server.OfVideo(man.Video))
 }
 
 // ServeLive attaches a live stream to every replica: each shard serves the
@@ -191,9 +191,7 @@ func (c *Cluster) ServeLive(ls *server.LiveStream) {
 		sh.svc.ServeLive(ls)
 	}
 	video := ls.Video()
-	ls.OnPublish(func(seg int) {
-		c.edge.PurgeKeys(edgeOfSegment(video, fmt.Sprintf("%d", seg)))
-	})
+	ls.OnPublish(func(seg int) { c.edge.PurgeKeys(server.OfSegment(video, seg)) })
 }
 
 // KillShard takes one replica off the ring: its keys move to their ring

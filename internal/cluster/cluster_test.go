@@ -388,6 +388,50 @@ func TestReingestVisibleThroughRouter(t *testing.T) {
 	}
 }
 
+// TestRouterAnswersMalformedAddressesItself runs the single server's
+// non-canonical and smuggled-index cases (server.TestHandlerStatusCodes)
+// through the router: the status is the one a shard would give, and — the
+// router parsing with the shards' own gate — no shard is charged a request
+// and nothing becomes resident at the edge.
+func TestRouterAnswersMalformedAddressesItself(t *testing.T) {
+	c := newTestCluster(t, 2, 1<<20)
+	router, single := c.Handler(), c.Shard(0).Handler()
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{"/v/CLUSTER/orig/xyz", 400},
+		{"/v/CLUSTER/orig/-1", 400},
+		{"/v/CLUSTER/orig/+1", 400},
+		{"/v/CLUSTER/orig/007", 400},
+		{"/v/CLUSTER/orig/12345678901234567890", 400},
+		{"/v/CLUSTER/orig/%20", 400},
+		{"/v/CLUSTER/fov/0/-2", 400},
+		{"/v/CLUSTER/fovmeta/0/zzz", 400},
+		{"/v/CLUSTER/tile/0/01/0", 400},
+		{"/v/CLUSTER/tile/0/0/+0", 400},
+		{"/v/CLUSTER/tilelow/00", 400},
+		{"/v/CLUSTER/orig/0%2Fextra", 404},
+		{"/v/CLUSTER/fov/0/0%2Fextra", 404},
+	} {
+		if got := get(single, tc.path).Code; got != tc.want {
+			t.Errorf("single server: GET %s = %d, want %d", tc.path, got, tc.want)
+		}
+		if got := get(router, tc.path).Code; got != tc.want {
+			t.Errorf("router: GET %s = %d, want %d", tc.path, got, tc.want)
+		}
+	}
+	st := c.Stats()
+	for _, sh := range st.Shards {
+		if sh.Requests != 0 {
+			t.Errorf("%s was forwarded %d malformed requests, want 0", sh.Name, sh.Requests)
+		}
+	}
+	if st.Edge.Entries != 0 || st.Edge.Misses != 0 {
+		t.Errorf("malformed requests reached the edge cache: %+v", *st.Edge)
+	}
+}
+
 // TestClusterMetricsEndpoints sanity-checks the observability surface.
 func TestClusterMetricsEndpoints(t *testing.T) {
 	c := newTestCluster(t, 2, 1<<20)
@@ -454,30 +498,30 @@ func routed(status int, body string, owner int) func() (*edgeResp, error) {
 // that segment's kinds.
 func TestEdgePurgePredicates(t *testing.T) {
 	ec := newEdgeCache(1<<20, telemetry.NewRegistry())
-	keys := []edgeKey{
-		{video: "V", seg: "0", kind: "orig"},
-		{video: "V", seg: "0", cluster: "2/1", kind: "tile"},
-		{video: "V", seg: "1", cluster: "0", kind: "fov"},
-		{video: "W", seg: "0", kind: "orig"},
+	keys := []server.Ref{
+		{Video: "V", Seg: 0, Kind: server.Orig},
+		{Video: "V", Seg: 0, A: 2, B: 1, Kind: server.Tile},
+		{Video: "V", Seg: 1, A: 0, Kind: server.FOV},
+		{Video: "W", Seg: 0, Kind: server.Orig},
 	}
 	fill := func() {
 		for _, key := range keys {
 			ec.Get(key, routed(http.StatusOK, "body", 0))
 		}
 	}
-	resident := func(key edgeKey) bool {
+	resident := func(key server.Ref) bool {
 		_, outcome, _ := ec.Get(key, routed(http.StatusOK, "reloaded", 0))
 		return outcome == cache.Hit
 	}
 	fill()
-	ec.PurgeKeys(edgeOfSegment("V", "0"))
+	ec.PurgeKeys(server.OfSegment("V", 0))
 	for i, want := range []bool{false, false, true, true} {
 		if got := resident(keys[i]); got != want {
 			t.Errorf("after segment purge, %+v resident = %v, want %v", keys[i], got, want)
 		}
 	}
 	fill()
-	ec.PurgeKeys(edgeOfVideo("V"))
+	ec.PurgeKeys(server.OfVideo("V"))
 	for i, want := range []bool{false, false, false, true} {
 		if got := resident(keys[i]); got != want {
 			t.Errorf("after video purge, %+v resident = %v, want %v", keys[i], got, want)
@@ -490,9 +534,9 @@ func TestEdgePurgePredicates(t *testing.T) {
 // flight across the change is doomed — its recorded owner may be stale.
 func TestEdgePurgeMovedTargetsOwnership(t *testing.T) {
 	ec := newEdgeCache(1<<20, telemetry.NewRegistry())
-	stay := edgeKey{video: "V", seg: "0", kind: "orig"}
-	move := edgeKey{video: "V", seg: "1", kind: "orig"}
-	flying := edgeKey{video: "V", seg: "2", kind: "orig"}
+	stay := server.Ref{Video: "V", Seg: 0, Kind: server.Orig}
+	move := server.Ref{Video: "V", Seg: 1, Kind: server.Orig}
+	flying := server.Ref{Video: "V", Seg: 2, Kind: server.Orig}
 	ec.Get(stay, routed(200, "a", 0))
 	ec.Get(move, routed(200, "b", 1))
 	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
@@ -507,14 +551,14 @@ func TestEdgePurgeMovedTargetsOwnership(t *testing.T) {
 	<-started
 
 	// Shard 1 died: its keys now belong to shard 0, shard 0's keys don't move.
-	purgeMoved(ec, func(video, seg string) int { return 0 })
+	purgeMoved(ec, func(string, int) int { return 0 })
 	close(release)
 	<-done
 
 	if _, outcome, _ := ec.Get(stay, func() (*edgeResp, error) { t.Error("stable entry reloaded"); return routed(200, "a", 0)() }); outcome != cache.Hit {
 		t.Error("entry with unmoved ownership was purged")
 	}
-	for _, key := range []edgeKey{move, flying} {
+	for _, key := range []server.Ref{move, flying} {
 		if _, outcome, _ := ec.Get(key, routed(200, "fresh", 0)); outcome != cache.Miss {
 			t.Errorf("%+v survived the topology purge (%v)", key, outcome)
 		}
@@ -529,7 +573,7 @@ func TestEdgePurgeMovedTargetsOwnership(t *testing.T) {
 // requesters and never cached — a recovered shard is visible immediately.
 func TestEdgeUncacheableResponsesPassThrough(t *testing.T) {
 	ec := newEdgeCache(1<<20, telemetry.NewRegistry())
-	for _, tc := range []struct {
+	for seg, tc := range []struct {
 		name   string
 		status int
 		owner  int
@@ -538,7 +582,7 @@ func TestEdgeUncacheableResponsesPassThrough(t *testing.T) {
 		{"shed", http.StatusServiceUnavailable, 0},
 		{"ownerless 200", http.StatusOK, -1},
 	} {
-		key := edgeKey{video: "V", seg: tc.name, kind: "orig"}
+		key := server.Ref{Video: "V", Seg: seg, Kind: server.Orig}
 		for i := 0; i < 2; i++ {
 			resp, outcome, _ := ec.Get(key, routed(tc.status, "nope", tc.owner))
 			if outcome != cache.Miss || resp.status != tc.status || string(resp.body) != "nope" {
@@ -555,11 +599,11 @@ func TestEdgeUncacheableResponsesPassThrough(t *testing.T) {
 // this package's instantiation of the core.
 func TestEdgeHitPathDoesNotAllocate(t *testing.T) {
 	ec := newEdgeCache(1<<20, telemetry.NewRegistry())
-	key := edgeKey{video: "video", seg: "3", cluster: "2/1", kind: "tile"}
+	key := server.Ref{Video: "video", Seg: 3, A: 2, B: 1, Kind: server.Tile}
 	load := routed(http.StatusOK, "payload", 0)
 	ec.Get(key, load)
 	if n := testing.AllocsPerRun(200, func() { ec.Get(key, load) }); n != 0 {
-		t.Errorf("resident edgeKey Get allocates %v times per call, want 0", n)
+		t.Errorf("resident Ref Get allocates %v times per call, want 0", n)
 	}
 }
 

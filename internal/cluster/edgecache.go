@@ -5,19 +5,9 @@ import (
 	"net/http"
 
 	"evr/internal/cache"
+	"evr/internal/server"
 	"evr/internal/telemetry"
 )
-
-// edgeKey identifies one cacheable routed response. The components are raw
-// path values: for every request a shard answers 200 they are canonical
-// (the shard's own parsing guarantees it), so no two keys alias one
-// payload.
-type edgeKey struct {
-	video   string
-	seg     string
-	cluster string // "" for originals and backfill; "{tile}/{rung}" for tiles
-	kind    string // "orig", "fov", "fovmeta", "tile", "tilelow"
-}
 
 // edgeResp is one upstream response held by the edge tier: enough of the
 // HTTP surface to replay it byte-identically — status, the content type,
@@ -52,10 +42,10 @@ type EdgeStats = cache.Stats
 const promEdge = "evr_edge"
 
 // edgeCache is the router's second-level response cache, the cache core
-// (internal/cache) keyed on raw path values and holding full response
+// (internal/cache) keyed on the payload address and holding full response
 // envelopes. It is what absorbs the head of a Zipf popularity distribution
 // before it reaches any shard.
-type edgeCache = cache.Cache[edgeKey, *edgeResp]
+type edgeCache = cache.Cache[server.Ref, *edgeResp]
 
 // newEdgeCache builds an edge cache with the given payload-byte budget,
 // registering its series on the router's registry. maxBytes ≤ 0 returns
@@ -64,7 +54,7 @@ func newEdgeCache(maxBytes int64, reg *telemetry.Registry) *edgeCache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	return cache.New[edgeKey](maxBytes, func(r *edgeResp) int64 { return int64(len(r.body)) }, reg, promEdge, cache.Help{
+	return cache.New[server.Ref](maxBytes, func(r *edgeResp) int64 { return int64(len(r.body)) }, reg, promEdge, cache.Help{
 		Hits:      "segment responses served from the edge cache",
 		Misses:    "segment responses routed to a shard",
 		Coalesced: "segment requests that joined an in-flight identical routed load",
@@ -77,28 +67,15 @@ func newEdgeCache(maxBytes int64, reg *telemetry.Registry) *edgeCache {
 	})
 }
 
-// edgeOfVideo matches every edge payload of one video — re-ingest purge
-// propagation, with the same overtaken-flight rule the shard cache applies.
-func edgeOfVideo(video string) func(edgeKey) bool {
-	return func(k edgeKey) bool { return k.video == video }
-}
-
-// edgeOfSegment matches every edge payload of one (video, segment) —
-// live-publish propagation: the segment transitions from 425 to a real
-// payload, and no stale flight may outlive the publish.
-func edgeOfSegment(video, seg string) func(edgeKey) bool {
-	return func(k edgeKey) bool { return k.video == video && k.seg == seg }
-}
-
 // purgeMoved enforces the edge ownership invariant after a topology
 // change: every resident entry must have been served by the shard that
 // currently owns its key. Entries whose ownership moved (a killed shard's
 // keys now belong to its ring successors; a restarted shard reclaims keys
 // its stand-ins served) are dropped, and every in-flight load is doomed —
 // its recorded owner may be stale by the time it lands.
-func purgeMoved(c *edgeCache, owner func(video, seg string) int) {
+func purgeMoved(c *edgeCache, owner func(video string, seg int) int) {
 	c.Purge(
-		func(k edgeKey, r *edgeResp) bool { return owner(k.video, k.seg) != r.owner },
-		func(edgeKey) bool { return true },
+		func(k server.Ref, r *edgeResp) bool { return owner(k.Video, k.Seg) != r.owner },
+		func(server.Ref) bool { return true },
 	)
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 )
 
 // ring is an immutable consistent-hash ring over the live shards. Each
@@ -91,11 +92,8 @@ func keyHash(key string) uint64 {
 	return mix64(h.Sum64())
 }
 
-// segKey is the ring key of one (video, segment) pair. seg is the raw path
-// value: for every servable request it is the canonical decimal form, and
-// non-canonical values route somewhere consistent where the shard rejects
-// them exactly as a single server would.
-func segKey(video, seg string) string { return video + "/" + seg }
+// segKey is the ring key of one (video, segment) pair.
+func segKey(video string, seg int) string { return video + "/" + strconv.Itoa(seg) }
 
 // lookup returns the shard owning key, or -1 on an empty ring.
 func (r *ring) lookup(key string) int {
@@ -111,7 +109,7 @@ func (r *ring) lookup(key string) int {
 }
 
 // owner returns the shard owning a (video, segment) pair.
-func (r *ring) owner(video, seg string) int { return r.lookup(segKey(video, seg)) }
+func (r *ring) owner(video string, seg int) int { return r.lookup(segKey(video, seg)) }
 
 // ownerSkipping returns the first shard clockwise from key's hash for which
 // skip is false — the ring-successor walk the router uses when the owner

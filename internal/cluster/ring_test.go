@@ -9,7 +9,7 @@ import (
 func testKeys(n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
-		keys[i] = segKey(fmt.Sprintf("VID%d", i%7), fmt.Sprintf("%d", i))
+		keys[i] = segKey(fmt.Sprintf("VID%d", i%7), i)
 	}
 	return keys
 }

@@ -11,18 +11,12 @@ import (
 )
 
 // Handler returns the router's HTTP surface — the same API a single
-// server.Service exposes, so clients (and the golden-playback gate) can
-// point at a cluster without knowing it is one:
-//
-//	GET /videos                      → any live shard
-//	GET /v/{video}/manifest          → any live shard
-//	GET /v/{video}/orig/{seg}        → edge cache, then the owning shard
-//	GET /v/{video}/fov/{seg}/{c}     → edge cache, then the owning shard
-//	GET /v/{video}/fovmeta/{seg}/{c} → edge cache, then the owning shard
-//	GET /v/{video}/tile/{seg}/{t}/{q} → edge cache, then the owning shard
-//	GET /v/{video}/tilelow/{seg}     → edge cache, then the owning shard
-//	GET /metrics                     → router + edge + per-shard snapshot
-//	GET /healthz                     → router liveness + live shard count
+// server.Service exposes (DESIGN §10 "Payload address"), so clients (and the
+// golden-playback gate) can point at a cluster without knowing it is one. The
+// catalog and manifests come from any live shard; every payload route goes
+// through the edge cache, then to the shard owning its (video, segment);
+// /metrics is the router + edge + per-shard snapshot and /healthz the router's
+// liveness and live shard count.
 func (c *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", c.serveMetrics)
@@ -31,20 +25,29 @@ func (c *Cluster) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /videos", c.proxyAny)
 	mux.HandleFunc("GET /v/{video}/manifest", c.proxyAny)
-	mux.HandleFunc("GET /v/{video}/orig/{seg}", c.segmentProxy("orig"))
-	mux.HandleFunc("GET /v/{video}/fov/{seg}/{cluster}", c.segmentProxy("fov"))
-	mux.HandleFunc("GET /v/{video}/fovmeta/{seg}/{cluster}", c.segmentProxy("fovmeta"))
-	mux.HandleFunc("GET /v/{video}/tile/{seg}/{tile}/{rung}", c.segmentProxy("tile"))
-	mux.HandleFunc("GET /v/{video}/tilelow/{seg}", c.segmentProxy("tilelow"))
+	for k := range server.Kinds {
+		mux.HandleFunc(server.Kind(k).Pattern(), c.serveKeyed)
+	}
 	return mux
 }
 
-// serveKeyed answers one keyed payload request from the edge tier, routing
-// it to the owning shard — once per concurrent wave — when it is not
-// resident. Uncacheable responses pass through to everyone waiting on them.
-func (c *Cluster) serveKeyed(w http.ResponseWriter, r *http.Request, key edgeKey) {
+// serveKeyed answers one payload request from the edge tier, routing it to
+// the owning shard — once per concurrent wave — when it is not resident.
+// Uncacheable responses pass through to everyone waiting on them. The path
+// goes through the same canonical-address gate the shards apply, so every
+// edge key is the one spelling of its payload and a malformed request is
+// answered here, without costing a shard a request. Tiles route on (video,
+// seg) — the ring position of the segment's other payload kinds — so a single
+// shard owns every tile of a segment and its respcache sees the segment's
+// whole tile working set.
+func (c *Cluster) serveKeyed(w http.ResponseWriter, r *http.Request) {
+	c.requests.Inc()
+	key, ok := server.ParseRef(w, r)
+	if !ok {
+		return
+	}
 	resp, outcome, _ := c.edge.Get(key, func() (*edgeResp, error) {
-		resp := c.route(key.video, key.seg, r)
+		resp := c.route(key.Video, key.Seg, r)
 		if !resp.cacheable() {
 			return resp, errPassThrough
 		}
@@ -140,7 +143,7 @@ func noShardResp() *edgeResp {
 // walking the ring past dead shards. The response records the shard that
 // served it (owner -1 when nothing could). The ring snapshot is re-read on
 // every attempt so a concurrent kill's rebuild takes effect mid-loop.
-func (c *Cluster) route(video, seg string, r *http.Request) *edgeResp {
+func (c *Cluster) route(video string, seg int, r *http.Request) *edgeResp {
 	for attempt := 0; attempt <= len(c.shards); attempt++ {
 		ring := c.currentRing()
 		si := ring.ownerSkipping(segKey(video, seg), func(i int) bool { return c.shards[i].down.Load() })
@@ -157,22 +160,6 @@ func (c *Cluster) route(video, seg string, r *http.Request) *edgeResp {
 	}
 	c.noShard.Inc()
 	return noShardResp()
-}
-
-// segmentProxy serves one segment payload kind through the edge tier and
-// the ring. Tile keys route on (video, seg) — the same ring position as the
-// segment's other payload kinds — so a single shard owns every tile of a
-// segment and its respcache sees the segment's whole tile working set. The
-// edge entry is still keyed per (tile, rung), so distinct rungs never alias.
-func (c *Cluster) segmentProxy(kind string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		c.requests.Inc()
-		key := edgeKey{video: r.PathValue("video"), seg: r.PathValue("seg"), cluster: r.PathValue("cluster"), kind: kind}
-		if kind == "tile" {
-			key.cluster = r.PathValue("tile") + "/" + r.PathValue("rung")
-		}
-		c.serveKeyed(w, r, key)
-	}
 }
 
 // proxyAny serves an unkeyed endpoint (catalog, manifest) from any live

@@ -5,8 +5,8 @@
 // post-decode pipeline; under SAS, FOV-hit frames take exactly that path.
 //
 // The operations are real pixel transforms (integer BT.601 color
-// conversion, quarter-turn rotations, bilinear scaling), so the player can
-// assemble an actual scanout path and tests can verify it end to end.
+// conversion, bilinear crop-and-scale), so the player can assemble an actual
+// scanout path and tests can verify it end to end.
 package display
 
 import "evr/internal/frame"
@@ -69,66 +69,4 @@ func ToRGB(f *frame.Frame) *frame.Frame {
 		out.Pix[i], out.Pix[i+1], out.Pix[i+2] = r, g, b
 	}
 	return out
-}
-
-// Rotation selects a quarter-turn scanout rotation (HMD panels are often
-// mounted rotated).
-type Rotation int
-
-const (
-	Rotate0 Rotation = iota
-	Rotate90
-	Rotate180
-	Rotate270
-)
-
-// Rotate returns the frame rotated clockwise by the given quarter turns.
-func Rotate(f *frame.Frame, rot Rotation) *frame.Frame {
-	switch rot {
-	case Rotate90:
-		out := frame.New(f.H, f.W)
-		for y := 0; y < f.H; y++ {
-			for x := 0; x < f.W; x++ {
-				r, g, b := f.At(x, y)
-				out.Set(f.H-1-y, x, r, g, b)
-			}
-		}
-		return out
-	case Rotate180:
-		out := frame.New(f.W, f.H)
-		for y := 0; y < f.H; y++ {
-			for x := 0; x < f.W; x++ {
-				r, g, b := f.At(x, y)
-				out.Set(f.W-1-x, f.H-1-y, r, g, b)
-			}
-		}
-		return out
-	case Rotate270:
-		out := frame.New(f.H, f.W)
-		for y := 0; y < f.H; y++ {
-			for x := 0; x < f.W; x++ {
-				r, g, b := f.At(x, y)
-				out.Set(y, f.W-1-x, r, g, b)
-			}
-		}
-		return out
-	default:
-		return f.Clone()
-	}
-}
-
-// Pipeline is a scanout configuration: optional rotation then scaling to
-// the panel.
-type Pipeline struct {
-	Rotation       Rotation
-	PanelW, PanelH int
-}
-
-// Process runs a decoded frame through the pipeline.
-func (p Pipeline) Process(f *frame.Frame) (*frame.Frame, error) {
-	out := Rotate(f, p.Rotation)
-	if p.PanelW > 0 && p.PanelH > 0 && (out.W != p.PanelW || out.H != p.PanelH) {
-		return Scale(out, p.PanelW, p.PanelH)
-	}
-	return out, nil
 }

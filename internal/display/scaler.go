@@ -130,13 +130,3 @@ func (s *Scaler) Apply(f *frame.Frame) (*frame.Frame, error) {
 	}
 	return out, nil
 }
-
-// Scale resizes a frame to (w, h) with bilinear resampling: a one-frame
-// Scaler. Callers with a stream of equally sized frames build the Scaler once.
-func Scale(f *frame.Frame, w, h int) (*frame.Frame, error) {
-	s, err := NewScaler(w, h, 1, 1)
-	if err != nil {
-		return nil, err
-	}
-	return s.Apply(f)
-}

@@ -77,7 +77,6 @@ func FuzzScaler(f *testing.F) {
 // TestScalerRejects: a degenerate target, fraction or source is an error at
 // the boundary, never an out-of-range slice inside the row loop.
 func TestScalerRejects(t *testing.T) {
-	src := randFrame(4, 4, 191)
 	for _, tc := range []struct {
 		w, h         int
 		fracX, fracY float64
@@ -86,8 +85,9 @@ func TestScalerRejects(t *testing.T) {
 			t.Errorf("NewScaler(%d, %d, %v, %v) accepted", tc.w, tc.h, tc.fracX, tc.fracY)
 		}
 	}
-	if _, err := Scale(src, 0, 5); err == nil {
-		t.Error("zero target accepted")
+	s, err := NewScaler(4, 4, 1, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for name, bad := range map[string]*frame.Frame{
 		"nil":   nil,
@@ -95,19 +95,24 @@ func TestScalerRejects(t *testing.T) {
 		"flat":  frame.New(6, 0),
 		"short": {W: 4, H: 4, Pix: make([]byte, 10)},
 	} {
-		if _, err := Scale(bad, 4, 4); err == nil {
+		if _, err := s.Apply(bad); err == nil {
 			t.Errorf("%s source accepted", name)
 		}
 	}
 }
 
 // BenchmarkScale is one backfill frame of the gated benchmark's tiled_view
-// workload, 80×40 up to the 320×160 panorama, taps mapped per call.
+// workload, 80×40 up to the 320×160 panorama, taps mapped once as Assemble
+// maps them once per segment.
 func BenchmarkScale(b *testing.B) {
 	src := randFrame(80, 40, 1)
+	s, err := NewScaler(320, 160, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Scale(src, 320, 160); err != nil {
+		if _, err := s.Apply(src); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"evr/internal/client"
 	"evr/internal/codec"
-	"evr/internal/core"
 	"evr/internal/frame"
 	"evr/internal/geom"
 	"evr/internal/projection"
@@ -21,19 +20,19 @@ import (
 
 // ablationEval runs baseline + S+H for one video under a custom SAS config
 // and returns (baseline, sh) summaries.
-func ablationEval(v scene.VideoSpec, sasCfg sas.Config, users int, ext client.Extensions) (core.Summary, core.Summary) {
-	sys := core.NewSystem()
+func ablationEval(v scene.VideoSpec, sasCfg sas.Config, users int, ext client.Extensions) (client.Summary, client.Summary) {
+	sys := client.NewSystem()
 	sys.SASConfig = sasCfg
 	if err := sys.Prepare(v); err != nil {
 		panic(err)
 	}
 	cfg := client.DefaultConfig(client.SH, client.OnlineStreaming)
 	cfg.Ext = ext
-	base, err := sys.Evaluate(v.Name, client.Baseline, client.OnlineStreaming, core.EvaluateOptions{Users: users})
+	base, err := sys.Evaluate(v.Name, client.Baseline, client.OnlineStreaming, client.EvaluateOptions{Users: users})
 	if err != nil {
 		panic(err)
 	}
-	sh, err := sys.Evaluate(v.Name, client.SH, client.OnlineStreaming, core.EvaluateOptions{Users: users, Config: cfg})
+	sh, err := sys.Evaluate(v.Name, client.SH, client.OnlineStreaming, client.EvaluateOptions{Users: users, Config: cfg})
 	if err != nil {
 		panic(err)
 	}
@@ -61,7 +60,7 @@ func AblationSegmentLength(users int) Table {
 			pct(sh.MissRate()),
 			f1(sh.DeviceSavingPct(base)) + "%",
 			f2(plan.StorageOverhead()) + "x",
-			f1(float64(sh.RebufferCount) / float64(sh.Users)),
+			f1(float64(sh.Net.RebufferCount) / float64(sh.Users)),
 		})
 	}
 	return t
@@ -248,7 +247,7 @@ func RelatedWorkTable(users int) Table {
 	tiled := evaluateAt(1.0, "Elephant", client.Tiled, client.OnlineStreaming, users,
 		client.DefaultConfig(client.Tiled, client.OnlineStreaming))
 	sh := evaluate("Elephant", client.SH, client.OnlineStreaming, users)
-	row := func(name string, s core.Summary) []string {
+	row := func(name string, s client.Summary) []string {
 		return []string{
 			name,
 			f1(s.BandwidthSavingPct()) + "%",

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"evr/internal/client"
-	"evr/internal/core"
 	"evr/internal/energy"
 	"evr/internal/headtrace"
 	"evr/internal/hmp"
@@ -17,22 +16,22 @@ import (
 // (video, variant, use-case, users) summaries.
 var evalCache = struct {
 	sync.Mutex
-	m map[string]core.Summary
-}{m: make(map[string]core.Summary)}
+	m map[string]client.Summary
+}{m: make(map[string]client.Summary)}
 
 // systems caches prepared System instances keyed by SAS utilization.
 var systems = struct {
 	sync.Mutex
-	m map[float64]*core.System
-}{m: make(map[float64]*core.System)}
+	m map[float64]*client.System
+}{m: make(map[float64]*client.System)}
 
-func systemFor(utilization float64) *core.System {
+func systemFor(utilization float64) *client.System {
 	systems.Lock()
 	defer systems.Unlock()
 	if s, ok := systems.m[utilization]; ok {
 		return s
 	}
-	s := core.NewSystem()
+	s := client.NewSystem()
 	s.SASConfig.Utilization = utilization
 	for _, v := range scene.Catalog() {
 		if err := s.Prepare(v); err != nil {
@@ -44,13 +43,13 @@ func systemFor(utilization float64) *core.System {
 }
 
 // evaluate runs (or recalls) one summary at full utilization.
-func evaluate(video string, variant client.Variant, uc client.UseCase, users int) core.Summary {
+func evaluate(video string, variant client.Variant, uc client.UseCase, users int) client.Summary {
 	return evaluateAt(1.0, video, variant, uc, users, client.Config{})
 }
 
 // evaluateAt runs a summary at a given utilization with an optional device
 // config override (zero value = defaults).
-func evaluateAt(utilization float64, video string, variant client.Variant, uc client.UseCase, users int, cfg client.Config) core.Summary {
+func evaluateAt(utilization float64, video string, variant client.Variant, uc client.UseCase, users int, cfg client.Config) client.Summary {
 	key := fmt.Sprintf("%v|%s|%d|%d|%d|%v|%v", utilization, video, variant, uc, users, cfg.ForceAllHits, cfg.ExtraComputeJPerFrame)
 	evalCache.Lock()
 	if s, ok := evalCache.m[key]; ok {
@@ -59,7 +58,7 @@ func evaluateAt(utilization float64, video string, variant client.Variant, uc cl
 	}
 	evalCache.Unlock()
 	sys := systemFor(utilization)
-	sum, err := sys.Evaluate(video, variant, uc, core.EvaluateOptions{Users: users, Config: cfg})
+	sum, err := sys.Evaluate(video, variant, uc, client.EvaluateOptions{Users: users, Config: cfg})
 	if err != nil {
 		panic(err)
 	}
@@ -161,7 +160,7 @@ func Fig13(users int) Table {
 			v.Name,
 			f2(sh.FPSDropPct()) + "%",
 			f1(sh.BandwidthSavingPct()) + "%",
-			f1(float64(sh.RebufferCount) / float64(sh.Users)),
+			f1(float64(sh.Net.RebufferCount) / float64(sh.Users)),
 		})
 	}
 	return t

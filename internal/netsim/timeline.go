@@ -1,18 +1,23 @@
-package delivery
+package netsim
 
-import "evr/internal/netsim"
-
-// Timeline is an incremental playback clock for the tiled client: the same
-// buffer/stall model as abr.Simulate, but advanced one segment at a time so
-// the Player can consult the live buffer level between fetch decisions.
-// Playback starts after the first segment lands (fast start).
+// Timeline is the incremental buffer/stall model of segmented playback: a
+// downloader fetching segments back to back over a link, and a playback
+// clock that starts once StartupSegments have landed and pauses — a stall —
+// whenever it catches up with the download. It is advanced one segment at a
+// time, so a rate controller (abr.Simulate, the tiled Player) can consult the
+// live buffer level between fetch decisions. Session.Run is the batch model
+// with a buffer cap and per-stall records; this one has neither.
 type Timeline struct {
-	Link            netsim.Link
+	Link            Link
 	SegmentDuration float64
+	// StartupSegments is how many segments must land before playback starts.
+	// 0 means 1 (fast start).
+	StartupSegments int
 
 	clock        float64 // downloader wall clock
 	playWall     float64 // wall time playback started (valid once started)
 	started      bool
+	landed       int     // segments downloaded
 	contentReady float64 // seconds of content downloaded
 
 	Stalls       int
@@ -21,10 +26,8 @@ type Timeline struct {
 	Bytes        int64
 }
 
-// NewTimeline builds a timeline over the given link.
-func NewTimeline(link netsim.Link, segmentDuration float64) *Timeline {
-	return &Timeline{Link: link, SegmentDuration: segmentDuration}
-}
+// Started reports whether playback has begun.
+func (t *Timeline) Started() bool { return t.started }
 
 // Buffer returns the seconds of downloaded content not yet played.
 func (t *Timeline) Buffer() float64 {
@@ -48,11 +51,14 @@ func (t *Timeline) Advance(bytes int64) {
 	t.Bytes += bytes
 	t.clock += t.Link.TransferSeconds(bytes)
 	t.contentReady += t.SegmentDuration
+	t.landed++
 
 	if !t.started {
-		t.started = true
-		t.playWall = t.clock
-		t.StartupDelay = t.clock
+		if t.landed >= t.StartupSegments {
+			t.started = true
+			t.playWall = t.clock
+			t.StartupDelay = t.clock
+		}
 		return
 	}
 	played := t.clock - t.playWall

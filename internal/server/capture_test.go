@@ -95,7 +95,7 @@ func TestEmbeddedIngestServesDecodableContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := man.Segments[0].Clusters[0]
-	data, meta, ok := st.Get(fovKey("Timelapse", 0, cl.ID))
+	data, meta, ok := st.Get(Ref{Video: "Timelapse", Kind: FOV, Seg: 0, A: cl.ID}.StoreKey())
 	if !ok {
 		t.Fatal("FOV video missing")
 	}
@@ -126,7 +126,7 @@ func TestLiveModeSkipsAnalysis(t *testing.T) {
 		if len(seg.Clusters) != 0 {
 			t.Errorf("live segment %d has FOV videos", seg.Index)
 		}
-		if !st.Has(origKey("RS", seg.Index)) {
+		if !st.Has(Ref{Video: "RS", Kind: Orig, Seg: seg.Index}.StoreKey()) {
 			t.Errorf("live segment %d missing original", seg.Index)
 		}
 	}

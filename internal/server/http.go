@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,7 +82,7 @@ func (s *Service) ServeLive(ls *LiveStream) {
 	s.mu.Lock()
 	s.live[video] = ls
 	s.mu.Unlock()
-	ls.OnPublish(func(seg int) { s.cache.PurgeKeys(respOfSegment(video, seg)) })
+	ls.OnPublish(func(seg int) { s.cache.PurgeKeys(OfSegment(video, seg)) })
 }
 
 // liveStream returns the live stream serving video, if any.
@@ -137,7 +136,7 @@ func (s *Service) IngestVideo(v scene.VideoSpec, cfg IngestConfig) (*Manifest, e
 	s.mu.Lock()
 	s.manifests[v.Name] = man
 	s.mu.Unlock()
-	s.cache.PurgeKeys(respOfVideo(v.Name))
+	s.cache.PurgeKeys(OfVideo(v.Name))
 	return man, nil
 }
 
@@ -151,7 +150,7 @@ func (s *Service) Publish(man *Manifest) {
 	s.mu.Lock()
 	s.manifests[man.Video] = man
 	s.mu.Unlock()
-	s.cache.PurgeKeys(respOfVideo(man.Video))
+	s.cache.PurgeKeys(OfVideo(man.Video))
 }
 
 // Manifest returns the manifest of a published video. Live streams serve
@@ -184,15 +183,9 @@ func (s *Service) Videos() []string {
 	return out
 }
 
-// Handler returns the HTTP API:
-//
-//	GET /videos                      → JSON list of published videos
-//	GET /v/{video}/manifest          → JSON manifest
-//	GET /v/{video}/orig/{seg}        → original segment bitstream
-//	GET /v/{video}/fov/{seg}/{c}     → FOV video bitstream
-//	GET /v/{video}/fovmeta/{seg}/{c} → JSON per-frame metadata
-//	GET /v/{video}/tile/{seg}/{t}/{q} → one tile bitstream at rung q
-//	GET /v/{video}/tilelow/{seg}     → low-res backfill bitstream
+// Handler returns the HTTP API: the catalog (GET /videos), the manifest
+// (GET /v/{video}/manifest), one payload route per row of Kinds (DESIGN §10
+// "Payload address"), and /metrics and /healthz.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", s.serveMetricsHTTP)
@@ -214,49 +207,11 @@ func (s *Service) Handler() http.Handler {
 			s.metrics.noteWriteError("manifest")
 		}
 	}))
-	mux.HandleFunc("GET /v/{video}/orig/{seg}", s.metrics.instrument("orig", s.segmentHandler("orig", respOrig)))
-	mux.HandleFunc("GET /v/{video}/fov/{seg}/{cluster}", s.metrics.instrument("fov", s.segmentHandler("fov", respFOV)))
-	mux.HandleFunc("GET /v/{video}/fovmeta/{seg}/{cluster}", s.metrics.instrument("fovmeta", s.segmentHandler("fovmeta", respFOVMeta)))
-	mux.HandleFunc("GET /v/{video}/tile/{seg}/{tile}/{rung}", s.metrics.instrument("tile", s.tileHandler))
-	mux.HandleFunc("GET /v/{video}/tilelow/{seg}", s.metrics.instrument("tilelow", s.segmentHandler("tilelow", respTileLow)))
+	for k := range Kinds {
+		kind := Kind(k)
+		mux.HandleFunc(kind.Pattern(), s.metrics.instrument(kind.String(), s.segmentHandler(kind)))
+	}
 	return mux
-}
-
-// tileHandler serves one tile bitstream at one quality rung, through the
-// same admission control and response cache as the segment handlers. The
-// three path indices go through the canonical-form gate, so `007`-style
-// smuggled variants get 400 instead of aliasing a cached payload.
-func (s *Service) tileHandler(w http.ResponseWriter, r *http.Request) {
-	seg, ok := pathIndex(w, r, "seg")
-	if !ok {
-		return
-	}
-	tile, ok := pathIndex(w, r, "tile")
-	if !ok {
-		return
-	}
-	rung, ok := pathIndex(w, r, "rung")
-	if !ok {
-		return
-	}
-	if !s.liveAdmit(w, r.PathValue("video"), seg) {
-		return
-	}
-	if !s.admit(w) {
-		return
-	}
-	defer s.release()
-	key := respKey{video: r.PathValue("video"), seg: seg, tile: tile, rung: rung, kind: respTile}
-	data, ok := s.payload(key)
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	s.stampLive(w, key.video, seg)
-	if _, err := w.Write(data); err != nil {
-		s.metrics.noteWriteError("tile")
-	}
 }
 
 // liveAdmit rejects a request at or past a live stream's edge with 425 Too
@@ -292,44 +247,37 @@ func (s *Service) stampLive(w http.ResponseWriter, video string, seg int) {
 	s.liveBehind.Observe(float64(ls.Clock().Now().UnixNano()-ns) / 1e9)
 }
 
-// segmentHandler serves one of the three segment payload shapes through
+// segmentHandler serves one payload kind through the canonical-address gate,
 // admission control and the response cache.
-func (s *Service) segmentHandler(endpoint string, kind respKind) http.HandlerFunc {
+func (s *Service) segmentHandler(kind Kind) http.HandlerFunc {
 	contentType := "application/octet-stream"
-	if kind == respFOVMeta {
+	if kind == FOVMeta {
 		contentType = "application/json"
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		seg, ok := pathIndex(w, r, "seg")
+		ref, ok := ParseRef(w, r)
 		if !ok {
 			return
 		}
-		cluster := 0
-		if kind == respFOV || kind == respFOVMeta {
-			if cluster, ok = pathIndex(w, r, "cluster"); !ok {
-				return
-			}
-		}
-		if !s.liveAdmit(w, r.PathValue("video"), seg) {
+		if !s.liveAdmit(w, ref.Video, ref.Seg) {
 			return
 		}
 		if !s.admit(w) {
 			return
 		}
 		defer s.release()
-		key := respKey{video: r.PathValue("video"), seg: seg, cluster: cluster, kind: kind}
-		data, ok := s.payload(key)
+		data, ok := s.payload(ref)
 		if !ok {
 			http.NotFound(w, r)
 			return
 		}
 		w.Header().Set("Content-Type", contentType)
-		s.stampLive(w, key.video, seg)
+		s.stampLive(w, ref.Video, ref.Seg)
 		if _, err := w.Write(data); err != nil {
 			// Nothing to send the client anymore, but a half-delivered
 			// segment is exactly what the fetch layer's retries mask —
 			// surface it in the metrics instead of dropping it.
-			s.metrics.noteWriteError(endpoint)
+			s.metrics.noteWriteError(kind.String())
 		}
 	}
 }
@@ -337,27 +285,16 @@ func (s *Service) segmentHandler(endpoint string, kind respKind) http.HandlerFun
 // payload returns one segment payload, through the response cache when it
 // is enabled (hot payloads skip the store read and its copy; concurrent
 // identical misses coalesce into one load).
-func (s *Service) payload(key respKey) ([]byte, bool) {
-	data, _, err := s.cache.Get(key, func() ([]byte, error) {
+func (s *Service) payload(ref Ref) ([]byte, bool) {
+	data, _, err := s.cache.Get(ref, func() ([]byte, error) {
 		if d := time.Duration(s.storeDelay.Load()); d > 0 {
 			time.Sleep(d)
 		}
-		var sk string
-		switch key.kind {
-		case respOrig:
-			sk = origKey(key.video, key.seg)
-		case respTile:
-			sk = tileKey(key.video, key.seg, key.tile, key.rung)
-		case respTileLow:
-			sk = tileLowKey(key.video, key.seg)
-		default:
-			sk = fovKey(key.video, key.seg, key.cluster)
-		}
-		data, meta, ok := s.store.Get(sk)
+		data, meta, ok := s.store.Get(ref.StoreKey())
 		if !ok {
 			return nil, errNotStored
 		}
-		if key.kind == respFOVMeta {
+		if ref.Kind == FOVMeta {
 			return meta, nil
 		}
 		return data, nil
@@ -391,44 +328,6 @@ func (s *Service) release() {
 	if s.inflight != nil {
 		<-s.inflight
 	}
-}
-
-// pathIndex parses a canonical non-negative decimal path index ({seg} or
-// {cluster}): ASCII digits only — no sign, no leading zeros, no smuggled
-// separators. A value containing a path separator (only reachable
-// percent-encoded, e.g. /orig/0%2Fextra) is trailing garbage and gets 404
-// like its literal counterpart; any other malformed value gets 400.
-func pathIndex(w http.ResponseWriter, r *http.Request, name string) (int, bool) {
-	v := r.PathValue(name)
-	if strings.Contains(v, "/") {
-		http.NotFound(w, r)
-		return 0, false
-	}
-	if !canonicalIndex(v) {
-		http.Error(w, "bad "+name, http.StatusBadRequest)
-		return 0, false
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		http.Error(w, "bad "+name, http.StatusBadRequest)
-		return 0, false
-	}
-	return n, true
-}
-
-// canonicalIndex reports whether v is the canonical decimal form of a
-// non-negative int: "0", or a digit string without a leading zero, short
-// enough to never overflow (segments and clusters are small integers).
-func canonicalIndex(v string) bool {
-	if v == "" || len(v) > 9 {
-		return false
-	}
-	for i := 0; i < len(v); i++ {
-		if v[i] < '0' || v[i] > '9' {
-			return false
-		}
-	}
-	return !(len(v) > 1 && v[0] == '0')
 }
 
 // serveMetricsHTTP serves the metrics snapshot, extending the per-endpoint

@@ -24,10 +24,10 @@ func fabricateService(t *testing.T, opts ServiceOptions) *Service {
 	bits := &codec.Bitstream{W: 16, H: 8, Frames: [][]byte{{1, 2, 3}}, Types: []codec.FrameType{codec.IFrame}}
 	payload := marshalBitstream(bits)
 	meta := []byte(`[{"yaw":0,"pitch":0}]`)
-	if err := st.Put(origKey("V", 0), payload, nil); err != nil {
+	if err := st.Put(Ref{Video: "V", Kind: Orig, Seg: 0}.StoreKey(), payload, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(fovKey("V", 0, 0), payload, meta); err != nil {
+	if err := st.Put(Ref{Video: "V", Kind: FOV, Seg: 0, A: 0}.StoreKey(), payload, meta); err != nil {
 		t.Fatal(err)
 	}
 	svc := NewServiceOpts(st, opts)
@@ -192,17 +192,17 @@ func TestResponseCacheServesSecondRequest(t *testing.T) {
 // stale cached payload is not served.
 func TestResponseCachePurgedOnReingest(t *testing.T) {
 	svc := fabricateService(t, DefaultServiceOptions())
-	key := respKey{video: "V", seg: 0, kind: respOrig}
+	key := Ref{Video: "V", Kind: Orig}
 	if data, ok := svc.payload(key); !ok || len(data) == 0 {
 		t.Fatal("seed payload unavailable")
 	}
 	// Simulate a republish: new store content, then the purge IngestVideo
 	// performs.
 	fresh := marshalBitstream(&codec.Bitstream{W: 8, H: 8, Frames: [][]byte{{9}}, Types: []codec.FrameType{codec.IFrame}})
-	if err := svc.store.Put(origKey("V", 0), fresh, nil); err != nil {
+	if err := svc.store.Put(Ref{Video: "V", Kind: Orig, Seg: 0}.StoreKey(), fresh, nil); err != nil {
 		t.Fatal(err)
 	}
-	svc.cache.PurgeKeys(respOfVideo("V"))
+	svc.cache.PurgeKeys(OfVideo("V"))
 	data, ok := svc.payload(key)
 	if !ok || string(data) != string(fresh) {
 		t.Error("stale payload served after republish purge")
@@ -222,7 +222,7 @@ func TestAdmissionControlShedsAndRecovers(t *testing.T) {
 	opts.RetryAfter = 2 * time.Second
 	svc := fabricateService(t, opts)
 	for seg := 1; seg < 4; seg++ {
-		if err := svc.store.Put(origKey("V", seg), []byte{byte(seg)}, nil); err != nil {
+		if err := svc.store.Put(Ref{Video: "V", Kind: Orig, Seg: seg}.StoreKey(), []byte{byte(seg)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -277,16 +277,6 @@ type IngestReport struct {
 	EmbeddedSemantics   bool `json:"embeddedSemantics"`
 }
 
-// Keys used in the SAS store.
-func origKey(video string, seg int) string { return fmt.Sprintf("%s/orig/%d", video, seg) }
-func fovKey(video string, seg, cluster int) string {
-	return fmt.Sprintf("%s/fov/%d/%d", video, seg, cluster)
-}
-func tileKey(video string, seg, tile, rung int) string {
-	return fmt.Sprintf("%s/tile/%d/%d/%d", video, seg, tile, rung)
-}
-func tileLowKey(video string, seg int) string { return fmt.Sprintf("%s/tilelow/%d", video, seg) }
-
 // segmentSpan returns the total frame count of a spec and the number of
 // temporal segments an ingest of it produces under cfg.
 func segmentSpan(v scene.VideoSpec, cfg IngestConfig) (total, nSegs int) {
@@ -363,7 +353,7 @@ func Ingest(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*Manifest, er
 		if err != nil {
 			return nil, err
 		}
-		if err := st.Put(origKey(v.Name, si), origPayload, nil); err != nil {
+		if err := st.Put(Ref{Video: v.Name, Kind: Orig, Seg: si}.StoreKey(), origPayload, nil); err != nil {
 			return nil, err
 		}
 		// Tiled delivery: cut the segment into the tile grid, encode every
@@ -413,7 +403,7 @@ func Ingest(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*Manifest, er
 			return nil, err
 		}
 		for ci, rc := range rendered {
-			if err := st.Put(fovKey(v.Name, si, ci), rc.payload, rc.metaJSON); err != nil {
+			if err := st.Put(Ref{Video: v.Name, Kind: FOV, Seg: si, A: ci}.StoreKey(), rc.payload, rc.metaJSON); err != nil {
 				return nil, err
 			}
 			man.Report.PreRenderedFrames += frames
@@ -484,7 +474,7 @@ func ingestTiles(v scene.VideoSpec, cfg IngestConfig, st *store.Store, full []*f
 	for t := 0; t < nTiles; t++ {
 		info.TileBytes[t] = make([]int, cfg.TileRungs)
 		for r := 0; r < cfg.TileRungs; r++ {
-			if err := st.Put(tileKey(v.Name, si, t, r), payloads[t][r], nil); err != nil {
+			if err := st.Put(Ref{Video: v.Name, Kind: Tile, Seg: si, A: t, B: r}.StoreKey(), payloads[t][r], nil); err != nil {
 				return nil, err
 			}
 			info.TileBytes[t][r] = len(payloads[t][r])
@@ -510,7 +500,7 @@ func ingestTiles(v scene.VideoSpec, cfg IngestConfig, st *store.Store, full []*f
 		return nil, fmt.Errorf("server: encoding tile backfill of %s segment %d: %w", v.Name, si, err)
 	}
 	lowPayload := marshalBitstream(lowBits)
-	if err := st.Put(tileLowKey(v.Name, si), lowPayload, nil); err != nil {
+	if err := st.Put(Ref{Video: v.Name, Kind: TileLow, Seg: si}.StoreKey(), lowPayload, nil); err != nil {
 		return nil, err
 	}
 	info.LowBytes = len(lowPayload)

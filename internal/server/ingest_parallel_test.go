@@ -43,9 +43,9 @@ func TestIngestDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Error("manifests differ between worker counts")
 	}
 	for _, seg := range a.man.Segments {
-		keys := []string{origKey(v.Name, seg.Index)}
+		keys := []string{Ref{Video: v.Name, Kind: Orig, Seg: seg.Index}.StoreKey()}
 		for _, cl := range seg.Clusters {
-			keys = append(keys, fovKey(v.Name, seg.Index, cl.ID))
+			keys = append(keys, Ref{Video: v.Name, Kind: FOV, Seg: seg.Index, A: cl.ID}.StoreKey())
 		}
 		for _, key := range keys {
 			ap, am, aok := a.st.Get(key)
@@ -105,7 +105,7 @@ func TestIngestLUTByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				wantMeta, _ := json.Marshal(cl.Meta)
-				key := fovKey(v.Name, seg.Index, cl.ID)
+				key := Ref{Video: v.Name, Kind: FOV, Seg: seg.Index, A: cl.ID}.StoreKey()
 				payload, meta, ok := st.Get(key)
 				if !ok {
 					t.Fatalf("workers=%d: missing key %s", workers, key)

@@ -362,7 +362,7 @@ func (ls *LiveStream) publisher(queue <-chan liveSegment, credits <-chan struct{
 			}
 			<-ls.clock.After(due.Sub(now))
 		}
-		if err := ls.st.Put(origKey(ls.spec.Name, item.si), item.payload, nil); err != nil {
+		if err := ls.st.Put(Ref{Video: ls.spec.Name, Kind: Orig, Seg: item.si}.StoreKey(), item.payload, nil); err != nil {
 			ls.fail(err)
 			// Keep returning credits so the producer never blocks on a
 			// dead publisher.

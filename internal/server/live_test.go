@@ -175,11 +175,11 @@ func TestLivePayloadsMatchBatchIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seg := 0; seg < 2; seg++ {
-		liveB, _, ok := liveStore.Get(origKey("RS", seg))
+		liveB, _, ok := liveStore.Get(Ref{Video: "RS", Kind: Orig, Seg: seg}.StoreKey())
 		if !ok {
 			t.Fatalf("live seg %d missing from store", seg)
 		}
-		batchB, _, ok := batchStore.Get(origKey("RS", seg))
+		batchB, _, ok := batchStore.Get(Ref{Video: "RS", Kind: Orig, Seg: seg}.StoreKey())
 		if !ok {
 			t.Fatalf("batch seg %d missing from store", seg)
 		}

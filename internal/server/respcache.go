@@ -14,12 +14,12 @@ import (
 // value disables both — the seed behavior of a cold store.Get per request.
 type ServiceOptions struct {
 	// RespCacheBytes bounds the server-side response cache of encoded
-	// segment payloads (originals, FOV videos, FOV metadata), in bytes of
-	// cached payload. ≤ 0 disables the cache; concurrent identical misses
+	// segment payloads (every Kind: originals, FOV videos and metadata,
+	// tiles, backfill), in bytes of cached payload. ≤ 0 disables the cache; concurrent identical misses
 	// then each hit the store on their own.
 	RespCacheBytes int64
-	// MaxInFlight caps concurrently served segment requests (orig, fov,
-	// fovmeta — the payload endpoints; manifest and metrics are exempt).
+	// MaxInFlight caps concurrently served payload requests (every Kind;
+	// catalog, manifest and metrics are exempt).
 	// Beyond the cap the server answers 503 with a Retry-After header
 	// instead of queueing, so overload degrades into client backoff rather
 	// than unbounded goroutine pile-up. ≤ 0 means unlimited.
@@ -42,36 +42,13 @@ func DefaultServiceOptions() ServiceOptions {
 // RespCacheStats is a point-in-time view of the response cache.
 type RespCacheStats = cache.Stats
 
-// respKind distinguishes the payload shapes sharing the cache.
-type respKind uint8
-
-const (
-	respOrig respKind = iota
-	respFOV
-	respFOVMeta
-	respTile
-	respTileLow
-)
-
-// respKey identifies one cacheable response payload: (video, seg, cluster)
-// plus which of the segment's payloads it is. Originals use cluster 0;
-// tile payloads use (tile, rung) with cluster 0.
-type respKey struct {
-	video   string
-	seg     int
-	cluster int
-	tile    int
-	rung    int
-	kind    respKind
-}
-
 // respCache is the shard's instance of the cache core (internal/cache):
 // encoded response payloads — immutable byte slices served to many requests
 // concurrently — budgeted by payload bytes, not entry count, because FOV
 // metadata is ~KBs while segments are ~MBs. A payload missing from the store
 // is reported as errNotStored: shared with the concurrent requests that
 // asked for it, never cached, so a later request retries.
-type respCache = cache.Cache[respKey, []byte]
+type respCache = cache.Cache[Ref, []byte]
 
 var errNotStored = errors.New("server: payload not in the store")
 
@@ -91,7 +68,7 @@ func newRespCache(maxBytes int64, reg *telemetry.Registry) *respCache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	return cache.New[respKey](maxBytes, func(data []byte) int64 { return int64(len(data)) }, reg, promRespCache, cache.Help{
+	return cache.New[Ref](maxBytes, func(data []byte) int64 { return int64(len(data)) }, reg, promRespCache, cache.Help{
 		Hits:      "segment responses served from the response cache",
 		Misses:    "segment responses loaded from the store",
 		Coalesced: "segment requests that joined an in-flight identical load",
@@ -102,18 +79,4 @@ func newRespCache(maxBytes int64, reg *telemetry.Registry) *respCache {
 		Entries:   "live response-cache entries",
 		Bytes:     "live response-cache payload bytes",
 	})
-}
-
-// respOfVideo matches every payload of one video — the (re-)ingest purge, so
-// stale responses never outlive a republish. Loads of that video in flight
-// during the purge may have read the pre-republish store and are doomed.
-func respOfVideo(video string) func(respKey) bool {
-	return func(k respKey) bool { return k.video == video }
-}
-
-// respOfSegment matches every payload of one (video, segment) — the
-// live-publish counterpart of respOfVideo, so a publish (or chaos republish)
-// is immediately visible without evicting the rest of the video.
-func respOfSegment(video string, seg int) func(respKey) bool {
-	return func(k respKey) bool { return k.video == video && k.seg == seg }
 }

@@ -19,28 +19,28 @@ func newTestRespCache(maxBytes int64) *respCache {
 	return newRespCache(maxBytes, telemetry.NewRegistry())
 }
 
-func rk(video string, seg int) respKey {
-	return respKey{video: video, seg: seg, kind: respOrig}
+func rk(video string, seg int) Ref {
+	return Ref{Video: video, Seg: seg, Kind: Orig}
 }
 
 func cached(data string) func() ([]byte, error) {
 	return func() ([]byte, error) { return []byte(data), nil }
 }
 
-// TestRespKeyKindsDoNotAlias pins that the five payload kinds of one
+// TestRefKindsDoNotAlias pins that the five payload kinds of one
 // (video, segment) — and distinct clusters, tiles and rungs — are distinct
 // cache entries.
-func TestRespKeyKindsDoNotAlias(t *testing.T) {
+func TestRefKindsDoNotAlias(t *testing.T) {
 	c := newTestRespCache(1 << 20)
-	keys := []respKey{
-		{video: "v", seg: 1, kind: respOrig},
-		{video: "v", seg: 1, kind: respFOV},
-		{video: "v", seg: 1, kind: respFOVMeta},
-		{video: "v", seg: 1, kind: respTile},
-		{video: "v", seg: 1, kind: respTileLow},
-		{video: "v", seg: 1, cluster: 1, kind: respFOV},
-		{video: "v", seg: 1, tile: 1, kind: respTile},
-		{video: "v", seg: 1, tile: 1, rung: 1, kind: respTile},
+	keys := []Ref{
+		{Video: "v", Seg: 1, Kind: Orig},
+		{Video: "v", Seg: 1, Kind: FOV},
+		{Video: "v", Seg: 1, Kind: FOVMeta},
+		{Video: "v", Seg: 1, Kind: Tile},
+		{Video: "v", Seg: 1, Kind: TileLow},
+		{Video: "v", Seg: 1, A: 1, Kind: FOV},
+		{Video: "v", Seg: 1, A: 1, Kind: Tile},
+		{Video: "v", Seg: 1, A: 1, B: 1, Kind: Tile},
 	}
 	for i, key := range keys {
 		c.Get(key, cached(fmt.Sprint(i)))
@@ -61,18 +61,18 @@ func TestRespPurgePredicates(t *testing.T) {
 	c := newTestRespCache(1 << 20)
 	fill := func() {
 		for seg := 0; seg < 3; seg++ {
-			c.Get(respKey{video: "a", seg: seg, kind: respOrig}, cached("abc"))
-			c.Get(respKey{video: "a", seg: seg, tile: 2, kind: respTile}, cached("tile"))
+			c.Get(Ref{Video: "a", Seg: seg, Kind: Orig}, cached("abc"))
+			c.Get(Ref{Video: "a", Seg: seg, A: 2, Kind: Tile}, cached("tile"))
 			c.Get(rk("b", seg), cached("de"))
 		}
 	}
-	resident := func(key respKey) bool {
+	resident := func(key Ref) bool {
 		_, outcome, _ := c.Get(key, cached("reloaded"))
 		return outcome != cache.Miss
 	}
 
 	fill()
-	c.PurgeKeys(respOfVideo("a"))
+	c.PurgeKeys(OfVideo("a"))
 	if st := c.Stats(); st.Entries != 3 || st.Bytes != 6 || st.Purged != 6 {
 		t.Fatalf("after video purge: %+v", st)
 	}
@@ -88,7 +88,7 @@ func TestRespPurgePredicates(t *testing.T) {
 	done := make(chan struct{}, 2)
 	for _, seg := range []int{1, 2} {
 		go func() {
-			c.Get(respKey{video: "a", seg: seg, kind: respFOV}, func() ([]byte, error) {
+			c.Get(Ref{Video: "a", Seg: seg, Kind: FOV}, func() ([]byte, error) {
 				started <- struct{}{}
 				<-release
 				return []byte("in flight"), nil
@@ -98,20 +98,20 @@ func TestRespPurgePredicates(t *testing.T) {
 	}
 	<-started
 	<-started
-	c.PurgeKeys(respOfSegment("a", 1))
+	c.PurgeKeys(OfSegment("a", 1))
 	close(release)
 	<-done
 	<-done
 	for _, tc := range []struct {
-		key  respKey
+		key  Ref
 		want bool
 	}{
-		{respKey{video: "a", seg: 1, kind: respOrig}, false},
-		{respKey{video: "a", seg: 1, tile: 2, kind: respTile}, false},
-		{respKey{video: "a", seg: 1, kind: respFOV}, false}, // doomed in flight
-		{respKey{video: "a", seg: 2, kind: respFOV}, true},  // other segment's flight kept
-		{respKey{video: "a", seg: 0, kind: respOrig}, true},
-		{respKey{video: "a", seg: 2, tile: 2, kind: respTile}, true},
+		{Ref{Video: "a", Seg: 1, Kind: Orig}, false},
+		{Ref{Video: "a", Seg: 1, A: 2, Kind: Tile}, false},
+		{Ref{Video: "a", Seg: 1, Kind: FOV}, false}, // doomed in flight
+		{Ref{Video: "a", Seg: 2, Kind: FOV}, true},  // other segment's flight kept
+		{Ref{Video: "a", Seg: 0, Kind: Orig}, true},
+		{Ref{Video: "a", Seg: 2, A: 2, Kind: Tile}, true},
 		{rk("b", 1), true},
 	} {
 		if got := resident(tc.key); got != tc.want {
@@ -128,7 +128,7 @@ func TestRespPurgePredicates(t *testing.T) {
 // cached one, so a later ingest is visible — and leaves nothing resident.
 func TestPayloadNotStoredSharedNotCached(t *testing.T) {
 	svc := fabricateService(t, DefaultServiceOptions())
-	missing := respKey{video: "V", seg: 9, kind: respOrig}
+	missing := Ref{Video: "V", Seg: 9, Kind: Orig}
 	for i := 0; i < 2; i++ {
 		if _, ok := svc.payload(missing); ok {
 			t.Fatal("missing payload reported ok")
@@ -143,11 +143,11 @@ func TestPayloadNotStoredSharedNotCached(t *testing.T) {
 // for this package's instantiation of the core.
 func TestRespCacheHitPathDoesNotAllocate(t *testing.T) {
 	c := newTestRespCache(1 << 20)
-	key := respKey{video: "video", seg: 3, tile: 2, rung: 1, kind: respTile}
+	key := Ref{Video: "video", Seg: 3, A: 2, B: 1, Kind: Tile}
 	load := cached("payload")
 	c.Get(key, load)
 	if n := testing.AllocsPerRun(200, func() { c.Get(key, load) }); n != 0 {
-		t.Errorf("resident respKey Get allocates %v times per call, want 0", n)
+		t.Errorf("resident Ref Get allocates %v times per call, want 0", n)
 	}
 }
 
@@ -162,7 +162,7 @@ func TestServiceReingestDuringSlowLoad(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, ok := svc.payload(respKey{video: "V", seg: 0, kind: respOrig})
+		_, ok := svc.payload(Ref{Video: "V", Seg: 0, Kind: Orig})
 		if !ok {
 			done <- fmt.Errorf("in-flight request failed")
 			return
@@ -173,10 +173,10 @@ func TestServiceReingestDuringSlowLoad(t *testing.T) {
 	// IngestVideo does: overwrite the store and purge the cache.
 	time.Sleep(30 * time.Millisecond)
 	fresh := marshalBitstream(&codec.Bitstream{W: 16, H: 8, Frames: [][]byte{{9, 9, 9, 9}}, Types: []codec.FrameType{codec.IFrame}})
-	if err := svc.store.Put(origKey("V", 0), fresh, nil); err != nil {
+	if err := svc.store.Put(Ref{Video: "V", Kind: Orig, Seg: 0}.StoreKey(), fresh, nil); err != nil {
 		t.Fatal(err)
 	}
-	svc.cache.PurgeKeys(respOfVideo("V"))
+	svc.cache.PurgeKeys(OfVideo("V"))
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestServiceReingestDuringSlowLoad(t *testing.T) {
 	// The doomed flight's payload must not be cached: this request has to
 	// miss and read the republished store.
 	missesBefore := svc.cache.Stats().Misses
-	data, ok := svc.payload(respKey{video: "V", seg: 0, kind: respOrig})
+	data, ok := svc.payload(Ref{Video: "V", Seg: 0, Kind: Orig})
 	if !ok {
 		t.Fatal("post-republish request failed")
 	}

@@ -65,14 +65,14 @@ func TestIngestProducesSegmentsAndFOVVideos(t *testing.T) {
 		if len(seg.Clusters) == 0 {
 			t.Errorf("segment %d detected no object clusters", seg.Index)
 		}
-		if !st.Has(origKey("RS", seg.Index)) {
+		if !st.Has(Ref{Video: "RS", Kind: Orig, Seg: seg.Index}.StoreKey()) {
 			t.Errorf("original segment %d missing from store", seg.Index)
 		}
 		for _, cl := range seg.Clusters {
 			if len(cl.Meta) != seg.Frames {
 				t.Errorf("cluster %d metadata has %d entries, want %d", cl.ID, len(cl.Meta), seg.Frames)
 			}
-			if !st.Has(fovKey("RS", seg.Index, cl.ID)) {
+			if !st.Has(Ref{Video: "RS", Kind: FOV, Seg: seg.Index, A: cl.ID}.StoreKey()) {
 				t.Errorf("FOV video %d/%d missing from store", seg.Index, cl.ID)
 			}
 		}
@@ -86,7 +86,7 @@ func TestIngestedBitstreamsDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _, ok := st.Get(origKey("RS", 0))
+	data, _, ok := st.Get(Ref{Video: "RS", Kind: Orig, Seg: 0}.StoreKey())
 	if !ok {
 		t.Fatal("original segment missing")
 	}
@@ -108,7 +108,7 @@ func TestIngestedBitstreamsDecode(t *testing.T) {
 	}
 	// FOV videos decode to the configured viewport size.
 	cl := man.Segments[0].Clusters[0]
-	fovData, meta, ok := st.Get(fovKey("RS", 0, cl.ID))
+	fovData, meta, ok := st.Get(Ref{Video: "RS", Kind: FOV, Seg: 0, A: cl.ID}.StoreKey())
 	if !ok {
 		t.Fatal("FOV video missing")
 	}

@@ -25,12 +25,12 @@ func fabricateTiledService(t *testing.T, opts ServiceOptions) *Service {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := svc.store.Put(tileKey("V", 0, tile, rung), payload, nil); err != nil {
+			if err := svc.store.Put(Ref{Video: "V", Kind: Tile, Seg: 0, A: tile, B: rung}.StoreKey(), payload, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := svc.store.Put(tileLowKey("V", 0), marshalBitstream(bits), nil); err != nil {
+	if err := svc.store.Put(Ref{Video: "V", Kind: TileLow, Seg: 0}.StoreKey(), marshalBitstream(bits), nil); err != nil {
 		t.Fatal(err)
 	}
 	return svc
@@ -160,7 +160,7 @@ func TestTiledIngestRoundTrip(t *testing.T) {
 			t.Fatalf("tile %d has %d rungs", tile, len(rungs))
 		}
 		for rung, want := range rungs {
-			data, _, ok := st.Get(tileKey(v.Name, 0, tile, rung))
+			data, _, ok := st.Get(Ref{Video: v.Name, Kind: Tile, Seg: 0, A: tile, B: rung}.StoreKey())
 			if !ok {
 				t.Fatalf("tile %d rung %d missing from store", tile, rung)
 			}
@@ -184,7 +184,7 @@ func TestTiledIngestRoundTrip(t *testing.T) {
 		}
 	}
 	// Low stream parses with the plain bitstream format at 1/4 scale.
-	lowData, _, ok := st.Get(tileLowKey(v.Name, 0))
+	lowData, _, ok := st.Get(Ref{Video: v.Name, Kind: TileLow, Seg: 0}.StoreKey())
 	if !ok {
 		t.Fatal("backfill stream missing from store")
 	}

@@ -3,13 +3,14 @@ package tiling
 import (
 	"testing"
 
-	"evr/internal/codec"
 	"evr/internal/frame"
 	"evr/internal/geom"
 	"evr/internal/projection"
-	"evr/internal/pt"
 	"evr/internal/scene"
 )
+
+// testGrid is the common 4×2 tiling.
+var testGrid = Grid{Cols: 4, Rows: 2}
 
 func tilingViewport() projection.Viewport {
 	return projection.Viewport{Width: 48, Height: 48, FOVX: geom.Radians(110), FOVY: geom.Radians(110)}
@@ -22,7 +23,7 @@ func sceneFrames(t *testing.T, n int) []*frame.Frame {
 }
 
 func TestGridValidate(t *testing.T) {
-	if err := DefaultGrid().Validate(192, 96); err != nil {
+	if err := testGrid.Validate(192, 96); err != nil {
 		t.Fatal(err)
 	}
 	if err := (Grid{Cols: 0, Rows: 1}).Validate(192, 96); err == nil {
@@ -37,7 +38,7 @@ func TestGridValidate(t *testing.T) {
 }
 
 func TestVisibility(t *testing.T) {
-	g := DefaultGrid()
+	g := testGrid
 	vp := tilingViewport()
 	// Looking forward (+Z = center of the ERP frame): the central tiles
 	// must be visible, the antipodal ones not all.
@@ -106,7 +107,7 @@ func TestVisibilitySeamStraddle(t *testing.T) {
 }
 
 func TestTileCenter(t *testing.T) {
-	g := DefaultGrid()
+	g := testGrid
 	// The tile centers of the middle columns flank the forward axis; both
 	// must land in the front hemisphere (+Z half-space) on ERP.
 	for _, tile := range []int{1, 2, 5, 6} {
@@ -121,129 +122,6 @@ func TestTileCenter(t *testing.T) {
 		if c.Z >= 0 {
 			t.Errorf("tile %d center %+v not in back hemisphere", tile, c)
 		}
-	}
-}
-
-func TestEncodeValidation(t *testing.T) {
-	frames := sceneFrames(t, 2)
-	cfg := codec.Config{GOP: 4, Quality: 6, SearchRange: 1}
-	if _, err := Encode(cfg, nil, DefaultGrid(), 2); err == nil {
-		t.Error("no frames accepted")
-	}
-	if _, err := Encode(cfg, frames, Grid{Cols: 5, Rows: 2}, 2); err == nil {
-		t.Error("bad grid accepted")
-	}
-	if _, err := Encode(cfg, frames, DefaultGrid(), 5); err == nil {
-		t.Error("incompatible low divisor accepted")
-	}
-}
-
-func TestTiledStreamSavesBytes(t *testing.T) {
-	frames := sceneFrames(t, 4)
-	cfg := codec.Config{GOP: 4, Quality: 6, SearchRange: 1}
-	s, err := Encode(cfg, frames, DefaultGrid(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vis := s.Grid.Visible(tilingViewport(), geom.Orientation{}, projection.ERP)
-	visBytes := s.VisibleBytes(vis)
-	fullBytes := s.FullBytes()
-	if visBytes >= fullBytes {
-		t.Errorf("view-guided fetch %d not below full %d", visBytes, fullBytes)
-	}
-	ratio := float64(visBytes) / float64(fullBytes)
-	if ratio < 0.2 || ratio > 0.95 {
-		t.Errorf("tiled byte ratio %.2f outside the plausible band", ratio)
-	}
-	t.Logf("measured tiled byte ratio: %.2f (energy model assumes 0.45)", ratio)
-}
-
-func TestAssembleViewportQuality(t *testing.T) {
-	// The PT viewport rendered from the assembled tiled panorama must be
-	// close to the one rendered from the pristine frame — the in-sight
-	// region came through at full quality.
-	frames := sceneFrames(t, 2)
-	cfg := codec.Config{GOP: 2, Quality: 4, SearchRange: 1}
-	s, err := Encode(cfg, frames, DefaultGrid(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := geom.Orientation{}
-	vp := tilingViewport()
-	vis := s.Grid.Visible(vp, o, projection.ERP)
-	assembled, err := s.Assemble(vis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(assembled) != 2 || assembled[0].W != 192 || assembled[0].H != 96 {
-		t.Fatalf("assembled %d frames of %dx%d", len(assembled), assembled[0].W, assembled[0].H)
-	}
-	ptCfg := pt.Config{Projection: projection.ERP, Filter: pt.Bilinear, Viewport: vp}
-	ref := pt.Render(ptCfg, frames[0], o)
-	got := pt.Render(ptCfg, assembled[0], o)
-	if psnr := frame.PSNR(ref, got); psnr < 25 {
-		t.Errorf("viewport PSNR through tiled assembly = %.1f dB", psnr)
-	}
-}
-
-func TestAssembleOutOfSightIsLowRes(t *testing.T) {
-	// Regions backed only by the thumbnail must differ more from the
-	// pristine frame than the in-sight tiles do.
-	frames := sceneFrames(t, 1)
-	cfg := codec.Config{GOP: 1, Quality: 4, SearchRange: 0}
-	s, err := Encode(cfg, frames, DefaultGrid(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := geom.Orientation{}
-	vis := s.Grid.Visible(tilingViewport(), o, projection.ERP)
-	assembled, err := s.Assemble(vis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare per-tile MAE between assembled and pristine.
-	g := s.Grid
-	var visErr, hidErr float64
-	var visN, hidN int
-	for t0 := 0; t0 < g.Tiles(); t0++ {
-		a := g.Extract(assembled[0], t0)
-		p := g.Extract(frames[0], t0)
-		mae := frame.MAE(a, p)
-		if vis[t0] {
-			visErr += mae
-			visN++
-		} else {
-			hidErr += mae
-			hidN++
-		}
-	}
-	if visN == 0 || hidN == 0 {
-		t.Skip("degenerate visibility for this pose")
-	}
-	if hidErr/float64(hidN) <= visErr/float64(visN) {
-		t.Errorf("hidden tiles (%.4f) should be worse than visible (%.4f)",
-			hidErr/float64(hidN), visErr/float64(visN))
-	}
-}
-
-func TestAssembleDecodesOnlyVisibleTiles(t *testing.T) {
-	frames := sceneFrames(t, 1)
-	cfg := codec.Config{GOP: 1, Quality: 6, SearchRange: 0}
-	s, err := Encode(cfg, frames, DefaultGrid(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	none := make([]bool, s.Grid.Tiles())
-	out, err := s.Assemble(none)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 {
-		t.Fatal("no output")
-	}
-	// All-thumbnail output is still a full-size frame.
-	if out[0].W != s.W || out[0].H != s.H {
-		t.Error("assembled frame has wrong size")
 	}
 }
 
