@@ -25,15 +25,13 @@
 #   FuzzScaler (5 s)          display.Scaler equals the per-pixel crop byte for
 #                             byte at random source, target and crop geometry.
 #   float-path benchmarks     display Scaler.Apply, delivery Assemble and the pt band
-#                             kernel at the gated benchmark's geometry, one
-#                             iteration each, so they cannot rot.
+#                             kernel at the gated benchmark's geometry, and the
+#                             ptlut arms at 1080p (its exact arm must equal pt),
+#                             one iteration each, so they cannot rot.
 #   evrconform -fast, full    renderers against the committed golden manifest:
 #                             byte identities, pte-vs-pt error budgets,
 #                             regenerate-and-diff, metamorphic suite
 #                             (regenerate with `go run ./cmd/evrconform -update`).
-#   evrbench -lut / -check    the LUT benchmark runs end to end at a small size
-#                             and both its output and the committed
-#                             BENCH_evrbench.json pass the schema check.
 #   evrbench -sport-fast      a latitude-aware pipeline matches flat S-PSNR at
 #                             strictly lower modeled energy.
 #   evrload -verify-single    routed (2 shards, edge cache, a shard killed) and
@@ -66,11 +64,9 @@ go test ./internal/display -run='^$' -fuzz=FuzzScaler -fuzztime=5s
 go test ./internal/display -run='^$' -bench='^BenchmarkScale$' -benchtime=1x
 go test ./internal/delivery -run='^$' -bench='^BenchmarkAssemble$' -benchtime=1x
 go test ./internal/pt -run='^$' -bench='^BenchmarkRenderRows$' -benchtime=1x
+go test ./internal/ptlut -run='^$' -bench='^BenchmarkRender$' -benchtime=1x
 go run ./cmd/evrconform -fast
 go run ./cmd/evrconform
-go run ./cmd/evrbench -lut -lut-width 256 -lut-frames 2 -users 2 -bench-out "${TMPDIR:-/tmp}/bench_lut_smoke.json"
-go run ./cmd/evrbench -bench-check "${TMPDIR:-/tmp}/bench_lut_smoke.json"
-go run ./cmd/evrbench -bench-check BENCH_evrbench.json
 go run ./cmd/evrbench -sport-fast
 go run ./cmd/evrload -shards 2 -zipf 1.1 -zipf-videos 2 -users 8 -passes 2 \
     -segments 1 -width 96 -viewport-scale 32 -kill-shard 0 -kill-pass 2 -verify-single

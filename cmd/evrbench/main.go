@@ -3,23 +3,13 @@
 //
 // Usage:
 //
-//	evrbench [-users N] [-fig ID] [-workers N]
+//	evrbench [-users N] [-fig ID] [-ablations] [-csv DIR] [-md FILE]
+//	evrbench -sport | -sport-fast
 //
 // With -fig, only the named experiment runs (e.g. -fig "Fig 12"); the
 // default runs everything in paper order. -users controls the head-trace
-// population (default 59, the full corpus; smaller is faster). -workers
-// sizes the worker pool of the parallel PT render paths (0 = GOMAXPROCS);
-// every table is byte-identical regardless of the worker count.
-// -telemetry observes every row band the parallel PT renderer executes and
-// prints the band-duration distribution afterwards — the p50-vs-max spread
-// is the worker-pool skew.
-//
-// With -lut, evrbench instead benchmarks the mapping-LUT render hot path
-// (internal/ptlut) against pt.RenderParallel — warm per-frame latency of the
-// exact and pose-quantized arms, cold build cost, and the table-sharing hit
-// rate over the head-trace corpus — and writes the measurements as JSON to
-// -bench-out (default BENCH_evrbench.json). -bench-check validates such a
-// file's schema without re-running, the cheap CI gate.
+// population (default 59, the full corpus; smaller is faster). Every table
+// is byte-identical at any GOMAXPROCS.
 //
 // With -sport (or -sport-fast for the CI-gate-sized search), evrbench runs
 // the spherically-weighted rate-control + truncation sweep and exits
@@ -31,19 +21,14 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
 	"evr/internal/experiments"
-	"evr/internal/frame"
-	"evr/internal/geom"
 	"evr/internal/headtrace"
-	"evr/internal/projection"
-	"evr/internal/pt"
-	"evr/internal/telemetry"
 )
 
 func main() {
@@ -52,24 +37,9 @@ func main() {
 	ablations := flag.Bool("ablations", false, "also run the ablation studies (Abl 1-7, Cmp 1)")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	mdPath := flag.String("md", "", "also write a full markdown report to this file")
-	workers := flag.Int("workers", 0, "render worker pool size for parallel PT paths (0 = GOMAXPROCS; results are byte-identical for any value)")
-	useTelemetry := flag.Bool("telemetry", false, "record per-band render timings and print the worker-pool skew report")
-	lutBench := flag.Bool("lut", false, "benchmark the mapping-LUT render hot path instead of the paper tables; writes -bench-out")
-	lutQuant := flag.Float64("lut-quant", 0.25, "pose-grid step in degrees for the quantized LUT arm")
-	lutWidth := flag.Int("lut-width", 3840, "ERP input width for -lut (height = width/2, viewport scales with it; 3840 → 1920×1080)")
-	lutFrames := flag.Int("lut-frames", 8, "warm frames measured per -lut arm")
-	benchOut := flag.String("bench-out", "BENCH_evrbench.json", "output path for the -lut JSON report")
-	benchCheck := flag.String("bench-check", "", "validate the schema of an existing -lut JSON report and exit")
 	sport := flag.Bool("sport", false, "run the full SPORT sweep (spherical rate control + truncation); exits nonzero if no plan beats the flat pipeline")
 	sportFast := flag.Bool("sport-fast", false, "run the CI-gate-sized SPORT sweep instead of the full one")
 	flag.Parse()
-	if *benchCheck != "" {
-		if err := checkLUTBench(*benchCheck); err != nil {
-			fmt.Fprintf(os.Stderr, "evrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *sport || *sportFast {
 		if err := runSPORT(*sportFast); err != nil {
 			fmt.Fprintf(os.Stderr, "evrbench: %v\n", err)
@@ -80,24 +50,6 @@ func main() {
 	if *users < 1 {
 		fmt.Fprintln(os.Stderr, "evrbench: -users must be ≥ 1")
 		os.Exit(2)
-	}
-	if *workers < 0 {
-		fmt.Fprintln(os.Stderr, "evrbench: -workers must be ≥ 0")
-		os.Exit(2)
-	}
-	pt.SetDefaultWorkers(*workers)
-	if *lutBench {
-		if err := runLUTBench(*benchOut, *lutWidth, *lutFrames, *workers, *users, *lutQuant); err != nil {
-			fmt.Fprintf(os.Stderr, "evrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	var bands *telemetry.Histogram
-	if *useTelemetry {
-		bands = telemetry.NewHistogram(telemetry.DefaultStageBuckets())
-		pt.SetBandObserver(bands)
-		defer pt.SetBandObserver(nil)
 	}
 	start := time.Now()
 	tables := experiments.All(*users)
@@ -127,72 +79,30 @@ func main() {
 		os.Exit(2)
 	}
 	if *mdPath != "" {
-		f, err := os.Create(*mdPath)
+		err := writeFile(*mdPath, func(w io.Writer) error {
+			return experiments.WriteReport(w, *users, *ablations)
+		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "evrbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteReport(f, *users, *ablations); err != nil {
 			fmt.Fprintf(os.Stderr, "evrbench: writing report: %v\n", err)
 			os.Exit(1)
 		}
-		f.Close()
 		fmt.Printf("wrote markdown report %s\n", *mdPath)
 	}
 	fmt.Printf("regenerated in %v with %d users/video\n", time.Since(start).Round(time.Millisecond), *users)
-	if bands != nil {
-		profileRenderBands(*workers)
-		printBandSkew(bands)
-	}
 }
 
-// profileRenderBands drives the parallel PT renderer over a yaw sweep of a
-// synthetic panorama so the band observer sees a realistic worker-pool
-// workload even though the paper tables use the serial reference renderer.
-// The sweep crosses the ERP seam and both poles, the two sources of
-// per-row cost imbalance.
-func profileRenderBands(workers int) {
-	full := frame.New(192, 96)
-	for y := 0; y < full.H; y++ {
-		for x := 0; x < full.W; x++ {
-			full.Set(x, y, byte(x*255/full.W), byte(y*255/full.H), byte((x+y)%256))
-		}
+// runSPORT executes the sweep in the requested mode, prints the table, and
+// fails when no feasible plan beat the flat pipeline.
+func runSPORT(fast bool) error {
+	r, err := experiments.SPORT(experiments.SPORTConfig{Fast: fast})
+	if err != nil {
+		return err
 	}
-	cfg := pt.Config{
-		Projection: projection.ERP,
-		Filter:     pt.Bilinear,
-		Viewport:   projection.Viewport{Width: 160, Height: 160, FOVX: math.Pi / 2, FOVY: math.Pi / 2},
+	fmt.Println(experiments.SPORTTable(r).String())
+	if !r.Feasible {
+		return fmt.Errorf("SPORT sweep found no plan matching the flat pipeline's %.2f dB at lower energy", r.TargetSPSNR)
 	}
-	for i := 0; i < 24; i++ {
-		o := geom.Orientation{
-			Yaw:   2 * math.Pi * float64(i) / 24,
-			Pitch: 1.2 * math.Sin(2*math.Pi*float64(i)/24),
-		}
-		pt.Recycle(pt.RenderParallel(cfg, full, o, workers))
-	}
-}
-
-// printBandSkew summarizes the per-band render-duration distribution from
-// pt.RenderParallel. Bands hold near-equal row counts, so max/p50 ≫ 1
-// means uneven per-row work or scheduler preemption — the worker-pool skew
-// that caps parallel speedup.
-func printBandSkew(h *telemetry.Histogram) {
-	s := h.Snapshot()
-	if s.Count == 0 {
-		fmt.Println("render-band telemetry: no parallel PT bands executed")
-		return
-	}
-	p50, p95, p99 := s.Quantile(0.50), s.Quantile(0.95), s.Quantile(0.99)
-	fmt.Printf("render-band telemetry: %d bands, p50 %v, p95 %v, p99 %v, max %v",
-		s.Count, secs(p50), secs(p95), secs(p99), secs(s.Max))
-	if p50 > 0 {
-		fmt.Printf(", skew (max/p50) %.2fx", s.Max/p50)
-	}
-	fmt.Println()
-}
-
-func secs(v float64) time.Duration {
-	return time.Duration(v * float64(time.Second)).Round(time.Microsecond)
+	return nil
 }
 
 // writeCSV writes one table into dir/<stem>.csv.
@@ -200,12 +110,21 @@ func writeCSV(dir string, tb experiments.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, tb.FileStem()+".csv"))
+	return writeFile(filepath.Join(dir, tb.FileStem()+".csv"), func(w io.Writer) error {
+		return csv.NewWriter(w).WriteAll(tb.CSV()) // WriteAll flushes
+	})
+}
+
+// writeFile creates path, hands it to write and closes it, returning the
+// first of the write error and the close error.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	defer w.Flush()
-	return w.WriteAll(tb.CSV())
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

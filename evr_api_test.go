@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"io/fs"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -519,6 +520,68 @@ func TestFacadeSurfaceIsReached(t *testing.T) {
 	for target, alias := range aliasOf {
 		if !reached[target] {
 			t.Errorf("type evr.%s is named by no example, command or root test and reached from no kept signature or field", alias)
+		}
+	}
+}
+
+// TestInternalPackagesAreReached is the same guard one level up: every
+// internal/* package must be imported, directly or transitively, by a
+// command, an example or the evr.go facade. Only non-test files count, and
+// bench/ is no root — a package that only tests or the benchmark reach is
+// dead surface.
+func TestInternalPackagesAreReached(t *testing.T) {
+	fset := token.NewFileSet()
+	// imports lists the in-module packages a directory's non-test files import.
+	imports := func(dir string) (deps []string) {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatalf("parsing %s: %v", path, err)
+			}
+			for _, imp := range f.Imports {
+				if p, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "evr/"); ok {
+					deps = append(deps, p)
+				}
+			}
+		}
+		return deps
+	}
+
+	var frontier []string
+	for _, pattern := range []string{"cmd/*", "examples/*"} {
+		roots, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, root := range roots {
+			frontier = append(frontier, imports(root)...)
+		}
+	}
+	frontier = append(frontier, imports(".")...) // evr.go
+	reached := map[string]bool{}
+	for len(frontier) > 0 {
+		pkg := frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		if !reached[pkg] {
+			reached[pkg] = true
+			frontier = append(frontier, imports(pkg)...)
+		}
+	}
+
+	entries, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if pkg := "internal/" + e.Name(); e.IsDir() && !reached[pkg] {
+			t.Errorf("%s is imported by no command, example or evr.go, directly or transitively", pkg)
 		}
 	}
 }

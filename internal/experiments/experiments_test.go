@@ -7,7 +7,9 @@ import (
 )
 
 // testUsers keeps the experiment tests fast while exercising the full
-// pipelines; cmd/evrbench runs at the full 59-user corpus.
+// pipelines. golden_test.go pins every table's bytes at the same 3 users —
+// the one regression gate on the tables; cmd/evrbench prints them at the
+// full 59-user corpus.
 const testUsers = 3
 
 // parsePct parses "12.3%" into 12.3.

@@ -1,15 +1,11 @@
 package pt
 
 import (
-	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"evr/internal/frame"
 	"evr/internal/geom"
-	"evr/internal/telemetry"
 )
 
 // Every renderer in the repo — the float reference here, the mapping-LUT
@@ -17,53 +13,14 @@ import (
 // splits its output viewport into contiguous row bands through RunBands
 // below. Every pixel is a pure function of (configuration, orientation,
 // input frame), so the banded schedule is byte-identical to the serial
-// raster scan — parallelism changes wall-clock time, never output. This is
-// the software analogue of the paper's multi-PTU dispatch (§6.2): PTUs share
-// the per-frame configuration registers and own disjoint output regions.
+// raster scan — parallelism (GOMAXPROCS, or an explicit worker count)
+// changes wall-clock time, never output. This is the software analogue of
+// the paper's multi-PTU dispatch (§6.2): PTUs share the per-frame
+// configuration registers and own disjoint output regions.
 
-// defaultWorkers is the worker count substituted when a render is asked for
-// workers == 0. Zero means runtime.GOMAXPROCS(0); cmd/evrbench
-// overrides it via the -workers flag.
-var defaultWorkers atomic.Int32
-
-// SetDefaultWorkers fixes the worker count used when RenderParallel is
-// called with workers == 0. n <= 0 restores the GOMAXPROCS default.
-// Counts beyond the int32 store saturate instead of truncating — a huge n
-// must mean "all the parallelism there is", never wrap negative and
-// silently restore the default.
-func SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > math.MaxInt32 {
-		n = math.MaxInt32
-	}
-	defaultWorkers.Store(int32(n))
-}
-
-// DefaultWorkers returns the effective worker count for workers == 0.
-func DefaultWorkers() int {
-	if n := int(defaultWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// bandObserver, when set, receives the wall-clock duration of every row
-// band RunBands executes — one observation per worker per frame.
-// The histogram's p50-vs-max spread is worker-pool skew: bands are
-// near-equal row counts, so a long tail means uneven per-row cost (pole
-// rows sample fewer source texels than equator rows) or scheduler
-// preemption. Disabled (nil) it costs one atomic load per band, not per
-// pixel; cmd/evrbench -telemetry turns it on.
-var bandObserver atomic.Pointer[telemetry.Histogram]
-
-// SetBandObserver installs (or, with nil, removes) the histogram that
-// receives per-band durations from RunBands.
-func SetBandObserver(h *telemetry.Histogram) { bandObserver.Store(h) }
-
-// BandObserver returns the installed per-band histogram (nil when off).
-func BandObserver() *telemetry.Histogram { return bandObserver.Load() }
+// DefaultWorkers returns the worker count used for workers == 0:
+// runtime.GOMAXPROCS(0), so GOMAXPROCS=N sizes every render pool.
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // pixPool recycles output pixel buffers between renders. A 1080p RGB24
 // frame is ~6 MB; at 60 FPS the allocator would otherwise churn through
@@ -101,8 +58,8 @@ func Recycle(f *frame.Frame) {
 
 // RenderParallel is Render distributed over a worker pool: the output
 // viewport is split into contiguous row bands rendered concurrently.
-// workers == 0 uses DefaultWorkers (GOMAXPROCS unless overridden); the
-// output is byte-identical to the serial Render for every worker count.
+// workers == 0 uses DefaultWorkers (GOMAXPROCS); the output is
+// byte-identical to the serial Render for every worker count.
 // It panics on an invalid configuration; use RenderParallelChecked to get
 // the error instead.
 func RenderParallel(c Config, full *frame.Frame, o geom.Orientation, workers int) *frame.Frame {
@@ -137,14 +94,11 @@ func BandCount(rows, workers int) int {
 // BandCount(rows, workers) near-equal contiguous bands and runs band(j0, j1)
 // once per band, concurrently when there is more than one. band must write
 // only state owned by its rows. A single band runs inline on the caller's
-// goroutine. Each band's duration goes to the band observer when one is
-// installed; the clock is only read when observing, so the disabled path
-// adds a nil test per band.
+// goroutine.
 func RunBands(rows, workers int, band func(j0, j1 int)) {
 	n := BandCount(rows, workers)
-	obs := bandObserver.Load()
 	if n <= 1 {
-		runBand(obs, band, 0, rows)
+		band(0, rows)
 		return
 	}
 	var wg sync.WaitGroup
@@ -153,18 +107,8 @@ func RunBands(rows, workers int, band func(j0, j1 int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runBand(obs, band, j0, j1)
+			band(j0, j1)
 		}()
 	}
 	wg.Wait()
-}
-
-func runBand(obs *telemetry.Histogram, band func(j0, j1 int), j0, j1 int) {
-	if obs == nil {
-		band(j0, j1)
-		return
-	}
-	t0 := time.Now()
-	band(j0, j1)
-	obs.ObserveDuration(time.Since(t0))
 }

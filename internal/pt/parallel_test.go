@@ -3,6 +3,7 @@ package pt
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"evr/internal/frame"
@@ -141,36 +142,18 @@ func TestRecycleReusesBuffers(t *testing.T) {
 	Recycle(nil) // must not panic
 }
 
-func TestSetDefaultWorkers(t *testing.T) {
-	defer SetDefaultWorkers(0)
-	SetDefaultWorkers(3)
-	if DefaultWorkers() != 3 {
-		t.Errorf("DefaultWorkers = %d, want 3", DefaultWorkers())
+// TestDefaultWorkersIsGOMAXPROCS: workers == 0 follows GOMAXPROCS, and
+// BandCount never asks for more bands than rows.
+func TestDefaultWorkersIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	if got := DefaultWorkers(); got != 3 {
+		t.Errorf("DefaultWorkers = %d at GOMAXPROCS=3", got)
 	}
-	SetDefaultWorkers(0)
-	if DefaultWorkers() < 1 {
-		t.Errorf("GOMAXPROCS default = %d, want ≥ 1", DefaultWorkers())
+	if got := BandCount(100, 0); got != 3 {
+		t.Errorf("BandCount(100, 0) = %d at GOMAXPROCS=3", got)
 	}
-}
-
-// TestSetDefaultWorkersSaturates pins the int32 store against truncation:
-// on 64-bit platforms a count past MaxInt32 used to wrap (possibly
-// negative) and silently fall back to GOMAXPROCS; now it saturates.
-func TestSetDefaultWorkersSaturates(t *testing.T) {
-	if math.MaxInt == math.MaxInt32 {
-		t.Skip("int is 32-bit; the truncating store cannot overflow")
-	}
-	defer SetDefaultWorkers(0)
-	for _, n := range []int{math.MaxInt32 + 1, math.MaxInt, 1 << 33} {
-		SetDefaultWorkers(n)
-		if got := DefaultWorkers(); got != math.MaxInt32 {
-			t.Errorf("SetDefaultWorkers(%d): DefaultWorkers = %d, want MaxInt32", n, got)
-		}
-	}
-	// And the boundary itself is representable, not clamped away.
-	SetDefaultWorkers(math.MaxInt32)
-	if got := DefaultWorkers(); got != math.MaxInt32 {
-		t.Errorf("SetDefaultWorkers(MaxInt32): DefaultWorkers = %d", got)
+	if got := BandCount(2, 0); got != 2 {
+		t.Errorf("BandCount(2, 0) = %d, want 2 (one band per row at most)", got)
 	}
 }
 

@@ -8,9 +8,11 @@ import (
 
 	"evr/internal/frame"
 	"evr/internal/geom"
+	"evr/internal/headtrace"
 	"evr/internal/projection"
 	"evr/internal/pt"
 	"evr/internal/ptlut"
+	"evr/internal/scene"
 	"evr/internal/telemetry"
 )
 
@@ -303,6 +305,100 @@ func TestRendererValidation(t *testing.T) {
 	}
 	if _, err := tbl.Render(nil, 1); err == nil {
 		t.Fatal("Table.Render: nil input frame must be rejected")
+	}
+}
+
+// TestTraceTableSharing replays all 59 RS head traces through Quantize and
+// MakeKey and pins how many distinct tables the corpus needs per pose-grid
+// step — the cross-user sharing EXPERIMENTS.md reports (exact poses never
+// repeat; 0.25° halves the table count, 1° leaves under a tenth). The key
+// alone decides sharing, so no pixel is rendered.
+func TestTraceTableSharing(t *testing.T) {
+	v, _ := scene.ByName("RS")
+	traces := make([]headtrace.Trace, headtrace.DatasetUsers)
+	for u := range traces {
+		traces[u] = headtrace.Generate(v, u)
+	}
+	cfg := testConfig(projection.ERP, pt.Bilinear, 1920, 1080)
+	for _, c := range []struct {
+		stepDeg float64
+		tables  int
+	}{{0, 106200}, {0.10, 91953}, {0.25, 52993}, {0.50, 23277}, {1.00, 9747}} {
+		step := geom.Radians(c.stepDeg)
+		distinct := make(map[ptlut.Key]struct{})
+		poses := 0
+		for _, tr := range traces {
+			for _, s := range tr.Samples {
+				distinct[ptlut.MakeKey(cfg, ptlut.Quantize(s.O, step), 3840, 1920, step > 0)] = struct{}{}
+				poses++
+			}
+		}
+		if poses != 106200 || len(distinct) != c.tables {
+			t.Errorf("step %.2f°: %d poses → %d tables, want 106200 → %d", c.stepDeg, poses, len(distinct), c.tables)
+		}
+	}
+}
+
+// BenchmarkRender times the mapping-LUT hot path against the pt reference
+// at 1080p: a 3840×1920 ERP gradient-plus-stripe panorama into a 1920×1080
+// bilinear viewport. build is the table construction a cache miss pays,
+// warm a cache-hit render (gather + blend only); the quant arm snaps to
+// DefaultQuantStep with Q8 weights. The exact arm must match pt byte for
+// byte.
+func BenchmarkRender(b *testing.B) {
+	const w, h = 3840, 1920
+	full := frame.New(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			full.Set(x, y, byte(x*255/w), byte(y*255/h), byte((x/3+y/5)%256))
+		}
+	}
+	cfg := testConfig(projection.ERP, pt.Bilinear, 1920, 1080)
+	cfg.Viewport.FOVY = math.Pi / 2 * 1080 / 1920
+	pose := geom.Orientation{Yaw: 0.37, Pitch: -0.12, Roll: 0.05}
+	ref := pt.RenderParallel(cfg, full, pose, 0)
+	defer pt.Recycle(ref)
+
+	b.Run("pt", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pt.Recycle(pt.RenderParallel(cfg, full, pose, 0))
+		}
+	})
+	for _, arm := range []struct {
+		name string
+		opts ptlut.Options
+	}{
+		{"exact", ptlut.Options{}},
+		{"quant", ptlut.Options{QuantStep: ptlut.DefaultQuantStep, QuantWeights: true}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.Run("build", func(b *testing.B) {
+				r, err := ptlut.NewRenderer(cfg, nil, arm.opts) // no cache: every Table call builds
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < b.N; i++ {
+					if _, err := r.Table(pose, w, h); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run("warm", func(b *testing.B) {
+				r, err := ptlut.NewRenderer(cfg, ptlut.NewCache(0, nil), arm.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				out := r.Render(full, pose, 0) // builds the table
+				if arm.opts.Exact() && !out.Equal(ref) {
+					b.Fatal("exact LUT render differs from pt.RenderParallel")
+				}
+				pt.Recycle(out)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pt.Recycle(r.Render(full, pose, 0))
+				}
+			})
+		})
 	}
 }
 
