@@ -35,8 +35,10 @@
 #   evrbench -sport-fast      a latitude-aware pipeline matches flat S-PSNR at
 #                             strictly lower modeled energy.
 #   evrload -verify-single    routed (2 shards, edge cache, a shard killed) and
-#                             tiled mixed-policy playback are byte-identical to
+#                             tiled auto-policy playback are byte-identical to
 #                             a single server.
+#   evrload -mode frontier    the delivery sweep (one class re-run per mode
+#                             word: orig, fov, tiled, auto) still completes.
 #   evrload -chaos ci-smoke   the survival gate, under -race, twice: zero
 #                             checksum divergence, SLOs met, and both runs
 #                             produce identical fault schedules and checksums.
@@ -71,5 +73,6 @@ go run ./cmd/evrbench -sport-fast
 go run ./cmd/evrload -shards 2 -zipf 1.1 -zipf-videos 2 -users 8 -passes 2 \
     -segments 1 -width 96 -viewport-scale 32 -kill-shard 0 -kill-pass 2 -verify-single
 go run ./cmd/evrload -shards 2 -users 6 -passes 1 -segments 2 -width 96 \
-    -viewport-scale 32 -mode mixed -verify-single
+    -viewport-scale 32 -mode auto -verify-single
+go run ./cmd/evrload -mode frontier -users 2 -segments 1 -width 96 -viewport-scale 32
 go run -race ./cmd/evrload -chaos ci-smoke -chaos-runs 2

@@ -5,18 +5,19 @@
 // per-stage pipeline breakdown (fetch, decode, FOV check, render, display)
 // with p50/p95/p99 latencies from the per-frame tracer.
 //
-// With -tiled (against a tiled-ingested video) the player runs the
+// With -tiled-mode (against a tiled-ingested video) the player runs the
 // viewport-adaptive delivery engine: every segment is fetched as the FOV
-// stream, a predicted-viewport tile set, or the full original, per the
-// three-way policy, and the stats gain a delivery section (mode split,
-// tiles fetched/lost/mispredicted, modeled link bytes and stalls).
+// stream, a predicted-viewport tile set, or the full original — per the
+// three-way policy (auto) or pinned to one of them — and the stats gain a
+// delivery section (mode split, tiles fetched/lost/mispredicted, modeled
+// link bytes and stalls).
 //
 // Usage:
 //
 //	evrclient [-url http://localhost:8090] [-video RS] [-user 0] [-segments 4]
 //	          [-har] [-resilient] [-timeout 10s] [-retries 3]
 //	          [-cache 8] [-prefetch] [-max-response 67108864]
-//	          [-tiled] [-tiled-mode auto|fov|tiled|orig]
+//	          [-tiled-mode auto|fov|tiled|orig]
 //	          [-telemetry] [-pprof localhost:6061]
 package main
 
@@ -52,8 +53,7 @@ func main() {
 	cache := flag.Int("cache", client.DefaultFetchConfig().CacheSegments, "decoded-segment LRU cache capacity (0 = off)")
 	prefetch := flag.Bool("prefetch", true, "prefetch the next segment's FOV video and fallback in the background")
 	maxResponse := flag.Int64("max-response", client.DefaultFetchConfig().MaxResponseBytes, "response size cap in bytes (0 = unlimited)")
-	tiled := flag.Bool("tiled", false, "viewport-adaptive tiled delivery: per-segment policy choice between the FOV stream, a per-tile fetch set, and the full original (needs a tiled ingest)")
-	tiledMode := flag.String("tiled-mode", "auto", "pin the tiled delivery decision: auto|fov|tiled|orig")
+	tiledMode := flag.String("tiled-mode", "", "viewport-adaptive tiled delivery (needs a tiled ingest): auto lets the policy choose per segment between the FOV stream, a per-tile fetch set, and the full original; fov|tiled|orig pin one (empty = classic FOV/orig player)")
 	useTelemetry := flag.Bool("telemetry", false, "trace per-frame pipeline stages and print the breakdown")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061; empty = off)")
 	flag.Parse()
@@ -88,13 +88,10 @@ func main() {
 	p.Fetch.CacheSegments = *cache
 	p.Fetch.Prefetch = *prefetch
 	p.Fetch.MaxResponseBytes = *maxResponse
-	if *tiled {
-		force, ok := map[string]delivery.Mode{
-			"auto": delivery.ModeAuto, "fov": delivery.ModeFOV,
-			"tiled": delivery.ModeTiled, "orig": delivery.ModeOrig,
-		}[*tiledMode]
-		if !ok {
-			log.Fatalf("unknown -tiled-mode %q (auto, fov, tiled, orig)", *tiledMode)
+	if *tiledMode != "" {
+		force, err := delivery.ParseMode(*tiledMode)
+		if err != nil {
+			log.Fatalf("-tiled-mode: %v", err)
 		}
 		p.Tiled = client.TiledConfig{Enabled: true, Force: force}
 	}
@@ -120,7 +117,7 @@ func main() {
 				st.Misses, st.Hits, st.Entries, st.Bytes)
 		}
 	}
-	if *tiled {
+	if p.Tiled.Enabled {
 		fmt.Printf("  delivery:       %d fov / %d tiled / %d orig segments\n",
 			stats.ModeFOVSegments, stats.ModeTiledSegments, stats.ModeOrigSegments)
 		fmt.Printf("  tiles:          %d fetched, %d lost to backfill, %d mispredicted frame-tiles\n",

@@ -49,27 +49,25 @@ func projectionMethod(name string) projection.Method {
 func chaosPlans(sc *chaos.Scenario) (map[string]*chaosIngestPlan, error) {
 	plans := make(map[string]*chaosIngestPlan)
 	for _, c := range sc.Fleet {
-		if _, ok := plans[c.Video]; ok {
-			continue
-		}
-		spec, ok := scene.ByName(c.Video)
+		plan, ok := plans[c.Video]
 		if !ok {
-			return nil, fmt.Errorf("unknown video %q", c.Video)
-		}
-		cfg := server.DefaultIngestConfig()
-		if sc.Width > 0 {
-			cfg.FullW = sc.Width - sc.Width%8
-			cfg.FullH = cfg.FullW / 2
-		}
-		cfg.MaxSegments = sc.Segments
-		cfg.Projection = projectionMethod(c.Projection)
-		plans[c.Video] = &chaosIngestPlan{spec: spec, cfg: cfg}
-	}
-	for video, plan := range plans {
-		for _, c := range sc.Fleet {
-			if c.Video == video && (c.Delivery == "tiled" || c.Delivery == "policy") {
-				plan.cfg.Tiled = true
+			spec, ok := scene.ByName(c.Video)
+			if !ok {
+				return nil, fmt.Errorf("unknown video %q", c.Video)
 			}
+			cfg := server.DefaultIngestConfig()
+			if sc.Width > 0 {
+				cfg.FullW = sc.Width - sc.Width%8
+				cfg.FullH = cfg.FullW / 2
+			}
+			cfg.MaxSegments = sc.Segments
+			cfg.Projection = projectionMethod(c.Projection)
+			plan = &chaosIngestPlan{spec: spec, cfg: cfg}
+			plans[c.Video] = plan
+		}
+		// A class needs tile streams iff it names a delivery mode.
+		if c.Delivery != "" {
+			plan.cfg.Tiled = true
 		}
 	}
 	if sc.Live != nil {
@@ -175,7 +173,6 @@ func runChaosOnce(sc *chaos.Scenario, w io.Writer) (*chaosRun, error) {
 		Passes:        sc.Passes,
 		Segments:      sc.Segments,
 		ViewportScale: sc.ViewportScale,
-		RenderWorkers: 1,
 		Fetch:         &fetch,
 		Classes:       sc.FleetSpecs(),
 		WrapTransport: engine.WrapTransport,

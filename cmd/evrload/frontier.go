@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 
-	"evr/internal/client"
 	"evr/internal/delivery"
 	"evr/internal/energy"
 	"evr/internal/frame"
@@ -85,7 +84,7 @@ type frontierRow struct {
 	misses    int
 }
 
-// runFrontier sweeps the three forced delivery modes plus the mixed policy
+// runFrontier sweeps the three forced delivery modes plus the auto policy
 // against one in-process server and prints the policy frontier: bytes on
 // the wire vs modeled stalls vs viewport PSNR vs client energy. The orig
 // mode — every frame client-rendered from the full panorama — is the
@@ -94,32 +93,28 @@ func runFrontier(w io.Writer, base loadgen.Config, fullW, fullH int) error {
 	dev := energy.TX2()
 	ptJ := pte.DefaultConfig(projection.ERP, pt.Bilinear, hmd.OSVRHDK2().Viewport()).FrameEnergyJ(fullW, fullH)
 
-	modes := []struct {
-		name  string
-		force delivery.Mode
-	}{
-		{"orig", delivery.ModeOrig},
-		{"fov", delivery.ModeFOV},
-		{"tiled", delivery.ModeTiled},
-		{"mixed", delivery.ModeAuto},
-	}
 	var rows []frontierRow
 	var ref *frameStore
-	for _, m := range modes {
+	users := 0
+	for _, m := range []delivery.Mode{delivery.ModeOrig, delivery.ModeFOV, delivery.ModeTiled, delivery.ModeAuto} {
 		cfg := base
 		cfg.Passes = 1
-		cfg.Delivery = &client.TiledConfig{Enabled: true, Force: m.force}
+		cfg.Classes = append([]loadgen.ClassSpec(nil), base.Classes...)
+		for i := range cfg.Classes {
+			cfg.Classes[i].Delivery = m.String()
+		}
 		store := newFrameStore()
 		cfg.FrameSink = store.sink
 		rep, err := loadgen.Run(cfg)
 		if err != nil {
-			return fmt.Errorf("frontier %s: %w", m.name, err)
+			return fmt.Errorf("frontier %v: %w", m, err)
 		}
 		if fails := rep.Failures(); len(fails) > 0 {
-			return fmt.Errorf("frontier %s: %d/%d sessions failed (first: %v)",
-				m.name, len(fails), len(rep.Results), fails[0].Err)
+			return fmt.Errorf("frontier %v: %d/%d sessions failed (first: %v)",
+				m, len(fails), len(rep.Results), fails[0].Err)
 		}
-		row := frontierRow{name: m.name}
+		users = rep.Users
+		row := frontierRow{name: m.String()}
 		for _, ps := range rep.PerPass {
 			row.wireBytes += ps.ModeledBytes
 			row.stalls += ps.ModeledStalls
@@ -140,7 +135,7 @@ func runFrontier(w io.Writer, base loadgen.Config, fullW, fullH int) error {
 	}
 
 	fmt.Fprintf(w, "delivery-policy frontier: %d users, %d segments, %dx%d panorama (PT frame %.2f mJ on TX2-class client)\n",
-		base.Users, base.Segments, fullW, fullH, 1e3*ptJ)
+		users, base.Segments, fullW, fullH, 1e3*ptJ)
 	fmt.Fprintf(w, "%-6s %12s %7s %9s %10s %10s %20s\n",
 		"mode", "wire-bytes", "stalls", "stall-sec", "psnr(dB)", "energy(J)", "segments f/t/o")
 	for _, r := range rows {

@@ -9,13 +9,21 @@
 // the server-side response-cache and admission-control deltas per pass.
 // Point -url at a running evrserver to drive a remote target instead.
 //
+// The flags describe one class of users (loadgen.ClassSpec): -users
+// sessions of -video, or, with -zipf, the same profile split across the
+// first -zipf-videos catalog entries by Zipf popularity (ZipfClasses).
+// -mode is the class's delivery word: empty plays the classic FOV/orig
+// player; auto, fov, tiled or orig ingests tile streams and runs the tiled
+// pipeline, left to the per-segment policy or pinned to one mode; frontier
+// sweeps orig, fov, tiled and auto and prints the policy-frontier table.
+//
 // Usage:
 //
 //	evrload [-url http://host:8090] [-video RS] [-users 32] [-passes 2]
 //	        [-segments 4] [-width 192] [-viewport-scale 40]
 //	        [-respcache 64] [-max-inflight 0] [-store-delay 0]
 //	        [-har] [-resilient] [-timeout 10s] [-retries 3] [-cache 8]
-//	        [-prefetch] [-per-user]
+//	        [-prefetch] [-per-user] [-mode auto|fov|tiled|orig|frontier]
 //
 // Cluster mode (-shards N) serves in-process through a consistent-hash
 // router over N shard replicas with an edge cache, reporting per-shard
@@ -46,7 +54,6 @@ import (
 	"evr/internal/chaos"
 	"evr/internal/client"
 	"evr/internal/cluster"
-	"evr/internal/delivery"
 	"evr/internal/loadgen"
 	"evr/internal/scene"
 	"evr/internal/server"
@@ -71,7 +78,7 @@ func main() {
 	cache := flag.Int("cache", client.DefaultFetchConfig().CacheSegments, "per-session decoded-segment LRU capacity (0 = off)")
 	prefetch := flag.Bool("prefetch", true, "prefetch the next segment in the background")
 	perUser := flag.Bool("per-user", false, "print one result row per session")
-	mode := flag.String("mode", "", "tiled delivery mode: fov|tiled|orig force one mode, mixed lets the policy decide per segment, frontier sweeps all modes and prints the policy-frontier table (empty = classic FOV/orig path, no tile ingest)")
+	mode := flag.String("mode", "", "delivery mode: auto lets the tiled pipeline's policy decide per segment, fov|tiled|orig pin it to one mode, frontier sweeps orig, fov, tiled and auto and prints the policy-frontier table (empty = classic FOV/orig player, no tile ingest)")
 	shards := flag.Int("shards", 0, "serve in-process through an N-shard consistent-hash cluster (0 = single server)")
 	edgeCache := flag.Int64("edge-cache", 32, "cluster router edge-cache budget in MiB (≤ 0 = off)")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the ring (0 = default)")
@@ -108,38 +115,28 @@ func main() {
 		specs = catalog[:*zipfVideos]
 	}
 
-	var force delivery.Mode
-	tiledRun := false
-	switch *mode {
-	case "":
-	case "fov":
-		force, tiledRun = delivery.ModeFOV, true
-	case "tiled":
-		force, tiledRun = delivery.ModeTiled, true
-	case "orig":
-		force, tiledRun = delivery.ModeOrig, true
-	case "mixed":
-		force, tiledRun = delivery.ModeAuto, true
-	case "frontier":
-		tiledRun = true
-	default:
-		log.Fatalf("unknown -mode %q (fov, tiled, orig, mixed, frontier, or empty)", *mode)
+	// The flags describe one class of users, split across the Zipf
+	// catalog when -zipf is set; frontier sets each sweep arm's delivery.
+	const frontier = "frontier"
+	class := loadgen.ClassSpec{Name: v.Name, Users: *users, Video: v.Name, UseHAR: *har}
+	if *mode != frontier {
+		class.Delivery = *mode
+	}
+	classes := []loadgen.ClassSpec{class}
+	if *zipf > 0 {
+		classes = loadgen.ZipfClasses(specs, *users, *zipf, class)
+	}
+	if _, err := loadgen.ValidateClasses(classes); err != nil {
+		log.Fatal(err) // before any ingest: a bad -mode word fails fast
 	}
 
 	cfg := loadgen.Config{
 		BaseURL:       *url,
-		Video:         *video,
-		Spec:          v,
-		Users:         *users,
+		Classes:       classes,
 		Passes:        *passes,
 		Segments:      *segments,
 		ViewportScale: *viewportScale,
-		UseHAR:        *har,
 		Resilient:     *resilient,
-		ZipfExponent:  *zipf,
-	}
-	if len(specs) > 1 {
-		cfg.Specs = specs
 	}
 	fetch := client.DefaultFetchConfig()
 	fetch.Timeout = *timeout
@@ -156,10 +153,7 @@ func main() {
 	ingest.FullW = *width - *width%8
 	ingest.FullH = ingest.FullW / 2
 	ingest.MaxSegments = *segments
-	ingest.Tiled = tiledRun
-	if tiledRun && *mode != "frontier" {
-		cfg.Delivery = &client.TiledConfig{Enabled: true, Force: force}
-	}
+	ingest.Tiled = *mode != ""
 
 	var clu *cluster.Cluster
 	switch {
@@ -236,7 +230,7 @@ func main() {
 		cfg.Service = svc
 	}
 
-	if *mode == "frontier" {
+	if *mode == frontier {
 		if *url != "" || *shards > 0 {
 			log.Fatal("-mode=frontier needs the in-process single-server target (no -url, no -shards)")
 		}

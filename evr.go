@@ -171,8 +171,9 @@ type (
 	LoadReport = loadgen.Report
 )
 
-// RunLoad executes a multi-user load run: Passes waves of Users concurrent
-// playback sessions, each replaying its deterministic head trace.
+// RunLoad executes a multi-user load run: Passes waves of every class's
+// users (LoadConfig.Classes, at least one ClassSpec) as concurrent playback
+// sessions, each replaying its deterministic head trace.
 func RunLoad(cfg LoadConfig) (*LoadReport, error) { return loadgen.Run(cfg) }
 
 // ServeLocal exposes a service on an ephemeral loopback listener and
@@ -309,8 +310,8 @@ type (
 	LiveOptions = server.LiveOptions
 	// LiveClock is the schedule clock interface.
 	LiveClock = server.Clock
-	// ClassSpec describes one heterogeneous fleet class (projection,
-	// delivery mode, PTE bitwidths, cache size, link model).
+	// ClassSpec describes one class of a load run's population (users,
+	// video, delivery mode, PTE bitwidths, cache size, link model).
 	ClassSpec = loadgen.ClassSpec
 	// ClassStats is one class's aggregate report: hit rates, stalls,
 	// energy, and time-behind-live freshness percentiles.

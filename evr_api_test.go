@@ -109,8 +109,7 @@ func TestPublicAPIServingLayer(t *testing.T) {
 
 	rep, err := evr.RunLoad(evr.LoadConfig{
 		BaseURL:       baseURL,
-		Video:         "RS",
-		Users:         2,
+		Classes:       []evr.ClassSpec{{Name: "rs", Users: 2, Video: "RS"}},
 		Segments:      1,
 		ViewportScale: 32,
 		Service:       svc,
@@ -228,8 +227,7 @@ func TestPublicAPICluster(t *testing.T) {
 
 	rep, err := evr.RunLoad(evr.LoadConfig{
 		BaseURL:       baseURL,
-		Video:         "RS",
-		Users:         3,
+		Classes:       []evr.ClassSpec{{Name: "rs", Users: 3, Video: "RS"}},
 		Passes:        2,
 		Segments:      2,
 		ViewportScale: 32,

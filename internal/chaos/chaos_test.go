@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"evr/internal/delivery"
 	"evr/internal/loadgen"
 )
 
@@ -43,8 +44,8 @@ func TestScenarioValidateRejects(t *testing.T) {
 		{"zero passes", func(s *Scenario) { s.Passes = 0 }, "passes"},
 		{"bad width", func(s *Scenario) { s.Width = 8 }, "width"},
 		{"negative shards", func(s *Scenario) { s.Shards = -1 }, "shards"},
-		{"empty fleet", func(s *Scenario) { s.Fleet = nil }, "fleet"},
-		{"unknown video", func(s *Scenario) { s.Fleet[0].Video = "nope" }, "catalog"},
+		{"empty fleet", func(s *Scenario) { s.Fleet = nil }, "class"},
+		{"unknown video", func(s *Scenario) { s.Fleet[0].Video = "nope" }, "unknown video"},
 		{"unknown projection", func(s *Scenario) { s.Fleet[0].Projection = "fisheye" }, "projection"},
 		{"unknown delivery", func(s *Scenario) { s.Fleet[0].Delivery = "teleport" }, "delivery"},
 		{"dup class", func(s *Scenario) { s.Fleet[1].Name = s.Fleet[0].Name }, "duplicate"},
@@ -53,7 +54,8 @@ func TestScenarioValidateRejects(t *testing.T) {
 			s.Fleet[1].Projection = "cmp"
 			s.Fleet[0].Projection = "erp"
 		}, "share its projection"},
-		{"tiled live", func(s *Scenario) { s.Fleet[0].Delivery = "policy" }, "orig-only"},
+		{"tiled live", func(s *Scenario) { s.Fleet[0].Delivery = delivery.ModeAuto.String() }, "orig-only"},
+		{"orig-pinned live", func(s *Scenario) { s.Fleet[0].Delivery = delivery.ModeOrig.String() }, "orig-only"},
 		{"half pte", func(s *Scenario) { s.Fleet[0].PTETotalBits = 20 }, "together"},
 		{"bad pte", func(s *Scenario) { s.Fleet[0].PTETotalBits = 99; s.Fleet[0].PTEIntBits = 4 }, "total bits"},
 		{"unknown link", func(s *Scenario) { s.Fleet[0].Link = "carrier-pigeon" }, "link class"},

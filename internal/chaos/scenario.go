@@ -80,8 +80,9 @@ type Class struct {
 	// "erp" (default), "cmp", or "eac". Classes sharing a video must
 	// share a projection — a video is ingested exactly once.
 	Projection string `json:"projection,omitempty"`
-	// Delivery is the loadgen class delivery mode: "", "fov", "tiled",
-	// "orig", or "policy".
+	// Delivery is the class's loadgen delivery mode (ClassSpec.Delivery):
+	// "" for the classic FOV/orig player, or a delivery.Mode word for the
+	// tiled pipeline, whose video is then ingested with tile streams.
 	Delivery string `json:"delivery,omitempty"`
 	// HAR renders FOV misses on the PTE; PTETotalBits/PTEIntBits override
 	// the fixed-point format (both zero = default Q28.10).
@@ -133,9 +134,11 @@ type SLO struct {
 }
 
 var projections = map[string]bool{"": true, "erp": true, "cmp": true, "eac": true}
-var deliveries = map[string]bool{"": true, "fov": true, "tiled": true, "orig": true, "policy": true}
 
-// Validate rejects structurally unusable scenarios.
+// Validate rejects structurally unusable scenarios. The fleet's class
+// basics (names, users, videos, delivery words, link classes) are
+// loadgen.ValidateClasses's; the checks here are the ones only a scenario
+// has.
 func (sc *Scenario) Validate() error {
 	if sc.Name == "" {
 		return fmt.Errorf("chaos: scenario name required")
@@ -158,8 +161,8 @@ func (sc *Scenario) Validate() error {
 	if sc.EdgeCacheMiB < 0 || sc.RespCacheMiB < 0 {
 		return fmt.Errorf("chaos: cache budgets must be ≥ 0")
 	}
-	if len(sc.Fleet) == 0 {
-		return fmt.Errorf("chaos: fleet must have at least one class")
+	if _, err := loadgen.ValidateClasses(sc.FleetSpecs()); err != nil {
+		return err
 	}
 	liveVideo := ""
 	if sc.Live != nil {
@@ -174,34 +177,17 @@ func (sc *Scenario) Validate() error {
 		}
 		liveVideo = sc.Live.Video
 	}
-	seen := make(map[string]bool)
 	videoProj := make(map[string]string)
 	for i := range sc.Fleet {
 		c := &sc.Fleet[i]
-		if c.Name == "" {
-			return fmt.Errorf("chaos: fleet[%d]: name required", i)
-		}
-		if seen[c.Name] {
-			return fmt.Errorf("chaos: duplicate class %q", c.Name)
-		}
-		seen[c.Name] = true
-		if c.Users < 1 {
-			return fmt.Errorf("chaos: class %q: users %d must be ≥ 1", c.Name, c.Users)
-		}
-		if _, ok := scene.ByName(c.Video); !ok {
-			return fmt.Errorf("chaos: class %q: video %q not in the catalog", c.Name, c.Video)
-		}
 		if !projections[c.Projection] {
 			return fmt.Errorf("chaos: class %q: unknown projection %q", c.Name, c.Projection)
-		}
-		if !deliveries[c.Delivery] {
-			return fmt.Errorf("chaos: class %q: unknown delivery %q", c.Name, c.Delivery)
 		}
 		if prev, ok := videoProj[c.Video]; ok && prev != c.Projection {
 			return fmt.Errorf("chaos: video %q ingested with both projection %q and %q — classes sharing a video must share its projection", c.Video, prev, c.Projection)
 		}
 		videoProj[c.Video] = c.Projection
-		if c.Video == liveVideo && (c.Delivery == "tiled" || c.Delivery == "policy") {
+		if c.Video == liveVideo && c.Delivery != "" {
 			return fmt.Errorf("chaos: class %q: live video %q is orig-only, delivery %q needs tile streams", c.Name, c.Video, c.Delivery)
 		}
 		if (c.PTETotalBits != 0) != (c.PTEIntBits != 0) {
@@ -215,11 +201,6 @@ func (sc *Scenario) Validate() error {
 		}
 		if c.CacheSegments < 0 {
 			return fmt.Errorf("chaos: class %q: cacheSegments %d must be ≥ 0", c.Name, c.CacheSegments)
-		}
-		if c.Link != "" {
-			if _, ok := netsim.ClassByName(c.Link); !ok {
-				return fmt.Errorf("chaos: class %q: unknown link class %q", c.Name, c.Link)
-			}
 		}
 		for _, name := range c.LinkTrace {
 			if _, ok := netsim.ClassByName(name); !ok {

@@ -26,43 +26,26 @@ import (
 // all of them, leaving the shipped EVR design.
 type Extensions struct {
 	// PredictiveChoice picks each segment's FOV video with a head-pose
-	// prediction at mid-segment (SAS+HMP hybrid).
+	// prediction half a segment ahead (SAS+HMP hybrid).
 	PredictiveChoice bool
-	// PredictionHorizonFrames is how far ahead the predictor looks when
-	// PredictiveChoice is on; 0 means half a segment.
-	PredictionHorizonFrames int
 	// FusedPTE integrates the PTE into the display processor: PT output
 	// streams to scanout without the frame-buffer DRAM round trip.
 	FusedPTE bool
 }
 
 // chooseTrack picks the FOV video for a segment, optionally using the
-// predictive extension. The oracle predictor reads the trace directly —
-// the generous §8.5 assumption, reused here.
+// predictive extension.
 func (s *simulator) chooseTrack(seg *sas.SegmentPlan, tr headtrace.Trace) int {
-	o := tr.Samples[seg.Start].O
+	horizon := 0
 	if s.cfg.Ext.PredictiveChoice {
-		h := s.cfg.Ext.PredictionHorizonFrames
-		if h <= 0 {
-			h = seg.Frames / 2
-		}
-		i := seg.Start + h
-		if i >= len(tr.Samples) {
-			i = len(tr.Samples) - 1
-		}
-		o = tr.Samples[i].O
+		horizon = seg.Frames / 2
 	}
-	return sas.ChooseTrack(seg, o)
+	return sas.ChooseTrack(seg, predictGaze(tr, seg.Start, horizon))
 }
 
-// fusedPTESavedTraffic returns the DRAM bytes a fused PTE avoids per
-// PT-rendered frame: the FOV-frame write plus the scanout re-read.
-func (s *simulator) fusedPTESavedTraffic() int64 {
-	return 2 * s.vpBytes()
-}
-
-// predictGaze exposes the oracle prediction used by the extension, for
-// tests and experiments.
+// predictGaze is the extension's oracle prediction: it reads the trace
+// horizon frames ahead, clamped to its ends — the generous §8.5
+// assumption, reused here.
 func predictGaze(tr headtrace.Trace, frame, horizon int) geom.Orientation {
 	i := frame + horizon
 	if len(tr.Samples) == 0 {

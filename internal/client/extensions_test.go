@@ -69,12 +69,35 @@ func TestPredictiveChoiceImprovesBandwidth(t *testing.T) {
 	}
 }
 
-func TestPredictionHorizonDefaultAndCustom(t *testing.T) {
-	cfg := DefaultConfig(SH, OnlineStreaming)
-	cfg.Ext.PredictiveChoice = true
-	cfg.Ext.PredictionHorizonFrames = 10
-	if r := runExt(t, "RS", cfg, 2); r.FramesTotal == 0 {
-		t.Fatal("custom horizon run produced nothing")
+// TestPredictiveChoiceLooksHalfASegmentAhead pins the extension's horizon:
+// the predictive choice takes the track the pose half a segment ahead
+// selects, the shipped choice the track of the segment's first pose.
+func TestPredictiveChoiceLooksHalfASegmentAhead(t *testing.T) {
+	v, _ := scene.ByName("RS")
+	plan, err := sas.BuildPlan(v, sas.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := headtrace.Generate(v, 0)
+	shipped := &simulator{cfg: DefaultConfig(SH, OnlineStreaming)}
+	pred := &simulator{cfg: shipped.cfg}
+	pred.cfg.Ext.PredictiveChoice = true
+	checked := 0
+	for i := range plan.Segments {
+		seg := &plan.Segments[i]
+		if seg.Start >= len(tr.Samples) || len(seg.Tracks) == 0 {
+			continue
+		}
+		if got, want := shipped.chooseTrack(seg, tr), sas.ChooseTrack(seg, tr.Samples[seg.Start].O); got != want {
+			t.Errorf("segment %d: shipped choice %d, want %d (first pose)", i, got, want)
+		}
+		if got, want := pred.chooseTrack(seg, tr), sas.ChooseTrack(seg, predictGaze(tr, seg.Start, seg.Frames/2)); got != want {
+			t.Errorf("segment %d: predictive choice %d, want %d (half a segment ahead)", i, got, want)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no segment had FOV tracks to choose from")
 	}
 }
 

@@ -50,12 +50,6 @@ type FetchConfig struct {
 	// best-guess FOV video and its original-segment fallback while the
 	// current segment is displayed (§5.3's latency-hiding counterpart).
 	Prefetch bool
-	// Trace, when non-nil, receives StageFetch (network transfer) and
-	// StageDecode (unmarshal + video decode) observations for every
-	// segment load — demand and prefetch alike, so hidden prefetch work is
-	// visible too. Cache hits observe nothing: no work was done. nil
-	// disables stage timing at a cost of a few nanoseconds per load.
-	Trace *telemetry.Tracer
 	// LiveWaitMax bounds the total time one request spends waiting out
 	// 425 "ahead of the live edge" responses. Live waits are expected
 	// pacing, not failures, so they never consume MaxRetries — this is
@@ -125,6 +119,12 @@ type Fetcher struct {
 	cfg   FetchConfig
 	http  *http.Client
 	cache *segmentCache
+	// trace, set by the owning Player, receives StageFetch (network
+	// transfer) and StageDecode (unmarshal + video decode) observations for
+	// every segment load — demand and prefetch alike, so hidden prefetch
+	// work is visible too. Cache hits observe nothing: no work was done.
+	// nil disables stage timing at a cost of a few nanoseconds per load.
+	trace *telemetry.Tracer
 
 	// ctx parents every attempt's request context and gates retry backoff;
 	// Close cancels it so in-flight transfers and backoff sleeps abort
@@ -318,7 +318,7 @@ func (f *Fetcher) loadFOVMeta(baseURL string, ref server.Ref) ([]server.FrameMet
 	if err != nil {
 		return nil, err
 	}
-	tm := f.cfg.Trace.StartTimer(telemetry.StageDecode)
+	tm := f.trace.StartTimer(telemetry.StageDecode)
 	defer tm.Stop()
 	var meta []server.FrameMeta
 	if err := json.Unmarshal(raw, &meta); err != nil {
@@ -331,7 +331,7 @@ func (f *Fetcher) loadFOVMeta(baseURL string, ref server.Ref) ([]server.FrameMet
 // names the tile that was asked for — a confused (or hostile) origin must not
 // paint the wrong rectangle.
 func (f *Fetcher) decodeTile(payload []byte, tile, rung int) ([]*frame.Frame, error) {
-	tm := f.cfg.Trace.StartTimer(telemetry.StageDecode)
+	tm := f.trace.StartTimer(telemetry.StageDecode)
 	defer tm.Stop()
 	p, err := delivery.UnmarshalTile(payload)
 	if err != nil {
@@ -346,7 +346,7 @@ func (f *Fetcher) decodeTile(payload []byte, tile, rung int) ([]*frame.Frame, er
 // decodePayload unmarshals and decodes one bitstream payload, timed as the
 // decode stage.
 func (f *Fetcher) decodePayload(payload []byte) ([]*frame.Frame, error) {
-	tm := f.cfg.Trace.StartTimer(telemetry.StageDecode)
+	tm := f.trace.StartTimer(telemetry.StageDecode)
 	defer tm.Stop()
 	bits, err := server.UnmarshalBitstream(payload)
 	if err != nil {
@@ -373,7 +373,7 @@ func (f *Fetcher) get(url string) ([]byte, error) {
 // (or seg < 0) disables both the live wait cap bookkeeping and the
 // behind-live observation.
 func (f *Fetcher) getLive(url, video string, seg int) ([]byte, error) {
-	tm := f.cfg.Trace.StartTimer(telemetry.StageFetch)
+	tm := f.trace.StartTimer(telemetry.StageFetch)
 	defer tm.Stop()
 	var lastErr error
 	var liveDeadline time.Time

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"evr/internal/client"
+	"evr/internal/delivery"
 	"evr/internal/headtrace"
 	"evr/internal/hmd"
 	"evr/internal/loadgen"
@@ -128,5 +129,48 @@ func TestGoldenPlaybackAcrossCacheConfigs(t *testing.T) {
 	}
 	if base.hits != wantHits {
 		t.Errorf("FOV hits = %d, want pinned %d", base.hits, wantHits)
+	}
+}
+
+// TestTiledPlaybackPinned pins tiled delivery end to end at the default
+// 192×96 ingest: a forced-tiled and an auto-policy session of RS user 0
+// display exactly these frames. The tile layout the server derives, the
+// 10° fetch margin, the linear predictor and the default policy all feed
+// the checksums, so a change to any of them moves these pins.
+func TestTiledPlaybackPinned(t *testing.T) {
+	v, _ := scene.ByName("RS")
+	cfg := server.DefaultIngestConfig()
+	cfg.MaxSegments = 2
+	cfg.Tiled = true
+	svc := server.NewService(store.New())
+	if _, err := svc.IngestVideo(v, cfg); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	cases := []struct {
+		force    delivery.Mode
+		checksum uint64
+		fov      int // segments the policy sent as the FOV stream
+		tiled    int
+	}{
+		{delivery.ModeTiled, 0x782f967c948509b6, 0, 2},
+		{delivery.ModeAuto, 0x1d7c44f64c2f0ce5, 1, 1},
+	}
+	for _, tc := range cases {
+		p := client.NewPlayer(ts.URL)
+		p.Tiled = client.TiledConfig{Enabled: true, Force: tc.force}
+		stats, frames, err := p.Play("RS", hmd.NewIMU(headtrace.Generate(v, 0)), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loadgen.ChecksumFrames(frames); got != tc.checksum {
+			t.Errorf("%v: checksum %#x, want pinned %#x", tc.force, got, tc.checksum)
+		}
+		if stats.Frames != 60 || stats.ModeFOVSegments != tc.fov || stats.ModeTiledSegments != tc.tiled {
+			t.Errorf("%v: %d frames, fov/tiled segments %d/%d, want 60, %d/%d",
+				tc.force, stats.Frames, stats.ModeFOVSegments, stats.ModeTiledSegments, tc.fov, tc.tiled)
+		}
 	}
 }

@@ -141,11 +141,8 @@ func NewPlayer(baseURL string) *Player {
 // from the Fetch config and the optional HTTP override.
 func (p *Player) Fetcher() *Fetcher {
 	if p.fetcher == nil {
-		cfg := p.Fetch
-		if cfg.Trace == nil {
-			cfg.Trace = p.Trace // fetch/decode stages land in the player's tracer
-		}
-		p.fetcher = NewFetcher(cfg, p.HTTP)
+		p.fetcher = NewFetcher(p.Fetch, p.HTTP)
+		p.fetcher.trace = p.Trace // fetch/decode stages land in the player's tracer
 	}
 	return p.fetcher
 }

@@ -95,18 +95,14 @@ func TestTelemetryByteIdentical(t *testing.T) {
 }
 
 // TestFetcherSharesPlayerTracer: the fetcher constructed by Player wires
-// the player's tracer unless the FetchConfig carries its own.
+// the player's tracer, and an untraced player's fetcher stays untraced.
 func TestFetcherSharesPlayerTracer(t *testing.T) {
 	p := NewPlayer("http://unused")
 	p.Trace = telemetry.NewTracer(0)
-	if got := p.Fetcher().cfg.Trace; got != p.Trace {
+	if got := p.Fetcher().trace; got != p.Trace {
 		t.Error("fetcher did not inherit player tracer")
 	}
-	own := telemetry.NewTracer(0)
-	q := NewPlayer("http://unused")
-	q.Trace = telemetry.NewTracer(0)
-	q.Fetch.Trace = own
-	if got := q.Fetcher().cfg.Trace; got != own {
-		t.Error("explicit FetchConfig.Trace overridden")
+	if got := NewPlayer("http://unused").Fetcher().trace; got != nil {
+		t.Error("untraced player's fetcher has a tracer")
 	}
 }

@@ -34,33 +34,26 @@ type TiledConfig struct {
 	// playback timeline downloads over. Zero value = the paper's 300 Mbps
 	// Wi-Fi evaluation link.
 	Link netsim.Link
-	// Predictor forecasts the head pose at segment display time; the
-	// visible-tile set is computed at the predicted pose. nil = the
-	// constant-velocity linear predictor.
-	Predictor hmp.Predictor
-	// FetchMarginDeg widens the tile-fetch viewport beyond the HMD FOV on
-	// each side, buying prediction-error headroom with extra tiles on the
-	// wire (mispredictions beyond it degrade to backfill quality, never
-	// stall). 0 = a 10° default; capped so the fetch viewport never
-	// exceeds the FOV-stream width.
-	FetchMarginDeg float64
-	// FOVConfidenceMin and BandwidthSafety override the corresponding
-	// delivery.PolicyConfig knobs when > 0.
-	FOVConfidenceMin float64
-	BandwidthSafety  float64
 }
+
+// fetchMarginDeg widens the tile-fetch viewport beyond the HMD FOV on each
+// side, buying prediction-error headroom with extra tiles on the wire
+// (mispredictions beyond it degrade to backfill quality, never stall). The
+// fetch viewport is capped at the FOV-stream width.
+const fetchMarginDeg = 10
 
 // tiledSession is the per-Play state of the tiled delivery mode: the grid
 // geometry from the manifest, the policy engine, the rung controller, and
-// the modeled playback timeline whose buffer level feeds both.
+// the modeled playback timeline whose buffer level feeds both. The head
+// pose at segment display time comes from the constant-velocity linear
+// predictor; the visible-tile set is computed at that pose.
 type tiledSession struct {
-	grid      tiling.Grid
-	method    projection.Method
-	policy    delivery.PolicyConfig
-	force     delivery.Mode
-	predictor hmp.Predictor
-	ctrl      *abr.Controller
-	timeline  *netsim.Timeline
+	grid     tiling.Grid
+	method   projection.Method
+	policy   delivery.PolicyConfig
+	force    delivery.Mode
+	ctrl     *abr.Controller
+	timeline *netsim.Timeline
 	// fetchVP is the viewport tile visibility is computed against at the
 	// predicted pose: the HMD FOV plus the fetch margin (capped at the
 	// FOV-stream width). needVP is the bare HMD-FOV viewport used to
@@ -92,12 +85,6 @@ func newTiledSession(cfg TiledConfig, man *server.Manifest, hmdFOVXDeg, hmdFOVYD
 	}
 	policy := delivery.DefaultPolicy(segDur)
 	policy.Link = link
-	if cfg.FOVConfidenceMin > 0 {
-		policy.FOVConfidenceMin = cfg.FOVConfidenceMin
-	}
-	if cfg.BandwidthSafety > 0 {
-		policy.BandwidthSafety = cfg.BandwidthSafety
-	}
 	if err := policy.Validate(); err != nil {
 		return nil, err
 	}
@@ -105,24 +92,15 @@ func newTiledSession(cfg TiledConfig, man *server.Manifest, hmdFOVXDeg, hmdFOVYD
 	if err != nil {
 		return nil, err
 	}
-	predictor := cfg.Predictor
-	if predictor == nil {
-		predictor = hmp.LinearPredictor{}
-	}
-	margin := cfg.FetchMarginDeg
-	if margin == 0 {
-		margin = 10
-	}
-	fetchX := math.Min(hmdFOVXDeg+2*margin, man.FOVXDeg)
-	fetchY := math.Min(hmdFOVYDeg+2*margin, man.FOVYDeg)
+	fetchX := math.Min(hmdFOVXDeg+2*fetchMarginDeg, man.FOVXDeg)
+	fetchY := math.Min(hmdFOVYDeg+2*fetchMarginDeg, man.FOVYDeg)
 	return &tiledSession{
-		grid:      grid,
-		method:    projection.Method(man.Projection),
-		policy:    policy,
-		force:     cfg.Force,
-		predictor: predictor,
-		ctrl:      ctrl,
-		timeline:  &netsim.Timeline{Link: link, SegmentDuration: segDur},
+		grid:     grid,
+		method:   projection.Method(man.Projection),
+		policy:   policy,
+		force:    cfg.Force,
+		ctrl:     ctrl,
+		timeline: &netsim.Timeline{Link: link, SegmentDuration: segDur},
 		fetchVP: projection.Viewport{
 			Width: man.FOVW, Height: man.FOVH,
 			FOVX: geom.Radians(fetchX), FOVY: geom.Radians(fetchY),
@@ -149,7 +127,7 @@ type tiledPlan struct {
 // pose at segment display time, price the tile set the prediction makes
 // visible, and let the policy engine (or a forced mode) choose.
 func (ts *tiledSession) plan(seg *server.SegmentInfo, tr headtrace.Trace, frameIdx, choice int, tolerance float64) tiledPlan {
-	predicted := ts.predictor.Predict(tr, frameIdx, seg.Frames/2)
+	predicted := hmp.LinearPredictor{}.Predict(tr, frameIdx, seg.Frames/2)
 
 	var fovBytes int64
 	confidence := 0.0

@@ -47,6 +47,17 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of String: the one place a delivery word
+// becomes a Mode.
+func ParseMode(s string) (Mode, error) {
+	for m := ModeAuto; m <= ModeOrig; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("delivery: unknown mode %q (auto, fov, tiled, orig)", s)
+}
+
 // PolicyConfig parameterizes the per-segment mode decision.
 type PolicyConfig struct {
 	// FOVConfidenceMin is the minimum predicted FOV-hit confidence

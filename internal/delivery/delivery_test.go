@@ -20,6 +20,19 @@ func TestModeString(t *testing.T) {
 		if got := m.String(); got != want {
 			t.Errorf("Mode(%d).String() = %q, want %q", int(m), got, want)
 		}
+		// ParseMode inverts String for every real mode and rejects the rest.
+		got, err := ParseMode(want)
+		if m <= ModeOrig && (err != nil || got != m) {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", want, got, err, m)
+		}
+		if m > ModeOrig && err == nil {
+			t.Errorf("ParseMode(%q) accepted", want)
+		}
+	}
+	for _, word := range []string{"", "mixed", "policy", "Tiled", " fov"} {
+		if m, err := ParseMode(word); err == nil {
+			t.Errorf("ParseMode(%q) = %v, want an error", word, m)
+		}
 	}
 }
 

@@ -15,12 +15,10 @@ import (
 	"evr/internal/telemetry"
 )
 
-// ClassSpec describes one client class of a heterogeneous fleet: how many
-// users it contributes, what they watch, and the device/delivery profile
-// they run — projection (via the video spec), delivery mode, PTE bitwidth,
-// client cache budget, and the modeled access link. A Config with Classes
-// set ignores the flat Users/Video/Spec/Zipf knobs: the fleet IS the user
-// population.
+// ClassSpec describes one client class of a load run's population: how
+// many users it contributes, what they watch, and the device/delivery
+// profile they run — projection (via the video spec), delivery mode, PTE
+// bitwidth, client cache budget, and the modeled access link.
 type ClassSpec struct {
 	// Name labels the class in reports. Required, unique per run.
 	Name string
@@ -28,13 +26,15 @@ type ClassSpec struct {
 	Users int
 	// Video names the catalog video this class plays; Spec overrides the
 	// catalog lookup when its Name is non-empty (e.g. a projection variant
-	// of a catalog video).
+	// of a catalog video, or a video outside the catalog). The spec must
+	// match what the target ingested, because head traces derive from it.
 	Video string
 	Spec  scene.VideoSpec
-	// Delivery picks the per-class delivery mode: "" or "fov" for the
-	// classic FOV/orig player, "tiled"/"orig" to pin the tiled pipeline to
-	// one mode, "policy" to let the three-way policy decide per segment.
-	// Tiled modes only engage for videos ingested with tile streams.
+	// Delivery picks the class's delivery mode: "" plays the classic
+	// FOV/orig player; a delivery.Mode word (delivery.ParseMode) runs the
+	// tiled pipeline, pinned to that mode or, for "auto", left to the
+	// per-segment policy. A class with a non-empty Delivery needs its video
+	// ingested with tile streams.
 	Delivery string
 	// UseHAR renders FOV misses on the PTE accelerator; PTEFormat then
 	// overrides the fixed-point bitwidth (zero = the default Q28.10).
@@ -62,8 +62,13 @@ func (cs *ClassSpec) resolveSpec() (scene.VideoSpec, error) {
 	return v, nil
 }
 
-// validateClasses checks the fleet and returns the total user count.
-func validateClasses(classes []ClassSpec) (int, error) {
+// ValidateClasses checks a population — at least one class, each named
+// uniquely, with ≥ 1 user, a resolvable video, a delivery word, and a known
+// link class — and returns its total user count.
+func ValidateClasses(classes []ClassSpec) (int, error) {
+	if len(classes) == 0 {
+		return 0, fmt.Errorf("loadgen: at least one class required")
+	}
 	total := 0
 	seen := make(map[string]bool, len(classes))
 	for i := range classes {
@@ -78,10 +83,10 @@ func validateClasses(classes []ClassSpec) (int, error) {
 		if cs.Users < 1 {
 			return 0, fmt.Errorf("loadgen: class %q: Users %d must be ≥ 1", cs.Name, cs.Users)
 		}
-		switch cs.Delivery {
-		case "", "fov", "tiled", "orig", "policy":
-		default:
-			return 0, fmt.Errorf("loadgen: class %q: unknown delivery mode %q", cs.Name, cs.Delivery)
+		if cs.Delivery != "" {
+			if _, err := delivery.ParseMode(cs.Delivery); err != nil {
+				return 0, fmt.Errorf("loadgen: class %q: %w", cs.Name, err)
+			}
 		}
 		if cs.Link != "" {
 			if _, ok := netsim.ClassByName(cs.Link); !ok {
@@ -96,20 +101,14 @@ func validateClasses(classes []ClassSpec) (int, error) {
 	return total, nil
 }
 
-// tiledConfig translates a class's delivery mode into the player's tiled
-// config, nil for the classic FOV/orig pipeline.
+// tiledConfig is the one translation of a class's delivery word into the
+// player's tiled config: nil for the classic FOV/orig pipeline.
+// ValidateClasses has vetted the word.
 func (cs *ClassSpec) tiledConfig() *client.TiledConfig {
-	var force delivery.Mode
-	switch cs.Delivery {
-	case "tiled":
-		force = delivery.ModeTiled
-	case "orig":
-		force = delivery.ModeOrig
-	case "policy":
-		force = delivery.ModeAuto
-	default:
+	if cs.Delivery == "" {
 		return nil
 	}
+	force, _ := delivery.ParseMode(cs.Delivery)
 	tc := client.TiledConfig{Enabled: true, Force: force}
 	if cs.Link != "" {
 		tc.Link, _ = netsim.ClassByName(cs.Link)
@@ -143,8 +142,8 @@ type ClassStats struct {
 	BehindLiveMaxSec float64
 }
 
-// fleetState is the per-run bookkeeping Classes mode adds: the user →
-// class mapping and one behind-live histogram per class.
+// fleetState is the per-run population bookkeeping: the user → class
+// mapping and one behind-live histogram per class.
 type fleetState struct {
 	classes []ClassSpec
 	byUser  []int // user index → class index
@@ -188,7 +187,7 @@ func sessionEnergyJ(stats client.PlaybackStats, viewportScale int) float64 {
 }
 
 // aggregateClasses folds every session result into per-class stats.
-func aggregateClasses(fs *fleetState, results []UserResult, cfg Config) []ClassStats {
+func aggregateClasses(fs *fleetState, results []UserResult) []ClassStats {
 	out := make([]ClassStats, len(fs.classes))
 	for ci := range fs.classes {
 		out[ci].Name = fs.classes[ci].Name
@@ -214,14 +213,7 @@ func aggregateClasses(fs *fleetState, results []UserResult, cfg Config) []ClassS
 		if r.Stats.BehindLiveMaxSec > st.BehindLiveMaxSec {
 			st.BehindLiveMaxSec = r.Stats.BehindLiveMaxSec
 		}
-		scale := fs.classes[ci].ViewportScale
-		if scale == 0 {
-			scale = cfg.ViewportScale
-		}
-		if scale == 0 {
-			scale = 40 // player default
-		}
-		st.EnergyJ += sessionEnergyJ(r.Stats, scale)
+		st.EnergyJ += r.energyJ
 	}
 	for ci := range out {
 		if out[ci].Frames > 0 {

@@ -1,15 +1,17 @@
 package loadgen
 
 import (
+	"math"
 	"net/http"
 	"sync"
 	"testing"
 
+	"evr/internal/delivery"
 	"evr/internal/server"
 )
 
 // TestFleetClassesRunAndAggregate is the heterogeneous-fleet gate: a run
-// with Classes set assigns users to classes in declaration order, threads
+// assigns users to classes in declaration order, threads
 // each user's class through WrapTransport, and reports per-class stats
 // whose totals reconcile with the flat results.
 func TestFleetClassesRunAndAggregate(t *testing.T) {
@@ -29,7 +31,7 @@ func TestFleetClassesRunAndAggregate(t *testing.T) {
 		Service:       svc,
 		Classes: []ClassSpec{
 			{Name: "har-fov", Users: 2, Video: "SOAK", Spec: soakSpec(), UseHAR: true, CacheSegments: 4},
-			{Name: "sw-orig", Users: 3, Video: "SOAK", Spec: soakSpec(), Delivery: "fov", Link: "dsl20"},
+			{Name: "sw-orig", Users: 3, Video: "SOAK", Spec: soakSpec(), Link: "dsl20"},
 		},
 		WrapTransport: func(user int, class string, base http.RoundTripper) http.RoundTripper {
 			mu.Lock()
@@ -99,6 +101,14 @@ func TestFleetClassesRunAndAggregate(t *testing.T) {
 	if har.EnergyJ <= 0 || sw.EnergyJ <= 0 {
 		t.Errorf("modeled energy missing: har %.3fJ sw %.3fJ", har.EnergyJ, sw.EnergyJ)
 	}
+	// Energy is charged at each player's effective viewport scale.
+	var wantJ float64
+	for _, r := range rep.Results {
+		wantJ += sessionEnergyJ(r.Stats, 32)
+	}
+	if got := har.EnergyJ + sw.EnergyJ; math.Abs(got-wantJ) > 1e-9*wantJ {
+		t.Errorf("class energy %.6fJ, want %.6fJ at viewport scale 32", got, wantJ)
+	}
 	if sw.LiveSegments != 0 || sw.BehindLiveP99Sec != 0 {
 		t.Errorf("VOD class reported live freshness: %d segs p99 %.3fs", sw.LiveSegments, sw.BehindLiveP99Sec)
 	}
@@ -124,6 +134,7 @@ func TestFleetValidation(t *testing.T) {
 		name    string
 		classes []ClassSpec
 	}{
+		{"no classes", nil},
 		{"missing name", []ClassSpec{{Users: 1, Video: "RS"}}},
 		{"dup name", []ClassSpec{{Name: "a", Users: 1, Video: "RS"}, {Name: "a", Users: 1, Video: "RS"}}},
 		{"zero users", []ClassSpec{{Name: "a", Users: 0, Video: "RS"}}},
@@ -132,18 +143,19 @@ func TestFleetValidation(t *testing.T) {
 		{"bad video", []ClassSpec{{Name: "a", Users: 1, Video: "NOPE"}}},
 	}
 	for _, tc := range cases {
-		if _, err := validateClasses(tc.classes); err == nil {
+		if _, err := ValidateClasses(tc.classes); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 	if _, err := Run(Config{Classes: []ClassSpec{{Name: "a", Users: 1, Video: "RS"}}}); err == nil {
 		t.Error("fleet run without BaseURL accepted")
 	}
-	total, err := validateClasses([]ClassSpec{
+	total, err := ValidateClasses([]ClassSpec{
 		{Name: "a", Users: 2, Video: "RS"},
-		{Name: "b", Users: 3, Video: "Paris", Delivery: "policy", Link: "lte50"},
+		{Name: "b", Users: 3, Video: "Paris", Delivery: delivery.ModeAuto.String(), Link: "lte50"},
+		{Name: "c", Users: 1, Video: "NYC", Delivery: delivery.ModeOrig.String()},
 	})
-	if err != nil || total != 5 {
+	if err != nil || total != 6 {
 		t.Errorf("valid fleet rejected: total=%d err=%v", total, err)
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"evr/internal/frame"
 	"evr/internal/headtrace"
 	"evr/internal/hmd"
-	"evr/internal/scene"
 	"evr/internal/server"
 	"evr/internal/telemetry"
 )
@@ -35,14 +34,11 @@ type Config struct {
 	// BaseURL is the target server. Required; Serve starts an in-process
 	// one.
 	BaseURL string
-	// Video names the catalog video whose traces the users replay.
-	Video string
-	// Spec optionally overrides the catalog lookup with an explicit video
-	// spec (Spec.Name non-empty). The spec must match what the target
-	// server ingested, because head traces derive from it.
-	Spec scene.VideoSpec
-	// Users is the number of concurrent sessions per pass.
-	Users int
+	// Classes is the user population, at least one class: each class
+	// contributes its own user count, video, delivery mode, PTE bitwidth,
+	// cache budget, and modeled link, and the report carries per-class
+	// aggregates. ZipfClasses builds a Zipf-popular multi-video population.
+	Classes []ClassSpec
 	// Passes replays the whole user set this many times (≥ 1). Players
 	// are fresh each pass — client caches start cold — so pass 2 onward
 	// measures the server-side response cache, not the client's.
@@ -51,17 +47,12 @@ type Config struct {
 	Segments int
 	// ViewportScale shrinks rendered viewports (0 = the player default).
 	ViewportScale int
-	// UseHAR renders FOV misses on the PTE accelerator.
-	UseHAR bool
 	// Resilient survives corrupt payloads instead of aborting a session.
 	Resilient bool
-	// RenderWorkers bounds each player's render pool. 0 = 1: with N
-	// players already running, per-player fan-out oversubscribes the host.
-	RenderWorkers int
 	// Fetch tunes each session's fetch layer. nil = client defaults.
 	Fetch *client.FetchConfig
 	// HTTP optionally overrides the shared HTTP client. nil builds one
-	// transport sized for Users concurrent sessions; sharing it across
+	// transport sized for every concurrent session; sharing it across
 	// players is deliberate — connection reuse is what a real multi-user
 	// edge sees.
 	HTTP *http.Client
@@ -73,31 +64,14 @@ type Config struct {
 	// deltas per pass. Mutually composable with Service (leave Service nil
 	// for cluster targets; shards carry their own response caches).
 	Cluster *cluster.Cluster
-	// Specs is the multi-video catalog Zipf mode draws from (rank = index:
-	// Specs[0] is the most popular). Empty falls back to Spec/Video. Every
-	// spec must match what the target ingested.
-	Specs []scene.VideoSpec
-	// ZipfExponent, when > 0, assigns each user a video from Specs under a
-	// Zipf popularity law with this exponent — the skewed request mix the
-	// edge cache exists to absorb. 0 round-robins users across Specs.
-	ZipfExponent float64
 	// OnPassStart, when set, runs before each pass's sessions launch —
 	// the hook evrload's mid-run shard kill uses.
 	OnPassStart func(pass int)
-	// Classes, when non-empty, runs a heterogeneous fleet: each class
-	// contributes its own user count, video, delivery mode, PTE bitwidth,
-	// cache budget, and modeled link, and the report carries per-class
-	// aggregates. Users/Video/Spec/Specs/ZipfExponent are ignored.
-	Classes []ClassSpec
 	// WrapTransport, when set, wraps each user's HTTP transport — the
 	// chaos engine's per-client fault-injection hook. The wrapper sits
 	// under the latency-timing layer, so injected delay and loss show up
 	// in the report's latency quantiles like real network trouble would.
 	WrapTransport func(user int, class string, base http.RoundTripper) http.RoundTripper
-	// Delivery, when non-nil, runs every session in the viewport-adaptive
-	// tiled delivery mode with this config (the target must have been
-	// ingested with tile streams for it to engage).
-	Delivery *client.TiledConfig
 	// FrameSink, when set, receives each successful session's displayed
 	// frames — the hook evrload's frontier sweep uses to score viewport
 	// PSNR across delivery modes. Called concurrently from session
@@ -109,8 +83,8 @@ type Config struct {
 type UserResult struct {
 	User    int
 	Pass    int
-	Class   string // the user's fleet class, "" outside Classes mode
-	Video   string // the video this user plays (varies in Zipf mode)
+	Class   string // the user's fleet class
+	Video   string // the video the user's class plays
 	Err     error
 	Elapsed time.Duration
 	Stats   client.PlaybackStats
@@ -118,6 +92,9 @@ type UserResult struct {
 	// order. Identical traces must produce identical checksums regardless
 	// of cache configuration or concurrency — the soak's core assertion.
 	Checksum uint64
+	// energyJ is the session's modeled client-device energy at the
+	// player's effective viewport scale.
+	energyJ float64
 }
 
 // HitRate returns the session's FOV-hit fraction.
@@ -153,7 +130,7 @@ type PassStats struct {
 	FramesPerSec float64
 	Server       *ServerDelta  // nil for remote targets
 	Cluster      *ClusterDelta // nil for non-cluster targets
-	// Tiled-delivery aggregates (all zero unless Config.Delivery engaged).
+	// Tiled-delivery aggregates (all zero unless a class's Delivery engaged).
 	ModeFOVSegments   int
 	ModeTiledSegments int
 	ModeOrigSegments  int
@@ -183,15 +160,14 @@ type LatencySummary struct {
 
 // Report is the full outcome of a load run.
 type Report struct {
-	Video    string
-	Videos   []string // full catalog when Zipf/multi-video mode is on
-	Zipf     float64  // popularity exponent, 0 when uniform
+	Video    string   // the first class's video
+	Videos   []string // every distinct video, when the classes play more than one
 	Users    int
 	Passes   int
 	Segments int
 	Results  []UserResult // Users × Passes entries
 	PerPass  []PassStats
-	Classes  []ClassStats // per-class aggregates, empty outside Classes mode
+	Classes  []ClassStats
 	Latency  LatencySummary
 	Elapsed  time.Duration
 }
@@ -261,69 +237,24 @@ func ServeHandler(h http.Handler) (baseURL string, shutdown func(), err error) {
 	return "http://" + ln.Addr().String(), shutdown, nil
 }
 
-// validate fills defaults and rejects unusable configs, returning the
-// video catalog users draw from (one entry outside multi-video mode).
-func (c *Config) validate() ([]scene.VideoSpec, error) {
-	if c.Users < 1 {
-		return nil, fmt.Errorf("loadgen: Users %d must be ≥ 1", c.Users)
+// Run executes the load: Passes waves of every class's users, each a
+// concurrent playback session. Setup failures return an error; per-session
+// failures land in the report (and in Report.Failures) so one bad session
+// doesn't mask the other N-1 measurements.
+func Run(cfg Config) (*Report, error) {
+	users, err := ValidateClasses(cfg.Classes)
+	if err != nil {
+		return nil, err
 	}
-	if c.Passes < 1 {
-		c.Passes = 1
-	}
-	if c.BaseURL == "" {
+	if cfg.BaseURL == "" {
 		return nil, fmt.Errorf("loadgen: BaseURL required (use Serve for an in-process server)")
 	}
-	if c.ZipfExponent < 0 {
-		return nil, fmt.Errorf("loadgen: ZipfExponent %v must be ≥ 0", c.ZipfExponent)
+	if cfg.Passes < 1 {
+		cfg.Passes = 1
 	}
-	if len(c.Specs) > 0 {
-		for _, s := range c.Specs {
-			if s.Name == "" {
-				return nil, fmt.Errorf("loadgen: Specs entries must be named")
-			}
-		}
-		return c.Specs, nil
-	}
-	spec := c.Spec
-	if spec.Name == "" {
-		v, ok := scene.ByName(c.Video)
-		if !ok {
-			return nil, fmt.Errorf("loadgen: unknown video %q", c.Video)
-		}
-		spec = v
-	}
-	return []scene.VideoSpec{spec}, nil
-}
-
-// Run executes the load: Passes waves of Users concurrent playback
-// sessions. Setup failures return an error; per-session failures land in
-// the report (and in Report.Failures) so one bad session doesn't mask the
-// other N-1 measurements.
-func Run(cfg Config) (*Report, error) {
-	var catalog []scene.VideoSpec
-	var fleet *fleetState
-	var err error
-	if len(cfg.Classes) > 0 {
-		total, err := validateClasses(cfg.Classes)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Users = total
-		if cfg.Passes < 1 {
-			cfg.Passes = 1
-		}
-		if cfg.BaseURL == "" {
-			return nil, fmt.Errorf("loadgen: BaseURL required (use Serve for an in-process server)")
-		}
-		fleet, err = newFleetState(cfg.Classes, total)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		catalog, err = cfg.validate()
-		if err != nil {
-			return nil, err
-		}
+	fleet, err := newFleetState(cfg.Classes, users)
+	if err != nil {
+		return nil, err
 	}
 	fetch := client.DefaultFetchConfig()
 	if cfg.Fetch != nil {
@@ -332,8 +263,8 @@ func Run(cfg Config) (*Report, error) {
 
 	tt := &timingTransport{
 		base: &http.Transport{
-			MaxIdleConns:        cfg.Users * 2,
-			MaxIdleConnsPerHost: cfg.Users * 2,
+			MaxIdleConns:        users * 2,
+			MaxIdleConnsPerHost: users * 2,
 		},
 		hist:     telemetry.NewHistogram(telemetry.DefaultLatencyBuckets()),
 		requests: &telemetry.Counter{},
@@ -354,60 +285,33 @@ func Run(cfg Config) (*Report, error) {
 		httpClient = &wrapped
 	}
 
-	// Each user is pinned to one video — class-assigned in fleet mode,
-	// Zipf-popular when an exponent is set, round-robin otherwise — and
-	// traces are generated once and replayed every pass: determinism is
-	// the property the soak leans on.
-	assigned := make([]scene.VideoSpec, cfg.Users)
-	traces := make([]headtrace.Trace, cfg.Users)
-	for u := 0; u < cfg.Users; u++ {
-		switch {
-		case fleet != nil:
-			assigned[u] = fleet.specs[fleet.byUser[u]]
-		case cfg.ZipfExponent > 0:
-			assigned[u] = catalog[zipfAssign(u, len(catalog), cfg.ZipfExponent)]
-		default:
-			assigned[u] = catalog[u%len(catalog)]
-		}
-		traces[u] = headtrace.Generate(assigned[u], u)
+	// Each user plays its class's video, and traces are generated once and
+	// replayed every pass: determinism is the property the soak leans on.
+	traces := make([]headtrace.Trace, users)
+	for u := range traces {
+		traces[u] = headtrace.Generate(fleet.specs[fleet.byUser[u]], u)
 	}
 
 	// Per-user HTTP clients exist only when a fault layer wraps each
 	// user's transport; the timing layer on top still feeds one shared
 	// histogram, so the report's latency view spans the whole fleet.
-	clients := make([]*http.Client, cfg.Users)
-	for u := 0; u < cfg.Users; u++ {
+	clients := make([]*http.Client, users)
+	for u := range clients {
 		if cfg.WrapTransport == nil {
 			clients[u] = httpClient
 			continue
 		}
-		className := ""
-		if fleet != nil {
-			className = cfg.Classes[fleet.byUser[u]].Name
-		}
 		clients[u] = &http.Client{Transport: &timingTransport{
-			base:     cfg.WrapTransport(u, className, tt.base),
+			base:     cfg.WrapTransport(u, cfg.Classes[fleet.byUser[u]].Name, tt.base),
 			hist:     tt.hist,
 			requests: tt.requests,
 			errors:   tt.errors,
 		}}
 	}
 
-	var rep *Report
-	if fleet != nil {
-		rep = &Report{Video: fleet.specs[0].Name,
-			Users: cfg.Users, Passes: cfg.Passes, Segments: cfg.Segments}
-		if vids := classVideos(fleet); len(vids) > 1 {
-			rep.Videos = vids
-		}
-	} else {
-		rep = &Report{Video: catalog[0].Name, Zipf: cfg.ZipfExponent,
-			Users: cfg.Users, Passes: cfg.Passes, Segments: cfg.Segments}
-		if len(catalog) > 1 {
-			for _, s := range catalog {
-				rep.Videos = append(rep.Videos, s.Name)
-			}
-		}
+	rep := &Report{Video: fleet.specs[0].Name, Users: users, Passes: cfg.Passes, Segments: cfg.Segments}
+	if vids := classVideos(fleet); len(vids) > 1 {
+		rep.Videos = vids
 	}
 	start := time.Now()
 	for pass := 1; pass <= cfg.Passes; pass++ {
@@ -427,26 +331,21 @@ func Run(cfg Config) (*Report, error) {
 		}
 		beforeLatency := tt.hist.Snapshot()
 
-		results := make([]UserResult, cfg.Users)
+		results := make([]UserResult, users)
 		passStart := time.Now()
 		var wg sync.WaitGroup
-		for u := 0; u < cfg.Users; u++ {
+		for u := 0; u < users; u++ {
 			wg.Add(1)
 			go func(u int) {
 				defer wg.Done()
-				var cs *ClassSpec
-				var behind *telemetry.Histogram
-				if fleet != nil {
-					cs = &cfg.Classes[fleet.byUser[u]]
-					behind = fleet.behind[fleet.byUser[u]]
-				}
-				results[u] = runSession(cfg, fetch, clients[u], assigned[u].Name, traces[u], u, pass, cs, behind)
+				ci := fleet.byUser[u]
+				results[u] = runSession(cfg, fetch, clients[u], &cfg.Classes[ci], fleet.specs[ci].Name, fleet.behind[ci], traces[u], u, pass)
 			}(u)
 		}
 		wg.Wait()
 		passElapsed := time.Since(passStart)
 
-		ps := PassStats{Pass: pass, Elapsed: passElapsed, Sessions: cfg.Users}
+		ps := PassStats{Pass: pass, Elapsed: passElapsed, Sessions: users}
 		for _, r := range results {
 			if r.Err != nil {
 				ps.Failures++
@@ -492,9 +391,7 @@ func Run(cfg Config) (*Report, error) {
 		rep.Results = append(rep.Results, results...)
 	}
 	rep.Elapsed = time.Since(start)
-	if fleet != nil {
-		rep.Classes = aggregateClasses(fleet, rep.Results, cfg)
-	}
+	rep.Classes = aggregateClasses(fleet, rep.Results)
 
 	snap := tt.hist.Snapshot()
 	rep.Latency = LatencySummary{
@@ -509,39 +406,30 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // runSession plays one user's trace through a fresh player on the shared
-// (or per-user fault-wrapped) HTTP client and summarizes it. cs carries
-// the user's fleet class profile, nil outside Classes mode.
-func runSession(cfg Config, fetch client.FetchConfig, httpClient *http.Client, video string, trace headtrace.Trace, user, pass int, cs *ClassSpec, behind *telemetry.Histogram) UserResult {
+// (or per-user fault-wrapped) HTTP client and summarizes it. cs is the
+// user's class profile and behind its class's behind-live histogram.
+func runSession(cfg Config, fetch client.FetchConfig, httpClient *http.Client, cs *ClassSpec, video string, behind *telemetry.Histogram, trace headtrace.Trace, user, pass int) UserResult {
 	p := client.NewPlayer(cfg.BaseURL)
 	p.HTTP = httpClient
 	p.Fetch = fetch
-	p.UseHAR = cfg.UseHAR
+	p.Fetch.BehindLive = behind
+	if cs.CacheSegments > 0 {
+		p.Fetch.CacheSegments = cs.CacheSegments
+	}
+	p.UseHAR = cs.UseHAR
+	p.PTEFormat = cs.PTEFormat
 	p.Resilient = cfg.Resilient
+	// Every session of the pass already runs concurrently: a per-player
+	// render pool would only oversubscribe the host.
+	p.Workers = 1
 	if cfg.ViewportScale > 0 {
 		p.ViewportScale = cfg.ViewportScale
 	}
-	p.Workers = cfg.RenderWorkers
-	if p.Workers == 0 {
-		p.Workers = 1
+	if cs.ViewportScale > 0 {
+		p.ViewportScale = cs.ViewportScale
 	}
-	if cfg.Delivery != nil {
-		p.Tiled = *cfg.Delivery
-	}
-	className := ""
-	if cs != nil {
-		className = cs.Name
-		p.UseHAR = cs.UseHAR
-		p.PTEFormat = cs.PTEFormat
-		if cs.CacheSegments > 0 {
-			p.Fetch.CacheSegments = cs.CacheSegments
-		}
-		if cs.ViewportScale > 0 {
-			p.ViewportScale = cs.ViewportScale
-		}
-		if tc := cs.tiledConfig(); tc != nil {
-			p.Tiled = *tc
-		}
-		p.Fetch.BehindLive = behind
+	if tc := cs.tiledConfig(); tc != nil {
+		p.Tiled = *tc
 	}
 	start := time.Now()
 	stats, frames, err := p.Play(video, hmd.NewIMU(trace), cfg.Segments)
@@ -551,12 +439,13 @@ func runSession(cfg Config, fetch client.FetchConfig, httpClient *http.Client, v
 	return UserResult{
 		User:     user,
 		Pass:     pass,
-		Class:    className,
+		Class:    cs.Name,
 		Video:    video,
 		Err:      err,
 		Elapsed:  time.Since(start),
 		Stats:    stats,
 		Checksum: ChecksumFrames(frames),
+		energyJ:  sessionEnergyJ(stats, p.ViewportScale),
 	}
 }
 

@@ -30,6 +30,11 @@ func soakSpec() scene.VideoSpec {
 	}
 }
 
+// soakClass is a single-class population of n users playing soakSpec.
+func soakClass(n int) []ClassSpec {
+	return []ClassSpec{{Name: "soak", Users: n, Spec: soakSpec()}}
+}
+
 func soakIngest() server.IngestConfig {
 	cfg := server.DefaultIngestConfig()
 	cfg.FullW, cfg.FullH = 48, 24
@@ -71,8 +76,7 @@ func TestSoak32ConcurrentSessions(t *testing.T) {
 	const users = 32
 	rep, err := Run(Config{
 		BaseURL: baseURL,
-		Spec:    soakSpec(),
-		Users:   users,
+		Classes: soakClass(users),
 		Passes:  2,
 		// 1/32 of the panel keeps 64 pixel-exact sessions affordable
 		// under -race; the checksums still cover every displayed pixel.
@@ -163,15 +167,18 @@ func TestSoak32ConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadConfig pins the validate() edges.
+// TestRunRejectsBadConfig pins Run's setup gate.
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{BaseURL: "http://x", Video: "RS", Users: 0}); err == nil {
+	if _, err := Run(Config{BaseURL: "http://x"}); err == nil {
+		t.Error("run without classes accepted")
+	}
+	if _, err := Run(Config{BaseURL: "http://x", Classes: []ClassSpec{{Name: "a", Video: "RS"}}}); err == nil {
 		t.Error("Users=0 accepted")
 	}
-	if _, err := Run(Config{Video: "RS", Users: 1}); err == nil {
+	if _, err := Run(Config{Classes: []ClassSpec{{Name: "a", Users: 1, Video: "RS"}}}); err == nil {
 		t.Error("empty BaseURL accepted")
 	}
-	if _, err := Run(Config{BaseURL: "http://x", Video: "no-such-video", Users: 1}); err == nil {
+	if _, err := Run(Config{BaseURL: "http://x", Classes: []ClassSpec{{Name: "a", Users: 1, Video: "no-such-video"}}}); err == nil {
 		t.Error("unknown video accepted")
 	}
 }
@@ -187,8 +194,7 @@ func TestServeRoundTrip(t *testing.T) {
 
 	rep, err := Run(Config{
 		BaseURL:       baseURL,
-		Spec:          soakSpec(),
-		Users:         2,
+		Classes:       soakClass(2),
 		Segments:      1,
 		ViewportScale: 32,
 		Service:       svc,
@@ -268,10 +274,10 @@ func TestShutdownDrainsInflightRequests(t *testing.T) {
 	}
 }
 
-// TestZipfRoutedRunAcrossVideos drives the routed cluster tier in Zipf
-// popularity mode: users draw videos under a skewed law, the router
-// partitions segments across shards, and the report carries per-shard
-// skew and edge-hit-rate deltas.
+// TestZipfRoutedRunAcrossVideos drives the routed cluster tier with a
+// Zipf-popular population: users split across videos under a skewed law,
+// the router partitions segments across shards, and the report carries
+// per-shard skew and edge-hit-rate deltas.
 func TestZipfRoutedRunAcrossVideos(t *testing.T) {
 	specs := make([]scene.VideoSpec, 3)
 	for i := range specs {
@@ -299,9 +305,7 @@ func TestZipfRoutedRunAcrossVideos(t *testing.T) {
 
 	rep, err := Run(Config{
 		BaseURL:       baseURL,
-		Specs:         specs,
-		ZipfExponent:  1.2,
-		Users:         12,
+		Classes:       ZipfClasses(specs, 12, 1.2, ClassSpec{}),
 		Passes:        2,
 		ViewportScale: 32,
 		Cluster:       clu,
@@ -312,20 +316,18 @@ func TestZipfRoutedRunAcrossVideos(t *testing.T) {
 	if fails := rep.Failures(); len(fails) != 0 {
 		t.Fatalf("%d sessions failed, first: %v", len(fails), fails[0].Err)
 	}
-	if len(rep.Videos) != 3 || rep.Zipf != 1.2 {
-		t.Errorf("report catalog = %v zipf %v", rep.Videos, rep.Zipf)
+	if len(rep.Videos) != 3 {
+		t.Errorf("report catalog = %v", rep.Videos)
 	}
 
-	// The Zipf draw is deterministic and skewed: the head video gets the
-	// plurality of users, and assignments repeat across passes.
+	// The Zipf split is deterministic and skewed: the head video gets the
+	// plurality of users, in every pass.
 	byVideo := map[string]int{}
 	for _, r := range rep.Results {
-		if r.Pass == 1 {
-			byVideo[r.Video]++
-		}
+		byVideo[r.Video]++
 	}
-	if byVideo["ZIPF0"] <= byVideo["ZIPF2"] {
-		t.Errorf("popularity not skewed: %v", byVideo)
+	if want := map[string]int{"ZIPF0": 2 * 7, "ZIPF1": 2 * 4, "ZIPF2": 2 * 1}; fmt.Sprint(byVideo) != fmt.Sprint(want) {
+		t.Errorf("sessions per video = %v, want %v", byVideo, want)
 	}
 
 	// Per-pass cluster deltas: skew bounded, edge absorbing repeats by
@@ -354,7 +356,7 @@ func TestZipfRoutedRunAcrossVideos(t *testing.T) {
 	var sb strings.Builder
 	rep.WriteText(&sb, false)
 	out := sb.String()
-	for _, want := range []string{"zipf", "edge hit rate", "skew", "shard-0"} {
+	for _, want := range []string{"over 3 videos", "edge hit rate", "skew", "shard-0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}

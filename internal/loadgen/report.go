@@ -13,9 +13,6 @@ import (
 func (r *Report) WriteText(w io.Writer, perUser bool) {
 	if len(r.Videos) > 1 {
 		fmt.Fprintf(w, "loadgen: %d users × %d pass(es) over %d videos", r.Users, r.Passes, len(r.Videos))
-		if r.Zipf > 0 {
-			fmt.Fprintf(w, " (zipf s=%.2f)", r.Zipf)
-		}
 	} else {
 		fmt.Fprintf(w, "loadgen: %d users × %d pass(es) over %s", r.Users, r.Passes, r.Video)
 	}

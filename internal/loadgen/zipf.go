@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"evr/internal/cluster"
+	"evr/internal/scene"
 	"evr/internal/telemetry"
 )
 
@@ -40,6 +41,28 @@ func zipfAssign(user, n int, s float64) int {
 		}
 	}
 	return n - 1
+}
+
+// ZipfClasses is the Zipf-popular population over a multi-video catalog —
+// the skewed request mix the edge cache exists to absorb: one copy of
+// template per video of specs (rank = index: specs[0] is the most popular),
+// named after the video and holding as many of users 0..users-1 as
+// zipfAssign sends there. Videos that draw no user get no class.
+func ZipfClasses(specs []scene.VideoSpec, users int, s float64, template ClassSpec) []ClassSpec {
+	counts := make([]int, len(specs))
+	for u := 0; u < users; u++ {
+		counts[zipfAssign(u, len(specs), s)]++
+	}
+	var out []ClassSpec
+	for i, spec := range specs {
+		if counts[i] == 0 {
+			continue
+		}
+		cs := template
+		cs.Name, cs.Users, cs.Video, cs.Spec = spec.Name, counts[i], spec.Name, spec
+		out = append(out, cs)
+	}
+	return out
 }
 
 // ShardDelta is one shard's routed-request change over one pass.

@@ -1,6 +1,11 @@
 package loadgen
 
-import "testing"
+import (
+	"testing"
+
+	"evr/internal/delivery"
+	"evr/internal/scene"
+)
 
 // TestZipfAssignDeterministicAndSkewed pins the popularity draw: stable
 // per user, in range, and monotonically favoring low ranks.
@@ -36,6 +41,35 @@ func TestZipfAssignEdges(t *testing.T) {
 	}
 	if got := zipfAssign(3, 0, 1.0); got != 0 {
 		t.Errorf("n=0 draw = %d", got)
+	}
+}
+
+// TestZipfClasses pins the Zipf population: one class per video that drew
+// a user, sized by zipfAssign's split, each a copy of the template.
+func TestZipfClasses(t *testing.T) {
+	specs := scene.Catalog()[:3]
+	tmpl := ClassSpec{Name: "overwritten", Delivery: delivery.ModeAuto.String(), UseHAR: true, CacheSegments: 2}
+	classes := ZipfClasses(specs, 32, 1.1, tmpl)
+	wantUsers := []int{14, 15, 3} // zipfAssign over users 0..31
+	if len(classes) != len(wantUsers) {
+		t.Fatalf("%d classes, want %d", len(classes), len(wantUsers))
+	}
+	total := 0
+	for i, cs := range classes {
+		total += cs.Users
+		if cs.Users != wantUsers[i] || cs.Name != specs[i].Name || cs.Video != specs[i].Name || cs.Spec.Name != specs[i].Name {
+			t.Errorf("class %d = %q/%q with %d users, want %s with %d", i, cs.Name, cs.Video, cs.Users, specs[i].Name, wantUsers[i])
+		}
+		if cs.Delivery != tmpl.Delivery || cs.UseHAR != tmpl.UseHAR || cs.CacheSegments != tmpl.CacheSegments {
+			t.Errorf("class %d dropped the template profile: %+v", i, cs)
+		}
+	}
+	if n, err := ValidateClasses(classes); err != nil || n != 32 || total != 32 {
+		t.Errorf("population of %d (validated %d, %v), want 32", total, n, err)
+	}
+	// One user draws one video: the others get no class.
+	if got := ZipfClasses(specs, 1, 1.1, ClassSpec{}); len(got) != 1 || got[0].Users != 1 {
+		t.Errorf("1-user population = %+v, want one 1-user class", got)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -35,7 +34,10 @@ import (
 
 // IngestConfig sets the pixel-pipeline parameters. Resolutions are scaled
 // down from the nominal 4K so ingest stays tractable; the geometry (FOV,
-// margins, segment length) matches the behavioral model.
+// margins, segment length) matches the behavioral model. Ingest fans
+// segment frame rendering, per-cluster FOV pre-rendering/encoding and tile
+// encoding out over pt.DefaultWorkers (GOMAXPROCS) workers; the manifest
+// and every stored payload are byte-identical for any GOMAXPROCS.
 type IngestConfig struct {
 	SAS      sas.Config
 	Codec    codec.Config
@@ -71,35 +73,17 @@ type IngestConfig struct {
 	// live ingest is orig-only (no Tiled).
 	Live *LiveOptions
 
-	// Workers bounds the ingest worker pool that fans out segment frame
-	// rendering and per-cluster FOV pre-rendering/encoding; 0 uses
-	// GOMAXPROCS. The manifest and every stored payload are byte-identical
-	// for all worker counts.
-	Workers int
-
 	// Tiled additionally ingests each segment as a tile grid: every tile
-	// encoded at TileRungs quality rungs plus one low-resolution backfill
+	// encoded at tileRungs quality rungs plus one low-resolution backfill
 	// stream, served over the /tile and /tilelow endpoints for the
-	// viewport-adaptive delivery mode (internal/delivery).
+	// viewport-adaptive delivery mode (internal/delivery). The layout is
+	// derived from FullW×FullH (see tiling) and published in the manifest.
 	Tiled bool
-	// TileCols×TileRows is the tile grid. Both zero selects the largest
-	// codec-compatible default for FullW×FullH (4×2 down to 1×1).
-	TileCols, TileRows int
-	// TileRungs is the per-tile quality-rung count; rung r encodes at
-	// quality base<<r (coarser as r grows). 0 = 3.
-	TileRungs int
-	// TileLowDiv is the linear downscale of the backfill stream. 0 picks
-	// the largest codec-compatible divisor of 4, 2, 1.
-	TileLowDiv int
 }
 
-// workerCount resolves Workers to an effective pool size.
-func (c IngestConfig) workerCount() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// tileRungs is the per-tile quality-rung count; rung r encodes at quality
+// base<<r (coarser as r grows).
+const tileRungs = 3
 
 // DefaultIngestConfig returns a test-scale pipeline: 192×96 panoramas with
 // 48×48 FOV frames covering the HMD's 110° FOV plus the SAS margin.
@@ -120,34 +104,26 @@ func DefaultIngestConfig() IngestConfig {
 	}
 }
 
-// withTiledDefaults resolves the adaptive tiled-ingest knobs against the
-// frame geometry: the preferred grid (and low-stream divisor) is the first
-// whose tiles are codec-codable at FullW×FullH. Explicit values pass
-// through untouched for Validate to judge.
-func (c IngestConfig) withTiledDefaults() IngestConfig {
-	if !c.Tiled {
-		return c
-	}
-	if c.TileCols == 0 && c.TileRows == 0 {
-		for _, g := range []tiling.Grid{{Cols: 4, Rows: 2}, {Cols: 2, Rows: 2}, {Cols: 2, Rows: 1}, {Cols: 1, Rows: 1}} {
-			if g.Validate(c.FullW, c.FullH) == nil {
-				c.TileCols, c.TileRows = g.Cols, g.Rows
-				break
-			}
+// tiling derives the tile layout from the frame geometry: the first grid of
+// 4×2, 2×2, 2×1 whose tiles are codec-codable at FullW×FullH, and the
+// largest backfill divisor of 4, 2 that keeps the low stream codable.
+// Validate's block-size check makes the 1×1 grid and divisor 1 fallbacks
+// always codable, so the result needs no validation of its own.
+func (c IngestConfig) tiling() *TilingInfo {
+	t := &TilingInfo{Cols: 1, Rows: 1, Rungs: tileRungs, LowDiv: 1}
+	for _, g := range []tiling.Grid{{Cols: 4, Rows: 2}, {Cols: 2, Rows: 2}, {Cols: 2, Rows: 1}} {
+		if g.Validate(c.FullW, c.FullH) == nil {
+			t.Cols, t.Rows = g.Cols, g.Rows
+			break
 		}
 	}
-	if c.TileRungs == 0 {
-		c.TileRungs = 3
-	}
-	if c.TileLowDiv == 0 {
-		for _, d := range []int{4, 2, 1} {
-			if c.FullW%d == 0 && c.FullH%d == 0 && (c.FullW/d)%8 == 0 && (c.FullH/d)%8 == 0 {
-				c.TileLowDiv = d
-				break
-			}
+	for _, d := range []int{4, 2} {
+		if (c.FullW/d)%8 == 0 && (c.FullH/d)%8 == 0 {
+			t.LowDiv = d
+			break
 		}
 	}
-	return c
+	return t
 }
 
 // Validate reports whether the configuration is usable.
@@ -170,28 +146,12 @@ func (c IngestConfig) Validate() error {
 	if c.MaxSegments < 0 {
 		return fmt.Errorf("server: MaxSegments must be ≥ 0")
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("server: Workers must be ≥ 0")
-	}
 	if c.Live != nil {
 		if err := c.Live.Validate(); err != nil {
 			return err
 		}
 		if c.Tiled {
 			return fmt.Errorf("server: live ingest is orig-only (no tiled streams)")
-		}
-	}
-	if c.Tiled {
-		g := tiling.Grid{Cols: c.TileCols, Rows: c.TileRows}
-		if err := g.Validate(c.FullW, c.FullH); err != nil {
-			return err
-		}
-		if c.TileRungs < 1 || c.TileRungs > 6 {
-			return fmt.Errorf("server: TileRungs %d outside [1,6]", c.TileRungs)
-		}
-		if c.TileLowDiv < 1 || c.FullW%c.TileLowDiv != 0 || c.FullH%c.TileLowDiv != 0 ||
-			(c.FullW/c.TileLowDiv)%8 != 0 || (c.FullH/c.TileLowDiv)%8 != 0 {
-			return fmt.Errorf("server: TileLowDiv %d incompatible with %dx%d", c.TileLowDiv, c.FullW, c.FullH)
 		}
 	}
 	return nil
@@ -299,7 +259,7 @@ func baseManifest(v scene.VideoSpec, cfg IngestConfig) *Manifest {
 		SegmentFrames: cfg.SAS.SegmentFrames,
 	}
 	if cfg.Tiled {
-		man.Tiling = &TilingInfo{Cols: cfg.TileCols, Rows: cfg.TileRows, Rungs: cfg.TileRungs, LowDiv: cfg.TileLowDiv}
+		man.Tiling = cfg.tiling()
 	}
 	return man
 }
@@ -309,7 +269,7 @@ func baseManifest(v scene.VideoSpec, cfg IngestConfig) *Manifest {
 // batch ingest and the live producer.
 func renderSegmentFrames(v scene.VideoSpec, cfg IngestConfig, start, frames int) []*frame.Frame {
 	full := make([]*frame.Frame, frames)
-	parallelFor(frames, cfg.workerCount(), func(f int) error {
+	parallelFor(frames, pt.DefaultWorkers(), func(f int) error {
 		full[f] = v.RenderFrame(float64(start+f)/float64(v.FPS), cfg.Projection, cfg.FullW, cfg.FullH)
 		return nil
 	})
@@ -329,7 +289,6 @@ func encodeOrigPayload(v scene.VideoSpec, cfg IngestConfig, si int, full []*fram
 
 // Ingest runs the cloud pipeline for one video and fills the SAS store.
 func Ingest(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*Manifest, error) {
-	cfg = cfg.withTiledDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -359,8 +318,8 @@ func Ingest(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*Manifest, er
 		// Tiled delivery: cut the segment into the tile grid, encode every
 		// tile at each quality rung, and store the low-res backfill stream.
 		var tileInfo *TileSegInfo
-		if cfg.Tiled {
-			tileInfo, err = ingestTiles(v, cfg, st, full, si)
+		if man.Tiling != nil {
+			tileInfo, err = ingestTiles(v, cfg, man.Tiling, st, full, si)
 			if err != nil {
 				return nil, err
 			}
@@ -389,9 +348,9 @@ func Ingest(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*Manifest, er
 		// them when the segment has a single cluster).
 		innerWorkers := 1
 		if len(tracks) > 0 {
-			innerWorkers = (cfg.workerCount() + len(tracks) - 1) / len(tracks)
+			innerWorkers = (pt.DefaultWorkers() + len(tracks) - 1) / len(tracks)
 		}
-		err = parallelFor(len(tracks), cfg.workerCount(), func(ci int) error {
+		err = parallelFor(len(tracks), pt.DefaultWorkers(), func(ci int) error {
 			rc, err := preRenderCluster(v, cfg, ptCfg, full, si, ci, tracks[ci], innerWorkers)
 			if err != nil {
 				return err
@@ -432,13 +391,13 @@ func rungQuality(base, rung int) int {
 // backfill stream. Encoding fans out across the worker pool; store commits
 // happen afterwards in (tile, rung) order so the result is deterministic
 // for any worker count.
-func ingestTiles(v scene.VideoSpec, cfg IngestConfig, st *store.Store, full []*frame.Frame, si int) (*TileSegInfo, error) {
-	g := tiling.Grid{Cols: cfg.TileCols, Rows: cfg.TileRows}
+func ingestTiles(v scene.VideoSpec, cfg IngestConfig, lay *TilingInfo, st *store.Store, full []*frame.Frame, si int) (*TileSegInfo, error) {
+	g := tiling.Grid{Cols: lay.Cols, Rows: lay.Rows}
 	nTiles := g.Tiles()
 	// Cut each tile's frame sequence once; every rung re-encodes the same
 	// pixels at a different quality.
 	tileFrames := make([][]*frame.Frame, nTiles)
-	if err := parallelFor(nTiles, cfg.workerCount(), func(t int) error {
+	if err := parallelFor(nTiles, pt.DefaultWorkers(), func(t int) error {
 		tf := make([]*frame.Frame, len(full))
 		for f, fr := range full {
 			tf[f] = g.Extract(fr, t)
@@ -450,10 +409,10 @@ func ingestTiles(v scene.VideoSpec, cfg IngestConfig, st *store.Store, full []*f
 	}
 	payloads := make([][][]byte, nTiles)
 	for t := range payloads {
-		payloads[t] = make([][]byte, cfg.TileRungs)
+		payloads[t] = make([][]byte, lay.Rungs)
 	}
-	err := parallelFor(nTiles*cfg.TileRungs, cfg.workerCount(), func(i int) error {
-		t, r := i/cfg.TileRungs, i%cfg.TileRungs
+	err := parallelFor(nTiles*lay.Rungs, pt.DefaultWorkers(), func(i int) error {
+		t, r := i/lay.Rungs, i%lay.Rungs
 		cc := cfg.Codec
 		cc.Quality = rungQuality(cfg.Codec.Quality, r)
 		bits, err := codec.EncodeSequence(cc, tileFrames[t])
@@ -472,18 +431,18 @@ func ingestTiles(v scene.VideoSpec, cfg IngestConfig, st *store.Store, full []*f
 	}
 	info := &TileSegInfo{TileBytes: make([][]int, nTiles)}
 	for t := 0; t < nTiles; t++ {
-		info.TileBytes[t] = make([]int, cfg.TileRungs)
-		for r := 0; r < cfg.TileRungs; r++ {
+		info.TileBytes[t] = make([]int, lay.Rungs)
+		for r := 0; r < lay.Rungs; r++ {
 			if err := st.Put(Ref{Video: v.Name, Kind: Tile, Seg: si, A: t, B: r}.StoreKey(), payloads[t][r], nil); err != nil {
 				return nil, err
 			}
 			info.TileBytes[t][r] = len(payloads[t][r])
 		}
 	}
-	// Backfill stream: the whole panorama downscaled by TileLowDiv,
+	// Backfill stream: the whole panorama downscaled by the layout's LowDiv,
 	// encoded at the coarsest rung quality — its only job is to paper
 	// over mispredicted or lost tiles.
-	down, err := display.NewScaler(cfg.FullW/cfg.TileLowDiv, cfg.FullH/cfg.TileLowDiv, 1, 1)
+	down, err := display.NewScaler(cfg.FullW/lay.LowDiv, cfg.FullH/lay.LowDiv, 1, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -494,7 +453,7 @@ func ingestTiles(v scene.VideoSpec, cfg IngestConfig, st *store.Store, full []*f
 		}
 	}
 	lc := cfg.Codec
-	lc.Quality = rungQuality(cfg.Codec.Quality, cfg.TileRungs-1)
+	lc.Quality = rungQuality(cfg.Codec.Quality, lay.Rungs-1)
 	lowBits, err := codec.EncodeSequence(lc, lowFrames)
 	if err != nil {
 		return nil, fmt.Errorf("server: encoding tile backfill of %s segment %d: %w", v.Name, si, err)

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"evr/internal/codec"
@@ -13,25 +14,29 @@ import (
 	"evr/internal/store"
 )
 
+// ingestWorkerCounts is the GOMAXPROCS sweep the ingest determinism tests
+// run: the pool size follows GOMAXPROCS, so one worker against many.
+var ingestWorkerCounts = []int{1, 4}
+
 // TestIngestDeterministicAcrossWorkerCounts checks the parallel fan-out
 // contract: the manifest and every stored payload (original segments, FOV
 // videos, metadata) are byte-identical whether ingest runs on one worker or
 // many. Run with -race to check the segment/cluster fan-out.
 func TestIngestDeterministicAcrossWorkerCounts(t *testing.T) {
 	v, _ := scene.ByName("RS")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	type result struct {
 		man *Manifest
 		st  *store.Store
 	}
 	var results []result
-	for _, workers := range []int{1, 4} {
-		cfg := smallIngest()
-		cfg.Workers = workers
+	for _, procs := range ingestWorkerCounts {
+		runtime.GOMAXPROCS(procs)
 		st := store.New()
-		man, err := Ingest(v, cfg, st)
+		man, err := Ingest(v, smallIngest(), st)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		results = append(results, result{man, st})
 	}
@@ -69,20 +74,21 @@ func TestIngestDeterministicAcrossWorkerCounts(t *testing.T) {
 // whose tracks do contain repeats.
 func TestIngestLUTByteIdentical(t *testing.T) {
 	v, _ := scene.ByName("RS")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var firstJSON []byte
-	for _, workers := range []int{1, 3} {
+	for _, procs := range ingestWorkerCounts {
+		runtime.GOMAXPROCS(procs)
 		cfg := smallIngest()
-		cfg.Workers = workers
 		st := store.New()
 		man, err := Ingest(v, cfg, st)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		mj, _ := json.Marshal(man)
 		if firstJSON == nil {
 			firstJSON = mj
 		} else if string(mj) != string(firstJSON) {
-			t.Errorf("workers=%d: manifest differs from the 1-worker ingest", workers)
+			t.Errorf("GOMAXPROCS=%d: manifest differs from the 1-worker ingest", procs)
 		}
 
 		ptCfg := pt.Config{Projection: cfg.Projection, Filter: pt.Bilinear, Viewport: cfg.viewport()}
@@ -108,24 +114,16 @@ func TestIngestLUTByteIdentical(t *testing.T) {
 				key := Ref{Video: v.Name, Kind: FOV, Seg: seg.Index, A: cl.ID}.StoreKey()
 				payload, meta, ok := st.Get(key)
 				if !ok {
-					t.Fatalf("workers=%d: missing key %s", workers, key)
+					t.Fatalf("GOMAXPROCS=%d: missing key %s", procs, key)
 				}
 				if string(payload) != string(marshalBitstream(bits)) || string(meta) != string(wantMeta) {
-					t.Errorf("workers=%d: stored %s differs from the per-frame direct render", workers, key)
+					t.Errorf("GOMAXPROCS=%d: stored %s differs from the per-frame direct render", procs, key)
 				}
 			}
 		}
 		if repeats == 0 {
-			t.Fatalf("workers=%d: no track repeats a pose, the table path never ran", workers)
+			t.Fatalf("GOMAXPROCS=%d: no track repeats a pose, the table path never ran", procs)
 		}
-	}
-}
-
-func TestIngestConfigRejectsNegativeWorkers(t *testing.T) {
-	cfg := DefaultIngestConfig()
-	cfg.Workers = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative Workers accepted")
 	}
 }
 

@@ -145,6 +145,24 @@ func TestTiledIngestRoundTrip(t *testing.T) {
 	if man.Tiling.Cols != 4 || man.Tiling.Rows != 2 || man.Tiling.Rungs != 3 || man.Tiling.LowDiv != 4 {
 		t.Fatalf("adaptive defaults = %+v for 192x96", man.Tiling)
 	}
+	// The layout the manifest carries is derived from the frame size alone.
+	for _, tc := range []struct {
+		w, h int
+		want TilingInfo
+	}{
+		{96, 48, TilingInfo{Cols: 4, Rows: 2, Rungs: 3, LowDiv: 2}},
+		{192, 96, TilingInfo{Cols: 4, Rows: 2, Rungs: 3, LowDiv: 4}},
+		{320, 160, TilingInfo{Cols: 4, Rows: 2, Rungs: 3, LowDiv: 4}},
+		{3840, 1920, TilingInfo{Cols: 4, Rows: 2, Rungs: 3, LowDiv: 4}},
+		{16, 8, TilingInfo{Cols: 2, Rows: 1, Rungs: 3, LowDiv: 1}},
+		{24, 8, TilingInfo{Cols: 1, Rows: 1, Rungs: 3, LowDiv: 1}},
+	} {
+		c := DefaultIngestConfig()
+		c.FullW, c.FullH, c.Tiled = tc.w, tc.h, true
+		if got := baseManifest(v, c).Tiling; got == nil || *got != tc.want {
+			t.Errorf("%dx%d tiling = %+v, want %+v", tc.w, tc.h, got, tc.want)
+		}
+	}
 	seg := man.Segments[0]
 	if seg.Tiles == nil {
 		t.Fatal("segment has no tile info")
