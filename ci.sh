@@ -14,10 +14,11 @@
 #   telemetry bench smoke     the disabled-path overhead benchmarks still run.
 #   fuzz smokes (5 s each)    every decoder of outside input (bitstream,
 #                             manifest, payload address, head-trace CSV, tile,
-#                             chaos scenario, codec frame + rate controller),
-#                             and the differential fuzz over the render family
-#                             (pt / ptlut / gpusim / pte pixel identities at
-#                             random dims and worker counts).
+#                             chaos scenario, codec frames through one reused
+#                             decoder + rate controller), and the differential
+#                             fuzz over the render family (pt / ptlut / gpusim /
+#                             pte pixel identities at random dims and worker
+#                             counts).
 #   FuzzFixedOps (5 s)        the raw-integer fixed-point core equals the
 #                             reference arithmetic bit for bit, every op, for
 #                             random formats and operands at the path
@@ -27,7 +28,9 @@
 #   float-path benchmarks     display Scaler.Apply, delivery Assemble and the pt band
 #                             kernel at the gated benchmark's geometry, and the
 #                             ptlut arms at 1080p (its exact arm must equal pt),
-#                             one iteration each, so they cannot rot.
+#                             one iteration each, so they cannot rot; beside
+#                             them the decode kernel, one 30-frame RS segment
+#                             at 320×160 through one reused codec.Decoder.
 #   evrconform -fast, full    renderers against the committed golden manifest:
 #                             byte identities, pte-vs-pt error budgets,
 #                             regenerate-and-diff, metamorphic suite
@@ -64,6 +67,7 @@ go test ./internal/conformance -run='^$' -fuzz=FuzzRenderFamily -fuzztime=5s
 go test ./internal/fixed -run='^$' -fuzz=FuzzFixedOps -fuzztime=5s
 go test ./internal/display -run='^$' -fuzz=FuzzScaler -fuzztime=5s
 go test ./internal/display -run='^$' -bench='^BenchmarkScale$' -benchtime=1x
+go test ./internal/codec -run='^$' -bench='^BenchmarkDecodeSegment$' -benchtime=1x
 go test ./internal/delivery -run='^$' -bench='^BenchmarkAssemble$' -benchtime=1x
 go test ./internal/pt -run='^$' -bench='^BenchmarkRenderRows$' -benchtime=1x
 go test ./internal/ptlut -run='^$' -bench='^BenchmarkRender$' -benchtime=1x

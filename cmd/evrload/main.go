@@ -75,7 +75,7 @@ func main() {
 	resilient := flag.Bool("resilient", false, "survive corrupt/missing payloads (degrade instead of abort)")
 	timeout := flag.Duration("timeout", client.DefaultFetchConfig().Timeout, "per-request HTTP timeout (0 = none)")
 	retries := flag.Int("retries", client.DefaultFetchConfig().MaxRetries, "retries per request on transient failures")
-	cache := flag.Int("cache", client.DefaultFetchConfig().CacheSegments, "per-session decoded-segment LRU capacity (0 = off)")
+	cache := flag.Int("cache", client.DefaultFetchConfig().CacheSegments, "per-session segment LRU capacity (0 = off)")
 	prefetch := flag.Bool("prefetch", true, "prefetch the next segment in the background")
 	perUser := flag.Bool("per-user", false, "print one result row per session")
 	mode := flag.String("mode", "", "delivery mode: auto lets the tiled pipeline's policy decide per segment, fov|tiled|orig pin it to one mode, frontier sweeps orig, fov, tiled and auto and prints the policy-frontier table (empty = classic FOV/orig player, no tile ingest)")

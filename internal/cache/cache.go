@@ -1,7 +1,7 @@
 // Package cache is the one cache core every hop of the serving path
 // instantiates: a byte-budgeted strict-LRU of immutable values with
 // singleflight loading. The shard response cache, the router's edge tier,
-// the mapping-LUT table cache and the client's decoded-segment cache are all
+// the mapping-LUT table cache and the client's segment cache are all
 // Cache[K, V] values that differ only in key, value, size function and
 // metric names (DESIGN.md "cache core").
 //

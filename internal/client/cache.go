@@ -4,16 +4,17 @@ import (
 	"sync/atomic"
 
 	"evr/internal/cache"
-	"evr/internal/frame"
+	"evr/internal/codec"
 	"evr/internal/server"
 )
 
-// segmentEntry is one decoded segment, shared by every request the cache
-// hands it to: the frames ready for display plus, for FOV videos, their
-// per-frame orientation metadata.
+// segmentEntry is one fetched segment, shared by every request the cache
+// hands it to: the encoded stream, header-checked but not decoded, plus, for
+// FOV videos, the per-frame orientation metadata. Entries are read-only; each
+// player decodes the frames it displays with decoders of its own.
 type segmentEntry struct {
-	frames []*frame.Frame
-	meta   []server.FrameMeta
+	bits *codec.Bitstream
+	meta []server.FrameMeta
 	// prefetched is set on entries the background prefetcher loaded and
 	// cleared by the first demand request that receives the entry, so each
 	// prefetch counts as at most one PrefetchHit.
@@ -23,11 +24,12 @@ type segmentEntry struct {
 // segmentCache is the client's instance of the cache core (internal/cache),
 // keyed by the payload address — a FOV entry holds the FOV video and its
 // metadata, so no entry is ever keyed FOVMeta.
-// Holding *decoded* frames (not wire payloads) means a cache hit skips both
-// the network round trip and the P-frame chain decode — the two costs the
-// paper's §5.4 fallback path pays mid-render. Every entry weighs 1, so the
-// budget is counted in segments: eviction granularity is a whole segment
-// anyway (partial segments are undecodable mid-chain).
+// Holding *encoded* segments means a cache hit saves the network round trip,
+// not the decode: frames are decoded when they are displayed, so a FOV
+// segment abandoned at its first miss, or an original no frame needed, is
+// never decoded at all. Every entry weighs 1, so the budget is counted in
+// segments: eviction granularity is a whole segment anyway (partial segments
+// are undecodable mid-chain).
 type segmentCache = cache.Cache[server.Ref, *segmentEntry]
 
 // newSegmentCache returns a cache holding up to capacity segments.

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"evr/internal/frame"
+	"evr/internal/codec"
 	"evr/internal/server"
 )
 
@@ -18,7 +18,7 @@ func ckey(seg, cluster int) server.Ref {
 
 // loadEntry is a segment load that needs no network.
 func loadEntry() (*segmentEntry, error) {
-	return &segmentEntry{frames: []*frame.Frame{frame.New(2, 2)}}, nil
+	return &segmentEntry{bits: &codec.Bitstream{W: 8, H: 8, Frames: [][]byte{nil}, Types: []codec.FrameType{codec.IFrame}}}, nil
 }
 
 func cacheFetcher(t *testing.T, segments int) *Fetcher {
@@ -29,8 +29,8 @@ func cacheFetcher(t *testing.T, segments int) *Fetcher {
 
 func demand(t *testing.T, f *Fetcher, key server.Ref) {
 	t.Helper()
-	if frames, _, err := f.segment(key, false, loadEntry); err != nil || len(frames) != 1 {
-		t.Fatalf("demand %+v: %d frames, %v", key, len(frames), err)
+	if bits, _, err := f.segment(key, false, loadEntry); err != nil || len(bits.Frames) != 1 {
+		t.Fatalf("demand %+v: %v, %v", key, bits, err)
 	}
 }
 
@@ -102,8 +102,8 @@ func TestDemandJoiningPrefetchClaimsItOnce(t *testing.T) {
 	done := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			if frames, _, err := f.segment(ckey(0, 0), false, loadEntry); err != nil || len(frames) != 1 {
-				t.Errorf("joined demand: %d frames, %v", len(frames), err)
+			if bits, _, err := f.segment(ckey(0, 0), false, loadEntry); err != nil || len(bits.Frames) != 1 {
+				t.Errorf("joined demand: %v, %v", bits, err)
 			}
 			done <- struct{}{}
 		}()

@@ -17,13 +17,12 @@ import (
 	"evr/internal/cache"
 	"evr/internal/codec"
 	"evr/internal/delivery"
-	"evr/internal/frame"
 	"evr/internal/server"
 	"evr/internal/telemetry"
 )
 
 // FetchConfig tunes the client fetch layer: transport robustness (timeout,
-// retries, response cap) and latency hiding (decoded-segment cache, async
+// retries, response cap) and latency hiding (segment cache, async
 // prefetch). The zero value disables caching and prefetching and applies no
 // timeout; use DefaultFetchConfig for production-shaped defaults.
 type FetchConfig struct {
@@ -42,13 +41,15 @@ type FetchConfig struct {
 	// (0 = unlimited). A lying or hostile origin cannot balloon client
 	// memory past the cap.
 	MaxResponseBytes int64
-	// CacheSegments is the decoded-segment LRU capacity, counted in
-	// segments (FOV videos and originals alike). 0 disables caching —
-	// and with it prefetching, which has nowhere to park its results.
+	// CacheSegments is the segment LRU capacity, counted in segments (FOV
+	// videos, originals and tiles alike). The cache holds encoded segments,
+	// so a hit saves the network, not the decode. 0 disables caching — and
+	// with it prefetching, which has nowhere to park its results.
 	CacheSegments int
-	// Prefetch enables background fetch+decode of the next segment's
+	// Prefetch enables background fetching of the next segment's
 	// best-guess FOV video and its original-segment fallback while the
 	// current segment is displayed (§5.3's latency-hiding counterpart).
+	// Prefetched segments are not decoded until a frame needs them.
 	Prefetch bool
 	// LiveWaitMax bounds the total time one request spends waiting out
 	// 425 "ahead of the live edge" responses. Live waits are expected
@@ -64,7 +65,7 @@ type FetchConfig struct {
 
 // DefaultFetchConfig returns the production defaults: 10 s per-attempt
 // timeout, 3 retries with 50 ms–2 s exponential backoff, 64 MiB response
-// cap, an 8-segment decoded cache, and prefetching on.
+// cap, an 8-segment cache, and prefetching on.
 func DefaultFetchConfig() FetchConfig {
 	return FetchConfig{
 		Timeout:          10 * time.Second,
@@ -80,7 +81,7 @@ func DefaultFetchConfig() FetchConfig {
 // FetchCounters is a snapshot of the fetch layer's activity.
 type FetchCounters struct {
 	// CacheHits counts demand requests served without a new download:
-	// from the decoded cache or by joining an in-flight fetch.
+	// from the segment cache or by joining an in-flight fetch.
 	CacheHits int64
 	// PrefetchHits is the subset of CacheHits whose content was put there
 	// by the prefetcher — fetch latency fully hidden from playback.
@@ -112,18 +113,19 @@ type FetchCounters struct {
 }
 
 // Fetcher is the client's network layer: a retrying, timeout-bearing HTTP
-// transport below an LRU cache of decoded segments, whose singleflight
+// transport below an LRU cache of encoded segments, whose singleflight
 // loading means a prefetch and an on-demand request for the same segment
-// never download it twice. Safe for concurrent use.
+// never download it twice. It hands out bitstreams, not frames: decoding
+// belongs to the player, frame by frame. Safe for concurrent use.
 type Fetcher struct {
 	cfg   FetchConfig
 	http  *http.Client
 	cache *segmentCache
-	// trace, set by the owning Player, receives StageFetch (network
-	// transfer) and StageDecode (unmarshal + video decode) observations for
-	// every segment load — demand and prefetch alike, so hidden prefetch
-	// work is visible too. Cache hits observe nothing: no work was done.
-	// nil disables stage timing at a cost of a few nanoseconds per load.
+	// trace, set by the owning Player, receives a StageFetch (network
+	// transfer) observation for every request — demand and prefetch alike,
+	// so hidden prefetch work is visible too. Cache hits observe nothing: no
+	// work was done. Decode is timed in the player's frame spans. nil
+	// disables stage timing at a cost of a few nanoseconds per request.
 	trace *telemetry.Tracer
 
 	// ctx parents every attempt's request context and gates retry backoff;
@@ -228,14 +230,17 @@ func (f *Fetcher) Manifest(baseURL, video string) (*server.Manifest, error) {
 	return &man, nil
 }
 
-// Segment returns the decoded frames of one payload — and, for a FOV video,
-// its per-frame metadata — from cache when possible. Retries, the response
-// cap and singleflight apply per payload, tiles included.
-func (f *Fetcher) Segment(baseURL string, ref server.Ref) ([]*frame.Frame, []server.FrameMeta, error) {
+// Segment returns one payload's encoded stream — and, for a FOV video, its
+// per-frame metadata — from cache when possible. The stream has passed
+// codec's header checks but is not decoded: the caller decodes the frames it
+// needs. Retries, the response cap and singleflight apply per payload, tiles
+// included.
+func (f *Fetcher) Segment(baseURL string, ref server.Ref) (*codec.Bitstream, []server.FrameMeta, error) {
 	return f.segment(ref, false, func() (*segmentEntry, error) { return f.load(baseURL, ref) })
 }
 
-// Prefetch warms the cache with one payload in the background.
+// Prefetch warms the cache with one payload in the background: it fetches
+// and unmarshals the payload, it does not decode it.
 func (f *Fetcher) Prefetch(baseURL string, ref server.Ref) {
 	f.prefetchSegment(ref, func() (*segmentEntry, error) { return f.load(baseURL, ref) })
 }
@@ -257,12 +262,12 @@ func (f *Fetcher) prefetchSegment(ref server.Ref, load func() (*segmentEntry, er
 	}()
 }
 
-// segment serves one decoded segment through the cache: resident entries
-// and joined in-flight loads count as CacheHits for demand requests, and the
-// first demand request to receive a prefetched entry — resident or still
-// loading — claims its one PrefetchHit. A prefetch of a resident segment is
-// a no-op that neither promotes the entry nor touches its flag.
-func (f *Fetcher) segment(ref server.Ref, prefetch bool, load func() (*segmentEntry, error)) ([]*frame.Frame, []server.FrameMeta, error) {
+// segment serves one segment through the cache: resident entries and joined
+// in-flight loads count as CacheHits for demand requests, and the first
+// demand request to receive a prefetched entry — resident or still loading —
+// claims its one PrefetchHit. A prefetch of a resident segment is a no-op
+// that neither promotes the entry nor touches its flag.
+func (f *Fetcher) segment(ref server.Ref, prefetch bool, load func() (*segmentEntry, error)) (*codec.Bitstream, []server.FrameMeta, error) {
 	if prefetch && f.cache.Contains(ref) {
 		return nil, nil, nil
 	}
@@ -282,27 +287,30 @@ func (f *Fetcher) segment(ref server.Ref, prefetch bool, load func() (*segmentEn
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.frames, e.meta, nil
+	return e.bits, e.meta, nil
 }
 
-// load downloads and decodes one payload. The kind decides only the decode
-// shape: a tile is an envelope around its bitstream, a FOV video brings its
-// metadata along, and everything else is a bare bitstream.
+// load downloads and unmarshals one payload and checks its frame headers, so
+// a payload that is corrupt at the framing or header level fails here, not
+// mid-playback. The kind decides only the envelope: a tile wraps its
+// bitstream, a FOV video brings its metadata along, and everything else is a
+// bare bitstream.
 func (f *Fetcher) load(baseURL string, ref server.Ref) (*segmentEntry, error) {
 	payload, err := f.getLive(baseURL+ref.Path(), ref.Video, ref.Seg)
 	if err != nil {
 		return nil, err
 	}
 	e := &segmentEntry{}
-	switch ref.Kind {
-	case server.Tile:
-		e.frames, err = f.decodeTile(payload, ref.A, ref.B)
-	case server.FOV:
-		if e.frames, err = f.decodePayload(payload); err == nil {
-			e.meta, err = f.loadFOVMeta(baseURL, ref)
-		}
-	default:
-		e.frames, err = f.decodePayload(payload)
+	if ref.Kind == server.Tile {
+		e.bits, err = unwrapTile(payload, ref.A, ref.B)
+	} else {
+		e.bits, err = server.UnmarshalBitstream(payload)
+	}
+	if err == nil {
+		err = e.bits.CheckHeaders()
+	}
+	if err == nil && ref.Kind == server.FOV {
+		e.meta, err = f.loadFOVMeta(baseURL, ref)
 	}
 	if err != nil {
 		return nil, err
@@ -318,8 +326,6 @@ func (f *Fetcher) loadFOVMeta(baseURL string, ref server.Ref) ([]server.FrameMet
 	if err != nil {
 		return nil, err
 	}
-	tm := f.trace.StartTimer(telemetry.StageDecode)
-	defer tm.Stop()
 	var meta []server.FrameMeta
 	if err := json.Unmarshal(raw, &meta); err != nil {
 		return nil, fmt.Errorf("client: parsing FOV metadata: %w", err)
@@ -327,12 +333,10 @@ func (f *Fetcher) loadFOVMeta(baseURL string, ref server.Ref) ([]server.FrameMet
 	return meta, nil
 }
 
-// decodeTile unwraps and decodes one tile payload, verifying the wire header
-// names the tile that was asked for — a confused (or hostile) origin must not
-// paint the wrong rectangle.
-func (f *Fetcher) decodeTile(payload []byte, tile, rung int) ([]*frame.Frame, error) {
-	tm := f.trace.StartTimer(telemetry.StageDecode)
-	defer tm.Stop()
+// unwrapTile unmarshals one tile payload, verifying the wire header names the
+// tile that was asked for — a confused (or hostile) origin must not paint the
+// wrong rectangle.
+func unwrapTile(payload []byte, tile, rung int) (*codec.Bitstream, error) {
 	p, err := delivery.UnmarshalTile(payload)
 	if err != nil {
 		return nil, err
@@ -340,19 +344,7 @@ func (f *Fetcher) decodeTile(payload []byte, tile, rung int) ([]*frame.Frame, er
 	if p.Tile != tile || p.Rung != rung {
 		return nil, fmt.Errorf("client: asked for tile %d rung %d, payload is tile %d rung %d", tile, rung, p.Tile, p.Rung)
 	}
-	return codec.DecodeSequence(p.Bits)
-}
-
-// decodePayload unmarshals and decodes one bitstream payload, timed as the
-// decode stage.
-func (f *Fetcher) decodePayload(payload []byte) ([]*frame.Frame, error) {
-	tm := f.trace.StartTimer(telemetry.StageDecode)
-	defer tm.Stop()
-	bits, err := server.UnmarshalBitstream(payload)
-	if err != nil {
-		return nil, err
-	}
-	return codec.DecodeSequence(bits)
+	return p.Bits, nil
 }
 
 // get performs one HTTP GET with per-attempt timeout, bounded retries with
@@ -513,7 +505,14 @@ func (f *Fetcher) attempt(url string) (body []byte, header http.Header, err erro
 	if limit > 0 {
 		r = io.LimitReader(resp.Body, limit+1)
 	}
-	body, err = io.ReadAll(r)
+	// An advertised length within the cap sizes the buffer once; otherwise
+	// it grows from io.ReadAll's 512 bytes. A body shorter than advertised
+	// still fails below, with the transport's unexpected-EOF error.
+	size := int64(512)
+	if limit > 0 && resp.ContentLength >= 0 {
+		size = resp.ContentLength
+	}
+	body, err = readAll(r, size)
 	if err != nil {
 		if isTimeout(err) {
 			f.timedOut.Add(1)
@@ -525,6 +524,26 @@ func (f *Fetcher) attempt(url string) (body []byte, header http.Header, err erro
 	}
 	f.bytesFetched.Add(int64(len(body)))
 	return body, resp.Header, nil, false, false, 0
+}
+
+// readAll is io.ReadAll with a starting capacity: a body of exactly size
+// bytes is read into one allocation (the extra byte leaves room for the read
+// that reports EOF), a longer one grows as io.ReadAll's does.
+func readAll(r io.Reader, size int64) ([]byte, error) {
+	b := make([]byte, 0, size+1)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // parseRetryAfter interprets a Retry-After header value: delay-seconds or

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -229,6 +230,57 @@ func TestFetcherResponseSizeCap(t *testing.T) {
 	f = NewFetcher(cfg, nil)
 	if _, err := f.get(ts.URL); err != nil {
 		t.Fatalf("response exactly at cap rejected: %v", err)
+	}
+}
+
+// TestFetcherContentLengthLies: the advertised length only sizes the read
+// buffer. One above the cap is refused before the body is read; one above the
+// body is a short read, an error like any broken transfer.
+func TestFetcherContentLengthLies(t *testing.T) {
+	const body = "0123456789"
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", r.URL.Query().Get("claim"))
+		fmt.Fprint(w, body)
+	}))
+	defer ts.Close()
+
+	cfg := fastFetchConfig()
+	cfg.MaxRetries = 0
+	cfg.MaxResponseBytes = 64
+	f := NewFetcher(cfg, nil)
+	defer f.Close()
+	if got, err := f.get(ts.URL + "?claim=10"); err != nil || string(got) != body {
+		t.Fatalf("honest length: %q, %v", got, err)
+	}
+	if _, err := f.get(ts.URL + "?claim=65"); err == nil || !strings.Contains(err.Error(), "exceeds 64-byte cap") {
+		t.Errorf("length above the cap: err = %v, want the advertised-length refusal", err)
+	}
+	if _, err := f.get(ts.URL + "?claim=40"); err == nil || !strings.Contains(err.Error(), "reading body") {
+		t.Errorf("length above the body: err = %v, want a short-read error", err)
+	}
+	if c := f.Counters(); c.BytesFetched != int64(len(body)) {
+		t.Errorf("BytesFetched = %d, want only the honest response's %d", c.BytesFetched, len(body))
+	}
+}
+
+// TestReadAllPresized: a body of exactly the hinted size is read into one
+// allocation; a longer one still arrives whole.
+func TestReadAllPresized(t *testing.T) {
+	data := []byte(strings.Repeat("x", 3000))
+	r := bytes.NewReader(data)
+	if allocs := testing.AllocsPerRun(10, func() {
+		r.Reset(data)
+		if _, err := readAll(r, int64(len(data))); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Errorf("exact hint: %.0f allocations, want 1", allocs)
+	}
+	for _, hint := range []int64{0, 512, 2999} {
+		got, err := readAll(bytes.NewReader(data), hint)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("hint %d: read %d bytes, %v", hint, len(got), err)
+		}
 	}
 }
 

@@ -122,13 +122,60 @@ func TestGoldenPlaybackAcrossCacheConfigs(t *testing.T) {
 		}
 	}
 
-	// Pinned golden numbers for this spec + trace + ingest config.
-	const wantFrames, wantHits = 60, 59 // 1 jitter-induced FOV miss
+	// Pinned golden numbers for this spec + trace + ingest config, recorded
+	// when segments were still decoded whole at fetch time. The one miss is
+	// frame 59: original frame 29 of segment 1, the deepest seek into a
+	// P-chain that on-demand decoding makes.
+	const wantFrames, wantHits = 60, 59
+	const wantChecksum = 0xc453f3326c981304
+	if base.checksum != wantChecksum {
+		t.Errorf("checksum %#x, want pinned %#x", base.checksum, uint64(wantChecksum))
+	}
 	if base.frames != wantFrames {
 		t.Errorf("played %d frames, want pinned %d", base.frames, wantFrames)
 	}
 	if base.hits != wantHits {
 		t.Errorf("FOV hits = %d, want pinned %d", base.hits, wantHits)
+	}
+}
+
+// TestPlaybackPinned pins the classic paths end to end at the default
+// 192×96 ingest, RS user 0, two segments, at the checksums recorded when
+// segments were still decoded whole at fetch time: FOV hits cropped by the
+// display processor, and — under live ingest, which makes no FOV videos —
+// every frame decoded from the original and rendered by the float pipeline.
+func TestPlaybackPinned(t *testing.T) {
+	v, _ := scene.ByName("RS")
+	for _, tc := range []struct {
+		name     string
+		live     bool
+		checksum uint64
+		hits     int
+	}{
+		{"fov", false, 0x43bd0e6008cca166, 60},
+		{"live-orig-float", true, 0x9e7ad06b36b9f88c, 0},
+	} {
+		cfg := server.DefaultIngestConfig()
+		cfg.MaxSegments = 2
+		cfg.LiveMode = tc.live
+		svc := server.NewService(store.New())
+		if _, err := svc.IngestVideo(v, cfg); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(svc.Handler())
+		p := client.NewPlayer(ts.URL)
+		p.UseHAR = !tc.live
+		stats, frames, err := p.Play("RS", hmd.NewIMU(headtrace.Generate(v, 0)), 2)
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loadgen.ChecksumFrames(frames); got != tc.checksum {
+			t.Errorf("%s: checksum %#x, want pinned %#x", tc.name, got, tc.checksum)
+		}
+		if stats.Frames != 60 || stats.Hits != tc.hits {
+			t.Errorf("%s: %d frames, %d hits, want 60, %d", tc.name, stats.Frames, stats.Hits, tc.hits)
+		}
 	}
 }
 

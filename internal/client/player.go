@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"evr/internal/codec"
 	"evr/internal/delivery"
 	"evr/internal/display"
 	"evr/internal/fixed"
@@ -22,9 +23,11 @@ import (
 // HTTP protocol, decodes real bitstreams, runs the FOV checker on every
 // frame, and renders misses through the PTE (or the reference float
 // pipeline when HAR is disabled). All network traffic flows through the
-// fetch layer (Fetcher): per-request timeouts, bounded retries, a decoded
-// segment cache, and next-segment prefetching. It is the integration-level
-// counterpart of the behavioral Simulate path.
+// fetch layer (Fetcher): per-request timeouts, bounded retries, a segment
+// cache, and next-segment prefetching. The fetch layer hands over encoded
+// segments; Play decodes each frame when it is displayed, into rasters it
+// reuses for the whole session. It is the integration-level counterpart of
+// the behavioral Simulate path.
 type Player struct {
 	BaseURL string
 	// HTTP optionally overrides the transport. nil (the default from
@@ -55,9 +58,13 @@ type Player struct {
 	// keep pixel work tractable (energy accounting always uses nominal
 	// sizes; the player is about end-to-end correctness).
 	ViewportScale int
-	// Resilient keeps playback alive through corrupt or missing payloads:
-	// a broken FOV video falls back to the original segment, a broken
-	// original freezes the last displayed frame. Without it, errors abort.
+	// Resilient keeps playback alive through corrupt or missing payloads,
+	// from the frame that fails (a payload broken past its frame headers
+	// fails only when that frame is decoded): a broken FOV video plays the
+	// rest of the segment from the original, a broken original freezes the
+	// last displayed frame, and a broken tiled backfill degrades the segment
+	// to the original. Without it, errors abort. A broken tile never aborts:
+	// its rectangle stays at backfill quality either way.
 	Resilient bool
 	// Tiled configures the viewport-adaptive tiled delivery mode: a
 	// per-segment three-way policy decision (FOV stream / per-tile set /
@@ -126,7 +133,7 @@ type PlaybackStats struct {
 
 // NewPlayer returns a player against an EVR server base URL, with the
 // default fetch layer: timeout-bearing HTTP client, retries with backoff,
-// decoded-segment cache, and next-segment prefetching.
+// segment cache, and next-segment prefetching.
 func NewPlayer(baseURL string) *Player {
 	return &Player{
 		BaseURL:       baseURL,
@@ -235,6 +242,24 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 	if err != nil {
 		return stats, nil, err
 	}
+	// One reader per stream role for the whole session: segments are
+	// independently decodable GOPs (§5.3), so a reader moves to the next
+	// segment's stream and keeps its decoder's rasters.
+	var fov, orig streamReader
+	// toOrig switches the rest of a segment to its original stream (§5.4). A
+	// resilient player survives a broken original by freezing frames.
+	toOrig := func(seg int) error {
+		bits, _, err := ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.Orig, Seg: seg})
+		if err != nil {
+			if !p.Resilient {
+				return err
+			}
+			stats.PayloadErrors++
+		}
+		orig.load(bits)
+		stats.Fallbacks++
+		return nil
+	}
 	for si, seg := range man.Segments {
 		if maxSegments > 0 && seg.Index >= maxSegments {
 			break
@@ -269,7 +294,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		// While this segment plays, warm the cache with the next segment's
 		// best-guess FOV video and its original-segment fallback, so the
 		// segment-boundary fetch — and a mid-segment FOV miss there —
-		// find decoded frames waiting (§5.3 latency hiding). The fetcher
+		// find the bytes waiting (§5.3 latency hiding). The fetcher
 		// deduplicates against the demand fetches below via singleflight.
 		// Tiled sessions skip this warm-up: which payloads the next segment
 		// needs is the policy's call, and speculative full-segment fetches
@@ -284,17 +309,14 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			}
 		}
 
-		var fovFrames []*frame.Frame
 		var fovMeta []server.FrameMeta
-		var origFrames []*frame.Frame // decoded lazily on fallback
-		var tileFetched []bool
+		fov.load(nil)
+		orig.load(nil) // fetched on fallback
 		fallback := false
 		if tiledSeg {
-			origFrames, tileFetched, err = p.fetchTiled(ts, video, &seg, plan, &stats)
-			if err != nil {
-				// Losing the backfill (or a structural assembly failure)
-				// leaves nothing to paint tiles over: degrade the whole
-				// segment to the original stream.
+			if err := p.fetchTiled(ts, video, &seg, plan, &stats); err != nil {
+				// Losing the backfill leaves nothing to paint tiles over:
+				// degrade the whole segment to the original stream.
 				if !p.Resilient {
 					return stats, nil, err
 				}
@@ -309,7 +331,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		}
 		if !tiledSeg {
 			if choice >= 0 {
-				fovFrames, fovMeta, err = ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.FOV, Seg: seg.Index, A: choice})
+				bits, meta, err := ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.FOV, Seg: seg.Index, A: choice})
 				if err != nil {
 					if !p.Resilient {
 						return stats, nil, err
@@ -318,18 +340,14 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 					stats.PayloadErrors++
 					choice = -1
 				}
+				fov.load(bits)
+				fovMeta = meta
 			}
-			fallback = choice < 0
-			if fallback {
-				origFrames, _, err = ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.Orig, Seg: seg.Index})
-				if err != nil {
-					if !p.Resilient {
-						return stats, nil, err
-					}
-					stats.PayloadErrors++
-					origFrames = nil // freeze frames below
+			if choice < 0 {
+				if err := toOrig(seg.Index); err != nil {
+					return stats, nil, err
 				}
-				stats.Fallbacks++
+				fallback = true
 			}
 		}
 		if ts != nil && seg.Tiles != nil {
@@ -345,29 +363,75 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		for f := 0; f < seg.Frames && frameIdx < imu.Frames(); f, frameIdx = f+1, frameIdx+1 {
 			sp := p.Trace.StartFrame(seg.Index, frameIdx)
 			o := imu.At(frameIdx)
-			if tiledSeg {
-				ts.countMispredicted(o, tileFetched, &stats)
-			}
 			hit := false
 			sp.Start(telemetry.StageFOVCheck)
-			if !fallback && f < len(fovFrames) && f < len(fovMeta) {
+			if !fallback && f < fov.frames() && f < len(fovMeta) {
 				meta := geom.Orientation{Yaw: fovMeta[f].Yaw, Pitch: fovMeta[f].Pitch}
 				hit = o.AngularDistance(meta) <= tolerance
 			}
 			sp.Stop(telemetry.StageFOVCheck)
-			if !fallback && !hit {
-				// FOV miss: request the original segment (§5.4).
-				origFrames, _, err = ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.Orig, Seg: seg.Index})
+			// src is the frame this one is made from, decoded on demand: the
+			// FOV frame on a hit, else the original or assembled panorama.
+			// nil means nothing is decodable.
+			var src *frame.Frame
+			if hit {
+				sp.Start(telemetry.StageDecode)
+				src, err = fov.frame(f)
+				sp.Stop(telemetry.StageDecode)
 				if err != nil {
 					if !p.Resilient {
 						sp.Finish() // record the partially-timed frame
 						return stats, nil, err
 					}
+					// A FOV frame that does not decode: the rest of the
+					// segment plays from the original.
 					stats.PayloadErrors++
-					origFrames = nil
+					hit = false
+				}
+			}
+			if !fallback && !hit {
+				// FOV miss: request the original segment (§5.4).
+				if err := toOrig(seg.Index); err != nil {
+					sp.Finish()
+					return stats, nil, err
 				}
 				fallback = true
-				stats.Fallbacks++
+			}
+			if tiledSeg {
+				sp.Start(telemetry.StageDecode)
+				src, err = ts.frame(f, &stats)
+				sp.Stop(telemetry.StageDecode)
+				if err == nil {
+					ts.countMispredicted(o, &stats)
+				} else {
+					if !p.Resilient {
+						sp.Finish()
+						return stats, nil, err
+					}
+					// The backfill broke: the rest of the segment plays from
+					// the original.
+					stats.PayloadErrors++
+					tiledSeg = false
+					if err := toOrig(seg.Index); err != nil {
+						sp.Finish()
+						return stats, nil, err
+					}
+				}
+			}
+			if fallback && !tiledSeg {
+				sp.Start(telemetry.StageDecode)
+				src, err = orig.frame(f)
+				sp.Stop(telemetry.StageDecode)
+				if err != nil {
+					if !p.Resilient {
+						sp.Finish()
+						return stats, nil, err
+					}
+					// An original frame that does not decode freezes the
+					// rest of the segment.
+					stats.PayloadErrors++
+					orig.load(nil)
+				}
 			}
 			// Every frame is a hit or a miss: Hits+Misses == Frames.
 			if hit {
@@ -376,20 +440,21 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 				stats.Misses++
 			}
 			var out *frame.Frame
-			if !fallback {
+			switch {
+			case hit:
 				// Direct display: the display processor crops the HMD FOV
 				// out of the margin-padded FOV frame and scales it to the
 				// panel — plain pixel manipulation, no PT (§2).
 				sp.Start(telemetry.StageDisplay)
-				out, err = crop.Apply(fovFrames[f])
+				out, err = crop.Apply(src)
 				sp.Stop(telemetry.StageDisplay)
 				if err != nil {
 					sp.Finish() // record the partially-timed frame
 					return stats, nil, err
 				}
-			} else if f < len(origFrames) {
+			case src != nil:
 				sp.Start(telemetry.StageRender)
-				out, err = render(origFrames[f], o)
+				out, err = render(src, o)
 				sp.Stop(telemetry.StageRender)
 				if err != nil {
 					sp.Finish() // record the partially-timed frame
@@ -398,11 +463,11 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 				if rendered != nil {
 					*rendered++
 				}
-			} else if p.Resilient && len(displayed) > 0 {
+			case p.Resilient && len(displayed) > 0:
 				// Nothing decodable: repeat the last good frame.
 				out = displayed[len(displayed)-1]
 				stats.FrozenFrames++
-			} else {
+			default:
 				out = frame.New(vp.Width, vp.Height)
 			}
 			displayed = append(displayed, out)
@@ -418,6 +483,51 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		stats.ModeledBytes = ts.timeline.Bytes
 	}
 	return stats, displayed, nil
+}
+
+// streamReader plays one stream role of a session — the FOV video, the
+// original, the tiled backfill or one tile index — frame by frame: a decoder
+// that outlives the segments, the current segment's stream, and how far into
+// it the decoder is. Each segment starts with an I-frame, so moving to the
+// next segment's stream needs no new decoder.
+type streamReader struct {
+	dec  codec.Decoder
+	bits *codec.Bitstream
+	next int          // frames [0, next) of bits have been decoded
+	cur  *frame.Frame // frame next-1, valid until the next decode
+}
+
+// load points the reader at a segment's stream (nil: none).
+func (r *streamReader) load(bits *codec.Bitstream) { r.bits, r.next, r.cur = bits, 0, nil }
+
+// frames is the length of the current stream.
+func (r *streamReader) frames() int {
+	if r.bits == nil {
+		return 0
+	}
+	return len(r.bits.Frames)
+}
+
+// frame decodes forward to frame i of the current stream and returns it; the
+// frame is valid until the reader decodes again. Frame i of a P-chain needs
+// every frame before it, so the first request mid-segment decodes from the
+// I-frame; asking for an earlier frame than the last starts over. A frame
+// past the stream's end is nil: there is nothing to show.
+func (r *streamReader) frame(i int) (*frame.Frame, error) {
+	if i >= r.frames() {
+		return nil, nil
+	}
+	if i < r.next-1 {
+		r.next = 0
+	}
+	for ; r.next <= i; r.next++ {
+		f, err := r.dec.Decode(r.bits.Frames[r.next])
+		if err != nil {
+			return nil, fmt.Errorf("client: frame %d: %w", r.next, err)
+		}
+		r.cur = f
+	}
+	return r.cur, nil
 }
 
 // bestCluster returns the ID of the segment's FOV video whose first-frame

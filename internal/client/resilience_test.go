@@ -1,11 +1,14 @@
 package client
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"evr/internal/codec"
+	"evr/internal/frame"
 	"evr/internal/headtrace"
 	"evr/internal/hmd"
 	"evr/internal/scene"
@@ -15,7 +18,7 @@ import (
 
 // corruptingHandler wraps a service handler and mangles responses whose
 // paths match a predicate — the failure-injection harness.
-func corruptingHandler(inner http.Handler, match func(path string) bool) http.Handler {
+func corruptingHandler(inner http.Handler, match func(path string) bool, mangle func(body []byte) []byte) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !match(r.URL.Path) {
 			inner.ServeHTTP(w, r)
@@ -23,20 +26,48 @@ func corruptingHandler(inner http.Handler, match func(path string) bool) http.Ha
 		}
 		rec := httptest.NewRecorder()
 		inner.ServeHTTP(rec, r)
-		body := rec.Body.Bytes()
-		// Truncate and flip bits: reliably undecodable.
-		if len(body) > 16 {
-			body = body[:len(body)/2]
-			for i := 8; i < len(body); i += 7 {
-				body[i] ^= 0xFF
-			}
-		}
 		w.WriteHeader(rec.Code)
-		w.Write(body)
+		w.Write(mangle(rec.Body.Bytes()))
 	})
 }
 
+// truncateAndFlip halves a payload and flips bits through what is left:
+// the framing breaks, so the payload fails when it is fetched.
+func truncateAndFlip(body []byte) []byte {
+	if len(body) > 16 {
+		body = body[:len(body)/2]
+		for i := 8; i < len(body); i += 7 {
+			body[i] ^= 0xFF
+		}
+	}
+	return body
+}
+
+// zeroCoefficients returns a mangler that keeps a bitstream payload's framing
+// and every frame header intact but zeroes the first coded bytes after frame
+// k's 7-byte header: an exp-Golomb code of 33+ leading zeros, which no
+// decoder accepts. The payload passes every fetch-time check and fails
+// when frame k is decoded. unwrap parses the payload's envelope; frame
+// bodies alias the body, so zeroing them edits the payload in place.
+func zeroCoefficients(k int, unwrap func([]byte) (*codec.Bitstream, error)) func([]byte) []byte {
+	return func(body []byte) []byte {
+		bits, err := unwrap(body)
+		if err != nil || k >= len(bits.Frames) {
+			panic(fmt.Sprintf("cannot corrupt frame %d of the payload: %v", k, err))
+		}
+		data := bits.Frames[k]
+		clear(data[7:min(len(data), 15)])
+		return body
+	}
+}
+
 func corruptTestServer(t *testing.T, match func(string) bool) (*httptest.Server, scene.VideoSpec) {
+	return mangledTestServer(t, false, match, truncateAndFlip)
+}
+
+// mangledTestServer serves two segments of RS at 96×48 — live ingest (no FOV
+// videos) when live is set — with matching responses mangled.
+func mangledTestServer(t *testing.T, live bool, match func(string) bool, mangle func([]byte) []byte) (*httptest.Server, scene.VideoSpec) {
 	t.Helper()
 	v, _ := scene.ByName("RS")
 	cfg := server.DefaultIngestConfig()
@@ -44,11 +75,12 @@ func corruptTestServer(t *testing.T, match func(string) bool) (*httptest.Server,
 	cfg.FOVW, cfg.FOVH = 32, 32
 	cfg.MaxSegments = 2
 	cfg.Codec.SearchRange = 1
+	cfg.LiveMode = live
 	svc := server.NewService(store.New())
 	if _, err := svc.IngestVideo(v, cfg); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(corruptingHandler(svc.Handler(), match))
+	ts := httptest.NewServer(corruptingHandler(svc.Handler(), match, mangle))
 	t.Cleanup(ts.Close)
 	return ts, v
 }
@@ -132,5 +164,102 @@ func TestResilientModeNoOpOnHealthyServer(t *testing.T) {
 	}
 	if sRes.PayloadErrors != 0 || sRes.FrozenFrames != 0 {
 		t.Error("healthy server produced error stats")
+	}
+}
+
+func isFOVVideo(p string) bool {
+	return strings.Contains(p, "/fov/") && !strings.Contains(p, "fovmeta")
+}
+func isOrig(p string) bool { return strings.Contains(p, "/orig/") }
+
+// corruptFrame is the frame whose coefficients the mid-segment tests zero.
+const corruptFrame = 10
+
+// playCorrupt plays RS user 0 against a server whose matching payloads have
+// frame corruptFrame's coefficients zeroed, next to a healthy run.
+func playCorrupt(t *testing.T, live, resilient bool, match func(string) bool) (got, healthy PlaybackStats, frames, healthyFrames []*frame.Frame, err error) {
+	t.Helper()
+	corrupt, v := mangledTestServer(t, live, match, zeroCoefficients(corruptFrame, server.UnmarshalBitstream))
+	clean, _ := mangledTestServer(t, live, func(string) bool { return false }, nil)
+	imu := func() *hmd.IMU { return hmd.NewIMU(headtrace.Generate(v, 0)) }
+	healthy, healthyFrames, herr := NewPlayer(clean.URL).Play("RS", imu(), 2)
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	p := NewPlayer(corrupt.URL)
+	p.Resilient = resilient
+	got, frames, err = p.Play("RS", imu(), 2)
+	return got, healthy, frames, healthyFrames, err
+}
+
+// TestCorruptFOVFrameDegradesFromThatFrame: a FOV video whose frame 10 does
+// not decode passes the fetch-time checks, so segment 0 (healthy: hits on
+// frames 0–25) and segment 1 (hits on 0–12) each show FOV frames 0–9 and
+// switch to the original at frame 10, not at frame 0. The frames before the
+// break, and every frame the healthy run also took from the original, are
+// byte-identical to the healthy run.
+func TestCorruptFOVFrameDegradesFromThatFrame(t *testing.T) {
+	got, healthy, frames, healthyFrames, err := playCorrupt(t, false, true, isFOVVideo)
+	if err != nil {
+		t.Fatalf("resilient player failed: %v", err)
+	}
+	if healthy.Hits != 39 || healthy.Fallbacks != 2 {
+		t.Fatalf("healthy run: %d hits, %d fallbacks; the pins below assume 39 and 2", healthy.Hits, healthy.Fallbacks)
+	}
+	want := PlaybackStats{Frames: 60, Hits: 2 * corruptFrame, Misses: 60 - 2*corruptFrame,
+		Fallbacks: 2, PayloadErrors: 2, PTEFrames: 60 - 2*corruptFrame}
+	if got.Frames != want.Frames || got.Hits != want.Hits || got.Misses != want.Misses || got.Fallbacks != want.Fallbacks ||
+		got.PayloadErrors != want.PayloadErrors || got.PTEFrames != want.PTEFrames || got.FrozenFrames != 0 {
+		t.Errorf("got %+v\nwant frames/hits/misses/fallbacks/payload errors/PTE frames %d/%d/%d/%d/%d/%d, none frozen",
+			got, want.Frames, want.Hits, want.Misses, want.Fallbacks, want.PayloadErrors, want.PTEFrames)
+	}
+	for _, seg := range []int{0, 1} {
+		for f := 0; f < 30; f++ {
+			i := 30*seg + f
+			sameSource := f < corruptFrame || (seg == 0 && f >= 26) || (seg == 1 && f >= 13)
+			if sameSource && !frames[i].Equal(healthyFrames[i]) {
+				t.Errorf("frame %d differs from the healthy run's", i)
+			}
+		}
+	}
+}
+
+func TestCorruptFOVFrameAbortsNonResilientPlayer(t *testing.T) {
+	_, _, frames, _, err := playCorrupt(t, false, false, isFOVVideo)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("frame %d", corruptFrame)) {
+		t.Fatalf("corrupt FOV frame %d: err = %v, want an error naming it", corruptFrame, err)
+	}
+	if frames != nil {
+		t.Errorf("aborted playback returned %d frames", len(frames))
+	}
+}
+
+// TestCorruptOrigFrameFreezesFromThatFrame: under live ingest every frame
+// plays from the original; with frame 10 undecodable each segment renders
+// frames 0–9 and freezes on frame 9 for the rest of the segment.
+func TestCorruptOrigFrameFreezesFromThatFrame(t *testing.T) {
+	got, _, frames, healthyFrames, err := playCorrupt(t, true, true, isOrig)
+	if err != nil {
+		t.Fatalf("resilient player failed: %v", err)
+	}
+	if got.Frames != 60 || got.Hits != 0 || got.Fallbacks != 2 || got.PayloadErrors != 2 ||
+		got.PTEFrames != 2*corruptFrame || got.FrozenFrames != 60-2*corruptFrame {
+		t.Errorf("got %+v\nwant 60 frames, 0 hits, 2 fallbacks, 2 payload errors, %d PTE frames, %d frozen",
+			got, 2*corruptFrame, 60-2*corruptFrame)
+	}
+	for _, seg := range []int{0, 1} {
+		for f := 0; f < 30; f++ {
+			i, want := 30*seg+f, healthyFrames[30*seg+min(f, corruptFrame-1)]
+			if !frames[i].Equal(want) {
+				t.Errorf("frame %d is not the healthy frame %d", i, 30*seg+min(f, corruptFrame-1))
+			}
+		}
+	}
+}
+
+func TestCorruptOrigFrameAbortsNonResilientPlayer(t *testing.T) {
+	_, _, _, _, err := playCorrupt(t, true, false, isOrig)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("frame %d", corruptFrame)) {
+		t.Fatalf("corrupt original frame %d: err = %v, want an error naming it", corruptFrame, err)
 	}
 }

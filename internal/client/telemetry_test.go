@@ -45,9 +45,9 @@ func TestTelemetryByteIdentical(t *testing.T) {
 	assertAccounting(t, "traced", sOn, fOn)
 
 	// The tracer actually saw the run: one finished span per displayed
-	// frame, hits matching the QoE accounting, and fetch/decode/fovcheck
-	// stages populated (fetch/decode by the fetch layer, including its
-	// prefetch goroutines).
+	// frame, hits matching the QoE accounting, fetch observed by the fetch
+	// layer (including its prefetch goroutines), and decode inside the frame
+	// spans — each frame that is not frozen decodes what it shows.
 	tr := traced.Trace
 	if got := tr.Frames(); got != int64(len(fOn)) {
 		t.Errorf("tracer frames = %d, want %d", got, len(fOn))
@@ -62,8 +62,11 @@ func TestTelemetryByteIdentical(t *testing.T) {
 	if byStage["fovcheck"].Count != int64(sOn.Frames) {
 		t.Errorf("fovcheck observations = %d, want %d", byStage["fovcheck"].Count, sOn.Frames)
 	}
-	if byStage["fetch"].Count == 0 || byStage["decode"].Count == 0 {
-		t.Errorf("fetch layer stages missing: %+v", byStage)
+	if byStage["fetch"].Count == 0 {
+		t.Errorf("fetch layer stage missing: %+v", byStage)
+	}
+	if want := int64(sOn.Frames - sOn.FrozenFrames); byStage["decode"].Count != want {
+		t.Errorf("decode observations = %d, want one per unfrozen frame, %d", byStage["decode"].Count, want)
 	}
 	if sOn.Hits > 0 && byStage["display"].Count != int64(sOn.Hits) {
 		t.Errorf("display observations = %d, want %d", byStage["display"].Count, sOn.Hits)
@@ -82,6 +85,9 @@ func TestTelemetryByteIdentical(t *testing.T) {
 	for _, r := range rec {
 		if r.Hit {
 			ringHits++
+		}
+		if r.Stages[telemetry.StageDecode] == 0 {
+			t.Errorf("frame %d: no decode in its span", r.Frame)
 		}
 	}
 	if ringHits != sOn.Hits {

@@ -59,10 +59,18 @@ type tiledSession struct {
 	// FOV-stream width). needVP is the bare HMD-FOV viewport used to
 	// judge, at the actual pose, which tiles were truly needed.
 	fetchVP, needVP projection.Viewport
-	fullW, fullH    int
 	// lastMode feeds the previous segment's policy decision back into
 	// Decide so its hysteresis band can damp mode flapping.
 	lastMode delivery.Mode
+
+	// Per-frame assembly: a reader for the backfill and one per tile index
+	// (a tile whose stream is nil was not fetched for this segment), the
+	// assembler, and the one canvas every assembled frame is built in.
+	low        streamReader
+	tiles      []streamReader
+	tileFrames []*frame.Frame // this frame's tile frames, indexed by tile
+	asm        *delivery.Assembler
+	canvas     *frame.Frame
 }
 
 // newTiledSession builds the tiled-mode state for one playback, or nil when
@@ -92,6 +100,10 @@ func newTiledSession(cfg TiledConfig, man *server.Manifest, hmdFOVXDeg, hmdFOVYD
 	if err != nil {
 		return nil, err
 	}
+	asm, err := delivery.NewAssembler(grid, man.FullW, man.FullH)
+	if err != nil {
+		return nil, err
+	}
 	fetchX := math.Min(hmdFOVXDeg+2*fetchMarginDeg, man.FOVXDeg)
 	fetchY := math.Min(hmdFOVYDeg+2*fetchMarginDeg, man.FOVYDeg)
 	return &tiledSession{
@@ -109,8 +121,10 @@ func newTiledSession(cfg TiledConfig, man *server.Manifest, hmdFOVXDeg, hmdFOVYD
 			Width: man.FOVW, Height: man.FOVH,
 			FOVX: geom.Radians(hmdFOVXDeg), FOVY: geom.Radians(hmdFOVYDeg),
 		},
-		fullW: man.FullW,
-		fullH: man.FullH,
+		tiles:      make([]streamReader, grid.Tiles()),
+		tileFrames: make([]*frame.Frame, grid.Tiles()),
+		asm:        asm,
+		canvas:     frame.New(man.FullW, man.FullH),
 	}, nil
 }
 
@@ -189,23 +203,25 @@ func (ts *tiledSession) plan(seg *server.SegmentInfo, tr headtrace.Trace, frameI
 	return tiledPlan{mode: mode, rungs: rungs, bytes: bytes}
 }
 
-// fetchTiled downloads one segment's planned tile set concurrently over the
-// low-res backfill stream and assembles the full panorama. A failed tile
-// fetch never aborts the segment — that tile's rectangle simply stays at
-// backfill quality (counted in stats). A missing backfill stream or a
-// structural assembly error fails the whole segment: there is nothing to
-// paint tiles over.
-func (p *Player) fetchTiled(ts *tiledSession, video string, seg *server.SegmentInfo, plan tiledPlan, stats *PlaybackStats) ([]*frame.Frame, []bool, error) {
+// fetchTiled downloads one segment's low-res backfill stream and its
+// planned tile set concurrently, and points the session's readers at them. A
+// failed tile fetch never aborts the segment — that tile's rectangle simply
+// stays at backfill quality (counted in stats). A missing backfill stream
+// fails the whole segment: there is nothing to paint tiles over.
+func (p *Player) fetchTiled(ts *tiledSession, video string, seg *server.SegmentInfo, plan tiledPlan, stats *PlaybackStats) error {
 	ftch := p.Fetcher()
+	for t := range ts.tiles {
+		ts.tiles[t].load(nil)
+	}
 	low, _, err := ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.TileLow, Seg: seg.Index})
+	ts.low.load(low)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		tiles    = make(map[int][]*frame.Frame)
-		tileErrs int
+		mu              sync.Mutex
+		wg              sync.WaitGroup
+		fetched, failed int
 	)
 	for t, r := range plan.rungs {
 		if r < 0 {
@@ -214,37 +230,55 @@ func (p *Player) fetchTiled(ts *tiledSession, video string, seg *server.SegmentI
 		wg.Add(1)
 		go func(t, r int) {
 			defer wg.Done()
-			frames, _, err := ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.Tile, Seg: seg.Index, A: t, B: r})
+			bits, _, err := ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.Tile, Seg: seg.Index, A: t, B: r})
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
-				tileErrs++
+				failed++
 				return
 			}
-			tiles[t] = frames
+			ts.tiles[t].load(bits)
+			fetched++
 		}(t, r)
 	}
 	wg.Wait()
-	stats.TiledTiles += len(tiles)
-	stats.TiledTileErrors += tileErrs
-	assembled, err := delivery.Assemble(ts.grid, ts.fullW, ts.fullH, low, tiles)
-	if err != nil {
-		return nil, nil, err
+	stats.TiledTiles += fetched
+	stats.TiledTileErrors += failed
+	return nil
+}
+
+// frame decodes frame f of the backfill and of every fetched tile and
+// assembles them into the session canvas, which stays valid until the next
+// call. A tile frame that does not decode leaves its rectangle at backfill
+// quality for the rest of the segment, as a failed tile fetch does; a
+// backfill frame that does not decode, or an assembly that cannot place a
+// tile, is the segment's error. A frame past the backfill's end is nil.
+func (ts *tiledSession) frame(f int, stats *PlaybackStats) (*frame.Frame, error) {
+	low, err := ts.low.frame(f)
+	if low == nil {
+		return nil, err
 	}
-	fetched := make([]bool, ts.grid.Tiles())
-	for t := range tiles {
-		fetched[t] = true
+	for t := range ts.tiles {
+		tf, err := ts.tiles[t].frame(f)
+		if err != nil {
+			stats.TiledTileErrors++
+			ts.tiles[t].load(nil)
+		}
+		ts.tileFrames[t] = tf
 	}
-	return assembled, fetched, nil
+	if err := ts.asm.Frame(ts.canvas, low, ts.tileFrames); err != nil {
+		return nil, err
+	}
+	return ts.canvas, nil
 }
 
 // countMispredicted adds, for one displayed frame at the actual pose o, the
-// tiles the HMD viewport needed but the predicted fetch set did not cover —
-// the rectangles the viewer saw at backfill quality.
-func (ts *tiledSession) countMispredicted(o geom.Orientation, fetched []bool, stats *PlaybackStats) {
+// tiles the HMD viewport needed but the segment's fetched tile set did not
+// cover — the rectangles the viewer saw at backfill quality.
+func (ts *tiledSession) countMispredicted(o geom.Orientation, stats *PlaybackStats) {
 	need := ts.grid.Visible(ts.needVP, o, ts.method)
 	for t, n := range need {
-		if n && (t >= len(fetched) || !fetched[t]) {
+		if n && ts.tiles[t].bits == nil {
 			stats.MispredictedTiles++
 		}
 	}

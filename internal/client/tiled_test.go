@@ -4,9 +4,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strings"
 	"testing"
 
+	"evr/internal/codec"
 	"evr/internal/delivery"
+	"evr/internal/frame"
 	"evr/internal/headtrace"
 	"evr/internal/hmd"
 	"evr/internal/scene"
@@ -210,4 +213,83 @@ func TestTiledLostTileBackfillsDeterministically(t *testing.T) {
 	if stats.Frames != healthy.Frames {
 		t.Errorf("lossy run played %d frames, healthy %d", stats.Frames, healthy.Frames)
 	}
+}
+
+// tileBits unwraps a tile payload's bitstream, aliasing the payload.
+func tileBits(body []byte) (*codec.Bitstream, error) {
+	p, err := delivery.UnmarshalTile(body)
+	if err != nil {
+		return nil, err
+	}
+	return p.Bits, nil
+}
+
+// TestTiledCorruptFramesDegradeFromThatFrame zeroes frame 10's coefficients
+// in every tile stream, then in every backfill stream, of a forced-tiled
+// session. A broken tile leaves its rectangle at backfill quality from frame
+// 10 on and never fails the segment, resilient or not; a broken backfill
+// plays the rest of the segment from the original, or aborts a player that
+// is not resilient. Frames before the break match the healthy run; frames
+// after a backfill break match a forced-original run.
+func TestTiledCorruptFramesDegradeFromThatFrame(t *testing.T) {
+	ts, v := startTiledTestServer(t, "RS", 2)
+	imu := func() *hmd.IMU { return hmd.NewIMU(headtrace.Generate(v, 0)) }
+	play := func(url string, force delivery.Mode, resilient bool) (PlaybackStats, []*frame.Frame, error) {
+		p := tiledPlayer(url, force)
+		p.Resilient = resilient
+		return p.Play("RS", imu(), 2)
+	}
+	healthy, healthyFrames, err := play(ts.URL, delivery.ModeTiled, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, origFrames, err := play(ts.URL, delivery.ModeOrig, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 10
+	mangled := func(kind string, unwrap func([]byte) (*codec.Bitstream, error)) string {
+		srv := httptest.NewServer(corruptingHandler(proxyTo(t, ts.URL),
+			func(p string) bool { return strings.Contains(p, "/"+kind+"/") }, zeroCoefficients(k, unwrap)))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	sameFrames := func(label string, got, want []*frame.Frame, from, to int) {
+		t.Helper()
+		for seg := 0; seg < 2; seg++ {
+			for f := from; f < to; f++ {
+				if i := 30*seg + f; !got[i].Equal(want[i]) {
+					t.Errorf("%s: frame %d differs", label, i)
+				}
+			}
+		}
+	}
+
+	tileURL := mangled("tile", tileBits)
+	for _, resilient := range []bool{false, true} {
+		st, frames, err := play(tileURL, delivery.ModeTiled, resilient)
+		if err != nil {
+			t.Fatalf("broken tiles (resilient %v) aborted playback: %v", resilient, err)
+		}
+		if st.TiledTiles != healthy.TiledTiles || st.TiledTileErrors != healthy.TiledTiles || st.PayloadErrors != 0 ||
+			st.ModeTiledSegments != 2 || st.Fallbacks != 0 || st.FrozenFrames != 0 {
+			t.Errorf("broken tiles (resilient %v): %+v, want every one of %d tiles counted as a tile error and nothing else",
+				resilient, st, healthy.TiledTiles)
+		}
+		sameFrames("broken tiles", frames, healthyFrames, 0, k)
+	}
+
+	lowURL := mangled("tilelow", server.UnmarshalBitstream)
+	if _, _, err := play(lowURL, delivery.ModeTiled, false); err == nil || !strings.Contains(err.Error(), "frame 10") {
+		t.Errorf("broken backfill, not resilient: err = %v, want an error naming frame 10", err)
+	}
+	st, frames, err := play(lowURL, delivery.ModeTiled, true)
+	if err != nil {
+		t.Fatalf("broken backfill aborted a resilient player: %v", err)
+	}
+	if st.ModeTiledSegments != 2 || st.PayloadErrors != 2 || st.Fallbacks != 2 || st.TiledTileErrors != 0 || st.FrozenFrames != 0 {
+		t.Errorf("broken backfill: %+v, want 2 tiled segments, 2 payload errors, 2 fallbacks", st)
+	}
+	sameFrames("broken backfill, before", frames, healthyFrames, 0, k)
+	sameFrames("broken backfill, after", frames, origFrames, k, 30)
 }

@@ -518,17 +518,54 @@ func (e *frameEncoder) refineHalfPel(bx, by, dx, dy int) (mvx, mvy int) {
 }
 
 // Decoder decompresses a stream produced by Encoder. Frames must be decoded
-// in encode order; an I-frame resets the prediction chain.
+// in encode order; an I-frame resets the prediction chain. The zero value is
+// ready to use.
+//
+// A Decoder owns the rasters it decodes into: two that alternate between
+// reference and output, plus a third for the RGB output of chroma-coded
+// streams. A frame is decoded into the raster that does not hold the
+// reference, so the frame Decode returns is valid until the next Decode and
+// must not be modified (Clone it to keep or change it). Rasters are
+// reallocated only when the frame dimensions change, and every block of a
+// frame is written (dimensions are multiples of the block size), so reuse
+// needs no clearing. The block coder is kept while the header's quality and
+// flags repeat.
 type Decoder struct {
-	ref *frame.Frame
+	ref   *frame.Frame // the last decoded frame: the next P-frame's reference
+	spare *frame.Frame // the raster the next frame is decoded into
+	rgb   *frame.Frame // RGB output of a chroma-coded frame
+
+	coder        *blockCoder
+	coderQuality int
+	coderFlags   uint64
 }
 
 // NewDecoder returns a fresh decoder.
 func NewDecoder() *Decoder { return &Decoder{} }
 
-// Decode decompresses one frame. The frame it allocates is bounded by the
+// raster returns *f, first reallocated as a w×h frame unless it is one.
+func raster(f **frame.Frame, w, h int) *frame.Frame {
+	if *f == nil || (*f).W != w || (*f).H != h {
+		*f = frame.New(w, h)
+	}
+	return *f
+}
+
+// blockCoder returns the block coder for a header's quality and flags,
+// rebuilding it only when they differ from the previous frame's.
+func (d *Decoder) blockCoder(quality int, flags uint64) *blockCoder {
+	if d.coder == nil || d.coderQuality != quality || d.coderFlags != flags {
+		d.coder = newBlockCoder(quality, flags&flagChroma != 0, flags&flagHalfPel != 0)
+		d.coderQuality, d.coderFlags = quality, flags
+	}
+	return d.coder
+}
+
+// Decode decompresses one frame into the decoder's rasters; the result is
+// valid until the next Decode. A raster it allocates is bounded by the
 // payload: a header claiming more blocks than the payload has bits for is
-// rejected first.
+// rejected first. A frame that fails to decode leaves the reference as it
+// was.
 func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 	r := newBitReader(data)
 	var hdr [5]uint64 // type, W, H, quality, flags
@@ -562,9 +599,8 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 	if blocks := (w / blockSize) * (h / blockSize); blocks*minBits > r.bitsLeft() {
 		return nil, errBitstream
 	}
-	chroma := flags&flagChroma != 0
-	c := newBlockCoder(quality, chroma, flags&flagHalfPel != 0)
-	out := frame.New(w, h)
+	c := d.blockCoder(quality, flags)
+	out := raster(&d.spare, w, h)
 	for by := 0; by < h; by += blockSize {
 		for bx := 0; bx < w; bx += blockSize {
 			var err error
@@ -578,9 +614,11 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 			}
 		}
 	}
-	d.ref = out
-	if chroma {
-		return display.ToRGB(out), nil
+	d.ref, d.spare = out, d.ref
+	if flags&flagChroma != 0 {
+		rgb := raster(&d.rgb, w, h)
+		display.ToRGBInto(rgb, out)
+		return rgb, nil
 	}
 	return out, nil
 }

@@ -1,0 +1,111 @@
+package codec
+
+import (
+	"math/rand"
+	"testing"
+
+	"evr/internal/frame"
+)
+
+// segmentConfigs are the benchmark's ingest codec settings and the same with
+// both optional tools on, so the third (RGB) raster is exercised too.
+var segmentConfigs = []Config{
+	{GOP: 30, Quality: 6, SearchRange: 2},
+	{GOP: 30, Quality: 6, SearchRange: 2, ChromaCoding: true, HalfPel: true},
+}
+
+// garbage returns a w×h frame of random bytes.
+func garbage(w, h int, seed int64) *frame.Frame {
+	f := frame.New(w, h)
+	rand.New(rand.NewSource(seed)).Read(f.Pix)
+	return f
+}
+
+// TestDecodeSteadyStateAllocatesNothing: once a decoder holds rasters of the
+// stream's size, decoding an I-frame or a P-frame allocates nothing — no
+// raster, no block coder, no bit reader.
+func TestDecodeSteadyStateAllocatesNothing(t *testing.T) {
+	frames := rsFrames(t, 128, 64, 3)
+	for _, cfg := range segmentConfigs {
+		bs, err := EncodeSequence(cfg, frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dec Decoder
+		for _, data := range bs.Frames {
+			if _, err := dec.Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, data := range bs.Frames[:2] {
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := dec.Decode(data); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%+v: steady-state %c-frame Decode allocates %.0f times, want 0", cfg, bs.Types[i], allocs)
+			}
+		}
+	}
+}
+
+// TestDecodeIgnoresRasterContents: rasters are reused without clearing, so a
+// decoder whose rasters hold garbage — planted, or left by another stream of
+// the same size — decodes every frame exactly as the reference decoder does.
+func TestDecodeIgnoresRasterContents(t *testing.T) {
+	const w, h = 128, 64
+	frames := rsFrames(t, w, h, 4)
+	for _, cfg := range segmentConfigs {
+		bs, err := EncodeSequence(cfg, frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := refDecodeSequence(bs.Frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := EncodeSequence(cfg, []*frame.Frame{garbage(w, h, 1), garbage(w, h, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		planted := &Decoder{ref: garbage(w, h, 3), spare: garbage(w, h, 4), rgb: garbage(w, h, 5)}
+		reused := &Decoder{}
+		for _, data := range other.Frames {
+			if _, err := reused.Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, dec := range map[string]*Decoder{"planted": planted, "reused": reused} {
+			for i, data := range bs.Frames {
+				got, err := dec.Decode(data)
+				if err != nil {
+					t.Fatalf("%s %+v frame %d: %v", name, cfg, i, err)
+				}
+				if !got.Equal(want[i]) {
+					t.Errorf("%s %+v frame %d differs from the reference decoder's", name, cfg, i)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDecodeSegment decodes one segment of the benchmark's playback
+// video at its geometry and codec settings — RS, 320×160, 30 frames — with
+// one decoder reused across segments, as a player's stream reader does.
+func BenchmarkDecodeSegment(b *testing.B) {
+	bs, err := EncodeSequence(segmentConfigs[0], rsFrames(b, 320, 160, 30))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var dec Decoder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, data := range bs.Frames {
+			if _, err := dec.Decode(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -125,9 +125,12 @@ func TestDecodeSequenceChecksDeclaredDimensions(t *testing.T) {
 // P-frame headers get as far as the block loop): it must return a frame or
 // an error — no panic, no frame larger than the payload's bits can pay
 // for, and the same answer as the reference decoder. The payload then
-// doubles as picture content and encoder settings for a round trip:
-// decode∘encode must agree with the reference decoder and stay within the
-// quantizer's error bound.
+// doubles as picture content and encoder settings for round trips:
+// decode∘encode must agree with the reference decoder frame by frame and
+// stay within the quantizer's error bound. The same decoder, its rasters
+// reused, decodes everything: the fuzzed frame, then a 16×8 stream, then an
+// 8×16 stream with chroma coding and half-pel motion toggled — two
+// dimension changes and a block-coder change mid-decoder.
 func FuzzDecode(f *testing.F) {
 	textured := noisyGradient(16, 16, 84)
 	for _, cfg := range []Config{
@@ -169,25 +172,28 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		cfg := Config{GOP: 2, Quality: 1 + int(data[0])%64, SearchRange: int(data[1]) % 4, ChromaCoding: data[2]&1 != 0, HalfPel: data[2]&2 != 0}
-		var frames [2]*frame.Frame
-		for i := range frames {
-			frames[i] = frame.New(16, 8)
-			for j := range frames[i].Pix {
-				frames[i].Pix[j] = data[(j+i*len(data)/2)%len(data)]
+		for _, dims := range [][2]int{{16, 8}, {8, 16}} {
+			var frames [3]*frame.Frame
+			for i := range frames {
+				frames[i] = frame.New(dims[0], dims[1])
+				for j := range frames[i].Pix {
+					frames[i].Pix[j] = data[(j+i*len(data)/3)%len(data)]
+				}
 			}
+			fuzzRoundTrip(t, dec, cfg, frames[:])
+			cfg.ChromaCoding, cfg.HalfPel = !cfg.ChromaCoding, !cfg.HalfPel
 		}
-		fuzzRoundTrip(t, cfg, frames[:])
 	})
 }
 
-// fuzzRoundTrip encodes frames and checks each decoded frame against the
+// fuzzRoundTrip encodes frames and checks each frame dec decodes against the
 // reference decoder and against the quantizer's error bound: the DCT is
 // orthonormal, so a block's squared reconstruction error is at most the
 // squared half-steps of its 64 coefficients, plus half a level of pixel
 // rounding per sample (clamping to [0, 255] only moves a sample toward
 // its source). The bound holds in the space the prediction loop runs in,
 // YCbCr under ChromaCoding.
-func fuzzRoundTrip(t *testing.T, cfg Config, frames []*frame.Frame) {
+func fuzzRoundTrip(t *testing.T, dec *Decoder, cfg Config, frames []*frame.Frame) {
 	bs, err := EncodeSequence(cfg, frames)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +203,6 @@ func fuzzRoundTrip(t *testing.T, cfg Config, frames []*frame.Frame) {
 		t.Fatalf("reference decoder rejects the encoder's stream: %v", err)
 	}
 	c := newBlockCoder(cfg.Quality, cfg.ChromaCoding, cfg.HalfPel)
-	dec := NewDecoder()
 	for i, data := range bs.Frames {
 		got, err := dec.Decode(data)
 		if err != nil {

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"evr/internal/frame"
@@ -57,10 +58,30 @@ func EncodeSequence(cfg Config, frames []*frame.Frame) (*Bitstream, error) {
 	return bs, nil
 }
 
-// DecodeSequence decompresses a whole bitstream. Every frame must have the
-// dimensions the bitstream declares.
+// CheckHeaders checks what can be known of a stream without decoding it,
+// five bytes per frame: the first frame is an I-frame, so a decoder can
+// start there, and every frame header declares the bitstream's dimensions.
+// A stream that passes may still fail to decode past a header.
+func (b *Bitstream) CheckHeaders() error {
+	for i, data := range b.Frames {
+		if len(data) < 5 {
+			return fmt.Errorf("codec: frame %d header truncated at %d bytes", i, len(data))
+		}
+		if i == 0 && FrameType(data[0]) != IFrame {
+			return fmt.Errorf("codec: stream starts with frame type %q, not an I-frame", data[0])
+		}
+		// The header's W:16 and H:16 follow the type byte, byte-aligned.
+		if w, h := int(binary.BigEndian.Uint16(data[1:3])), int(binary.BigEndian.Uint16(data[3:5])); w != b.W || h != b.H {
+			return fmt.Errorf("codec: frame %d header declares %dx%d in a %dx%d bitstream", i, w, h, b.W, b.H)
+		}
+	}
+	return nil
+}
+
+// DecodeSequence decompresses a whole bitstream into frames of its own.
+// Every frame must have the dimensions the bitstream declares.
 func DecodeSequence(bs *Bitstream) ([]*frame.Frame, error) {
-	dec := NewDecoder()
+	var dec Decoder
 	out := make([]*frame.Frame, 0, len(bs.Frames))
 	for i, data := range bs.Frames {
 		f, err := dec.Decode(data)
@@ -70,7 +91,7 @@ func DecodeSequence(bs *Bitstream) ([]*frame.Frame, error) {
 		if f.W != bs.W || f.H != bs.H {
 			return nil, fmt.Errorf("codec: frame %d is %dx%d in a %dx%d bitstream", i, f.W, f.H, bs.W, bs.H)
 		}
-		out = append(out, f)
+		out = append(out, f.Clone())
 	}
 	return out, nil
 }

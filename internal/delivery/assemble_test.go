@@ -149,6 +149,68 @@ func TestAssembleAllocations(t *testing.T) {
 	}
 }
 
+// TestAssemblerFrameMatchesAssemble: one Assembler filling one reused canvas
+// frame by frame — over a canvas left dirty by the frame before — produces
+// every frame Assemble does, including a tile stream that runs out early,
+// and allocates nothing per frame.
+func TestAssemblerFrameMatchesAssemble(t *testing.T) {
+	g, w, h, low, tiles := benchSegment(4)
+	tiles[2] = tiles[2][:2]
+	want, err := Assemble(g, w, h, low, tiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAssembler(g, w, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canvas := frame.New(w, h)
+	perTile := make([]*frame.Frame, g.Tiles())
+	for i := range low {
+		clear(perTile)
+		for tile, tf := range tiles {
+			if i < len(tf) {
+				perTile[tile] = tf[i]
+			}
+		}
+		if err := a.Frame(canvas, low[i], perTile); err != nil {
+			t.Fatal(err)
+		}
+		if !canvas.Equal(want[i]) {
+			t.Errorf("frame %d differs from Assemble's", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := a.Frame(canvas, low[0], perTile); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Assembler.Frame allocates %.0f times per frame, want 0", allocs)
+	}
+}
+
+// TestAssemblerFrameRejects: a mis-sized canvas, a missing backfill frame and
+// more tile frames than the grid has are errors, not panics.
+func TestAssemblerFrameRejects(t *testing.T) {
+	g, w, h, low, _ := benchSegment(1)
+	a, err := NewAssembler(g, w, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Frame(frame.New(w, h/2), low[0], nil); err == nil {
+		t.Error("half-height canvas accepted")
+	}
+	if err := a.Frame(frame.New(w, h), nil, nil); err == nil {
+		t.Error("nil backfill frame accepted")
+	}
+	if err := a.Frame(frame.New(w, h), low[0], make([]*frame.Frame, g.Tiles()+1)); err == nil {
+		t.Error("tile frames beyond the grid accepted")
+	}
+	if _, err := NewAssembler(g, w+1, h); err == nil {
+		t.Error("panorama the grid does not divide accepted")
+	}
+}
+
 // allocBytes is the heap allocated by one run of fn, the minimum of three.
 func allocBytes(fn func()) uint64 {
 	best := ^uint64(0)

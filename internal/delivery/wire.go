@@ -13,7 +13,8 @@ const tileMagic = "EVT1"
 
 // TilePayload is one encoded tile stream as it travels from server to
 // client: the grid geometry it was cut from, its position, the quality
-// rung it was encoded at, and the bitstream itself.
+// rung it was encoded at, and the bitstream itself. A payload returned by
+// UnmarshalTile aliases the bytes it was parsed from.
 type TilePayload struct {
 	Cols, Rows int
 	Tile       int
@@ -76,6 +77,9 @@ func MarshalTile(p *TilePayload) ([]byte, error) {
 // UnmarshalTile parses a tile payload, rejecting truncated input, trailing
 // bytes, out-of-grid tile indices, and empty grids. It never preallocates
 // from claimed counts, so hostile headers cannot force large allocations.
+// The returned payload aliases data, as server.UnmarshalBitstream's
+// bitstream aliases its payload: each frame body is a sub-slice of data, not
+// a copy, so data must not be modified while the payload is in use.
 func UnmarshalTile(data []byte) (*TilePayload, error) {
 	if len(data) < len(tileMagic) {
 		return nil, fmt.Errorf("delivery: tile payload too short for magic")
@@ -119,9 +123,7 @@ func UnmarshalTile(data []byte) (*TilePayload, error) {
 		if uint32(len(rest)) < fl {
 			return nil, fmt.Errorf("delivery: frame %d claims %d bytes, %d remain", i, fl, len(rest))
 		}
-		buf := make([]byte, fl)
-		copy(buf, rest[:fl])
-		bits.Frames = append(bits.Frames, buf)
+		bits.Frames = append(bits.Frames, rest[:fl:fl])
 		bits.Types = append(bits.Types, ft)
 		rest = rest[fl:]
 	}

@@ -47,6 +47,16 @@ func TestTileRoundTrip(t *testing.T) {
 	if !bytes.Equal(data, data2) {
 		t.Fatalf("re-marshal not byte-identical")
 	}
+	// Frame bodies alias the payload, capped at their own length: a cached
+	// tile holds one copy of its bytes, and appending to a frame cannot
+	// overwrite the next.
+	data[len(data)-1] = 7
+	if q.Bits.Frames[2][0] != 7 {
+		t.Error("frame body is a copy, not a sub-slice of the payload")
+	}
+	if c := cap(q.Bits.Frames[0]); c != len(p.Bits.Frames[0]) {
+		t.Errorf("frame 0 has capacity %d, want its length %d", c, len(p.Bits.Frames[0]))
+	}
 }
 
 func TestMarshalTileRejects(t *testing.T) {

@@ -64,9 +64,15 @@ func ToYCbCr(f *frame.Frame) *frame.Frame {
 // ToRGB converts a (Y, Cb, Cr) frame back to RGB.
 func ToRGB(f *frame.Frame) *frame.Frame {
 	out := frame.New(f.W, f.H)
-	for i := 0; i < len(f.Pix); i += 3 {
-		r, g, b := YCbCrToRGB(f.Pix[i], f.Pix[i+1], f.Pix[i+2])
-		out.Pix[i], out.Pix[i+1], out.Pix[i+2] = r, g, b
-	}
+	ToRGBInto(out, f)
 	return out
+}
+
+// ToRGBInto writes the RGB conversion of the (Y, Cb, Cr) frame src into dst,
+// which must hold at least as many pixels.
+func ToRGBInto(dst, src *frame.Frame) {
+	out := dst.Pix[:len(src.Pix)]
+	for i := 0; i < len(src.Pix); i += 3 {
+		out[i], out[i+1], out[i+2] = YCbCrToRGB(src.Pix[i], src.Pix[i+1], src.Pix[i+2])
+	}
 }

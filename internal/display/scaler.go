@@ -18,8 +18,9 @@ import (
 // axis (and again only if the source dimensions change), and each frame is
 // then frame.BilinearAt's blend, term for term: a source row's horizontal
 // lerp is computed once and shared by every output row that reads it. Build
-// one Scaler per stream of frames, not per frame. Apply re-maps the taps when
-// the source dimensions change, so a Scaler is not safe for concurrent use.
+// one Scaler per stream of frames, not per frame; ApplyInto then writes into a
+// caller-owned frame and allocates nothing. The taps are re-mapped when the
+// source dimensions change, so a Scaler is not safe for concurrent use.
 type Scaler struct {
 	w, h         int
 	fracX, fracY float64
@@ -82,21 +83,34 @@ func lerpRow(dst []float64, f *frame.Frame, y int32, cols []tap) {
 	}
 }
 
-// Apply crops and scales one frame. A nil, empty or short-buffered source is
-// an error.
+// Apply crops and scales one frame into a new one. A nil, empty or
+// short-buffered source is an error.
 func (s *Scaler) Apply(f *frame.Frame) (*frame.Frame, error) {
+	out := frame.New(s.w, s.h)
+	if err := s.ApplyInto(out, f); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ApplyInto crops and scales f into out, which must be a w×h frame; every
+// pixel of out is written. A nil, empty or short-buffered source or a
+// mis-sized destination is an error.
+func (s *Scaler) ApplyInto(out, f *frame.Frame) error {
 	if f == nil || f.W <= 0 || f.H <= 0 {
-		return nil, fmt.Errorf("display: source frame must be non-empty")
+		return fmt.Errorf("display: source frame must be non-empty")
 	}
 	if len(f.Pix) < f.W*f.H*3 {
-		return nil, fmt.Errorf("display: source frame holds %d bytes, %dx%d needs %d", len(f.Pix), f.W, f.H, f.W*f.H*3)
+		return fmt.Errorf("display: source frame holds %d bytes, %dx%d needs %d", len(f.Pix), f.W, f.H, f.W*f.H*3)
+	}
+	if out == nil || out.W != s.w || out.H != s.h || len(out.Pix) < s.w*s.h*3 {
+		return fmt.Errorf("display: destination must be a %dx%d frame", s.w, s.h)
 	}
 	if f.W != s.srcW || f.H != s.srcH {
 		s.srcW, s.srcH = f.W, f.H
 		s.cols = mapAxis(s.w, f.W, s.fracX)
 		s.rows = mapAxis(s.h, f.H, s.fracY)
 	}
-	out := frame.New(s.w, s.h)
 	var rowA, rowB [strip * 3]float64
 	for x0 := 0; x0 < s.w; x0 += strip {
 		cols := s.cols[x0:min(x0+strip, s.w)]
@@ -128,5 +142,5 @@ func (s *Scaler) Apply(f *frame.Frame) (*frame.Frame, error) {
 			}
 		}
 	}
-	return out, nil
+	return nil
 }

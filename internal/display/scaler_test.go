@@ -101,6 +101,43 @@ func TestScalerRejects(t *testing.T) {
 	}
 }
 
+// TestScalerApplyInto: writing into a caller's frame — dirty from an earlier
+// frame — equals Apply, allocates nothing once the taps are mapped, and a
+// destination of the wrong size is an error.
+func TestScalerApplyInto(t *testing.T) {
+	s, err := NewScaler(213, 120, 110.0/150, 110.0/150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := randFrame(213, 120, 7)
+	for i := int64(0); i < 2; i++ {
+		src := randFrame(128, 128, 200+i)
+		want, err := s.Apply(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ApplyInto(dst, src); err != nil {
+			t.Fatal(err)
+		}
+		if !dst.Equal(want) {
+			t.Errorf("frame %d: ApplyInto differs from Apply", i)
+		}
+	}
+	src := randFrame(128, 128, 9)
+	if allocs := testing.AllocsPerRun(10, func() { s.ApplyInto(dst, src) }); allocs != 0 { //nolint:errcheck
+		t.Errorf("ApplyInto allocates %.0f times, want 0", allocs)
+	}
+	for name, bad := range map[string]*frame.Frame{
+		"nil":   nil,
+		"wide":  frame.New(214, 120),
+		"short": {W: 213, H: 120, Pix: make([]byte, 10)},
+	} {
+		if err := s.ApplyInto(bad, src); err == nil {
+			t.Errorf("%s destination accepted", name)
+		}
+	}
+}
+
 // BenchmarkScale is one backfill frame of the gated benchmark's tiled_view
 // workload, 80×40 up to the 320×160 panorama, taps mapped once as Assemble
 // maps them once per segment.

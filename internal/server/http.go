@@ -272,6 +272,9 @@ func (s *Service) segmentHandler(kind Kind) http.HandlerFunc {
 			return
 		}
 		w.Header().Set("Content-Type", contentType)
+		// The whole payload is in hand: declare its length rather than
+		// stream it chunked, so the client reads it into one buffer.
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		s.stampLive(w, ref.Video, ref.Seg)
 		if _, err := w.Write(data); err != nil {
 			// Nothing to send the client anymore, but a half-delivered

@@ -113,6 +113,36 @@ func TestHandlerStatusCodes(t *testing.T) {
 	}
 }
 
+// TestPayloadDeclaresContentLength: a payload larger than net/http's 2 kB
+// chunking buffer is still sent with its length, not chunked, so the client
+// reads it into one buffer of the right size.
+func TestPayloadDeclaresContentLength(t *testing.T) {
+	st := store.New()
+	bits := &codec.Bitstream{W: 16, H: 8, Frames: [][]byte{make([]byte, 10000)}, Types: []codec.FrameType{codec.IFrame}}
+	payload := marshalBitstream(bits)
+	if err := st.Put(Ref{Video: "V", Kind: Orig, Seg: 0}.StoreKey(), payload, nil); err != nil {
+		t.Fatal(err)
+	}
+	svc := NewServiceOpts(st, DefaultServiceOptions())
+	svc.manifests["V"] = &Manifest{Video: "V", FPS: 30, SegmentFrames: 1,
+		Segments: []SegmentInfo{{Index: 0, Frames: 1, OrigBytes: len(payload)}}}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v/V/orig/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) != len(payload) || resp.ContentLength != int64(len(payload)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("%d-byte payload sent as %d bytes, Content-Length %d, transfer encoding %v",
+			len(payload), len(body), resp.ContentLength, resp.TransferEncoding)
+	}
+}
+
 // brokenWriter fails every body write, simulating a client that hung up
 // after headers.
 type brokenWriter struct {

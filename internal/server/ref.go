@@ -23,8 +23,8 @@ const (
 // kind's name — its URL path element, store-key element and metrics endpoint
 // label — and the names of the indices that follow it. Everything that spells
 // or parses a payload address (Path, StoreKey, ParseRefPath, Pattern) reads
-// this table, so a new payload kind is a row here plus a decode case in the
-// client.
+// this table, so a new payload kind is a row here plus an unmarshal case in
+// the client's fetcher.
 var Kinds = [...]struct {
 	Name    string
 	Indices []string // Seg, then A, then B
@@ -50,7 +50,7 @@ func (k Kind) Pattern() string {
 
 // Ref is the address of one payload: the SAS store key, the URL path and the
 // key of every cache tier between them (shard response cache, router edge
-// cache, client decoded-segment cache). A is the cluster (FOV, FOVMeta) or the
+// cache, client segment cache). A is the cluster (FOV, FOVMeta) or the
 // tile (Tile) and B the tile's rung; indices a kind does not have are zero.
 type Ref struct {
 	Video     string
