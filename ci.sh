@@ -25,12 +25,15 @@
 #                             boundaries (0, ±2³¹, both saturation bounds).
 #   FuzzScaler (5 s)          display.Scaler equals the per-pixel crop byte for
 #                             byte at random source, target and crop geometry.
-#   float-path benchmarks     display Scaler.Apply, delivery Assemble and the pt band
+#   kernel benchmarks         display Scaler.Apply, delivery Assemble and the pt band
 #                             kernel at the gated benchmark's geometry, and the
 #                             ptlut arms at 1080p (its exact arm must equal pt),
 #                             one iteration each, so they cannot rot; beside
-#                             them the decode kernel, one 30-frame RS segment
-#                             at 320×160 through one reused codec.Decoder.
+#                             them the HAR kernels: the decode kernel (one
+#                             30-frame RS segment at 320×160 through one
+#                             reused codec.Decoder), the PTE datapath per
+#                             output pixel at the same geometry, and the
+#                             fixed-point CORDIC Atan2.
 #   evrconform -fast, full    renderers against the committed golden manifest:
 #                             byte identities, pte-vs-pt error budgets,
 #                             regenerate-and-diff, metamorphic suite
@@ -68,6 +71,8 @@ go test ./internal/fixed -run='^$' -fuzz=FuzzFixedOps -fuzztime=5s
 go test ./internal/display -run='^$' -fuzz=FuzzScaler -fuzztime=5s
 go test ./internal/display -run='^$' -bench='^BenchmarkScale$' -benchtime=1x
 go test ./internal/codec -run='^$' -bench='^BenchmarkDecodeSegment$' -benchtime=1x
+go test ./internal/pte -run='^$' -bench='^BenchmarkPixel$' -benchtime=1x
+go test ./internal/fixed -run='^$' -bench='^BenchmarkAtan2$' -benchtime=1x
 go test ./internal/delivery -run='^$' -bench='^BenchmarkAssemble$' -benchtime=1x
 go test ./internal/pt -run='^$' -bench='^BenchmarkRenderRows$' -benchtime=1x
 go test ./internal/ptlut -run='^$' -bench='^BenchmarkRender$' -benchtime=1x

@@ -35,6 +35,7 @@ package codec
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"evr/internal/display"
 	"evr/internal/frame"
@@ -193,14 +194,13 @@ func newBlockCoder(quality int, chroma, halfPel bool) *blockCoder {
 }
 
 // quantize transforms the residual of channel ch (px − pred) and quantizes
-// it into q, reporting whether any level is nonzero.
-func (c *blockCoder) quantize(px, pred *pixBlock, ch int, q *[blockLen]int32) bool {
+// it into q, returning the mask of its nonzero levels (bit i for q[i]).
+func (c *blockCoder) quantize(px, pred *pixBlock, ch int, q *[blockLen]int32) (nz uint64) {
 	var spatial, freq [blockLen]float64
 	for i := range spatial {
 		spatial[i] = float64(px[i*3+ch]) - float64(pred[i*3+ch])
 	}
 	fdct(&spatial, &freq)
-	coded := false
 	for i, f := range freq {
 		f /= c.steps[ch][i]
 		if f >= 0 {
@@ -209,21 +209,23 @@ func (c *blockCoder) quantize(px, pred *pixBlock, ch int, q *[blockLen]int32) bo
 			q[i] = int32(f - 0.5)
 		}
 		if q[i] != 0 {
-			coded = true
+			nz |= 1 << uint(i)
 		}
 	}
-	return coded
+	return nz
 }
 
-// reconstruct dequantizes and inverse-transforms q and writes pred plus
-// that residual, rounded and clamped to [0, 255], into channel ch of out.
-// Encoder and decoder both build their reference frames with it.
-func (c *blockCoder) reconstruct(q *[blockLen]int32, pred, out *pixBlock, ch int) {
+// reconstruct dequantizes and inverse-transforms q, whose levels are zero
+// off the mask nz, and writes pred plus that residual, rounded and clamped
+// to [0, 255], into channel ch of out. Encoder and decoder both build their
+// reference frames with it, so both pay only for the levels a block carries.
+func (c *blockCoder) reconstruct(q *[blockLen]int32, nz uint64, pred, out *pixBlock, ch int) {
 	var freq, rec [blockLen]float64
-	for i, level := range q {
-		freq[i] = float64(level) * c.steps[ch][i]
+	for m := nz; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		freq[i] = float64(q[i]) * c.steps[ch][i]
 	}
-	idct(&freq, &rec)
+	idct(&freq, nz, &rec)
 	for i, r := range rec {
 		v := int(r + float64(pred[i*3+ch]) + 0.5)
 		if v < 0 {
@@ -252,24 +254,28 @@ func writeCoeffs(w *bitWriter, q *[blockLen]int32) {
 	w.writeUE(eobRun)
 }
 
-// readCoeffs is the inverse of writeCoeffs; q must be zero on entry.
-func readCoeffs(r *bitReader, q *[blockLen]int32) error {
+// readCoeffs is the inverse of writeCoeffs; q must be zero on entry. It
+// returns the mask of the positions it wrote (bit i for q[i]), a superset of
+// q's nonzero levels, for reconstruct.
+func readCoeffs(r *bitReader, q *[blockLen]int32) (nz uint64, err error) {
 	pos := 0
 	for {
 		run, err := r.readUE()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if run >= eobRun {
-			return nil
+			return nz, nil
 		}
 		pos += int(run)
 		if pos >= blockLen {
-			return errBitstream
+			return 0, errBitstream
 		}
-		if q[zigzag[pos]], err = r.readSE(); err != nil {
-			return err
+		i := zigzag[pos]
+		if q[i], err = r.readSE(); err != nil {
+			return 0, err
 		}
+		nz |= 1 << uint(i)
 		pos++
 	}
 }
@@ -382,9 +388,9 @@ func (e *frameEncoder) intraBlock(bx, by int) {
 	loadBlock(e.src, bx, by, &px)
 	for ch := 0; ch < 3; ch++ {
 		var q [blockLen]int32
-		e.quantize(&px, &intraPred, ch, &q)
+		nz := e.quantize(&px, &intraPred, ch, &q)
 		writeCoeffs(e.w, &q)
-		e.reconstruct(&q, &intraPred, &out, ch)
+		e.reconstruct(&q, nz, &intraPred, &out, ch)
 	}
 	storeBlock(e.recon, bx, by, &out)
 }
@@ -403,9 +409,10 @@ func (e *frameEncoder) interBlock(bx, by int) {
 	loadBlock(e.src, bx, by, &px)
 	e.predict(e.ref, bx, by, mvx, mvy, &pred)
 	var q [3][blockLen]int32
+	var nz [3]uint64
 	cbp := uint64(0)
 	for ch := range q {
-		if e.quantize(&px, &pred, ch, &q[ch]) {
+		if nz[ch] = e.quantize(&px, &pred, ch, &q[ch]); nz[ch] != 0 {
 			cbp |= 1 << ch
 		}
 	}
@@ -422,7 +429,7 @@ func (e *frameEncoder) interBlock(bx, by int) {
 	for ch := range q {
 		if cbp&(1<<ch) != 0 {
 			writeCoeffs(e.w, &q[ch])
-			e.reconstruct(&q[ch], &pred, &out, ch)
+			e.reconstruct(&q[ch], nz[ch], &pred, &out, ch)
 		}
 	}
 	storeBlock(e.recon, bx, by, &out)
@@ -627,10 +634,11 @@ func (c *blockCoder) decodeIntraBlock(r *bitReader, out *frame.Frame, bx, by int
 	var px pixBlock
 	for ch := 0; ch < 3; ch++ {
 		var q [blockLen]int32
-		if err := readCoeffs(r, &q); err != nil {
+		nz, err := readCoeffs(r, &q)
+		if err != nil {
 			return err
 		}
-		c.reconstruct(&q, &intraPred, &px, ch)
+		c.reconstruct(&q, nz, &intraPred, &px, ch)
 	}
 	storeBlock(out, bx, by, &px)
 	return nil
@@ -672,10 +680,11 @@ func (c *blockCoder) decodeInterBlock(r *bitReader, out, ref *frame.Frame, bx, b
 			continue
 		}
 		var q [blockLen]int32
-		if err := readCoeffs(r, &q); err != nil {
+		nz, err := readCoeffs(r, &q)
+		if err != nil {
 			return err
 		}
-		c.reconstruct(&q, &pred, &px, ch)
+		c.reconstruct(&q, nz, &pred, &px, ch)
 	}
 	storeBlock(out, bx, by, &px)
 	return nil

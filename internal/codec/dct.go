@@ -1,6 +1,9 @@
 package codec
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // blockSize is the transform block edge length (8×8, as in JPEG/H.26x).
 const blockSize = 8
@@ -45,27 +48,46 @@ func fdct(in *[blockSize * blockSize]float64, out *[blockSize * blockSize]float6
 	}
 }
 
-// idct computes the 2-D inverse DCT of an 8×8 coefficient block.
-func idct(in *[blockSize * blockSize]float64, out *[blockSize * blockSize]float64) {
-	var tmp [blockSize * blockSize]float64
-	// Columns.
-	for x := 0; x < blockSize; x++ {
-		for n := 0; n < blockSize; n++ {
-			var s float64
-			for k := 0; k < blockSize; k++ {
-				s += in[k*blockSize+x] * cosTable[k][n]
-			}
-			tmp[n*blockSize+x] = s
+// idct computes the 2-D inverse DCT of an 8×8 coefficient block whose
+// nonzero coefficients all sit on the set bits of nz (bit k·8+x for row k,
+// column x); every coefficient off nz must be zero. It equals the dense
+// transform bit for bit — a column pass Σₖ in[k][x]·c[k][n], then a row
+// pass Σₖ tmp[y][k]·c[k][n], each sum started at +0 and taken in ascending
+// k — because a skipped term is a product with a zero coefficient, ±0,
+// and adding ±0 to a sum that started at +0 never changes it: such a sum
+// is never −0. Every surviving product is still added in ascending k.
+func idct(in *[blockLen]float64, nz uint64, out *[blockLen]float64) {
+	if nz == 1 { // DC only: every dense sum has one nonzero term
+		v := (in[0] * cosTable[0][0]) * cosTable[0][0]
+		for i := range out {
+			out[i] = v
+		}
+		return
+	}
+	// Columns: coefficient (k, x) feeds the eight outputs of column x.
+	// Bits are visited in ascending index, so each column's terms arrive
+	// in ascending k.
+	var tmp [blockLen]float64
+	for m := nz; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		v, c := in[i], &cosTable[i/blockSize]
+		for n, x := 0, i%blockSize; n < blockSize; n++ {
+			tmp[n*blockSize+x] += v * c[n]
 		}
 	}
-	// Rows.
-	for y := 0; y < blockSize; y++ {
-		for n := 0; n < blockSize; n++ {
-			var s float64
-			for k := 0; k < blockSize; k++ {
-				s += tmp[y*blockSize+k] * cosTable[k][n]
+	// Rows: a column that carries no coefficient is +0 in every row of tmp.
+	cols := nz | nz>>32
+	cols |= cols >> 16
+	cols |= cols >> 8
+	*out = [blockLen]float64{}
+	for m := cols & 0xff; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		c := &cosTable[k]
+		for y := 0; y < blockSize; y++ {
+			v, o := tmp[y*blockSize+k], out[y*blockSize:][:blockSize]
+			for n := range o {
+				o[n] += v * c[n]
 			}
-			out[y*blockSize+n] = s
 		}
 	}
 }

@@ -11,10 +11,10 @@ import (
 // The reference codec: the straightforward implementation the package
 // shipped before the block kernels — one append per bit, per-pixel At/Set,
 // Frame.Luma motion search, a dense decode that inverse-transforms every
-// channel of every block — speaking the current block syntax. It shares
-// only the DCT, the zigzag table and quantStep with the production code,
-// so the differential tests compare two independent routes from pixels to
-// bits and back.
+// channel of every block with the dense inverse transform below — speaking
+// the current block syntax. It shares only the forward DCT, the zigzag
+// table and quantStep with the production code, so the differential tests
+// compare two independent routes from pixels to bits and back.
 
 type refBitWriter struct {
 	buf  []byte
@@ -126,6 +126,33 @@ func (r *refBitReader) readSE() (int32, error) {
 
 type refBlock = [blockSize * blockSize]float64
 
+// refIDCT is the dense 8×8 inverse DCT: every coefficient, column pass then
+// row pass, each sum in ascending k. The production idct skips zero
+// coefficients and must equal it bit for bit.
+func refIDCT(in *refBlock, out *refBlock) {
+	var tmp refBlock
+	// Columns.
+	for x := 0; x < blockSize; x++ {
+		for n := 0; n < blockSize; n++ {
+			var s float64
+			for k := 0; k < blockSize; k++ {
+				s += in[k*blockSize+x] * cosTable[k][n]
+			}
+			tmp[n*blockSize+x] = s
+		}
+	}
+	// Rows.
+	for y := 0; y < blockSize; y++ {
+		for n := 0; n < blockSize; n++ {
+			var s float64
+			for k := 0; k < blockSize; k++ {
+				s += tmp[y*blockSize+k] * cosTable[k][n]
+			}
+			out[y*blockSize+n] = s
+		}
+	}
+}
+
 func refChannelBlock(f *frame.Frame, bx, by, ch int, dst *refBlock) {
 	for y := 0; y < blockSize; y++ {
 		for x := 0; x < blockSize; x++ {
@@ -187,7 +214,7 @@ func refQuantize(spatial *refBlock, quality int, q *[blockSize * blockSize]int32
 			freq[i] = float64(q[i]) * step
 		}
 	}
-	idct(&freq, recon)
+	refIDCT(&freq, recon)
 }
 
 func refWriteCoeffs(w *refBitWriter, q *[blockSize * blockSize]int32) {
@@ -229,7 +256,7 @@ func refReadCoeffBlock(r *refBitReader, quality int, out *refBlock) error {
 		freq[zi] = float64(level) * quantStep(zi/blockSize, zi%blockSize, quality)
 		pos++
 	}
-	idct(&freq, out)
+	refIDCT(&freq, out)
 	return nil
 }
 
@@ -558,7 +585,7 @@ func (d *refDecoder) interBlock(r *refBitReader, out *frame.Frame, bx, by int, c
 			}
 		} else {
 			var zero refBlock
-			idct(&zero, &rec)
+			refIDCT(&zero, &rec)
 		}
 		refPredict(d.ref, bx, by, int(mvx), int(mvy), ch, cfg.HalfPel, &pred)
 		for i := range rec {

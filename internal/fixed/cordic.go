@@ -28,6 +28,7 @@ type Core struct {
 	atan                   [maxCORDICIter]int64 // angle ROM: atan(2^-i), first iters entries used
 	iters                  int
 	gain                   int64 // K = Π 1/√(1+2^-2i) over iters stages
+	free                   int64 // operands within ±free never saturate a vectoring stage
 	one, pi, halfPi, twoPi int64
 }
 
@@ -47,6 +48,7 @@ func (f Format) Core() *Core {
 		k *= 1 / math.Sqrt(1+math.Ldexp(1, -2*i))
 	}
 	c.gain = f.FromFloat(k).Raw
+	c.free = c.vectorFree(k)
 	c.one = c.FromInt(1)
 	c.pi = f.FromFloat(math.Pi).Raw
 	c.halfPi = f.FromFloat(math.Pi / 2).Raw
@@ -63,7 +65,8 @@ func (f Format) Core() *Core {
 // data-dependent direction bit. Each output passes the stage's saturator,
 // which almost never fires: one fused range test — v-min has a bit above
 // span iff v is outside [min, max] — keeps the clamps off the loop-carried
-// path.
+// path. Atan2 drops even that test when its operands are within ±free,
+// where no stage can saturate (vectorFree).
 
 // SinCos computes sin(a) and cos(a) with CORDIC in rotation mode. The
 // argument may be any representable angle in radians; it is first reduced
@@ -122,6 +125,14 @@ func (c *Core) Atan2(y, x int64) int64 {
 		x, y = c.Neg(x), c.Neg(y)
 	}
 	var z int64
+	if x <= c.free && uint64(y+c.free) <= uint64(2*c.free) { // |x|, |y| ≤ free
+		for i, a := range c.atan[:c.iters] {
+			d := y >> 63
+			dx, dy := x>>uint(i), y>>uint(i)
+			x, y, z = x-d+(dy^d), y+d-(dx^d), z-d+(a^d)
+		}
+		return c.Add(z, offset)
+	}
 	lo, span := c.min, c.span
 	for i, a := range c.atan[:c.iters] {
 		d := y >> 63 // drive y to zero: clockwise while y ≥ 0
@@ -132,6 +143,36 @@ func (c *Core) Atan2(y, x int64) int64 {
 		}
 	}
 	return c.Add(z, offset)
+}
+
+// vectorFree returns the operand bound below which no vectoring stage
+// saturates, so Atan2 may skip the per-stage range test: |x|, |y| ≤ free
+// keeps every stage's x, y and z inside [min, max]. It is 0 where no such
+// bound exists. k is the CORDIC gain, Π 1/√(1+2^-2i) over the stages.
+//
+//   - z moves by one angle-ROM entry per stage, so it stays within the sum
+//     of the ROM, which must fit below max (≈1.74 rad: it does from two
+//     integer bits up, never at one). The sum is checked entry by entry, so
+//     it cannot overflow int64 on its way.
+//   - Stage i turns (x, y) exactly by a factor √(1+2^-2i), and its two
+//     truncating shifts add an error under 1 ulp to each component, under √2
+//     to the vector. Starting from |(x, y)| ≤ √2·M, every stage's vector, and
+//     so each component, stays below (√2·M + √2·iters)/k; that is at most
+//     max when M ≤ max·k/√2 − iters. The float product is taken with a 10⁻⁹
+//     margin, far above its rounding error.
+func (c *Core) vectorFree(k float64) int64 {
+	var sum int64
+	for _, a := range c.atan[:c.iters] {
+		if a > c.max-sum { // every entry is ≥ 0
+			return 0
+		}
+		sum += a
+	}
+	free := math.Floor(float64(c.max)*k/math.Sqrt2*(1-1e-9)) - float64(c.iters)
+	if free < 1 {
+		return 0
+	}
+	return int64(free)
 }
 
 // Asin computes arcsin(y) for y in [-1, 1] as atan2(y, sqrt(1-y²)), the

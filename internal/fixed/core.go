@@ -14,18 +14,19 @@ import (
 // saturated to the format like a stage's output register.
 //
 // Where an operation has a short path (single-word product, single-word
-// radicand) it is chosen from the operands' magnitude alone, and computes the
-// same integer as the wide path — so a [28, 10] value and a [64, 24] value
-// that happens to be small run the same code.
+// radicand) it is chosen from the operands' magnitude alone — or, for Mul in
+// a format of at most 32 bits, where every operand qualifies, once for the
+// format — and computes the same integer as the wide path.
 type word struct {
 	frac     uint   // fractional bits
 	half     int64  // ½ ulp at product scale, 2^(frac-1): Mul's rounding term
 	max, min int64  // saturation bounds
 	span     uint64 // max-min, all ones over the format's width
+	narrow   bool   // every product is one word: TotalBits ≤ 32
 }
 
 func (f Format) word() word {
-	w := word{frac: uint(f.FracBits()), max: math.MaxInt64, min: math.MinInt64}
+	w := word{frac: uint(f.FracBits()), max: math.MaxInt64, min: math.MinInt64, narrow: f.TotalBits <= 32}
 	if f.TotalBits != 64 {
 		w.max = int64(1)<<uint(f.TotalBits-1) - 1
 		w.min = -(int64(1) << uint(f.TotalBits-1))
@@ -74,9 +75,26 @@ func fitsNarrow(a, b int64) bool {
 
 // Mul returns a·b rounded to nearest (ties toward +∞) and saturated — a
 // hardware MAC with a full-width accumulator and an output saturator. The
-// product is exact before rounding: one word when both operands are narrow
-// (always, for formats up to 32 bits), 128 bits otherwise.
-func (w *word) Mul(a, b int64) int64 {
+// product is exact before rounding: one word when both operands are narrow,
+// 128 bits otherwise.
+func (w *word) Mul(a, b int64) int64 { return w.mul(a, b, (*word).mulAny) }
+
+// mul is Mul's body. In a format of at most 32 bits (w.narrow) every raw is
+// within ±2³¹, so |a·b| ≤ 2⁶² and the rounding term (≤ 2³⁰) fit one word
+// with no per-operand test; wider formats take mulAny. mulAny arrives as a
+// parameter only because the inliner prices a call through a parameter
+// below a direct call: that keeps Mul inside the inlining budget, so a
+// narrow format's MAC is inline arithmetic in the caller's loop.
+func (w *word) mul(a, b int64, wide func(*word, int64, int64) int64) int64 {
+	if w.narrow {
+		return min(max((a*b+w.half)>>w.frac, w.min), w.max)
+	}
+	return wide(w, a, b)
+}
+
+// mulAny is Mul for formats wider than 32 bits, where the operands' own
+// magnitude picks the path.
+func (w *word) mulAny(a, b int64) int64 {
 	if fitsNarrow(a, b) {
 		return w.Sat((a*b + w.half) >> w.frac)
 	}

@@ -7,10 +7,11 @@ import (
 
 // fuzzRaw turns one fuzz word into an in-range raw for f, drawn from the
 // neighbourhoods where the core changes path: zero, ±2³¹ (the single-word
-// product limit) and both saturation bounds; anything else is taken as is.
+// product limit), both saturation bounds, and the edge of Atan2's
+// unsaturated range (±free and ±(free+1)); anything else is taken as is.
 func fuzzRaw(f Format, sel uint8, v int64) int64 {
 	near := v % 1024 // ±1023 around the anchor
-	switch sel % 6 {
+	switch sel % 8 {
 	case 0:
 		v = near
 	case 1:
@@ -21,6 +22,13 @@ func fuzzRaw(f Format, sel uint8, v int64) int64 {
 		v = refMaxRaw(f) - abs64(near)
 	case 4:
 		v = refMinRaw(f) + abs64(near)
+	case 5:
+		v = f.Core().free + near&1
+		if near < 0 {
+			v = -v
+		}
+	case 6:
+		v = 0
 	}
 	return refFromRaw(f, v).Raw
 }
@@ -99,10 +107,75 @@ func TestCoreMatchesReference(t *testing.T) {
 				continue
 			}
 			f := Format{TotalBits: total, IntBits: intb}
-			for sa := uint8(0); sa < 6; sa++ {
-				for sb := uint8(0); sb < 6; sb++ {
+			for sa := uint8(0); sa < 8; sa++ {
+				for sb := uint8(0); sb < 8; sb++ {
 					k := next() >> uint(next()&63) // every magnitude
 					checkOps(t, f, fuzzRaw(f, sa, next()), fuzzRaw(f, sb, next()), int(k))
+				}
+			}
+		}
+	}
+}
+
+// TestAtan2FreeBound checks the bound under which Atan2 skips the
+// per-stage range test, for every format of 2 to 64 bits: Atan2 equals the
+// reference for every operand pair drawn from ±free, ±(free+1) and 0 (the
+// last step inside the bound, the first outside it, the 0-vector), and free
+// is 0 wherever its derivation does not hold — one integer bit, where the
+// angle ROM's sum (≥ atan 1 + atan ½ > 1) cannot be represented, and
+// formats too narrow for max·K/√2 to clear the stage count — and never
+// above max·K/√2 − stages otherwise.
+func TestAtan2FreeBound(t *testing.T) {
+	for total := 2; total <= 64; total++ {
+		for intb := 1; intb <= total; intb++ {
+			f := Format{TotalBits: total, IntBits: intb}
+			free := f.Core().free
+			k := 1.0
+			for i := 0; i < refIterations(f); i++ {
+				k /= math.Sqrt(1 + math.Ldexp(1, -2*i))
+			}
+			limit := float64(refMaxRaw(f))*k/math.Sqrt2 - float64(refIterations(f))
+			switch {
+			case intb == 1 && free != 0:
+				t.Errorf("%v: free = %d, want 0 (the angle ROM overflows one integer bit)", f, free)
+			case limit < 1 && free != 0:
+				t.Errorf("%v: free = %d, want 0 (max·K/√2 − stages = %.1f)", f, free, limit)
+			case free > 0 && float64(free) > limit:
+				t.Errorf("%v: free = %d above max·K/√2 − stages = %.1f", f, free, limit)
+			}
+			ops := []int64{0, free, -free, free + 1, -free - 1}
+			for _, y := range ops {
+				for _, x := range ops {
+					y, x := refFromRaw(f, y), refFromRaw(f, x)
+					if got, want := f.Core().Atan2(y.Raw, x.Raw), refAtan2(f, y, x).Raw; got != want {
+						t.Errorf("%v (free %d): Atan2(%d, %d) = %d, reference %d", f, free, y.Raw, x.Raw, got, want)
+					}
+				}
+			}
+		}
+	}
+	if Q2810.Core().free == 0 || (Format{TotalBits: 63, IntBits: 1}).Core().free != 0 {
+		t.Errorf("free: [28, 10] %d (want > 0), [63, 1] %d (want 0)", Q2810.Core().free, Format{TotalBits: 63, IntBits: 1}.Core().free)
+	}
+}
+
+// TestMulNarrowFormats: the format decides Mul's single-word path once —
+// every format of at most 32 bits, none wider — and at both widths the
+// products of the extreme raws equal the reference.
+func TestMulNarrowFormats(t *testing.T) {
+	for _, total := range []int{31, 32, 33} {
+		for _, intb := range []int{1, 2, total / 2, total - 1, total} {
+			f := Format{TotalBits: total, IntBits: intb}
+			c := f.Core()
+			if c.narrow != (total <= 32) {
+				t.Errorf("%v: narrow = %v", f, c.narrow)
+			}
+			ext := []int64{refMinRaw(f), refMinRaw(f) + 1, -1, 0, 1, refMaxRaw(f) - 1, refMaxRaw(f)}
+			for _, a := range ext {
+				for _, b := range ext {
+					if got, want := c.Mul(a, b), refMul(Fix{Raw: a, Fmt: f}, Fix{Raw: b, Fmt: f}).Raw; got != want {
+						t.Errorf("%v: Mul(%d, %d) = %d, reference %d", f, a, b, got, want)
+					}
 				}
 			}
 		}

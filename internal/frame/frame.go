@@ -41,13 +41,14 @@ func (f *Frame) Bytes() int { return len(f.Pix) }
 func (f *Frame) In(x, y int) bool { return x >= 0 && x < f.W && y >= 0 && y < f.H }
 
 // Resolve is the one edge policy every sampler in the repo shares — the
-// float filters below, the mapping-LUT tap packer, the PTE address
-// generator and the GPU texture-cache model. It maps integer texel
-// coordinates onto a w×h raster: y clamps to the border; x wraps modulo the
-// width when wrapX is set and clamps otherwise. Wrapping is the policy of
-// 360° equirectangular frames, whose left and right edges meet at the ±180°
-// longitude seam — clamping there would blend a seam-crossing sample with
-// the wrong side of the panorama; the cubemap layouts clamp.
+// float filters below and the PTE address generator (both through Stencil,
+// its 2×2 form), the mapping-LUT tap packer and the GPU texture-cache model.
+// It maps integer texel coordinates onto a w×h raster: y clamps to the
+// border; x wraps modulo the width when wrapX is set and clamps otherwise.
+// Wrapping is the policy of 360° equirectangular frames, whose left and
+// right edges meet at the ±180° longitude seam — clamping there would blend
+// a seam-crossing sample with the wrong side of the panorama; the cubemap
+// layouts clamp.
 func Resolve(w, h int, wrapX bool, x, y int) (int, int) {
 	if !wrapX {
 		x = min(max(x, 0), w-1)
@@ -55,6 +56,25 @@ func Resolve(w, h int, wrapX bool, x, y int) (int, int) {
 		x += w
 	}
 	return x, min(max(y, 0), h-1)
+}
+
+// Stencil resolves the 2×2 neighbourhood whose top-left texel is (x0, y0)
+// under Resolve's policy, for the float blend below and the PTE's filtering
+// stage alike. Its four taps are the cross product of two resolved columns
+// (xa, xb) and two resolved rows (ya, yb), because the policy treats x and
+// y independently. A row clamp is two compares; a column pair inside the
+// raster is its own resolution, so only border columns pay for the wrap's
+// division. It is small enough to inline into a per-pixel loop.
+func Stencil(w, h int, wrapX bool, x0, y0 int) (xa, ya, xb, yb int) {
+	xa, xb = x0, x0+1
+	if uint(x0) >= uint(w-1) { // x0 < 0 or xb ≥ w
+		if wrapX {
+			xa, xb = (xa%w+w)%w, (xb%w+w)%w
+		} else {
+			xa, xb = min(max(xa, 0), w-1), min(max(xb, 0), w-1)
+		}
+	}
+	return xa, min(max(y0, 0), h-1), xb, min(max(y0+1, 0), h-1)
 }
 
 // At returns the pixel at (x, y). Out-of-range coordinates are clamped to
@@ -106,20 +126,13 @@ func (f *Frame) BilinearAt(u, v float64) (r, g, b byte) { return f.bilinear(u, v
 // neighbor column from the opposite edge instead of repeating the border.
 func (f *Frame) BilinearAtWrapX(u, v float64) (r, g, b byte) { return f.bilinear(u, v, true) }
 
-// bilinear is the one float blend. The 2×2 neighborhood's four taps are the
-// cross product of two resolved columns and two resolved rows, because the
-// edge policy treats x and y independently; a neighborhood wholly inside the
-// raster is its own resolution, so only border samples pay for Resolve.
+// bilinear is the one float blend, over the taps Stencil resolves.
 func (f *Frame) bilinear(u, v float64, wrapX bool) (r, g, b byte) {
 	x0 := int(math.Floor(u))
 	y0 := int(math.Floor(v))
 	fx := u - float64(x0)
 	fy := v - float64(y0)
-	xa, ya, xb, yb := x0, y0, x0+1, y0+1
-	if x0 < 0 || xb >= f.W || y0 < 0 || yb >= f.H {
-		xa, ya = Resolve(f.W, f.H, wrapX, x0, y0)
-		xb, yb = Resolve(f.W, f.H, wrapX, xb, yb)
-	}
+	xa, ya, xb, yb := Stencil(f.W, f.H, wrapX, x0, y0)
 	p00, p10 := f.Pix[(ya*f.W+xa)*3:][:3], f.Pix[(ya*f.W+xb)*3:][:3]
 	p01, p11 := f.Pix[(yb*f.W+xa)*3:][:3], f.Pix[(yb*f.W+xb)*3:][:3]
 	gx, gy := 1-fx, 1-fy

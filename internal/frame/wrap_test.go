@@ -102,3 +102,26 @@ func TestResolveEdgePolicy(t *testing.T) {
 		}
 	}
 }
+
+// TestStencilMatchesResolve: each of Stencil's four taps is Resolve of that
+// tap, for both edge policies, every small raster shape and every top-left
+// corner from far outside the raster to far past it.
+func TestStencilMatchesResolve(t *testing.T) {
+	for _, wrap := range []bool{false, true} {
+		for w := 1; w <= 5; w++ {
+			for h := 1; h <= 4; h++ {
+				for y0 := -3 * h; y0 <= 3*h; y0++ {
+					for x0 := -3 * w; x0 <= 3*w; x0++ {
+						xa, ya, xb, yb := Stencil(w, h, wrap, x0, y0)
+						ra, rya := Resolve(w, h, wrap, x0, y0)
+						rb, ryb := Resolve(w, h, wrap, x0+1, y0+1)
+						if xa != ra || ya != rya || xb != rb || yb != ryb {
+							t.Fatalf("Stencil(%d, %d, %v, %d, %d) = (%d, %d, %d, %d), Resolve gives (%d, %d, %d, %d)",
+								w, h, wrap, x0, y0, xa, ya, xb, yb, ra, rya, rb, ryb)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -246,17 +246,25 @@ func (d *datapath) c2f(face projection.Face, s, t int64) (u, v int64) {
 }
 
 // filter runs address generation and the filtering stage for normalized
-// frame coordinates (u, v).
+// frame coordinates (u, v). Taps are addressed through frame.Stencil, the
+// edge policy every sampler shares: rows clamp at the frame border like the
+// filtering hardware; columns wrap for ERP input (the hardware address
+// generator computes x mod W, since the left and right edges of an
+// equirectangular frame meet at the ±180° seam) and clamp for the cubemap
+// layouts. Each distinct stencil row touches P-MEM once, top row first.
 func (d *datapath) filter(full *frame.Frame, pmem *lineBuffer, u, v int64) (r, g, b byte) {
 	c, a := &d.c, &d.a
 	// Address generation: continuous pixel coordinates in the wide format.
 	uPix := a.Sub(a.MulInt(convert(u, d.toA, a), d.inW), d.halfAddr)
 	vPix := a.Sub(a.MulInt(convert(v, d.toA, a), d.inH), d.halfAddr)
+	wrap := d.cfg.Projection.WrapsX()
 
 	if d.cfg.Filter == pt.Nearest {
-		xi := a.Int(a.Add(uPix, d.halfAddr))
-		yi := a.Int(a.Add(vPix, d.halfAddr))
-		return d.fetch(full, pmem, xi, yi)
+		// The nearest texel is the top-left tap of its own stencil.
+		x, y, _, _ := frame.Stencil(full.W, full.H, wrap, a.Int(a.Add(uPix, d.halfAddr)), a.Int(a.Add(vPix, d.halfAddr)))
+		pmem.touch(y)
+		p := full.Pix[(y*full.W+x)*3:][:3]
+		return p[0], p[1], p[2]
 	}
 
 	// Bilinear: integer corner plus fractional weights.
@@ -267,13 +275,15 @@ func (d *datapath) filter(full *frame.Frame, pmem *lineBuffer, u, v int64) (r, g
 	gx := c.Sub(d.one, fx)
 	gy := c.Sub(d.one, fy)
 
-	r00, g00, b00 := d.fetch(full, pmem, x0, y0)
-	r10, g10, b10 := d.fetch(full, pmem, x0+1, y0)
-	r01, g01, b01 := d.fetch(full, pmem, x0, y0+1)
-	r11, g11, b11 := d.fetch(full, pmem, x0+1, y0+1)
+	xa, ya, xb, yb := frame.Stencil(full.W, full.H, wrap, x0, y0)
+	pmem.touch(ya)
+	pmem.touch(yb) // returns at once when yb == ya, the most recent row
+	rowA, rowB := full.Pix[ya*full.W*3:], full.Pix[yb*full.W*3:]
+	p00, p10 := rowA[xa*3:][:3], rowA[xb*3:][:3]
+	p01, p11 := rowB[xa*3:][:3], rowB[xb*3:][:3]
 
 	w := [4]int64{c.Mul(gx, gy), c.Mul(fx, gy), c.Mul(gx, fy), c.Mul(fx, fy)}
-	return d.blend(&w, r00, r10, r01, r11), d.blend(&w, g00, g10, g01, g11), d.blend(&w, b00, b10, b01, b11)
+	return d.blend(&w, p00[0], p10[0], p01[0], p11[0]), d.blend(&w, p00[1], p10[1], p01[1], p11[1]), d.blend(&w, p00[2], p10[2], p01[2], p11[2])
 }
 
 // blend is one channel of the filtering stage: four weight MACs in the value
@@ -287,17 +297,4 @@ func (d *datapath) blend(w *[4]int64, c00, c10, c01, c11 byte) byte {
 		c.Mul(w[3], d.pix[c11])),
 		d.half)
 	return byte(min(max(c.Int(acc), 0), 255))
-}
-
-// fetch reads one input pixel through the line buffer, at the address the
-// shared edge policy (frame.Resolve) gives it: rows clamp at the frame
-// border like the filtering hardware; columns wrap for ERP input (the
-// hardware address generator computes x mod W, since the left and right
-// edges of an equirectangular frame meet at the ±180° seam) and clamp for
-// the cubemap layouts.
-func (d *datapath) fetch(full *frame.Frame, pmem *lineBuffer, x, y int) (r, g, b byte) {
-	x, y = frame.Resolve(full.W, full.H, d.cfg.Projection.WrapsX(), x, y)
-	pmem.touch(y)
-	i := (y*full.W + x) * 3
-	return full.Pix[i], full.Pix[i+1], full.Pix[i+2]
 }

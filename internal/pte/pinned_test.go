@@ -115,9 +115,9 @@ func TestRenderPinnedAcrossFormats(t *testing.T) {
 	}
 }
 
-// TestStatsPinned pins the cycle / traffic model on one corpus frame: the
-// serial scan and every banded dispatch must keep charging exactly what
-// they charged before the P-MEM model became O(1).
+// TestStatsPinned pins the cycle / traffic model: the serial scan and every
+// banded dispatch must keep charging exactly what they charged before the
+// P-MEM model became O(1).
 func TestStatsPinned(t *testing.T) {
 	full := conformance.InputFrame(projection.ERP)
 	vp := projection.Viewport{Width: 64, Height: 64, FOVX: geom.Radians(90), FOVY: geom.Radians(90)}
@@ -143,6 +143,78 @@ func TestStatsPinned(t *testing.T) {
 		}
 		if got := e.Stats(); got != want[workers] {
 			t.Errorf("workers %d: %#v", workers, got)
+		}
+	}
+	statsPinnedTouchOrder(t)
+}
+
+// touchOrderPins holds Stats for one serial render and one two-band render
+// per projection × filter × P-MEM rows, recorded at commit 2df1a02, before
+// the filter resolved its 2×2 stencil once per pixel. With one or two
+// resident rows every stencil row touched out of turn is a refill, so these
+// pin the order in which the filtering stage touches P-MEM.
+var touchOrderPins = map[string][2]pte.Stats{
+	"ERP/nearest/1-row": {
+		{Frames: 1, OutputPixels: 1920, Cycles: 64872, StallCycles: 63864, DRAMReadBytes: 1031424, DRAMWriteBytes: 5760, PMEMLineRefills: 1343},
+		{Frames: 1, OutputPixels: 1920, Cycles: 64872, StallCycles: 63864, DRAMReadBytes: 1031424, DRAMWriteBytes: 5760, PMEMLineRefills: 1343}},
+	"ERP/nearest/2-row": {
+		{Frames: 1, OutputPixels: 1920, Cycles: 63000, StallCycles: 61992, DRAMReadBytes: 1001472, DRAMWriteBytes: 5760, PMEMLineRefills: 1304},
+		{Frames: 1, OutputPixels: 1920, Cycles: 64872, StallCycles: 63864, DRAMReadBytes: 1031424, DRAMWriteBytes: 5760, PMEMLineRefills: 1343}},
+	"ERP/bilinear/1-row": {
+		{Frames: 1, OutputPixels: 1920, Cycles: 162120, StallCycles: 161112, DRAMReadBytes: 2587392, DRAMWriteBytes: 5760, PMEMLineRefills: 3369},
+		{Frames: 1, OutputPixels: 1920, Cycles: 162120, StallCycles: 161112, DRAMReadBytes: 2587392, DRAMWriteBytes: 5760, PMEMLineRefills: 3369}},
+	"ERP/bilinear/2-row": {
+		{Frames: 1, OutputPixels: 1920, Cycles: 107208, StallCycles: 106200, DRAMReadBytes: 1708800, DRAMWriteBytes: 5760, PMEMLineRefills: 2225},
+		{Frames: 1, OutputPixels: 1920, Cycles: 162120, StallCycles: 161112, DRAMReadBytes: 2587392, DRAMWriteBytes: 5760, PMEMLineRefills: 3369}},
+	"CMP/nearest/1-row": {
+		{Frames: 1, OutputPixels: 1920, Cycles: 38703, StallCycles: 37695, DRAMReadBytes: 612720, DRAMWriteBytes: 5760, PMEMLineRefills: 851},
+		{Frames: 1, OutputPixels: 1920, Cycles: 38703, StallCycles: 37695, DRAMReadBytes: 612720, DRAMWriteBytes: 5760, PMEMLineRefills: 851}},
+	"CMP/nearest/2-row": {
+		{Frames: 1, OutputPixels: 1920, Cycles: 38703, StallCycles: 37695, DRAMReadBytes: 612720, DRAMWriteBytes: 5760, PMEMLineRefills: 851},
+		{Frames: 1, OutputPixels: 1920, Cycles: 38703, StallCycles: 37695, DRAMReadBytes: 612720, DRAMWriteBytes: 5760, PMEMLineRefills: 851}},
+	"CMP/bilinear/1-row": {
+		{Frames: 1, OutputPixels: 1920, Cycles: 154713, StallCycles: 153705, DRAMReadBytes: 2468880, DRAMWriteBytes: 5760, PMEMLineRefills: 3429},
+		{Frames: 1, OutputPixels: 1920, Cycles: 154713, StallCycles: 153705, DRAMReadBytes: 2468880, DRAMWriteBytes: 5760, PMEMLineRefills: 3429}},
+	"CMP/bilinear/2-row": {
+		{Frames: 1, OutputPixels: 1920, Cycles: 59313, StallCycles: 58305, DRAMReadBytes: 942480, DRAMWriteBytes: 5760, PMEMLineRefills: 1309},
+		{Frames: 1, OutputPixels: 1920, Cycles: 154713, StallCycles: 153705, DRAMReadBytes: 2468880, DRAMWriteBytes: 5760, PMEMLineRefills: 3429}},
+	"EAC/nearest/1-row": {
+		{Frames: 1, OutputPixels: 1920, Cycles: 38793, StallCycles: 37785, DRAMReadBytes: 614160, DRAMWriteBytes: 5760, PMEMLineRefills: 853},
+		{Frames: 1, OutputPixels: 1920, Cycles: 38793, StallCycles: 37785, DRAMReadBytes: 614160, DRAMWriteBytes: 5760, PMEMLineRefills: 853}},
+	"EAC/nearest/2-row": {
+		{Frames: 1, OutputPixels: 1920, Cycles: 38703, StallCycles: 37695, DRAMReadBytes: 612720, DRAMWriteBytes: 5760, PMEMLineRefills: 851},
+		{Frames: 1, OutputPixels: 1920, Cycles: 38793, StallCycles: 37785, DRAMReadBytes: 614160, DRAMWriteBytes: 5760, PMEMLineRefills: 853}},
+	"EAC/bilinear/1-row": {
+		{Frames: 1, OutputPixels: 1920, Cycles: 152373, StallCycles: 151365, DRAMReadBytes: 2431440, DRAMWriteBytes: 5760, PMEMLineRefills: 3377},
+		{Frames: 1, OutputPixels: 1920, Cycles: 152373, StallCycles: 151365, DRAMReadBytes: 2431440, DRAMWriteBytes: 5760, PMEMLineRefills: 3377}},
+	"EAC/bilinear/2-row": {
+		{Frames: 1, OutputPixels: 1920, Cycles: 56703, StallCycles: 55695, DRAMReadBytes: 900720, DRAMWriteBytes: 5760, PMEMLineRefills: 1251},
+		{Frames: 1, OutputPixels: 1920, Cycles: 152373, StallCycles: 151365, DRAMReadBytes: 2431440, DRAMWriteBytes: 5760, PMEMLineRefills: 3377}},
+}
+
+func statsPinnedTouchOrder(t *testing.T) {
+	vp := projection.Viewport{Width: 48, Height: 40, FOVX: geom.Radians(100), FOVY: geom.Radians(90)}
+	o := geom.Orientation{Yaw: 3.0, Pitch: 1.2, Roll: 0.3} // the view crosses the ERP seam and the pole rows
+	for _, m := range projection.Methods {
+		full := conformance.InputFrame(m)
+		for _, flt := range []pt.Filter{pt.Nearest, pt.Bilinear} {
+			for _, rows := range []int{1, 2} {
+				var got [2]pte.Stats
+				for i, workers := range []int{1, 2} {
+					cfg := pte.DefaultConfig(m, flt, vp)
+					cfg.PMEMSize = rows * full.W * 3
+					e, err := pte.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					e.RenderParallel(full, o, workers)
+					got[i] = e.Stats()
+				}
+				key := fmt.Sprintf("%v/%v/%d-row", m, flt, rows)
+				if want, ok := touchOrderPins[key]; !ok || got != want {
+					t.Errorf("%s: %#v", key, got)
+				}
+			}
 		}
 	}
 }
