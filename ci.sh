@@ -15,10 +15,12 @@
 #   fuzz smokes (5 s each)    every decoder of outside input (bitstream,
 #                             manifest, payload address, head-trace CSV, tile,
 #                             chaos scenario, codec frames through one reused
-#                             decoder + rate controller), and the differential
-#                             fuzz over the render family (pt / ptlut / gpusim /
-#                             pte pixel identities at random dims and worker
-#                             counts).
+#                             decoder + rate controller), the player on a
+#                             fuzzed manifest (FuzzPlayManifest: resilient,
+#                             tiled on and off, every payload missing), and
+#                             the differential fuzz over the render family
+#                             (pt / ptlut / gpusim / pte pixel identities at
+#                             random dims and worker counts).
 #   FuzzFixedOps (5 s)        the raw-integer fixed-point core equals the
 #                             reference arithmetic bit for bit, every op, for
 #                             random formats and operands at the path
@@ -61,6 +63,7 @@ go test ./internal/telemetry -run=NONE -bench=TelemetryOverhead -benchtime=1x
 go test ./internal/server -run='^$' -fuzz=FuzzUnmarshalBitstream -fuzztime=5s
 go test ./internal/server -run='^$' -fuzz=FuzzManifestJSON -fuzztime=5s
 go test ./internal/server -run='^$' -fuzz=FuzzParseRefPath -fuzztime=5s
+go test ./internal/client -run='^$' -fuzz=FuzzPlayManifest -fuzztime=5s
 go test ./internal/headtrace -run='^$' -fuzz=FuzzHeadtraceCSV -fuzztime=5s
 go test ./internal/delivery -run='^$' -fuzz=FuzzUnmarshalTile -fuzztime=5s
 go test ./internal/chaos -run='^$' -fuzz=FuzzChaosScenario -fuzztime=5s

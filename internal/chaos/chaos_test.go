@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"evr/internal/client"
 	"evr/internal/delivery"
 	"evr/internal/loadgen"
 )
@@ -195,7 +196,7 @@ func TestEvaluateGates(t *testing.T) {
 			{User: 0, Pass: 1, Checksum: 11}, {User: 0, Pass: 2, Checksum: 11},
 			{User: 1, Pass: 1, Checksum: 22}, {User: 1, Pass: 2, Checksum: 22},
 		},
-		Classes: []loadgen.ClassStats{{Name: "live-erp", Sessions: 4, LiveSegments: 8, BehindLiveP99Sec: 0.4}},
+		Classes: []loadgen.ClassStats{{Name: "live-erp", Sessions: 4, PlaybackStats: client.PlaybackStats{LiveSegments: 8}, BehindLiveP99Sec: 0.4}},
 	}
 	if res := Evaluate(sc, good); !res.Passed {
 		t.Fatalf("clean report must pass, got %v", res.Problems)
@@ -216,7 +217,7 @@ func TestEvaluateGates(t *testing.T) {
 	}
 
 	stale := &loadgen.Report{Classes: []loadgen.ClassStats{
-		{Name: "live-erp", Sessions: 2, LiveSegments: 4, BehindLiveP99Sec: 99},
+		{Name: "live-erp", Sessions: 2, PlaybackStats: client.PlaybackStats{LiveSegments: 4}, BehindLiveP99Sec: 99},
 	}}
 	if res := Evaluate(sc, stale); res.Passed {
 		t.Fatal("freshness SLO violation must fail the gate")
@@ -224,7 +225,7 @@ func TestEvaluateGates(t *testing.T) {
 
 	sc.SLO.MaxStallsPerSession = 0.5
 	stalled := &loadgen.Report{Classes: []loadgen.ClassStats{
-		{Name: "vod-cmp-lossy", Sessions: 2, Stalls: 9},
+		{Name: "vod-cmp-lossy", Sessions: 2, PlaybackStats: client.PlaybackStats{ModeledStalls: 9}},
 	}}
 	if res := Evaluate(sc, stalled); res.Passed {
 		t.Fatal("stall SLO violation must fail the gate")

@@ -192,7 +192,7 @@ func Evaluate(sc *Scenario, rep *loadgen.Report) GateResult {
 	for _, cs := range rep.Classes {
 		ok := cs.Sessions - cs.Failures
 		if sc.SLO.MaxStallsPerSession > 0 && ok > 0 {
-			if per := float64(cs.Stalls) / float64(ok); per > sc.SLO.MaxStallsPerSession {
+			if per := float64(cs.ModeledStalls) / float64(ok); per > sc.SLO.MaxStallsPerSession {
 				problems = append(problems, fmt.Sprintf("class %s: %.2f stalls/session > budget %.2f", cs.Name, per, sc.SLO.MaxStallsPerSession))
 			}
 		}

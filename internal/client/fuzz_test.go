@@ -1,0 +1,82 @@
+package client
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"evr/internal/headtrace"
+	"evr/internal/hmd"
+	"evr/internal/scene"
+	"evr/internal/server"
+	"evr/internal/store"
+)
+
+// manifestOnly is a transport that serves one manifest body at the RS
+// manifest path and 404 at every other path.
+type manifestOnly []byte
+
+func (m manifestOnly) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp := &http.Response{StatusCode: http.StatusNotFound, Status: "404 Not Found", Header: http.Header{},
+		Body: io.NopCloser(bytes.NewReader(nil)), Request: r}
+	if r.URL.Path == "/v/RS/manifest" {
+		resp.StatusCode, resp.Status = http.StatusOK, "200 OK"
+		resp.Body, resp.ContentLength = io.NopCloser(bytes.NewReader(m)), int64(len(m))
+	}
+	return resp, nil
+}
+
+// FuzzPlayManifest plays two segments of a fuzzed manifest with a resilient
+// player, tiled delivery on and off. No payload exists, so every segment
+// degrades to frozen frames: Play must return them, or an error, and never
+// panic. The seeds are a classic and a tiled manifest from real ingests.
+func FuzzPlayManifest(f *testing.F) {
+	v, _ := scene.ByName("RS")
+	for _, tiled := range []bool{false, true} {
+		cfg := server.DefaultIngestConfig()
+		cfg.FullW, cfg.FullH = 96, 48
+		cfg.FOVW, cfg.FOVH = 32, 32
+		cfg.MaxSegments = 2
+		cfg.Codec.SearchRange = 1
+		cfg.Tiled = tiled
+		svc := server.NewService(store.New())
+		if _, err := svc.IngestVideo(v, cfg); err != nil {
+			f.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v/RS/manifest", nil))
+		// Keep each cluster's first orientation, the only one Play reads
+		// from the manifest: a short seed mutates into more shapes.
+		var man server.Manifest
+		if err := json.Unmarshal(rec.Body.Bytes(), &man); err != nil {
+			f.Fatal(err)
+		}
+		for i := range man.Segments {
+			for j := range man.Segments[i].Clusters {
+				man.Segments[i].Clusters[j].Meta = man.Segments[i].Clusters[j].Meta[:1]
+			}
+		}
+		seed, err := json.Marshal(man)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	trace := headtrace.Generate(v, 0)
+	f.Fuzz(func(t *testing.T, manifest []byte) {
+		for _, tiled := range []bool{false, true} {
+			p := NewPlayer("http://manifest.test")
+			p.HTTP = &http.Client{Transport: manifestOnly(manifest)}
+			p.Fetch = fastFetchConfig()
+			p.Resilient = true
+			p.Tiled.Enabled = tiled
+			stats, frames, err := p.Play("RS", hmd.NewIMU(trace), 2)
+			if err == nil && (len(frames) != stats.Frames || stats.Hits+stats.Misses != stats.Frames) {
+				t.Fatalf("tiled %v: %d frames displayed, stats %+v", tiled, len(frames), stats)
+			}
+		}
+	})
+}

@@ -94,10 +94,13 @@ type Player struct {
 // original stream — FOV checker miss, segment-level fallback, or frozen
 // frame), so Hits+Misses == Frames always holds.
 type PlaybackStats struct {
-	Frames        int
-	Hits          int
-	Misses        int
-	Fallbacks     int   // segments that fell back to the original stream
+	Frames int
+	Hits   int
+	Misses int
+	// Fallbacks counts the segments played from the original stream, from
+	// their first frame (no FOV video, an orig policy decision) or from a
+	// FOV miss or a degrade on.
+	Fallbacks     int
 	BytesFetched  int64 // bytes received over the wire (cache hits fetch nothing)
 	PTEFrames     int
 	LUTFrames     int // fallback frames rendered through the mapping-LUT cache
@@ -129,6 +132,38 @@ type PlaybackStats struct {
 	LiveWaits        int     // 425 too-early responses waited out at the live edge
 	LiveSegments     int     // fetches observed at or past the live edge at join
 	BehindLiveMaxSec float64 // worst time-behind-live among those fetches
+}
+
+// Add sums another run's counters into s: the one way sessions are summed.
+// BehindLiveMaxSec keeps the larger of the two.
+func (s *PlaybackStats) Add(o PlaybackStats) {
+	s.Frames += o.Frames
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Fallbacks += o.Fallbacks
+	s.BytesFetched += o.BytesFetched
+	s.PTEFrames += o.PTEFrames
+	s.LUTFrames += o.LUTFrames
+	s.PayloadErrors += o.PayloadErrors
+	s.FrozenFrames += o.FrozenFrames
+	s.ModeFOVSegments += o.ModeFOVSegments
+	s.ModeTiledSegments += o.ModeTiledSegments
+	s.ModeOrigSegments += o.ModeOrigSegments
+	s.TiledTiles += o.TiledTiles
+	s.TiledTileErrors += o.TiledTileErrors
+	s.MispredictedTiles += o.MispredictedTiles
+	s.ModeledStalls += o.ModeledStalls
+	s.ModeledStallSec += o.ModeledStallSec
+	s.ModeledStartupSec += o.ModeledStartupSec
+	s.ModeledBytes += o.ModeledBytes
+	s.CacheHits += o.CacheHits
+	s.PrefetchHits += o.PrefetchHits
+	s.Retries += o.Retries
+	s.RetryAfterWaits += o.RetryAfterWaits
+	s.TimedOut += o.TimedOut
+	s.LiveWaits += o.LiveWaits
+	s.LiveSegments += o.LiveSegments
+	s.BehindLiveMaxSec = max(s.BehindLiveMaxSec, o.BehindLiveMaxSec)
 }
 
 // NewPlayer returns a player against an EVR server base URL, with the
@@ -246,21 +281,19 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 	// independently decodable GOPs (§5.3), so a reader moves to the next
 	// segment's stream and keeps its decoder's rasters.
 	var fov, orig streamReader
-	// toOrig switches the rest of a segment to its original stream (§5.4). A
-	// resilient player survives a broken original by freezing frames.
-	toOrig := func(seg int) error {
-		bits, _, err := ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.Orig, Seg: seg})
-		if err != nil {
-			if !p.Resilient {
-				return err
-			}
-			stats.PayloadErrors++
+	var fovMeta []server.FrameMeta
+	// read decodes frame f of a source's current stream.
+	read := func(src source, f int) (*frame.Frame, error) {
+		switch src {
+		case fromFOV:
+			return fov.frame(f)
+		case fromTiles:
+			return ts.frame(f, &stats)
 		}
-		orig.load(bits)
-		stats.Fallbacks++
-		return nil
+		return orig.frame(f)
 	}
-	for si, seg := range man.Segments {
+	for si := range man.Segments {
+		seg := &man.Segments[si]
 		if maxSegments > 0 && seg.Index >= maxSegments {
 			break
 		}
@@ -268,26 +301,26 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			break
 		}
 		gaze := imu.At(frameIdx)
-		// Choose the FOV video whose first-frame metadata is nearest to
-		// the current gaze (§5.3).
-		choice := bestCluster(&seg, gaze, tolerance)
-
-		// Tiled delivery: run the three-way policy decision for this
-		// segment. The FOV and orig outcomes reuse the classic paths
-		// below; only ModeTiled takes the assembly branch.
+		// The segment starts on the FOV video whose first-frame metadata is
+		// nearest the current gaze (§5.3), or on the original if none is.
+		choice := bestCluster(seg, gaze, tolerance)
+		src := fromOrig
+		if choice >= 0 {
+			src = fromFOV
+		}
+		// Tiled delivery: the three-way policy decision picks the source.
 		var plan tiledPlan
-		tiledSeg := false
 		if ts != nil && seg.Tiles != nil {
-			plan = ts.plan(&seg, imu.Trace(), frameIdx, choice, tolerance)
+			plan = ts.plan(seg, imu.Trace(), frameIdx, choice, tolerance)
 			switch plan.mode {
 			case delivery.ModeFOV:
 				stats.ModeFOVSegments++
 			case delivery.ModeTiled:
 				stats.ModeTiledSegments++
-				tiledSeg = true
+				src = fromTiles
 			default:
 				stats.ModeOrigSegments++
-				choice = -1
+				src = fromOrig
 			}
 		}
 
@@ -309,52 +342,53 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			}
 		}
 
-		var fovMeta []server.FrameMeta
-		fov.load(nil)
-		orig.load(nil) // fetched on fallback
-		fallback := false
-		if tiledSeg {
-			if err := p.fetchTiled(ts, video, &seg, plan, &stats); err != nil {
-				// Losing the backfill leaves nothing to paint tiles over:
-				// degrade the whole segment to the original stream.
-				if !p.Resilient {
-					return stats, nil, err
+		// enter fetches the payload a source plays from and points its
+		// reader at it: the one place a payload failure is decided. A player
+		// that is not resilient returns the error; a resilient one counts it
+		// and steps down to the original (§5.4), and an original that fails
+		// leaves a nil stream, whose frames freeze. Every entry to the
+		// original is a Fallback.
+		enter := func(src source) (source, error) {
+			for {
+				var bits *codec.Bitstream
+				var err error
+				switch src {
+				case fromFOV:
+					bits, fovMeta, err = ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.FOV, Seg: seg.Index, A: choice})
+					fov.load(bits)
+				case fromTiles:
+					err = p.fetchTiled(ts, video, seg, plan, &stats)
+				default:
+					bits, _, err = ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.Orig, Seg: seg.Index})
+					orig.load(bits)
 				}
-				stats.PayloadErrors++
-				tiledSeg = false
-				choice = -1
-			} else {
-				// Assembled panorama: rendered like the original stream —
-				// each frame pays the client-side perspective transform.
-				fallback = true
-			}
-		}
-		if !tiledSeg {
-			if choice >= 0 {
-				bits, meta, err := ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.FOV, Seg: seg.Index, A: choice})
 				if err != nil {
 					if !p.Resilient {
-						return stats, nil, err
+						return src, err
 					}
-					// A corrupt FOV video degrades to the original stream.
 					stats.PayloadErrors++
-					choice = -1
 				}
-				fov.load(bits)
-				fovMeta = meta
-			}
-			if choice < 0 {
-				if err := toOrig(seg.Index); err != nil {
-					return stats, nil, err
+				if src == fromOrig {
+					stats.Fallbacks++
+					return src, nil
 				}
-				fallback = true
+				if err == nil {
+					return src, nil
+				}
+				src = fromOrig
 			}
 		}
+		fov.load(nil)
+		orig.load(nil)
+		fovMeta = nil
+		if src, err = enter(src); err != nil {
+			return stats, nil, err
+		}
 		if ts != nil && seg.Tiles != nil {
-			// Advance the modeled link timeline by what the resolved mode
-			// actually shipped (a degraded tiled segment costs orig bytes).
+			// Advance the modeled link timeline by what the segment actually
+			// shipped: a tiled segment that lost its backfill cost the original.
 			b := plan.bytes
-			if plan.mode == delivery.ModeTiled && !tiledSeg {
+			if plan.mode == delivery.ModeTiled && src != fromTiles {
 				b = int64(seg.OrigBytes)
 			}
 			ts.timeline.Advance(b)
@@ -365,73 +399,43 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			o := imu.At(frameIdx)
 			hit := false
 			sp.Start(telemetry.StageFOVCheck)
-			if !fallback && f < fov.frames() && f < len(fovMeta) {
+			if src == fromFOV && f < fov.frames() && f < len(fovMeta) {
 				meta := geom.Orientation{Yaw: fovMeta[f].Yaw, Pitch: fovMeta[f].Pitch}
 				hit = o.AngularDistance(meta) <= tolerance
 			}
 			sp.Stop(telemetry.StageFOVCheck)
-			// src is the frame this one is made from, decoded on demand: the
-			// FOV frame on a hit, else the original or assembled panorama.
-			// nil means nothing is decodable.
-			var src *frame.Frame
-			if hit {
-				sp.Start(telemetry.StageDecode)
-				src, err = fov.frame(f)
-				sp.Stop(telemetry.StageDecode)
-				if err != nil {
-					if !p.Resilient {
-						sp.Finish() // record the partially-timed frame
-						return stats, nil, err
-					}
-					// A FOV frame that does not decode: the rest of the
-					// segment plays from the original.
-					stats.PayloadErrors++
-					hit = false
-				}
+			var err error
+			if src == fromFOV && !hit {
+				// FOV miss: the rest of the segment plays from the original.
+				src, err = enter(fromOrig)
 			}
-			if !fallback && !hit {
-				// FOV miss: request the original segment (§5.4).
-				if err := toOrig(seg.Index); err != nil {
-					sp.Finish()
-					return stats, nil, err
-				}
-				fallback = true
-			}
-			if tiledSeg {
+			// img is the frame this one is made from, decoded on demand from
+			// src; nil means nothing is decodable. A frame that does not
+			// decode steps down one rung and is retried there; an original
+			// frame that does not decode freezes the rest of the segment.
+			var img *frame.Frame
+			for err == nil {
 				sp.Start(telemetry.StageDecode)
-				src, err = ts.frame(f, &stats)
+				img, err = read(src, f)
 				sp.Stop(telemetry.StageDecode)
-				if err == nil {
-					ts.countMispredicted(o, &stats)
-				} else {
-					if !p.Resilient {
-						sp.Finish()
-						return stats, nil, err
-					}
-					// The backfill broke: the rest of the segment plays from
-					// the original.
-					stats.PayloadErrors++
-					tiledSeg = false
-					if err := toOrig(seg.Index); err != nil {
-						sp.Finish()
-						return stats, nil, err
-					}
+				if err == nil || !p.Resilient {
+					break
 				}
-			}
-			if fallback && !tiledSeg {
-				sp.Start(telemetry.StageDecode)
-				src, err = orig.frame(f)
-				sp.Stop(telemetry.StageDecode)
-				if err != nil {
-					if !p.Resilient {
-						sp.Finish()
-						return stats, nil, err
-					}
-					// An original frame that does not decode freezes the
-					// rest of the segment.
-					stats.PayloadErrors++
+				stats.PayloadErrors++
+				hit = false
+				if src == fromOrig {
 					orig.load(nil)
+					err = nil
+					break
 				}
+				src, err = enter(fromOrig)
+			}
+			if err != nil {
+				sp.Finish() // record the partially-timed frame
+				return stats, nil, err
+			}
+			if src == fromTiles {
+				ts.countMispredicted(o, &stats)
 			}
 			// Every frame is a hit or a miss: Hits+Misses == Frames.
 			if hit {
@@ -446,21 +450,14 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 				// out of the margin-padded FOV frame and scales it to the
 				// panel — plain pixel manipulation, no PT (§2).
 				sp.Start(telemetry.StageDisplay)
-				out, err = crop.Apply(src)
+				out, err = crop.Apply(img)
 				sp.Stop(telemetry.StageDisplay)
-				if err != nil {
-					sp.Finish() // record the partially-timed frame
-					return stats, nil, err
-				}
-			case src != nil:
+			case img != nil:
+				// A panorama, original or assembled: the client pays PT.
 				sp.Start(telemetry.StageRender)
-				out, err = render(src, o)
+				out, err = render(img, o)
 				sp.Stop(telemetry.StageRender)
-				if err != nil {
-					sp.Finish() // record the partially-timed frame
-					return stats, nil, err
-				}
-				if rendered != nil {
+				if err == nil && rendered != nil {
 					*rendered++
 				}
 			case p.Resilient && len(displayed) > 0:
@@ -469,6 +466,10 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 				stats.FrozenFrames++
 			default:
 				out = frame.New(vp.Width, vp.Height)
+			}
+			if err != nil {
+				sp.Finish()
+				return stats, nil, err
 			}
 			displayed = append(displayed, out)
 			stats.Frames++
@@ -484,6 +485,18 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 	}
 	return stats, displayed, nil
 }
+
+// source is the stream a segment's frames come from. A segment starts on the
+// FOV video, the tiled assembly or the original, and only moves down: from
+// either of the first two to the original, whose loss freezes the rest of
+// the segment.
+type source uint8
+
+const (
+	fromFOV source = iota
+	fromTiles
+	fromOrig
+)
 
 // streamReader plays one stream role of a session — the FOV video, the
 // original, the tiled backfill or one tile index — frame by frame: a decoder

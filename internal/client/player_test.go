@@ -2,6 +2,7 @@ package client
 
 import (
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"evr/internal/headtrace"
@@ -180,5 +181,43 @@ func TestLiveStreamPlayback(t *testing.T) {
 	}
 	if stats.PTEFrames != 30 {
 		t.Errorf("PTE rendered %d of 30 frames", stats.PTEFrames)
+	}
+}
+
+// TestPlaybackStatsAddCoversEveryField fills every counter with a distinct
+// value and checks Add sums each one, except BehindLiveMaxSec, which keeps
+// the larger: a counter added to PlaybackStats without a line in Add fails
+// here.
+func TestPlaybackStatsAddCoversEveryField(t *testing.T) {
+	var a, b PlaybackStats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		switch va.Field(i).Kind() {
+		case reflect.Int, reflect.Int64:
+			va.Field(i).SetInt(int64(i + 1))
+			vb.Field(i).SetInt(int64(100 * (i + 1)))
+		case reflect.Float64:
+			va.Field(i).SetFloat(float64(i + 1))
+			vb.Field(i).SetFloat(float64(100 * (i + 1)))
+		default:
+			t.Fatalf("field %s has kind %v: teach Add and this test about it", va.Type().Field(i).Name, va.Field(i).Kind())
+		}
+	}
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		name := va.Type().Field(i).Name
+		want := float64(101 * (i + 1))
+		if name == "BehindLiveMaxSec" {
+			want = float64(100 * (i + 1))
+		}
+		var got float64
+		if f := va.Field(i); f.CanInt() {
+			got = float64(f.Int())
+		} else {
+			got = f.Float()
+		}
+		if got != want {
+			t.Errorf("%s after Add = %v, want %v", name, got, want)
+		}
 	}
 }

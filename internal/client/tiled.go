@@ -86,6 +86,14 @@ func newTiledSession(cfg TiledConfig, man *server.Manifest, hmdFOVXDeg, hmdFOVYD
 	if man.FPS <= 0 || man.SegmentFrames <= 0 {
 		return nil, fmt.Errorf("client: manifest has no timing (fps %d, segment %d frames)", man.FPS, man.SegmentFrames)
 	}
+	for i := range man.Segments {
+		// The rung picker indexes the size table by tile: a short table
+		// would send it out of range.
+		if t := man.Segments[i].Tiles; t != nil && len(t.TileBytes) != grid.Tiles() {
+			return nil, fmt.Errorf("client: manifest segment %d prices %d tiles, the %dx%d grid has %d",
+				man.Segments[i].Index, len(t.TileBytes), grid.Cols, grid.Rows, grid.Tiles())
+		}
+	}
 	segDur := float64(man.SegmentFrames) / float64(man.FPS)
 	link := cfg.Link
 	if link.BandwidthBps == 0 {

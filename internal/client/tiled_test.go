@@ -293,3 +293,27 @@ func TestTiledCorruptFramesDegradeFromThatFrame(t *testing.T) {
 	sameFrames("broken backfill, before", frames, healthyFrames, 0, k)
 	sameFrames("broken backfill, after", frames, origFrames, k, 30)
 }
+
+// TestTiledSessionRejectsShortTileTable: a manifest whose per-segment tile
+// size table has fewer rows than the grid has tiles is refused when the
+// session is built, not met by an index panic in the rung picker.
+func TestTiledSessionRejectsShortTileTable(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		cols, rows int
+		table      [][]int
+	}{
+		{"2x2 grid, 1-row table", 2, 2, [][]int{{100}}},
+		{"1x1 grid, empty table", 1, 1, [][]int{}},
+	} {
+		man := &server.Manifest{
+			FPS: 30, FullW: 96, FullH: 48, FOVW: 32, FOVH: 32, FOVXDeg: 150, FOVYDeg: 150, SegmentFrames: 30,
+			Tiling:   &server.TilingInfo{Cols: tc.cols, Rows: tc.rows, Rungs: 1, LowDiv: 2},
+			Segments: []server.SegmentInfo{{Frames: 30, OrigBytes: 1000, Tiles: &server.TileSegInfo{LowBytes: 100, TileBytes: tc.table}}},
+		}
+		ts, err := newTiledSession(TiledConfig{Enabled: true}, man, 110, 110)
+		if err == nil || ts != nil {
+			t.Errorf("%s: session built (err %v), want a manifest error", tc.name, err)
+		}
+	}
+}

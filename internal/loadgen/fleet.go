@@ -116,30 +116,23 @@ func (cs *ClassSpec) tiledConfig() *client.TiledConfig {
 	return &tc
 }
 
-// ClassStats aggregates one class's sessions across every pass.
+// ClassStats aggregates one class's sessions across every pass: the summed
+// playback counters of its successful sessions, and the class's own rates.
 type ClassStats struct {
-	Name         string
-	Users        int // sessions per pass
-	Sessions     int // total across passes
-	Failures     int
-	Frames       int
-	Hits         int
-	HitRate      float64
-	Stalls       int     // modeled rebuffer events (tiled classes)
-	StallSec     float64 // modeled rebuffer seconds
-	BytesFetched int64
-	CacheHits    int
-	Retries      int
+	client.PlaybackStats
+	Name     string
+	Users    int // sessions per pass
+	Sessions int // total across passes
+	Failures int
+	HitRate  float64
 	// EnergyJ is the modeled client-device energy across the class's
 	// successful sessions: network + decode per wire byte, display
 	// processing per rendered viewport pixel (TX2 coefficients).
 	EnergyJ float64
-	// Live freshness, from sessions that fetched at or past the live edge.
-	LiveWaits        int
-	LiveSegments     int
+	// Live freshness quantiles, from sessions that fetched at or past the
+	// live edge (the maximum is PlaybackStats.BehindLiveMaxSec).
 	BehindLiveP50Sec float64
 	BehindLiveP99Sec float64
-	BehindLiveMaxSec float64
 }
 
 // fleetState is the per-run population bookkeeping: the user → class
@@ -201,18 +194,7 @@ func aggregateClasses(fs *fleetState, results []UserResult) []ClassStats {
 			st.Failures++
 			continue
 		}
-		st.Frames += r.Stats.Frames
-		st.Hits += r.Stats.Hits
-		st.Stalls += r.Stats.ModeledStalls
-		st.StallSec += r.Stats.ModeledStallSec
-		st.BytesFetched += r.Stats.BytesFetched
-		st.CacheHits += r.Stats.CacheHits
-		st.Retries += r.Stats.Retries
-		st.LiveWaits += r.Stats.LiveWaits
-		st.LiveSegments += r.Stats.LiveSegments
-		if r.Stats.BehindLiveMaxSec > st.BehindLiveMaxSec {
-			st.BehindLiveMaxSec = r.Stats.BehindLiveMaxSec
-		}
+		st.Add(r.Stats)
 		st.EnergyJ += r.energyJ
 	}
 	for ci := range out {

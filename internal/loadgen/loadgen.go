@@ -114,32 +114,18 @@ type ServerDelta struct {
 	Throttled      int64
 }
 
-// PassStats aggregates one pass.
+// PassStats aggregates one pass: the summed playback counters of its
+// successful sessions, and the pass's own timing and serving deltas.
 type PassStats struct {
+	client.PlaybackStats
 	Pass         int
 	Elapsed      time.Duration
 	Sessions     int
 	Failures     int
-	Frames       int
-	Hits         int
-	Misses       int
 	HitRate      float64
-	BytesFetched int64
-	ClientHits   int // client-side cache hits (incl. singleflight joins)
-	Retries      int
 	FramesPerSec float64
 	Server       *ServerDelta  // nil for remote targets
 	Cluster      *ClusterDelta // nil for non-cluster targets
-	// Tiled-delivery aggregates (all zero unless a class's Delivery engaged).
-	ModeFOVSegments   int
-	ModeTiledSegments int
-	ModeOrigSegments  int
-	TiledTiles        int
-	TiledTileErrors   int
-	MispredictedTiles int
-	ModeledStalls     int
-	ModeledStallSec   float64
-	ModeledBytes      int64
 	// P50/P99 are this pass's request-latency quantiles (histogram-delta
 	// estimates) — how a mid-run shard kill shows up as a tail-latency
 	// bump without corrupting frames.
@@ -351,21 +337,7 @@ func Run(cfg Config) (*Report, error) {
 				ps.Failures++
 				continue
 			}
-			ps.Frames += r.Stats.Frames
-			ps.Hits += r.Stats.Hits
-			ps.Misses += r.Stats.Misses
-			ps.BytesFetched += r.Stats.BytesFetched
-			ps.ClientHits += r.Stats.CacheHits
-			ps.Retries += r.Stats.Retries
-			ps.ModeFOVSegments += r.Stats.ModeFOVSegments
-			ps.ModeTiledSegments += r.Stats.ModeTiledSegments
-			ps.ModeOrigSegments += r.Stats.ModeOrigSegments
-			ps.TiledTiles += r.Stats.TiledTiles
-			ps.TiledTileErrors += r.Stats.TiledTileErrors
-			ps.MispredictedTiles += r.Stats.MispredictedTiles
-			ps.ModeledStalls += r.Stats.ModeledStalls
-			ps.ModeledStallSec += r.Stats.ModeledStallSec
-			ps.ModeledBytes += r.Stats.ModeledBytes
+			ps.Add(r.Stats)
 		}
 		if ps.Frames > 0 {
 			ps.HitRate = float64(ps.Hits) / float64(ps.Frames)

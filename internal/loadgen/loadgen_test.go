@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"evr/internal/client"
 	"evr/internal/cluster"
 	"evr/internal/scene"
 	"evr/internal/server"
@@ -360,5 +362,66 @@ func TestZipfRoutedRunAcrossVideos(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestWriteTextShowsDegradation: a resilient run against a server whose FOV
+// and original payloads arrive truncated reports, per pass, what resilience
+// absorbed — the pass's summed payload errors, frozen frames and fallbacks;
+// the same run against a healthy server prints no such line.
+func TestWriteTextShowsDegradation(t *testing.T) {
+	svc := soakService(t, server.DefaultServiceOptions())
+	run := func(h http.Handler) (*Report, string) {
+		t.Helper()
+		baseURL, shutdown, err := ServeHandler(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer shutdown()
+		// Closing the client's idle connections first lets the shutdown
+		// drain at once: a dialled but never used connection would hold it
+		// for 5 s.
+		tr := &http.Transport{}
+		defer tr.CloseIdleConnections()
+		rep, err := Run(Config{BaseURL: baseURL, Classes: soakClass(2), ViewportScale: 32, Resilient: true,
+			HTTP: &http.Client{Transport: tr}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fails := rep.Failures(); len(fails) != 0 {
+			t.Fatalf("%d sessions failed, first: %v", len(fails), fails[0].Err)
+		}
+		var out strings.Builder
+		rep.WriteText(&out, false)
+		return rep, out.String()
+	}
+
+	if _, out := run(svc.Handler()); strings.Contains(out, "degraded:") {
+		t.Errorf("healthy run reports degradation:\n%s", out)
+	}
+
+	truncating := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.Contains(r.URL.Path, "/fov/") && !strings.Contains(r.URL.Path, "/orig/") {
+			svc.Handler().ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, r)
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes()[:rec.Body.Len()/2]) //nolint:errcheck // client may hang up
+	})
+	rep, out := run(truncating)
+	var sum client.PlaybackStats
+	for _, r := range rep.Results {
+		sum.Add(r.Stats)
+	}
+	ps := rep.PerPass[0]
+	if ps.PayloadErrors == 0 || ps.PayloadErrors != sum.PayloadErrors || ps.FrozenFrames != sum.FrozenFrames || ps.Fallbacks != sum.Fallbacks {
+		t.Fatalf("pass counts %d payload errors, %d frozen, %d fallbacks; sessions sum to %d, %d, %d",
+			ps.PayloadErrors, ps.FrozenFrames, ps.Fallbacks, sum.PayloadErrors, sum.FrozenFrames, sum.Fallbacks)
+	}
+	want := fmt.Sprintf("degraded: %d payload errors, %d frozen frames, %d fallbacks", ps.PayloadErrors, ps.FrozenFrames, ps.Fallbacks)
+	if !strings.Contains(out, want) {
+		t.Errorf("report lacks %q:\n%s", want, out)
 	}
 }

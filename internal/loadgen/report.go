@@ -28,7 +28,7 @@ func (r *Report) WriteText(w io.Writer, perUser bool) {
 			fmt.Fprintf(w, ", %d/%d sessions FAILED", ps.Failures, ps.Sessions)
 		}
 		fmt.Fprintln(w)
-		fmt.Fprintf(w, "        client cache hits %d, retries %d", ps.ClientHits, ps.Retries)
+		fmt.Fprintf(w, "        client cache hits %d, retries %d", ps.CacheHits, ps.Retries)
 		if ps.Server != nil {
 			fmt.Fprintf(w, "; server respcache %d hits / %d misses / %d coalesced, %d throttled",
 				ps.Server.CacheHits, ps.Server.CacheMisses, ps.Server.CacheCoalesced, ps.Server.Throttled)
@@ -39,6 +39,10 @@ func (r *Report) WriteText(w io.Writer, perUser bool) {
 				ps.ModeFOVSegments, ps.ModeTiledSegments, ps.ModeOrigSegments,
 				ps.TiledTiles, ps.TiledTileErrors, ps.MispredictedTiles,
 				byteSize(ps.ModeledBytes), ps.ModeledStalls, ps.ModeledStallSec)
+		}
+		if ps.PayloadErrors+ps.FrozenFrames > 0 {
+			fmt.Fprintf(w, "        degraded: %d payload errors, %d frozen frames, %d fallbacks\n",
+				ps.PayloadErrors, ps.FrozenFrames, ps.Fallbacks)
 		}
 		fmt.Fprintf(w, "        latency p50 %v  p99 %v\n",
 			ps.P50.Round(time.Microsecond), ps.P99.Round(time.Microsecond))
@@ -69,7 +73,7 @@ func (r *Report) WriteText(w io.Writer, perUser bool) {
 			}
 			fmt.Fprintf(w, "  %-14s %5d %5d %6.1f%% %10s %7.2fJ %6d %10s %9s %9s %9d\n",
 				cs.Name, cs.Users, cs.Failures, 100*cs.HitRate, byteSize(cs.BytesFetched),
-				cs.EnergyJ, cs.LiveWaits, behind50, behind99, behindMax, cs.Stalls)
+				cs.EnergyJ, cs.LiveWaits, behind50, behind99, behindMax, cs.ModeledStalls)
 		}
 	}
 
