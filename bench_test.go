@@ -1,6 +1,6 @@
 // Micro-benchmarks for the kernels no other benchmark times: head-trace
 // synthesis, capture stitching, SSIM, object detection, the streaming DES,
-// the ABR session and quaternion slerp. Run with
+// and the ABR session. Run with
 //
 //	go test -run='^$' -bench=. -benchmem
 //
@@ -15,7 +15,6 @@ import (
 
 	"evr/internal/abr"
 	"evr/internal/capture"
-	"evr/internal/geom"
 	"evr/internal/headtrace"
 	"evr/internal/netsim"
 	"evr/internal/projection"
@@ -93,14 +92,5 @@ func BenchmarkABRSession(b *testing.B) {
 		if _, err := abr.Simulate(link, ladder, ctrl, segs, 1.0, 2); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkQuaternionSlerp(b *testing.B) {
-	q := geom.QuatFromOrientation(geom.Orientation{Yaw: 0.3})
-	r := geom.QuatFromOrientation(geom.Orientation{Yaw: 1.8, Pitch: 0.4})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Slerp(r, float64(i%100)/100)
 	}
 }

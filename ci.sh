@@ -15,7 +15,7 @@
 #   fuzz smokes (5 s each)    every decoder of outside input (bitstream,
 #                             manifest, payload address, head-trace CSV, tile,
 #                             chaos scenario, codec frames through one reused
-#                             decoder + rate controller), the player on a
+#                             decoder), the player on a
 #                             fuzzed manifest (FuzzPlayManifest: resilient,
 #                             tiled on and off, every payload missing), and
 #                             the differential fuzz over the render family
@@ -67,7 +67,6 @@ go test ./internal/client -run='^$' -fuzz=FuzzPlayManifest -fuzztime=5s
 go test ./internal/headtrace -run='^$' -fuzz=FuzzHeadtraceCSV -fuzztime=5s
 go test ./internal/delivery -run='^$' -fuzz=FuzzUnmarshalTile -fuzztime=5s
 go test ./internal/chaos -run='^$' -fuzz=FuzzChaosScenario -fuzztime=5s
-go test ./internal/codec -run='^$' -fuzz=FuzzRateControllerObserve -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzDecode -fuzztime=5s
 go test ./internal/conformance -run='^$' -fuzz=FuzzRenderFamily -fuzztime=5s
 go test ./internal/fixed -run='^$' -fuzz=FuzzFixedOps -fuzztime=5s

@@ -1,6 +1,8 @@
 package evr_test
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -8,7 +10,10 @@ import (
 	"io/fs"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -45,9 +50,6 @@ func TestPublicAPICatalog(t *testing.T) {
 	if len(evr.Videos()) != 6 {
 		t.Errorf("catalog has %d videos", len(evr.Videos()))
 	}
-	if evr.DatasetUsers != 59 {
-		t.Error("user corpus size changed")
-	}
 	v, _ := evr.VideoByName("RS")
 	tr := evr.GenerateTrace(v, 7)
 	if len(tr.Samples) != v.Frames() {
@@ -83,60 +85,6 @@ func TestPublicAPIStreamingLoop(t *testing.T) {
 	}
 }
 
-// TestPublicAPIServingLayer exercises the multi-user serving surface:
-// explicit service options, the in-process listener, and the load engine.
-func TestPublicAPIServingLayer(t *testing.T) {
-	video, _ := evr.VideoByName("RS")
-	cfg := evr.DefaultIngestConfig()
-	cfg.FullW, cfg.FullH = 96, 48
-	cfg.FOVW, cfg.FOVH = 32, 32
-	cfg.MaxSegments = 1
-	cfg.Codec.SearchRange = 1
-
-	opts := evr.DefaultServiceOptions()
-	if opts.RespCacheBytes <= 0 {
-		t.Fatal("response cache off by default")
-	}
-	svc := evr.NewServiceOpts(opts)
-	if _, err := svc.IngestVideo(video, cfg); err != nil {
-		t.Fatal(err)
-	}
-	baseURL, shutdown, err := evr.ServeLocal(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-
-	rep, err := evr.RunLoad(evr.LoadConfig{
-		BaseURL:       baseURL,
-		Classes:       []evr.ClassSpec{{Name: "rs", Users: 2, Video: "RS"}},
-		Segments:      1,
-		ViewportScale: 32,
-		Service:       svc,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Failures()) != 0 {
-		t.Fatalf("load failures: %v", rep.Failures())
-	}
-	stats, ok := svc.RespCacheStats()
-	if !ok {
-		t.Fatal("no response-cache stats with cache on")
-	}
-	if stats.Hits+stats.Misses == 0 {
-		t.Error("load run never touched the response cache")
-	}
-}
-
-// TestPublicAPIPTE exercises the accelerator surface.
-func TestPublicAPIPTE(t *testing.T) {
-	hmdCfg := evr.OSVRHDK2()
-	if hmdCfg.DisplayW != 2560 {
-		t.Error("HMD config wrong")
-	}
-}
-
 // ExampleNewSystem demonstrates the headline evaluation in a few lines.
 func ExampleNewSystem() {
 	sys := evr.NewSystem()
@@ -151,195 +99,15 @@ func ExampleNewSystem() {
 	// Output: S+H saves energy: true
 }
 
-// TestPublicAPIExperiments drives the experiment surface.
-func TestPublicAPIExperiments(t *testing.T) {
-	tables := evr.RunExperiments(2)
-	if len(tables) != 13 {
-		t.Fatalf("RunExperiments returned %d tables", len(tables))
-	}
-	for _, tb := range tables {
-		if tb.String() == "" {
-			t.Error("empty table rendering")
-		}
-	}
-}
-
-// TestPublicAPIAblations drives the ablation surface and the extension
-// types through the facade.
-func TestPublicAPIAblations(t *testing.T) {
-	tables := evr.RunAblations(2)
-	if len(tables) != 13 {
-		t.Fatalf("RunAblations returned %d tables", len(tables))
-	}
-	rig := evr.SixCameraRig(16)
-	if len(rig.Cameras) != 6 {
-		t.Error("facade rig wrong")
-	}
-	if evr.DefaultLadder().Rungs() != 3 {
-		t.Error("facade ladder wrong")
-	}
-}
-
-// TestPublicAPIConformance drives the conformance oracle through the
-// facade: run the fast subset and check the budgets it reports.
-func TestPublicAPIConformance(t *testing.T) {
-	fast := evr.ConformanceFastCorpus()
-	if len(fast) == 0 || len(fast) >= len(evr.ConformanceCorpus()) {
-		t.Fatalf("fast corpus has %d cases of %d", len(fast), len(evr.ConformanceCorpus()))
-	}
-	m, err := evr.RunConformance(fast[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := m.BudgetViolations(); len(v) > 0 {
-		t.Fatalf("facade conformance run violates budgets: %v", v)
-	}
-	if m.FormatTable() == "" {
-		t.Error("empty conformance table rendering")
-	}
-}
-
-// TestPublicAPICluster exercises the sharded serving tier through the
-// facade: build, ingest, route a load run, kill a shard mid-run, and read
-// the cluster snapshot.
-func TestPublicAPICluster(t *testing.T) {
-	video, _ := evr.VideoByName("RS")
-	cfg := evr.DefaultIngestConfig()
-	cfg.FullW, cfg.FullH = 96, 48
-	cfg.FOVW, cfg.FOVH = 32, 32
-	cfg.MaxSegments = 2
-	cfg.Codec.SearchRange = 1
-
-	copts := evr.DefaultClusterOptions()
-	copts.Shards = 2
-	clu, err := evr.NewCluster(nil, copts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := clu.Ingest(video, cfg); err != nil {
-		t.Fatal(err)
-	}
-	baseURL, shutdown, err := evr.ServeHandler(clu.Handler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-
-	rep, err := evr.RunLoad(evr.LoadConfig{
-		BaseURL:       baseURL,
-		Classes:       []evr.ClassSpec{{Name: "rs", Users: 3, Video: "RS"}},
-		Passes:        2,
-		Segments:      2,
-		ViewportScale: 32,
-		Cluster:       clu,
-		OnPassStart: func(pass int) {
-			if pass == 2 {
-				if err := clu.KillShard(0); err != nil {
-					t.Errorf("kill shard: %v", err)
-				}
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Failures()) != 0 {
-		t.Fatalf("routed load failures: %v", rep.Failures())
-	}
-	// Checksums survive the kill: pass 2 (one shard down) must render the
-	// same pixels as pass 1.
-	sums := map[int]map[int]uint64{}
-	for _, r := range rep.Results {
-		if sums[r.User] == nil {
-			sums[r.User] = map[int]uint64{}
-		}
-		sums[r.User][r.Pass] = r.Checksum
-	}
-	for u, byPass := range sums {
-		if byPass[1] != byPass[2] || byPass[1] == 0 {
-			t.Errorf("user %d: checksums differ across the shard kill: %#x vs %#x", u, byPass[1], byPass[2])
-		}
-	}
-	for _, ps := range rep.PerPass {
-		if ps.Cluster == nil {
-			t.Fatalf("pass %d: no cluster delta for in-process cluster target", ps.Pass)
-		}
-	}
-	st := clu.Stats()
-	if st.Router.Requests == 0 || st.Router.LiveShards != 1 {
-		t.Errorf("cluster stats: %d requests, %d live shards", st.Router.Requests, st.Router.LiveShards)
-	}
-	if st.Edge == nil || st.Edge.Hits == 0 {
-		t.Error("edge cache absorbed nothing across 3 users × 2 passes")
-	}
-}
-
-// TestPublicAPISpherical exercises the spherical-quality + SPORT surface:
-// weight tables, the weighted metrics, banded rate control, truncation
-// plans, and the fast sweep end to end.
-func TestPublicAPISpherical(t *testing.T) {
-	a, b := evr.NewFrame(96, 48), evr.NewFrame(96, 48)
-	for i := range b.Pix {
-		a.Pix[i] = byte(i)
-		b.Pix[i] = byte(i) + byte(i%3) // small skew so metrics are finite
-	}
-	sp, err := evr.SPSNR(evr.ERP, a, b)
-	if err != nil || sp <= 0 {
-		t.Fatalf("SPSNR = %v, %v", sp, err)
-	}
-	ws, err := evr.WSPSNR(evr.ERP, a, b)
-	if err != nil || ws <= 0 {
-		t.Fatalf("WSPSNR = %v, %v", ws, err)
-	}
-	wt, err := evr.SphericalWeights(evr.ERP, 96, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mse, err := wt.WeightedMSE(a, b); err != nil || mse <= 0 {
-		t.Fatalf("WeightedMSE = %v, %v", mse, err)
-	}
-
-	rc, err := evr.NewSphericalRateController(48, 4, 4000, 12, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.NumBands() != 4 {
-		t.Errorf("controller has %d bands", rc.NumBands())
-	}
-
-	plan := evr.FlatTruncationPlan(evr.Q2810)
-	if err := plan.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	mixed := evr.TruncationPlan{Regions: []evr.TruncationRegion{
-		{MaxAbsLatDeg: 45, Format: evr.Q2810},
-		{MaxAbsLatDeg: 90, Format: evr.FixedFormat{TotalBits: 24, IntBits: 10}},
-	}}
-	if err := mixed.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := evr.RunSPORT(evr.SPORTConfig{Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Feasible {
-		t.Error("fast SPORT sweep infeasible through the facade")
-	}
-	tab := evr.SPORTExperimentTable(r)
-	if tab.ID != "SPORT" || len(tab.Rows) != 2 {
-		t.Errorf("SPORT table shape wrong: %q, %d rows", tab.ID, len(tab.Rows))
-	}
-}
-
 // TestFacadeSurfaceIsReached keeps evr.go from silently regrowing: every
 // exported function, variable and constant of the facade must be named as
-// evr.<Name> by an example, a command or a root test, and every type alias
-// must be reached — named there, in the signature of a function that is, or in
-// an exported field or exported method signature of a reached alias's type
+// evr.<Name> by an example or a command, and every type alias must be
+// reached — named there, in the signature of a function that is, or in an
+// exported field or exported method signature of a reached alias's type
 // (what a caller holding that type is handed or must supply). A constant
 // block is reached when any of its constants is named — enum siblings (S
-// beside SH, CMP beside ERP) come and go together.
+// beside SH, H beside Baseline) come and go together. Root tests are no
+// users: a name only they reach is surface kept alive for its own test.
 func TestFacadeSurfaceIsReached(t *testing.T) {
 	fset := token.NewFileSet()
 	parse := func(path string) *ast.File {
@@ -357,12 +125,9 @@ func TestFacadeSurfaceIsReached(t *testing.T) {
 		return paths
 	}
 
-	// What examples, commands and root tests name.
+	// What examples and commands name.
 	named := map[string]bool{}
-	users, err := filepath.Glob("*_test.go")
-	if err != nil {
-		t.Fatal(err)
-	}
+	var users []string
 	for _, dir := range []string{"examples", "cmd"} {
 		filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error { //nolint:errcheck // an unreadable dir fails the parse below
 			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
@@ -416,7 +181,7 @@ func TestFacadeSurfaceIsReached(t *testing.T) {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
 			if !named[d.Name.Name] {
-				t.Errorf("func evr.%s is named by no example, command or root test", d.Name.Name)
+				t.Errorf("func evr.%s is named by no example or command", d.Name.Name)
 			}
 		case *ast.GenDecl:
 			blockNamed := false
@@ -437,7 +202,7 @@ func TestFacadeSurfaceIsReached(t *testing.T) {
 			}
 			for _, name := range names {
 				if !named[name] && !(d.Tok == token.CONST && blockNamed) {
-					t.Errorf("%s evr.%s is named by no example, command or root test", d.Tok, name)
+					t.Errorf("%s evr.%s is named by no example or command", d.Tok, name)
 				}
 			}
 		}
@@ -517,7 +282,7 @@ func TestFacadeSurfaceIsReached(t *testing.T) {
 	}
 	for target, alias := range aliasOf {
 		if !reached[target] {
-			t.Errorf("type evr.%s is named by no example, command or root test and reached from no kept signature or field", alias)
+			t.Errorf("type evr.%s is named by no example or command and reached from no kept signature or field", alias)
 		}
 	}
 }
@@ -580,6 +345,140 @@ func TestInternalPackagesAreReached(t *testing.T) {
 	for _, e := range entries {
 		if pkg := "internal/" + e.Name(); e.IsDir() && !reached[pkg] {
 			t.Errorf("%s is imported by no command, example or evr.go, directly or transitively", pkg)
+		}
+	}
+}
+
+// linkAllowlist names the internal functions no product binary links that
+// stay anyway, each with the reason: a test fake, a reference oracle, an
+// interface forwarder, or an accessor a named test of linked code needs and
+// has no linked way to observe. Keys are import paths below evr/internal/
+// as `go tool nm` spells them.
+var linkAllowlist = map[string]string{
+	"server.NewVirtualClock":         "test fake: the clock behind LiveOptions.Clock in server's live tests (TestLiveVirtualClockSchedule, TestLiveBackpressure)",
+	"server.(*VirtualClock).Now":     "test fake: VirtualClock implements server.Clock",
+	"server.(*VirtualClock).After":   "test fake: VirtualClock implements server.Clock",
+	"server.(*VirtualClock).Advance": "test fake: the live tests step the schedule with it",
+	"server.(*countingWriter).Flush": "interface forwarder: passes http.Flusher through the metrics wrapper (TestCountingWriterFlushPassthrough)",
+	"server.(*Service).TooEarly":     "accessor: client TestPlayerJoinsMidLiveStream checks the server rejected ahead-of-edge requests",
+	"telemetry.(*Tracer).Hits":       "accessor: client TestTelemetryByteIdentical checks traced hits against the QoE accounting",
+	"conformance.Measure":            "oracle: ptlut TestCorpusQuantizedBudgets measures the quantized LUT against pt with it",
+	"conformance.LUTQuantBudgetFor":  "oracle: the budgets ptlut TestCorpusQuantizedBudgets holds the quantized LUT to",
+	"pt.Config.MapPixel":             "oracle: pt TestMapperMatchesMapPixel holds the production Mapper to it",
+	"display.ToRGB":                  "oracle: codec's reference decoder (reference_test.go) converts chroma-coded frames back with it",
+}
+
+// genericShape matches one innermost type-argument list of a linker symbol,
+// as in (*Cache[go.shape.string,go.shape.[]uint8]).Get.
+var genericShape = regexp.MustCompile(`\[[^\[\]]*\]`)
+
+// TestEveryFunctionIsLinked is the guard below the package and facade ones:
+// every function and method declared in a non-test file under internal/
+// must be linked into a product binary, or be on linkAllowlist. It builds
+// every command and example, and the benchmark, with inlining off (so a
+// function inlined at every call site still leaves its symbol) and reads
+// what the linker kept with `go tool nm`. A function only tests call is
+// dead surface; it goes with its tests.
+func TestEveryFunctionIsLinked(t *testing.T) {
+	bin := t.TempDir()
+	build := func(dir string, args ...string) {
+		t.Helper()
+		cmd := exec.Command("go", append([]string{"build", "-gcflags=all=-l", "-o"}, args...)...)
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go build %v: %v\n%s", args, err, out)
+		}
+	}
+	build(".", bin+string(filepath.Separator), "./cmd/...", "./examples/...")
+	// bench/ is a root although no user runs it: it is the frozen benchmark
+	// module, and the wrappers only its replay calls stay until it changes.
+	build("bench", filepath.Join(bin, "bench"), ".")
+
+	linked := map[string]bool{}
+	binaries, err := os.ReadDir(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range binaries {
+		out, err := exec.Command("go", "tool", "nm", filepath.Join(bin, b.Name())).Output()
+		if err != nil {
+			t.Fatalf("go tool nm %s: %v", b.Name(), err)
+		}
+		sc := bufio.NewScanner(bytes.NewReader(out))
+		sc.Buffer(nil, 1<<20)
+		for sc.Scan() {
+			// "addr type name", where a generic name may contain spaces.
+			f := strings.SplitN(strings.TrimSpace(sc.Text()), " ", 3)
+			if len(f) < 3 || (f[1] != "T" && f[1] != "t") {
+				continue
+			}
+			name, ok := strings.CutPrefix(f[2], "evr/internal/")
+			if !ok {
+				continue
+			}
+			for prev := ""; prev != name; {
+				prev, name = name, genericShape.ReplaceAllString(name, "")
+			}
+			linked[name] = true
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fset := token.NewFileSet()
+	declared := map[string]bool{}
+	var unlinked []string
+	filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error { //nolint:errcheck // an unreadable dir fails the parse below
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parsing %s: %v", path, err)
+		}
+		pkg := strings.TrimPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Name.Name == "init" || fn.Name.Name == "_" {
+				continue
+			}
+			name := pkg + "." + fn.Name.Name
+			if fn.Recv != nil {
+				recv := fn.Recv.List[0].Type
+				star, ptr := recv.(*ast.StarExpr)
+				if ptr {
+					recv = star.X
+				}
+				switch r := recv.(type) {
+				case *ast.IndexExpr:
+					recv = r.X
+				case *ast.IndexListExpr:
+					recv = r.X
+				}
+				typ := recv.(*ast.Ident).Name
+				if ptr {
+					typ = "(*" + typ + ")"
+				}
+				name = pkg + "." + typ + "." + fn.Name.Name
+			}
+			declared[name] = true
+			if !linked[name] && linkAllowlist[name] == "" {
+				unlinked = append(unlinked, fmt.Sprintf("%s (%s)", name, fset.Position(fn.Pos())))
+			}
+		}
+		return nil
+	})
+	sort.Strings(unlinked)
+	for _, u := range unlinked {
+		t.Errorf("%s is linked into no command, example or the benchmark: delete it with its tests, or allowlist it with a reason", u)
+	}
+	for name := range linkAllowlist {
+		switch {
+		case !declared[name]:
+			t.Errorf("allowlisted %s is no longer declared: drop its entry", name)
+		case linked[name]:
+			t.Errorf("allowlisted %s is linked now: drop its entry", name)
 		}
 	}
 }

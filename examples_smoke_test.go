@@ -9,25 +9,6 @@ import (
 	"time"
 )
 
-// TestExamplesAndCommandsBuild compiles every runnable in the repo —
-// examples and cmd tools — so they cannot rot silently.
-func TestExamplesAndCommandsBuild(t *testing.T) {
-	tmp := t.TempDir()
-	for _, pkg := range []string{
-		"./examples/quickstart", "./examples/streaming", "./examples/offline",
-		"./examples/quality", "./examples/capture",
-		"./cmd/evrbench", "./cmd/evrserver", "./cmd/evrclient",
-		"./cmd/evrgen", "./cmd/evrtrace", "./cmd/evrplot",
-	} {
-		out := filepath.Join(tmp, filepath.Base(pkg))
-		cmd := exec.Command("go", "build", "-o", out, pkg)
-		cmd.Env = os.Environ()
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", pkg, err, msg)
-		}
-	}
-}
-
 // TestExamplesRun smoke-runs the fast examples end to end and checks for
 // their headline output lines.
 func TestExamplesRun(t *testing.T) {

@@ -193,28 +193,6 @@ func (c *Cache[K, V]) land(key K, fl *flight[V]) {
 	close(fl.done)
 }
 
-// Lookup returns the resident value for key, promoting it to most recently
-// used. It is a whole lookup — counted as a hit or a miss — for callers that
-// load on their own and Put the result; load-through callers use Get.
-func (c *Cache[K, V]) Lookup(key K) (v V, ok bool) {
-	if c == nil {
-		return v, false
-	}
-	c.mu.Lock()
-	e, ok := c.items[key]
-	if ok {
-		c.touchLocked(e)
-		v = e.val
-	}
-	c.mu.Unlock()
-	if ok {
-		c.hits.Inc()
-	} else {
-		c.misses.Inc()
-	}
-	return v, ok
-}
-
 // Contains reports whether key is resident, without promoting it or
 // counting a lookup.
 func (c *Cache[K, V]) Contains(key K) bool {
@@ -225,19 +203,6 @@ func (c *Cache[K, V]) Contains(key K) bool {
 	defer c.mu.Unlock()
 	_, ok := c.items[key]
 	return ok
-}
-
-// Put makes v the resident value for key (replacing any other) under the
-// same budget rules as a loaded value. A load of key already in flight is
-// left alone and replaces v when it lands.
-func (c *Cache[K, V]) Put(key K, v V) {
-	if c == nil {
-		return
-	}
-	size := c.sizeOf(v)
-	c.mu.Lock()
-	c.insertLocked(key, v, size)
-	c.mu.Unlock()
 }
 
 // Purge drops every resident entry resident matches and dooms every

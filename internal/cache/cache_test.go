@@ -46,10 +46,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // step is one sequential operation of TestCacheBehaviours.
 type step struct {
-	op   string // "get", "fail" (a get whose load errors), "lookup", "put", "purge" (by video)
+	op   string // "get", "fail" (a get whose load errors), "resident", "purge" (by video)
 	key  tkey
-	size int     // bytes the load or put supplies
-	want Outcome // get/fail: expected outcome; lookup: Hit or Miss
+	size int     // bytes the load supplies
+	want Outcome // get/fail: expected outcome; resident: Hit if resident, else Miss
 }
 
 // TestCacheBehaviours is the single-goroutine half of the suite: every
@@ -74,9 +74,9 @@ func TestCacheBehaviours(t *testing.T) {
 			name: "failed load is handed over but never retained",
 			max:  1 << 20,
 			steps: []step{
-				{"fail", k("v", 0), 5, Miss}, {"fail", k("v", 0), 5, Miss}, {"lookup", k("v", 0), 0, Miss},
+				{"fail", k("v", 0), 5, Miss}, {"fail", k("v", 0), 5, Miss}, {"resident", k("v", 0), 0, Miss},
 			},
-			want: Stats{Misses: 3},
+			want: Stats{Misses: 2},
 		},
 		{
 			name: "size-based eviction drops exactly the least recently used",
@@ -87,9 +87,9 @@ func TestCacheBehaviours(t *testing.T) {
 				{"get", k("v", 2), 40, Miss}, // 120 > 100: 1 goes
 				{"get", k("v", 0), 40, Hit}, {"get", k("v", 2), 40, Hit},
 				{"get", k("v", 1), 40, Miss}, // reload evicts 0, the coldest after the hits above
-				{"lookup", k("v", 0), 0, Miss}, {"lookup", k("v", 2), 0, Hit},
+				{"resident", k("v", 0), 0, Miss}, {"resident", k("v", 2), 0, Hit},
 			},
-			want: Stats{Hits: 4, Misses: 5, Evictions: 2, Entries: 2, Bytes: 80},
+			want: Stats{Hits: 3, Misses: 4, Evictions: 2, Entries: 2, Bytes: 80},
 		},
 		{
 			name: "oversized value is served, counted, never cached",
@@ -110,18 +110,6 @@ func TestCacheBehaviours(t *testing.T) {
 			want: Stats{Hits: 3, Misses: 4, Oversized: 1, Entries: 3, Bytes: 30},
 		},
 		{
-			name: "put inserts, replaces and evicts under the same budget",
-			max:  100,
-			steps: []step{
-				{"put", k("v", 0), 30, 0}, {"put", k("v", 1), 30, 0},
-				{"put", k("v", 0), 60, 0},  // replace: 90 bytes, 0 is hottest
-				{"put", k("v", 2), 30, 0},  // 120 > 100: 1 goes
-				{"put", k("v", 3), 101, 0}, // oversized
-				{"lookup", k("v", 0), 0, Hit}, {"lookup", k("v", 1), 0, Miss}, {"get", k("v", 2), 30, Hit},
-			},
-			want: Stats{Hits: 2, Misses: 1, Evictions: 1, Oversized: 1, Entries: 2, Bytes: 90},
-		},
-		{
 			name: "purge drops only matching residents",
 			max:  1 << 20,
 			steps: []step{
@@ -137,9 +125,9 @@ func TestCacheBehaviours(t *testing.T) {
 			name: "zero budget retains nothing",
 			max:  0,
 			steps: []step{
-				{"get", k("v", 0), 1, Miss}, {"get", k("v", 0), 1, Miss}, {"put", k("v", 1), 1, 0},
+				{"get", k("v", 0), 1, Miss}, {"get", k("v", 0), 1, Miss},
 			},
-			want: Stats{Misses: 2, Oversized: 3},
+			want: Stats{Misses: 2, Oversized: 2},
 		},
 	}
 	for _, tc := range cases {
@@ -162,15 +150,10 @@ func TestCacheBehaviours(t *testing.T) {
 					if len(v) != s.size || (err != nil) != (s.op == "fail") {
 						t.Fatalf("step %d %v: got %d bytes, err %v", i, s, len(v), err)
 					}
-				case "lookup":
-					if _, ok := c.Lookup(s.key); ok != (s.want == Hit) {
+				case "resident":
+					if ok := c.Contains(s.key); ok != (s.want == Hit) {
 						t.Fatalf("step %d %v: resident = %v", i, s, ok)
 					}
-					if c.Contains(s.key) != (s.want == Hit) {
-						t.Fatalf("step %d %v: Contains disagrees with Lookup", i, s)
-					}
-				case "put":
-					c.Put(s.key, val(s.size))
 				case "purge":
 					c.PurgeKeys(ofVideo(s.key.video))
 				}
@@ -350,9 +333,8 @@ func TestNilCache(t *testing.T) {
 			t.Fatalf("nil Get = %q, %v, %v; want load's own result", v, outcome, err)
 		}
 	}
-	c.Put(k("v", 0), "x")
 	c.PurgeKeys(ofVideo("v"))
-	if _, ok := c.Lookup(k("v", 0)); ok || c.Contains(k("v", 0)) || c.Stats() != (Stats{}) {
+	if c.Contains(k("v", 0)) || c.Stats() != (Stats{}) {
 		t.Error("nil cache not inert")
 	}
 }
@@ -365,8 +347,8 @@ func TestSeriesNames(t *testing.T) {
 	c := New[tkey](8, func(s string) int64 { return int64(len(s)) }, reg, "evr_x", Help{Hits: "hits help"})
 	c.Get(k("a", 0), func() (string, error) { return "12345", nil })
 	c.Get(k("a", 0), nil)
-	c.Get(k("a", 1), func() (string, error) { return "12345", nil }) // evicts a/0
-	c.Put(k("a", 2), "123456789")                                    // oversized
+	c.Get(k("a", 1), func() (string, error) { return "12345", nil })     // evicts a/0
+	c.Get(k("a", 2), func() (string, error) { return "123456789", nil }) // oversized
 	c.PurgeKeys(ofVideo("a"))
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -374,7 +356,7 @@ func TestSeriesNames(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# HELP evr_x_hits_total hits help",
-		"evr_x_hits_total 1", "evr_x_misses_total 2", "evr_x_coalesced_total 0",
+		"evr_x_hits_total 1", "evr_x_misses_total 3", "evr_x_coalesced_total 0",
 		"evr_x_evictions_total 1", "evr_x_oversized_total 1", "evr_x_doomed_total 0",
 		"evr_x_purged_total 1", "evr_x_entries 0", "evr_x_bytes 0",
 	} {
@@ -471,10 +453,10 @@ func (m *model) insert(key tkey, v string) {
 	}
 }
 
-// TestModelRandomInterleavings drives seeded random Get / Put / Purge /
-// slow-load interleavings through the cache and a plain model in lockstep.
-// Slow loads are held open on a channel the driver releases later, so
-// purges, puts and joiners land while they are in flight. After every
+// TestModelRandomInterleavings drives seeded random Get / Purge / slow-load
+// interleavings through the cache and a plain model in lockstep. Slow loads
+// are held open on a channel the test loop releases later, so purges and
+// joiners land while they are in flight. After every
 // operation the resident set (and so the strict-LRU eviction order), the
 // byte and entry gauges, and the outcome of every Get must match the model;
 // no entry matching a purge is resident when Purge returns; a doomed or
@@ -583,10 +565,6 @@ func runModel(t *testing.T, seed int64, ops int) {
 				land(key)
 				break
 			}
-		case r < 88: // put
-			v := newVal()
-			c.Put(key, v)
-			m.insert(key, v)
 		default: // purge one video
 			video := videos[rng.Intn(len(videos))]
 			c.PurgeKeys(ofVideo(video))

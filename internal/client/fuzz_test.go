@@ -32,7 +32,8 @@ func (m manifestOnly) RoundTrip(r *http.Request) (*http.Response, error) {
 // FuzzPlayManifest plays two segments of a fuzzed manifest with a resilient
 // player, tiled delivery on and off. No payload exists, so every segment
 // degrades to frozen frames: Play must return them, or an error, and never
-// panic. The seeds are a classic and a tiled manifest from real ingests.
+// panic. The seeds are a classic and a tiled manifest from real ingests,
+// and a tiled manifest declaring an oversized panorama.
 func FuzzPlayManifest(f *testing.F) {
 	v, _ := scene.ByName("RS")
 	for _, tiled := range []bool{false, true} {
@@ -65,6 +66,12 @@ func FuzzPlayManifest(f *testing.F) {
 		}
 		f.Add(seed)
 	}
+	// A tiled manifest declaring a grid-valid 2³² × 2³¹ panorama: refused
+	// by the panorama bound, where it once reached the canvas allocation.
+	f.Add([]byte(`{"video":"RS","fps":30,"fullW":4294967296,"fullH":2147483648,"fovW":32,"fovH":32,` +
+		`"fovXDeg":150,"fovYDeg":150,` +
+		`"segmentFrames":30,"tiling":{"cols":1,"rows":1,"rungs":1,"lowDiv":2},` +
+		`"segments":[{"index":0,"frames":30,"tiles":{"lowBytes":100,"tileBytes":[[100]]}}]}`))
 	trace := headtrace.Generate(v, 0)
 	f.Fuzz(func(t *testing.T, manifest []byte) {
 		for _, tiled := range []bool{false, true} {

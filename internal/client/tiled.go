@@ -42,6 +42,12 @@ type TiledConfig struct {
 // fetch viewport is capped at the FOV-stream width.
 const fetchMarginDeg = 10
 
+// maxPanoramaPixels bounds the panorama a manifest may declare for tiled
+// playback: 8K ERP, four times the paper's 3840×1920. The session allocates
+// its assembly canvas at the declared size before any payload arrives, so a
+// hostile manifest must not choose it freely.
+const maxPanoramaPixels = 7680 * 3840
+
 // tiledSession is the per-Play state of the tiled delivery mode: the grid
 // geometry from the manifest, the policy engine, the rung controller, and
 // the modeled playback timeline whose buffer level feeds both. The head
@@ -78,6 +84,9 @@ type tiledSession struct {
 func newTiledSession(cfg TiledConfig, man *server.Manifest, hmdFOVXDeg, hmdFOVYDeg float64) (*tiledSession, error) {
 	if !cfg.Enabled || man.Tiling == nil {
 		return nil, nil
+	}
+	if man.FullW < 1 || man.FullH < 1 || man.FullW > maxPanoramaPixels/man.FullH {
+		return nil, fmt.Errorf("client: manifest panorama %dx%d outside 1..%d pixels", man.FullW, man.FullH, maxPanoramaPixels)
 	}
 	grid := tiling.Grid{Cols: man.Tiling.Cols, Rows: man.Tiling.Rows}
 	if err := grid.Validate(man.FullW, man.FullH); err != nil {

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -315,5 +316,39 @@ func TestTiledSessionRejectsShortTileTable(t *testing.T) {
 		if err == nil || ts != nil {
 			t.Errorf("%s: session built (err %v), want a manifest error", tc.name, err)
 		}
+	}
+}
+
+// TestTiledSessionBoundsPanorama: the session allocates its assembly canvas
+// at the manifest's declared size, so a panorama above maxPanoramaPixels is
+// refused first — also when its dimensions' product overflows int, as
+// 2³² × 2³¹ does — and Play returns the error instead of panicking.
+func TestTiledSessionBoundsPanorama(t *testing.T) {
+	manifest := func(w, h int) *server.Manifest {
+		return &server.Manifest{
+			FPS: 30, FullW: w, FullH: h, FOVW: 32, FOVH: 32, FOVXDeg: 150, FOVYDeg: 150, SegmentFrames: 30,
+			Tiling:   &server.TilingInfo{Cols: 1, Rows: 1, Rungs: 1, LowDiv: 2},
+			Segments: []server.SegmentInfo{{Frames: 30, OrigBytes: 1000, Tiles: &server.TileSegInfo{LowBytes: 100, TileBytes: [][]int{{100}}}}},
+		}
+	}
+	if ts, err := newTiledSession(TiledConfig{Enabled: true}, manifest(7680, 3840), 110, 110); err != nil || ts == nil {
+		t.Fatalf("8K panorama at the bound refused: %v", err)
+	}
+	for _, dims := range [][2]int{{7680, 3848}, {7688, 3840}, {1 << 32, 1 << 31}, {0, 48}, {96, -48}} {
+		ts, err := newTiledSession(TiledConfig{Enabled: true}, manifest(dims[0], dims[1]), 110, 110)
+		if err == nil || ts != nil || !strings.Contains(err.Error(), "panorama") {
+			t.Errorf("%dx%d panorama: session built (err %v), want a panorama error", dims[0], dims[1], err)
+		}
+	}
+
+	body, err := json.Marshal(manifest(1<<32, 1<<31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPlayer("http://manifest.test")
+	p.HTTP = &http.Client{Transport: manifestOnly(body)}
+	p.Tiled.Enabled = true
+	if _, _, err := p.Play("RS", hmd.NewIMU(headtrace.Generate(scene.Catalog()[0], 0)), 1); err == nil || !strings.Contains(err.Error(), "panorama") {
+		t.Errorf("Play of a 2³²×2³¹ manifest: err = %v, want a panorama error", err)
 	}
 }

@@ -137,22 +137,12 @@ func New(st *store.Store, opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// Registry exposes the router's telemetry registry (router + edge series;
-// each shard keeps its own service registry).
-func (c *Cluster) Registry() *telemetry.Registry { return c.reg }
-
 // Store exposes the shared SAS store.
 func (c *Cluster) Store() *store.Store { return c.store }
-
-// NumShards returns the configured replica count.
-func (c *Cluster) NumShards() int { return len(c.shards) }
 
 // Shard returns one replica's service — tests and reports read per-shard
 // cache and admission counters through it.
 func (c *Cluster) Shard(i int) *server.Service { return c.shards[i].svc }
-
-// LiveShards returns the indices currently on the ring, sorted.
-func (c *Cluster) LiveShards() []int { return c.currentRing().shards() }
 
 // Ingest runs the ingest pipeline once — through shard 0's service, into
 // the shared store — and publishes the manifest to every other replica.

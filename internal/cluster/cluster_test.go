@@ -11,6 +11,10 @@ import (
 	"time"
 
 	"evr/internal/cache"
+	"evr/internal/client"
+	"evr/internal/frame"
+	"evr/internal/headtrace"
+	"evr/internal/hmd"
 	"evr/internal/scene"
 	"evr/internal/server"
 	"evr/internal/store"
@@ -129,7 +133,7 @@ func TestRoutingIsStableAndPartitioned(t *testing.T) {
 	router := c.Handler()
 	paths := segmentPaths(t, router)
 
-	before := make([]int64, c.NumShards())
+	before := make([]int64, len(c.shards))
 	for i, sh := range c.Stats().Shards {
 		before[i] = sh.Requests
 	}
@@ -155,7 +159,7 @@ func TestRoutingIsStableAndPartitioned(t *testing.T) {
 		}
 	}
 	if touched < 2 {
-		t.Errorf("only %d of %d shards served segment traffic — ring not partitioning", touched, c.NumShards())
+		t.Errorf("only %d of %d shards served segment traffic — ring not partitioning", touched, len(c.shards))
 	}
 }
 
@@ -180,7 +184,7 @@ func TestShardKillFailoverChecksumIdentical(t *testing.T) {
 		if err := c.KillShard(kill); err != nil {
 			t.Fatal(err)
 		}
-		if live := c.LiveShards(); len(live) != 2 {
+		if live := c.currentRing().shards(); len(live) != 2 {
 			t.Fatalf("after killing shard %d: live shards %v", kill, live)
 		}
 		for _, p := range paths {
@@ -195,7 +199,7 @@ func TestShardKillFailoverChecksumIdentical(t *testing.T) {
 		if err := c.RestartShard(kill); err != nil {
 			t.Fatal(err)
 		}
-		if live := c.LiveShards(); len(live) != 3 {
+		if live := c.currentRing().shards(); len(live) != 3 {
 			t.Fatalf("after restarting shard %d: live shards %v", kill, live)
 		}
 		for _, p := range paths {
@@ -204,6 +208,52 @@ func TestShardKillFailoverChecksumIdentical(t *testing.T) {
 				t.Errorf("%s: corrupted after restarting shard %d (status %d)", p, kill, rec.Code)
 			}
 		}
+	}
+}
+
+// TestShardKillPlaybackPixelsIdentical plays through the router the way a
+// user does — manifest, segments, decode, display — before and after a shard
+// is killed: every user's displayed frames must be pixel-identical, and the
+// router must be running on the surviving shard.
+func TestShardKillPlaybackPixelsIdentical(t *testing.T) {
+	c := newTestCluster(t, 2, 1<<20)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	play := func(user int) []*frame.Frame {
+		t.Helper()
+		p := client.NewPlayer(ts.URL)
+		p.Workers = 1
+		_, frames, err := p.Play("CLUSTER", hmd.NewIMU(headtrace.Generate(clusterSpec(), user)), 2)
+		if err != nil {
+			t.Fatalf("user %d: %v", user, err)
+		}
+		return frames
+	}
+	const users = 3
+	before := make([][]*frame.Frame, users)
+	for u := range before {
+		before[u] = play(u)
+	}
+	if err := c.KillShard(0); err != nil {
+		t.Fatal(err)
+	}
+	for u := range before {
+		after := play(u)
+		if len(after) == 0 || len(after) != len(before[u]) {
+			t.Fatalf("user %d: %d frames after the kill, %d before", u, len(after), len(before[u]))
+		}
+		for i := range after {
+			if !after[i].Equal(before[u][i]) {
+				t.Fatalf("user %d frame %d: pixels differ across the shard kill", u, i)
+			}
+		}
+	}
+	st := c.Stats()
+	if st.Router.Requests == 0 || st.Router.LiveShards != 1 {
+		t.Errorf("cluster stats: %d requests, %d live shards", st.Router.Requests, st.Router.LiveShards)
+	}
+	if st.Edge == nil || st.Edge.Hits == 0 {
+		t.Error("edge cache absorbed nothing across the replayed sessions")
 	}
 }
 
@@ -254,7 +304,7 @@ func TestKillAllShardsShedsThenRecovers(t *testing.T) {
 	c := newTestCluster(t, 2, -1)
 	router := c.Handler()
 
-	for i := 0; i < c.NumShards(); i++ {
+	for i := 0; i < len(c.shards); i++ {
 		if err := c.KillShard(i); err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +360,7 @@ func TestClusterSoakUnderTopologyChurn(t *testing.T) {
 				return
 			default:
 			}
-			victim := i % c.NumShards()
+			victim := i % len(c.shards)
 			c.KillShard(victim)
 			time.Sleep(2 * time.Millisecond)
 			c.RestartShard(victim)

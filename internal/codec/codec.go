@@ -100,10 +100,6 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	return &Encoder{cfg: cfg}, nil
 }
 
-// ForceKeyframe makes the next encoded frame an I-frame, starting a new GOP
-// — used by the server at temporal-segment boundaries.
-func (e *Encoder) ForceKeyframe() { e.count = 0 }
-
 // Header flag bits. flagSkipCBP marks the P-block syntax of the package
 // comment; every stream this package writes sets it and the decoder
 // refuses a stream without it, so a payload from before the syntax change

@@ -186,7 +186,12 @@ func TestGOPStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{0, 4, 8}
-	got := bs.KeyframeIndices()
+	var got []int
+	for i, ft := range bs.Types {
+		if ft == IFrame {
+			got = append(got, i)
+		}
+	}
 	if len(got) != len(want) {
 		t.Fatalf("keyframes at %v, want %v", got, want)
 	}
@@ -194,21 +199,6 @@ func TestGOPStructure(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("keyframes at %v, want %v", got, want)
 		}
-	}
-}
-
-func TestForceKeyframe(t *testing.T) {
-	enc, _ := NewEncoder(Config{GOP: 100, Quality: 4, SearchRange: 2})
-	f := noisyGradient(16, 16, 7)
-	if _, ft, _ := enc.Encode(f); ft != IFrame {
-		t.Fatal("first frame must be I")
-	}
-	if _, ft, _ := enc.Encode(f); ft != PFrame {
-		t.Fatal("second frame should be P")
-	}
-	enc.ForceKeyframe()
-	if _, ft, _ := enc.Encode(f); ft != IFrame {
-		t.Fatal("forced keyframe not honored")
 	}
 }
 

@@ -12,7 +12,9 @@ func ExampleEncodeSequence() {
 	var frames []*frame.Frame
 	for i := 0; i < 6; i++ {
 		f := frame.New(32, 32)
-		f.Fill(byte(40*i), 128, 200)
+		for p := 0; p < len(f.Pix); p += 3 {
+			f.Pix[p], f.Pix[p+1], f.Pix[p+2] = byte(40*i), 128, 200
+		}
 		frames = append(frames, f)
 	}
 	bs, err := codec.EncodeSequence(codec.Config{GOP: 3, Quality: 4, SearchRange: 1}, frames)
@@ -23,7 +25,13 @@ func ExampleEncodeSequence() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("frames: %d, keyframes at %v\n", len(decoded), bs.KeyframeIndices())
+	var keyframes []int
+	for i, t := range bs.Types {
+		if t == codec.IFrame {
+			keyframes = append(keyframes, i)
+		}
+	}
+	fmt.Printf("frames: %d, keyframes at %v\n", len(decoded), keyframes)
 	fmt.Printf("compressed below raw: %v\n", bs.TotalBytes() < 6*frames[0].Bytes())
 	// Output:
 	// frames: 6, keyframes at [0 3]

@@ -7,15 +7,15 @@ import (
 	"evr/internal/frame"
 )
 
-// Spherically-weighted rate control (the SPORT direction, see DESIGN.md
+// Spherically-weighted bit allocation (the SPORT direction, see DESIGN.md
 // §16): an ERP panorama dedicates as many raster rows to the poles as to
 // the equator, but a polar row covers a sliver of the viewing sphere. A
 // flat per-frame byte budget therefore spends bits where no viewer can see
-// them. SphericalRateController splits the frame into latitude bands and
-// gives each band its own byte target proportional to the spherical area
-// the band covers, steering bits toward the equator.
+// them. SphericalAllocate splits the frame into latitude bands and gives
+// each band its own byte target leaning toward the spherical area the band
+// covers, steering bits toward the equator.
 
-// BandAllocation is one latitude band of a spherical rate-control split.
+// BandAllocation is one latitude band of a spherical bit-allocation split.
 type BandAllocation struct {
 	Y0, Y1      int     // raster rows [Y0, Y1), block-aligned
 	AreaFrac    float64 // fraction of the sphere the band covers
@@ -35,7 +35,7 @@ const areaBlend = 0.5
 // per-band byte targets. With weighted=true targets lean toward each
 // band's spherical area (sin-latitude difference, mixed with the raster
 // share by areaBlend); with weighted=false they are proportional to raster
-// rows, reproducing the flat controller's behaviour band-by-band. Band
+// rows, reproducing a flat per-frame budget band by band. Band
 // boundaries are aligned to the codec's 8-pixel block rows; targets use
 // largest-remainder rounding so they sum exactly to targetBytes.
 func SphericalAllocate(h, bands, targetBytes int, weighted bool) ([]BandAllocation, error) {
@@ -111,47 +111,7 @@ func SphericalAllocate(h, bands, targetBytes int, weighted bool) ([]BandAllocati
 	return out, nil
 }
 
-// SphericalRateController runs one flat RateController per latitude band,
-// each holding its band's compressed strip near the band's area-weighted
-// byte target. With a single band it contains exactly the flat controller,
-// so unweighted operation is byte-identical to RateController.
-type SphericalRateController struct {
-	bands []BandAllocation
-	rcs   []*RateController
-}
-
-// NewSphericalRateController builds a controller for h-row frames with the
-// given total per-frame byte target split across bands (area-weighted when
-// weighted is true). All bands start at initialQ.
-func NewSphericalRateController(h, bands, targetBytes, initialQ int, weighted bool) (*SphericalRateController, error) {
-	alloc, err := SphericalAllocate(h, bands, targetBytes, weighted)
-	if err != nil {
-		return nil, err
-	}
-	s := &SphericalRateController{bands: alloc}
-	for _, b := range alloc {
-		rc, err := NewRateController(b.TargetBytes, initialQ)
-		if err != nil {
-			return nil, err
-		}
-		s.rcs = append(s.rcs, rc)
-	}
-	return s, nil
-}
-
-// Bands returns the band allocations (read-only).
-func (s *SphericalRateController) Bands() []BandAllocation { return s.bands }
-
-// NumBands returns the number of latitude bands.
-func (s *SphericalRateController) NumBands() int { return len(s.bands) }
-
-// Quality returns the quantizer scale for the next frame of band i.
-func (s *SphericalRateController) Quality(i int) int { return s.rcs[i].Quality() }
-
-// Observe feeds back the compressed strip size of band i's last frame.
-func (s *SphericalRateController) Observe(i, stripBytes int) { s.rcs[i].Observe(stripBytes) }
-
-// BandedBitstream is the output of spherically rate-controlled encoding:
+// BandedBitstream is the output of banded encoding (EncodeSequenceSphericalQ):
 // one independent bitstream per latitude band, decodable back into full
 // frames with Decode.
 type BandedBitstream struct {
@@ -174,46 +134,6 @@ func (bb *BandedBitstream) TotalBytes() int {
 // copies nothing.
 func bandStrip(f *frame.Frame, y0, y1 int) *frame.Frame {
 	return &frame.Frame{W: f.W, H: y1 - y0, Pix: f.Pix[y0*f.W*3 : y1*f.W*3]}
-}
-
-// EncodeSequenceSphericalRC compresses frames under per-latitude-band rate
-// control: each band is encoded as an independent strip sequence with its
-// own RateController holding the band's area-weighted byte share. It
-// returns the banded bitstream and, per band, the quality used for each
-// frame. With bands=1 the split degenerates to the flat controller and the
-// single stream is byte-identical to EncodeSequenceRC's output.
-func EncodeSequenceSphericalRC(cfg Config, frames []*frame.Frame, targetBytesPerFrame, bands int, weighted bool) (*BandedBitstream, [][]int, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if len(frames) == 0 {
-		return nil, nil, fmt.Errorf("codec: no frames")
-	}
-	w, h := frames[0].W, frames[0].H
-	for i, f := range frames {
-		if f.W != w || f.H != h {
-			return nil, nil, fmt.Errorf("codec: frame %d is %dx%d, want %dx%d", i, f.W, f.H, w, h)
-		}
-	}
-	alloc, err := SphericalAllocate(h, bands, targetBytesPerFrame, weighted)
-	if err != nil {
-		return nil, nil, err
-	}
-	bb := &BandedBitstream{W: w, H: h, Bands: alloc}
-	qs := make([][]int, len(alloc))
-	for i, band := range alloc {
-		strips := make([]*frame.Frame, len(frames))
-		for j, f := range frames {
-			strips[j] = bandStrip(f, band.Y0, band.Y1)
-		}
-		bs, bandQs, err := EncodeSequenceRC(cfg, strips, band.TargetBytes)
-		if err != nil {
-			return nil, nil, fmt.Errorf("codec: band %d rows [%d,%d): %w", i, band.Y0, band.Y1, err)
-		}
-		bb.Streams = append(bb.Streams, bs)
-		qs[i] = bandQs
-	}
-	return bb, qs, nil
 }
 
 // EncodeSequenceSphericalQ encodes frames as independent latitude-band

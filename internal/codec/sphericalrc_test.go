@@ -105,113 +105,6 @@ func TestSphericalAllocateRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// With a single band the spherical controller is the flat controller: the
-// encoded stream must be byte-identical to EncodeSequenceRC.
-func TestSphericalRCOffIsByteIdentical(t *testing.T) {
-	frames := noiseFrames(48, 32, 6, 11)
-	cfg := DefaultConfig()
-	cfg.GOP = 3
-	const target = 2000
-	flatBS, flatQs, err := EncodeSequenceRC(cfg, frames, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, qs, err := EncodeSequenceSphericalRC(cfg, frames, target, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bb.Streams) != 1 {
-		t.Fatalf("1-band encode produced %d streams", len(bb.Streams))
-	}
-	got := bb.Streams[0]
-	if len(got.Frames) != len(flatBS.Frames) {
-		t.Fatalf("frame count %d vs %d", len(got.Frames), len(flatBS.Frames))
-	}
-	for i := range got.Frames {
-		if !bytes.Equal(got.Frames[i], flatBS.Frames[i]) {
-			t.Fatalf("frame %d differs from flat encoding", i)
-		}
-	}
-	for i := range qs[0] {
-		if qs[0][i] != flatQs[i] {
-			t.Fatalf("quality trajectory diverged at frame %d: %d vs %d", i, qs[0][i], flatQs[i])
-		}
-	}
-	// Weighting a single full-height band changes nothing either: the one
-	// band covers the whole sphere.
-	bbW, _, err := EncodeSequenceSphericalRC(cfg, frames, target, 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range bbW.Streams[0].Frames {
-		if !bytes.Equal(bbW.Streams[0].Frames[i], flatBS.Frames[i]) {
-			t.Fatalf("weighted 1-band frame %d differs from flat encoding", i)
-		}
-	}
-}
-
-func TestSphericalRCRoundTrip(t *testing.T) {
-	frames := noiseFrames(48, 64, 5, 12)
-	cfg := DefaultConfig()
-	cfg.GOP = 2
-	bb, qs, err := EncodeSequenceSphericalRC(cfg, frames, 4000, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bb.TotalBytes() <= 0 {
-		t.Fatal("empty payload")
-	}
-	if len(qs) != 4 {
-		t.Fatalf("got %d quality tracks, want 4", len(qs))
-	}
-	dec, err := bb.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec) != len(frames) {
-		t.Fatalf("decoded %d frames, want %d", len(dec), len(frames))
-	}
-	for i, d := range dec {
-		if d.W != 48 || d.H != 64 {
-			t.Fatalf("frame %d decoded as %dx%d", i, d.W, d.H)
-		}
-	}
-	// Banded encoding must decode to the same pixels as encoding each band
-	// separately would — i.e. band boundaries are seams in the bitstream,
-	// not in the reconstruction geometry: every decoded row belongs to
-	// exactly one band strip.
-	strips, err := DecodeSequence(bb.Streams[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b0 := bb.Bands[0]
-	for i := range dec {
-		got := dec[i].Pix[b0.Y0*48*3 : b0.Y1*48*3]
-		if !bytes.Equal(got, strips[i].Pix) {
-			t.Fatalf("frame %d: band-0 rows differ from the band stream", i)
-		}
-	}
-}
-
-// Per-band controllers must hold their strips near the band target, which
-// means pole strips (tiny budget) end up coarser than equator strips.
-func TestSphericalRCSteersQuality(t *testing.T) {
-	frames := noiseFrames(48, 64, 12, 13)
-	cfg := DefaultConfig()
-	cfg.GOP = 1 // adapt every frame for a fast controller response
-	bb, qs, err := EncodeSequenceSphericalRC(cfg, frames, 3000, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := len(frames) - 1
-	poleQ := qs[0][last]
-	eqQ := qs[1][last]
-	if poleQ <= eqQ {
-		t.Errorf("pole band q=%d should be coarser than equator q=%d (targets %d vs %d)",
-			poleQ, eqQ, bb.Bands[0].TargetBytes, bb.Bands[1].TargetBytes)
-	}
-}
-
 // Fixed-q banded encoding is the primitive a two-pass allocator drives: it
 // must honor the requested per-band quantizers exactly (each band stream
 // byte-identical to a standalone fixed-q encode of that strip), report

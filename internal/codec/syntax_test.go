@@ -252,7 +252,9 @@ func TestSkipOnlyForZeroVectorAndZeroResidual(t *testing.T) {
 	// Unchanged flat content: every candidate ties at SAD 0 and the search
 	// keeps the first, (−2, −2). Zero residual, nonzero vector: not a skip.
 	flat := frame.New(32, 16)
-	flat.Fill(90, 90, 90)
+	for i := 0; i < len(flat.Pix); i += 3 {
+		flat.Pix[i], flat.Pix[i+1], flat.Pix[i+2] = 90, 90, 90
+	}
 	_, stats = pFrame(Config{GOP: 2, Quality: 4, SearchRange: 2}, flat, flat)
 	if stats.skips != 0 || stats.cbp[0] != blocks {
 		t.Errorf("flat frame: %d skips, %d vector-only blocks, want 0 and %d", stats.skips, stats.cbp[0], blocks)

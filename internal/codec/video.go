@@ -25,18 +25,6 @@ func (b *Bitstream) TotalBytes() int {
 	return n
 }
 
-// KeyframeIndices returns the positions of I-frames — the points a decoder
-// may start from.
-func (b *Bitstream) KeyframeIndices() []int {
-	var idx []int
-	for i, t := range b.Types {
-		if t == IFrame {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
 // EncodeSequence compresses frames in display order with a fresh encoder.
 func EncodeSequence(cfg Config, frames []*frame.Frame) (*Bitstream, error) {
 	enc, err := NewEncoder(cfg)

@@ -250,13 +250,6 @@ func budgetViolations(e Entry) []string {
 	})
 }
 
-// BudgetFor returns the in-code error budget of a (filter, label) class —
-// the envelope other approximate render paths hold themselves to on the
-// same corpus.
-func BudgetFor(filter pt.Filter, label string) Budget {
-	return budgetFor(Case{Filter: filter, Label: label})
-}
-
 // LUTQuantBudgetFor returns the error budget for the pose-quantized mapping
 // LUT (ptlut at DefaultQuantStep with Q8 fixed-point weights) on the stress
 // corpus. Its error model differs from the fixed-point datapath's: pose

@@ -16,11 +16,10 @@ func linkWithBudget(p PolicyConfig, b float64) netsim.Link {
 // ±swing around the FOV stream size, feeding each decision back as the next
 // segment's LastMode, and returns the mode switch count and mode sequence.
 func driveWave(p PolicyConfig, segments int, fovBytes int64, swing float64, withHistory bool) (int, []Mode) {
-	trace := netsim.SquareWave(
+	trace := netsim.Trace{Steps: []netsim.Link{
 		linkWithBudget(p, float64(fovBytes)*(1+swing)),
 		linkWithBudget(p, float64(fovBytes)*(1-swing)),
-		1,
-	)
+	}}
 	last := ModeAuto
 	switches := 0
 	modes := make([]Mode, 0, segments)

@@ -62,7 +62,9 @@ func TestFrameColorRoundTrip(t *testing.T) {
 
 func TestScale(t *testing.T) {
 	f := frame.New(4, 4)
-	f.Fill(10, 20, 30)
+	for i := 0; i < len(f.Pix); i += 3 {
+		f.Pix[i], f.Pix[i+1], f.Pix[i+2] = 10, 20, 30
+	}
 	s, err := NewScaler(16, 8, 1, 1)
 	if err != nil {
 		t.Fatal(err)

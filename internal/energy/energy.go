@@ -71,9 +71,6 @@ func (l *Ledger) AddPower(c Component, watts, seconds float64) {
 // AdvanceTime extends the wall-clock duration covered by the ledger.
 func (l *Ledger) AdvanceTime(seconds float64) { l.seconds += seconds }
 
-// Seconds returns the wall-clock duration covered.
-func (l *Ledger) Seconds() float64 { return l.seconds }
-
 // Joules returns the energy charged to a component.
 func (l *Ledger) Joules(c Component) float64 { return l.joules[c] }
 

@@ -49,8 +49,8 @@ func TestLedgerTime(t *testing.T) {
 	if got := l.AveragePowerW(); got != 5 {
 		t.Errorf("average power = %v", got)
 	}
-	if l.Seconds() != 2 {
-		t.Errorf("seconds = %v", l.Seconds())
+	if l.seconds != 2 {
+		t.Errorf("seconds = %v", l.seconds)
 	}
 }
 
@@ -79,7 +79,7 @@ func TestLedgerMerge(t *testing.T) {
 	b.Add(Network, 3)
 	b.AdvanceTime(2)
 	a.Merge(b)
-	if a.Joules(Display) != 3 || a.Joules(Network) != 3 || a.Seconds() != 3 {
+	if a.Joules(Display) != 3 || a.Joules(Network) != 3 || a.seconds != 3 {
 		t.Errorf("merge wrong: %+v", a)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"evr/internal/energy"
 	"evr/internal/headtrace"
 	"evr/internal/hmp"
-	"evr/internal/sas"
 	"evr/internal/scene"
 )
 
@@ -306,20 +305,4 @@ func perUserMissRange(video string, users int) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// StorageOverheads returns per-video storage overheads at a utilization,
-// used by Fig14 consumers that want raw numbers.
-func StorageOverheads(utilization float64) map[string]float64 {
-	out := make(map[string]float64)
-	cfg := sas.DefaultConfig()
-	cfg.Utilization = utilization
-	for _, v := range scene.EvalSet() {
-		p, err := sas.BuildPlan(v, cfg)
-		if err != nil {
-			panic(err)
-		}
-		out[v.Name] = p.StorageOverhead()
-	}
-	return out
 }

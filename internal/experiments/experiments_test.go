@@ -299,16 +299,6 @@ func TestMissRateTable(t *testing.T) {
 	}
 }
 
-func TestStorageOverheads(t *testing.T) {
-	full := StorageOverheads(1.0)
-	quarter := StorageOverheads(0.25)
-	for v, f := range full {
-		if q := quarter[v]; q > f+1e-9 {
-			t.Errorf("%s: overhead at 25%% (%v) exceeds 100%% (%v)", v, q, f)
-		}
-	}
-}
-
 func TestAllRunsEverything(t *testing.T) {
 	tables := All(2)
 	if len(tables) != 13 {

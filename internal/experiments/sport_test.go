@@ -35,8 +35,10 @@ func TestSPORTFastFeasibleAndDeterministic(t *testing.T) {
 	if len(r1.Best.Plan.Regions) != len(sportRegionBounds) {
 		t.Errorf("best plan has %d regions, want %d", len(r1.Best.Plan.Regions), len(sportRegionBounds))
 	}
-	if err := r1.Best.Plan.Validate(); err != nil {
-		t.Errorf("best plan invalid: %v", err)
+	for i, r := range r1.Best.Plan.Regions {
+		if err := r.Format.Validate(); err != nil || r.MaxAbsLatDeg != sportRegionBounds[i] {
+			t.Errorf("best plan region %d = %+v, want a valid format up to %v°", i, r, sportRegionBounds[i])
+		}
 	}
 	if r1.Best.DRAMJ <= 0 || r1.Best.DRAMJ != r1.Flat.DRAMJ {
 		t.Errorf("DRAM energy should be positive and plan-independent: flat %v, best %v",

@@ -25,11 +25,11 @@ func (f Format) CORDICIterations() int {
 // again. A Core is immutable after Format.Core returns it.
 type Core struct {
 	word
-	atan                   [maxCORDICIter]int64 // angle ROM: atan(2^-i), first iters entries used
-	iters                  int
-	gain                   int64 // K = Π 1/√(1+2^-2i) over iters stages
-	free                   int64 // operands within ±free never saturate a vectoring stage
-	one, pi, halfPi, twoPi int64
+	atan              [maxCORDICIter]int64 // angle ROM: atan(2^-i), first iters entries used
+	iters             int
+	gain              int64 // K = Π 1/√(1+2^-2i) over iters stages
+	free              int64 // operands within ±free never saturate a vectoring stage
+	pi, halfPi, twoPi int64
 }
 
 // cores memoizes Core per format; building one costs ~120 libm calls.
@@ -49,7 +49,6 @@ func (f Format) Core() *Core {
 	}
 	c.gain = f.FromFloat(k).Raw
 	c.free = c.vectorFree(k)
-	c.one = c.FromInt(1)
 	c.pi = f.FromFloat(math.Pi).Raw
 	c.halfPi = f.FromFloat(math.Pi / 2).Raw
 	c.twoPi = f.FromFloat(2 * math.Pi).Raw
@@ -173,17 +172,4 @@ func (c *Core) vectorFree(k float64) int64 {
 		return 0
 	}
 	return int64(free)
-}
-
-// Asin computes arcsin(y) for y in [-1, 1] as atan2(y, sqrt(1-y²)), the
-// composition the mapping engine uses for the latitude term. Inputs outside
-// [-1, 1] are clamped.
-func (c *Core) Asin(y int64) int64 {
-	if y >= c.one {
-		return c.halfPi
-	}
-	if y <= c.Neg(c.one) {
-		return c.Neg(c.halfPi)
-	}
-	return c.Atan2(y, c.Sqrt(c.Sub(c.one, c.Mul(y, y))))
 }

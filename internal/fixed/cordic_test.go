@@ -18,23 +18,24 @@ func TestSinCosAgainstMath(t *testing.T) {
 	tol := tolFor(f)
 	for deg := -720; deg <= 720; deg += 7 {
 		a := float64(deg) * math.Pi / 180
-		s, c := f.SinCos(f.FromFloat(a))
-		if math.Abs(s.Float()-math.Sin(a)) > tol {
-			t.Errorf("sin(%d°) = %v, want %v", deg, s.Float(), math.Sin(a))
+		s, c := f.Core().SinCos(raw(f, a))
+		if math.Abs(flt(f, s)-math.Sin(a)) > tol {
+			t.Errorf("sin(%d°) = %v, want %v", deg, flt(f, s), math.Sin(a))
 		}
-		if math.Abs(c.Float()-math.Cos(a)) > tol {
-			t.Errorf("cos(%d°) = %v, want %v", deg, c.Float(), math.Cos(a))
+		if math.Abs(flt(f, c)-math.Cos(a)) > tol {
+			t.Errorf("cos(%d°) = %v, want %v", deg, flt(f, c), math.Cos(a))
 		}
 	}
 }
 
 func TestSinCosPythagoreanProperty(t *testing.T) {
 	f := Q2810
+	core := f.Core()
 	tol := tolFor(f) * 4
 	prop := func(a float64) bool {
 		a = math.Mod(a, 10)
-		s, c := f.SinCos(f.FromFloat(a))
-		sum := s.Mul(s).Add(c.Mul(c)).Float()
+		s, c := core.SinCos(raw(f, a))
+		sum := flt(f, core.Add(core.Mul(s, s), core.Mul(c, c)))
 		return math.Abs(sum-1) < tol
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(20))}); err != nil {
@@ -51,7 +52,7 @@ func TestAtan2Quadrants(t *testing.T) {
 		{0.5, 2}, {-0.25, -3}, {3, -0.5},
 	}
 	for _, c := range cases {
-		got := f.Atan2(f.FromFloat(c.y), f.FromFloat(c.x)).Float()
+		got := flt(f, f.Core().Atan2(raw(f, c.y), raw(f, c.x)))
 		want := math.Atan2(c.y, c.x)
 		// atan2(0,-1) may come back as -π; both ends are the same angle.
 		d := math.Abs(got - want)
@@ -66,7 +67,7 @@ func TestAtan2Quadrants(t *testing.T) {
 
 func TestAtan2Zero(t *testing.T) {
 	f := Q2810
-	if got := f.Atan2(f.Zero(), f.Zero()); !got.IsZero() {
+	if got := f.Core().Atan2(0, 0); got != 0 {
 		t.Errorf("atan2(0,0) = %v, want 0", got)
 	}
 }
@@ -80,7 +81,7 @@ func TestAtan2Property(t *testing.T) {
 		if math.Hypot(x, y) < 0.05 {
 			return true // too close to the singularity for fixed point
 		}
-		got := f.Atan2(f.FromFloat(y), f.FromFloat(x)).Float()
+		got := flt(f, f.Core().Atan2(raw(f, y), raw(f, x)))
 		want := math.Atan2(y, x)
 		d := math.Abs(got - want)
 		if d > math.Pi {
@@ -97,7 +98,7 @@ func TestSqrtExactSquares(t *testing.T) {
 	f := Q2810
 	tol := tolFor(f)
 	for _, x := range []float64{0, 1, 4, 9, 16, 100, 0.25, 0.0625, 2, 3, 510} {
-		got := f.Sqrt(f.FromFloat(x)).Float()
+		got := flt(f, f.Core().Sqrt(raw(f, x)))
 		if math.Abs(got-math.Sqrt(x)) > tol {
 			t.Errorf("sqrt(%v) = %v, want %v", x, got, math.Sqrt(x))
 		}
@@ -106,43 +107,23 @@ func TestSqrtExactSquares(t *testing.T) {
 
 func TestSqrtNegativeClamps(t *testing.T) {
 	f := Q2810
-	if got := f.Sqrt(f.FromFloat(-4)); !got.IsZero() {
+	if got := f.Core().Sqrt(raw(f, -4)); got != 0 {
 		t.Errorf("sqrt(-4) = %v, want 0", got)
 	}
 }
 
 func TestSqrtProperty(t *testing.T) {
 	f := Q2810
+	c := f.Core()
 	prop := func(x float64) bool {
 		x = math.Abs(math.Mod(x, 500))
-		r := f.Sqrt(f.FromFloat(x))
-		back := r.Mul(r).Float()
+		r := c.Sqrt(raw(f, x))
+		back := flt(f, c.Mul(r, r))
 		// sqrt then square must land within a few ulps scaled by the value.
 		return math.Abs(back-x) <= (math.Sqrt(x)+1)*tolFor(f)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(22))}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAsinAgainstMath(t *testing.T) {
-	f := Q2810
-	tol := tolFor(f) * 4
-	for y := -0.95; y <= 0.95; y += 0.05 {
-		got := f.Asin(f.FromFloat(y)).Float()
-		if math.Abs(got-math.Asin(y)) > tol {
-			t.Errorf("asin(%v) = %v, want %v", y, got, math.Asin(y))
-		}
-	}
-}
-
-func TestAsinClamps(t *testing.T) {
-	f := Q2810
-	if got := f.Asin(f.FromFloat(2)).Float(); math.Abs(got-math.Pi/2) > 1e-3 {
-		t.Errorf("asin(2) = %v, want π/2", got)
-	}
-	if got := f.Asin(f.FromFloat(-2)).Float(); math.Abs(got+math.Pi/2) > 1e-3 {
-		t.Errorf("asin(-2) = %v, want -π/2", got)
 	}
 }
 
@@ -153,10 +134,10 @@ func TestPrecisionImprovesWithWidth(t *testing.T) {
 	var errNarrow, errWide float64
 	for deg := 0; deg < 360; deg += 11 {
 		a := float64(deg) * math.Pi / 180
-		sn, _ := narrow.SinCos(narrow.FromFloat(a))
-		sw, _ := wide.SinCos(wide.FromFloat(a))
-		errNarrow += math.Abs(sn.Float() - math.Sin(a))
-		errWide += math.Abs(sw.Float() - math.Sin(a))
+		sn, _ := narrow.Core().SinCos(raw(narrow, a))
+		sw, _ := wide.Core().SinCos(raw(wide, a))
+		errNarrow += math.Abs(flt(narrow, sn) - math.Sin(a))
+		errWide += math.Abs(flt(wide, sw) - math.Sin(a))
 	}
 	if errWide >= errNarrow {
 		t.Errorf("wide error %v should beat narrow error %v", errWide, errNarrow)

@@ -7,9 +7,9 @@ import (
 
 // word holds the constants every raw operation of one Format needs — in
 // hardware, the datapath width wired into each stage's saturator and the
-// MAC's rounding term. It is cheap to derive (Format.word), so the Fix
-// methods build one per call; Core embeds one beside the CORDIC ROM so a
-// per-pixel loop derives it once. Its methods are the package's only
+// MAC's rounding term. It is cheap to derive (Format.word), so the Format
+// constructors build one per call; Core embeds one beside the CORDIC ROM so
+// a per-pixel loop derives it once. Its methods are the package's only
 // arithmetic: they take and return raw two's-complement values, each
 // saturated to the format like a stage's output register.
 //
@@ -143,20 +143,6 @@ func (w *word) Div(a, b int64) int64 {
 		return w.Sat(-int64(q))
 	}
 	return w.Sat(int64(q))
-}
-
-// Shl returns a << n, saturated.
-func (w *word) Shl(a int64, n uint) int64 {
-	for ; n > 0; n-- {
-		if a<<1>>1 != a { // the shift would overflow int64 itself
-			if a > 0 {
-				return w.max
-			}
-			return w.min
-		}
-		a <<= 1
-	}
-	return w.Sat(a)
 }
 
 // Sqrt returns the square root of a non-negative value, truncated — the

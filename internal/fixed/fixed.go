@@ -10,14 +10,14 @@
 //
 // All arithmetic saturates instead of wrapping, matching the modeled RTL:
 // overflow in a hardware datapath is clamped by the saturation logic at each
-// stage's output register. Transcendental functions (Atan2, SinCos, Asin) are
+// stage's output register. Transcendental functions (Atan2, SinCos) are
 // computed with CORDIC in the same format, and Sqrt as an exact integer
 // floor-root, so quantization error accumulates exactly as it would in the
 // accelerator — this is what makes the Fig. 11 sweep meaningful.
 //
 // There is one arithmetic: Core (core.go, cordic.go), which works on raw
-// int64 values with a format's constants derived once. Fix is the
-// self-describing value type over it for code that is not per-pixel.
+// int64 values with a format's constants derived once. Fix is a raw value
+// tagged with its format, as the Format constructors return it.
 package fixed
 
 import (
@@ -58,12 +58,6 @@ type Fix struct {
 	Fmt Format
 }
 
-// FromRaw builds a value from a raw integer, saturating to the format.
-func (f Format) FromRaw(raw int64) Fix {
-	w := f.word()
-	return Fix{Raw: w.Sat(raw), Fmt: f}
-}
-
 // FromFloat quantizes x (round-to-nearest) into the format, saturating.
 func (f Format) FromFloat(x float64) Fix {
 	w := f.word()
@@ -86,116 +80,5 @@ func (f Format) FromInt(x int) Fix {
 	return Fix{Raw: w.FromInt(x), Fmt: f}
 }
 
-// Zero returns 0 in the format.
-func (f Format) Zero() Fix { return Fix{Fmt: f} }
-
 // One returns 1.0 in the format (saturated if 1.0 is not representable).
 func (f Format) One() Fix { return f.FromInt(1) }
-
-// Pi returns π in the format.
-func (f Format) Pi() Fix { return f.FromFloat(math.Pi) }
-
-// HalfPi returns π/2 in the format.
-func (f Format) HalfPi() Fix { return f.FromFloat(math.Pi / 2) }
-
-// Epsilon returns the smallest positive representable value.
-func (f Format) Epsilon() Fix { return Fix{Raw: 1, Fmt: f} }
-
-// Float converts the value back to float64.
-func (a Fix) Float() float64 {
-	return float64(a.Raw) / float64(uint64(1)<<uint(a.Fmt.FracBits()))
-}
-
-// Int returns the integer part, truncating toward negative infinity.
-func (a Fix) Int() int { return int(a.Raw >> uint(a.Fmt.FracBits())) }
-
-// String implements fmt.Stringer.
-func (a Fix) String() string { return fmt.Sprintf("%g%s", a.Float(), a.Fmt) }
-
-// Add returns a+b saturated. Both operands must share a format.
-func (a Fix) Add(b Fix) Fix {
-	w := a.Fmt.word()
-	return Fix{Raw: w.Add(a.Raw, b.Raw), Fmt: a.Fmt}
-}
-
-// Sub returns a-b saturated.
-func (a Fix) Sub(b Fix) Fix {
-	w := a.Fmt.word()
-	return Fix{Raw: w.Sub(a.Raw, b.Raw), Fmt: a.Fmt}
-}
-
-// Neg returns -a saturated.
-func (a Fix) Neg() Fix {
-	w := a.Fmt.word()
-	return Fix{Raw: w.Neg(a.Raw), Fmt: a.Fmt}
-}
-
-// Abs returns |a| saturated.
-func (a Fix) Abs() Fix {
-	w := a.Fmt.word()
-	return Fix{Raw: w.Abs(a.Raw), Fmt: a.Fmt}
-}
-
-// Cmp returns -1, 0, or +1 as a is less than, equal to, or greater than b.
-func (a Fix) Cmp(b Fix) int {
-	switch {
-	case a.Raw < b.Raw:
-		return -1
-	case a.Raw > b.Raw:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// IsZero reports whether the value is exactly zero.
-func (a Fix) IsZero() bool { return a.Raw == 0 }
-
-// Mul returns a·b with a full-width intermediate product, rounded to nearest
-// and saturated — the behaviour of a hardware MAC with a wide accumulator
-// and an output saturator.
-func (a Fix) Mul(b Fix) Fix {
-	w := a.Fmt.word()
-	return Fix{Raw: w.Mul(a.Raw, b.Raw), Fmt: a.Fmt}
-}
-
-// Div returns a/b rounded toward zero and saturated. Division by zero
-// saturates to the sign of a (the RTL raises a sticky flag and clamps).
-func (a Fix) Div(b Fix) Fix {
-	w := a.Fmt.word()
-	return Fix{Raw: w.Div(a.Raw, b.Raw), Fmt: a.Fmt}
-}
-
-// MulInt returns a·k for a plain integer k, saturated.
-func (a Fix) MulInt(k int) Fix {
-	w := a.Fmt.word()
-	return Fix{Raw: w.MulInt(a.Raw, k), Fmt: a.Fmt}
-}
-
-// Shr returns a >> n (arithmetic), the hardware's cheap divide-by-2ⁿ.
-func (a Fix) Shr(n uint) Fix { return Fix{Raw: a.Raw >> n, Fmt: a.Fmt} }
-
-// Shl returns a << n, saturated.
-func (a Fix) Shl(n uint) Fix {
-	w := a.Fmt.word()
-	return Fix{Raw: w.Shl(a.Raw, n), Fmt: a.Fmt}
-}
-
-// SinCos computes sin(a) and cos(a) with CORDIC in rotation mode; see
-// Core.SinCos.
-func (f Format) SinCos(a Fix) (sin, cos Fix) {
-	s, c := f.Core().SinCos(a.Raw)
-	return Fix{Raw: s, Fmt: f}, Fix{Raw: c, Fmt: f}
-}
-
-// Atan2 computes atan2(y, x) with CORDIC in vectoring mode; see Core.Atan2.
-func (f Format) Atan2(y, x Fix) Fix { return Fix{Raw: f.Core().Atan2(y.Raw, x.Raw), Fmt: f} }
-
-// Sqrt computes the square root of a non-negative value; see Core.Sqrt.
-func (f Format) Sqrt(a Fix) Fix {
-	w := f.word()
-	return Fix{Raw: w.Sqrt(a.Raw), Fmt: f}
-}
-
-// Asin computes arcsin(y) for y in [-1, 1]; see Core.Asin.
-func (f Format) Asin(y Fix) Fix { return Fix{Raw: f.Core().Asin(y.Raw), Fmt: f} }

@@ -126,21 +126,6 @@ func refMulInt(a Fix, k int) Fix {
 	return refFromRaw(a.Fmt, refShiftRight128(hi, lo, 0))
 }
 
-func refShl(a Fix, n uint) Fix {
-	r := a.Raw
-	for i := uint(0); i < n; i++ {
-		r2 := r << 1
-		if (r2 >> 1) != r {
-			if r > 0 {
-				return Fix{Raw: refMaxRaw(a.Fmt), Fmt: a.Fmt}
-			}
-			return Fix{Raw: refMinRaw(a.Fmt), Fmt: a.Fmt}
-		}
-		r = r2
-	}
-	return refFromRaw(a.Fmt, r)
-}
-
 func refAbs64(x int64) int64 {
 	if x < 0 {
 		return -x
@@ -314,16 +299,4 @@ func refSqrt128(hi, lo uint64) uint64 {
 		}
 	}
 	return root
-}
-
-func refAsin(f Format, y Fix) Fix {
-	one := refFromInt(f, 1)
-	if refCmp(y, one) >= 0 {
-		return refFromFloat(f, math.Pi/2)
-	}
-	if refCmp(y, refNeg(one)) <= 0 {
-		return refNeg(refFromFloat(f, math.Pi/2))
-	}
-	c := refSqrt(f, refSub(one, refMul(y, y)))
-	return refAtan2(f, y, c)
 }

@@ -102,13 +102,6 @@ func (f *Frame) AtWrapX(x, y int) (r, g, b byte) {
 	return f.Pix[i], f.Pix[i+1], f.Pix[i+2]
 }
 
-// Fill sets every pixel to the given color.
-func (f *Frame) Fill(r, g, b byte) {
-	for i := 0; i < len(f.Pix); i += 3 {
-		f.Pix[i], f.Pix[i+1], f.Pix[i+2] = r, g, b
-	}
-}
-
 // Luma returns the integer BT.601 luma of the pixel at (x, y), in [0, 255].
 func (f *Frame) Luma(x, y int) int {
 	r, g, b := f.At(x, y)

@@ -71,19 +71,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestFill(t *testing.T) {
-	f := New(3, 2)
-	f.Fill(7, 8, 9)
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			r, g, b := f.At(x, y)
-			if r != 7 || g != 8 || b != 9 {
-				t.Fatalf("pixel (%d,%d) = %d,%d,%d", x, y, r, g, b)
-			}
-		}
-	}
-}
-
 func TestLuma(t *testing.T) {
 	f := New(1, 1)
 	f.Set(0, 0, 255, 255, 255)
@@ -143,7 +130,9 @@ func TestMAEAndPSNR(t *testing.T) {
 	if !math.IsInf(PSNR(a, b), 1) {
 		t.Error("identical frames should have infinite PSNR")
 	}
-	b.Fill(255, 255, 255)
+	for i := 0; i < len(b.Pix); i += 3 {
+		b.Pix[i], b.Pix[i+1], b.Pix[i+2] = 255, 255, 255
+	}
 	if got := MAE(a, b); got != 1 {
 		t.Errorf("max MAE = %v, want 1", got)
 	}

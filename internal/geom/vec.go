@@ -23,23 +23,11 @@ type Vec3 struct {
 // Add returns v + w.
 func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
 
-// Sub returns v - w.
-func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
-
 // Scale returns v scaled by s.
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 
 // Dot returns the dot product v · w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
-
-// Cross returns the cross product v × w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
 
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
@@ -54,22 +42,8 @@ func (v Vec3) Normalize() Vec3 {
 	return v.Scale(1 / n)
 }
 
-// Lerp returns the linear interpolation between v and w at parameter t.
-func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
-	return Vec3{
-		v.X + (w.X-v.X)*t,
-		v.Y + (w.Y-v.Y)*t,
-		v.Z + (w.Z-v.Z)*t,
-	}
-}
-
 // Mat3 is a 3×3 row-major matrix.
 type Mat3 [3][3]float64
-
-// Identity3 returns the 3×3 identity matrix.
-func Identity3() Mat3 {
-	return Mat3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-}
 
 // Mul returns the matrix product m × n.
 func (m Mat3) Mul(n Mat3) Mat3 {

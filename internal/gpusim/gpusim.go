@@ -86,17 +86,6 @@ type Stats struct {
 	EnergyJoules  float64
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(o Stats) {
-	s.Frames += o.Frames
-	s.Pixels += o.Pixels
-	s.TexelFetches += o.TexelFetches
-	s.CacheMisses += o.CacheMisses
-	s.DRAMReadBytes += o.DRAMReadBytes
-	s.ActiveSeconds += o.ActiveSeconds
-	s.EnergyJoules += o.EnergyJoules
-}
-
 // GPU is a texture-mapping GPU instance. Not safe for concurrent use.
 type GPU struct {
 	cfg   Config
@@ -111,15 +100,6 @@ func New(cfg Config) (*GPU, error) {
 	}
 	return &GPU{cfg: cfg, cache: newTexCache(cfg.CacheBytes, cfg.CacheLineB, cfg.CacheWays)}, nil
 }
-
-// Config returns the GPU's configuration.
-func (g *GPU) Config() Config { return g.cfg }
-
-// Stats returns the accumulated counters.
-func (g *GPU) Stats() Stats { return g.stats }
-
-// ResetStats clears the counters.
-func (g *GPU) ResetStats() { g.stats = Stats{} }
 
 // Render executes one PT frame as texture mapping and returns the FOV frame.
 //

@@ -69,7 +69,7 @@ func TestStatsAndEnergy(t *testing.T) {
 	g, _ := New(cfg)
 	full := grad(128, 64)
 	g.Render(full, geom.Orientation{})
-	s := g.Stats()
+	s := g.stats
 	if s.Frames != 1 || s.Pixels != 1600 {
 		t.Errorf("stats = %+v", s)
 	}
@@ -86,10 +86,6 @@ func TestStatsAndEnergy(t *testing.T) {
 	if math.Abs(s.EnergyJoules-wantE) > 1e-12 {
 		t.Errorf("energy = %v, want %v", s.EnergyJoules, wantE)
 	}
-	g.ResetStats()
-	if g.Stats() != (Stats{}) {
-		t.Error("ResetStats did not clear")
-	}
 }
 
 func TestNearestFetchesOnePerPixel(t *testing.T) {
@@ -97,7 +93,7 @@ func TestNearestFetchesOnePerPixel(t *testing.T) {
 	ptCfg.Filter = pt.Nearest
 	g, _ := New(DefaultConfig(ptCfg))
 	g.Render(grad(128, 64), geom.Orientation{})
-	if s := g.Stats(); s.TexelFetches != 1600 {
+	if s := g.stats; s.TexelFetches != 1600 {
 		t.Errorf("nearest fetches = %d, want 1600", s.TexelFetches)
 	}
 }
@@ -108,9 +104,9 @@ func TestCacheLocalityAcrossFrames(t *testing.T) {
 	g, _ := New(DefaultConfig(testPTConfig()))
 	full := grad(96, 48)
 	g.Render(full, geom.Orientation{})
-	firstMisses := g.Stats().CacheMisses
+	firstMisses := g.stats.CacheMisses
 	g.Render(full, geom.Orientation{})
-	if total := g.Stats().CacheMisses; total >= 2*firstMisses {
+	if total := g.stats.CacheMisses; total >= 2*firstMisses {
 		t.Errorf("no reuse across frames: %d then %d", firstMisses, total-firstMisses)
 	}
 }
@@ -121,14 +117,6 @@ func TestFrameEnergyJ(t *testing.T) {
 	want := 1600.0/cfg.ThroughputPixPS*cfg.ActivePowerW + cfg.StackEnergyJ
 	if math.Abs(got-want) > 1e-15 {
 		t.Errorf("FrameEnergyJ = %v, want %v", got, want)
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Frames: 1, Pixels: 2, EnergyJoules: 0.5}
-	a.Add(Stats{Frames: 1, Pixels: 3, EnergyJoules: 0.25, CacheMisses: 7})
-	if a.Frames != 2 || a.Pixels != 5 || a.EnergyJoules != 0.75 || a.CacheMisses != 7 {
-		t.Errorf("Add = %+v", a)
 	}
 }
 
@@ -245,7 +233,7 @@ func TestSeamFetchesChargeTheTexelsTheFilterReads(t *testing.T) {
 				t.Errorf("%s: model touched tile %d, which the filter never reads", tc.name, tile)
 			}
 		}
-		if s := g.Stats(); s.TexelFetches != fetches || s.CacheMisses != int64(len(want)) {
+		if s := g.stats; s.TexelFetches != fetches || s.CacheMisses != int64(len(want)) {
 			t.Errorf("%s: %d fetches / %d misses, want %d / %d", tc.name, s.TexelFetches, s.CacheMisses, fetches, len(want))
 		}
 	}

@@ -3,22 +3,16 @@
 // neural network, so the server can pre-render the exact FOV stream without
 // tracking object semantics.
 //
-// The comparison needs only two ingredients, both modeled here:
+// The comparison needs only two ingredients:
 //
-//   - a perfect-prediction oracle (the paper generously assumes 100%
-//     accuracy, so every frame is a FOV hit and no fallback ever happens);
-//   - the energy cost of running the predictor per frame on a dedicated
-//     mobile DNN accelerator — a 24×24 systolic array at 1 GHz, the
-//     SCALE-Sim configuration the paper cites — which is the overhead that
-//     makes on-device prediction lose to SAS despite its perfect hits.
+//   - perfect prediction (the paper generously assumes 100% accuracy, so
+//     the Fig 16 comparison counts every frame as a FOV hit and no fallback
+//     ever happens);
+//   - the energy cost, modeled here, of running the predictor per frame on
+//     a dedicated mobile DNN accelerator — a 24×24 systolic array at 1 GHz,
+//     the SCALE-Sim configuration the paper cites — which is the overhead
+//     that makes on-device prediction lose to SAS despite its perfect hits.
 package hmp
-
-import (
-	"fmt"
-
-	"evr/internal/geom"
-	"evr/internal/headtrace"
-)
 
 // Accelerator is a roofline model of a systolic-array DNN accelerator.
 type Accelerator struct {
@@ -39,20 +33,6 @@ func MobileAccelerator() Accelerator {
 		ActiveW:     1.2,
 		DRAMJPerB:   0.35e-9,
 	}
-}
-
-// Validate reports whether the accelerator model is usable.
-func (a Accelerator) Validate() error {
-	if a.Rows < 1 || a.Cols < 1 {
-		return fmt.Errorf("hmp: array %dx%d must be positive", a.Rows, a.Cols)
-	}
-	if a.ClockHz <= 0 || a.ActiveW <= 0 {
-		return fmt.Errorf("hmp: clock/power must be positive")
-	}
-	if a.Utilization <= 0 || a.Utilization > 1 {
-		return fmt.Errorf("hmp: utilization %v out of (0, 1]", a.Utilization)
-	}
-	return nil
 }
 
 // Model describes the predictor network's per-inference work. The paper's
@@ -89,51 +69,4 @@ func (a Accelerator) PerFrameOverheadJ(m Model, fps int) float64 {
 		return 0
 	}
 	return a.InferenceEnergyJ(m)
-}
-
-// Oracle is the perfect head-motion predictor of §8.5: it "predicts" the
-// future orientation by reading the recorded trace.
-type Oracle struct {
-	trace headtrace.Trace
-}
-
-// NewOracle wraps a trace.
-func NewOracle(trace headtrace.Trace) *Oracle { return &Oracle{trace: trace} }
-
-// Predict returns the orientation horizon frames ahead of frame f, exactly.
-func (o *Oracle) Predict(f, horizon int) geom.Orientation {
-	i := f + horizon
-	if len(o.trace.Samples) == 0 {
-		return geom.Orientation{}
-	}
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(o.trace.Samples) {
-		i = len(o.trace.Samples) - 1
-	}
-	return o.trace.Samples[i].O
-}
-
-// Accuracy returns the fraction of predictions within tolRad of the truth —
-// by construction 1.0 for the oracle; present so alternative predictors can
-// be dropped in and measured.
-func (o *Oracle) Accuracy(horizon int, tolRad float64) float64 {
-	if len(o.trace.Samples) == 0 {
-		return 1
-	}
-	hits := 0
-	for f := range o.trace.Samples {
-		if o.Predict(f, horizon).AngularDistance(o.trace.Samples[minInt(f+horizon, len(o.trace.Samples)-1)].O) <= tolRad {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(o.trace.Samples))
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

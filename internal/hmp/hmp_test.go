@@ -3,31 +3,7 @@ package hmp
 import (
 	"math"
 	"testing"
-
-	"evr/internal/headtrace"
-	"evr/internal/scene"
 )
-
-func TestAcceleratorValidate(t *testing.T) {
-	if err := MobileAccelerator().Validate(); err != nil {
-		t.Fatalf("mobile accelerator invalid: %v", err)
-	}
-	bad := MobileAccelerator()
-	bad.Rows = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero rows accepted")
-	}
-	bad = MobileAccelerator()
-	bad.Utilization = 1.5
-	if err := bad.Validate(); err == nil {
-		t.Error("utilization over 1 accepted")
-	}
-	bad = MobileAccelerator()
-	bad.ActiveW = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero power accepted")
-	}
-}
 
 func TestMobileAcceleratorMatchesPaper(t *testing.T) {
 	a := MobileAccelerator()
@@ -79,33 +55,5 @@ func TestPerFrameOverhead(t *testing.T) {
 	}
 	if got := a.PerFrameOverheadJ(m, 0); got != 0 {
 		t.Error("zero FPS should cost nothing")
-	}
-}
-
-func TestOraclePredicts(t *testing.T) {
-	v, _ := scene.ByName("RS")
-	tr := headtrace.Generate(v, 0)
-	o := NewOracle(tr)
-	if got := o.Predict(10, 5); got != tr.Samples[15].O {
-		t.Error("oracle mispredicted")
-	}
-	// Clamping at both ends.
-	if got := o.Predict(-10, 0); got != tr.Samples[0].O {
-		t.Error("negative index should clamp")
-	}
-	last := len(tr.Samples) - 1
-	if got := o.Predict(last, 100); got != tr.Samples[last].O {
-		t.Error("overflow should clamp")
-	}
-	if acc := o.Accuracy(5, 0.01); acc != 1 {
-		t.Errorf("oracle accuracy = %v, want 1", acc)
-	}
-}
-
-func TestOracleEmptyTrace(t *testing.T) {
-	o := NewOracle(headtrace.Trace{})
-	_ = o.Predict(0, 1) // must not panic
-	if acc := o.Accuracy(1, 0.1); acc != 1 {
-		t.Errorf("empty-trace accuracy = %v", acc)
 	}
 }

@@ -11,7 +11,6 @@ type Predictor interface {
 	// Predict returns the expected orientation horizon frames after frame
 	// f, using only samples up to and including f.
 	Predict(tr headtrace.Trace, f, horizon int) geom.Orientation
-	Name() string
 }
 
 // LinearPredictor extrapolates at the current angular velocity — the
@@ -22,9 +21,6 @@ type LinearPredictor struct {
 	// VelocityWindow is how many trailing frames estimate the velocity.
 	VelocityWindow int
 }
-
-// Name implements Predictor.
-func (LinearPredictor) Name() string { return "linear" }
 
 // Predict implements Predictor.
 func (p LinearPredictor) Predict(tr headtrace.Trace, f, horizon int) geom.Orientation {
@@ -57,18 +53,6 @@ func (p LinearPredictor) Predict(tr headtrace.Trace, f, horizon int) geom.Orient
 		Pitch: cur.Pitch + (cur.Pitch-prev.Pitch)*scale,
 		Roll:  cur.Roll,
 	}.Normalize()
-}
-
-// OraclePredictor adapts Oracle to the Predictor interface: the §8.5
-// perfect predictor.
-type OraclePredictor struct{}
-
-// Name implements Predictor.
-func (OraclePredictor) Name() string { return "oracle" }
-
-// Predict implements Predictor.
-func (OraclePredictor) Predict(tr headtrace.Trace, f, horizon int) geom.Orientation {
-	return NewOracle(tr).Predict(f, horizon)
 }
 
 // MeasureAccuracy returns the fraction of frames where the prediction lands

@@ -7,7 +7,6 @@
 package latency
 
 import (
-	"fmt"
 	"sort"
 )
 
@@ -24,22 +23,6 @@ type Pipeline struct {
 	// VSyncHz is the display refresh; a finished frame waits for the next
 	// scanout boundary (half a period on average).
 	VSyncHz float64
-}
-
-// Validate reports whether the pipeline is usable.
-func (p Pipeline) Validate() error {
-	if len(p.Stages) == 0 {
-		return fmt.Errorf("latency: pipeline has no stages")
-	}
-	for _, s := range p.Stages {
-		if s.Seconds < 0 {
-			return fmt.Errorf("latency: stage %q has negative latency", s.Name)
-		}
-	}
-	if p.VSyncHz <= 0 {
-		return fmt.Errorf("latency: vsync %v Hz must be positive", p.VSyncHz)
-	}
-	return nil
 }
 
 // MotionToPhotonSeconds returns the end-to-end latency of one frame: the

@@ -11,21 +11,6 @@ import (
 	"evr/internal/pte"
 )
 
-func TestValidate(t *testing.T) {
-	if err := GPUPipeline(60).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := (Pipeline{VSyncHz: 60}).Validate(); err == nil {
-		t.Error("empty pipeline accepted")
-	}
-	if err := (Pipeline{Stages: []Stage{{"s", -1}}, VSyncHz: 60}).Validate(); err == nil {
-		t.Error("negative stage accepted")
-	}
-	if err := (Pipeline{Stages: []Stage{{"s", 1}}, VSyncHz: 0}).Validate(); err == nil {
-		t.Error("zero vsync accepted")
-	}
-}
-
 func TestMotionToPhotonOrdering(t *testing.T) {
 	// SAS hit < PTE < GPU: every step the paper removes shortens the
 	// photon path too.

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"evr/internal/client"
 	"evr/internal/delivery"
@@ -208,29 +207,6 @@ func aggregateClasses(fs *fleetState, results []UserResult) []ClassStats {
 		}
 	}
 	return out
-}
-
-// ClassByName returns the named class stats from a report, false when the
-// report has no such class.
-func (r *Report) ClassByName(name string) (ClassStats, bool) {
-	for _, cs := range r.Classes {
-		if cs.Name == name {
-			return cs, true
-		}
-	}
-	return ClassStats{}, false
-}
-
-// BehindLiveP99 returns the worst per-class freshness p99 across the
-// report, as a duration — the survival gate's headline SLO number.
-func (r *Report) BehindLiveP99() time.Duration {
-	worst := 0.0
-	for _, cs := range r.Classes {
-		if cs.BehindLiveP99Sec > worst {
-			worst = cs.BehindLiveP99Sec
-		}
-	}
-	return time.Duration(worst * float64(time.Second))
 }
 
 // classVideos lists the distinct videos a fleet plays, sorted.

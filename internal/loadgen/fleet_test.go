@@ -14,6 +14,16 @@ import (
 // assigns users to classes in declaration order, threads
 // each user's class through WrapTransport, and reports per-class stats
 // whose totals reconcile with the flat results.
+// classNamed returns the named class stats from a report.
+func classNamed(rep *Report, name string) (ClassStats, bool) {
+	for _, cs := range rep.Classes {
+		if cs.Name == name {
+			return cs, true
+		}
+	}
+	return ClassStats{}, false
+}
+
 func TestFleetClassesRunAndAggregate(t *testing.T) {
 	svc := soakService(t, server.DefaultServiceOptions())
 	baseURL, shutdown, err := Serve(svc)
@@ -79,11 +89,11 @@ func TestFleetClassesRunAndAggregate(t *testing.T) {
 	if len(rep.Classes) != 2 {
 		t.Fatalf("report has %d classes, want 2", len(rep.Classes))
 	}
-	har, ok := rep.ClassByName("har-fov")
+	har, ok := classNamed(rep, "har-fov")
 	if !ok || har.Users != 2 || har.Sessions != 4 {
 		t.Errorf("har-fov stats: ok=%v users=%d sessions=%d, want 2 users × 2 passes", ok, har.Users, har.Sessions)
 	}
-	sw, ok := rep.ClassByName("sw-orig")
+	sw, ok := classNamed(rep, "sw-orig")
 	if !ok || sw.Users != 3 || sw.Sessions != 6 {
 		t.Errorf("sw-orig stats: ok=%v users=%d sessions=%d, want 3 users × 2 passes", ok, sw.Users, sw.Sessions)
 	}

@@ -1,7 +1,5 @@
 package netsim
 
-import "sort"
-
 // Named link classes for heterogeneous-fleet and chaos runs. Every class
 // validates; "wifi300" is the paper's evaluation link.
 var classes = map[string]Link{
@@ -16,16 +14,6 @@ var classes = map[string]Link{
 func ClassByName(name string) (Link, bool) {
 	l, ok := classes[name]
 	return l, ok
-}
-
-// ClassNames returns the known class names, sorted, for error messages.
-func ClassNames() []string {
-	names := make([]string, 0, len(classes))
-	for n := range classes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Trace is a cyclic per-segment link schedule: segment i sees Steps[i mod
@@ -45,30 +33,4 @@ func (t Trace) At(i int) Link {
 		i = -i
 	}
 	return t.Steps[i%len(t.Steps)]
-}
-
-// Validate checks every step.
-func (t Trace) Validate() error {
-	for _, s := range t.Steps {
-		if err := s.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SquareWave builds a trace alternating between a and b every period
-// segments (a for segments [0,period), b for [period,2·period), …).
-func SquareWave(a, b Link, period int) Trace {
-	if period < 1 {
-		period = 1
-	}
-	steps := make([]Link, 0, 2*period)
-	for i := 0; i < period; i++ {
-		steps = append(steps, a)
-	}
-	for i := 0; i < period; i++ {
-		steps = append(steps, b)
-	}
-	return Trace{Steps: steps}
 }

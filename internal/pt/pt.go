@@ -243,20 +243,3 @@ func (c Config) renderRows(full *frame.Frame, o geom.Orientation, out *frame.Fra
 		p[0], p[1], p[2] = c.Sample(full, u, v)
 	})
 }
-
-// Stats describes the arithmetic work of one PT frame, used by the energy
-// models: the pixel count and the number of input-pixel fetches.
-type Stats struct {
-	OutputPixels int
-	Fetches      int
-}
-
-// Cost returns the work statistics for one rendered frame under c.
-func (c Config) Cost() Stats {
-	px := c.Viewport.Pixels()
-	fetch := px
-	if c.Filter == Bilinear {
-		fetch = 4 * px
-	}
-	return Stats{OutputPixels: px, Fetches: fetch}
-}

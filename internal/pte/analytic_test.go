@@ -20,7 +20,7 @@ func TestFrameWorkMatchesCycleModelOrder(t *testing.T) {
 	}
 	full := smoothFrame(256, 128)
 	e.Render(full, geom.Orientation{Yaw: 0.2})
-	measured := e.ActiveSeconds()
+	measured := float64(e.Stats().Cycles) / cfg.ClockHz
 	estimated, rd, wr := cfg.FrameWork(256, 128)
 	if rd <= 0 || wr != int64(vp.Pixels()*3) {
 		t.Errorf("traffic estimate wrong: rd=%d wr=%d", rd, wr)
@@ -59,7 +59,7 @@ func TestPassthroughWorkMatchesEngine(t *testing.T) {
 	e, _ := New(cfg)
 	fov := smoothFrame(32, 32)
 	e.Passthrough(fov)
-	measured := e.ActiveSeconds()
+	measured := float64(e.Stats().Cycles) / cfg.ClockHz
 	estimated, rd, wr := cfg.PassthroughWork(int64(fov.Bytes()))
 	if math.Abs(estimated-measured)/measured > 1e-9 {
 		t.Errorf("passthrough estimate %v vs measured %v", estimated, measured)

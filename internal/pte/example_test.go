@@ -20,7 +20,8 @@ func ExampleEngine_Render() {
 		}
 	}
 	vp := projection.Viewport{Width: 32, Height: 32, FOVX: geom.Radians(110), FOVY: geom.Radians(110)}
-	engine, err := pte.New(pte.DefaultConfig(projection.ERP, pt.Bilinear, vp))
+	cfg := pte.DefaultConfig(projection.ERP, pt.Bilinear, vp)
+	engine, err := pte.New(cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -28,7 +29,7 @@ func ExampleEngine_Render() {
 	fov := engine.Render(full, o)
 	ref := pt.Render(pt.Config{Projection: projection.ERP, Filter: pt.Bilinear, Viewport: vp}, full, o)
 	fmt.Printf("fixed-point output within 1e-3 of reference: %v\n", frame.MAE(fov, ref) < 1e-3)
-	fmt.Printf("accelerator power: %.0f mW\n", engine.Config().PowerW()*1e3)
+	fmt.Printf("accelerator power: %.0f mW\n", cfg.PowerW()*1e3)
 	// Output:
 	// fixed-point output within 1e-3 of reference: true
 	// accelerator power: 194 mW

@@ -20,21 +20,6 @@ type OpStats struct {
 	PixelFetches    int64 // P-MEM reads
 }
 
-// Add accumulates other into s.
-func (s *OpStats) Add(o OpStats) {
-	s.PerspectiveMACs += o.PerspectiveMACs
-	s.CORDICRotations += o.CORDICRotations
-	s.Divides += o.Divides
-	s.Sqrts += o.Sqrts
-	s.FilterMACs += o.FilterMACs
-	s.PixelFetches += o.PixelFetches
-}
-
-// Total returns the overall op count.
-func (s OpStats) Total() int64 {
-	return s.PerspectiveMACs + s.CORDICRotations + s.Divides + s.Sqrts + s.FilterMACs + s.PixelFetches
-}
-
 // PerPixelOps returns the datapath op counts for one output pixel under a
 // configuration, derived from the pipeline structure:
 //
@@ -66,18 +51,4 @@ func PerPixelOps(cfg Config) OpStats {
 		ops.PixelFetches = 1
 	}
 	return ops
-}
-
-// FrameOps returns the op counts for one full output frame.
-func FrameOps(cfg Config) OpStats {
-	per := PerPixelOps(cfg)
-	n := int64(cfg.Viewport.Pixels())
-	return OpStats{
-		PerspectiveMACs: per.PerspectiveMACs * n,
-		CORDICRotations: per.CORDICRotations * n,
-		Divides:         per.Divides * n,
-		Sqrts:           per.Sqrts * n,
-		FilterMACs:      per.FilterMACs * n,
-		PixelFetches:    per.PixelFetches * n,
-	}
 }

@@ -152,19 +152,6 @@ type Stats struct {
 	PMEMLineRefills int64 // input row fetches (P-MEM misses)
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Frames += other.Frames
-	s.Passthroughs += other.Passthroughs
-	s.OutputPixels += other.OutputPixels
-	s.Cycles += other.Cycles
-	s.StallCycles += other.StallCycles
-	s.PassthroughCyc += other.PassthroughCyc
-	s.DRAMReadBytes += other.DRAMReadBytes
-	s.DRAMWriteBytes += other.DRAMWriteBytes
-	s.PMEMLineRefills += other.PMEMLineRefills
-}
-
 // Engine is a PTE instance. It is not safe for concurrent use; a real SoC
 // has one rendering stream per engine.
 type Engine struct {
@@ -181,14 +168,8 @@ func New(cfg Config) (*Engine, error) {
 	return &Engine{cfg: cfg, dp: newDatapath(cfg)}, nil
 }
 
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Stats returns the accumulated work counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// ResetStats clears the accumulated counters.
-func (e *Engine) ResetStats() { e.stats = Stats{} }
 
 // Render runs the full fixed-point PT for one frame and returns the FOV
 // frame: RenderParallel with one worker, i.e. the serial raster scan through
@@ -265,36 +246,6 @@ func (e *Engine) account(refills int64, fullW int, out *frame.Frame) {
 	e.stats.PMEMLineRefills += refills
 }
 
-// RenderVideo runs the PT for a frame sequence with per-frame orientations
-// (the playback loop's inner call), returning the FOV frames. Frame and
-// orientation counts must match.
-func (e *Engine) RenderVideo(full []*frame.Frame, orientations []geom.Orientation) ([]*frame.Frame, error) {
-	if len(full) != len(orientations) {
-		return nil, fmt.Errorf("pte: %d frames for %d orientations", len(full), len(orientations))
-	}
-	out := make([]*frame.Frame, len(full))
-	for i := range full {
-		var err error
-		if out[i], err = e.RenderParallelChecked(full[i], orientations[i], 1); err != nil {
-			return nil, fmt.Errorf("pte: frame %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
-// SustainedFPS returns the frame rate implied by the engine's measured
-// cycle counts so far — the empirical counterpart of Config.FPS.
-func (e *Engine) SustainedFPS() float64 {
-	if e.stats.Frames == 0 || e.stats.Cycles == 0 {
-		return 0
-	}
-	perFrame := float64(e.stats.Cycles-e.stats.PassthroughCyc) / float64(e.stats.Frames)
-	if perFrame == 0 {
-		return 0
-	}
-	return e.cfg.ClockHz / perFrame
-}
-
 // Passthrough forwards a pre-rendered FOV frame (a SAS hit, §5.4) to the
 // frame buffer: no PT datapath work, only DMA.
 func (e *Engine) Passthrough(fov *frame.Frame) *frame.Frame {
@@ -306,12 +257,6 @@ func (e *Engine) Passthrough(fov *frame.Frame) *frame.Frame {
 	e.stats.DRAMReadBytes += bytes
 	e.stats.DRAMWriteBytes += bytes
 	return fov
-}
-
-// ActiveSeconds returns the wall-clock active time implied by the cycle
-// count at the configured clock.
-func (e *Engine) ActiveSeconds() float64 {
-	return float64(e.stats.Cycles) / e.cfg.ClockHz
 }
 
 // EnergyJoules returns the PTE-core energy of all work so far: datapath

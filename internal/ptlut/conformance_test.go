@@ -29,7 +29,7 @@ func TestCorpusExactByteIdentity(t *testing.T) {
 		want := pt.RenderParallel(cfg, full, c.Pose, c.Workers)
 		// Twice: a cold build and a cache hit must both be identical.
 		for pass := 0; pass < 2; pass++ {
-			got := r.Render(full, c.Pose, c.Workers)
+			got := render(r, full, c.Pose, c.Workers)
 			if !want.Equal(got) {
 				t.Errorf("%s (pass %d): exact LUT render differs from pt.RenderParallel", c.Name, pass)
 			}
@@ -63,7 +63,7 @@ func TestCorpusQuantizedBudgets(t *testing.T) {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
 		ref := pt.RenderParallel(cfg, full, c.Pose, c.Workers)
-		got := r.Render(full, c.Pose, c.Workers)
+		got := render(r, full, c.Pose, c.Workers)
 		m := conformance.Measure(ref, got)
 		for _, v := range conformance.LUTQuantBudgetFor(c.Filter, c.Label).Violations(c.Name, m) {
 			t.Error(v)

@@ -112,10 +112,6 @@ type Options struct {
 	QuantWeights bool
 }
 
-// Exact reports whether the options preserve byte identity with
-// pt.RenderParallel.
-func (o Options) Exact() bool { return o.QuantStep <= 0 && !o.QuantWeights }
-
 // DefaultQuantStep is the pose grid step used by the quantized presets:
 // 0.25° ≈ 4.4 mrad. The snap moves each angle by at most 0.125°, on the
 // order of one panel pixel of the paper's evaluation HMD (OSVR HDK2:

@@ -41,16 +41,6 @@ func NewRenderer(cfg pt.Config, cache *Cache, opts Options) (*Renderer, error) {
 	return &Renderer{cfg: cfg, cache: cache, opts: opts}, nil
 }
 
-// Config returns the renderer's render configuration.
-func (r *Renderer) Config() pt.Config { return r.cfg }
-
-// Options returns the renderer's accuracy options.
-func (r *Renderer) Options() Options { return r.opts }
-
-// Exact reports whether this renderer's output is byte-identical to
-// pt.RenderParallel.
-func (r *Renderer) Exact() bool { return r.opts.Exact() }
-
 // Table returns the mapping table a render of a fullW×fullH input at pose o
 // would use, building (and caching) it if needed — the warm-up hook for
 // callers that know the pose schedule ahead of time.
@@ -63,19 +53,9 @@ func (r *Renderer) Table(o geom.Orientation, fullW, fullH int) (*Table, error) {
 	})
 }
 
-// Render produces the FOV frame for head orientation o from the full
-// panoramic frame, through the mapping LUT. It panics on an invalid input
-// frame; use RenderChecked to get the error instead. workers == 0 uses
-// pt.DefaultWorkers.
-func (r *Renderer) Render(full *frame.Frame, o geom.Orientation, workers int) *frame.Frame {
-	out, err := r.RenderChecked(full, o, workers)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// RenderChecked is Render with up-front validation.
+// RenderChecked produces the FOV frame for head orientation o from the full
+// panoramic frame, through the mapping LUT, or reports why the input frame
+// is invalid. workers == 0 uses pt.DefaultWorkers.
 func (r *Renderer) RenderChecked(full *frame.Frame, o geom.Orientation, workers int) (*frame.Frame, error) {
 	if err := pt.CheckInput(full); err != nil {
 		return nil, err

@@ -49,9 +49,6 @@ type Table struct {
 	wx, wy []uint16
 }
 
-// Key returns the identity the table was built for.
-func (t *Table) Key() Key { return t.key }
-
 // tableOverhead approximates the fixed per-table heap cost (struct, slice
 // headers, cache bookkeeping) charged against the byte budget.
 const tableOverhead = 160

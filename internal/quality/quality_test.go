@@ -77,11 +77,10 @@ func TestMetricStatusOnBadInput(t *testing.T) {
 			_, err := Assessor{}.AssessChecked(a8, a8.Clone())
 			return err
 		}},
-		{"WSPSNR mismatch", func() error { _, err := WSPSNR(projection.ERP, a8, a16); return err }},
-		{"SPSNR mismatch", func() error { _, err := SPSNR(projection.ERP, a8, a16); return err }},
-		{"SPSNR no samples", func() error { _, err := SPSNRSampled(projection.ERP, a8, a8, 0); return err }},
-		{"SphericalWeights bad dims", func() error { _, err := SphericalWeights(projection.ERP, 0, 8); return err }},
-		{"SphericalWeights bad layout", func() error { _, err := SphericalWeights(projection.CMP, 8, 8); return err }},
+		{"WeightedMSE mismatch", func() error {
+			_, err := ViewportWeights(projection.Viewport{Width: 8, Height: 8, FOVX: 1, FOVY: 1}).WeightedMSE(a8, a16)
+			return err
+		}},
 	}
 	for _, c := range cases {
 		if err := c.err(); err == nil {

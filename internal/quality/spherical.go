@@ -1,28 +1,24 @@
-// Spherically-weighted quality metrics (WS-PSNR, S-PSNR) for 360° content.
+// Spherically-weighted quality for 360° content.
 //
-// A planar raster of a panorama over- or under-represents parts of the
-// viewing sphere: ERP dedicates as many pixels to the top row (a single
-// point of the sphere) as to the equator. Flat per-pixel MSE therefore
-// over-weights the poles. The metrics here weight each pixel by the solid
-// angle its raster cell subtends on the sphere (WS-PSNR), or resample both
-// frames at a uniform set of sphere points (S-PSNR), so scores reflect what
-// a viewer can actually see. The SPORT truncation optimizer
-// (internal/experiments) is built on these tables; DESIGN.md §16 derives
-// the per-projection weights.
+// A planar raster over- or under-represents parts of the viewing sphere:
+// a rendered viewport gives its corner pixels less of the sphere than its
+// center ones. Flat per-pixel MSE therefore mis-weights what a viewer sees.
+// The metrics here weight each pixel by the solid angle its raster cell
+// subtends (the WS-PSNR weighting), so scores reflect what a viewer can
+// actually see. The SPORT truncation optimizer (internal/experiments)
+// scores viewports with these tables; DESIGN.md §16 derives the weights.
 package quality
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"evr/internal/frame"
-	"evr/internal/geom"
 	"evr/internal/projection"
 )
 
 // WeightTable holds per-pixel solid-angle weights for one raster geometry.
-// Weights are in steradians; a table for a full panorama sums to 4π.
+// Weights are in steradians.
 type WeightTable struct {
 	W, H    int
 	Weights []float64 // len W*H, row-major; steradians per pixel cell
@@ -34,9 +30,8 @@ type WeightTable struct {
 // plane z=1 seen from the origin: the solid angle of the axis-aligned
 // rectangle [0,s]×[0,t] is F(s,t) = atan(st/√(1+s²+t²)). A grid cell's
 // solid angle follows by inclusion–exclusion over its corners, so a full
-// grid telescopes exactly to the enclosing rectangle's angle — the weight
-// table sums to the sphere area to rounding error, with no numerical
-// integration.
+// grid telescopes exactly to the enclosing rectangle's angle, to rounding
+// error, with no numerical integration.
 func solidAngleRect(s, t float64) float64 {
 	return math.Atan(s * t / math.Sqrt(1+s*s+t*t))
 }
@@ -45,140 +40,6 @@ func solidAngleRect(s, t float64) float64 {
 // [s1,s2]×[t1,t2].
 func cellSolidAngle(s1, s2, t1, t2 float64) float64 {
 	return solidAngleRect(s2, t2) - solidAngleRect(s1, t2) - solidAngleRect(s2, t1) + solidAngleRect(s1, t1)
-}
-
-// SphericalWeights returns the solid-angle weight table for a w×h panorama
-// raster under the projection method. Tables are cached per (method, dims)
-// and must be treated as read-only. CMP and EAC require the 3×2 face
-// layout's divisibility (w%3 == 0, h%2 == 0).
-func SphericalWeights(m projection.Method, w, h int) (*WeightTable, error) {
-	if w < 1 || h < 1 {
-		return nil, fmt.Errorf("quality: weight table needs positive dims, got %dx%d", w, h)
-	}
-	key := weightKey{m: m, w: w, h: h}
-	weightMu.Lock()
-	t, ok := weightCache[key]
-	weightMu.Unlock()
-	if ok {
-		return t, nil
-	}
-	var err error
-	switch m {
-	case projection.ERP:
-		t = erpWeights(w, h)
-	case projection.CMP:
-		t, err = cubeWeights(w, h, false)
-	case projection.EAC:
-		t, err = cubeWeights(w, h, true)
-	default:
-		err = fmt.Errorf("quality: unknown projection method %v", m)
-	}
-	if err != nil {
-		return nil, err
-	}
-	weightMu.Lock()
-	weightCache[key] = t
-	weightMu.Unlock()
-	return t, nil
-}
-
-type weightKey struct {
-	m    projection.Method
-	w, h int
-}
-
-var (
-	weightMu    sync.Mutex
-	weightCache = map[weightKey]*WeightTable{}
-)
-
-// erpWeights builds the ERP table: every pixel of row y covers the same
-// latitude slab, whose area per pixel is Δθ·(sin φ_top − sin φ_bot). The
-// row boundaries telescope, so the table sums to exactly 4π.
-func erpWeights(w, h int) *WeightTable {
-	t := &WeightTable{W: w, H: h, Weights: make([]float64, w*h), Lat: make([]float64, w*h)}
-	// sin of the latitude at row boundary y: φ(y) = π/2 − πy/h.
-	sinB := make([]float64, h+1)
-	for y := 0; y <= h; y++ {
-		sinB[y] = math.Cos(math.Pi * float64(y) / float64(h))
-	}
-	dTheta := 2 * math.Pi / float64(w)
-	for y := 0; y < h; y++ {
-		wgt := dTheta * (sinB[y] - sinB[y+1])
-		lat := math.Pi/2 - math.Pi*(float64(y)+0.5)/float64(h)
-		for x := 0; x < w; x++ {
-			t.Weights[y*w+x] = wgt
-			t.Lat[y*w+x] = lat
-		}
-		t.Sum += wgt * float64(w)
-	}
-	return t
-}
-
-// cubeWeights builds the CMP/EAC table for the 3×2 face layout. Each tile
-// holds one cube face; a raster cell's image on the face plane is an
-// axis-aligned cell of a fw×fh grid (face placements only flip or transpose
-// axes, and cellSolidAngle is symmetric under both), so the per-tile weight
-// grid is shared by all six faces and telescopes to 2π/3 per face.
-func cubeWeights(w, h int, eac bool) (*WeightTable, error) {
-	if w%3 != 0 || h%2 != 0 {
-		return nil, fmt.Errorf("quality: cube-layout weights need w%%3==0 and h%%2==0, got %dx%d", w, h)
-	}
-	fw, fh := w/3, h/2
-	m := projection.CMP
-	if eac {
-		m = projection.EAC
-	}
-	// Face-plane coordinates of the cell boundaries. EAC rasters are
-	// uniform in the warped coordinate q; the plane coordinate is
-	// p = tan(qπ/4) (the inverse of the equi-angular warp).
-	bs := cubeBoundaries(fw, eac)
-	bt := cubeBoundaries(fh, eac)
-	grid := make([]float64, fw*fh)
-	for v := 0; v < fh; v++ {
-		for u := 0; u < fw; u++ {
-			grid[v*fw+u] = cellSolidAngle(bs[u], bs[u+1], bt[v], bt[v+1])
-		}
-	}
-	t := &WeightTable{W: w, H: h, Weights: make([]float64, w*h), Lat: make([]float64, w*h)}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			wgt := grid[(y%fh)*fw+x%fw]
-			t.Weights[y*w+x] = wgt
-			t.Sum += wgt
-			dir := projection.ToSphere(m, (float64(x)+0.5)/float64(w), (float64(y)+0.5)/float64(h))
-			t.Lat[y*w+x] = geom.FromCartesian(dir).Phi
-		}
-	}
-	return t, nil
-}
-
-// cubeBoundaries returns the n+1 face-plane coordinates of a face's cell
-// boundaries, uniform in the raster coordinate (warped for EAC).
-func cubeBoundaries(n int, eac bool) []float64 {
-	b := make([]float64, n+1)
-	for i := 0; i <= n; i++ {
-		q := 2*float64(i)/float64(n) - 1
-		if eac {
-			b[i] = math.Tan(q * math.Pi / 4)
-		} else {
-			b[i] = q
-		}
-	}
-	return b
-}
-
-// UniformWeights returns a table giving every pixel the same weight
-// (4π/(w·h)), under which the weighted metrics reduce exactly to their flat
-// counterparts. Lat is nil: a uniform table has no latitude structure.
-func UniformWeights(w, h int) *WeightTable {
-	t := &WeightTable{W: w, H: h, Weights: make([]float64, w*h)}
-	wgt := 4 * math.Pi / float64(w*h)
-	for i := range t.Weights {
-		t.Weights[i] = wgt
-	}
-	t.Sum = wgt * float64(w*h)
-	return t
 }
 
 // ViewportWeights returns the solid-angle table for a rendered viewport:
@@ -255,91 +116,6 @@ func (t *WeightTable) WeightedPSNR(a, b *frame.Frame) (float64, error) {
 	return 10 * math.Log10(255*255/mse), nil
 }
 
-// WSPSNR scores two equally-sized panoramas in the given projection with
-// raster-cell solid-angle weighting (the WS-PSNR metric).
-func WSPSNR(m projection.Method, a, b *frame.Frame) (float64, error) {
-	if a == nil || b == nil {
-		return 0, fmt.Errorf("quality: nil frame")
-	}
-	if a.W != b.W || a.H != b.H {
-		return 0, fmt.Errorf("quality: dimension mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
-	}
-	t, err := SphericalWeights(m, a.W, a.H)
-	if err != nil {
-		return 0, err
-	}
-	return t.WeightedPSNR(a, b)
-}
-
-// DefaultSPSNRSamples is the sphere sample count used by SPSNR.
-const DefaultSPSNRSamples = 65536
-
-// SpherePoints returns n deterministic, near-uniform directions on the unit
-// sphere (a Fibonacci spiral). The set is cached per n and is read-only.
-func SpherePoints(n int) []geom.Vec3 {
-	sphereMu.Lock()
-	pts, ok := sphereCache[n]
-	sphereMu.Unlock()
-	if ok {
-		return pts
-	}
-	pts = make([]geom.Vec3, n)
-	const golden = 0.6180339887498949 // (√5−1)/2
-	for i := 0; i < n; i++ {
-		y := 1 - 2*(float64(i)+0.5)/float64(n)
-		theta := 2 * math.Pi * math.Mod(float64(i)*golden, 1)
-		pts[i] = geom.Spherical{Theta: theta - math.Pi, Phi: math.Asin(y)}.ToCartesian()
-	}
-	sphereMu.Lock()
-	sphereCache[n] = pts
-	sphereMu.Unlock()
-	return pts
-}
-
-var (
-	sphereMu    sync.Mutex
-	sphereCache = map[int][]geom.Vec3{}
-)
-
-// SPSNRSampled scores two equally-sized panoramas by nearest-pixel sampling
-// both at n uniform sphere points (the S-PSNR metric). Identical frames
-// return +Inf.
-func SPSNRSampled(m projection.Method, a, b *frame.Frame, n int) (float64, error) {
-	if a == nil || b == nil {
-		return 0, fmt.Errorf("quality: nil frame")
-	}
-	if a.W != b.W || a.H != b.H {
-		return 0, fmt.Errorf("quality: dimension mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
-	}
-	if a.W < 1 || a.H < 1 {
-		return 0, fmt.Errorf("quality: empty frame")
-	}
-	if n < 1 {
-		return 0, fmt.Errorf("quality: S-PSNR needs at least one sample, got %d", n)
-	}
-	var sse float64
-	for _, dir := range SpherePoints(n) {
-		u, v := projection.ToPlane(m, dir)
-		x := clampInt(int(u*float64(a.W)), 0, a.W-1)
-		y := clampInt(int(v*float64(a.H)), 0, a.H-1)
-		i := (y*a.W + x) * 3
-		for c := 0; c < 3; c++ {
-			d := float64(int(a.Pix[i+c]) - int(b.Pix[i+c]))
-			sse += d * d
-		}
-	}
-	mse := sse / 3 / float64(n)
-	if mse == 0 {
-		return math.Inf(1), nil
-	}
-	return 10 * math.Log10(255*255/mse), nil
-}
-
-// SPSNR is SPSNRSampled at the default sample count.
-func SPSNR(m projection.Method, a, b *frame.Frame) (float64, error) {
-	return SPSNRSampled(m, a, b, DefaultSPSNRSamples)
-}
-
 func clampInt(x, lo, hi int) int {
 	if x < lo {
 		return lo
@@ -362,8 +138,8 @@ type BandError struct {
 // BandProfile splits the table's pixels into equal latitude bands (south to
 // north) and returns the weighted error of each — the per-band view of the
 // error distribution that the SPORT optimizer allocates bits against. The
-// table must carry latitudes (panorama tables do; uniform and viewport
-// tables do not).
+// table must carry latitudes: ViewportWeights leaves Lat nil, and a caller
+// that knows the head orientation fills it.
 func (t *WeightTable) BandProfile(a, b *frame.Frame, bands int) ([]BandError, error) {
 	if err := t.check(a, b); err != nil {
 		return nil, err

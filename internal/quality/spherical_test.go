@@ -47,117 +47,16 @@ func noisy(f *frame.Frame, amp int, seed int64) *frame.Frame {
 	return out
 }
 
-func TestWeightTableSumsToSphereArea(t *testing.T) {
-	cases := []struct {
-		m    projection.Method
-		w, h int
-	}{
-		{projection.ERP, 192, 96},
-		{projection.ERP, 17, 9}, // odd dims must telescope too
-		{projection.CMP, 192, 128},
-		{projection.EAC, 192, 128},
-		{projection.CMP, 48, 32},
-		{projection.EAC, 48, 32},
-	}
-	for _, c := range cases {
-		tab, err := SphericalWeights(c.m, c.w, c.h)
-		if err != nil {
-			t.Fatalf("SphericalWeights(%v, %d, %d): %v", c.m, c.w, c.h, err)
-		}
-		want := 4 * math.Pi
-		if rel := math.Abs(tab.Sum-want) / want; rel > 1e-9 {
-			t.Errorf("%v %dx%d: table sum %.15g, want 4π (rel err %.2e)", c.m, c.w, c.h, tab.Sum, rel)
-		}
-		for i, w := range tab.Weights {
-			if w <= 0 {
-				t.Fatalf("%v %dx%d: non-positive weight %g at %d", c.m, c.w, c.h, w, i)
-			}
-		}
-	}
-}
-
-func TestCubeWeightsRejectBadLayout(t *testing.T) {
-	if _, err := SphericalWeights(projection.CMP, 100, 64); err == nil {
-		t.Error("CMP weights with w%3 != 0 should fail")
-	}
-	if _, err := SphericalWeights(projection.EAC, 96, 63); err == nil {
-		t.Error("EAC weights with h%2 != 0 should fail")
-	}
-}
-
-// Under uniform weights the weighted PSNR must reduce exactly to the flat
-// frame.PSNR (the weights cancel).
-func TestUniformWeightsMatchFlatPSNR(t *testing.T) {
-	a := sphereScene(projection.ERP, 96, 48)
-	b := noisy(a, 6, 1)
-	got, err := UniformWeights(96, 48).WeightedPSNR(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := frame.PSNR(a, b)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("uniform weighted PSNR %.12f != flat PSNR %.12f", got, want)
-	}
-}
-
-// Rotating an ERP panorama by k columns is an exact yaw rotation of the
-// sphere content (mirroring the conformance yaw-equivariance property), so
-// spherically-weighted scores must be invariant.
-func TestYawRotationInvariance(t *testing.T) {
-	const w, h = 96, 48
-	a := sphereScene(projection.ERP, w, h)
-	b := noisy(a, 8, 2)
-	base, err := WSPSNR(projection.ERP, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseS, err := SPSNRSampled(projection.ERP, a, b, 16384)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roll := func(f *frame.Frame, k int) *frame.Frame {
-		out := frame.New(f.W, f.H)
-		for y := 0; y < f.H; y++ {
-			for x := 0; x < f.W; x++ {
-				r, g, b := f.At((x+k)%f.W, y)
-				out.Set(x, y, r, g, b)
-			}
-		}
-		return out
-	}
-	for _, k := range []int{1, 17, w / 2} {
-		got, err := WSPSNR(projection.ERP, roll(a, k), roll(b, k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// WS-PSNR weights depend only on the row, so a column roll must be
-		// exactly invariant.
-		if math.Abs(got-base) > 1e-9 {
-			t.Errorf("WSPSNR changed under yaw roll %d: %.12f vs %.12f", k, got, base)
-		}
-		gotS, err := SPSNRSampled(projection.ERP, roll(a, k), roll(b, k), 16384)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// S-PSNR samples a fixed point set, so rolled content is sampled at
-		// a yaw-rotated (still uniform) set: near-invariant, not exact.
-		if math.Abs(gotS-baseS) > 0.3 {
-			t.Errorf("SPSNR moved %.3f dB under yaw roll %d (%.3f vs %.3f)", gotS-baseS, k, gotS, baseS)
-		}
-	}
+// vp90 is a 90°×90° viewport of the given size.
+func vp90(w, h int) projection.Viewport {
+	return projection.Viewport{Width: w, Height: h, FOVX: geom.Radians(90), FOVY: geom.Radians(90)}
 }
 
 func TestIdenticalFramesScoreInf(t *testing.T) {
 	a := sphereScene(projection.ERP, 48, 24)
-	if got, err := WSPSNR(projection.ERP, a, a); err != nil || !math.IsInf(got, 1) {
-		t.Errorf("WSPSNR(a,a) = %v, %v; want +Inf, nil", got, err)
-	}
-	if got, err := SPSNRSampled(projection.ERP, a, a, 4096); err != nil || !math.IsInf(got, 1) {
-		t.Errorf("SPSNR(a,a) = %v, %v; want +Inf, nil", got, err)
-	}
-	tab, err := SphericalWeights(projection.ERP, 48, 24)
-	if err != nil {
-		t.Fatal(err)
+	tab := ViewportWeights(vp90(48, 24))
+	if got, err := tab.WeightedPSNR(a, a); err != nil || !math.IsInf(got, 1) {
+		t.Errorf("WeightedPSNR(a,a) = %v, %v; want +Inf, nil", got, err)
 	}
 	if mse, err := tab.WeightedMSE(a, a); err != nil || mse != 0 {
 		t.Errorf("WeightedMSE(a,a) = %v, %v; want 0, nil", mse, err)
@@ -167,78 +66,24 @@ func TestIdenticalFramesScoreInf(t *testing.T) {
 // More noise must never improve the score.
 func TestMonotoneDegradation(t *testing.T) {
 	a := sphereScene(projection.ERP, 96, 48)
-	prevW, prevS := math.Inf(1), math.Inf(1)
+	tab := ViewportWeights(vp90(96, 48))
+	prev := math.Inf(1)
 	for _, amp := range []int{2, 6, 14, 30, 60} {
-		b := noisy(a, amp, 3)
-		ws, err := WSPSNR(projection.ERP, a, b)
+		ws, err := tab.WeightedPSNR(a, noisy(a, amp, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := SPSNRSampled(projection.ERP, a, b, 16384)
-		if err != nil {
-			t.Fatal(err)
+		if ws >= prev {
+			t.Errorf("WeightedPSNR not monotone: amp %d scored %.3f ≥ previous %.3f", amp, ws, prev)
 		}
-		if ws >= prevW {
-			t.Errorf("WSPSNR not monotone: amp %d scored %.3f ≥ previous %.3f", amp, ws, prevW)
-		}
-		if sp >= prevS {
-			t.Errorf("SPSNR not monotone: amp %d scored %.3f ≥ previous %.3f", amp, sp, prevS)
-		}
-		prevW, prevS = ws, sp
-	}
-}
-
-// The same sphere content with the same noise process, rasterized under
-// different projections, must agree in spherically-weighted score within a
-// budget (that is the entire point of weighting: the raster layout stops
-// mattering).
-func TestCrossProjectionConsistency(t *testing.T) {
-	type scored struct {
-		m    projection.Method
-		w, h int
-	}
-	cases := []scored{
-		{projection.ERP, 192, 96},
-		{projection.CMP, 192, 128},
-		{projection.EAC, 192, 128},
-	}
-	var spsnr []float64
-	for _, c := range cases {
-		a := sphereScene(c.m, c.w, c.h)
-		// Noise amplitude is the degradation under test; the raster layout
-		// differs per projection, so only statistical agreement is possible.
-		b := noisy(a, 10, 4)
-		s, err := SPSNRSampled(c.m, a, b, 32768)
-		if err != nil {
-			t.Fatalf("%v: %v", c.m, err)
-		}
-		ws, err := WSPSNR(c.m, a, b)
-		if err != nil {
-			t.Fatalf("%v: %v", c.m, err)
-		}
-		if math.Abs(s-ws) > 1.0 {
-			t.Errorf("%v: S-PSNR %.3f and WS-PSNR %.3f disagree by more than 1 dB", c.m, s, ws)
-		}
-		spsnr = append(spsnr, s)
-	}
-	for i := 1; i < len(spsnr); i++ {
-		if d := math.Abs(spsnr[i] - spsnr[0]); d > 1.0 {
-			t.Errorf("S-PSNR across projections diverges: %v=%.3f vs %v=%.3f (Δ%.3f dB)",
-				cases[i].m, spsnr[i], cases[0].m, spsnr[0], d)
-		}
+		prev = ws
 	}
 }
 
 func TestWeightedMetricsRejectMismatch(t *testing.T) {
 	a := sphereScene(projection.ERP, 48, 24)
 	b := sphereScene(projection.ERP, 96, 48)
-	if _, err := WSPSNR(projection.ERP, a, b); err == nil {
-		t.Error("WSPSNR dims mismatch should error")
-	}
-	if _, err := SPSNRSampled(projection.ERP, a, b, 1024); err == nil {
-		t.Error("SPSNR dims mismatch should error")
-	}
-	tab, _ := SphericalWeights(projection.ERP, 48, 24)
+	tab := ViewportWeights(vp90(48, 24))
 	if _, err := tab.WeightedMSE(a, b); err == nil {
 		t.Error("WeightedMSE dims mismatch should error")
 	}
@@ -248,8 +93,7 @@ func TestWeightedMetricsRejectMismatch(t *testing.T) {
 }
 
 func TestViewportWeights(t *testing.T) {
-	vp := projection.Viewport{Width: 32, Height: 32, FOVX: geom.Radians(90), FOVY: geom.Radians(90)}
-	tab := ViewportWeights(vp)
+	tab := ViewportWeights(vp90(32, 32))
 	// Solid angle of a square 90°×90°-extent pyramid: 4·asin(tan²(45°)/ (1+tan²)) …
 	// easier: the plane rectangle [−1,1]² at z=1 subtends 4·atan(1/√3) = 2π/3.
 	want := 2 * math.Pi / 3
@@ -276,9 +120,17 @@ func TestBandProfile(t *testing.T) {
 			b.Set(x, y, r^0x3f, g, bl)
 		}
 	}
-	tab, err := SphericalWeights(projection.ERP, w, h)
-	if err != nil {
-		t.Fatal(err)
+	// Latitude falls row by row from +90° to −90°, as a caller that knows
+	// the head orientation would fill it.
+	tab := ViewportWeights(vp90(w, h))
+	if _, err := tab.BandProfile(a, b, 4); err == nil {
+		t.Error("BandProfile without latitude data should error")
+	}
+	tab.Lat = make([]float64, w*h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			tab.Lat[y*w+x] = math.Pi/2 - math.Pi*(float64(y)+0.5)/h
+		}
 	}
 	bands, err := tab.BandProfile(a, b, 4)
 	if err != nil {
@@ -291,8 +143,8 @@ func TestBandProfile(t *testing.T) {
 	for _, bd := range bands {
 		wsum += bd.Weight
 	}
-	if rel := math.Abs(wsum-4*math.Pi) / (4 * math.Pi); rel > 1e-9 {
-		t.Errorf("band weights sum to %.12f, want 4π", wsum)
+	if rel := math.Abs(wsum-tab.Sum) / tab.Sum; rel > 1e-9 {
+		t.Errorf("band weights sum to %.12f, want the table's %.12f", wsum, tab.Sum)
 	}
 	// Bands are south→north: only the last (northmost) band was corrupted.
 	for i, bd := range bands[:3] {
@@ -302,8 +154,5 @@ func TestBandProfile(t *testing.T) {
 	}
 	if bands[3].MSE == 0 {
 		t.Error("north band should carry the injected error")
-	}
-	if _, err := UniformWeights(w, h).BandProfile(a, b, 4); err == nil {
-		t.Error("BandProfile without latitude data should error")
 	}
 }

@@ -296,19 +296,6 @@ func (p *Plan) StorageOverhead() float64 {
 	return float64(fov) / float64(orig)
 }
 
-// Segment returns the plan for the segment containing frame index f, or nil
-// past the end.
-func (p *Plan) Segment(f int) *SegmentPlan {
-	if f < 0 {
-		return nil
-	}
-	i := f / p.Cfg.SegmentFrames
-	if i >= len(p.Segments) {
-		return nil
-	}
-	return &p.Segments[i]
-}
-
 // ChooseTrack picks the FOV video whose first-frame metadata is closest to
 // the user's gaze at the segment boundary — the client request decision of
 // §5.3. It returns -1 for segments with no FOV videos.

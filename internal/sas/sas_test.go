@@ -1,9 +1,7 @@
 package sas
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"evr/internal/geom"
@@ -56,23 +54,6 @@ func TestBuildPlanStructure(t *testing.T) {
 				t.Fatalf("track has %d centers, want %d", len(tr.Centers), s.Frames)
 			}
 		}
-	}
-}
-
-func TestSegmentLookup(t *testing.T) {
-	v, _ := scene.ByName("RS")
-	p, _ := BuildPlan(v, DefaultConfig())
-	if s := p.Segment(0); s == nil || s.Index != 0 {
-		t.Error("segment 0 lookup failed")
-	}
-	if s := p.Segment(31); s == nil || s.Index != 1 {
-		t.Error("segment for frame 31 should be 1")
-	}
-	if p.Segment(v.Frames()+100) != nil {
-		t.Error("past-end lookup should be nil")
-	}
-	if p.Segment(-1) != nil {
-		t.Error("negative lookup should be nil")
 	}
 }
 
@@ -247,64 +228,5 @@ func TestEmptySceneplan(t *testing.T) {
 	}
 	if p.StorageOverhead() != 0 {
 		t.Error("objectless video should have zero overhead")
-	}
-}
-
-func TestPlanSaveLoadRoundTrip(t *testing.T) {
-	v, _ := scene.ByName("RS")
-	p, err := BuildPlan(v, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadPlan(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Video != p.Video || len(back.Segments) != len(p.Segments) {
-		t.Fatalf("round trip shape: %s/%d vs %s/%d", back.Video, len(back.Segments), p.Video, len(p.Segments))
-	}
-	// Hit decisions must be identical through the round trip.
-	tr := headtrace.Generate(v, 1)
-	for _, si := range []int{0, 10, 30} {
-		a := &p.Segments[si]
-		b := &back.Segments[si]
-		ta := ChooseTrack(a, tr.Samples[a.Start].O)
-		tb := ChooseTrack(b, tr.Samples[b.Start].O)
-		if ta != tb {
-			t.Fatalf("segment %d track choice differs: %d vs %d", si, ta, tb)
-		}
-		for f := 0; f < a.Frames; f += 7 {
-			if p.Cfg.Hit(&a.Tracks[ta], f, tr.Samples[a.Start+f].O) !=
-				back.Cfg.Hit(&b.Tracks[tb], f, tr.Samples[b.Start+f].O) {
-				t.Fatalf("hit decision differs at segment %d frame %d", si, f)
-			}
-		}
-	}
-	if math.Abs(back.StorageOverhead()-p.StorageOverhead()) > 1e-12 {
-		t.Error("storage overhead drifted through serialization")
-	}
-}
-
-func TestLoadPlanRejectsGarbage(t *testing.T) {
-	if _, err := LoadPlan(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := LoadPlan(strings.NewReader(`{"version":99,"plan":{}}`)); err == nil {
-		t.Error("unknown version accepted")
-	}
-	if _, err := LoadPlan(strings.NewReader(`{"version":1}`)); err == nil {
-		t.Error("missing plan accepted")
-	}
-	if _, err := LoadPlan(strings.NewReader(`{"version":1,"plan":{"Cfg":{}}}`)); err == nil {
-		t.Error("invalid config accepted")
-	}
-	// Structurally inconsistent plan: track count != byte count.
-	bad := `{"version":1,"plan":{"Video":"x","FPS":30,"Cfg":{"SegmentFrames":30,"MarginDeg":40,"Utilization":1,"ClusterPerObjects":1,"DedupeAngRad":0.15,"FOVPixelRatio":0.72},"Segments":[{"Index":0,"Start":0,"Frames":30,"Tracks":[{"Cluster":0,"Centers":[]}],"OrigBytes":10,"FOVBytes":[]}]}}`
-	if _, err := LoadPlan(strings.NewReader(bad)); err == nil {
-		t.Error("inconsistent plan accepted")
 	}
 }

@@ -83,7 +83,7 @@ func TestObjectCenterSmooth(t *testing.T) {
 	prev := o.Center(0)
 	for i := 1; i < 300; i++ {
 		cur := o.Center(float64(i) * dt)
-		if step := prev.Sub(cur).Norm(); step > 0.05 {
+		if step := prev.Add(cur.Scale(-1)).Norm(); step > 0.05 {
 			t.Fatalf("object jumped %v in one frame at %d", step, i)
 		}
 		if math.Abs(cur.Norm()-1) > 1e-9 {

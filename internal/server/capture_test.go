@@ -126,7 +126,7 @@ func TestLiveModeSkipsAnalysis(t *testing.T) {
 		if len(seg.Clusters) != 0 {
 			t.Errorf("live segment %d has FOV videos", seg.Index)
 		}
-		if !st.Has(Ref{Video: "RS", Kind: Orig, Seg: seg.Index}.StoreKey()) {
+		if !stored(st, Ref{Video: "RS", Kind: Orig, Seg: seg.Index}.StoreKey()) {
 			t.Errorf("live segment %d missing original", seg.Index)
 		}
 	}

@@ -101,17 +101,8 @@ func (s *Service) SetStoreDelay(d time.Duration) {
 // TooEarly returns how many live requests were rejected ahead of the edge.
 func (s *Service) TooEarly() int64 { return s.tooEarly.Value() }
 
-// LiveBehind snapshots the server-side time-behind-live histogram.
-func (s *Service) LiveBehind() telemetry.HistogramSnapshot { return s.liveBehind.Snapshot() }
-
-// Metrics exposes the service's request counters.
-func (s *Service) Metrics() *Metrics { return s.metrics }
-
 // Store exposes the backing SAS store.
 func (s *Service) Store() *store.Store { return s.store }
-
-// Options returns the serving options the service was built with.
-func (s *Service) Options() ServiceOptions { return s.opts }
 
 // RespCacheStats snapshots the response cache. ok is false when the cache
 // is disabled.

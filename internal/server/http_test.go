@@ -88,7 +88,7 @@ func TestHandlerStatusCodes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var before int64
 			if tc.endpoint != "" {
-				before = svc.Metrics().Snapshot().Endpoints[tc.endpoint].Errors
+				before = svc.metrics.Snapshot().Endpoints[tc.endpoint].Errors
 			}
 			req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
 			if err != nil {
@@ -104,7 +104,7 @@ func TestHandlerStatusCodes(t *testing.T) {
 				t.Fatalf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 			}
 			if tc.endpoint != "" {
-				after := svc.Metrics().Snapshot().Endpoints[tc.endpoint].Errors
+				after := svc.metrics.Snapshot().Endpoints[tc.endpoint].Errors
 				if after != before+1 {
 					t.Errorf("endpoint %q error counter moved %d→%d, want +1", tc.endpoint, before, after)
 				}
@@ -166,14 +166,14 @@ func TestHandlerWriteErrorsMetric(t *testing.T) {
 		{"manifest", "/v/V/manifest"},
 		{"videos", "/videos"},
 	} {
-		before := svc.Metrics().Snapshot().Endpoints[tc.endpoint]
+		before := svc.metrics.Snapshot().Endpoints[tc.endpoint]
 		var beforeWE int64
 		if before != nil {
 			beforeWE = before.WriteErrors
 		}
 		req := httptest.NewRequest("GET", tc.path, nil)
 		h.ServeHTTP(brokenWriter{httptest.NewRecorder()}, req)
-		after := svc.Metrics().Snapshot().Endpoints[tc.endpoint]
+		after := svc.metrics.Snapshot().Endpoints[tc.endpoint]
 		if after.WriteErrors != beforeWE+1 {
 			t.Errorf("%s: writeErrors %d→%d, want +1", tc.endpoint, beforeWE, after.WriteErrors)
 		}

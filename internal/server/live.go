@@ -8,7 +8,6 @@ import (
 
 	"evr/internal/scene"
 	"evr/internal/store"
-	"evr/internal/telemetry"
 )
 
 // PublishedAtHeader carries a live segment's publish timestamp (unix
@@ -154,11 +153,10 @@ type LiveStream struct {
 
 	man       atomic.Pointer[Manifest]
 	edge      atomic.Int64
-	prepared  atomic.Int64
+	prepared  atomic.Int64   // segments encoded; ≤ edge + QueueDepth + 1 (one credit each)
 	stalls    atomic.Int64   // times the producer had to wait for a credit
 	published []atomic.Int64 // unix nanos per segment; 0 = unpublished
 	startNs   atomic.Int64
-	lag       *telemetry.Histogram // publish lateness vs schedule, seconds
 
 	mu        sync.Mutex
 	onPublish []func(seg int)
@@ -200,7 +198,6 @@ func NewLiveStream(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*LiveS
 		total:     total,
 		nSegs:     nSegs,
 		published: make([]atomic.Int64, nSegs),
-		lag:       telemetry.NewHistogram(telemetry.DefaultLatencyBuckets()),
 		hold:      make(map[int]int),
 		done:      make(chan struct{}),
 	}
@@ -233,17 +230,8 @@ func (ls *LiveStream) Edge() int { return int(ls.edge.Load()) }
 // Segments returns the total segment count of the stream.
 func (ls *LiveStream) Segments() int { return ls.nSegs }
 
-// Prepared returns how many segments the producer has finished encoding —
-// bounded by Edge() + QueueDepth + 1 at all times (pipeline backpressure:
-// the producer takes one of QueueDepth+1 credits before it renders a
-// segment and the publisher returns it once the edge has moved past it).
-func (ls *LiveStream) Prepared() int { return int(ls.prepared.Load()) }
-
 // Clock returns the clock driving the schedule.
 func (ls *LiveStream) Clock() Clock { return ls.clock }
-
-// Interval returns the publish cadence.
-func (ls *LiveStream) Interval() time.Duration { return ls.interval }
 
 // PublishedAtNs returns the publish timestamp of a segment in unix
 // nanoseconds, or false while it is still ahead of the edge.
@@ -254,10 +242,6 @@ func (ls *LiveStream) PublishedAtNs(seg int) (int64, bool) {
 	ns := ls.published[seg].Load()
 	return ns, ns != 0
 }
-
-// PublishLag snapshots the publish-lateness histogram (seconds the actual
-// publish trailed its scheduled due time).
-func (ls *LiveStream) PublishLag() telemetry.HistogramSnapshot { return ls.lag.Snapshot() }
 
 // OnPublish registers a hook called after each segment publish is visible
 // (store committed, manifest swapped, edge advanced). Services use it to
@@ -382,11 +366,6 @@ func (ls *LiveStream) publisher(queue <-chan liveSegment, credits <-chan struct{
 		ls.man.Store(&man)
 		ls.edge.Store(int64(item.si + 1))
 		<-credits
-		if lag := now.Sub(ls.dueTime(item.si)); lag > 0 {
-			ls.lag.Observe(lag.Seconds())
-		} else {
-			ls.lag.Observe(0)
-		}
 		ls.mu.Lock()
 		hooks := make([]func(int), len(ls.onPublish))
 		copy(hooks, ls.onPublish)

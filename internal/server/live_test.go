@@ -128,10 +128,10 @@ func TestLiveBackpressure(t *testing.T) {
 	// still: what it has prepared by then is all it may.
 	for deadline := time.Now().Add(10 * time.Second); ls.stalls.Load() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("producer never waited for a credit (prepared %d, edge %d)", ls.Prepared(), ls.Edge())
+			t.Fatalf("producer never waited for a credit (prepared %d, edge %d)", int(ls.prepared.Load()), ls.Edge())
 		}
 	}
-	if got, want := ls.Prepared(), ls.Edge()+cfg.Live.QueueDepth+1; got != want {
+	if got, want := int(ls.prepared.Load()), ls.Edge()+cfg.Live.QueueDepth+1; got != want {
 		t.Fatalf("stalled producer has prepared %d segments at edge %d with depth %d, want %d",
 			got, ls.Edge(), cfg.Live.QueueDepth, want)
 	}
@@ -142,8 +142,8 @@ func TestLiveBackpressure(t *testing.T) {
 	if err := ls.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if ls.Prepared() != 4 {
-		t.Errorf("prepared %d of 4 after drain", ls.Prepared())
+	if int(ls.prepared.Load()) != 4 {
+		t.Errorf("prepared %d of 4 after drain", int(ls.prepared.Load()))
 	}
 }
 

@@ -39,7 +39,7 @@ func TestMetricsCountRequests(t *testing.T) {
 	get("/v/RS/orig/99")    // 404 → error counter
 	get("/v/Nope/manifest") // 404
 
-	snap := svc.Metrics().Snapshot()
+	snap := svc.metrics.Snapshot()
 	man := snap.Endpoints["manifest"]
 	if man == nil || man.Requests != 3 || man.Errors != 1 {
 		t.Errorf("manifest stats = %+v", man)

@@ -15,6 +15,12 @@ import (
 )
 
 // smallIngest returns a fast test-scale config: 2 segments at 96×48.
+// stored reports whether st holds key.
+func stored(st *store.Store, key string) bool {
+	_, _, ok := st.Get(key)
+	return ok
+}
+
 func smallIngest() IngestConfig {
 	cfg := DefaultIngestConfig()
 	cfg.FullW, cfg.FullH = 96, 48
@@ -65,14 +71,14 @@ func TestIngestProducesSegmentsAndFOVVideos(t *testing.T) {
 		if len(seg.Clusters) == 0 {
 			t.Errorf("segment %d detected no object clusters", seg.Index)
 		}
-		if !st.Has(Ref{Video: "RS", Kind: Orig, Seg: seg.Index}.StoreKey()) {
+		if !stored(st, Ref{Video: "RS", Kind: Orig, Seg: seg.Index}.StoreKey()) {
 			t.Errorf("original segment %d missing from store", seg.Index)
 		}
 		for _, cl := range seg.Clusters {
 			if len(cl.Meta) != seg.Frames {
 				t.Errorf("cluster %d metadata has %d entries, want %d", cl.ID, len(cl.Meta), seg.Frames)
 			}
-			if !st.Has(Ref{Video: "RS", Kind: FOV, Seg: seg.Index, A: cl.ID}.StoreKey()) {
+			if !stored(st, Ref{Video: "RS", Kind: FOV, Seg: seg.Index, A: cl.ID}.StoreKey()) {
 				t.Errorf("FOV video %d/%d missing from store", seg.Index, cl.ID)
 			}
 		}

@@ -20,8 +20,8 @@ type span struct {
 
 // Store is an in-memory log-structured store. It is safe for concurrent
 // use. Puts append; the index always points at the latest version of a key
-// (older versions stay in the log until compaction, as in any LSM-style
-// design).
+// (older versions stay in the log; a WriteTo snapshot carries only the
+// latest).
 type Store struct {
 	mu      sync.RWMutex
 	dataLog []byte
@@ -66,71 +66,11 @@ func (s *Store) Get(key string) (data, meta []byte, ok bool) {
 	return data, meta, true
 }
 
-// Has reports whether a key exists.
-func (s *Store) Has(key string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.data[key]
-	return ok
-}
-
-// Keys returns all live keys, sorted.
-func (s *Store) Keys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // DataBytes returns the data log size (including stale versions).
 func (s *Store) DataBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return int64(len(s.dataLog))
-}
-
-// MetaBytes returns the metadata log size.
-func (s *Store) MetaBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return int64(len(s.metaLog))
-}
-
-// LiveBytes returns the bytes reachable from the index.
-func (s *Store) LiveBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for _, sp := range s.data {
-		n += sp.len
-	}
-	return n
-}
-
-// Compact rewrites both logs keeping only live versions.
-func (s *Store) Compact() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var newData, newMeta []byte
-	nd := make(map[string]span, len(keys))
-	nm := make(map[string]span, len(keys))
-	for _, k := range keys {
-		d, m := s.data[k], s.meta[k]
-		nd[k] = span{off: int64(len(newData)), len: d.len}
-		newData = append(newData, s.dataLog[d.off:d.off+d.len]...)
-		nm[k] = span{off: int64(len(newMeta)), len: m.len}
-		newMeta = append(newMeta, s.metaLog[m.off:m.off+m.len]...)
-	}
-	s.dataLog, s.metaLog, s.data, s.meta = newData, newMeta, nd, nm
 }
 
 // magic identifies a serialized store snapshot.

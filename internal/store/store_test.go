@@ -11,6 +11,17 @@ import (
 	"testing/quick"
 )
 
+// liveKeys lists the store's live keys.
+func liveKeys(s *Store) []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]string, 0, len(s.data))
+	for k := range s.data {
+		out = append(out, k)
+	}
+	return out
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	s := New()
 	if err := s.Put("a/0", []byte("data"), []byte("meta")); err != nil {
@@ -22,9 +33,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if _, _, ok := s.Get("missing"); ok {
 		t.Error("missing key found")
-	}
-	if !s.Has("a/0") || s.Has("b") {
-		t.Error("Has broken")
 	}
 }
 
@@ -42,31 +50,9 @@ func TestOverwriteKeepsLatest(t *testing.T) {
 	if string(d) != "v2" || string(m) != "m2" {
 		t.Errorf("got %q %q, want latest version", d, m)
 	}
-	// The log is append-only: both versions occupy space until compaction.
+	// The log is append-only: both versions occupy space.
 	if s.DataBytes() != 4 {
 		t.Errorf("data log = %d bytes, want 4 (two versions)", s.DataBytes())
-	}
-	if s.LiveBytes() != 2 {
-		t.Errorf("live = %d bytes, want 2", s.LiveBytes())
-	}
-	s.Compact()
-	if s.DataBytes() != 2 {
-		t.Errorf("after compaction data log = %d, want 2", s.DataBytes())
-	}
-	d, m, _ = s.Get("k")
-	if string(d) != "v2" || string(m) != "m2" {
-		t.Error("compaction lost data")
-	}
-}
-
-func TestKeysSorted(t *testing.T) {
-	s := New()
-	for _, k := range []string{"b", "a", "c"} {
-		s.Put(k, []byte(k), nil)
-	}
-	keys := s.Keys()
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
-		t.Errorf("keys = %v", keys)
 	}
 }
 
@@ -99,10 +85,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if _, err := restored.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if len(restored.Keys()) != len(s.Keys()) {
-		t.Fatalf("restored %d keys, want %d", len(restored.Keys()), len(s.Keys()))
+	if len(liveKeys(restored)) != len(liveKeys(s)) {
+		t.Fatalf("restored %d keys, want %d", len(liveKeys(restored)), len(liveKeys(s)))
 	}
-	for _, k := range s.Keys() {
+	for _, k := range liveKeys(s) {
 		d1, m1, _ := s.Get(k)
 		d2, m2, _ := restored.Get(k)
 		if !bytes.Equal(d1, d2) || !bytes.Equal(m1, m2) {
@@ -124,8 +110,8 @@ func TestReplayIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(target.Keys()) != 2 {
-		t.Fatalf("replayed store has %d keys", len(target.Keys()))
+	if len(liveKeys(target)) != 2 {
+		t.Fatalf("replayed store has %d keys", len(liveKeys(target)))
 	}
 	d, _, _ := target.Get("a")
 	if string(d) != "1" {
@@ -158,13 +144,13 @@ func TestConcurrentAccess(t *testing.T) {
 				key := fmt.Sprintf("g%d/%d", g, i%10)
 				s.Put(key, []byte{byte(i)}, []byte{byte(g)})
 				s.Get(key)
-				s.Keys()
+				liveKeys(s)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if len(s.Keys()) != 80 {
-		t.Errorf("expected 80 keys, got %d", len(s.Keys()))
+	if len(liveKeys(s)) != 80 {
+		t.Errorf("expected 80 keys, got %d", len(liveKeys(s)))
 	}
 }
 
@@ -185,10 +171,10 @@ func TestSnapshotPropertyRoundTrip(t *testing.T) {
 		if _, err := r.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
 			return false
 		}
-		if len(r.Keys()) != len(s.Keys()) {
+		if len(liveKeys(r)) != len(liveKeys(s)) {
 			return false
 		}
-		for _, k := range s.Keys() {
+		for _, k := range liveKeys(s) {
 			d1, _, _ := s.Get(k)
 			d2, _, _ := r.Get(k)
 			if !bytes.Equal(d1, d2) {
@@ -199,34 +185,6 @@ func TestSnapshotPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(61))}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCompactIdempotent(t *testing.T) {
-	s := New()
-	for i := 0; i < 10; i++ {
-		s.Put(fmt.Sprintf("k%d", i%3), []byte{byte(i)}, []byte{byte(i * 2)})
-	}
-	s.Compact()
-	first := s.DataBytes()
-	s.Compact()
-	if s.DataBytes() != first {
-		t.Errorf("second compaction changed size: %d vs %d", s.DataBytes(), first)
-	}
-	if s.LiveBytes() != first {
-		t.Errorf("compacted log has dead bytes: live %d vs log %d", s.LiveBytes(), first)
-	}
-	d, _, _ := s.Get("k2")
-	if len(d) != 1 || d[0] != 8 {
-		t.Errorf("latest version lost: %v", d)
-	}
-}
-
-func TestMetaBytesTracked(t *testing.T) {
-	s := New()
-	s.Put("a", []byte("xx"), []byte("metadata"))
-	if s.MetaBytes() != 8 {
-		t.Errorf("meta bytes = %d", s.MetaBytes())
 	}
 }
 

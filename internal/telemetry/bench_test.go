@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"testing"
-	"time"
 )
 
 // The disabled-telemetry overhead contract: every instrumented call site
@@ -79,8 +78,10 @@ func BenchmarkTelemetryEnabledFrameSpan(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sp := tr.StartFrame(0, i)
-		sp.Add(StageFOVCheck, time.Microsecond)
-		sp.Add(StageRender, time.Millisecond)
+		sp.Start(StageFOVCheck)
+		sp.Stop(StageFOVCheck)
+		sp.Start(StageRender)
+		sp.Stop(StageRender)
 		sp.SetHit(true)
 		sp.Finish()
 	}

@@ -158,11 +158,3 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	}
 	return s.Max
 }
-
-// Quantile estimates the q-th quantile over the live histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	return h.Snapshot().Quantile(q)
-}

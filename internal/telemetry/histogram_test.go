@@ -98,23 +98,23 @@ func bucketWidthContaining(bounds []float64, v float64) float64 {
 
 func TestHistogramQuantileEdgeCases(t *testing.T) {
 	h := NewHistogram([]float64{1, 2})
-	if got := h.Quantile(0.5); got != 0 {
+	if got := h.Snapshot().Quantile(0.5); got != 0 {
 		t.Errorf("empty histogram quantile = %v, want 0", got)
 	}
 	h.Observe(0.5)
-	if got := h.Quantile(1.0); got > 0.5+1e-9 {
+	if got := h.Snapshot().Quantile(1.0); got > 0.5+1e-9 {
 		t.Errorf("quantile exceeds tracked max: %v", got)
 	}
 	// Overflow bucket reports the exact max.
 	h.Observe(100)
-	if got := h.Quantile(1.0); got != 100 {
+	if got := h.Snapshot().Quantile(1.0); got != 100 {
 		t.Errorf("overflow quantile = %v, want 100", got)
 	}
 	// Out-of-range q is clamped, not panicking.
-	if got := h.Quantile(-1); got <= 0 {
+	if got := h.Snapshot().Quantile(-1); got <= 0 {
 		t.Errorf("q=-1 → %v, want first-sample estimate > 0", got)
 	}
-	h.Quantile(2)
+	h.Snapshot().Quantile(2)
 }
 
 // TestHistogramConcurrent checks lock-free updates under contention: no

@@ -156,14 +156,6 @@ func (s *FrameSpan) Stop(st Stage) {
 	s.started[st] = time.Time{}
 }
 
-// Add attributes an externally measured duration to a stage.
-func (s *FrameSpan) Add(st Stage, d time.Duration) {
-	if s == nil || st >= NumStages {
-		return
-	}
-	s.rec.Stages[st] += d
-}
-
 // SetHit marks whether the frame was a FOV hit.
 func (s *FrameSpan) SetHit(hit bool) {
 	if s == nil {
@@ -215,15 +207,6 @@ func (t *Tracer) frameCounter() *Counter {
 		return nil
 	}
 	return t.frames
-}
-
-// StageHistogram exposes one stage's live histogram (nil on a nil Tracer),
-// for registries that want to re-export tracer stages.
-func (t *Tracer) StageHistogram(st Stage) *Histogram {
-	if t == nil || st >= NumStages {
-		return nil
-	}
-	return t.hists[st]
 }
 
 // Recent returns up to n of the most recently finished frame traces,

@@ -6,16 +6,20 @@ import (
 	"time"
 )
 
+// addStage attributes d to stage st of sp, as a Start/Stop pair that
+// measured d would.
+func addStage(sp *FrameSpan, st Stage, d time.Duration) { sp.rec.Stages[st] += d }
+
 func TestTracerFrameSpans(t *testing.T) {
 	tr := NewTracer(8)
 	for i := 0; i < 3; i++ {
 		sp := tr.StartFrame(0, i)
-		sp.Add(StageFOVCheck, 10*time.Microsecond)
+		addStage(sp, StageFOVCheck, 10*time.Microsecond)
 		if i == 0 {
 			sp.SetHit(true)
-			sp.Add(StageDisplay, time.Millisecond)
+			addStage(sp, StageDisplay, time.Millisecond)
 		} else {
-			sp.Add(StageRender, 2*time.Millisecond)
+			addStage(sp, StageRender, 2*time.Millisecond)
 		}
 		sp.Finish()
 	}
@@ -74,7 +78,7 @@ func TestTracerRingWraps(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
 		sp := tr.StartFrame(0, i)
-		sp.Add(StageDisplay, time.Microsecond)
+		addStage(sp, StageDisplay, time.Microsecond)
 		sp.Finish()
 	}
 	rec := tr.Recent(0)
@@ -107,7 +111,7 @@ func TestTracerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				sp := tr.StartFrame(g, i)
-				sp.Add(StageRender, time.Microsecond)
+				addStage(sp, StageRender, time.Microsecond)
 				sp.SetHit(i%2 == 0)
 				sp.Finish()
 				tr.Observe(StageFetch, time.Microsecond)
@@ -122,7 +126,7 @@ func TestTracerConcurrent(t *testing.T) {
 	if want := int64(goroutines * iters); tr.Frames() != want {
 		t.Errorf("frames = %d, want %d", tr.Frames(), want)
 	}
-	if want := int64(goroutines * iters); tr.StageHistogram(StageFetch).Snapshot().Count != want {
+	if want := int64(goroutines * iters); tr.hists[StageFetch].Snapshot().Count != want {
 		t.Errorf("fetch observations lost")
 	}
 	if got := len(tr.Recent(0)); got != 64 {

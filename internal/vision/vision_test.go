@@ -10,6 +10,13 @@ import (
 	"evr/internal/scene"
 )
 
+// fill paints every pixel of f one colour.
+func fill(f *frame.Frame, r, g, b byte) {
+	for i := 0; i < len(f.Pix); i += 3 {
+		f.Pix[i], f.Pix[i+1], f.Pix[i+2] = r, g, b
+	}
+}
+
 func TestDetectFindsSceneObjects(t *testing.T) {
 	// Every ground-truth object of RS (3 well-separated objects) must be
 	// detected in a rendered ERP frame, with accurate directions.
@@ -59,7 +66,7 @@ func TestDetectRadiusEstimate(t *testing.T) {
 
 func TestDetectEmptyAndUniform(t *testing.T) {
 	f := frame.New(32, 16)
-	f.Fill(100, 100, 100)
+	fill(f, 100, 100, 100)
 	if dets := Detect(f, projection.ERP, DefaultDetector()); len(dets) != 0 {
 		t.Errorf("uniform gray frame produced %d detections", len(dets))
 	}
@@ -70,7 +77,7 @@ func TestDetectEmptyAndUniform(t *testing.T) {
 
 func TestMinAreaFilter(t *testing.T) {
 	f := frame.New(64, 32)
-	f.Fill(100, 100, 100)
+	fill(f, 100, 100, 100)
 	// One 1-pixel speck and one 5×5 block of saturated red.
 	f.Set(3, 3, 255, 0, 0)
 	for y := 10; y < 15; y++ {
@@ -91,7 +98,7 @@ func TestSeamWrapping(t *testing.T) {
 	// An object straddling the ERP seam (x=0 / x=w-1) must be one
 	// component, not two.
 	f := frame.New(64, 32)
-	f.Fill(100, 100, 100)
+	fill(f, 100, 100, 100)
 	for y := 14; y < 18; y++ {
 		for _, x := range []int{62, 63, 0, 1} {
 			f.Set(x, y, 0, 255, 0)
