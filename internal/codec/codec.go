@@ -20,16 +20,21 @@
 // Bitstream layout (all fields MSB first; DESIGN.md §2 has the table):
 //
 //	frame   := type:8 ('I'|'P')  W:16  H:16  quality:8  flags:8  block*
-//	flags   := bit0 ChromaCoding, bit1 HalfPel, bit2 skip/CBP syntax (required)
+//	flags   := bit0 ChromaCoding, bit1 HalfPel, bit2 skip/CBP syntax (required),
+//	           bit3 last-flag coefficient lists (required)
 //	I block := coeffs(ch0) coeffs(ch1) coeffs(ch2)
 //	P block := skip:1                                  -- 1: copy of the reference block
 //	         | skip:1=0  SE(mvx) SE(mvy)  cbp:3  coeffs(ch) for each set cbp bit
-//	coeffs  := { UE(run) SE(level) }*  UE(64)          -- zigzag order
+//	coeffs  := { UE(run) SE(level) last:1 }+           -- zigzag order; last=1 ends the list
+//	         | UE(64)                                  -- escape: no coefficient, I-blocks only
 //
 // A P-block is a skip when its motion vector is (0, 0) and all three
 // channels quantize to zero; cbp bit ch says whether channel ch carries any
 // coefficient. An empty P-block therefore costs one bit, not two motion
-// components and three end-of-block markers.
+// components and three coefficient lists. A coded channel's list is never
+// empty, so it ends on the last flag of its final pair — one bit, where an
+// end-of-block run would cost thirteen. Only an I-block channel can be
+// empty, and it spends the 13-bit escape: a run no list can reach.
 package codec
 
 import (
@@ -100,31 +105,34 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	return &Encoder{cfg: cfg}, nil
 }
 
-// Header flag bits. flagSkipCBP marks the P-block syntax of the package
-// comment; every stream this package writes sets it and the decoder
-// refuses a stream without it, so a payload from before the syntax change
-// fails loudly instead of decoding garbage.
+// Header flag bits. flagSkipCBP and flagLastFlag mark the block and
+// coefficient syntax of the package comment; every stream this package
+// writes sets both and the decoder refuses a stream without them, so a
+// payload from before a syntax change fails loudly instead of decoding
+// garbage.
 const (
-	flagChroma  = 1 << iota // ChromaCoding
-	flagHalfPel             // motion vectors in half-pel units
-	flagSkipCBP             // P-blocks carry a skip flag and a coded-block pattern
-	flagsKnown  = flagChroma | flagHalfPel | flagSkipCBP
+	flagChroma   = 1 << iota // ChromaCoding
+	flagHalfPel              // motion vectors in half-pel units
+	flagSkipCBP              // P-blocks carry a skip flag and a coded-block pattern
+	flagLastFlag             // coefficient lists end on a last flag, not an end-of-block run
+	flagsKnown   = flagChroma | flagHalfPel | flagSkipCBP | flagLastFlag
 )
 
-// ErrStaleFormat reports a frame written before the skip/CBP block syntax:
-// its bytes cannot be decoded by this package any more.
-var ErrStaleFormat = errors.New("codec: bitstream predates the skip/CBP block syntax (header flag bit 2 not set); re-ingest the video")
+// ErrStaleFormat reports a frame written before the last-flag coefficient
+// syntax: its bytes cannot be decoded by this package any more.
+var ErrStaleFormat = errors.New("codec: bitstream predates the last-flag coefficient syntax (header flag bit 3 not set); re-ingest the video")
 
 const (
 	blockLen   = blockSize * blockSize
 	rowBytes   = blockSize * 3 // one block row of interleaved RGB
 	blockBytes = blockSize * rowBytes
 
-	eobRun = 64 // run value that terminates a coefficient list
-	// The fewest bits a block can take: three end-of-block markers (13-bit
-	// UE(64)) in an I-frame, one skip flag in a P-frame. Decode checks a
-	// header's block count against them before it allocates the frame.
-	minIntraBlockBits = 3 * 13
+	escapeRun = blockLen // first run of an empty coefficient list
+	// The fewest bits a block can take: three one-coefficient lists
+	// (UE(0) SE(±1) last, 5 bits, under the 13-bit escape) in an I-frame,
+	// one skip flag in a P-frame. Decode checks a header's block count
+	// against them before it allocates the frame.
+	minIntraBlockBits = 3 * 5
 	minInterBlockBits = 1
 	maxMotion         = 128 // largest motion component the decoder accepts
 )
@@ -234,25 +242,41 @@ func (c *blockCoder) reconstruct(q *[blockLen]int32, nz uint64, pred, out *pixBl
 	}
 }
 
-// writeCoeffs entropy-codes one quantized block as (run, level) pairs in
-// zigzag order, terminated by run eobRun.
+// writeCoeffs entropy-codes one quantized block as (run, level, last)
+// triples in zigzag order; the triple of the final nonzero level has last
+// set. A block with no nonzero level is the escape run alone.
 func writeCoeffs(w *bitWriter, q *[blockLen]int32) {
+	end := blockLen - 1
+	for end >= 0 && q[zigzag[end]] == 0 {
+		end--
+	}
+	if end < 0 {
+		w.writeUE(escapeRun)
+		return
+	}
 	run := uint32(0)
-	for _, zi := range zigzag {
+	for k, zi := range zigzag[:end+1] {
 		if q[zi] == 0 {
 			run++
 			continue
 		}
 		w.writeUE(run)
 		w.writeSE(q[zi])
+		if k == end {
+			w.writeBits(1, 1)
+		} else {
+			w.writeBits(0, 1)
+		}
 		run = 0
 	}
-	w.writeUE(eobRun)
 }
 
 // readCoeffs is the inverse of writeCoeffs; q must be zero on entry. It
-// returns the mask of the positions it wrote (bit i for q[i]), a superset of
-// q's nonzero levels, for reconstruct.
+// returns the mask of q's nonzero levels (bit i for q[i]) for reconstruct.
+// The mask is zero exactly when the list is the escape; an escape anywhere
+// but the first run, a zero level, or runs that pass the last coefficient
+// are errors. So every list is at least UE(0) SE(±1) last, 5 bits, or the
+// 13-bit escape.
 func readCoeffs(r *bitReader, q *[blockLen]int32) (nz uint64, err error) {
 	pos := 0
 	for {
@@ -260,18 +284,28 @@ func readCoeffs(r *bitReader, q *[blockLen]int32) (nz uint64, err error) {
 		if err != nil {
 			return 0, err
 		}
-		if run >= eobRun {
-			return nz, nil
+		if run == escapeRun && pos == 0 {
+			return 0, nil
 		}
-		pos += int(run)
-		if pos >= blockLen {
+		if run >= uint32(blockLen-pos) {
 			return 0, errBitstream
 		}
+		pos += int(run)
 		i := zigzag[pos]
 		if q[i], err = r.readSE(); err != nil {
 			return 0, err
 		}
+		if q[i] == 0 { // the encoder codes nonzero levels only
+			return 0, errBitstream
+		}
 		nz |= 1 << uint(i)
+		last, err := r.readBits(1)
+		if err != nil {
+			return 0, err
+		}
+		if last == 1 {
+			return nz, nil
+		}
 		pos++
 	}
 }
@@ -327,7 +361,7 @@ func (e *Encoder) Encode(f *frame.Frame) ([]byte, FrameType, error) {
 	w.writeBits(uint64(f.W), 16)
 	w.writeBits(uint64(f.H), 16)
 	w.writeBits(uint64(e.cfg.Quality), 8)
-	flags := uint64(flagSkipCBP)
+	flags := uint64(flagSkipCBP | flagLastFlag)
 	if e.cfg.ChromaCoding {
 		flags |= flagChroma
 	}
@@ -586,8 +620,11 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 	if w <= 0 || h <= 0 || w%blockSize != 0 || h%blockSize != 0 || quality < 1 || quality > 64 || flags&^flagsKnown != 0 {
 		return nil, errBitstream
 	}
-	if flags&flagSkipCBP == 0 {
+	if flags&flagLastFlag == 0 {
 		return nil, ErrStaleFormat
+	}
+	if flags&flagSkipCBP == 0 {
+		return nil, errBitstream
 	}
 	minBits := minIntraBlockBits
 	if ft == PFrame {
@@ -679,6 +716,9 @@ func (c *blockCoder) decodeInterBlock(r *bitReader, out, ref *frame.Frame, bx, b
 		nz, err := readCoeffs(r, &q)
 		if err != nil {
 			return err
+		}
+		if nz == 0 { // a coded channel's list cannot be the escape
+			return errBitstream
 		}
 		c.reconstruct(&q, nz, &pred, &px, ch)
 	}

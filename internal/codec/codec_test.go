@@ -325,7 +325,7 @@ func TestDCTRoundTripExact(t *testing.T) {
 // only (the fast path), one AC coefficient at each of the 64 positions,
 // random sparse levels of 0 / ±1 / ±max, and every coefficient nonzero,
 // each under five quantizers. Random blocks also run with masks that name
-// some zero-level positions, as readCoeffs reports a coded zero level.
+// some zero-level positions: the transform must not rely on an exact mask.
 func TestSparseIDCTMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	levels := []int32{1, -1, math.MaxInt32, -math.MaxInt32, 3, -7}

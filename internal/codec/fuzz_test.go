@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"encoding/hex"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -92,7 +94,7 @@ func TestDecoderBoundedWorkOnAdversarialInput(t *testing.T) {
 	w.writeBits(65528, 16)
 	w.writeBits(65528, 16)
 	w.writeBits(4, 8)
-	w.writeBits(flagSkipCBP, 8)
+	w.writeBits(flagSkipCBP|flagLastFlag, 8)
 	payload := w.bytes()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -104,6 +106,56 @@ func TestDecoderBoundedWorkOnAdversarialInput(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Errorf("rejecting a 7-byte payload allocated %d bytes, want < 1 MB", got)
+	}
+}
+
+// zeroLevelIFrame is a 16×8 I-frame whose payload is 24 one-bits: six
+// lists UE(0) SE(0) last of 3 bits each. A zero level is not a coefficient,
+// so both decoders must refuse it; were it accepted, 15 bits would not
+// bound an I-block from below.
+const zeroLevelIFrame = "4900100008040cffffff"
+
+// TestIntraBlockBoundIsTight: the smallest I-block is three lists of one
+// coefficient, UE(0) SE(±1) last, 15 bits. A 64×8 I-frame of eight such
+// blocks is exactly 15 payload bytes and decodes; a byte less is refused
+// by the header bound, before the decoder allocates a raster. Lists of a
+// zero level, which would be shorter, are refused by both decoders.
+func TestIntraBlockBoundIsTight(t *testing.T) {
+	w := &bitWriter{}
+	w.writeBits(uint64(IFrame), 8)
+	w.writeBits(64, 16)
+	w.writeBits(8, 16)
+	w.writeBits(4, 8)
+	w.writeBits(flagSkipCBP|flagLastFlag, 8)
+	for k := 0; k < 8*3; k++ {
+		w.writeUE(0)
+		w.writeSE(1)
+		w.writeBits(1, 1)
+	}
+	data := w.bytes()
+	if len(data) != 7+15 {
+		t.Fatalf("crafted frame is %d bytes, want 22", len(data))
+	}
+	if _, err := NewDecoder().Decode(data); err != nil {
+		t.Errorf("smallest 64×8 I-frame: %v", err)
+	}
+	dec := NewDecoder()
+	if _, err := dec.Decode(data[:len(data)-1]); !errors.Is(err, errBitstream) {
+		t.Errorf("one byte short: err = %v, want errBitstream", err)
+	}
+	if dec.spare != nil {
+		t.Error("one byte short: the decoder allocated a raster before refusing the header")
+	}
+
+	zero, err := hex.DecodeString(zeroLevelIFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDecoder().Decode(zero); !errors.Is(err, errBitstream) {
+		t.Errorf("lists of a zero level: err = %v, want errBitstream", err)
+	}
+	if _, err := (&refDecoder{}).decode(zero); !errors.Is(err, errBitstream) {
+		t.Errorf("lists of a zero level, reference decoder: err = %v, want errBitstream", err)
 	}
 }
 
@@ -146,6 +198,21 @@ func FuzzDecode(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	// A flat mid-gray I-frame: every list is the escape.
+	gray := frame.New(16, 16)
+	for i := range gray.Pix {
+		gray.Pix[i] = 128
+	}
+	flat, err := EncodeSequence(Config{GOP: 1, Quality: 4}, []*frame.Frame{gray})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(flat.Frames[0])
+	zero, err := hex.DecodeString(zeroLevelIFrame)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(zero)
 	keyEnc, _ := NewEncoder(Config{GOP: 1, Quality: 4})
 	key, _, err := keyEnc.Encode(textured)
 	if err != nil {

@@ -218,22 +218,37 @@ func refQuantize(spatial *refBlock, quality int, q *[blockSize * blockSize]int32
 }
 
 func refWriteCoeffs(w *refBitWriter, q *[blockSize * blockSize]int32) {
+	var runs []uint32
+	var levels []int32
 	run := uint32(0)
 	for _, zi := range zigzag {
 		if q[zi] == 0 {
 			run++
 			continue
 		}
-		w.writeUE(run)
-		w.writeSE(q[zi])
+		runs = append(runs, run)
+		levels = append(levels, q[zi])
 		run = 0
 	}
-	w.writeUE(64)
+	if len(levels) == 0 {
+		w.writeUE(64)
+		return
+	}
+	for k := range levels {
+		w.writeUE(runs[k])
+		w.writeSE(levels[k])
+		if k == len(levels)-1 {
+			w.writeBit(1)
+		} else {
+			w.writeBit(0)
+		}
+	}
 }
 
 // refReadCoeffBlock entropy-decodes, dequantizes and inverse-transforms
-// one block.
-func refReadCoeffBlock(r *refBitReader, quality int, out *refBlock) error {
+// one block. Only an intra list may be the escape (no coefficient); a
+// coded level is never zero.
+func refReadCoeffBlock(r *refBitReader, quality int, intra bool, out *refBlock) error {
 	var freq refBlock
 	pos := 0
 	for {
@@ -241,19 +256,32 @@ func refReadCoeffBlock(r *refBitReader, quality int, out *refBlock) error {
 		if err != nil {
 			return err
 		}
-		if run >= 64 {
+		if pos == 0 && run == 64 {
+			if !intra {
+				return errBitstream
+			}
 			break
 		}
-		pos += int(run)
-		if pos >= blockSize*blockSize {
+		if uint64(pos)+uint64(run) >= blockSize*blockSize {
 			return errBitstream
 		}
+		pos += int(run)
 		level, err := r.readSE()
 		if err != nil {
 			return err
 		}
+		if level == 0 {
+			return errBitstream
+		}
 		zi := zigzag[pos]
 		freq[zi] = float64(level) * quantStep(zi/blockSize, zi%blockSize, quality)
+		last, err := r.readBit()
+		if err != nil {
+			return err
+		}
+		if last == 1 {
+			break
+		}
 		pos++
 	}
 	refIDCT(&freq, out)
@@ -337,7 +365,7 @@ func (e *refEncoder) encode(f *frame.Frame) []byte {
 	w.writeBits(uint64(f.W), 16)
 	w.writeBits(uint64(f.H), 16)
 	w.writeBits(uint64(e.cfg.Quality), 8)
-	flags := uint64(flagSkipCBP)
+	flags := uint64(flagSkipCBP | flagLastFlag)
 	if e.cfg.ChromaCoding {
 		flags |= flagChroma
 	}
@@ -487,7 +515,7 @@ func (d *refDecoder) decode(data []byte) (*frame.Frame, error) {
 	ft, w, h := FrameType(hdr[0]), int(hdr[1]), int(hdr[2])
 	cfg := Config{Quality: int(hdr[3]), ChromaCoding: hdr[4]&flagChroma != 0, HalfPel: hdr[4]&flagHalfPel != 0}
 	if (ft != IFrame && ft != PFrame) || w <= 0 || h <= 0 || w%blockSize != 0 || h%blockSize != 0 ||
-		cfg.Quality < 1 || cfg.Quality > 64 || hdr[4]&^flagsKnown != 0 || hdr[4]&flagSkipCBP == 0 {
+		cfg.Quality < 1 || cfg.Quality > 64 || hdr[4]&^flagsKnown != 0 || hdr[4]&flagSkipCBP == 0 || hdr[4]&flagLastFlag == 0 {
 		return nil, errBitstream
 	}
 	if ft == PFrame && (d.ref == nil || d.ref.W != w || d.ref.H != h) {
@@ -522,7 +550,7 @@ func (d *refDecoder) decode(data []byte) (*frame.Frame, error) {
 func (d *refDecoder) intraBlock(r *refBitReader, out *frame.Frame, bx, by int, cfg Config) error {
 	for ch := 0; ch < 3; ch++ {
 		var rec refBlock
-		if err := refReadCoeffBlock(r, refChQuality(cfg, ch), &rec); err != nil {
+		if err := refReadCoeffBlock(r, refChQuality(cfg, ch), true, &rec); err != nil {
 			return err
 		}
 		for i := range rec {
@@ -580,7 +608,7 @@ func (d *refDecoder) interBlock(r *refBitReader, out *frame.Frame, bx, by int, c
 	for ch := 0; ch < 3; ch++ {
 		var pred, rec refBlock
 		if cbp&(1<<ch) != 0 {
-			if err := refReadCoeffBlock(r, refChQuality(cfg, ch), &rec); err != nil {
+			if err := refReadCoeffBlock(r, refChQuality(cfg, ch), false, &rec); err != nil {
 				return err
 			}
 		} else {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"evr/internal/frame"
@@ -269,35 +270,56 @@ func TestSkipOnlyForZeroVectorAndZeroResidual(t *testing.T) {
 }
 
 func TestTruncatedInterSyntaxErrors(t *testing.T) {
-	ref := noisyGradient(16, 8, 42)
-	primed := func() *Decoder {
-		enc, _ := NewEncoder(Config{GOP: 2, Quality: 4})
-		data, _, err := enc.Encode(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec := NewDecoder()
-		if _, err := dec.Decode(data); err != nil {
-			t.Fatal(err)
-		}
-		return dec
+	enc, _ := NewEncoder(Config{GOP: 2, Quality: 4})
+	key, _, err := enc.Encode(noisyGradient(16, 8, 42))
+	if err != nil {
+		t.Fatal(err)
 	}
-	header := func() *bitWriter {
+	// decode decodes data after the I-frame key with a fresh decoder and
+	// with the reference decoder, which must agree on whether it fails.
+	decode := func(data []byte) (*frame.Frame, error) {
+		t.Helper()
+		dec, ref := NewDecoder(), &refDecoder{}
+		if _, err := dec.Decode(key); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.decode(key); err != nil {
+			t.Fatal(err)
+		}
+		got, err := dec.Decode(data)
+		if _, refErr := ref.decode(data); (err == nil) != (refErr == nil) {
+			t.Errorf("decoder: %v, reference decoder: %v", err, refErr)
+		}
+		return got, err
+	}
+	header := func(ft FrameType) *bitWriter {
 		w := &bitWriter{}
-		w.writeBits(uint64(PFrame), 8)
+		w.writeBits(uint64(ft), 8)
 		w.writeBits(16, 16)
 		w.writeBits(8, 16)
 		w.writeBits(4, 8)
-		w.writeBits(flagSkipCBP, 8)
+		w.writeBits(flagSkipCBP|flagLastFlag, 8)
+		return w
+	}
+	// coded starts a P-frame whose first block has a zero vector and codes
+	// channel 0 only.
+	coded := func() *bitWriter {
+		w := header(PFrame)
+		w.writeBits(0, 1)
+		w.writeSE(0)
+		w.writeSE(0)
+		w.writeBits(0b001, 3)
 		return w
 	}
 
 	// Both blocks skipped: the reference again.
-	w := header()
+	w := header(PFrame)
 	w.writeBits(0b11, 2)
-	dec := primed()
-	want := dec.ref
-	if got, err := dec.Decode(w.bytes()); err != nil {
+	want, err := NewDecoder().Decode(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := decode(w.bytes()); err != nil {
 		t.Fatalf("all-skip frame: %v", err)
 	} else if !got.Equal(want) {
 		t.Error("all-skip frame is not a copy of the reference")
@@ -305,61 +327,134 @@ func TestTruncatedInterSyntaxErrors(t *testing.T) {
 
 	// The payload ends after the first block's skip bit: the pad bits read
 	// as an unskipped block whose vector runs off the end.
-	w = header()
+	w = header(PFrame)
 	w.writeBits(1, 1)
-	if _, err := primed().Decode(w.bytes()); !errors.Is(err, errBitstream) {
+	if _, err := decode(w.bytes()); !errors.Is(err, errBitstream) {
 		t.Errorf("stream ending after a skip bit: err = %v, want errBitstream", err)
 	}
 
 	// skip=0, SE(1), SE(1) fill seven bits; the byte's last bit is the
 	// first of the three pattern bits and the payload ends there.
-	w = header()
+	w = header(PFrame)
 	w.writeBits(0, 1)
 	w.writeSE(1)
 	w.writeSE(1)
 	w.writeBits(1, 1)
 	if data := w.bytes(); len(data) != 8 {
 		t.Fatalf("crafted stream is %d bytes, want 8", len(data))
-	} else if _, err := primed().Decode(data); !errors.Is(err, errBitstream) {
+	} else if _, err := decode(data); !errors.Is(err, errBitstream) {
 		t.Errorf("stream ending inside the block pattern: err = %v, want errBitstream", err)
+	}
+
+	// A coded channel's list is the escape, as an empty intra list would
+	// be; the second block is a skip so the frame is otherwise whole.
+	w = coded()
+	w.writeUE(escapeRun)
+	w.writeBits(1, 1)
+	if _, err := decode(w.bytes()); !errors.Is(err, errBitstream) {
+		t.Errorf("escape in a coded P channel: err = %v, want errBitstream", err)
+	}
+
+	// A coded level of zero carries nothing; the encoder never writes one.
+	w = coded()
+	w.writeUE(0)
+	w.writeSE(0)
+	w.writeBits(1, 1)
+	w.writeBits(1, 1)
+	if _, err := decode(w.bytes()); !errors.Is(err, errBitstream) {
+		t.Errorf("zero level in a coded P channel: err = %v, want errBitstream", err)
+	}
+
+	// Sixty-four one-coefficient pairs fill the block without a last flag;
+	// a sixty-fifth pair has no coefficient to land on.
+	w = coded()
+	for k := 0; k <= blockLen; k++ {
+		w.writeUE(0)
+		w.writeSE(1)
+		w.writeBits(0, 1)
+	}
+	if _, err := decode(w.bytes()); !errors.Is(err, errBitstream) {
+		t.Errorf("list running past 64 coefficients: err = %v, want errBitstream", err)
+	}
+
+	// Six block bits, UE(7) and SE(1) end exactly on a byte: the payload
+	// ends between the level and its last flag.
+	w = coded()
+	w.writeUE(7)
+	w.writeSE(1)
+	if data := w.bytes(); len(data) != 9 {
+		t.Fatalf("crafted stream is %d bytes, want 9", len(data))
+	} else if _, err := decode(data); !errors.Is(err, errBitstream) {
+		t.Errorf("stream ending before a last flag: err = %v, want errBitstream", err)
+	}
+
+	// In an I-frame a list may be the escape, but only as its first run:
+	// six escapes are a mid-gray frame, an escape after a pair is corrupt.
+	w = header(IFrame)
+	for k := 0; k < 6; k++ {
+		w.writeUE(escapeRun)
+	}
+	if got, err := decode(w.bytes()); err != nil {
+		t.Errorf("I-frame of six escapes: %v", err)
+	} else if got.Pix[0] != 128 || got.Pix[len(got.Pix)-1] != 128 {
+		t.Errorf("I-frame of six escapes decodes to %d…%d, want mid-gray", got.Pix[0], got.Pix[len(got.Pix)-1])
+	}
+	w = header(IFrame)
+	w.writeUE(0)
+	w.writeSE(1)
+	w.writeBits(0, 1)
+	w.writeUE(escapeRun)
+	for k := 0; k < 5; k++ {
+		w.writeUE(escapeRun)
+	}
+	if _, err := decode(w.bytes()); !errors.Is(err, errBitstream) {
+		t.Errorf("escape after a list's first pair: err = %v, want errBitstream", err)
 	}
 }
 
-// Frames of RS at 16×8 (GOP 2, quality 6, search range 1) exactly as the
-// commit before the skip/CBP syntax encoded them.
+// Frames of RS at 16×8 (GOP 2, quality 6, search range 1) as two earlier
+// formats encoded them: before the skip/CBP block syntax (header flag bit
+// 2), and before the last-flag coefficient lists (bit 3).
 const (
-	staleIFrame = "4900100008060085c4941331280830b9502a62501061d05ec4a020c2e24a099894041854a40eb1ac4a020c3740858d62501040"
-	stalePFrame = "50001000080600c082041020e041b0208104"
+	preCBPIFrame  = "4900100008060085c4941331280830b9502a62501061d05ec4a020c2e24a099894041854a40eb1ac4a020c3740858d62501040"
+	preCBPPFrame  = "50001000080600c082041020e041b0208104"
+	preLastIFrame = "4900100008060485c4941331280830b9502a62501061d05ec4a020c2e24a099894041854a40eb1ac4a020c3740858d62501040"
+	preLastPFrame = "50001000080604b56041"
 )
 
 func TestStaleFormatRejected(t *testing.T) {
-	iOld, _ := hex.DecodeString(staleIFrame)
-	pOld, _ := hex.DecodeString(stalePFrame)
 	bs, err := EncodeSequence(Config{GOP: 2, Quality: 6, SearchRange: 1}, rsFrames(t, 16, 8, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The I-frame syntax did not move: only the header's flag bit differs.
-	want := append([]byte(nil), iOld...)
-	want[6] |= flagSkipCBP
-	if !bytes.Equal(bs.Frames[0], want) {
-		t.Errorf("I-frame = %x, want the pre-change payload with the flag set, %x", bs.Frames[0], want)
+	for _, old := range []struct{ name, i, p string }{
+		{"pre-skip/CBP", preCBPIFrame, preCBPPFrame},
+		{"pre-last-flag", preLastIFrame, preLastPFrame},
+	} {
+		iOld, _ := hex.DecodeString(old.i)
+		pOld, _ := hex.DecodeString(old.p)
+		// The same quantized blocks, in fewer bytes.
+		for k, data := range [][]byte{iOld, pOld} {
+			if len(bs.Frames[k]) >= len(data) {
+				t.Errorf("%s: %c-frame is %d bytes, no smaller than the old format's %d", old.name, bs.Types[k], len(bs.Frames[k]), len(data))
+			}
+		}
+		dec := NewDecoder()
+		if _, err := dec.Decode(iOld); !errors.Is(err, ErrStaleFormat) {
+			t.Errorf("%s I-frame: err = %v, want ErrStaleFormat", old.name, err)
+		}
+		if _, err := dec.Decode(bs.Frames[0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dec.Decode(pOld); !errors.Is(err, ErrStaleFormat) {
+			t.Errorf("%s P-frame: err = %v, want ErrStaleFormat", old.name, err)
+		}
+		if _, err := DecodeSequence(&Bitstream{W: 16, H: 8, Frames: [][]byte{iOld, pOld}, Types: []FrameType{IFrame, PFrame}}); !errors.Is(err, ErrStaleFormat) {
+			t.Errorf("%s sequence: err = %v, want ErrStaleFormat", old.name, err)
+		}
 	}
-	if len(bs.Frames[1]) >= len(pOld) {
-		t.Errorf("P-frame is %d bytes, no smaller than the pre-change %d", len(bs.Frames[1]), len(pOld))
-	}
-	dec := NewDecoder()
-	if _, err := dec.Decode(iOld); !errors.Is(err, ErrStaleFormat) {
-		t.Errorf("pre-change I-frame: err = %v, want ErrStaleFormat", err)
-	}
-	if _, err := dec.Decode(bs.Frames[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dec.Decode(pOld); !errors.Is(err, ErrStaleFormat) {
-		t.Errorf("pre-change P-frame: err = %v, want ErrStaleFormat", err)
-	}
-	if _, err := DecodeSequence(&Bitstream{W: 16, H: 8, Frames: [][]byte{iOld, pOld}, Types: []FrameType{IFrame, PFrame}}); !errors.Is(err, ErrStaleFormat) {
-		t.Errorf("pre-change sequence: err = %v, want ErrStaleFormat", err)
+	if !strings.Contains(ErrStaleFormat.Error(), "bit 3") {
+		t.Errorf("ErrStaleFormat = %q, want it to name the missing flag bit 3", ErrStaleFormat)
 	}
 }
 
@@ -430,6 +525,32 @@ func TestBitIOMatchesReference(t *testing.T) {
 			if errA != nil {
 				break
 			}
+		}
+	}
+}
+
+// TestSegmentBytesPinned pins the exact size of one RS segment at the
+// benchmark's ingest settings (GOP 30, quality 6, search range 2), at the
+// playback workloads' 320×160 and serve_zipf's 128×64, so any change to
+// the entropy layer shows in this package's tests and not only in the
+// benchmark's wire bytes.
+func TestSegmentBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		w, h          int
+		iFrame, total int
+	}{
+		{320, 160, 7046, 27304},
+		{128, 64, 1871, 6305},
+	} {
+		bs, err := EncodeSequence(Config{GOP: 30, Quality: 6, SearchRange: 2}, rsFrames(t, tc.w, tc.h, 30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(bs.Frames[0]); got != tc.iFrame {
+			t.Errorf("RS %d×%d: I-frame %d B, want %d", tc.w, tc.h, got, tc.iFrame)
+		}
+		if got := bs.TotalBytes(); got != tc.total {
+			t.Errorf("RS %d×%d: segment %d B, want %d", tc.w, tc.h, got, tc.total)
 		}
 	}
 }
