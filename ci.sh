@@ -13,7 +13,8 @@
 #                             were once flaky stay de-flaked.
 #   telemetry bench smoke     the disabled-path overhead benchmarks still run.
 #   fuzz smokes (5 s each)    every decoder of outside input (bitstream,
-#                             manifest, payload address, head-trace CSV, tile,
+#                             manifest, FOV metadata, payload address,
+#                             head-trace CSV, tile,
 #                             chaos scenario, codec frames through one reused
 #                             decoder), the player on a
 #                             fuzzed manifest (FuzzPlayManifest: resilient,
@@ -62,6 +63,7 @@ go test -count=20 -run 'TestLiveBackpressure|TestSingleflightCoalesces' ./intern
 go test ./internal/telemetry -run=NONE -bench=TelemetryOverhead -benchtime=1x
 go test ./internal/server -run='^$' -fuzz=FuzzUnmarshalBitstream -fuzztime=5s
 go test ./internal/server -run='^$' -fuzz=FuzzManifestJSON -fuzztime=5s
+go test ./internal/server -run='^$' -fuzz=FuzzUnmarshalFrameMeta -fuzztime=5s
 go test ./internal/server -run='^$' -fuzz=FuzzParseRefPath -fuzztime=5s
 go test ./internal/client -run='^$' -fuzz=FuzzPlayManifest -fuzztime=5s
 go test ./internal/headtrace -run='^$' -fuzz=FuzzHeadtraceCSV -fuzztime=5s

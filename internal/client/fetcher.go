@@ -310,7 +310,7 @@ func (f *Fetcher) load(baseURL string, ref server.Ref) (*segmentEntry, error) {
 		err = e.bits.CheckHeaders()
 	}
 	if err == nil && ref.Kind == server.FOV {
-		e.meta, err = f.loadFOVMeta(baseURL, ref)
+		e.meta, err = f.loadFOVMeta(baseURL, ref, len(e.bits.Frames))
 	}
 	if err != nil {
 		return nil, err
@@ -319,15 +319,16 @@ func (f *Fetcher) load(baseURL string, ref server.Ref) (*segmentEntry, error) {
 }
 
 // loadFOVMeta downloads and parses the per-frame metadata of the FOV video
-// at ref — the FOVMeta payload of the same address.
-func (f *Fetcher) loadFOVMeta(baseURL string, ref server.Ref) ([]server.FrameMeta, error) {
+// at ref — the FOVMeta payload of the same address — which must hold one
+// orientation per frame of the video's stream.
+func (f *Fetcher) loadFOVMeta(baseURL string, ref server.Ref, frames int) ([]server.FrameMeta, error) {
 	ref.Kind = server.FOVMeta
 	raw, err := f.getLive(baseURL+ref.Path(), ref.Video, ref.Seg)
 	if err != nil {
 		return nil, err
 	}
-	var meta []server.FrameMeta
-	if err := json.Unmarshal(raw, &meta); err != nil {
+	meta, err := server.UnmarshalFrameMeta(raw, frames)
+	if err != nil {
 		return nil, fmt.Errorf("client: parsing FOV metadata: %w", err)
 	}
 	return meta, nil

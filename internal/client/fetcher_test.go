@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"evr/internal/scene"
 	"evr/internal/server"
+	"evr/internal/store"
 )
 
 // fastFetchConfig returns a test-speed config: real retries and caps, but
@@ -440,5 +443,58 @@ func TestParseRetryAfter(t *testing.T) {
 		if got != c.want {
 			t.Errorf("parseRetryAfter(%q) = %v, want %v", c.in, got, c.want)
 		}
+	}
+}
+
+// TestFetchedPosesMatchIngest checks that the control plane moves no angle:
+// every cluster's manifest Pose decodes to the ingest's first-frame
+// orientation and its FOVMeta payload to every frame's, bit for bit, so
+// cluster choice and the per-frame FOV check see what the server rendered.
+func TestFetchedPosesMatchIngest(t *testing.T) {
+	v, _ := scene.ByName("RS")
+	cfg := server.DefaultIngestConfig()
+	cfg.FullW, cfg.FullH = 96, 48
+	cfg.FOVW, cfg.FOVH = 32, 32
+	cfg.MaxSegments = 2
+	cfg.Codec.SearchRange = 1
+	svc := server.NewService(store.New())
+	want, err := svc.IngestVideo(v, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	f := NewFetcher(fastFetchConfig(), nil)
+	defer f.Close()
+	got, err := f.Manifest(ts.URL, "RS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b server.FrameMeta) bool {
+		return math.Float64bits(a.Yaw) == math.Float64bits(b.Yaw) && math.Float64bits(a.Pitch) == math.Float64bits(b.Pitch)
+	}
+	clusters := 0
+	for si, seg := range want.Segments {
+		for ci, cl := range seg.Clusters {
+			if pose := got.Segments[si].Clusters[ci].Pose; !same(pose, cl.Meta[0]) {
+				t.Errorf("segment %d cluster %d: manifest pose %+v, ingest %+v", seg.Index, cl.ID, pose, cl.Meta[0])
+			}
+			_, meta, err := f.Segment(ts.URL, server.Ref{Video: "RS", Kind: server.FOV, Seg: seg.Index, A: cl.ID})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(meta) != len(cl.Meta) {
+				t.Fatalf("segment %d cluster %d: %d poses fetched, %d ingested", seg.Index, cl.ID, len(meta), len(cl.Meta))
+			}
+			for fr := range meta {
+				if !same(meta[fr], cl.Meta[fr]) {
+					t.Errorf("segment %d cluster %d frame %d: fetched %+v, ingest %+v", seg.Index, cl.ID, fr, meta[fr], cl.Meta[fr])
+				}
+			}
+			clusters++
+		}
+	}
+	if clusters == 0 {
+		t.Fatal("no FOV videos ingested")
 	}
 }

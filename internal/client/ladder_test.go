@@ -73,7 +73,8 @@ type ladderPin struct {
 // The byte-derived fields — the frame a truncated payload fails at,
 // ModeledBytes and ModeledStartupSec — were re-recorded when coefficient
 // lists moved from end-of-block runs to last flags; every checksum and
-// signature held.
+// signature held. The strict VOD fovmeta-payload errors were re-recorded
+// when FOV metadata moved from JSON to 16 bytes per frame.
 func TestDegradeLadderPinned(t *testing.T) {
 	v, _ := scene.ByName("RS")
 	handlers := map[string]http.Handler{}
@@ -227,8 +228,8 @@ var ladderPins = map[string]ladderPin{
 	"vod/fov-payload/strict/float":             {"server: bitstream truncated at frame 2 body", "", 0xcbf29ce484222325, ""},
 	"vod/fov-payload/res/har":                  {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 PayloadErrors:2", 0x9bceddb43c759e9, "dr×60"},
 	"vod/fov-payload/res/float":                {"nil", "Frames:60 Misses:60 Fallbacks:2 PayloadErrors:2", 0x814f39ec080dcffb, "dr×60"},
-	"vod/fovmeta-payload/strict/har":           {"client: parsing FOV metadata: invalid character 'Ï' looking for beginning of value", "", 0xcbf29ce484222325, ""},
-	"vod/fovmeta-payload/strict/float":         {"client: parsing FOV metadata: invalid character 'Ï' looking for beginning of value", "", 0xcbf29ce484222325, ""},
+	"vod/fovmeta-payload/strict/har":           {"client: parsing FOV metadata: server: FOV metadata is 240 bytes, want 480 (30 frames)", "", 0xcbf29ce484222325, ""},
+	"vod/fovmeta-payload/strict/float":         {"client: parsing FOV metadata: server: FOV metadata is 240 bytes, want 480 (30 frames)", "", 0xcbf29ce484222325, ""},
 	"vod/fovmeta-payload/res/har":              {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 PayloadErrors:2", 0x9bceddb43c759e9, "dr×60"},
 	"vod/fovmeta-payload/res/float":            {"nil", "Frames:60 Misses:60 Fallbacks:2 PayloadErrors:2", 0x814f39ec080dcffb, "dr×60"},
 	"vod/fov-frame10/strict/har":               {"client: frame 10: codec: truncated or corrupt bitstream", "Frames:10 Hits:10", 0xcbf29ce484222325, "hds×10 d×1"},

@@ -399,7 +399,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			o := imu.At(frameIdx)
 			hit := false
 			sp.Start(telemetry.StageFOVCheck)
-			if src == fromFOV && f < fov.frames() && f < len(fovMeta) {
+			if src == fromFOV && f < fov.frames() { // the fetcher checked one pose per frame
 				meta := geom.Orientation{Yaw: fovMeta[f].Yaw, Pitch: fovMeta[f].Pitch}
 				hit = o.AngularDistance(meta) <= tolerance
 			}
@@ -549,10 +549,7 @@ func bestCluster(seg *server.SegmentInfo, gaze geom.Orientation, tolerance float
 	choice := -1
 	bestAng := tolerance * 4
 	for _, cl := range seg.Clusters {
-		if len(cl.Meta) == 0 {
-			continue
-		}
-		o := geom.Orientation{Yaw: cl.Meta[0].Yaw, Pitch: cl.Meta[0].Pitch}
+		o := geom.Orientation{Yaw: cl.Pose.Yaw, Pitch: cl.Pose.Pitch}
 		if ang := gaze.AngularDistance(o); ang < bestAng {
 			bestAng = ang
 			choice = cl.ID

@@ -1,7 +1,10 @@
 package client
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -118,6 +121,47 @@ func TestResilientPlayerSurvivesCorruptFOV(t *testing.T) {
 	}
 	if stats.PTEFrames != 60 {
 		t.Errorf("PTE rendered %d frames, want all 60", stats.PTEFrames)
+	}
+}
+
+// TestBadFOVMetaIsAPayloadError checks the fetch layer refuses FOV metadata
+// the FOV check cannot trust — one frame short, a NaN angle, or the JSON
+// form an older ingest stored — as a payload error: a strict player stops
+// with it, a resilient one plays the original instead.
+func TestBadFOVMetaIsAPayloadError(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mangle func([]byte) []byte
+		want   string
+	}{
+		{"one frame short", func(b []byte) []byte { return b[:len(b)-16] }, "464 bytes, want 480"},
+		{"NaN yaw", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[3*16:], math.Float64bits(math.NaN()))
+			return b
+		}, "frame 3 has a non-finite angle"},
+		{"JSON form", func(b []byte) []byte {
+			meta, err := server.UnmarshalFrameMeta(b, len(b)/16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, _ := json.Marshal(meta)
+			return js
+		}, "re-ingest"},
+	} {
+		ts, v := mangledTestServer(t, false, func(p string) bool { return strings.Contains(p, "/fovmeta/") }, c.mangle)
+		p := NewPlayer(ts.URL)
+		if _, _, err := p.Play("RS", hmd.NewIMU(headtrace.Generate(v, 0)), 2); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: strict player err = %v, want one containing %q", c.name, err, c.want)
+		}
+		p = NewPlayer(ts.URL)
+		p.Resilient = true
+		stats, frames, err := p.Play("RS", hmd.NewIMU(headtrace.Generate(v, 0)), 2)
+		if err != nil {
+			t.Fatalf("%s: resilient player failed: %v", c.name, err)
+		}
+		if len(frames) != 60 || stats.Hits != 0 || stats.PayloadErrors == 0 {
+			t.Errorf("%s: resilient player displayed %d frames, stats %+v; want 60 misses and payload errors", c.name, len(frames), stats)
+		}
 	}
 }
 

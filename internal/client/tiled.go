@@ -164,8 +164,8 @@ func (ts *tiledSession) plan(seg *server.SegmentInfo, tr headtrace.Trace, frameI
 	confidence := 0.0
 	if choice >= 0 {
 		for _, cl := range seg.Clusters {
-			if cl.ID == choice && len(cl.Meta) > 0 {
-				o := geom.Orientation{Yaw: cl.Meta[0].Yaw, Pitch: cl.Meta[0].Pitch}
+			if cl.ID == choice {
+				o := geom.Orientation{Yaw: cl.Pose.Yaw, Pitch: cl.Pose.Pitch}
 				confidence = delivery.FOVConfidence(predicted, o, tolerance)
 				fovBytes = int64(cl.Bytes)
 				break

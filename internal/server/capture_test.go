@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -69,10 +68,10 @@ func TestEmbeddedTracksMatchDetectedTracks(t *testing.T) {
 		t.Fatal("missing clusters")
 	}
 	for _, ec := range eClusters {
-		eo := geom.Orientation{Yaw: ec.Meta[0].Yaw, Pitch: ec.Meta[0].Pitch}
+		eo := geom.Orientation{Yaw: ec.Pose.Yaw, Pitch: ec.Pose.Pitch}
 		best := math.Inf(1)
 		for _, dc := range dClusters {
-			do := geom.Orientation{Yaw: dc.Meta[0].Yaw, Pitch: dc.Meta[0].Pitch}
+			do := geom.Orientation{Yaw: dc.Pose.Yaw, Pitch: dc.Pose.Pitch}
 			if ang := eo.AngularDistance(do); ang < best {
 				best = ang
 			}
@@ -102,8 +101,8 @@ func TestEmbeddedIngestServesDecodableContent(t *testing.T) {
 	if _, err := UnmarshalBitstream(data); err != nil {
 		t.Fatalf("embedded FOV bitstream corrupt: %v", err)
 	}
-	var parsed []FrameMeta
-	if err := json.Unmarshal(meta, &parsed); err != nil || len(parsed) != 30 {
+	parsed, err := UnmarshalFrameMeta(meta, 30)
+	if err != nil || len(parsed) != 30 {
 		t.Fatalf("embedded metadata broken: %v (%d entries)", err, len(parsed))
 	}
 }

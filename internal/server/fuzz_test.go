@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -50,6 +51,39 @@ func FuzzUnmarshalBitstream(f *testing.F) {
 	})
 }
 
+// FuzzUnmarshalFrameMeta fuzzes the FOVMeta decode the client's FOV check
+// trusts: any payload and frame count must parse or error, never panic, and
+// a payload that parses re-marshals to the same bytes — the check sees
+// exactly the angles on the wire.
+func FuzzUnmarshalFrameMeta(f *testing.F) {
+	seed := MarshalFrameMeta([]FrameMeta{
+		{Yaw: 0.5, Pitch: -0.25},
+		{Yaw: math.Copysign(0, -1), Pitch: math.MaxFloat64},
+		{Yaw: -math.Pi, Pitch: math.SmallestNonzeroFloat64},
+	})
+	f.Add(seed, 3)
+	f.Add(seed, 2)
+	f.Add(seed[:len(seed)-1], 3)
+	f.Add([]byte{}, 0)
+	f.Add([]byte{}, -1)
+	f.Add(MarshalFrameMeta([]FrameMeta{{Yaw: math.NaN()}}), 1)
+	f.Add(MarshalFrameMeta([]FrameMeta{{Pitch: math.Inf(-1)}}), 1)
+	f.Add([]byte(`[{"yaw":0.5,"pitch":-0.25}]`), 1)
+
+	f.Fuzz(func(t *testing.T, data []byte, frames int) {
+		meta, err := UnmarshalFrameMeta(data, frames)
+		if err != nil {
+			return
+		}
+		if len(meta) != frames {
+			t.Fatalf("parsed %d poses, asked for %d", len(meta), frames)
+		}
+		if re := MarshalFrameMeta(meta); !bytes.Equal(re, data) {
+			t.Fatalf("re-marshaled metadata differs:\n in: %x\nout: %x", data, re)
+		}
+	})
+}
+
 // FuzzManifestJSON fuzzes the manifest decode path the client trusts: any
 // JSON that decodes into a Manifest must re-encode, and the re-encoded
 // form must be a fixpoint (decode → encode → decode is identity). This is
@@ -61,7 +95,7 @@ func FuzzManifestJSON(f *testing.F) {
 		FOVXDeg: 130, FOVYDeg: 130, SegmentFrames: 30,
 		Segments: []SegmentInfo{{
 			Index: 0, Frames: 30, OrigBytes: 1234,
-			Clusters: []ClusterInfo{{ID: 0, Bytes: 567, Meta: []FrameMeta{{Yaw: 0.5, Pitch: -0.25}}}},
+			Clusters: []ClusterInfo{{ID: 0, Bytes: 567, Pose: FrameMeta{Yaw: 0.5, Pitch: -0.25}}},
 		}},
 		Report: IngestReport{DetectorInvocations: 3, PreRenderedFrames: 30},
 	}
@@ -72,7 +106,7 @@ func FuzzManifestJSON(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"video":"x","segments":null}`))
-	f.Add([]byte(`{"segments":[{"clusters":[{"meta":[{"yaw":1e308}]}]}]}`))
+	f.Add([]byte(`{"segments":[{"clusters":[{"pose":{"yaw":1e308}}]}]}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"fps":-1,"segments":[{"index":-9,"frames":0,"clusters":[]}]}`))
 

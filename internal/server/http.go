@@ -241,10 +241,6 @@ func (s *Service) stampLive(w http.ResponseWriter, video string, seg int) {
 // segmentHandler serves one payload kind through the canonical-address gate,
 // admission control and the response cache.
 func (s *Service) segmentHandler(kind Kind) http.HandlerFunc {
-	contentType := "application/octet-stream"
-	if kind == FOVMeta {
-		contentType = "application/json"
-	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		ref, ok := ParseRef(w, r)
 		if !ok {
@@ -262,7 +258,7 @@ func (s *Service) segmentHandler(kind Kind) http.HandlerFunc {
 			http.NotFound(w, r)
 			return
 		}
-		w.Header().Set("Content-Type", contentType)
+		w.Header().Set("Content-Type", "application/octet-stream")
 		// The whole payload is in hand: declare its length rather than
 		// stream it chunked, so the client reads it into one buffer.
 		w.Header().Set("Content-Length", strconv.Itoa(len(data)))

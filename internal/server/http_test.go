@@ -23,7 +23,7 @@ func fabricateService(t *testing.T, opts ServiceOptions) *Service {
 	st := store.New()
 	bits := &codec.Bitstream{W: 16, H: 8, Frames: [][]byte{{1, 2, 3}}, Types: []codec.FrameType{codec.IFrame}}
 	payload := marshalBitstream(bits)
-	meta := []byte(`[{"yaw":0,"pitch":0}]`)
+	meta := MarshalFrameMeta([]FrameMeta{{}})
 	if err := st.Put(Ref{Video: "V", Kind: Orig, Seg: 0}.StoreKey(), payload, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func fabricateService(t *testing.T, opts ServiceOptions) *Service {
 	svc.manifests["V"] = &Manifest{
 		Video: "V", FPS: 30, SegmentFrames: 1,
 		Segments: []SegmentInfo{{Index: 0, Frames: 1, OrigBytes: len(payload),
-			Clusters: []ClusterInfo{{ID: 0, Bytes: len(payload), Meta: []FrameMeta{{}}}}}},
+			Clusters: []ClusterInfo{{ID: 0, Bytes: len(payload)}}}},
 	}
 	return svc
 }

@@ -12,8 +12,9 @@ package server
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -166,17 +167,70 @@ func (c IngestConfig) viewport() projection.Viewport {
 }
 
 // FrameMeta is the per-FOV-frame metadata streamed alongside frame data
-// (§5.2): the head orientation the frame was pre-rendered for.
+// (§5.2): the head orientation the frame was pre-rendered for. On the wire
+// a FOV video's metadata is the FOVMeta payload MarshalFrameMeta writes.
 type FrameMeta struct {
 	Yaw   float64 `json:"yaw"`
 	Pitch float64 `json:"pitch"`
 }
 
-// ClusterInfo describes one FOV video of a segment.
+// frameMetaSize is one frame's FOVMeta record: yaw, then pitch, each as
+// little-endian float64 bits.
+const frameMetaSize = 16
+
+// MarshalFrameMeta encodes a FOV video's per-frame orientations as its
+// FOVMeta payload: frameMetaSize bytes per frame, in frame order. The
+// encoding is lossless, so the client's FOV check sees the exact angles the
+// server pre-rendered.
+func MarshalFrameMeta(meta []FrameMeta) []byte {
+	out := make([]byte, 0, frameMetaSize*len(meta))
+	for _, m := range meta {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(m.Yaw))
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(m.Pitch))
+	}
+	return out
+}
+
+// UnmarshalFrameMeta parses the FOVMeta payload of a FOV video of frames
+// frames. The payload must be exactly frames records of finite angles: a
+// short payload would play its missing frames as misses and a NaN would
+// fail every FOV check, so both are payload errors. The JSON array older
+// ingests stored always fails the length check, since one JSON pose is
+// longer than frameMetaSize; only then does a leading '[' mark it as stale
+// (a binary payload may start with that byte).
+func UnmarshalFrameMeta(b []byte, frames int) ([]FrameMeta, error) {
+	if len(b)%frameMetaSize != 0 || len(b)/frameMetaSize != frames {
+		if len(b) > 0 && b[0] == '[' {
+			return nil, errors.New("server: FOV metadata is in the retired JSON form; re-ingest the video")
+		}
+		return nil, fmt.Errorf("server: FOV metadata is %d bytes, want %d (%d frames)", len(b), frameMetaSize*frames, frames)
+	}
+	meta := make([]FrameMeta, frames)
+	for f := range meta {
+		r := b[f*frameMetaSize:]
+		m := FrameMeta{
+			Yaw:   math.Float64frombits(binary.LittleEndian.Uint64(r[0:8])),
+			Pitch: math.Float64frombits(binary.LittleEndian.Uint64(r[8:16])),
+		}
+		if !isFinite(m.Yaw) || !isFinite(m.Pitch) {
+			return nil, fmt.Errorf("server: FOV metadata frame %d has a non-finite angle (yaw %v, pitch %v)", f, m.Yaw, m.Pitch)
+		}
+		meta[f] = m
+	}
+	return meta, nil
+}
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// ClusterInfo describes one FOV video of a segment. The manifest carries
+// only its first-frame orientation, Pose, which is all cluster choice reads;
+// the per-frame orientations travel in the FOVMeta payload, and Meta keeps
+// them on the ingesting process's manifest only.
 type ClusterInfo struct {
 	ID    int         `json:"id"`
 	Bytes int         `json:"bytes"`
-	Meta  []FrameMeta `json:"meta"`
+	Pose  FrameMeta   `json:"pose"`
+	Meta  []FrameMeta `json:"-"`
 }
 
 // TilingInfo describes the video's tile ingest: the grid, the rung count,
@@ -362,7 +416,7 @@ func Ingest(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*Manifest, er
 			return nil, err
 		}
 		for ci, rc := range rendered {
-			if err := st.Put(Ref{Video: v.Name, Kind: FOV, Seg: si, A: ci}.StoreKey(), rc.payload, rc.metaJSON); err != nil {
+			if err := st.Put(Ref{Video: v.Name, Kind: FOV, Seg: si, A: ci}.StoreKey(), rc.payload, rc.meta); err != nil {
 				return nil, err
 			}
 			man.Report.PreRenderedFrames += frames
@@ -558,9 +612,9 @@ func embeddedClusterTracks(v scene.VideoSpec, cfg IngestConfig, start, frames in
 // renderedCluster is the in-memory result of pre-rendering one cluster,
 // produced by the parallel fan-out and committed to the store in order.
 type renderedCluster struct {
-	info     ClusterInfo
-	payload  []byte
-	metaJSON []byte
+	info    ClusterInfo
+	payload []byte
+	meta    []byte // the FOVMeta payload
 }
 
 // preRenderCluster pre-renders and encodes one cluster's FOV video from its
@@ -608,14 +662,10 @@ func preRenderCluster(v scene.VideoSpec, cfg IngestConfig, ptCfg pt.Config,
 	for _, fov := range fovFrames {
 		pt.Recycle(fov)
 	}
-	metaJSON, err := json.Marshal(meta)
-	if err != nil {
-		return renderedCluster{}, err
-	}
 	return renderedCluster{
-		info:     ClusterInfo{ID: ci, Bytes: len(payload), Meta: meta},
-		payload:  payload,
-		metaJSON: metaJSON,
+		info:    ClusterInfo{ID: ci, Bytes: len(payload), Pose: meta[0], Meta: meta},
+		payload: payload,
+		meta:    MarshalFrameMeta(meta),
 	}, nil
 }
 

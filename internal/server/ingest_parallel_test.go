@@ -110,7 +110,7 @@ func TestIngestLUTByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantMeta, _ := json.Marshal(cl.Meta)
+				wantMeta := MarshalFrameMeta(cl.Meta)
 				key := Ref{Video: v.Name, Kind: FOV, Seg: seg.Index, A: cl.ID}.StoreKey()
 				payload, meta, ok := st.Get(key)
 				if !ok {

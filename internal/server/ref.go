@@ -14,7 +14,7 @@ type Kind uint8
 const (
 	Orig    Kind = iota // the original full-panorama segment
 	FOV                 // one cluster's FOV video
-	FOVMeta             // that FOV video's per-frame orientation metadata (JSON)
+	FOVMeta             // that FOV video's per-frame orientations (MarshalFrameMeta)
 	Tile                // one tile stream at one quality rung
 	TileLow             // the low-res backfill stream
 )

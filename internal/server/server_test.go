@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"evr/internal/codec"
@@ -129,9 +130,9 @@ func TestIngestedBitstreamsDecode(t *testing.T) {
 	if fovFrames[0].W != 32 || fovFrames[0].H != 32 {
 		t.Errorf("FOV frame is %dx%d", fovFrames[0].W, fovFrames[0].H)
 	}
-	var parsed []FrameMeta
-	if err := json.Unmarshal(meta, &parsed); err != nil {
-		t.Fatalf("metadata not valid JSON: %v", err)
+	parsed, err := UnmarshalFrameMeta(meta, len(fovBits.Frames))
+	if err != nil {
+		t.Fatalf("metadata does not parse: %v", err)
 	}
 	if len(parsed) != 30 {
 		t.Errorf("metadata has %d entries", len(parsed))
@@ -160,6 +161,88 @@ func TestBitstreamMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalBitstream(payload[:len(payload)-1]); err == nil {
 		t.Error("truncated payload accepted")
+	}
+}
+
+func TestUnmarshalFrameMetaRejects(t *testing.T) {
+	two := MarshalFrameMeta([]FrameMeta{{Yaw: 0.5}, {Pitch: 0.25}})
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		frames  int
+		want    string
+	}{
+		{"short", two[:31], 2, "31 bytes, want 32"},
+		{"one frame short", two[:16], 2, "16 bytes, want 32"},
+		{"long", two, 1, "32 bytes, want 16"},
+		{"negative frames", nil, -1, "0 bytes, want -16"},
+		{"empty for frames", nil, 2, "0 bytes, want 32"},
+		{"NaN yaw", MarshalFrameMeta([]FrameMeta{{}, {Yaw: math.NaN()}}), 2, "frame 1 has a non-finite angle"},
+		{"Inf pitch", MarshalFrameMeta([]FrameMeta{{Pitch: math.Inf(1)}}), 1, "frame 0 has a non-finite angle"},
+		{"JSON form", []byte(`[{"yaw":0.5,"pitch":0},{"yaw":0,"pitch":0.25}]`), 2, "re-ingest"},
+	} {
+		if _, err := UnmarshalFrameMeta(c.payload, c.frames); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+	// A binary payload whose first byte happens to be '[' is not JSON.
+	lead := MarshalFrameMeta([]FrameMeta{{Yaw: math.Float64frombits(0x3fe000000000005b)}})
+	if lead[0] != '[' {
+		t.Fatalf("seed starts with %q", lead[0])
+	}
+	if _, err := UnmarshalFrameMeta(lead, 1); err != nil {
+		t.Errorf("a valid payload starting with '[' refused: %v", err)
+	}
+}
+
+// TestControlPlaneBytesPinned pins what a session fetches besides video at
+// the gated benchmark's geometry (RS 320×160, 128² FOV, 2 segments): the
+// manifest carries one pose per FOV video, and every FOVMeta payload is 16
+// bytes per frame, served as binary.
+func TestControlPlaneBytesPinned(t *testing.T) {
+	v, _ := scene.ByName("RS")
+	cfg := DefaultIngestConfig()
+	cfg.FullW, cfg.FullH = 320, 160
+	cfg.FOVW, cfg.FOVH = 128, 128
+	cfg.MaxSegments = 2
+	svc := NewService(store.New())
+	if _, err := svc.IngestVideo(v, cfg); err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	get := func(path string) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, rec.Code)
+		}
+		return rec
+	}
+	body := get("/v/RS/manifest").Body.Bytes()
+	const manifestBytes = 857 // 10 624 when every frame's pose was in it
+	if len(body) != manifestBytes {
+		t.Errorf("manifest is %d bytes, pinned %d", len(body), manifestBytes)
+	}
+	var man Manifest
+	if err := json.Unmarshal(body, &man); err != nil {
+		t.Fatal(err)
+	}
+	payloads := 0
+	for _, seg := range man.Segments {
+		for _, cl := range seg.Clusters {
+			rec := get(Ref{Video: "RS", Kind: FOVMeta, Seg: seg.Index, A: cl.ID}.Path())
+			if n := rec.Body.Len(); n != 16*seg.Frames || n != 480 {
+				t.Errorf("FOVMeta %d/%d is %d bytes, want 16 × %d frames = 480", seg.Index, cl.ID, n, seg.Frames)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/octet-stream" {
+				t.Errorf("FOVMeta %d/%d served as %q", seg.Index, cl.ID, ct)
+			}
+			payloads++
+		}
+	}
+	if payloads == 0 {
+		t.Fatal("no FOV videos ingested")
 	}
 }
 
@@ -204,8 +287,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	if payload := getOK("/v/RS/fov/0/" + itoa(cl)); len(payload) == 0 {
 		t.Error("empty FOV video")
 	}
-	var meta []FrameMeta
-	if err := json.Unmarshal(getOK("/v/RS/fovmeta/0/"+itoa(cl)), &meta); err != nil || len(meta) == 0 {
+	meta, err := UnmarshalFrameMeta(getOK("/v/RS/fovmeta/0/"+itoa(cl)), man.Segments[0].Frames)
+	if err != nil || len(meta) == 0 {
 		t.Fatalf("FOV metadata broken: %v", err)
 	}
 
