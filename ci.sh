@@ -12,11 +12,11 @@
 #   -count repeats            the cache core under -race, and two tests that
 #                             were once flaky stay de-flaked.
 #   telemetry bench smoke     the disabled-path overhead benchmarks still run.
-#   fuzz smokes (5 s each)    every decoder of outside input (bitstream,
-#                             manifest, FOV metadata, payload address,
-#                             head-trace CSV, tile,
-#                             chaos scenario, codec frames through one reused
-#                             decoder), the player on a
+#   fuzz smokes (5 s each)    every decoder of outside input (segment
+#                             container, manifest, FOV metadata, payload
+#                             address, head-trace CSV, tile envelope, chaos
+#                             scenario, whole codec segments through one
+#                             reused decoder), the player on a
 #                             fuzzed manifest (FuzzPlayManifest: resilient,
 #                             tiled on and off, every payload missing), and
 #                             the differential fuzz over the render family

@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"evr/internal/codec"
+	"evr/internal/frame"
 	"evr/internal/projection"
 	"evr/internal/quality"
 	"evr/internal/scene"
@@ -26,21 +27,17 @@ func main() {
 
 	fmt.Println("360° quality assessment on a real codec round trip (Paris, 256x128):")
 	for _, q := range []int{2, 8, 24} {
-		enc, err := codec.NewEncoder(codec.Config{GOP: 1, Quality: q, SearchRange: 0})
+		bs, err := codec.EncodeSequence(codec.Config{GOP: 1, Quality: q, SearchRange: 0}, []*frame.Frame{ref})
 		if err != nil {
 			log.Fatal(err)
 		}
-		data, _, err := enc.Encode(ref)
-		if err != nil {
-			log.Fatal(err)
-		}
-		decoded, err := codec.NewDecoder().Decode(data)
+		decoded, err := codec.NewDecoder().Decode(bs, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
 		rep := assessor.Assess(ref, decoded)
 		fmt.Printf("  quality=%2d  %6.1f KiB  viewport PSNR %5.1f dB  SSIM %.4f\n",
-			q, float64(len(data))/1024, rep.MeanPSNR, rep.MeanSSIM)
+			q, float64(bs.TotalBytes())/1024, rep.MeanPSNR, rep.MeanSSIM)
 	}
 
 	fmt.Println("\nFig. 17 — assessment pipeline energy, PT on GPU vs PTE (4K input):")

@@ -18,7 +18,7 @@ func ckey(seg, cluster int) server.Ref {
 
 // loadEntry is a segment load that needs no network.
 func loadEntry() (*segmentEntry, error) {
-	return &segmentEntry{bits: &codec.Bitstream{W: 8, H: 8, Frames: [][]byte{nil}, Types: []codec.FrameType{codec.IFrame}}}, nil
+	return &segmentEntry{bits: &codec.Bitstream{Header: codec.Header{W: 8, H: 8, Quality: 4}, Frames: [][]byte{nil}, Types: []codec.FrameType{codec.IFrame}}}, nil
 }
 
 func cacheFetcher(t *testing.T, segments int) *Fetcher {

@@ -232,9 +232,9 @@ func (f *Fetcher) Manifest(baseURL, video string) (*server.Manifest, error) {
 
 // Segment returns one payload's encoded stream — and, for a FOV video, its
 // per-frame metadata — from cache when possible. The stream has passed
-// codec's header checks but is not decoded: the caller decodes the frames it
-// needs. Retries, the response cap and singleflight apply per payload, tiles
-// included.
+// codec.ParseSegment's checks but is not decoded: the caller decodes the
+// frames it needs. Retries, the response cap and singleflight apply per
+// payload, tiles included.
 func (f *Fetcher) Segment(baseURL string, ref server.Ref) (*codec.Bitstream, []server.FrameMeta, error) {
 	return f.segment(ref, false, func() (*segmentEntry, error) { return f.load(baseURL, ref) })
 }
@@ -290,11 +290,11 @@ func (f *Fetcher) segment(ref server.Ref, prefetch bool, load func() (*segmentEn
 	return e.bits, e.meta, nil
 }
 
-// load downloads and unmarshals one payload and checks its frame headers, so
-// a payload that is corrupt at the framing or header level fails here, not
-// mid-playback. The kind decides only the envelope: a tile wraps its
-// bitstream, a FOV video brings its metadata along, and everything else is a
-// bare bitstream.
+// load downloads and parses one payload — the segment header's checks run
+// here, once for every frame — so a payload that is corrupt at the framing
+// or header level fails here, not mid-playback. The kind decides only the
+// envelope: a tile wraps its segment, a FOV video brings its metadata
+// along, and everything else is a bare segment.
 func (f *Fetcher) load(baseURL string, ref server.Ref) (*segmentEntry, error) {
 	payload, err := f.getLive(baseURL+ref.Path(), ref.Video, ref.Seg)
 	if err != nil {
@@ -305,9 +305,6 @@ func (f *Fetcher) load(baseURL string, ref server.Ref) (*segmentEntry, error) {
 		e.bits, err = unwrapTile(payload, ref.A, ref.B)
 	} else {
 		e.bits, err = server.UnmarshalBitstream(payload)
-	}
-	if err == nil {
-		err = e.bits.CheckHeaders()
 	}
 	if err == nil && ref.Kind == server.FOV {
 		e.meta, err = f.loadFOVMeta(baseURL, ref, len(e.bits.Frames))

@@ -534,7 +534,7 @@ func (r *streamReader) frame(i int) (*frame.Frame, error) {
 		r.next = 0
 	}
 	for ; r.next <= i; r.next++ {
-		f, err := r.dec.Decode(r.bits.Frames[r.next])
+		f, err := r.dec.Decode(r.bits, r.next)
 		if err != nil {
 			return nil, fmt.Errorf("client: frame %d: %w", r.next, err)
 		}

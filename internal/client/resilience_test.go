@@ -46,12 +46,12 @@ func truncateAndFlip(body []byte) []byte {
 	return body
 }
 
-// zeroCoefficients returns a mangler that keeps a bitstream payload's framing
-// and every frame header intact but zeroes the first coded bytes after frame
-// k's 7-byte header: an exp-Golomb code of 33+ leading zeros, which no
-// decoder accepts. The payload passes every fetch-time check and fails
-// when frame k is decoded. unwrap parses the payload's envelope; frame
-// bodies alias the body, so zeroing them edits the payload in place.
+// zeroCoefficients returns a mangler that keeps a payload's envelope and
+// segment header intact but zeroes the first eight bytes of frame k's body:
+// an exp-Golomb code of 33+ leading zeros, which no decoder accepts. The
+// payload passes every fetch-time check and fails when frame k is decoded.
+// unwrap parses the payload's envelope; frame bodies alias the body, so
+// zeroing them edits the payload in place.
 func zeroCoefficients(k int, unwrap func([]byte) (*codec.Bitstream, error)) func([]byte) []byte {
 	return func(body []byte) []byte {
 		bits, err := unwrap(body)
@@ -59,7 +59,7 @@ func zeroCoefficients(k int, unwrap func([]byte) (*codec.Bitstream, error)) func
 			panic(fmt.Sprintf("cannot corrupt frame %d of the payload: %v", k, err))
 		}
 		data := bits.Frames[k]
-		clear(data[7:min(len(data), 15)])
+		clear(data[:min(len(data), 8)])
 		return body
 	}
 }

@@ -17,16 +17,27 @@
 // but it is a real, deterministic codec: every byte the system streams,
 // stores, or measures is produced by Encode and consumed by Decode.
 //
-// Bitstream layout (all fields MSB first; DESIGN.md §2 has the table):
+// Segment layout (DESIGN.md §2 has the table). A segment is one GOP-aligned
+// run of frames with one header; nothing is repeated per frame but the
+// body's length. Fixed-width fields are big endian, uvarints are
+// encoding/binary's minimal form, and frame bodies are bit streams read MSB
+// first:
 //
-//	frame   := type:8 ('I'|'P')  W:16  H:16  quality:8  flags:8  block*
+//	segment := "EVS1"  W:u16  H:u16  quality:u8  flags:u8  n:uvarint
+//	           types:⌈n/8⌉ bytes (bit i%8 of byte i/8 set: frame i is a P-frame)
+//	           { len:uvarint  body }×n
 //	flags   := bit0 ChromaCoding, bit1 HalfPel, bit2 skip/CBP syntax (required),
 //	           bit3 last-flag coefficient lists (required)
+//	body    := block*                                  -- raster order, zero-padded to a byte
 //	I block := coeffs(ch0) coeffs(ch1) coeffs(ch2)
 //	P block := skip:1                                  -- 1: copy of the reference block
 //	         | skip:1=0  SE(mvx) SE(mvy)  cbp:3  coeffs(ch) for each set cbp bit
 //	coeffs  := { UE(run) SE(level) last:1 }+           -- zigzag order; last=1 ends the list
 //	         | UE(64)                                  -- escape: no coefficient, I-blocks only
+//
+// ParseSegment checks the header once for every frame; Decode checks only
+// what a body needs: enough bits for its blocks and, for a P-frame, a
+// reference.
 //
 // A P-block is a skip when its motion vector is (0, 0) and all three
 // channels quantize to zero; cbp bit ch says whether channel ch carries any
@@ -105,9 +116,9 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	return &Encoder{cfg: cfg}, nil
 }
 
-// Header flag bits. flagSkipCBP and flagLastFlag mark the block and
-// coefficient syntax of the package comment; every stream this package
-// writes sets both and the decoder refuses a stream without them, so a
+// Segment flag bits. flagSkipCBP and flagLastFlag mark the block and
+// coefficient syntax of the package comment; every segment this package
+// writes sets both and ParseSegment refuses a segment without them, so a
 // payload from before a syntax change fails loudly instead of decoding
 // garbage.
 const (
@@ -118,9 +129,10 @@ const (
 	flagsKnown   = flagChroma | flagHalfPel | flagSkipCBP | flagLastFlag
 )
 
-// ErrStaleFormat reports a frame written before the last-flag coefficient
-// syntax: its bytes cannot be decoded by this package any more.
-var ErrStaleFormat = errors.New("codec: bitstream predates the last-flag coefficient syntax (header flag bit 3 not set); re-ingest the video")
+// ErrStaleFormat reports a payload written before the current format — the
+// one-header segment container or the last-flag coefficient syntax: its
+// bytes cannot be decoded by this package any more.
+var ErrStaleFormat = errors.New("codec: payload predates the current segment format; re-ingest the video")
 
 const (
 	blockLen   = blockSize * blockSize
@@ -130,7 +142,7 @@ const (
 	escapeRun = blockLen // first run of an empty coefficient list
 	// The fewest bits a block can take: three one-coefficient lists
 	// (UE(0) SE(±1) last, 5 bits, under the 13-bit escape) in an I-frame,
-	// one skip flag in a P-frame. Decode checks a header's block count
+	// one skip flag in a P-frame. Decode checks a frame's block count
 	// against them before it allocates the frame.
 	minIntraBlockBits = 3 * 5
 	minInterBlockBits = 1
@@ -342,9 +354,10 @@ func (c *blockCoder) predict(ref *frame.Frame, bx, by, mvx, mvy int, dst *pixBlo
 	}
 }
 
-// Encode compresses one frame, returning its bitstream and type. The encoder
-// maintains the reconstructed reference internally, so encode drift matches
-// the decoder exactly.
+// Encode compresses one frame, returning its body and type; the header the
+// body is decoded under is the segment's (EncodeSequence writes it). The
+// encoder maintains the reconstructed reference internally, so encode drift
+// matches the decoder exactly.
 func (e *Encoder) Encode(f *frame.Frame) ([]byte, FrameType, error) {
 	if f.W%blockSize != 0 || f.H%blockSize != 0 {
 		return nil, 0, fmt.Errorf("codec: frame %dx%d not a multiple of the %d-pixel block size", f.W, f.H, blockSize)
@@ -357,19 +370,6 @@ func (e *Encoder) Encode(f *frame.Frame) ([]byte, FrameType, error) {
 		ft = IFrame
 	}
 	w := &bitWriter{}
-	w.writeBits(uint64(ft), 8)
-	w.writeBits(uint64(f.W), 16)
-	w.writeBits(uint64(f.H), 16)
-	w.writeBits(uint64(e.cfg.Quality), 8)
-	flags := uint64(flagSkipCBP | flagLastFlag)
-	if e.cfg.ChromaCoding {
-		flags |= flagChroma
-	}
-	if e.cfg.HalfPel {
-		flags |= flagHalfPel
-	}
-	w.writeBits(flags, 8)
-
 	// In chroma mode the whole prediction loop runs in YCbCr.
 	src := f
 	if e.cfg.ChromaCoding {
@@ -430,7 +430,7 @@ func (e *frameEncoder) intraBlock(bx, by int) {
 // describe.
 func (e *frameEncoder) interBlock(bx, by int) {
 	// Motion vectors are coded in half-pel units when refinement is on,
-	// integer pixels otherwise (the header flag disambiguates).
+	// integer pixels otherwise (the segment's HalfPel flag disambiguates).
 	mvx, mvy := e.motionSearch(bx, by)
 	if e.halfPel {
 		mvx, mvy = e.refineHalfPel(bx, by, mvx, mvy)
@@ -554,8 +554,9 @@ func (e *frameEncoder) refineHalfPel(bx, by, dx, dy int) (mvx, mvy int) {
 	return mvx, mvy
 }
 
-// Decoder decompresses a stream produced by Encoder. Frames must be decoded
-// in encode order; an I-frame resets the prediction chain. The zero value is
+// Decoder decompresses the frames of segments produced by EncodeSequence.
+// Frames must be decoded in encode order; an I-frame resets the prediction
+// chain, so a decoder outlives the segments of a stream. The zero value is
 // ready to use.
 //
 // A Decoder owns the rasters it decodes into: two that alternate between
@@ -565,16 +566,15 @@ func (e *frameEncoder) refineHalfPel(bx, by, dx, dy int) (mvx, mvy int) {
 // must not be modified (Clone it to keep or change it). Rasters are
 // reallocated only when the frame dimensions change, and every block of a
 // frame is written (dimensions are multiples of the block size), so reuse
-// needs no clearing. The block coder is kept while the header's quality and
-// flags repeat.
+// needs no clearing. The block coder is kept while the segment header
+// repeats.
 type Decoder struct {
 	ref   *frame.Frame // the last decoded frame: the next P-frame's reference
 	spare *frame.Frame // the raster the next frame is decoded into
 	rgb   *frame.Frame // RGB output of a chroma-coded frame
 
-	coder        *blockCoder
-	coderQuality int
-	coderFlags   uint64
+	coder *blockCoder
+	hdr   Header // the header coder was built for
 }
 
 // NewDecoder returns a fresh decoder.
@@ -588,43 +588,36 @@ func raster(f **frame.Frame, w, h int) *frame.Frame {
 	return *f
 }
 
-// blockCoder returns the block coder for a header's quality and flags,
-// rebuilding it only when they differ from the previous frame's.
-func (d *Decoder) blockCoder(quality int, flags uint64) *blockCoder {
-	if d.coder == nil || d.coderQuality != quality || d.coderFlags != flags {
-		d.coder = newBlockCoder(quality, flags&flagChroma != 0, flags&flagHalfPel != 0)
-		d.coderQuality, d.coderFlags = quality, flags
-	}
-	return d.coder
-}
-
-// Decode decompresses one frame into the decoder's rasters; the result is
-// valid until the next Decode. A raster it allocates is bounded by the
-// payload: a header claiming more blocks than the payload has bits for is
-// rejected first. A frame that fails to decode leaves the reference as it
-// was.
-func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
-	r := newBitReader(data)
-	var hdr [5]uint64 // type, W, H, quality, flags
-	for i, n := range [...]uint{8, 16, 16, 8, 8} {
-		v, err := r.readBits(n)
-		if err != nil {
+// blockCoder returns the block coder for a segment header, checking the
+// header and rebuilding the coder only when it differs from the previous
+// frame's.
+func (d *Decoder) blockCoder(h Header) (*blockCoder, error) {
+	if d.coder == nil || d.hdr != h {
+		if err := h.check(); err != nil {
 			return nil, err
 		}
-		hdr[i] = v
+		d.coder = newBlockCoder(h.Quality, h.ChromaCoding, h.HalfPel)
+		d.hdr = h
 	}
-	ft, w, h, quality, flags := FrameType(hdr[0]), int(hdr[1]), int(hdr[2]), int(hdr[3]), hdr[4]
+	return d.coder, nil
+}
+
+// Decode decompresses frame i of bs into the decoder's rasters under bs's
+// header; the result is valid until the next Decode. A raster it allocates
+// is bounded by the payload: a body with fewer bits than its blocks need is
+// rejected first. A frame that fails to decode leaves the reference as it
+// was.
+func (d *Decoder) Decode(bs *Bitstream, i int) (*frame.Frame, error) {
+	if i < 0 || i >= len(bs.Frames) || i >= len(bs.Types) {
+		return nil, fmt.Errorf("codec: no frame %d in a %d-frame bitstream", i, len(bs.Frames))
+	}
+	ft, w, h := bs.Types[i], bs.W, bs.H
 	if ft != IFrame && ft != PFrame {
 		return nil, fmt.Errorf("codec: unknown frame type %q", byte(ft))
 	}
-	if w <= 0 || h <= 0 || w%blockSize != 0 || h%blockSize != 0 || quality < 1 || quality > 64 || flags&^flagsKnown != 0 {
-		return nil, errBitstream
-	}
-	if flags&flagLastFlag == 0 {
-		return nil, ErrStaleFormat
-	}
-	if flags&flagSkipCBP == 0 {
-		return nil, errBitstream
+	c, err := d.blockCoder(bs.Header)
+	if err != nil {
+		return nil, err
 	}
 	minBits := minIntraBlockBits
 	if ft == PFrame {
@@ -636,10 +629,10 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 		}
 		minBits = minInterBlockBits
 	}
+	r := newBitReader(bs.Frames[i])
 	if blocks := (w / blockSize) * (h / blockSize); blocks*minBits > r.bitsLeft() {
 		return nil, errBitstream
 	}
-	c := d.blockCoder(quality, flags)
 	out := raster(&d.spare, w, h)
 	for by := 0; by < h; by += blockSize {
 		for bx := 0; bx < w; bx += blockSize {
@@ -655,7 +648,7 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 		}
 	}
 	d.ref, d.spare = out, d.ref
-	if flags&flagChroma != 0 {
+	if bs.ChromaCoding {
 		rgb := raster(&d.rgb, w, h)
 		display.ToRGBInto(rgb, out)
 		return rgb, nil

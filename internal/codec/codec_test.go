@@ -65,42 +65,37 @@ func TestConfigValidate(t *testing.T) {
 
 func TestIntraRoundTripQuality(t *testing.T) {
 	src := noisyGradient(64, 32, 1)
-	enc, err := NewEncoder(Config{GOP: 1, Quality: 2, SearchRange: 0})
+	bs, err := EncodeSequence(Config{GOP: 1, Quality: 2, SearchRange: 0}, []*frame.Frame{src})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, ft, err := enc.Encode(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ft != IFrame {
+	if ft := bs.Types[0]; ft != IFrame {
 		t.Fatalf("first frame type = %c, want I", ft)
 	}
-	got, err := NewDecoder().Decode(data)
+	got, err := NewDecoder().Decode(bs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if psnr := frame.PSNR(src, got); psnr < 30 {
 		t.Errorf("intra PSNR = %v dB, want ≥ 30", psnr)
 	}
-	if len(data) >= src.Bytes() {
-		t.Errorf("no compression: %d encoded vs %d raw", len(data), src.Bytes())
+	if bs.TotalBytes() >= src.Bytes() {
+		t.Errorf("no compression: %d encoded vs %d raw", bs.TotalBytes(), src.Bytes())
 	}
 }
 
 func TestQualityKnob(t *testing.T) {
 	src := noisyGradient(64, 64, 2)
 	encode := func(q int) (int, float64) {
-		enc, _ := NewEncoder(Config{GOP: 1, Quality: q, SearchRange: 0})
-		data, _, err := enc.Encode(src)
+		bs, err := EncodeSequence(Config{GOP: 1, Quality: q, SearchRange: 0}, []*frame.Frame{src})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := NewDecoder().Decode(data)
+		dec, err := NewDecoder().Decode(bs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(data), frame.PSNR(src, dec)
+		return bs.TotalBytes(), frame.PSNR(src, dec)
 	}
 	fineBytes, finePSNR := encode(1)
 	coarseBytes, coarsePSNR := encode(16)
@@ -216,24 +211,27 @@ func TestEncodeRejectsBadDimensions(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	dec := NewDecoder()
-	if _, err := dec.Decode(nil); err == nil {
-		t.Error("empty stream accepted")
+	f := noisyGradient(16, 16, 8)
+	bs, err := EncodeSequence(Config{GOP: 4, Quality: 4, SearchRange: 1}, []*frame.Frame{f, f})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := dec.Decode([]byte{'X', 0, 16, 0, 16, 4}); err == nil {
+	dec := NewDecoder()
+	if _, err := dec.Decode(&Bitstream{Header: bs.Header}, 0); err == nil {
+		t.Error("frame of an empty stream accepted")
+	}
+	bad := *bs
+	bad.Types = []FrameType{'X', PFrame}
+	if _, err := dec.Decode(&bad, 0); err == nil {
 		t.Error("bad frame type accepted")
 	}
 	// A P-frame with no reference must fail.
-	enc, _ := NewEncoder(Config{GOP: 4, Quality: 4, SearchRange: 1})
-	f := noisyGradient(16, 16, 8)
-	enc.Encode(f)
-	p, _, _ := enc.Encode(f)
-	if _, err := NewDecoder().Decode(p); err == nil {
+	if _, err := NewDecoder().Decode(bs, 1); err == nil {
 		t.Error("orphan P-frame accepted")
 	}
 	// Truncated valid stream must fail, not panic.
-	i, _, _ := enc.Encode(f)
-	if _, err := NewDecoder().Decode(i[:len(i)/3]); err == nil {
+	bad.Types, bad.Frames = bs.Types[:1], [][]byte{bs.Frames[0][:len(bs.Frames[0])/3]}
+	if _, err := NewDecoder().Decode(&bad, 0); err == nil {
 		t.Error("truncated stream accepted")
 	}
 }
@@ -420,19 +418,15 @@ func TestChromaCodingSavesBytes(t *testing.T) {
 	// content while keeping luma fidelity high.
 	src := noisyGradient(64, 64, 500)
 	encode := func(chroma bool) (int, float64) {
-		enc, err := NewEncoder(Config{GOP: 1, Quality: 4, SearchRange: 0, ChromaCoding: chroma})
+		bs, err := EncodeSequence(Config{GOP: 1, Quality: 4, SearchRange: 0, ChromaCoding: chroma}, []*frame.Frame{src})
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, _, err := enc.Encode(src)
+		dec, err := NewDecoder().Decode(bs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := NewDecoder().Decode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(data), frame.PSNR(src, dec)
+		return bs.TotalBytes(), frame.PSNR(src, dec)
 	}
 	rgbBytes, rgbPSNR := encode(false)
 	ycbBytes, ycbPSNR := encode(true)
@@ -470,16 +464,25 @@ func TestChromaCodingPChainDecodes(t *testing.T) {
 
 func TestChromaFlagSurvivesBitstream(t *testing.T) {
 	src := noisyGradient(16, 16, 502)
-	enc, _ := NewEncoder(Config{GOP: 1, Quality: 4, ChromaCoding: true})
-	data, _, _ := enc.Encode(src)
-	// Flag byte is the 7th byte of the header (after type, W, H, quality).
-	if data[6]&0x01 == 0 {
-		t.Error("chroma flag not set in bitstream header")
+	bs, err := EncodeSequence(Config{GOP: 1, Quality: 4, ChromaCoding: true}, []*frame.Frame{src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := AppendSegment(nil, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The flags byte is the 10th of the segment header (after magic, W, H,
+	// quality).
+	if data[9]&0x01 == 0 {
+		t.Error("chroma flag not set in the segment header")
+	}
+	if got, err := ParseSegment(data); err != nil || !got.ChromaCoding {
+		t.Errorf("parsed chroma flag %v (err %v), want set", got != nil && got.ChromaCoding, err)
 	}
 	// An invalid flags byte must be rejected.
-	bad := append([]byte(nil), data...)
-	bad[6] = 0xFF
-	if _, err := NewDecoder().Decode(bad); err == nil {
+	data[9] = 0xFF
+	if _, err := ParseSegment(data); err == nil {
 		t.Error("garbage flags byte accepted")
 	}
 }
@@ -550,9 +553,13 @@ func TestHalfPelStreamRoundTrip(t *testing.T) {
 			t.Errorf("frame %d PSNR = %v", i, psnr)
 		}
 	}
-	// The half-pel flag must be present in P-frame headers.
-	if bs.Frames[1][6]&0x02 == 0 {
-		t.Error("half-pel flag missing from bitstream")
+	// The half-pel flag must be present in the segment header.
+	data, err := AppendSegment(nil, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[9]&0x02 == 0 {
+		t.Error("half-pel flag missing from the segment header")
 	}
 }
 

@@ -32,14 +32,14 @@ func TestDecodeSteadyStateAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		var dec Decoder
-		for _, data := range bs.Frames {
-			if _, err := dec.Decode(data); err != nil {
+		for i := range bs.Frames {
+			if _, err := dec.Decode(bs, i); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for i, data := range bs.Frames[:2] {
+		for i := range bs.Frames[:2] {
 			allocs := testing.AllocsPerRun(10, func() {
-				if _, err := dec.Decode(data); err != nil {
+				if _, err := dec.Decode(bs, i); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -61,7 +61,7 @@ func TestDecodeIgnoresRasterContents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := refDecodeSequence(bs.Frames)
+		want, _, err := refDecodeSequence(bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,14 +71,14 @@ func TestDecodeIgnoresRasterContents(t *testing.T) {
 		}
 		planted := &Decoder{ref: garbage(w, h, 3), spare: garbage(w, h, 4), rgb: garbage(w, h, 5)}
 		reused := &Decoder{}
-		for _, data := range other.Frames {
-			if _, err := reused.Decode(data); err != nil {
+		for i := range other.Frames {
+			if _, err := reused.Decode(other, i); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for name, dec := range map[string]*Decoder{"planted": planted, "reused": reused} {
-			for i, data := range bs.Frames {
-				got, err := dec.Decode(data)
+			for i := range bs.Frames {
+				got, err := dec.Decode(bs, i)
 				if err != nil {
 					t.Fatalf("%s %+v frame %d: %v", name, cfg, i, err)
 				}
@@ -102,8 +102,8 @@ func BenchmarkDecodeSegment(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, data := range bs.Frames {
-			if _, err := dec.Decode(data); err != nil {
+		for f := range bs.Frames {
+			if _, err := dec.Decode(bs, f); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -361,18 +361,6 @@ func (e *refEncoder) encode(f *frame.Frame) []byte {
 		ft = IFrame
 	}
 	w := &refBitWriter{}
-	w.writeBits(uint64(ft), 8)
-	w.writeBits(uint64(f.W), 16)
-	w.writeBits(uint64(f.H), 16)
-	w.writeBits(uint64(e.cfg.Quality), 8)
-	flags := uint64(flagSkipCBP | flagLastFlag)
-	if e.cfg.ChromaCoding {
-		flags |= flagChroma
-	}
-	if e.cfg.HalfPel {
-		flags |= flagHalfPel
-	}
-	w.writeBits(flags, 8)
 	src := f
 	if e.cfg.ChromaCoding {
 		src = display.ToYCbCr(f)
@@ -502,20 +490,15 @@ type refDecoder struct {
 	stats refStats
 }
 
-func (d *refDecoder) decode(data []byte) (*frame.Frame, error) {
+// decode decodes frame i of bs; the segment header's checks are
+// ParseSegment's, and the reference repeats them.
+func (d *refDecoder) decode(bs *Bitstream, i int) (*frame.Frame, error) {
+	data := bs.Frames[i]
 	r := &refBitReader{buf: data}
-	var hdr [5]uint64
-	for i, n := range [...]uint{8, 16, 16, 8, 8} {
-		v, err := r.readBits(n)
-		if err != nil {
-			return nil, err
-		}
-		hdr[i] = v
-	}
-	ft, w, h := FrameType(hdr[0]), int(hdr[1]), int(hdr[2])
-	cfg := Config{Quality: int(hdr[3]), ChromaCoding: hdr[4]&flagChroma != 0, HalfPel: hdr[4]&flagHalfPel != 0}
+	ft, w, h := bs.Types[i], bs.W, bs.H
+	cfg := Config{Quality: bs.Quality, ChromaCoding: bs.ChromaCoding, HalfPel: bs.HalfPel}
 	if (ft != IFrame && ft != PFrame) || w <= 0 || h <= 0 || w%blockSize != 0 || h%blockSize != 0 ||
-		cfg.Quality < 1 || cfg.Quality > 64 || hdr[4]&^flagsKnown != 0 || hdr[4]&flagSkipCBP == 0 || hdr[4]&flagLastFlag == 0 {
+		cfg.Quality < 1 || cfg.Quality > 64 {
 		return nil, errBitstream
 	}
 	if ft == PFrame && (d.ref == nil || d.ref.W != w || d.ref.H != h) {
@@ -624,12 +607,12 @@ func (d *refDecoder) interBlock(r *refBitReader, out *frame.Frame, bx, by int, c
 	return nil
 }
 
-// refDecodeSequence decodes frames with the reference decoder.
-func refDecodeSequence(frames [][]byte) ([]*frame.Frame, refStats, error) {
+// refDecodeSequence decodes a bitstream with the reference decoder.
+func refDecodeSequence(bs *Bitstream) ([]*frame.Frame, refStats, error) {
 	dec := &refDecoder{}
 	var out []*frame.Frame
-	for _, data := range frames {
-		f, err := dec.decode(data)
+	for i := range bs.Frames {
+		f, err := dec.decode(bs, i)
 		if err != nil {
 			return nil, refStats{}, err
 		}

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -133,7 +134,7 @@ func TestMatchesReferenceCodec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want, stats, err := refDecodeSequence(bs.Frames)
+		want, stats, err := refDecodeSequence(bs)
 		if err != nil {
 			t.Fatalf("%s: reference decoder: %v", tc.name, err)
 		}
@@ -210,7 +211,7 @@ func TestSkipShareOnWorkloadVideos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := refDecodeSequence(bs.Frames)
+		_, stats, err := refDecodeSequence(bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +231,7 @@ func TestSkipOnlyForZeroVectorAndZeroResidual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := refDecodeSequence(bs.Frames)
+		_, stats, err := refDecodeSequence(bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,14 +241,14 @@ func TestSkipOnlyForZeroVectorAndZeroResidual(t *testing.T) {
 	blocks := (32 / blockSize) * (16 / blockSize)
 
 	// Textured content identical to the reference: the zero vector wins
-	// outright and the residual is zero, so the frame is its header plus
-	// one set bit per block.
+	// outright and the residual is zero, so the body is one set bit per
+	// block.
 	data, stats := pFrame(Config{GOP: 2, Quality: 4, SearchRange: 2}, textured, textured)
 	if stats.skips != blocks {
 		t.Errorf("static frame: %d of %d blocks skipped", stats.skips, blocks)
 	}
-	if want := append(append([]byte(nil), data[:7]...), 0xFF); !bytes.Equal(data, want) {
-		t.Errorf("static frame = %x, want header + ff", data)
+	if !bytes.Equal(data, []byte{0xFF}) {
+		t.Errorf("static frame body = %x, want ff", data)
 	}
 
 	// Unchanged flat content: every candidate ties at SAD 0 and the search
@@ -270,41 +271,33 @@ func TestSkipOnlyForZeroVectorAndZeroResidual(t *testing.T) {
 }
 
 func TestTruncatedInterSyntaxErrors(t *testing.T) {
-	enc, _ := NewEncoder(Config{GOP: 2, Quality: 4})
-	key, _, err := enc.Encode(noisyGradient(16, 8, 42))
+	key, err := EncodeSequence(Config{GOP: 2, Quality: 4}, []*frame.Frame{noisyGradient(16, 8, 42)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// decode decodes data after the I-frame key with a fresh decoder and
-	// with the reference decoder, which must agree on whether it fails.
-	decode := func(data []byte) (*frame.Frame, error) {
+	// decode decodes a frame of type ft and body data after the I-frame key
+	// with a fresh decoder and with the reference decoder, which must agree
+	// on whether it fails.
+	decode := func(ft FrameType, data []byte) (*frame.Frame, error) {
 		t.Helper()
+		bs := &Bitstream{Header: key.Header, Frames: [][]byte{key.Frames[0], data}, Types: []FrameType{IFrame, ft}}
 		dec, ref := NewDecoder(), &refDecoder{}
-		if _, err := dec.Decode(key); err != nil {
+		if _, err := dec.Decode(bs, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ref.decode(key); err != nil {
+		if _, err := ref.decode(bs, 0); err != nil {
 			t.Fatal(err)
 		}
-		got, err := dec.Decode(data)
-		if _, refErr := ref.decode(data); (err == nil) != (refErr == nil) {
+		got, err := dec.Decode(bs, 1)
+		if _, refErr := ref.decode(bs, 1); (err == nil) != (refErr == nil) {
 			t.Errorf("decoder: %v, reference decoder: %v", err, refErr)
 		}
 		return got, err
 	}
-	header := func(ft FrameType) *bitWriter {
-		w := &bitWriter{}
-		w.writeBits(uint64(ft), 8)
-		w.writeBits(16, 16)
-		w.writeBits(8, 16)
-		w.writeBits(4, 8)
-		w.writeBits(flagSkipCBP|flagLastFlag, 8)
-		return w
-	}
 	// coded starts a P-frame whose first block has a zero vector and codes
 	// channel 0 only.
 	coded := func() *bitWriter {
-		w := header(PFrame)
+		w := &bitWriter{}
 		w.writeBits(0, 1)
 		w.writeSE(0)
 		w.writeSE(0)
@@ -313,13 +306,13 @@ func TestTruncatedInterSyntaxErrors(t *testing.T) {
 	}
 
 	// Both blocks skipped: the reference again.
-	w := header(PFrame)
+	w := &bitWriter{}
 	w.writeBits(0b11, 2)
-	want, err := NewDecoder().Decode(key)
+	want, err := NewDecoder().Decode(key, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := decode(w.bytes()); err != nil {
+	if got, err := decode(PFrame, w.bytes()); err != nil {
 		t.Fatalf("all-skip frame: %v", err)
 	} else if !got.Equal(want) {
 		t.Error("all-skip frame is not a copy of the reference")
@@ -327,22 +320,22 @@ func TestTruncatedInterSyntaxErrors(t *testing.T) {
 
 	// The payload ends after the first block's skip bit: the pad bits read
 	// as an unskipped block whose vector runs off the end.
-	w = header(PFrame)
+	w = &bitWriter{}
 	w.writeBits(1, 1)
-	if _, err := decode(w.bytes()); !errors.Is(err, errBitstream) {
+	if _, err := decode(PFrame, w.bytes()); !errors.Is(err, errBitstream) {
 		t.Errorf("stream ending after a skip bit: err = %v, want errBitstream", err)
 	}
 
 	// skip=0, SE(1), SE(1) fill seven bits; the byte's last bit is the
 	// first of the three pattern bits and the payload ends there.
-	w = header(PFrame)
+	w = &bitWriter{}
 	w.writeBits(0, 1)
 	w.writeSE(1)
 	w.writeSE(1)
 	w.writeBits(1, 1)
-	if data := w.bytes(); len(data) != 8 {
-		t.Fatalf("crafted stream is %d bytes, want 8", len(data))
-	} else if _, err := decode(data); !errors.Is(err, errBitstream) {
+	if data := w.bytes(); len(data) != 1 {
+		t.Fatalf("crafted body is %d bytes, want 1", len(data))
+	} else if _, err := decode(PFrame, data); !errors.Is(err, errBitstream) {
 		t.Errorf("stream ending inside the block pattern: err = %v, want errBitstream", err)
 	}
 
@@ -351,7 +344,7 @@ func TestTruncatedInterSyntaxErrors(t *testing.T) {
 	w = coded()
 	w.writeUE(escapeRun)
 	w.writeBits(1, 1)
-	if _, err := decode(w.bytes()); !errors.Is(err, errBitstream) {
+	if _, err := decode(PFrame, w.bytes()); !errors.Is(err, errBitstream) {
 		t.Errorf("escape in a coded P channel: err = %v, want errBitstream", err)
 	}
 
@@ -361,7 +354,7 @@ func TestTruncatedInterSyntaxErrors(t *testing.T) {
 	w.writeSE(0)
 	w.writeBits(1, 1)
 	w.writeBits(1, 1)
-	if _, err := decode(w.bytes()); !errors.Is(err, errBitstream) {
+	if _, err := decode(PFrame, w.bytes()); !errors.Is(err, errBitstream) {
 		t.Errorf("zero level in a coded P channel: err = %v, want errBitstream", err)
 	}
 
@@ -373,7 +366,7 @@ func TestTruncatedInterSyntaxErrors(t *testing.T) {
 		w.writeSE(1)
 		w.writeBits(0, 1)
 	}
-	if _, err := decode(w.bytes()); !errors.Is(err, errBitstream) {
+	if _, err := decode(PFrame, w.bytes()); !errors.Is(err, errBitstream) {
 		t.Errorf("list running past 64 coefficients: err = %v, want errBitstream", err)
 	}
 
@@ -382,24 +375,24 @@ func TestTruncatedInterSyntaxErrors(t *testing.T) {
 	w = coded()
 	w.writeUE(7)
 	w.writeSE(1)
-	if data := w.bytes(); len(data) != 9 {
-		t.Fatalf("crafted stream is %d bytes, want 9", len(data))
-	} else if _, err := decode(data); !errors.Is(err, errBitstream) {
+	if data := w.bytes(); len(data) != 2 {
+		t.Fatalf("crafted body is %d bytes, want 2", len(data))
+	} else if _, err := decode(PFrame, data); !errors.Is(err, errBitstream) {
 		t.Errorf("stream ending before a last flag: err = %v, want errBitstream", err)
 	}
 
 	// In an I-frame a list may be the escape, but only as its first run:
 	// six escapes are a mid-gray frame, an escape after a pair is corrupt.
-	w = header(IFrame)
+	w = &bitWriter{}
 	for k := 0; k < 6; k++ {
 		w.writeUE(escapeRun)
 	}
-	if got, err := decode(w.bytes()); err != nil {
+	if got, err := decode(IFrame, w.bytes()); err != nil {
 		t.Errorf("I-frame of six escapes: %v", err)
 	} else if got.Pix[0] != 128 || got.Pix[len(got.Pix)-1] != 128 {
 		t.Errorf("I-frame of six escapes decodes to %d…%d, want mid-gray", got.Pix[0], got.Pix[len(got.Pix)-1])
 	}
-	w = header(IFrame)
+	w = &bitWriter{}
 	w.writeUE(0)
 	w.writeSE(1)
 	w.writeBits(0, 1)
@@ -407,14 +400,15 @@ func TestTruncatedInterSyntaxErrors(t *testing.T) {
 	for k := 0; k < 5; k++ {
 		w.writeUE(escapeRun)
 	}
-	if _, err := decode(w.bytes()); !errors.Is(err, errBitstream) {
+	if _, err := decode(IFrame, w.bytes()); !errors.Is(err, errBitstream) {
 		t.Errorf("escape after a list's first pair: err = %v, want errBitstream", err)
 	}
 }
 
 // Frames of RS at 16×8 (GOP 2, quality 6, search range 1) as two earlier
-// formats encoded them: before the skip/CBP block syntax (header flag bit
-// 2), and before the last-flag coefficient lists (bit 3).
+// formats encoded them, each behind its 7-byte frame header (type, W, H,
+// quality, flags): before the skip/CBP block syntax (flag bit 2), and
+// before the last-flag coefficient lists (bit 3).
 const (
 	preCBPIFrame  = "4900100008060085c4941331280830b9502a62501061d05ec4a020c2e24a099894041854a40eb1ac4a020c3740858d62501040"
 	preCBPPFrame  = "50001000080600c082041020e041b0208104"
@@ -422,39 +416,77 @@ const (
 	preLastPFrame = "50001000080604b56041"
 )
 
+// The same two frames in the current syntax as the stores written before
+// the segment container held them: a bare segment (W, H, count as
+// little-endian u16, u16, u32, then type u8, length u32 and a headed frame
+// per frame) and an "EVT1" tile (tile 5 of a 4×2 grid, rung 1; big-endian
+// W, H, count, then type, length and a headed frame per frame).
+const (
+	preSegmentOrig = "1000080002000000492c0000004900100008060c85c24a04cc256171501530958740bd84ac2e125026612b0a8a407586b09586d4042c3584a850090000005000100008060cb570"
+	preSegmentTile = "4556543104020005010010000800000002490000002c4900100008060c85c24a04cc256171501530958740bd84ac2e125026612b0a8a407586b09586d4042c3584a850000000095000100008060cb570"
+)
+
+// oldSegment wraps frames that still carry their 7-byte headers in a
+// segment whose header is the first frame's, so the only thing stale about
+// it is what those headers declare.
+func oldSegment(frames ...[]byte) []byte {
+	seg := []byte(segmentMagic)
+	seg = append(seg, frames[0][1:7]...)
+	seg = binary.AppendUvarint(seg, uint64(len(frames)))
+	var types byte
+	for i, f := range frames {
+		if FrameType(f[0]) == PFrame {
+			types |= 1 << i
+		}
+	}
+	seg = append(seg, types)
+	for _, f := range frames {
+		seg = binary.AppendUvarint(seg, uint64(len(f)-7))
+		seg = append(seg, f[7:]...)
+	}
+	return seg
+}
+
+// TestStaleFormatRejected: a payload from a store written before a format
+// change fails to parse with ErrStaleFormat, whose text tells the operator
+// to re-ingest — frames of an older block or coefficient syntax, and the
+// containers that held one header per frame.
 func TestStaleFormatRejected(t *testing.T) {
 	bs, err := EncodeSequence(Config{GOP: 2, Quality: 6, SearchRange: 1}, rsFrames(t, 16, 8, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, old := range []struct{ name, i, p string }{
-		{"pre-skip/CBP", preCBPIFrame, preCBPPFrame},
-		{"pre-last-flag", preLastIFrame, preLastPFrame},
+	for _, old := range []struct{ name, i, p, why string }{
+		{"pre-skip/CBP", preCBPIFrame, preCBPPFrame, "bit 3"},
+		{"pre-last-flag", preLastIFrame, preLastPFrame, "bit 3"},
 	} {
 		iOld, _ := hex.DecodeString(old.i)
 		pOld, _ := hex.DecodeString(old.p)
 		// The same quantized blocks, in fewer bytes.
 		for k, data := range [][]byte{iOld, pOld} {
-			if len(bs.Frames[k]) >= len(data) {
-				t.Errorf("%s: %c-frame is %d bytes, no smaller than the old format's %d", old.name, bs.Types[k], len(bs.Frames[k]), len(data))
+			if len(bs.Frames[k]) >= len(data)-7 {
+				t.Errorf("%s: %c-frame body is %d bytes, no smaller than the old format's %d", old.name, bs.Types[k], len(bs.Frames[k]), len(data)-7)
 			}
 		}
-		dec := NewDecoder()
-		if _, err := dec.Decode(iOld); !errors.Is(err, ErrStaleFormat) {
-			t.Errorf("%s I-frame: err = %v, want ErrStaleFormat", old.name, err)
-		}
-		if _, err := dec.Decode(bs.Frames[0]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dec.Decode(pOld); !errors.Is(err, ErrStaleFormat) {
-			t.Errorf("%s P-frame: err = %v, want ErrStaleFormat", old.name, err)
-		}
-		if _, err := DecodeSequence(&Bitstream{W: 16, H: 8, Frames: [][]byte{iOld, pOld}, Types: []FrameType{IFrame, PFrame}}); !errors.Is(err, ErrStaleFormat) {
-			t.Errorf("%s sequence: err = %v, want ErrStaleFormat", old.name, err)
+		if _, err := ParseSegment(oldSegment(iOld, pOld)); !errors.Is(err, ErrStaleFormat) || !strings.Contains(err.Error(), old.why) {
+			t.Errorf("%s segment: err = %v, want ErrStaleFormat naming %s", old.name, err, old.why)
 		}
 	}
-	if !strings.Contains(ErrStaleFormat.Error(), "bit 3") {
-		t.Errorf("ErrStaleFormat = %q, want it to name the missing flag bit 3", ErrStaleFormat)
+	orig, _ := hex.DecodeString(preSegmentOrig)
+	tile, _ := hex.DecodeString(preSegmentTile)
+	// The bodies behind those headers are this package's frames bit for bit:
+	// the container changed, not a pixel.
+	if b0, b1 := orig[8+5+7:8+5+0x2c], orig[len(orig)-2:]; !bytes.Equal(b0, bs.Frames[0]) || !bytes.Equal(b1, bs.Frames[1]) {
+		t.Errorf("old frame bodies %x %x, want this encoder's %x %x", b0, b1, bs.Frames[0], bs.Frames[1])
+	}
+	for name, data := range map[string][]byte{
+		"bare segment":                 orig,
+		"EVT1 tile, envelope stripped": tile[9:],
+	} {
+		_, err := ParseSegment(data)
+		if !errors.Is(err, ErrStaleFormat) || !strings.Contains(err.Error(), "re-ingest the video") {
+			t.Errorf("%s: err = %v, want ErrStaleFormat naming \"re-ingest the video\"", name, err)
+		}
 	}
 }
 
@@ -532,25 +564,45 @@ func TestBitIOMatchesReference(t *testing.T) {
 // TestSegmentBytesPinned pins the exact size of one RS segment at the
 // benchmark's ingest settings (GOP 30, quality 6, search range 2), at the
 // playback workloads' 320×160 and serve_zipf's 128×64, so any change to
-// the entropy layer shows in this package's tests and not only in the
-// benchmark's wire bytes.
+// the entropy layer or the container shows in this package's tests and not
+// only in the benchmark's wire bytes. It also pins the per-tile floor: the
+// smallest tile segment a 96×48 tiled ingest stores (segment 1, tile 3 of
+// the 4×2 grid of 24×24 tiles, the coarsest rung's quality 24), whose tile
+// payload is this segment behind the 9-byte tile envelope.
 func TestSegmentBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		w, h          int
 		iFrame, total int
 	}{
-		{320, 160, 7046, 27304},
-		{128, 64, 1871, 6305},
+		{320, 160, 7039, 27169},
+		{128, 64, 1864, 6162},
 	} {
 		bs, err := EncodeSequence(Config{GOP: 30, Quality: 6, SearchRange: 2}, rsFrames(t, tc.w, tc.h, 30))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := len(bs.Frames[0]); got != tc.iFrame {
-			t.Errorf("RS %d×%d: I-frame %d B, want %d", tc.w, tc.h, got, tc.iFrame)
+			t.Errorf("RS %d×%d: I-frame body %d B, want %d", tc.w, tc.h, got, tc.iFrame)
 		}
 		if got := bs.TotalBytes(); got != tc.total {
 			t.Errorf("RS %d×%d: segment %d B, want %d", tc.w, tc.h, got, tc.total)
 		}
+		if seg, err := AppendSegment(nil, bs); err != nil || len(seg) != bs.TotalBytes() {
+			t.Errorf("RS %d×%d: AppendSegment wrote %d B (err %v), TotalBytes says %d", tc.w, tc.h, len(seg), err, bs.TotalBytes())
+		}
+	}
+	tile := make([]*frame.Frame, 30)
+	for i, f := range rsFrames(t, 96, 48, 60)[30:] {
+		tile[i] = frame.New(24, 24)
+		for y := 0; y < 24; y++ {
+			copy(tile[i].Pix[y*24*3:(y+1)*24*3], f.Pix[(y*96+72)*3:(y*96+96)*3])
+		}
+	}
+	bs, err := EncodeSequence(Config{GOP: 30, Quality: 24, SearchRange: 2}, tile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := bs.TotalBytes(), 161; got != want {
+		t.Errorf("smallest 96×48-grid tile segment %d B, want %d", got, want)
 	}
 }

@@ -2,6 +2,9 @@ package delivery
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
+	"strings"
 	"testing"
 
 	"evr/internal/codec"
@@ -12,7 +15,7 @@ func sampleTile(t *testing.T) *TilePayload {
 	return &TilePayload{
 		Cols: 4, Rows: 2, Tile: 5, Rung: 1,
 		Bits: &codec.Bitstream{
-			W: 24, H: 16,
+			Header: codec.Header{W: 24, H: 16, Quality: 6},
 			Frames: [][]byte{{1, 2, 3}, {}, {9}},
 			Types:  []codec.FrameType{codec.IFrame, codec.PFrame, codec.PFrame},
 		},
@@ -32,7 +35,7 @@ func TestTileRoundTrip(t *testing.T) {
 	if q.Cols != p.Cols || q.Rows != p.Rows || q.Tile != p.Tile || q.Rung != p.Rung {
 		t.Fatalf("header mismatch: %+v vs %+v", q, p)
 	}
-	if q.Bits.W != p.Bits.W || q.Bits.H != p.Bits.H || len(q.Bits.Frames) != len(p.Bits.Frames) {
+	if q.Bits.Header != p.Bits.Header || len(q.Bits.Frames) != len(p.Bits.Frames) {
 		t.Fatalf("bitstream mismatch")
 	}
 	for i := range p.Bits.Frames {
@@ -72,7 +75,9 @@ func TestMarshalTileRejects(t *testing.T) {
 		{"rung out of range", func(p *TilePayload) { p.Rung = 256 }},
 		{"oversize dims", func(p *TilePayload) { p.Bits.W = 1 << 16 }},
 		{"type count mismatch", func(p *TilePayload) { p.Bits.Types = p.Bits.Types[:1] }},
-		{"unknown frame type", func(p *TilePayload) { p.Bits.Types[0] = 'X' }},
+		{"unknown frame type", func(p *TilePayload) { p.Bits.Types[1] = 'X' }},
+		{"P-frame first", func(p *TilePayload) { p.Bits.Types[0] = codec.PFrame }},
+		{"dims off the block grid", func(p *TilePayload) { p.Bits.H = 12 }},
 	}
 	for _, tc := range cases {
 		p := sampleTile(t)
@@ -98,11 +103,19 @@ func TestUnmarshalTileRejects(t *testing.T) {
 		{"truncated header", good[:8]},
 		{"truncated frame", good[:len(good)-1]},
 		{"trailing bytes", append(append([]byte{}, good...), 0)},
+		{"bare segment", good[9:]},
 	}
 	for _, tc := range cases {
 		if _, err := UnmarshalTile(tc.data); err == nil {
 			t.Errorf("%s: unmarshal accepted bad payload", tc.name)
 		}
+	}
+
+	// A tile from a store written before the segment container: tells the
+	// operator to re-ingest.
+	old, _ := hex.DecodeString(preSegmentTile)
+	if _, err := UnmarshalTile(old); !errors.Is(err, codec.ErrStaleFormat) || !strings.Contains(err.Error(), "re-ingest the video") {
+		t.Errorf("EVT1 tile: err = %v, want codec.ErrStaleFormat naming \"re-ingest the video\"", err)
 	}
 
 	// Tile index outside the claimed grid.
@@ -119,12 +132,17 @@ func TestUnmarshalTileRejects(t *testing.T) {
 	}
 }
 
+// preSegmentTile is RS at 16×8 (GOP 2, quality 6, search range 1) as tile
+// 5 of a 4×2 grid at rung 1, in the "EVT1" layout that carried a 7-byte
+// header per frame.
+const preSegmentTile = "4556543104020005010010000800000002490000002c4900100008060c85c24a04cc256171501530958740bd84ac2e125026612b0a8a407586b09586d4042c3584a850000000095000100008060cb570"
+
 // FuzzUnmarshalTile pins the wire format's canonical property: any payload
 // that parses must re-marshal to the identical bytes.
 func FuzzUnmarshalTile(f *testing.F) {
 	p := &TilePayload{
 		Cols: 2, Rows: 2, Tile: 3, Rung: 0,
-		Bits: &codec.Bitstream{W: 8, H: 8,
+		Bits: &codec.Bitstream{Header: codec.Header{W: 8, H: 8, Quality: 4},
 			Frames: [][]byte{{0xAA}},
 			Types:  []codec.FrameType{codec.IFrame}},
 	}
@@ -135,6 +153,8 @@ func FuzzUnmarshalTile(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte("EVT1"))
 	f.Add([]byte{})
+	old, _ := hex.DecodeString(preSegmentTile)
+	f.Add(old)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := UnmarshalTile(data)
 		if err != nil {

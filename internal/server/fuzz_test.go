@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -10,15 +11,16 @@ import (
 	"evr/internal/codec"
 )
 
-// FuzzUnmarshalBitstream is the native-fuzzing upgrade of the old
-// random-soup loop: any input must parse or error (never panic or OOM),
-// and anything that parses must survive a marshal → unmarshal round trip
-// unchanged — the wire format has one canonical encoding per bitstream.
+// FuzzUnmarshalBitstream fuzzes the segment parser behind every original,
+// FOV and backfill payload: any input must parse or error (never panic or
+// OOM), and anything that parses must re-marshal to the identical bytes —
+// the container has one canonical encoding per bitstream.
 func FuzzUnmarshalBitstream(f *testing.F) {
-	// Seed with real round-trip payloads so the fuzzer starts inside the
-	// grammar, plus classic edge shapes.
-	seed := marshalBitstream(&codec.Bitstream{
-		W: 16, H: 8,
+	// Seed with a real round-trip payload so the fuzzer starts inside the
+	// grammar, plus classic edge shapes and a payload in the framing that
+	// carried a header per frame.
+	seed := segmentOf(f, &codec.Bitstream{
+		Header: codec.Header{W: 16, H: 8, Quality: 6, HalfPel: true},
 		Frames: [][]byte{{1, 2, 3}, {4, 5}, {}},
 		Types:  []codec.FrameType{codec.IFrame, codec.PFrame, codec.PFrame},
 	})
@@ -26,7 +28,8 @@ func FuzzUnmarshalBitstream(f *testing.F) {
 	f.Add(seed[:5])
 	f.Add(seed[:len(seed)-1])
 	f.Add([]byte{})
-	f.Add(marshalBitstream(&codec.Bitstream{W: 0, H: 0}))
+	old, _ := hex.DecodeString(preSegmentOrig)
+	f.Add(old)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -34,19 +37,12 @@ func FuzzUnmarshalBitstream(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := marshalBitstream(b)
-		b2, err := UnmarshalBitstream(re)
+		re, err := codec.AppendSegment(nil, b)
 		if err != nil {
-			t.Fatalf("re-marshaled bitstream does not parse: %v", err)
+			t.Fatalf("parsed bitstream does not marshal: %v", err)
 		}
-		if b2.W != b.W || b2.H != b.H || len(b2.Frames) != len(b.Frames) {
-			t.Fatalf("round trip shape changed: %dx%d/%d → %dx%d/%d",
-				b.W, b.H, len(b.Frames), b2.W, b2.H, len(b2.Frames))
-		}
-		for i := range b.Frames {
-			if b2.Types[i] != b.Types[i] || !bytes.Equal(b2.Frames[i], b.Frames[i]) {
-				t.Fatalf("round trip frame %d changed", i)
-			}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("round trip not byte-identical: %d in, %d out", len(data), len(re))
 		}
 	})
 }

@@ -21,8 +21,8 @@ import (
 func fabricateService(t *testing.T, opts ServiceOptions) *Service {
 	t.Helper()
 	st := store.New()
-	bits := &codec.Bitstream{W: 16, H: 8, Frames: [][]byte{{1, 2, 3}}, Types: []codec.FrameType{codec.IFrame}}
-	payload := marshalBitstream(bits)
+	bits := &codec.Bitstream{Header: codec.Header{W: 16, H: 8, Quality: 4}, Frames: [][]byte{{1, 2, 3}}, Types: []codec.FrameType{codec.IFrame}}
+	payload := segmentOf(t, bits)
 	meta := MarshalFrameMeta([]FrameMeta{{}})
 	if err := st.Put(Ref{Video: "V", Kind: Orig, Seg: 0}.StoreKey(), payload, nil); err != nil {
 		t.Fatal(err)
@@ -118,8 +118,8 @@ func TestHandlerStatusCodes(t *testing.T) {
 // reads it into one buffer of the right size.
 func TestPayloadDeclaresContentLength(t *testing.T) {
 	st := store.New()
-	bits := &codec.Bitstream{W: 16, H: 8, Frames: [][]byte{make([]byte, 10000)}, Types: []codec.FrameType{codec.IFrame}}
-	payload := marshalBitstream(bits)
+	bits := &codec.Bitstream{Header: codec.Header{W: 16, H: 8, Quality: 4}, Frames: [][]byte{make([]byte, 10000)}, Types: []codec.FrameType{codec.IFrame}}
+	payload := segmentOf(t, bits)
 	if err := st.Put(Ref{Video: "V", Kind: Orig, Seg: 0}.StoreKey(), payload, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestResponseCachePurgedOnReingest(t *testing.T) {
 	}
 	// Simulate a republish: new store content, then the purge IngestVideo
 	// performs.
-	fresh := marshalBitstream(&codec.Bitstream{W: 8, H: 8, Frames: [][]byte{{9}}, Types: []codec.FrameType{codec.IFrame}})
+	fresh := segmentOf(t, &codec.Bitstream{Header: codec.Header{W: 8, H: 8, Quality: 4}, Frames: [][]byte{{9}}, Types: []codec.FrameType{codec.IFrame}})
 	if err := svc.store.Put(Ref{Video: "V", Kind: Orig, Seg: 0}.StoreKey(), fresh, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -338,7 +338,7 @@ func encodeOrigPayload(v scene.VideoSpec, cfg IngestConfig, si int, full []*fram
 	if err != nil {
 		return nil, fmt.Errorf("server: encoding original segment %d of %s: %w", si, v.Name, err)
 	}
-	return marshalBitstream(origBits), nil
+	return codec.AppendSegment(nil, origBits)
 }
 
 // Ingest runs the cloud pipeline for one video and fills the SAS store.
@@ -512,7 +512,10 @@ func ingestTiles(v scene.VideoSpec, cfg IngestConfig, lay *TilingInfo, st *store
 	if err != nil {
 		return nil, fmt.Errorf("server: encoding tile backfill of %s segment %d: %w", v.Name, si, err)
 	}
-	lowPayload := marshalBitstream(lowBits)
+	lowPayload, err := codec.AppendSegment(nil, lowBits)
+	if err != nil {
+		return nil, err
+	}
 	if err := st.Put(Ref{Video: v.Name, Kind: TileLow, Seg: si}.StoreKey(), lowPayload, nil); err != nil {
 		return nil, err
 	}
@@ -658,7 +661,10 @@ func preRenderCluster(v scene.VideoSpec, cfg IngestConfig, ptCfg pt.Config,
 	if err != nil {
 		return renderedCluster{}, fmt.Errorf("server: encoding FOV video %d/%d of %s: %w", si, ci, v.Name, err)
 	}
-	payload := marshalBitstream(bits)
+	payload, err := codec.AppendSegment(nil, bits)
+	if err != nil {
+		return renderedCluster{}, err
+	}
 	for _, fov := range fovFrames {
 		pt.Recycle(fov)
 	}
@@ -714,49 +720,8 @@ func parallelFor(n, workers int, fn func(i int) error) error {
 	return first
 }
 
-// marshalBitstream serializes a codec.Bitstream: header (W, H, count) then
-// length-prefixed typed frames.
-func marshalBitstream(b *codec.Bitstream) []byte {
-	var out []byte
-	var hdr [10]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], uint16(b.W))
-	binary.LittleEndian.PutUint16(hdr[2:4], uint16(b.H))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(b.Frames)))
-	out = append(out, hdr[:8]...)
-	for i, f := range b.Frames {
-		var fh [5]byte
-		fh[0] = byte(b.Types[i])
-		binary.LittleEndian.PutUint32(fh[1:5], uint32(len(f)))
-		out = append(out, fh[:]...)
-		out = append(out, f...)
-	}
-	return out
-}
-
-// UnmarshalBitstream parses a payload produced by marshalBitstream.
+// UnmarshalBitstream parses an original, FOV or backfill payload: one
+// codec segment (codec.ParseSegment). The bitstream aliases the payload.
 func UnmarshalBitstream(payload []byte) (*codec.Bitstream, error) {
-	if len(payload) < 8 {
-		return nil, fmt.Errorf("server: bitstream payload too short")
-	}
-	b := &codec.Bitstream{
-		W: int(binary.LittleEndian.Uint16(payload[0:2])),
-		H: int(binary.LittleEndian.Uint16(payload[2:4])),
-	}
-	n := int(binary.LittleEndian.Uint32(payload[4:8]))
-	off := 8
-	for i := 0; i < n; i++ {
-		if off+5 > len(payload) {
-			return nil, fmt.Errorf("server: bitstream truncated at frame %d header", i)
-		}
-		ft := codec.FrameType(payload[off])
-		l := int(binary.LittleEndian.Uint32(payload[off+1 : off+5]))
-		off += 5
-		if off+l > len(payload) {
-			return nil, fmt.Errorf("server: bitstream truncated at frame %d body", i)
-		}
-		b.Types = append(b.Types, ft)
-		b.Frames = append(b.Frames, payload[off:off+l])
-		off += l
-	}
-	return b, nil
+	return codec.ParseSegment(payload)
 }

@@ -116,7 +116,7 @@ func TestIngestLUTByteIdentical(t *testing.T) {
 				if !ok {
 					t.Fatalf("GOMAXPROCS=%d: missing key %s", procs, key)
 				}
-				if string(payload) != string(marshalBitstream(bits)) || string(meta) != string(wantMeta) {
+				if string(payload) != string(segmentOf(t, bits)) || string(meta) != string(wantMeta) {
 					t.Errorf("GOMAXPROCS=%d: stored %s differs from the per-frame direct render", procs, key)
 				}
 			}

@@ -172,7 +172,7 @@ func TestServiceReingestDuringSlowLoad(t *testing.T) {
 	// Let the request enter its slow load, then republish the video the way
 	// IngestVideo does: overwrite the store and purge the cache.
 	time.Sleep(30 * time.Millisecond)
-	fresh := marshalBitstream(&codec.Bitstream{W: 16, H: 8, Frames: [][]byte{{9, 9, 9, 9}}, Types: []codec.FrameType{codec.IFrame}})
+	fresh := segmentOf(t, &codec.Bitstream{Header: codec.Header{W: 16, H: 8, Quality: 4}, Frames: [][]byte{{9, 9, 9, 9}}, Types: []codec.FrameType{codec.IFrame}})
 	if err := svc.store.Put(Ref{Video: "V", Kind: Orig, Seg: 0}.StoreKey(), fresh, nil); err != nil {
 		t.Fatal(err)
 	}

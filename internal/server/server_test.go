@@ -1,11 +1,14 @@
 package server
 
 import (
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -139,28 +142,46 @@ func TestIngestedBitstreamsDecode(t *testing.T) {
 	}
 }
 
+// segmentOf marshals b as one codec segment, the payload of an original,
+// FOV or backfill stream.
+func segmentOf(t testing.TB, b *codec.Bitstream) []byte {
+	t.Helper()
+	payload, err := codec.AppendSegment(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// preSegmentOrig is RS at 16×8 (GOP 2, quality 6, search range 1) as an
+// original payload in the framing before the segment container:
+// little-endian W, H and frame count, then type, length and a 7-byte-headed
+// frame per frame.
+const preSegmentOrig = "1000080002000000492c0000004900100008060c85c24a04cc256171501530958740bd84ac2e125026612b0a8a407586b09586d4042c3584a850090000005000100008060cb570"
+
 func TestBitstreamMarshalRoundTrip(t *testing.T) {
 	b := &codec.Bitstream{
-		W: 16, H: 8,
+		Header: codec.Header{W: 16, H: 8, Quality: 6},
 		Frames: [][]byte{{1, 2, 3}, {4, 5}},
 		Types:  []codec.FrameType{codec.IFrame, codec.PFrame},
 	}
-	payload := marshalBitstream(b)
+	payload := segmentOf(t, b)
 	got, err := UnmarshalBitstream(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.W != 16 || got.H != 8 || len(got.Frames) != 2 {
-		t.Fatalf("round trip shape: %+v", got)
-	}
-	if string(got.Frames[0]) != string(b.Frames[0]) || got.Types[1] != codec.PFrame {
-		t.Error("round trip content mismatch")
+	if !reflect.DeepEqual(got, b) {
+		t.Fatalf("round trip: %+v, want %+v", got, b)
 	}
 	if _, err := UnmarshalBitstream(payload[:5]); err == nil {
 		t.Error("short payload accepted")
 	}
 	if _, err := UnmarshalBitstream(payload[:len(payload)-1]); err == nil {
 		t.Error("truncated payload accepted")
+	}
+	old, _ := hex.DecodeString(preSegmentOrig)
+	if _, err := UnmarshalBitstream(old); !errors.Is(err, codec.ErrStaleFormat) || !strings.Contains(err.Error(), "re-ingest the video") {
+		t.Errorf("payload in the per-frame-header framing: err = %v, want codec.ErrStaleFormat naming \"re-ingest the video\"", err)
 	}
 }
 
@@ -220,7 +241,10 @@ func TestControlPlaneBytesPinned(t *testing.T) {
 		return rec
 	}
 	body := get("/v/RS/manifest").Body.Bytes()
-	const manifestBytes = 857 // 10 624 when every frame's pose was in it
+	// 10 624 when every frame's pose was in it; 857 until the one-header
+	// segment container took a FOV video's byte count (10 156 → 9 863)
+	// down a digit.
+	const manifestBytes = 856
 	if len(body) != manifestBytes {
 		t.Errorf("manifest is %d bytes, pinned %d", len(body), manifestBytes)
 	}

@@ -18,7 +18,7 @@ import (
 func fabricateTiledService(t *testing.T, opts ServiceOptions) *Service {
 	t.Helper()
 	svc := fabricateService(t, opts)
-	bits := &codec.Bitstream{W: 8, H: 8, Frames: [][]byte{{4, 5}}, Types: []codec.FrameType{codec.IFrame}}
+	bits := &codec.Bitstream{Header: codec.Header{W: 8, H: 8, Quality: 4}, Frames: [][]byte{{4, 5}}, Types: []codec.FrameType{codec.IFrame}}
 	for tile := 0; tile < 2; tile++ {
 		for rung := 0; rung < 2; rung++ {
 			payload, err := delivery.MarshalTile(&delivery.TilePayload{Cols: 2, Rows: 1, Tile: tile, Rung: rung, Bits: bits})
@@ -30,7 +30,7 @@ func fabricateTiledService(t *testing.T, opts ServiceOptions) *Service {
 			}
 		}
 	}
-	if err := svc.store.Put(Ref{Video: "V", Kind: TileLow, Seg: 0}.StoreKey(), marshalBitstream(bits), nil); err != nil {
+	if err := svc.store.Put(Ref{Video: "V", Kind: TileLow, Seg: 0}.StoreKey(), segmentOf(t, bits), nil); err != nil {
 		t.Fatal(err)
 	}
 	return svc
