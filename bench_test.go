@@ -58,7 +58,7 @@ func BenchmarkVisionDetect(b *testing.B) {
 	full := v.RenderFrame(0, projection.ERP, 256, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vision.Detect(full, projection.ERP, vision.DefaultDetector())
+		vision.Detect(full, projection.ERP)
 	}
 }
 

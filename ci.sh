@@ -20,7 +20,7 @@
 #                             fuzzed manifest (FuzzPlayManifest: resilient,
 #                             tiled on and off, every payload missing), and
 #                             the differential fuzz over the render family
-#                             (pt / ptlut / gpusim / pte pixel identities at
+#                             (pt / ptlut / pte pixel identities at
 #                             random dims and worker counts).
 #   FuzzFixedOps (5 s)        the raw-integer fixed-point core equals the
 #                             reference arithmetic bit for bit, every op, for

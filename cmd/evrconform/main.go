@@ -1,8 +1,9 @@
 // Command evrconform generates and verifies the conformance golden-vector
 // corpus: a deterministic sweep of (projection × filter × pose) cases
-// through the float reference (pt), the fixed-point PTE datapath (pte), and
-// the GPU texture-mapping baseline (gpusim), with byte-identity checks,
-// per-case error budgets, and metamorphic cross-checks.
+// through the three renderers — the float reference (pt, whose pixels are
+// the GPU baseline's), the exact-mode mapping LUT (ptlut) and the
+// fixed-point PTE datapath (pte) — with byte-identity checks, per-case
+// error budgets, and metamorphic cross-checks.
 //
 // The default mode verifies the committed golden manifest: every case is
 // re-rendered, compared checksum-for-checksum and metric-for-metric against
@@ -61,7 +62,7 @@ func main() {
 	}
 	fresh, err := conformance.Generate(cases)
 	if err != nil {
-		// A byte-identity invariant broke (pt parallel, gpusim, or pte
+		// A byte-identity invariant broke (pt parallel, exact ptlut, or pte
 		// parallel): that is a gate failure, not an infrastructure error.
 		fail([]string{err.Error()})
 	}

@@ -96,13 +96,9 @@ func VideoByName(name string) (VideoSpec, bool) { return scene.ByName(name) }
 // GenerateTrace produces the deterministic head trace of one user.
 func GenerateTrace(v VideoSpec, user int) Trace { return headtrace.Generate(v, user) }
 
-// The head-mounted display.
-type (
-	// HMD describes a head-mounted display.
-	HMD = hmd.Config
-	// IMU replays a head trace as per-frame sensor readings.
-	IMU = hmd.IMU
-)
+// IMU replays a head trace as per-frame sensor readings from the
+// head-mounted display.
+type IMU = hmd.IMU
 
 // NewIMU wraps a trace for replay.
 func NewIMU(trace Trace) *IMU { return hmd.NewIMU(trace) }

@@ -5,13 +5,16 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -365,6 +368,7 @@ var linkAllowlist = map[string]string{
 	"conformance.Measure":            "oracle: ptlut TestCorpusQuantizedBudgets measures the quantized LUT against pt with it",
 	"conformance.LUTQuantBudgetFor":  "oracle: the budgets ptlut TestCorpusQuantizedBudgets holds the quantized LUT to",
 	"pt.Config.MapPixel":             "oracle: pt TestMapperMatchesMapPixel holds the production Mapper to it",
+	"pt.(*Mapper).Map":               "oracle: MapPixel's body, and the per-pixel map pt TestRenderRowsMatchesMapSample holds Band to",
 	"display.ToRGB":                  "oracle: codec's reference decoder (reference_test.go) converts chroma-coded frames back with it",
 }
 
@@ -479,6 +483,242 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 			t.Errorf("allowlisted %s is no longer declared: drop its entry", name)
 		case linked[name]:
 			t.Errorf("allowlisted %s is linked now: drop its entry", name)
+		}
+	}
+}
+
+// fieldAllowlist names the exported config fields no non-test code sets
+// outside their preset that stay anyway, each with the reason: a test seam,
+// transport timing the fetcher tests shrink, a design knob whose caller has
+// not landed, or a field the frozen benchmark module reads. Keys are
+// "package.Type.Field" below evr/internal/.
+var fieldAllowlist = map[string]string{
+	"client.FetchConfig.BackoffBase":        "transport timing: the fetcher's retry tests shrink it to milliseconds",
+	"client.FetchConfig.BackoffMax":         "transport timing: the fetcher's retry tests shrink it to milliseconds",
+	"client.FetchConfig.LiveWaitMax":        "transport timing: TestFetcherLiveWaitDeadline shrinks the live-edge wait bound",
+	"server.LiveOptions.Clock":              "test seam: the virtual clock server's live tests drive the schedule with",
+	"loadgen.Config.HTTP":                   "test seam: loadgen's tests inject a counting transport",
+	"server.IngestConfig.EmbeddedSemantics": "design knob: the §9 capture/playback co-design, which no command exposes yet (capture_test exercises it)",
+	"server.IngestConfig.Codec":             "test seam: tests cut motion search (Codec.SearchRange) to keep small ingests fast",
+	"server.IngestConfig.SAS":               "bench/ reads it (SegmentFrames, sas.BuildPlan) and is frozen until the benchmark changes",
+	"server.IngestConfig.FOVXDeg":           "bench/ reads it to size FOV frames and is frozen until the benchmark changes",
+	"server.IngestConfig.FOVYDeg":           "the vertical twin of FOVXDeg, validated and carried into the manifest beside it",
+	"experiments.SPORTConfig.TargetSPSNR":   "design knob: the SPORT quality floor; evrbench -sport runs dominance mode (zero), TestSPORTUnreachableTarget sets it",
+	"pte.Config.SMEMSize":                   "prototype geometry: the §7.2 table prints it beside PMEMSize, which the P-MEM ablation varies",
+}
+
+// sourceLoader type-checks the module's packages from source, non-test
+// files only, into one types.Info; the standard library comes from the
+// source importer.
+type sourceLoader struct {
+	fset *token.FileSet
+	std  types.Importer
+	info *types.Info
+	pkgs map[string]*types.Package
+	// files holds each checked package's files, by import path.
+	files map[string][]*ast.File
+}
+
+func (l *sourceLoader) Import(path string) (*types.Package, error) {
+	dir, ok := strings.CutPrefix(path, "evr/")
+	if path == "evr" {
+		dir, ok = ".", true
+	}
+	if !ok {
+		return l.std.Import(path)
+	}
+	if p, ok := l.pkgs[path]; ok {
+		return p, nil
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	p, err := (&types.Config{Importer: l}).Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path], l.files[path] = p, files
+	return p, nil
+}
+
+// TestEveryConfigFieldIsSet is the guard beside TestEveryFunctionIsLinked
+// for data: every exported field of an exported *Config or *Options struct
+// under internal/, and of client.Player, must be set by some non-test code
+// in internal/, cmd/, examples/ or bench/ — an assignment, a composite
+// literal key or an address taken — other than the declaring package's
+// Default* presets and NewPlayer. A field nobody varies is a constant in
+// disguise: fold it into the code, or allowlist it with a reason. Structs
+// with json tags are skipped: outside input sets them.
+func TestEveryConfigFieldIsSet(t *testing.T) {
+	fset := token.NewFileSet()
+	l := &sourceLoader{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil),
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}, Types: map[ast.Expr]types.TypeAndValue{}},
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+	}
+	var paths []string
+	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
+		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error { //nolint:errcheck // an unreadable dir fails the import below
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				if dir := "evr/" + filepath.ToSlash(filepath.Dir(path)); len(paths) == 0 || paths[len(paths)-1] != dir {
+					paths = append(paths, dir)
+				}
+			}
+			return err
+		})
+	}
+	for _, path := range paths {
+		if _, err := l.Import(path); err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+	}
+
+	// The guarded fields, keyed "package.Type.Field" below evr/internal/.
+	guarded := map[*types.Var]string{}
+	for path, p := range l.pkgs {
+		pkg, ok := strings.CutPrefix(path, "evr/internal/")
+		if !ok {
+			continue
+		}
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || path+"."+name == "evr/internal/client.Player") {
+				continue
+			}
+			tagged := false
+			for i := 0; i < st.NumFields(); i++ {
+				_, tagged = reflect.StructTag(st.Tag(i)).Lookup("json")
+				if tagged {
+					break
+				}
+			}
+			for i := 0; i < st.NumFields() && !tagged; i++ {
+				if f := st.Field(i); f.Exported() {
+					guarded[f] = pkg + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+
+	// Count the writes. In the declaring package's presets only a value
+	// built from the preset's parameters counts: the caller varies it
+	// through the argument (NewPlayer's baseURL, DefaultPolicy's segment
+	// duration).
+	written := map[*types.Var]bool{}
+	for path, files := range l.files {
+		for _, file := range files {
+			for _, decl := range file.Decls {
+				var params map[types.Object]bool // non-nil inside a preset
+				if d, ok := decl.(*ast.FuncDecl); ok && (strings.HasPrefix(d.Name.Name, "Default") || d.Name.Name == "NewPlayer") {
+					params = map[types.Object]bool{}
+					for _, field := range d.Type.Params.List {
+						for _, name := range field.Names {
+							params[l.info.Defs[name]] = true
+						}
+					}
+				}
+				write := func(obj types.Object, values ...ast.Expr) {
+					f, ok := obj.(*types.Var)
+					if !ok || guarded[f] == "" {
+						return
+					}
+					varied := params == nil || f.Pkg().Path() != path
+					for _, v := range values {
+						ast.Inspect(v, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok && params[l.info.Uses[id]] {
+								varied = true
+							}
+							return !varied
+						})
+					}
+					written[f] = written[f] || varied
+				}
+				// lhs records every field selected along a written
+				// expression: setting cfg.SAS.MarginDeg varies both
+				// MarginDeg and SAS.
+				var lhs func(e ast.Expr, values ...ast.Expr)
+				lhs = func(e ast.Expr, values ...ast.Expr) {
+					switch x := e.(type) {
+					case *ast.SelectorExpr:
+						if sel := l.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+							write(sel.Obj(), values...)
+						}
+						lhs(x.X, values...)
+					case *ast.ParenExpr:
+						lhs(x.X, values...)
+					case *ast.IndexExpr:
+						lhs(x.X, values...)
+					case *ast.StarExpr:
+						lhs(x.X, values...)
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.AssignStmt:
+						for _, e := range x.Lhs {
+							lhs(e, x.Rhs...)
+						}
+					case *ast.IncDecStmt:
+						lhs(x.X)
+					case *ast.UnaryExpr:
+						if x.Op == token.AND {
+							lhs(x.X)
+						}
+					case *ast.CompositeLit:
+						st, ok := l.info.Types[x].Type.Underlying().(*types.Struct)
+						if !ok {
+							return true
+						}
+						for i, elt := range x.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								write(l.info.Uses[kv.Key.(*ast.Ident)], kv.Value)
+							} else {
+								write(st.Field(i), elt)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	var unset []string
+	seen := map[string]bool{}
+	for f, name := range guarded {
+		seen[name] = true
+		switch {
+		case !written[f] && fieldAllowlist[name] == "":
+			unset = append(unset, fmt.Sprintf("%s (%s)", name, fset.Position(f.Pos())))
+		case written[f] && fieldAllowlist[name] != "":
+			t.Errorf("allowlisted %s is set now: drop its entry", name)
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s is set by no non-test code outside its preset: fold it into a constant, or allowlist it with a reason", u)
+	}
+	for name := range fieldAllowlist {
+		if !seen[name] {
+			t.Errorf("allowlisted %s is no longer a guarded field: drop its entry", name)
 		}
 	}
 }

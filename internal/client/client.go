@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"evr/internal/energy"
-	"evr/internal/gpusim"
 	"evr/internal/headtrace"
 	"evr/internal/hmd"
 	"evr/internal/netsim"
@@ -96,38 +95,13 @@ func (u UseCase) String() string {
 	}
 }
 
-// Config assembles the simulated device.
+// Config selects what the simulated device plays and how: the variant and
+// use-case, and the §8.5 and beyond-paper knobs. The device itself is the
+// paper's evaluation setup — OSVR HDK2 HMD, TX2 device model, 300 Mbps
+// WiFi, 4K content — and the SAS geometry is the played plan's own.
 type Config struct {
 	Variant Variant
 	UseCase UseCase
-
-	HMD    hmd.Config
-	Device energy.DeviceModel
-	Link   netsim.Link
-	SAS    sas.Config
-
-	// NominalW/H are the full panoramic frame dimensions the energy model
-	// charges for (the paper's videos are 4K: 3840×2160).
-	NominalW, NominalH int
-
-	// GPUPower etc. configure the baseline texture-mapping path.
-	GPU gpusim.Config
-	// PTE configures the accelerator for H/S+H.
-	PTE pte.Config
-
-	// PrefetchSlackSec is how much of a mid-segment original fetch the
-	// client's buffer hides before playback visibly stalls.
-	PrefetchSlackSec float64
-
-	// CheckOverheadJ is the per-frame CPU cost of the SAS client support
-	// (§5.4): pose/metadata comparison and dual-pipeline management.
-	CheckOverheadJ float64
-
-	// ResyncSegments is the prefetch pipeline depth: FOV videos are
-	// requested this many segments ahead to hide transfer latency, so a
-	// fallback leaves a hole of this many segments that must play from the
-	// original stream before SAS re-engages.
-	ResyncSegments int
 
 	// ForceAllHits makes every FOV check succeed — the §8.5 idealization
 	// where a perfect head-motion predictor lets the server pre-render the
@@ -140,74 +114,58 @@ type Config struct {
 	// Ext enables the beyond-paper extensions (predictive FOV-video
 	// choice, display-processor-fused PTE). Zero value = shipped design.
 	Ext Extensions
+}
 
-	// TiledByteRatio is the streamed-byte fraction of the Tiled variant
+// The simulated device's constants.
+const (
+	// nominalW/H are the full panoramic frame dimensions the energy model
+	// charges for (the paper's videos are 4K: 3840×2160).
+	nominalW, nominalH = 3840, 2160
+
+	// prefetchSlackSec is how much of a mid-segment original fetch the
+	// client's buffer hides before playback visibly stalls.
+	prefetchSlackSec = 0.16
+
+	// checkOverheadJ is the per-frame CPU cost of the SAS client support
+	// (§5.4): pose/metadata comparison and dual-pipeline management.
+	checkOverheadJ = 1.5e-3
+
+	// resyncSegments is the prefetch pipeline depth: FOV videos are
+	// requested this many segments ahead to hide transfer latency, so a
+	// fallback leaves a hole of this many segments that must play from the
+	// original stream before SAS re-engages.
+	resyncSegments = 3
+
+	// tiledByteRatio is the streamed-byte fraction of the Tiled variant
 	// relative to full-frame streaming (visible tiles full quality,
 	// out-of-sight tiles low quality).
-	TiledByteRatio float64
-	// TiledPixelRatio is the decoded-pixel fraction of the Tiled variant:
+	tiledByteRatio = 0.45
+	// tiledPixelRatio is the decoded-pixel fraction of the Tiled variant:
 	// low-quality tiles decode at reduced resolution.
-	TiledPixelRatio float64
-}
+	tiledPixelRatio = 0.55
+)
 
-// DefaultConfig returns the paper's evaluation setup for a variant and
-// use-case: OSVR HDK2 HMD, TX2 device model, 300 Mbps WiFi, 4K content.
+// The paper's evaluation device, which Simulate charges and Player drives.
+var (
+	headset = hmd.OSVRHDK2()
+	device  = energy.TX2()
+	wifi    = netsim.WiFi300()
+	// pteCfg is the accelerator H and S+H render misses on.
+	pteCfg = pte.DefaultConfig(projection.ERP, pt.Bilinear, headset.Viewport())
+)
+
+// DefaultConfig returns the shipped design for a variant and use-case.
 func DefaultConfig(variant Variant, useCase UseCase) Config {
-	h := hmd.OSVRHDK2()
-	vp := h.Viewport()
-	ptCfg := pt.Config{Projection: projection.ERP, Filter: pt.Bilinear, Viewport: vp}
-	return Config{
-		Variant:          variant,
-		UseCase:          useCase,
-		HMD:              h,
-		Device:           energy.TX2(),
-		Link:             netsim.WiFi300(),
-		SAS:              sas.DefaultConfig(),
-		NominalW:         3840,
-		NominalH:         2160,
-		GPU:              gpusim.DefaultConfig(ptCfg),
-		PTE:              pte.DefaultConfig(projection.ERP, pt.Bilinear, vp),
-		PrefetchSlackSec: 0.16,
-		CheckOverheadJ:   1.5e-3,
-		ResyncSegments:   3,
-		TiledByteRatio:   0.45,
-		TiledPixelRatio:  0.55,
-	}
+	return Config{Variant: variant, UseCase: useCase}
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the variant can run under the use-case.
 func (c Config) Validate() error {
-	if err := c.HMD.Validate(); err != nil {
-		return err
-	}
-	if err := c.Link.Validate(); err != nil {
-		return err
-	}
-	if err := c.SAS.Validate(); err != nil {
-		return err
-	}
-	if err := c.GPU.Validate(); err != nil {
-		return err
-	}
-	if err := c.PTE.Validate(); err != nil {
-		return err
-	}
-	if c.NominalW <= 0 || c.NominalH <= 0 {
-		return fmt.Errorf("client: nominal resolution %dx%d must be positive", c.NominalW, c.NominalH)
-	}
-	if c.PrefetchSlackSec < 0 {
-		return fmt.Errorf("client: prefetch slack %v must be ≥ 0", c.PrefetchSlackSec)
-	}
 	if (c.Variant == S || c.Variant == SH) && c.UseCase != OnlineStreaming {
 		return fmt.Errorf("client: SAS requires online streaming (use case %v)", c.UseCase)
 	}
-	if c.Variant == Tiled {
-		if c.UseCase == OfflinePlayback {
-			return fmt.Errorf("client: tiled streaming requires a network use case")
-		}
-		if c.TiledByteRatio <= 0 || c.TiledByteRatio > 1 || c.TiledPixelRatio <= 0 || c.TiledPixelRatio > 1 {
-			return fmt.Errorf("client: tiled ratios (%v bytes, %v pixels) out of (0, 1]", c.TiledByteRatio, c.TiledPixelRatio)
-		}
+	if c.Variant == Tiled && c.UseCase == OfflinePlayback {
+		return fmt.Errorf("client: tiled streaming requires a network use case")
 	}
 	return nil
 }
@@ -280,7 +238,7 @@ func Simulate(v scene.VideoSpec, tr headtrace.Trace, plan *sas.Plan, cfg Config)
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	sim := &simulator{cfg: cfg, video: v}
+	sim := &simulator{cfg: cfg, sas: plan.Cfg, video: v}
 	sim.run(tr, plan)
 	return sim.res, nil
 }
@@ -288,6 +246,7 @@ func Simulate(v scene.VideoSpec, tr headtrace.Trace, plan *sas.Plan, cfg Config)
 // simulator carries per-run state.
 type simulator struct {
 	cfg   Config
+	sas   sas.Config // the played plan's geometry governs hit checking
 	video scene.VideoSpec
 	res   Result
 }
@@ -296,18 +255,18 @@ func (s *simulator) frameSeconds() float64 { return 1.0 / float64(s.video.FPS) }
 
 // fullFrameBytes is the raw size of a decoded panoramic frame.
 func (s *simulator) fullFrameBytes() int64 {
-	return int64(s.cfg.NominalW) * int64(s.cfg.NominalH) * 3
+	return int64(nominalW) * int64(nominalH) * 3
 }
 
 // vpBytes is the raw size of a displayed viewport frame.
 func (s *simulator) vpBytes() int64 {
-	vp := s.cfg.HMD.Viewport()
+	vp := headset.Viewport()
 	return int64(vp.Pixels()) * 3
 }
 
 // fovFrameBytes is the raw size of a decoded margin-padded FOV frame.
 func (s *simulator) fovFrameBytes() int64 {
-	scale := (s.cfg.HMD.FOVXDeg + s.cfg.SAS.MarginDeg) / s.cfg.HMD.FOVXDeg
+	scale := (headset.FOVXDeg + s.sas.MarginDeg) / headset.FOVXDeg
 	return int64(float64(s.vpBytes()) * scale * scale)
 }
 
@@ -341,7 +300,7 @@ func (s *simulator) run(tr headtrace.Trace, plan *sas.Plan) {
 			// renders identically — the §9 contrast.
 			bytes := seg.OrigBytes
 			if s.cfg.Variant == Tiled {
-				bytes = int64(float64(bytes) * s.cfg.TiledByteRatio)
+				bytes = int64(float64(bytes) * tiledByteRatio)
 			}
 			s.fetch(bytes, false)
 			for f := 0; f < segFrames; f++ {
@@ -357,8 +316,8 @@ func (s *simulator) run(tr headtrace.Trace, plan *sas.Plan) {
 		for f := 0; f < segFrames; f++ {
 			s.chargeFrameBase()
 			s.res.FOVChecks++
-			s.res.Ledger.Add(energy.Compute, s.cfg.CheckOverheadJ)
-			hit := s.cfg.ForceAllHits || s.cfg.SAS.Hit(&seg.Tracks[ti], f, tr.Samples[seg.Start+f].O)
+			s.res.Ledger.Add(energy.Compute, checkOverheadJ)
+			hit := s.cfg.ForceAllHits || s.sas.Hit(&seg.Tracks[ti], f, tr.Samples[seg.Start+f].O)
 			if !hit {
 				s.res.FOVMisses++
 			}
@@ -369,7 +328,7 @@ func (s *simulator) run(tr headtrace.Trace, plan *sas.Plan) {
 				// catch-up, and the prefetch pipeline loses the next
 				// segment's FOV video (re-sync through the original).
 				fallback = true
-				resync = s.cfg.ResyncSegments
+				resync = resyncSegments
 				s.fetch(seg.OrigBytes, true)
 				s.chargeCatchUpDecode(f + 1)
 			}
@@ -386,18 +345,18 @@ func (s *simulator) run(tr headtrace.Trace, plan *sas.Plan) {
 // fetch charges network and storage for a payload; blocking mid-segment
 // fetches also model the rebuffering stall.
 func (s *simulator) fetch(bytes int64, blocking bool) {
-	m := s.cfg.Device
+	m := device
 	switch s.cfg.UseCase {
 	case OfflinePlayback:
 		// Local playback: the payload is read from storage only.
 		s.res.Ledger.Add(energy.Storage, float64(bytes)*m.StorageJPerByte)
 	default:
-		d := s.res.Net.Transfer(s.cfg.Link, bytes)
+		d := s.res.Net.Transfer(wifi, bytes)
 		s.res.Ledger.Add(energy.Network, float64(bytes)*m.NetJPerByte)
 		// Streamed bytes are cached: written then read back.
 		s.res.Ledger.Add(energy.Storage, 2*float64(bytes)*m.StorageJPerByte)
 		if blocking {
-			stall := d - s.cfg.PrefetchSlackSec
+			stall := d - prefetchSlackSec
 			if stall > 0 {
 				s.res.Net.Rebuffer(stall)
 				s.res.DroppedFrames += int(stall/s.frameSeconds()) + 1
@@ -409,7 +368,7 @@ func (s *simulator) fetch(bytes int64, blocking bool) {
 
 // chargeFrameBase charges the always-on per-frame costs.
 func (s *simulator) chargeFrameBase() {
-	m := s.cfg.Device
+	m := device
 	dt := s.frameSeconds()
 	s.res.FramesTotal++
 	s.res.Ledger.AddPower(energy.Display, m.DisplayPowerW, dt)
@@ -422,14 +381,14 @@ func (s *simulator) chargeFrameBase() {
 		s.res.Ledger.AddPower(energy.Network, m.NetIdleW, dt)
 	}
 	// Display processor scans out the viewport every frame.
-	vp := s.cfg.HMD.Viewport()
+	vp := headset.Viewport()
 	s.res.Ledger.Add(energy.Compute, m.DisplayProcJPerPixel*float64(vp.Pixels()))
 }
 
 // chargeHitFrame charges a FOV-hit frame: decode the (small) FOV frame and
 // forward it to the display, bypassing PT entirely.
 func (s *simulator) chargeHitFrame() {
-	m := s.cfg.Device
+	m := device
 	s.res.FramesHit++
 	fovPx := float64(s.fovFrameBytes()) / 3
 	perFrameBytes := float64(s.fovFrameBytes())
@@ -441,7 +400,7 @@ func (s *simulator) chargeHitFrame() {
 		// PTE passthrough (Fig. 8): the decoded FOV frame streams to the
 		// frame buffer over the zero-copy path of Fig. 2, so only the
 		// engine's DMA energy is charged, not a DRAM round trip.
-		s.res.Ledger.Add(energy.Compute, s.cfg.PTE.PassthroughEnergyJ(s.fovFrameBytes()))
+		s.res.Ledger.Add(energy.Compute, pteCfg.PassthroughEnergyJ(s.fovFrameBytes()))
 	}
 	s.chargeScanout()
 	s.decodeBytesShare()
@@ -449,21 +408,21 @@ func (s *simulator) chargeHitFrame() {
 
 // chargeScanout charges the display processor's frame-buffer read.
 func (s *simulator) chargeScanout() {
-	s.res.Ledger.Add(energy.Memory, s.cfg.Device.DRAMJPerByte*float64(s.vpBytes()))
+	s.res.Ledger.Add(energy.Memory, device.DRAMJPerByte*float64(s.vpBytes()))
 }
 
 // chargePTFrame charges a conventionally-rendered frame: decode the full
 // panorama and run PT on the configured engine.
 func (s *simulator) chargePTFrame(usePTE bool) {
-	m := s.cfg.Device
+	m := device
 	s.res.FramesPT++
-	fullPx := float64(s.cfg.NominalW) * float64(s.cfg.NominalH)
+	fullPx := float64(nominalW) * float64(nominalH)
 	fullBytes := float64(s.fullFrameBytes())
 	decPx, decBytes := fullPx, fullBytes
 	if s.cfg.Variant == Tiled {
 		// Out-of-sight tiles decode at reduced resolution.
-		decPx *= s.cfg.TiledPixelRatio
-		decBytes *= s.cfg.TiledPixelRatio
+		decPx *= tiledPixelRatio
+		decBytes *= tiledPixelRatio
 	}
 	// Decode the panoramic frame (full or mixed-resolution tiles).
 	s.res.Ledger.Add(energy.Compute, m.DecodeJPerPixel*decPx)
@@ -472,7 +431,7 @@ func (s *simulator) chargePTFrame(usePTE bool) {
 
 	// Projective transformation.
 	if usePTE {
-		secs, rd, wr := s.cfg.PTE.FrameWork(s.cfg.NominalW, s.cfg.NominalH)
+		secs, rd, wr := pteCfg.FrameWork(nominalW, nominalH)
 		if s.cfg.Ext.FusedPTE {
 			// Display-processor integration (§6.3): the PT output streams
 			// straight to scanout — no FOV-frame write, no re-read.
@@ -480,14 +439,14 @@ func (s *simulator) chargePTFrame(usePTE bool) {
 		} else {
 			s.chargeScanout()
 		}
-		e := secs * s.cfg.PTE.PowerW()
+		e := secs * pteCfg.PowerW()
 		mem := m.DRAMJPerByte * float64(rd+wr)
 		s.res.Ledger.Add(energy.Compute, e)
 		s.res.Ledger.Add(energy.Memory, mem)
 		s.res.PTComputeJ += e
 		s.res.PTMemoryJ += mem
 	} else {
-		e := s.cfg.GPU.FrameEnergyJ()
+		e := energy.GPUFrameJ(headset.Viewport().Pixels())
 		mem := m.DRAMJPerByte * (fullBytes + float64(s.vpBytes()))
 		s.res.Ledger.Add(energy.Compute, e)
 		s.res.Ledger.Add(energy.Memory, mem)
@@ -501,8 +460,8 @@ func (s *simulator) chargePTFrame(usePTE bool) {
 // segment's already-played prefix (the original segment is only decodable
 // from its keyframe).
 func (s *simulator) chargeCatchUpDecode(prefixFrames int) {
-	m := s.cfg.Device
-	fullPx := float64(s.cfg.NominalW) * float64(s.cfg.NominalH)
+	m := device
+	fullPx := float64(nominalW) * float64(nominalH)
 	fullBytes := float64(s.fullFrameBytes())
 	s.res.Ledger.Add(energy.Compute, m.DecodeJPerPixel*fullPx*float64(prefixFrames))
 	s.res.Ledger.Add(energy.Memory, m.DRAMJPerByte*fullBytes*float64(prefixFrames))
@@ -511,10 +470,10 @@ func (s *simulator) chargeCatchUpDecode(prefixFrames int) {
 // decodeBytesShare charges the per-compressed-byte decode energy, amortized
 // as one frame's share of the video's nominal bitrate.
 func (s *simulator) decodeBytesShare() {
-	m := s.cfg.Device
+	m := device
 	bytesPerFrame := energy.NominalBitrateMbps(s.video.Complexity) * 1e6 / 8 / float64(s.video.FPS)
 	if s.cfg.Variant == Tiled {
-		bytesPerFrame *= s.cfg.TiledByteRatio
+		bytesPerFrame *= tiledByteRatio
 	}
 	s.res.Ledger.Add(energy.Compute, m.DecodeJPerByte*bytesPerFrame)
 }

@@ -234,8 +234,7 @@ func TestDeterministicSimulation(t *testing.T) {
 func TestSimulateRejectsInvalidConfig(t *testing.T) {
 	v, _ := scene.ByName("RS")
 	plan, _ := sas.BuildPlan(v, sas.DefaultConfig())
-	cfg := DefaultConfig(Baseline, OnlineStreaming)
-	cfg.NominalW = 0
+	cfg := DefaultConfig(SH, LiveStreaming)
 	if _, err := Simulate(v, headtrace.Generate(v, 0), plan, cfg); err == nil {
 		t.Error("invalid config accepted")
 	}
@@ -269,19 +268,11 @@ func TestTiledVariantTradeoffs(t *testing.T) {
 }
 
 func TestTiledValidation(t *testing.T) {
-	cfg := DefaultConfig(Tiled, OfflinePlayback)
-	if err := cfg.Validate(); err == nil {
+	if err := DefaultConfig(Tiled, OfflinePlayback).Validate(); err == nil {
 		t.Error("offline tiled accepted")
 	}
-	cfg = DefaultConfig(Tiled, OnlineStreaming)
-	cfg.TiledByteRatio = 0
-	if err := cfg.Validate(); err == nil {
-		t.Error("zero byte ratio accepted")
-	}
-	cfg = DefaultConfig(Tiled, OnlineStreaming)
-	cfg.TiledPixelRatio = 1.5
-	if err := cfg.Validate(); err == nil {
-		t.Error("pixel ratio over 1 accepted")
+	if err := DefaultConfig(Tiled, LiveStreaming).Validate(); err != nil {
+		t.Errorf("live tiled rejected: %v", err)
 	}
 	if Tiled.String() != "tiled" {
 		t.Error("tiled name broken")

@@ -37,7 +37,6 @@ type Player struct {
 	// Fetch tunes the fetch layer (timeout, retries, cache, prefetch).
 	// Changes take effect until the first Play constructs the fetcher.
 	Fetch FetchConfig
-	HMD   hmd.Config
 	// UseHAR renders fallback frames on the PTE accelerator; otherwise the
 	// reference (GPU-style) float pipeline is used.
 	UseHAR bool
@@ -173,7 +172,6 @@ func NewPlayer(baseURL string) *Player {
 	return &Player{
 		BaseURL:       baseURL,
 		Fetch:         DefaultFetchConfig(),
-		HMD:           hmd.OSVRHDK2(),
 		UseHAR:        true,
 		ViewportScale: 40,
 	}
@@ -220,11 +218,11 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		// count toward freshness, the DVR backlog behind it does not.
 		ftch.SetLiveEdge(video, man.LiveEdge)
 	}
-	tolerance := geom.Radians((man.FOVXDeg - p.HMD.FOVXDeg) / 2)
+	tolerance := geom.Radians((man.FOVXDeg - headset.FOVXDeg) / 2)
 	if tolerance <= 0 {
-		return stats, nil, fmt.Errorf("client: manifest FOV %v° not wider than HMD %v°", man.FOVXDeg, p.HMD.FOVXDeg)
+		return stats, nil, fmt.Errorf("client: manifest FOV %v° not wider than HMD %v°", man.FOVXDeg, headset.FOVXDeg)
 	}
-	vp := p.HMD.ScaledViewport(p.ViewportScale)
+	vp := headset.ScaledViewport(p.ViewportScale)
 	method := projection.Method(man.Projection)
 	refCfg := pt.Config{Projection: method, Filter: pt.Bilinear, Viewport: vp}
 	// Reject a nonsensical manifest (unknown projection, degenerate
@@ -267,13 +265,13 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 	}
 	// ts is nil unless tiled delivery is enabled AND this video carries
 	// tile streams; every tiled branch below is gated on it.
-	ts, err := newTiledSession(p.Tiled, man, p.HMD.FOVXDeg, p.HMD.FOVYDeg)
+	ts, err := newTiledSession(p.Tiled, man, headset.FOVXDeg, headset.FOVYDeg)
 	if err != nil {
 		return stats, nil, err
 	}
 
 	frameIdx := 0
-	crop, err := newHitCrop(vp, p.HMD, man)
+	crop, err := newHitCrop(vp, headset, man)
 	if err != nil {
 		return stats, nil, err
 	}

@@ -47,7 +47,7 @@ func TestEndToEndPlayback(t *testing.T) {
 	if len(frames) != 60 {
 		t.Fatalf("displayed %d frames", len(frames))
 	}
-	vp := p.HMD.ScaledViewport(p.ViewportScale)
+	vp := headset.ScaledViewport(p.ViewportScale)
 	for i, f := range frames {
 		if f.W != vp.Width || f.H != vp.Height {
 			t.Fatalf("frame %d is %dx%d, want %dx%d", i, f.W, f.H, vp.Width, vp.Height)

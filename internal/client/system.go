@@ -105,7 +105,7 @@ func (s Summary) DeviceSavingPct(baseline Summary) float64 {
 // EvaluateOptions tunes an evaluation run.
 type EvaluateOptions struct {
 	Users  int    // traces to simulate (default: headtrace.DatasetUsers)
-	Config Config // device configuration; zero value → DefaultConfig
+	Config Config // what the device plays; Variant and UseCase come from Evaluate's arguments
 }
 
 // Evaluate plays a prepared video for a user population under the given
@@ -123,13 +123,8 @@ func (s *System) Evaluate(video string, variant Variant, uc UseCase, opts Evalua
 		users = headtrace.DatasetUsers
 	}
 	cfg := opts.Config
-	if cfg.NominalW == 0 { // zero value: use the evaluation defaults
-		cfg = DefaultConfig(variant, uc)
-	} else {
-		cfg.Variant = variant
-		cfg.UseCase = uc
-	}
-	cfg.SAS = plan.Cfg // the plan's geometry governs hit checking
+	cfg.Variant = variant
+	cfg.UseCase = uc
 
 	// Users are independent: simulate them concurrently, then merge in
 	// user order so float accumulation stays deterministic.

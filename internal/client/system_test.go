@@ -77,6 +77,20 @@ func TestEvaluateDefaultsTo59Users(t *testing.T) {
 	}
 }
 
+// TestEvaluateHonorsPartialConfig checks that a Config built field by
+// field, without DefaultConfig, is played as given: a perfect predictor
+// (ForceAllHits) leaves no FOV miss.
+func TestEvaluateHonorsPartialConfig(t *testing.T) {
+	s := prepared(t, "RS")
+	sum, err := s.Evaluate("RS", SH, OnlineStreaming, EvaluateOptions{Users: 2, Config: Config{ForceAllHits: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.FOVChecks == 0 || sum.FOVMisses != 0 {
+		t.Errorf("ForceAllHits config: %d checks, %d misses; want checks and no miss", sum.FOVChecks, sum.FOVMisses)
+	}
+}
+
 func TestSummaryZeroSafe(t *testing.T) {
 	var sum Summary
 	if sum.PTShare() != 0 || sum.MissRate() != 0 || sum.FPSDropPct() != 0 ||

@@ -177,7 +177,7 @@ func (ts *tiledSession) plan(seg *server.SegmentInfo, tr headtrace.Trace, frameI
 	dist := make([]float64, ts.grid.Tiles())
 	fwd := predicted.Forward()
 	for t := range dist {
-		dist[t] = angleBetween(fwd, ts.grid.Center(t, ts.method))
+		dist[t] = fwd.Angle(ts.grid.Center(t, ts.method))
 	}
 	rungs := delivery.PickTileRungs(visible, seg.Tiles.TileBytes, ts.ctrl.Pick(ts.timeline.Buffer()), ts.policy.ByteBudget(), dist)
 	// Acuity falloff: tiles beyond the HMD half-FOV from the predicted
@@ -299,16 +299,4 @@ func (ts *tiledSession) countMispredicted(o geom.Orientation, stats *PlaybackSta
 			stats.MispredictedTiles++
 		}
 	}
-}
-
-// angleBetween returns the angle in radians between two unit vectors.
-func angleBetween(a, b geom.Vec3) float64 {
-	d := a.Dot(b)
-	if d > 1 {
-		d = 1
-	}
-	if d < -1 {
-		d = -1
-	}
-	return math.Acos(d)
 }

@@ -82,7 +82,7 @@ func TestTiledPlaybackEndToEnd(t *testing.T) {
 	if stats.ModeledBytes == 0 || stats.ModeledStartupSec <= 0 {
 		t.Errorf("modeled timeline never advanced: %+v", stats)
 	}
-	vp := p.HMD.ScaledViewport(p.ViewportScale)
+	vp := headset.ScaledViewport(p.ViewportScale)
 	for i, f := range frames {
 		if f.W != vp.Width || f.H != vp.Height {
 			t.Fatalf("frame %d is %dx%d, want %dx%d", i, f.W, f.H, vp.Width, vp.Height)

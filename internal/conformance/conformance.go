@@ -1,17 +1,17 @@
 // Package conformance is the differential- and metamorphic-testing oracle
-// that pins the repo's four renderers against each other:
+// that pins the repo's three renderers against each other:
 //
-//   - internal/pt      — the double-precision float reference,
+//   - internal/pt      — the double-precision float reference, whose pixels
+//     are also the GPU texture-mapping baseline's,
 //   - internal/ptlut   — the same arithmetic from a memoized mapping table,
-//   - internal/pte     — the fixed-point [28, 10] accelerator datapath,
-//   - internal/gpusim  — the GPU texture-mapping baseline.
+//   - internal/pte     — the fixed-point [28, 10] accelerator datapath.
 //
 // The paper's HAR claim (§6, Fig. 11/13) is that the PTE's fixed-point
 // output is visually lossless versus the GPU float path. This package makes
 // that claim a machine-checked invariant: a deterministic corpus of
 // (projection × filter × pose) cases — including the poles, the ERP
 // longitude seam, and cube face edges/corners where clamp/wrap behaviour
-// diverges first — is swept through all four, asserting
+// diverges first — is swept through all three, asserting
 //
 //   - byte identity where it must hold, and
 //   - per-case error budgets (max abs error, MAE, PSNR, SSIM, fraction of
@@ -19,14 +19,13 @@
 //     bit-equality impossible by design.
 //
 // The renderers share one row-band driver (pt.RunBands) and one edge policy
-// (frame.Resolve), so the four identities protect different things: pt
+// (frame.Resolve), so the three identities protect different things: pt
 // serial vs RenderParallel checks the driver and the frame pool against the
 // plain double loop; exact-mode ptlut vs pt checks the table packer and the
 // Apply kernels against Mapper.Map + Sample — two genuinely separate code
-// paths. gpusim vs pt and pte.Render vs pte.RenderParallel hold by
-// construction (gpusim calls pt for its pixels, pte.Render is the
-// one-worker RenderParallel); their checks guard that construction — no
-// second pixel path, no state leaking across P-MEM bands — and
+// paths. pte.Render vs pte.RenderParallel holds by construction
+// (pte.Render is the one-worker RenderParallel); its check guards that
+// construction — no state leaking across P-MEM bands — and
 // FuzzRenderFamily extends all of them to random dims and worker counts.
 //
 // Results are checked into a golden manifest (testdata/golden.json,
@@ -46,7 +45,6 @@ import (
 
 	"evr/internal/frame"
 	"evr/internal/geom"
-	"evr/internal/gpusim"
 	"evr/internal/projection"
 	"evr/internal/pt"
 	"evr/internal/pte"
@@ -210,11 +208,7 @@ var stressCaps = []stressCap{
 // edge budgets rely on.
 func paint(dir geom.Vec3) (r, g, b byte) {
 	for _, c := range stressCaps {
-		d := dir.Dot(c.dir)
-		if d > 1 {
-			d = 1
-		}
-		if ang := math.Acos(d); ang < c.radius {
+		if ang := dir.Angle(c.dir); ang < c.radius {
 			if ang > 0.82*c.radius {
 				return c.color[0] / 4, c.color[1] / 4, c.color[2] / 4
 			}
@@ -299,8 +293,8 @@ type Result struct {
 }
 
 // RunCase executes one corpus case through all implementations. It returns
-// an error when a byte-identity invariant is violated (pt parallel, gpusim,
-// the exact-mode mapping LUT, pte parallel); budget checking against the
+// an error when a byte-identity invariant is violated (pt parallel, the
+// exact-mode mapping LUT, pte parallel); budget checking against the
 // fixed-point divergence metrics is the manifest's job.
 func RunCase(c Case) (Result, error) {
 	full := InputFrame(c.Projection)
@@ -333,15 +327,6 @@ func RunCase(c Case) (Result, error) {
 		return Result{}, fmt.Errorf("%s: exact-mode ptlut render (workers=%d) not byte-identical to pt reference", c.Name, c.Workers)
 	}
 	pt.Recycle(lout)
-
-	gpu, err := gpusim.New(gpusim.DefaultConfig(cfg))
-	if err != nil {
-		return Result{}, fmt.Errorf("%s: gpusim: %w", c.Name, err)
-	}
-	gout := gpu.Render(full, c.Pose)
-	if !ref.Equal(gout) {
-		return Result{}, fmt.Errorf("%s: gpusim output not byte-identical to pt reference", c.Name)
-	}
 
 	eng, err := pte.New(pte.DefaultConfig(c.Projection, c.Filter, cfg.Viewport))
 	if err != nil {

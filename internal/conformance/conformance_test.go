@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"evr/internal/gpusim"
 	"evr/internal/projection"
 )
 
@@ -248,33 +247,5 @@ func TestGenerateDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(ea, eb) {
 		t.Fatal("two generations of the fast corpus encode differently")
-	}
-}
-
-// TestGpusimCacheGeometryInvariance pins that the GPU model's cache
-// parameters are a performance model only: pixel output must stay
-// byte-identical to the pt reference under any cache geometry.
-func TestGpusimCacheGeometryInvariance(t *testing.T) {
-	c := FastCorpus()[0]
-	ref, err := RunCase(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := InputFrame(c.Projection)
-	for _, mod := range []func(*gpusim.Config){
-		func(g *gpusim.Config) { g.CacheBytes = 1 << 10; g.CacheWays = 1 },
-		func(g *gpusim.Config) { g.TileW, g.TileH = 8, 2; g.CacheLineB = 48 },
-		func(g *gpusim.Config) { g.CacheBytes = 256 << 10; g.CacheWays = 16 },
-	} {
-		gcfg := gpusim.DefaultConfig(c.PTConfig())
-		mod(&gcfg)
-		gpu, err := gpusim.New(gcfg)
-		if err != nil {
-			t.Fatalf("gpusim config variant: %v", err)
-		}
-		out := gpu.Render(full, c.Pose)
-		if Checksum(out) != ref.Metrics.Checksum {
-			t.Fatalf("cache geometry %+v changed rendered pixels", gcfg)
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"evr/internal/frame"
 	"evr/internal/geom"
-	"evr/internal/gpusim"
 	"evr/internal/projection"
 	"evr/internal/pt"
 	"evr/internal/pte"
@@ -19,7 +18,7 @@ import (
 // tuples — including dims that are no multiple of any tile or band size —
 // through every renderer and requires
 //
-//   - pt.Render == pt.RenderParallel == exact-mode ptlut == gpusim pixels,
+//   - pt.Render == pt.RenderParallel == exact-mode ptlut pixels,
 //   - pte.Render == pte.RenderParallel(n) pixels, and
 //   - pte.Render and pte.RenderParallel(…, 1) leave equal Stats.
 //
@@ -72,13 +71,6 @@ func FuzzRenderFamily(f *testing.F) {
 		}
 		if !ref.Equal(lout) {
 			t.Errorf("exact ptlut render (%d workers) differs from pt.Render", n)
-		}
-		gpu, err := gpusim.New(gpusim.DefaultConfig(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ref.Equal(gpu.Render(full, o)) {
-			t.Error("gpusim render differs from pt.Render")
 		}
 
 		engine := func() *pte.Engine {

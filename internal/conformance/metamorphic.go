@@ -149,11 +149,7 @@ func CheckProjectionRoundTrip() error {
 		for _, d := range dirs {
 			u, v := projection.ToPlane(m, d)
 			back := projection.ToSphere(m, u, v)
-			dot := back.Dot(d)
-			if dot > 1 {
-				dot = 1
-			}
-			if ang := math.Acos(dot); ang > 1e-7 {
+			if ang := back.Angle(d); ang > 1e-7 {
 				return fmt.Errorf("round trip: %v dir %+v drifted %g rad through (%.9f, %.9f)", m, d, ang, u, v)
 			}
 		}

@@ -60,52 +60,44 @@ func ParseMode(s string) (Mode, error) {
 
 // PolicyConfig parameterizes the per-segment mode decision.
 type PolicyConfig struct {
-	// FOVConfidenceMin is the minimum predicted FOV-hit confidence
-	// required to commit to the pre-rendered FOV stream.
-	FOVConfidenceMin float64
-	// BandwidthSafety discounts the link's nominal capacity when
-	// computing the per-segment byte budget, absorbing estimate error.
-	BandwidthSafety float64
 	// SegmentDuration is the playback duration of one segment in seconds.
 	SegmentDuration float64
 	// Link models the access network used to derive byte budgets.
 	Link netsim.Link
-	// Hysteresis widens the decision boundaries by this relative margin
+}
+
+// The policy's fixed thresholds.
+const (
+	// fovConfidenceMin is the minimum predicted FOV-hit confidence
+	// required to commit to the pre-rendered FOV stream.
+	fovConfidenceMin = 0.5
+	// bandwidthSafety discounts the link's nominal capacity when computing
+	// the per-segment byte budget, absorbing estimate error.
+	bandwidthSafety = 0.8
+	// hysteresis widens the decision boundaries by this relative margin
 	// when SegmentInputs.LastMode is set: staying in the current mode
 	// tolerates inputs up to (1+h) past a threshold, while switching into
 	// a new mode requires clearing it by (1-h). Bounds mode flapping when
-	// the budget oscillates around a boundary. 0 disables (memoryless).
-	Hysteresis float64
-}
+	// the budget oscillates around a boundary.
+	hysteresis = 0.15
+)
 
 // DefaultPolicy returns the policy used by the tiled client and load
 // harness unless overridden.
 func DefaultPolicy(segmentDuration float64) PolicyConfig {
 	return PolicyConfig{
-		FOVConfidenceMin: 0.5,
-		BandwidthSafety:  0.8,
-		SegmentDuration:  segmentDuration,
-		Link:             netsim.WiFi300(),
-		Hysteresis:       0.15,
+		SegmentDuration: segmentDuration,
+		Link:            netsim.WiFi300(),
 	}
 }
 
 // Validate rejects non-physical policy parameters.
 func (p PolicyConfig) Validate() error {
-	if p.FOVConfidenceMin < 0 || p.FOVConfidenceMin > 1 {
-		return fmt.Errorf("delivery: FOVConfidenceMin %v outside [0,1]", p.FOVConfidenceMin)
-	}
-	if p.BandwidthSafety <= 0 || p.BandwidthSafety > 1 {
-		return fmt.Errorf("delivery: BandwidthSafety %v outside (0,1]", p.BandwidthSafety)
-	}
 	if p.SegmentDuration <= 0 {
 		return fmt.Errorf("delivery: SegmentDuration %v must be positive", p.SegmentDuration)
 	}
 	if p.Link.BandwidthBps <= 0 {
 		return fmt.Errorf("delivery: Link.BandwidthBps %v must be positive", p.Link.BandwidthBps)
-	}
-	if p.Hysteresis < 0 || p.Hysteresis >= 1 {
-		return fmt.Errorf("delivery: Hysteresis %v outside [0,1)", p.Hysteresis)
 	}
 	return nil
 }
@@ -113,7 +105,7 @@ func (p PolicyConfig) Validate() error {
 // ByteBudget is the number of bytes the link can move in one segment
 // duration after the safety discount.
 func (p PolicyConfig) ByteBudget() int64 {
-	return int64(p.Link.BandwidthBps / 8 * p.SegmentDuration * p.BandwidthSafety)
+	return int64(p.Link.BandwidthBps / 8 * p.SegmentDuration * bandwidthSafety)
 }
 
 // SegmentInputs carries everything the policy sees for one segment.
@@ -147,30 +139,26 @@ type Decision struct {
 // cheapest and the paper's preferred path. Otherwise tiles win whenever
 // they undercut the full original; orig is the always-correct fallback.
 //
-// With Hysteresis h and a LastMode in the inputs, each threshold shifts by
-// ±h depending on whether the candidate mode matches the previous one:
+// With a LastMode in the inputs, each threshold shifts by ±h (hysteresis)
+// depending on whether the candidate mode matches the previous one:
 // keeping the current mode is allowed up to (1+h) past the nominal
 // boundary, entering a different mode requires clearing it by (1-h). A
 // budget oscillating a few percent around a boundary therefore produces at
 // most one switch instead of per-segment flapping.
 func (p PolicyConfig) Decide(in SegmentInputs) Decision {
-	budget := p.ByteBudget()
-	h := p.Hysteresis
-	fovBudget := float64(budget)
-	fovMin := p.FOVConfidenceMin
+	fovBudget := float64(p.ByteBudget())
+	fovMin := fovConfidenceMin
 	tiledCeiling := float64(in.OrigBytes)
-	if h > 0 {
-		switch in.LastMode {
-		case ModeFOV:
-			fovBudget *= 1 + h
-			fovMin *= 1 - h
-		case ModeTiled:
-			fovBudget *= 1 - h
-			tiledCeiling *= 1 + h
-		case ModeOrig:
-			fovBudget *= 1 - h
-			tiledCeiling *= 1 - h
-		}
+	switch in.LastMode {
+	case ModeFOV:
+		fovBudget *= 1 + hysteresis
+		fovMin *= 1 - hysteresis
+	case ModeTiled:
+		fovBudget *= 1 - hysteresis
+		tiledCeiling *= 1 + hysteresis
+	case ModeOrig:
+		fovBudget *= 1 - hysteresis
+		tiledCeiling *= 1 - hysteresis
 	}
 	if in.FOVBytes > 0 && in.FOVConfidence >= fovMin && float64(in.FOVBytes) <= fovBudget {
 		return Decision{Mode: ModeFOV, Reason: fmt.Sprintf("fov confidence %.2f >= %.2f, %dB within budget %dB", in.FOVConfidence, fovMin, in.FOVBytes, int64(fovBudget))}

@@ -41,10 +41,8 @@ func TestPolicyValidate(t *testing.T) {
 		t.Fatalf("default policy invalid: %v", err)
 	}
 	bad := []PolicyConfig{
-		{FOVConfidenceMin: -0.1, BandwidthSafety: 0.8, SegmentDuration: 1, Link: netsim.WiFi300()},
-		{FOVConfidenceMin: 0.5, BandwidthSafety: 0, SegmentDuration: 1, Link: netsim.WiFi300()},
-		{FOVConfidenceMin: 0.5, BandwidthSafety: 0.8, SegmentDuration: 0, Link: netsim.WiFi300()},
-		{FOVConfidenceMin: 0.5, BandwidthSafety: 0.8, SegmentDuration: 1},
+		{SegmentDuration: 0, Link: netsim.WiFi300()},
+		{SegmentDuration: 1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

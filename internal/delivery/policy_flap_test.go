@@ -9,7 +9,7 @@ import (
 // linkWithBudget builds a link whose per-segment byte budget (after the
 // safety discount) is exactly b bytes for a 1 s segment.
 func linkWithBudget(p PolicyConfig, b float64) netsim.Link {
-	return netsim.Link{BandwidthBps: b * 8 / (p.SegmentDuration * p.BandwidthSafety), RTTSeconds: 1e-3}
+	return netsim.Link{BandwidthBps: b * 8 / (p.SegmentDuration * bandwidthSafety), RTTSeconds: 1e-3}
 }
 
 // driveWave runs the policy over a square-wave budget trace oscillating
@@ -46,7 +46,7 @@ func driveWave(p PolicyConfig, segments int, fovBytes int64, swing float64, with
 
 func TestPolicyNoFlapOnOscillatingBandwidth(t *testing.T) {
 	// The budget square-waves ±5% around the FOV stream size every
-	// segment. With the default 15% hysteresis and decision feedback the
+	// segment. With the 15% hysteresis and decision feedback the
 	// policy must settle: at most one switch over 20 segments.
 	p := DefaultPolicy(1.0)
 	switches, modes := driveWave(p, 20, 100_000, 0.05, true)
@@ -75,32 +75,5 @@ func TestPolicyStillSwitchesOnLargeChange(t *testing.T) {
 	p.Link = linkWithBudget(p, float64(fov)/10)
 	if d := p.Decide(in); d.Mode == ModeFOV {
 		t.Errorf("collapsed budget: policy stuck in FOV (%s)", d.Reason)
-	}
-}
-
-func TestPolicyHysteresisZeroIsMemoryless(t *testing.T) {
-	p := DefaultPolicy(1.0)
-	p.Hysteresis = 0
-	fov := int64(100_000)
-	p.Link = linkWithBudget(p, float64(fov)*0.99)
-	with := p.Decide(SegmentInputs{FOVBytes: fov, FOVConfidence: 0.9, OrigBytes: fov * 4, LastMode: ModeFOV})
-	without := p.Decide(SegmentInputs{FOVBytes: fov, FOVConfidence: 0.9, OrigBytes: fov * 4})
-	if with.Mode != without.Mode {
-		t.Errorf("zero hysteresis must ignore history: %v vs %v", with.Mode, without.Mode)
-	}
-}
-
-func TestPolicyValidateHysteresis(t *testing.T) {
-	p := DefaultPolicy(1.0)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	p.Hysteresis = -0.1
-	if err := p.Validate(); err == nil {
-		t.Error("negative hysteresis accepted")
-	}
-	p.Hysteresis = 1
-	if err := p.Validate(); err == nil {
-		t.Error("hysteresis = 1 accepted")
 	}
 }

@@ -54,6 +54,24 @@ func TX2() DeviceModel {
 	}
 }
 
+// The baseline the paper's HAR primitive replaces: the TX2's mobile GPU
+// executing projective transformation as generic texture mapping (§2,
+// §6.1). Its pixels are the float reference's (pt.Render) by definition;
+// only its price is modeled — shaded viewport pixels at a sustained
+// throughput and active rail power, plus a fixed per-frame software-stack
+// energy (application library, runtime and OS driver under OpenGL).
+const (
+	GPUActivePowerW    = 1.80  // GPU rail power while shading
+	GPUThroughputPixPS = 150e6 // sustained shaded pixels per second
+	GPUStackEnergyJ    = 5e-3  // per-frame software-stack (driver/runtime) energy
+)
+
+// GPUFrameJ returns the modeled energy of one GPU PT frame of the given
+// viewport pixel count.
+func GPUFrameJ(pixels int) float64 {
+	return float64(pixels)/GPUThroughputPixPS*GPUActivePowerW + GPUStackEnergyJ
+}
+
 // NominalBitrateMbps models the compressed bitrate of a 4K 360° video as a
 // function of its content complexity in (0, 1] — real 4K panoramas span
 // roughly 2× across content types, which is where the per-video variation

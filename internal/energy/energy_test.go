@@ -101,6 +101,22 @@ func TestTX2ModelSanity(t *testing.T) {
 	}
 }
 
+func TestGPUFrameJ(t *testing.T) {
+	got := GPUFrameJ(1600)
+	want := 1600.0/150e6*1.80 + 5e-3
+	if math.Abs(got-want) > 1e-15 {
+		t.Errorf("GPUFrameJ = %v, want %v", got, want)
+	}
+}
+
+func TestGPUEnergyExceedsPTEClassPower(t *testing.T) {
+	// The premise of HAR: for the same PT work the GPU burns roughly an
+	// order of magnitude more power than the 194 mW PTE.
+	if GPUActivePowerW < 0.194*5 {
+		t.Errorf("GPU active power %v W implausibly close to PTE's 0.194 W", GPUActivePowerW)
+	}
+}
+
 func TestNominalBitrateMonotone(t *testing.T) {
 	prev := 0.0
 	for c := 0.1; c <= 1.0; c += 0.1 {

@@ -289,7 +289,6 @@ func perUserMissRange(video string, users int) (lo, hi float64) {
 		return 0, 0
 	}
 	cfg := client.DefaultConfig(client.SH, client.OnlineStreaming)
-	cfg.SAS = plan.Cfg
 	lo = 1
 	for u := 0; u < users; u++ {
 		r, err := client.Simulate(spec, headtrace.Generate(spec, u), plan, cfg)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"evr/internal/energy"
 	"evr/internal/fixed"
 	"evr/internal/frame"
 	"evr/internal/geom"
@@ -111,7 +112,6 @@ func Fig17() Table {
 // the ASIC projection the paper calls its results a lower bound for.
 func PrototypeTable() Table {
 	vp := projection.Viewport{Width: 2560, Height: 1440, FOVX: geom.Radians(110), FOVY: geom.Radians(110)}
-	gpuActiveW := 1.80
 	row := func(name string, cfg pte.Config) []string {
 		return []string{
 			name,
@@ -121,7 +121,7 @@ func PrototypeTable() Table {
 			fmt.Sprintf("%d KB", cfg.PMEMSize>>10),
 			fmt.Sprintf("%d KB", cfg.SMEMSize>>10),
 			f1(cfg.FPS()),
-			fmt.Sprintf("%.0fx lower", gpuActiveW/cfg.PowerW()),
+			fmt.Sprintf("%.0fx lower", energy.GPUActivePowerW/cfg.PowerW()),
 		}
 	}
 	return Table{

@@ -41,8 +41,8 @@ func (f *Frame) Bytes() int { return len(f.Pix) }
 func (f *Frame) In(x, y int) bool { return x >= 0 && x < f.W && y >= 0 && y < f.H }
 
 // Resolve is the one edge policy every sampler in the repo shares — the
-// float filters below and the PTE address generator (both through Stencil,
-// its 2×2 form), the mapping-LUT tap packer and the GPU texture-cache model.
+// float filters below, the PTE address generator and the mapping-LUT tap
+// packer (all three through Stencil, its 2×2 form).
 // It maps integer texel coordinates onto a w×h raster: y clamps to the
 // border; x wraps modulo the width when wrapX is set and clamps otherwise.
 // Wrapping is the policy of 360° equirectangular frames, whose left and

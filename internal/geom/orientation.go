@@ -42,14 +42,7 @@ func (o Orientation) Normalize() Orientation {
 // o and p. It is the geodesic distance on the viewing sphere and is what the
 // FOV checker compares against the FOV margin.
 func (o Orientation) AngularDistance(p Orientation) float64 {
-	d := o.Forward().Dot(p.Forward())
-	if d > 1 {
-		d = 1
-	}
-	if d < -1 {
-		d = -1
-	}
-	return math.Acos(d)
+	return o.Forward().Angle(p.Forward())
 }
 
 // Lerp interpolates between two orientations component-wise, taking the

@@ -29,6 +29,20 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 // Dot returns the dot product v · w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
+// Angle returns the angle in radians between unit vectors v and w: the
+// arccosine of their dot product, clamped to [-1, 1] so rounding past
+// either end gives 0 or π rather than NaN. The clamp is two branches, not
+// min/max: scene rendering calls Angle per pixel and object.
+func (v Vec3) Angle(w Vec3) float64 {
+	d := v.Dot(w)
+	if d > 1 {
+		d = 1
+	} else if d < -1 {
+		d = -1
+	}
+	return math.Acos(d)
+}
+
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 

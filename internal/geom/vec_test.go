@@ -29,6 +29,22 @@ func TestVec3Arithmetic(t *testing.T) {
 	}
 }
 
+func TestVec3Angle(t *testing.T) {
+	x, y := Vec3{1, 0, 0}, Vec3{0, 1, 0}
+	if got := x.Angle(y); !almostEq(got, math.Pi/2, eps) {
+		t.Errorf("orthogonal angle = %v, want π/2", got)
+	}
+	// Rounding can push a unit dot product past ±1: the clamp keeps the
+	// angle finite at either end.
+	long := x.Scale(1 + 1e-12)
+	if got := x.Angle(long); got != 0 {
+		t.Errorf("parallel angle = %v, want 0", got)
+	}
+	if got := x.Angle(long.Scale(-1)); got != math.Pi {
+		t.Errorf("antiparallel angle = %v, want π", got)
+	}
+}
+
 func TestNormalize(t *testing.T) {
 	v := Vec3{3, 4, 12}.Normalize()
 	if !almostEq(v.Norm(), 1, eps) {

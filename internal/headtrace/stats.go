@@ -1,7 +1,6 @@
 package headtrace
 
 import (
-	"math"
 	"sort"
 
 	"evr/internal/projection"
@@ -84,11 +83,7 @@ func TrackingSpells(v scene.VideoSpec, tr Trace, coneRad float64) []float64 {
 		fwd := s.O.Forward()
 		best, bestAng := -1, coneRad
 		for oi, obj := range v.ObjectsAt(s.T) {
-			d := fwd.Dot(obj.Dir)
-			if d > 1 {
-				d = 1
-			}
-			if ang := math.Acos(d); ang < bestAng {
+			if ang := fwd.Angle(obj.Dir); ang < bestAng {
 				best, bestAng = oi, ang
 			}
 		}

@@ -8,8 +8,6 @@
 package hmd
 
 import (
-	"fmt"
-
 	"evr/internal/geom"
 	"evr/internal/headtrace"
 	"evr/internal/projection"
@@ -25,17 +23,6 @@ type Config struct {
 // FOV (§8.1).
 func OSVRHDK2() Config {
 	return Config{DisplayW: 2560, DisplayH: 1440, FOVXDeg: 110, FOVYDeg: 110}
-}
-
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	if c.DisplayW <= 0 || c.DisplayH <= 0 {
-		return fmt.Errorf("hmd: display %dx%d must be positive", c.DisplayW, c.DisplayH)
-	}
-	if c.FOVXDeg <= 0 || c.FOVXDeg >= 180 || c.FOVYDeg <= 0 || c.FOVYDeg >= 180 {
-		return fmt.Errorf("hmd: FOV %v°x%v° out of (0, 180)", c.FOVXDeg, c.FOVYDeg)
-	}
-	return nil
 }
 
 // Viewport returns the PT output surface for this HMD at full panel

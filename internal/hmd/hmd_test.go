@@ -10,24 +10,8 @@ import (
 
 func TestOSVRHDK2(t *testing.T) {
 	c := OSVRHDK2()
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if c.DisplayW != 2560 || c.DisplayH != 1440 || c.FOVXDeg != 110 || c.FOVYDeg != 110 {
 		t.Errorf("HDK2 config = %+v", c)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	bad := []Config{
-		{DisplayW: 0, DisplayH: 10, FOVXDeg: 90, FOVYDeg: 90},
-		{DisplayW: 10, DisplayH: 10, FOVXDeg: 0, FOVYDeg: 90},
-		{DisplayW: 10, DisplayH: 10, FOVXDeg: 90, FOVYDeg: 180},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
 	}
 }
 

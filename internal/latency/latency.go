@@ -63,8 +63,8 @@ func (p Pipeline) Bottleneck() string {
 
 // Device-stage latency constants for the TX2-class client at 4K input /
 // 2560×1440 output, consistent with the energy model's throughput figures.
-// GPUPTSec and PTEPTSec are cross-checked against the gpusim and pte models
-// in the tests; the decode figures assume a hardware codec at 2× real time.
+// GPUPTSec and PTEPTSec are cross-checked against the GPU price in package
+// energy and the pte model in the tests; the decode figures assume a hardware codec at 2× real time.
 const (
 	// IMUSampleSec is sensor sampling + filtering.
 	IMUSampleSec = 1e-3

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"evr/internal/energy"
 	"evr/internal/geom"
-	"evr/internal/gpusim"
 	"evr/internal/projection"
 	"evr/internal/pt"
 	"evr/internal/pte"
@@ -65,8 +65,8 @@ func TestPipelinesSustainRealTime(t *testing.T) {
 }
 
 // TestStageConstantsMatchHardwareModels cross-checks the latency constants
-// against the pte and gpusim timing models so the two views of the same
-// hardware cannot drift apart.
+// against the pte timing model and the GPU price in package energy so the
+// two views of the same hardware cannot drift apart.
 func TestStageConstantsMatchHardwareModels(t *testing.T) {
 	vp := projection.Viewport{Width: 2560, Height: 1440, FOVX: geom.Radians(110), FOVY: geom.Radians(110)}
 	pteCfg := pte.DefaultConfig(projection.ERP, pt.Bilinear, vp)
@@ -74,8 +74,7 @@ func TestStageConstantsMatchHardwareModels(t *testing.T) {
 	if math.Abs(secs-PTEPTSec)/PTEPTSec > 0.05 {
 		t.Errorf("PTEPTSec = %v but the cycle model says %v", PTEPTSec, secs)
 	}
-	gpuCfg := gpusim.DefaultConfig(pt.Config{Projection: projection.ERP, Filter: pt.Bilinear, Viewport: vp})
-	gpuSecs := float64(vp.Pixels()) / gpuCfg.ThroughputPixPS
+	gpuSecs := float64(vp.Pixels()) / energy.GPUThroughputPixPS
 	if math.Abs(gpuSecs-GPUPTSec)/GPUPTSec > 0.05 {
 		t.Errorf("GPUPTSec = %v but the throughput model says %v", GPUPTSec, gpuSecs)
 	}

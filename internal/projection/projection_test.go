@@ -127,7 +127,7 @@ func TestEACMoreUniformThanCMP(t *testing.T) {
 		// Use the +Z face, horizontal coordinate: frame u in [1/3, 2/3).
 		d1 := ToSphere(m, (1+lo)/3.0, 0.75)
 		d2 := ToSphere(m, (1+hi)/3.0, 0.75)
-		return math.Acos(math.Max(-1, math.Min(1, d1.Dot(d2))))
+		return d1.Angle(d2)
 	}
 	cmpRatio := span(CMP, 0.45, 0.55) / span(CMP, 0.85, 0.95)
 	eacRatio := span(EAC, 0.45, 0.55) / span(EAC, 0.85, 0.95)
@@ -182,7 +182,7 @@ func TestViewportRaysInsideFOV(t *testing.T) {
 	for j := 0; j < vp.Height; j++ {
 		for i := 0; i < vp.Width; i++ {
 			ray := vp.Ray(o, i, j)
-			ang := math.Acos(math.Max(-1, math.Min(1, ray.Dot(o.Forward()))))
+			ang := ray.Angle(o.Forward())
 			if ang > half+1e-9 {
 				t.Fatalf("ray (%d,%d) outside FOV: %v rad", i, j, ang)
 			}

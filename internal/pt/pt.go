@@ -122,8 +122,7 @@ func (c Config) NewMapper(o geom.Orientation, fullW, fullH int) *Mapper {
 // Map returns the input-frame pixel coordinates for output pixel (i, j).
 // It performs the exact float operations of Viewport.Ray + ToPlane, so the
 // result is bit-identical to the per-pixel MapPixel path. Renders walk
-// Band instead; Map (with Config.Sample) stays as Band's per-pixel oracle and
-// for callers that own their scan order (the GPU texture-cache model).
+// Band instead; Map (with Config.Sample) stays as Band's per-pixel oracle.
 func (m *Mapper) Map(i, j int) (u, v float64) {
 	px := (2*(float64(i)+0.5)/m.vpW - 1) * m.tx
 	py := (1 - 2*(float64(j)+0.5)/m.vpH) * m.ty

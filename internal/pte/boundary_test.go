@@ -42,7 +42,7 @@ func classCases(t *testing.T, label string) []conformance.Case {
 	return cs
 }
 
-// runClass renders one boundary class through pt, pte, and gpusim and
+// runClass renders one boundary class through pt, ptlut and pte and
 // asserts every case stays inside its documented budget.
 func runClass(t *testing.T, label string) *conformance.Manifest {
 	t.Helper()

@@ -292,8 +292,10 @@ func TestRendererValidation(t *testing.T) {
 		t.Fatal("invalid config must be rejected")
 	}
 	cfg := testConfig(projection.ERP, pt.Bilinear, 8, 8)
-	if _, err := ptlut.NewRenderer(cfg, nil, ptlut.Options{QuantStep: -1}); err == nil {
-		t.Fatal("negative quant step must be rejected")
+	for _, step := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := ptlut.NewRenderer(cfg, nil, ptlut.Options{QuantStep: step}); err == nil {
+			t.Fatalf("quant step %v must be rejected", step)
+		}
 	}
 	r, err := ptlut.NewRenderer(cfg, nil, ptlut.Options{})
 	if err != nil {

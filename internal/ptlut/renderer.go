@@ -2,6 +2,7 @@ package ptlut
 
 import (
 	"fmt"
+	"math"
 
 	"evr/internal/frame"
 	"evr/internal/geom"
@@ -35,8 +36,8 @@ func NewRenderer(cfg pt.Config, cache *Cache, opts Options) (*Renderer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.QuantStep < 0 {
-		return nil, fmt.Errorf("ptlut: negative quantization step %v", opts.QuantStep)
+	if opts.QuantStep < 0 || math.IsNaN(opts.QuantStep) || math.IsInf(opts.QuantStep, 0) {
+		return nil, fmt.Errorf("ptlut: negative or non-finite quantization step %v", opts.QuantStep)
 	}
 	return &Renderer{cfg: cfg, cache: cache, opts: opts}, nil
 }

@@ -105,28 +105,27 @@ func Build(cfg pt.Config, o geom.Orientation, fullW, fullH int, quantWeights boo
 // reproduces exactly the texel choice pt.Config.Sample would make at the
 // mapped coordinate: round-to-nearest for the nearest filter, the floor 2×2
 // neighborhood for bilinear, each tap resolved through the shared edge
-// policy (frame.Resolve) and packed as a byte offset into the source Pix.
+// policy (frame.Resolve, or frame.Stencil for the 2×2 taps, the PTE's and
+// the float filter's own) and packed as a byte offset into the source Pix.
 func (t *Table) buildRows(cfg pt.Config, o geom.Orientation, fullW, fullH, j0, j1 int) {
 	m := cfg.NewMapper(o, fullW, fullH)
 	wrap := cfg.Projection.WrapsX()
-	offset := func(x, y int) int32 {
-		x, y = frame.Resolve(fullW, fullH, wrap, x, y)
-		return int32((y*fullW + x) * 3)
-	}
+	offset := func(x, y int) int32 { return int32((y*fullW + x) * 3) }
 	m.Band(j0, j1, func(i, j int, u, v float64) {
 		p := j*t.w + i
 		if t.mode == modeNearest {
-			t.idx[p] = offset(int(math.Round(u)), int(math.Round(v)))
+			t.idx[p] = offset(frame.Resolve(fullW, fullH, wrap, int(math.Round(u)), int(math.Round(v))))
 			return
 		}
 		x0 := int(math.Floor(u))
 		y0 := int(math.Floor(v))
 		fx := u - float64(x0)
 		fy := v - float64(y0)
-		t.taps[4*p+0] = offset(x0, y0)
-		t.taps[4*p+1] = offset(x0+1, y0)
-		t.taps[4*p+2] = offset(x0, y0+1)
-		t.taps[4*p+3] = offset(x0+1, y0+1)
+		xa, ya, xb, yb := frame.Stencil(fullW, fullH, wrap, x0, y0)
+		t.taps[4*p+0] = offset(xa, ya)
+		t.taps[4*p+1] = offset(xb, ya)
+		t.taps[4*p+2] = offset(xa, yb)
+		t.taps[4*p+3] = offset(xb, yb)
 		if t.mode == modeBilinearQuant {
 			t.wx[p] = uint16(math.Round(fx * 256))
 			t.wy[p] = uint16(math.Round(fy * 256))

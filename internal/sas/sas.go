@@ -42,12 +42,6 @@ type Config struct {
 	// Utilization is the fraction of detected objects used to create FOV
 	// videos, the storage/energy knob of Fig. 14. 1.0 = all objects.
 	Utilization float64
-	// ClusterPerObjects sets k for k-means: one cluster per this many
-	// selected objects (rounded up).
-	ClusterPerObjects int
-	// DedupeAngRad merges clusters whose keyframe centers are closer than
-	// this angle — their FOV videos would be near-identical.
-	DedupeAngRad float64
 	// FOVPixelRatio is the pixel count of one margin-padded FOV frame
 	// relative to a full panoramic frame (≈0.72 for a 110°+30° viewport
 	// at 2560×1440 vs a 4K equirectangular frame).
@@ -57,12 +51,10 @@ type Config struct {
 // DefaultConfig returns the paper's design point.
 func DefaultConfig() Config {
 	return Config{
-		SegmentFrames:     30,
-		MarginDeg:         40,
-		Utilization:       1.0,
-		ClusterPerObjects: 1,
-		DedupeAngRad:      0.15,
-		FOVPixelRatio:     0.72,
+		SegmentFrames: 30,
+		MarginDeg:     40,
+		Utilization:   1.0,
+		FOVPixelRatio: 0.72,
 	}
 }
 
@@ -77,17 +69,15 @@ func (c Config) Validate() error {
 	if c.Utilization <= 0 || c.Utilization > 1 {
 		return fmt.Errorf("sas: utilization %v out of (0, 1]", c.Utilization)
 	}
-	if c.ClusterPerObjects < 1 {
-		return fmt.Errorf("sas: cluster-per-objects %d must be ≥ 1", c.ClusterPerObjects)
-	}
-	if c.DedupeAngRad < 0 {
-		return fmt.Errorf("sas: dedupe angle %v must be ≥ 0", c.DedupeAngRad)
-	}
 	if c.FOVPixelRatio <= 0 || c.FOVPixelRatio > 1 {
 		return fmt.Errorf("sas: FOV pixel ratio %v out of (0, 1]", c.FOVPixelRatio)
 	}
 	return nil
 }
+
+// dedupeAngRad merges clusters whose keyframe centers are closer than this
+// angle — their FOV videos would be near-identical.
+const dedupeAngRad = 0.15
 
 // HitToleranceRad returns the angular gaze deviation a FOV frame tolerates:
 // half the pre-rendered margin.
@@ -149,7 +139,7 @@ func BuildPlan(v scene.VideoSpec, cfg Config) (*Plan, error) {
 			OrigBytes: int64(bytesPerSecond * float64(frames) / float64(v.FPS)),
 		}
 		tKey := float64(start) / float64(v.FPS)
-		clusters := clusterAtKeyframe(v, selected, tKey, cfg)
+		clusters := clusterAtKeyframe(v, selected, tKey)
 		for ci, members := range clusters {
 			track := ClusterTrack{Cluster: ci, Centers: make([]geom.Orientation, frames)}
 			for f := 0; f < frames; f++ {
@@ -193,7 +183,7 @@ func selectObjects(v scene.VideoSpec, utilization float64) []int {
 
 // clusterAtKeyframe groups the selected objects by position at the key
 // frame (§5.3, Fig. 7), returning member index lists.
-func clusterAtKeyframe(v scene.VideoSpec, selected []int, t float64, cfg Config) [][]int {
+func clusterAtKeyframe(v scene.VideoSpec, selected []int, t float64) [][]int {
 	if len(selected) == 0 {
 		return nil
 	}
@@ -201,8 +191,7 @@ func clusterAtKeyframe(v scene.VideoSpec, selected []int, t float64, cfg Config)
 	for i, oi := range selected {
 		dirs[i] = v.Objects[oi].Center(t)
 	}
-	k := (len(selected) + cfg.ClusterPerObjects - 1) / cfg.ClusterPerObjects
-	clusters := vision.KMeans(dirs, k, 1)
+	clusters := vision.KMeans(dirs, len(dirs), 1) // one cluster per object
 	// Dedupe clusters whose centers nearly coincide.
 	var out [][]int
 	var centers []geom.Vec3
@@ -213,7 +202,7 @@ func clusterAtKeyframe(v scene.VideoSpec, selected []int, t float64, cfg Config)
 		}
 		merged := false
 		for i, prev := range centers {
-			if angleBetween(prev, c.Center) < cfg.DedupeAngRad {
+			if prev.Angle(c.Center) < dedupeAngRad {
 				out[i] = append(out[i], members...)
 				merged = true
 				break
@@ -267,17 +256,6 @@ func trackSpeed(track ClusterTrack, fps int) float64 {
 		sum += track.Centers[i-1].AngularDistance(track.Centers[i])
 	}
 	return sum / float64(len(track.Centers)-1) * float64(fps)
-}
-
-func angleBetween(a, b geom.Vec3) float64 {
-	d := a.Dot(b)
-	if d > 1 {
-		d = 1
-	}
-	if d < -1 {
-		d = -1
-	}
-	return math.Acos(d)
 }
 
 // StorageOverhead returns total FOV video bytes divided by total original

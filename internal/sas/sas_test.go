@@ -14,13 +14,11 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := []Config{
-		{SegmentFrames: 0, MarginDeg: 30, Utilization: 1, ClusterPerObjects: 2, DedupeAngRad: 0.1, FOVPixelRatio: 0.7},
-		{SegmentFrames: 30, MarginDeg: 0, Utilization: 1, ClusterPerObjects: 2, DedupeAngRad: 0.1, FOVPixelRatio: 0.7},
-		{SegmentFrames: 30, MarginDeg: 30, Utilization: 0, ClusterPerObjects: 2, DedupeAngRad: 0.1, FOVPixelRatio: 0.7},
-		{SegmentFrames: 30, MarginDeg: 30, Utilization: 1.5, ClusterPerObjects: 2, DedupeAngRad: 0.1, FOVPixelRatio: 0.7},
-		{SegmentFrames: 30, MarginDeg: 30, Utilization: 1, ClusterPerObjects: 0, DedupeAngRad: 0.1, FOVPixelRatio: 0.7},
-		{SegmentFrames: 30, MarginDeg: 30, Utilization: 1, ClusterPerObjects: 2, DedupeAngRad: -1, FOVPixelRatio: 0.7},
-		{SegmentFrames: 30, MarginDeg: 30, Utilization: 1, ClusterPerObjects: 2, DedupeAngRad: 0.1, FOVPixelRatio: 0},
+		{SegmentFrames: 0, MarginDeg: 30, Utilization: 1, FOVPixelRatio: 0.7},
+		{SegmentFrames: 30, MarginDeg: 0, Utilization: 1, FOVPixelRatio: 0.7},
+		{SegmentFrames: 30, MarginDeg: 30, Utilization: 0, FOVPixelRatio: 0.7},
+		{SegmentFrames: 30, MarginDeg: 30, Utilization: 1.5, FOVPixelRatio: 0.7},
+		{SegmentFrames: 30, MarginDeg: 30, Utilization: 1, FOVPixelRatio: 0},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -69,11 +67,7 @@ func TestTracksFollowObjects(t *testing.T) {
 				fwd := tr.Centers[fi].Forward()
 				best := math.Inf(1)
 				for _, o := range objs {
-					d := fwd.Dot(o.Dir)
-					if d > 1 {
-						d = 1
-					}
-					if ang := math.Acos(d); ang < best {
+					if ang := fwd.Angle(o.Dir); ang < best {
 						best = ang
 					}
 				}

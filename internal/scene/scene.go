@@ -93,12 +93,7 @@ func (v VideoSpec) ObjectsAt(t float64) []ObjectState {
 // both see strong edges) over a muted low-frequency background.
 func (v VideoSpec) ColorAt(t float64, dir geom.Vec3) (r, g, b byte) {
 	for _, o := range v.Objects {
-		c := o.Center(t)
-		d := dir.Dot(c)
-		if d > 1 {
-			d = 1
-		}
-		ang := math.Acos(d)
+		ang := dir.Angle(o.Center(t))
 		if ang < o.Radius {
 			if ang > o.Radius*0.8 {
 				// Dark rim.

@@ -40,9 +40,8 @@ import (
 // encoding out over pt.DefaultWorkers (GOMAXPROCS) workers; the manifest
 // and every stored payload are byte-identical for any GOMAXPROCS.
 type IngestConfig struct {
-	SAS      sas.Config
-	Codec    codec.Config
-	Detector vision.DetectorConfig
+	SAS   sas.Config
+	Codec codec.Config
 
 	Projection projection.Method
 	FullW      int // panoramic frame width (ERP: 2:1 aspect)
@@ -93,7 +92,6 @@ func DefaultIngestConfig() IngestConfig {
 	return IngestConfig{
 		SAS:         s,
 		Codec:       codec.Config{GOP: s.SegmentFrames, Quality: 6, SearchRange: 2},
-		Detector:    vision.DefaultDetector(),
 		Projection:  projection.ERP,
 		FullW:       192,
 		FullH:       96,
@@ -387,7 +385,7 @@ func Ingest(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*Manifest, er
 		if cfg.LiveMode {
 			// no FOV videos for live content
 		} else if cfg.EmbeddedSemantics {
-			tracks = embeddedClusterTracks(v, cfg, start, frames)
+			tracks = embeddedClusterTracks(v, start, frames)
 			man.Report.EmbeddedSemantics = true
 		} else {
 			tracks = detectedClusterTracks(v, cfg, full, &man.Report)
@@ -527,7 +525,7 @@ func ingestTiles(v scene.VideoSpec, cfg IngestConfig, lay *TilingInfo, st *store
 // per frame, track identities, cluster the key-frame detections, and emit
 // per-cluster per-frame centroid orientations.
 func detectedClusterTracks(v scene.VideoSpec, cfg IngestConfig, full []*frame.Frame, rep *IngestReport) [][]geom.Orientation {
-	keyDets := vision.Detect(full[0], cfg.Projection, cfg.Detector)
+	keyDets := vision.Detect(full[0], cfg.Projection)
 	rep.DetectorInvocations++
 	if len(keyDets) == 0 {
 		return nil
@@ -536,8 +534,7 @@ func detectedClusterTracks(v scene.VideoSpec, cfg IngestConfig, full []*frame.Fr
 	for i, d := range keyDets {
 		dirs[i] = d.Dir
 	}
-	k := (len(keyDets) + cfg.SAS.ClusterPerObjects - 1) / cfg.SAS.ClusterPerObjects
-	clusters := vision.KMeans(dirs, k, 1)
+	clusters := vision.KMeans(dirs, len(dirs), 1) // one cluster per object
 
 	// One tracker shared by all clusters; membership fixed at the keyframe.
 	tracker := vision.NewTracker(0.4, 10)
@@ -557,7 +554,7 @@ func detectedClusterTracks(v scene.VideoSpec, cfg IngestConfig, full []*frame.Fr
 	}
 	for f := 0; f < len(full); f++ {
 		if f > 0 {
-			dets := vision.Detect(full[f], cfg.Projection, cfg.Detector)
+			dets := vision.Detect(full[f], cfg.Projection)
 			rep.DetectorInvocations++
 			tracker.Update(dets, float64(f)/float64(v.FPS))
 		}
@@ -583,7 +580,7 @@ func detectedClusterTracks(v scene.VideoSpec, cfg IngestConfig, full []*frame.Fr
 
 // embeddedClusterTracks derives cluster trajectories straight from the
 // capture-embedded object annotations: no detector, no tracker.
-func embeddedClusterTracks(v scene.VideoSpec, cfg IngestConfig, start, frames int) [][]geom.Orientation {
+func embeddedClusterTracks(v scene.VideoSpec, start, frames int) [][]geom.Orientation {
 	objs := v.ObjectsAt(float64(start) / float64(v.FPS))
 	if len(objs) == 0 {
 		return nil
@@ -592,8 +589,7 @@ func embeddedClusterTracks(v scene.VideoSpec, cfg IngestConfig, start, frames in
 	for i, o := range objs {
 		dirs[i] = o.Dir
 	}
-	k := (len(objs) + cfg.SAS.ClusterPerObjects - 1) / cfg.SAS.ClusterPerObjects
-	clusters := vision.KMeans(dirs, k, 1)
+	clusters := vision.KMeans(dirs, len(dirs), 1) // one cluster per object
 	out := make([][]geom.Orientation, len(clusters))
 	for ci, cl := range clusters {
 		out[ci] = make([]geom.Orientation, frames)

@@ -10,6 +10,8 @@
 package vision
 
 import (
+	"math"
+
 	"evr/internal/frame"
 	"evr/internal/geom"
 	"evr/internal/projection"
@@ -24,21 +26,17 @@ type Detection struct {
 	X0, Y0, X1, Y1 int
 }
 
-// DetectorConfig tunes the saliency mask and component filter.
-type DetectorConfig struct {
-	SaturationMin int // min (max-min channel) spread to be object-like
-	LumaMin       int // alternatively, min luma (catches white objects)
-	MinArea       int // discard components smaller than this
-}
-
-// DefaultDetector returns thresholds matched to the scene package's palette.
-func DefaultDetector() DetectorConfig {
-	return DetectorConfig{SaturationMin: 60, LumaMin: 230, MinArea: 6}
-}
+// The detector's saliency mask and component filter, matched to the scene
+// package's palette.
+const (
+	saturationMin = 60  // min (max-min channel) spread to be object-like
+	lumaMin       = 230 // alternatively, min luma (catches white objects)
+	minArea       = 6   // discard components smaller than this
+)
 
 // Detect finds salient connected components in a full panoramic frame of
 // the given projection and returns them as sphere-space detections.
-func Detect(f *frame.Frame, m projection.Method, cfg DetectorConfig) []Detection {
+func Detect(f *frame.Frame, m projection.Method) []Detection {
 	w, h := f.W, f.H
 	if w == 0 || h == 0 {
 		return nil
@@ -48,7 +46,7 @@ func Detect(f *frame.Frame, m projection.Method, cfg DetectorConfig) []Detection
 		for x := 0; x < w; x++ {
 			r, g, b := f.At(x, y)
 			mx, mn := maxb(r, g, b), minb(r, g, b)
-			if int(mx)-int(mn) >= cfg.SaturationMin || f.Luma(x, y) >= cfg.LumaMin {
+			if int(mx)-int(mn) >= saturationMin || f.Luma(x, y) >= lumaMin {
 				mask[y*w+x] = true
 			}
 		}
@@ -96,7 +94,7 @@ func Detect(f *frame.Frame, m projection.Method, cfg DetectorConfig) []Detection
 				}
 			}
 		}
-		if area < cfg.MinArea {
+		if area < minArea {
 			continue
 		}
 		center := sum.Scale(1 / float64(area)).Normalize()
@@ -141,7 +139,7 @@ func capRadiusFromFraction(frac float64) float64 {
 	if c < -1 {
 		c = -1
 	}
-	return acos(c)
+	return math.Acos(c)
 }
 
 func maxb(a, b, c byte) byte {

@@ -1,13 +1,10 @@
 package vision
 
 import (
-	"math"
 	"sort"
 
 	"evr/internal/geom"
 )
-
-func acos(x float64) float64 { return math.Acos(x) }
 
 // Track is one object identity maintained across frames.
 type Track struct {
@@ -56,14 +53,7 @@ func (t *Tracker) Update(dets []Detection, now float64) []Track {
 	var pairs []pair
 	for ti := range t.tracks {
 		for di := range dets {
-			d := t.tracks[ti].Dir.Dot(dets[di].Dir)
-			if d > 1 {
-				d = 1
-			}
-			if d < -1 {
-				d = -1
-			}
-			if ang := acos(d); ang <= t.MaxMatchAngle {
+			if ang := t.tracks[ti].Dir.Angle(dets[di].Dir); ang <= t.MaxMatchAngle {
 				pairs = append(pairs, pair{ti, di, ang})
 			}
 		}

@@ -22,7 +22,7 @@ func TestDetectFindsSceneObjects(t *testing.T) {
 	// detected in a rendered ERP frame, with accurate directions.
 	v, _ := scene.ByName("RS")
 	f := v.RenderFrame(0, projection.ERP, 256, 128)
-	dets := Detect(f, projection.ERP, DefaultDetector())
+	dets := Detect(f, projection.ERP)
 	truth := v.ObjectsAt(0)
 	if len(dets) < len(truth) {
 		t.Fatalf("detected %d objects, want ≥ %d", len(dets), len(truth))
@@ -30,7 +30,7 @@ func TestDetectFindsSceneObjects(t *testing.T) {
 	for _, gt := range truth {
 		best := math.Inf(1)
 		for _, d := range dets {
-			if ang := math.Acos(clamp(d.Dir.Dot(gt.Dir))); ang < best {
+			if ang := d.Dir.Angle(gt.Dir); ang < best {
 				best = ang
 			}
 		}
@@ -40,20 +40,10 @@ func TestDetectFindsSceneObjects(t *testing.T) {
 	}
 }
 
-func clamp(x float64) float64 {
-	if x > 1 {
-		return 1
-	}
-	if x < -1 {
-		return -1
-	}
-	return x
-}
-
 func TestDetectRadiusEstimate(t *testing.T) {
 	v, _ := scene.ByName("RS")
 	f := v.RenderFrame(0, projection.ERP, 256, 128)
-	dets := Detect(f, projection.ERP, DefaultDetector())
+	dets := Detect(f, projection.ERP)
 	for _, d := range dets {
 		if d.Radius <= 0 || d.Radius > 1.0 {
 			t.Errorf("implausible radius %v", d.Radius)
@@ -67,10 +57,10 @@ func TestDetectRadiusEstimate(t *testing.T) {
 func TestDetectEmptyAndUniform(t *testing.T) {
 	f := frame.New(32, 16)
 	fill(f, 100, 100, 100)
-	if dets := Detect(f, projection.ERP, DefaultDetector()); len(dets) != 0 {
+	if dets := Detect(f, projection.ERP); len(dets) != 0 {
 		t.Errorf("uniform gray frame produced %d detections", len(dets))
 	}
-	if dets := Detect(frame.New(0, 0), projection.ERP, DefaultDetector()); dets != nil {
+	if dets := Detect(frame.New(0, 0), projection.ERP); dets != nil {
 		t.Error("empty frame should give nil")
 	}
 }
@@ -85,7 +75,7 @@ func TestMinAreaFilter(t *testing.T) {
 			f.Set(x, y, 255, 0, 0)
 		}
 	}
-	dets := Detect(f, projection.ERP, DetectorConfig{SaturationMin: 60, LumaMin: 230, MinArea: 6})
+	dets := Detect(f, projection.ERP)
 	if len(dets) != 1 {
 		t.Fatalf("got %d detections, want 1 (speck filtered)", len(dets))
 	}
@@ -104,7 +94,7 @@ func TestSeamWrapping(t *testing.T) {
 			f.Set(x, y, 0, 255, 0)
 		}
 	}
-	dets := Detect(f, projection.ERP, DetectorConfig{SaturationMin: 60, LumaMin: 230, MinArea: 4})
+	dets := Detect(f, projection.ERP)
 	if len(dets) != 1 {
 		t.Fatalf("seam object split into %d detections", len(dets))
 	}
@@ -117,7 +107,7 @@ func TestTrackerMaintainsIdentity(t *testing.T) {
 	for fi := 0; fi < 30; fi++ {
 		tt := float64(fi) / 30
 		f := v.RenderFrame(tt, projection.ERP, 192, 96)
-		tracks := tr.Update(Detect(f, projection.ERP, DefaultDetector()), tt)
+		tracks := tr.Update(Detect(f, projection.ERP), tt)
 		for _, trk := range tracks {
 			idAt[fi] = append(idAt[fi], trk.ID)
 		}
@@ -174,7 +164,7 @@ func TestTrackerGreedyPrefersNearest(t *testing.T) {
 	if len(tracks) != 2 {
 		t.Fatalf("%d tracks", len(tracks))
 	}
-	if math.Acos(clamp(tracks[0].Dir.Dot(a2))) > 0.01 {
+	if tracks[0].Dir.Angle(a2) > 0.01 {
 		t.Error("track 0 did not follow object a")
 	}
 }
