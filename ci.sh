@@ -26,9 +26,14 @@
 #                             reference arithmetic bit for bit, every op, for
 #                             random formats and operands at the path
 #                             boundaries (0, ±2³¹, both saturation bounds).
-#   FuzzScaler (5 s)          display.Scaler equals the per-pixel crop byte for
-#                             byte at random source, target and crop geometry.
-#   kernel benchmarks         display Scaler.Apply, delivery Assemble and the pt band
+#   FuzzScaler (5 s)          display.Scaler equals the per-pixel scale byte for
+#                             byte at random source and target sizes.
+#   FuzzHitWarp (5 s)         display.Warp, the FOV-hit rotation warp, writes
+#                             every pixel and stays within 8 levels of the float
+#                             per-pixel homography at random sizes and poses
+#                             inside the hit tolerance.
+#   kernel benchmarks         display Scaler.Apply and Warp.Apply (one hit
+#                             frame), delivery Assemble and the pt band
 #                             kernel at the gated benchmark's geometry, and the
 #                             ptlut arms at 1080p (its exact arm must equal pt),
 #                             one iteration each, so they cannot rot; beside
@@ -73,7 +78,9 @@ go test ./internal/codec -run='^$' -fuzz=FuzzDecode -fuzztime=5s
 go test ./internal/conformance -run='^$' -fuzz=FuzzRenderFamily -fuzztime=5s
 go test ./internal/fixed -run='^$' -fuzz=FuzzFixedOps -fuzztime=5s
 go test ./internal/display -run='^$' -fuzz=FuzzScaler -fuzztime=5s
+go test ./internal/display -run='^$' -fuzz=FuzzHitWarp -fuzztime=5s
 go test ./internal/display -run='^$' -bench='^BenchmarkScale$' -benchtime=1x
+go test ./internal/display -run='^$' -bench='^BenchmarkHitWarp$' -benchtime=1x
 go test ./internal/codec -run='^$' -bench='^BenchmarkDecodeSegment$' -benchtime=1x
 go test ./internal/pte -run='^$' -bench='^BenchmarkPixel$' -benchtime=1x
 go test ./internal/fixed -run='^$' -bench='^BenchmarkAtan2$' -benchtime=1x

@@ -122,12 +122,12 @@ func TestGoldenPlaybackAcrossCacheConfigs(t *testing.T) {
 		}
 	}
 
-	// Pinned golden numbers for this spec + trace + ingest config, recorded
-	// when segments were still decoded whole at fetch time. The one miss is
+	// Pinned golden numbers for this spec + trace + ingest config (the
+	// checksum re-recorded when hits became a rotation warp). The one miss is
 	// frame 59: original frame 29 of segment 1, the deepest seek into a
 	// P-chain that on-demand decoding makes.
 	const wantFrames, wantHits = 60, 59
-	const wantChecksum = 0xc453f3326c981304
+	const wantChecksum = 0xd4462290ed1e380b
 	if base.checksum != wantChecksum {
 		t.Errorf("checksum %#x, want pinned %#x", base.checksum, uint64(wantChecksum))
 	}
@@ -141,8 +141,9 @@ func TestGoldenPlaybackAcrossCacheConfigs(t *testing.T) {
 
 // TestPlaybackPinned pins the classic paths end to end at the default
 // 192×96 ingest, RS user 0, two segments, at the checksums recorded when
-// segments were still decoded whole at fetch time: FOV hits cropped by the
-// display processor, and — under live ingest, which makes no FOV videos —
+// segments were still decoded whole at fetch time (fov re-recorded when hits
+// became a rotation warp): FOV hits warped by the display processor, and —
+// under live ingest, which makes no FOV videos —
 // every frame decoded from the original and rendered by the float pipeline.
 func TestPlaybackPinned(t *testing.T) {
 	v, _ := scene.ByName("RS")
@@ -152,7 +153,7 @@ func TestPlaybackPinned(t *testing.T) {
 		checksum uint64
 		hits     int
 	}{
-		{"fov", false, 0x43bd0e6008cca166, 60},
+		{"fov", false, 0x234687ec28199dbb, 60},
 		{"live-orig-float", true, 0x9e7ad06b36b9f88c, 0},
 	} {
 		cfg := server.DefaultIngestConfig()
@@ -203,7 +204,7 @@ func TestTiledPlaybackPinned(t *testing.T) {
 		tiled    int
 	}{
 		{delivery.ModeTiled, 0x782f967c948509b6, 0, 2},
-		{delivery.ModeAuto, 0x1d7c44f64c2f0ce5, 1, 1},
+		{delivery.ModeAuto, 0x6d417a440783fd77, 1, 1},
 	}
 	for _, tc := range cases {
 		p := client.NewPlayer(ts.URL)

@@ -2,6 +2,7 @@ package client
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 
 	"evr/internal/codec"
@@ -218,9 +219,9 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		// count toward freshness, the DVR backlog behind it does not.
 		ftch.SetLiveEdge(video, man.LiveEdge)
 	}
-	tolerance := geom.Radians((man.FOVXDeg - headset.FOVXDeg) / 2)
-	if tolerance <= 0 {
-		return stats, nil, fmt.Errorf("client: manifest FOV %v° not wider than HMD %v°", man.FOVXDeg, headset.FOVXDeg)
+	tolerance, err := hitTolerance(man, headset)
+	if err != nil {
+		return stats, nil, err
 	}
 	vp := headset.ScaledViewport(p.ViewportScale)
 	method := projection.Method(man.Projection)
@@ -271,7 +272,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 	}
 
 	frameIdx := 0
-	crop, err := newHitCrop(vp, headset, man)
+	warp, err := display.NewWarp(vp, geom.Radians(man.FOVXDeg), geom.Radians(man.FOVYDeg))
 	if err != nil {
 		return stats, nil, err
 	}
@@ -396,9 +397,10 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			sp := p.Trace.StartFrame(seg.Index, frameIdx)
 			o := imu.At(frameIdx)
 			hit := false
+			var meta geom.Orientation // the pose the FOV frame was rendered for
 			sp.Start(telemetry.StageFOVCheck)
 			if src == fromFOV && f < fov.frames() { // the fetcher checked one pose per frame
-				meta := geom.Orientation{Yaw: fovMeta[f].Yaw, Pitch: fovMeta[f].Pitch}
+				meta = geom.Orientation{Yaw: fovMeta[f].Yaw, Pitch: fovMeta[f].Pitch}
 				hit = o.AngularDistance(meta) <= tolerance
 			}
 			sp.Stop(telemetry.StageFOVCheck)
@@ -444,11 +446,12 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			var out *frame.Frame
 			switch {
 			case hit:
-				// Direct display: the display processor crops the HMD FOV
-				// out of the margin-padded FOV frame and scales it to the
-				// panel — plain pixel manipulation, no PT (§2).
+				// Direct display: the display processor warps the user's
+				// view out of the margin-padded FOV frame by the head
+				// rotation since the frame's pose — one planar homography,
+				// no PT (§2).
 				sp.Start(telemetry.StageDisplay)
-				out, err = crop.Apply(img)
+				out, err = warp.Apply(img, meta.Matrix().Transpose().Mul(o.Matrix()))
 				sp.Stop(telemetry.StageDisplay)
 			case img != nil:
 				// A panorama, original or assembled: the client pays PT.
@@ -556,11 +559,20 @@ func bestCluster(seg *server.SegmentInfo, gaze geom.Orientation, tolerance float
 	return choice
 }
 
-// newHitCrop maps the display processor's hit path (§2) once for a session:
-// the HMD's FOV is the central part of the margin-padded FOV frame, cropped
-// and scaled to the display viewport — plain pixel manipulation, no PT.
-func newHitCrop(vp projection.Viewport, h hmd.Config, man *server.Manifest) (*display.Scaler, error) {
-	return display.NewScaler(vp.Width, vp.Height,
-		geom.Radians(h.FOVXDeg)/geom.Radians(man.FOVXDeg),
-		geom.Radians(h.FOVYDeg)/geom.Radians(man.FOVYDeg))
+// hitTolerance is how far a gaze may stray from a FOV frame's pose and still
+// be shown from it: half the narrower of the manifest's two FOV margins over
+// the HMD's. A manifest that is not wider than the HMD on both axes is
+// refused, and so is one whose margin would let a hit turn a viewport corner
+// ray to or past 90° from the frame's axis, where the hit warp's plane ends.
+func hitTolerance(man *server.Manifest, h hmd.Config) (float64, error) {
+	if !(man.FOVXDeg > h.FOVXDeg && man.FOVYDeg > h.FOVYDeg) {
+		return 0, fmt.Errorf("client: manifest FOV %v°×%v° not wider than HMD %v°×%v°", man.FOVXDeg, man.FOVYDeg, h.FOVXDeg, h.FOVYDeg)
+	}
+	tolerance := geom.Radians(min(man.FOVXDeg-h.FOVXDeg, man.FOVYDeg-h.FOVYDeg) / 2)
+	corner := math.Atan(math.Hypot(math.Tan(geom.Radians(h.FOVXDeg)/2), math.Tan(geom.Radians(h.FOVYDeg)/2)))
+	if corner+tolerance >= math.Pi/2 {
+		return 0, fmt.Errorf("client: manifest FOV %v°×%v° too wide for HMD %v°×%v°: a hit may turn a viewport corner %.1f° from the frame's axis",
+			man.FOVXDeg, man.FOVYDeg, h.FOVXDeg, h.FOVYDeg, geom.Degrees(corner+tolerance))
+	}
+	return tolerance, nil
 }

@@ -1,10 +1,15 @@
 package client
 
 import (
+	"encoding/json"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
+	"evr/internal/geom"
 	"evr/internal/headtrace"
 	"evr/internal/hmd"
 	"evr/internal/scene"
@@ -219,5 +224,53 @@ func TestPlaybackStatsAddCoversEveryField(t *testing.T) {
 		if got != want {
 			t.Errorf("%s after Add = %v, want %v", name, got, want)
 		}
+	}
+}
+
+// TestHitToleranceFromManifest: the hit tolerance is half the narrower of
+// the manifest's two FOV margins over the HMD's. A manifest that is not
+// wider on both axes is refused, and so is one wide enough that a hit could
+// turn a viewport corner ray to or past the frame's horizon (90° off its
+// axis), where the hit warp's divide is by a value ≤ 0. Play refuses such a
+// manifest before it fetches anything.
+func TestHitToleranceFromManifest(t *testing.T) {
+	h := hmd.OSVRHDK2() // 110°×110°: corner rays 63.7° off the view axis
+	for _, tc := range []struct {
+		fovX, fovY float64
+		tolDeg     float64 // 0: refused
+		err        string
+	}{
+		{150, 150, 20, ""}, // the gated benchmark's geometry
+		{150, 130, 10, ""}, // the vertical margin is the narrower
+		{130, 170, 10, ""},
+		{162, 162, 26, ""},
+		{110, 150, 0, "client: manifest FOV 110°×150° not wider than HMD 110°×110°"},
+		{150, 100, 0, "client: manifest FOV 150°×100° not wider than HMD 110°×110°"},
+		{165, 165, 0, "client: manifest FOV 165°×165° too wide for HMD 110°×110°: a hit may turn a viewport corner 91.2° from the frame's axis"},
+		{179, 179, 0, "client: manifest FOV 179°×179° too wide for HMD 110°×110°: a hit may turn a viewport corner 98.2° from the frame's axis"},
+	} {
+		man := &server.Manifest{FOVXDeg: tc.fovX, FOVYDeg: tc.fovY}
+		tol, err := hitTolerance(man, h)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("%v°×%v°: err = %v, want %q", tc.fovX, tc.fovY, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || math.Abs(geom.Degrees(tol)-tc.tolDeg) > 1e-9 {
+			t.Errorf("%v°×%v°: tolerance %v° (err %v), want %v°", tc.fovX, tc.fovY, geom.Degrees(tol), err, tc.tolDeg)
+		}
+	}
+
+	body, err := json.Marshal(&server.Manifest{Video: "RS", FPS: 30, FullW: 96, FullH: 48, FOVW: 32, FOVH: 32,
+		FOVXDeg: 165, FOVYDeg: 165, SegmentFrames: 30, Segments: []server.SegmentInfo{{Frames: 30}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPlayer("http://manifest.test")
+	p.HTTP = &http.Client{Transport: manifestOnly(body)}
+	v, _ := scene.ByName("RS")
+	if _, _, err := p.Play("RS", hmd.NewIMU(headtrace.Generate(v, 0)), 1); err == nil || !strings.Contains(err.Error(), "too wide for HMD") {
+		t.Errorf("Play of a 165° manifest: err = %v, want the too-wide error", err)
 	}
 }

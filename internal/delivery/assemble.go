@@ -25,7 +25,7 @@ func NewAssembler(g tiling.Grid, w, h int) (*Assembler, error) {
 	if err := g.Validate(w, h); err != nil {
 		return nil, err
 	}
-	up, err := display.NewScaler(w, h, 1, 1)
+	up, err := display.NewScaler(w, h)
 	if err != nil {
 		return nil, err
 	}

@@ -5,8 +5,9 @@
 // post-decode pipeline; under SAS, FOV-hit frames take exactly that path.
 //
 // The operations are real pixel transforms (integer BT.601 color
-// conversion, bilinear crop-and-scale), so the player can assemble an actual
-// scanout path and tests can verify it end to end.
+// conversion, bilinear scaling, and the hit path's rotation warp), so the
+// player can assemble an actual scanout path and tests can verify it end to
+// end.
 package display
 
 import "evr/internal/frame"

@@ -65,7 +65,7 @@ func TestScale(t *testing.T) {
 	for i := 0; i < len(f.Pix); i += 3 {
 		f.Pix[i], f.Pix[i+1], f.Pix[i+2] = 10, 20, 30
 	}
-	s, err := NewScaler(16, 8, 1, 1)
+	s, err := NewScaler(16, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

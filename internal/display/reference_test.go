@@ -44,22 +44,3 @@ func refScale(f *frame.Frame, w, h int) *frame.Frame {
 	}
 	return out
 }
-
-// refCrop is the client's hit-path crop before the Scaler: the central
-// fracX×fracY of f scaled to w×h.
-func refCrop(f *frame.Frame, w, h int, fracX, fracY float64) *frame.Frame {
-	out := frame.New(w, h)
-	sw := float64(f.W) * fracX
-	sh := float64(f.H) * fracY
-	x0 := (float64(f.W) - sw) / 2
-	y0 := (float64(f.H) - sh) / 2
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			u := x0 + (float64(x)+0.5)/float64(w)*sw - 0.5
-			v := y0 + (float64(y)+0.5)/float64(h)*sh - 0.5
-			r, g, b := refBilinear(f, u, v)
-			out.Set(x, y, r, g, b)
-		}
-	}
-	return out
-}

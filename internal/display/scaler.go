@@ -7,11 +7,9 @@ import (
 	"evr/internal/frame"
 )
 
-// Scaler is the display processor's scaler: it takes the central
-// fracX×fracY region of a source frame (the whole frame at 1×1) and resamples
-// it bilinearly to w×h. The hit path's crop of a margin-padded FOV frame (§2),
-// the tiled client's backfill upscale and the ingest-side backfill downscale
-// are all this one operation.
+// Scaler is the display processor's scaler: it resamples a whole source frame
+// bilinearly to w×h. The tiled client's backfill upscale and the ingest-side
+// backfill downscale are both this one operation.
 //
 // The sample position of output pixel (x, y) is separable and the same for
 // every source frame of one size, so the taps and weights are mapped once per
@@ -22,8 +20,7 @@ import (
 // caller-owned frame and allocates nothing. The taps are re-mapped when the
 // source dimensions change, so a Scaler is not safe for concurrent use.
 type Scaler struct {
-	w, h         int
-	fracX, fracY float64
+	w, h int
 
 	srcW, srcH int   // source dimensions the taps were mapped for
 	cols, rows []tap // per output column / row
@@ -37,27 +34,20 @@ type tap struct {
 	far  float64
 }
 
-// NewScaler returns a scaler producing w×h frames from the central
-// fracX×fracY of its sources; each fraction must lie in (0, 1].
-func NewScaler(w, h int, fracX, fracY float64) (*Scaler, error) {
+// NewScaler returns a scaler producing w×h frames.
+func NewScaler(w, h int) (*Scaler, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("display: target %dx%d must be positive", w, h)
 	}
-	if !(fracX > 0 && fracX <= 1 && fracY > 0 && fracY <= 1) {
-		return nil, fmt.Errorf("display: crop fraction %v×%v outside (0, 1]", fracX, fracY)
-	}
-	return &Scaler{w: w, h: h, fracX: fracX, fracY: fracY}, nil
+	return &Scaler{w: w, h: h}, nil
 }
 
-// mapAxis places n output samples over the central frac of size source
-// texels, at texel centres; taps clamp to the border (frame.Resolve's rule
-// for a non-wrapping axis).
-func mapAxis(n, size int, frac float64) []tap {
+// mapAxis places n output samples over size source texels, at texel centres;
+// taps clamp to the border (frame.Resolve's rule for a non-wrapping axis).
+func mapAxis(n, size int) []tap {
 	taps := make([]tap, n)
-	span := float64(size) * frac
-	start := (float64(size) - span) / 2
 	for i := range taps {
-		u := start + (float64(i)+0.5)/float64(n)*span - 0.5
+		u := (float64(i)+0.5)/float64(n)*float64(size) - 0.5
 		i0 := int(math.Floor(u))
 		a, _ := frame.Resolve(size, 1, false, i0, 0)
 		b, _ := frame.Resolve(size, 1, false, i0+1, 0)
@@ -83,7 +73,7 @@ func lerpRow(dst []float64, f *frame.Frame, y int32, cols []tap) {
 	}
 }
 
-// Apply crops and scales one frame into a new one. A nil, empty or
+// Apply scales one frame into a new one. A nil, empty or
 // short-buffered source is an error.
 func (s *Scaler) Apply(f *frame.Frame) (*frame.Frame, error) {
 	out := frame.New(s.w, s.h)
@@ -93,7 +83,7 @@ func (s *Scaler) Apply(f *frame.Frame) (*frame.Frame, error) {
 	return out, nil
 }
 
-// ApplyInto crops and scales f into out, which must be a w×h frame; every
+// ApplyInto scales f into out, which must be a w×h frame; every
 // pixel of out is written. A nil, empty or short-buffered source or a
 // mis-sized destination is an error.
 func (s *Scaler) ApplyInto(out, f *frame.Frame) error {
@@ -108,8 +98,8 @@ func (s *Scaler) ApplyInto(out, f *frame.Frame) error {
 	}
 	if f.W != s.srcW || f.H != s.srcH {
 		s.srcW, s.srcH = f.W, f.H
-		s.cols = mapAxis(s.w, f.W, s.fracX)
-		s.rows = mapAxis(s.h, f.H, s.fracY)
+		s.cols = mapAxis(s.w, f.W)
+		s.rows = mapAxis(s.h, f.H)
 	}
 	var rowA, rowB [strip * 3]float64
 	for x0 := 0; x0 < s.w; x0 += strip {

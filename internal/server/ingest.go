@@ -494,7 +494,7 @@ func ingestTiles(v scene.VideoSpec, cfg IngestConfig, lay *TilingInfo, st *store
 	// Backfill stream: the whole panorama downscaled by the layout's LowDiv,
 	// encoded at the coarsest rung quality — its only job is to paper
 	// over mispredicted or lost tiles.
-	down, err := display.NewScaler(cfg.FullW/lay.LowDiv, cfg.FullH/lay.LowDiv, 1, 1)
+	down, err := display.NewScaler(cfg.FullW/lay.LowDiv, cfg.FullH/lay.LowDiv)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,8 @@ const (
 	// StageRender is projective-transform rendering of fallback frames
 	// (PTE accelerator or reference float pipeline).
 	StageRender
-	// StageDisplay is the display processor's crop+scale of a FOV hit.
+	// StageDisplay is the display processor's rotation warp of a FOV hit
+	// onto the viewport (display.Warp).
 	StageDisplay
 	// NumStages is the number of pipeline stages.
 	NumStages
