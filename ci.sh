@@ -32,8 +32,14 @@
 #                             every pixel and stays within 8 levels of the float
 #                             per-pixel homography at random sizes and poses
 #                             inside the hit tolerance.
+#   FuzzToPlaneRow (5 s)      projection.ToPlaneRow, the row form the float pt
+#                             kernel and the LUT build map through in passes,
+#                             equals per-element ToPlane bit for bit (NaNs
+#                             included) for every projection, on random rows
+#                             holding one fuzzed direction (±0, NaN, ±Inf,
+#                             subnormal squares).
 #   kernel benchmarks         display Scaler.Apply and Warp.Apply (one hit
-#                             frame), delivery Assemble and the pt band
+#                             frame), delivery Assemble and the pt row
 #                             kernel at the gated benchmark's geometry, and the
 #                             ptlut arms at 1080p (its exact arm must equal pt),
 #                             one iteration each, so they cannot rot; beside
@@ -79,6 +85,7 @@ go test ./internal/conformance -run='^$' -fuzz=FuzzRenderFamily -fuzztime=5s
 go test ./internal/fixed -run='^$' -fuzz=FuzzFixedOps -fuzztime=5s
 go test ./internal/display -run='^$' -fuzz=FuzzScaler -fuzztime=5s
 go test ./internal/display -run='^$' -fuzz=FuzzHitWarp -fuzztime=5s
+go test ./internal/projection -run='^$' -fuzz=FuzzToPlaneRow -fuzztime=5s
 go test ./internal/display -run='^$' -bench='^BenchmarkScale$' -benchtime=1x
 go test ./internal/display -run='^$' -bench='^BenchmarkHitWarp$' -benchtime=1x
 go test ./internal/codec -run='^$' -bench='^BenchmarkDecodeSegment$' -benchtime=1x

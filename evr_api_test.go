@@ -367,8 +367,8 @@ var linkAllowlist = map[string]string{
 	"telemetry.(*Tracer).Hits":       "accessor: client TestTelemetryByteIdentical checks traced hits against the QoE accounting",
 	"conformance.Measure":            "oracle: ptlut TestCorpusQuantizedBudgets measures the quantized LUT against pt with it",
 	"conformance.LUTQuantBudgetFor":  "oracle: the budgets ptlut TestCorpusQuantizedBudgets holds the quantized LUT to",
-	"pt.Config.MapPixel":             "oracle: pt TestMapperMatchesMapPixel holds the production Mapper to it",
-	"pt.(*Mapper).Map":               "oracle: MapPixel's body, and the per-pixel map pt TestRenderRowsMatchesMapSample holds Band to",
+	"pt.(*Mapper).Map":               "oracle: the per-pixel map pt TestRenderRowsMatchesMapSample holds Row to; TestMapMatchesRayToPlane holds it to Viewport.Ray + ToPlane",
+	"pt.Config.Sample":               "oracle: the per-pixel filter pt TestRenderRowsMatchesMapSample holds sampleRow to",
 	"display.ToRGB":                  "oracle: codec's reference decoder (reference_test.go) converts chroma-coded frames back with it",
 }
 

@@ -196,6 +196,49 @@ func ToPlane(m Method, dir geom.Vec3) (u, v float64) {
 	}
 }
 
+// ToPlaneRow is ToPlane over a row of directions: it sets (u[k], v[k]) to
+// ToPlane(m, (x[k], y[k], z[k])), bit for bit, for every k < len(x). All
+// five slices must have the same length.
+//
+// For ERP it runs FromCartesian's operations, unchanged and in their order,
+// as four loops over the row: the norm and Y/n, then math.Asin, then
+// math.Atan2, then lsERP. Each pixel's divide → square root → Asin → Atan2
+// is one chain of dependent long-latency operations; one loop over the
+// whole chain leaves the CPU waiting on it, pixel after pixel, while short
+// loops of independent iterations keep several pixels' operations in
+// flight. CMP and EAC map element by element through ToPlane.
+func ToPlaneRow(m Method, x, y, z, u, v []float64) {
+	n := len(x)
+	y, z, u, v = y[:n], z[:n], u[:n], v[:n]
+	if m != ERP {
+		for k := range x {
+			u[k], v[k] = ToPlane(m, geom.Vec3{X: x[k], Y: y[k], Z: z[k]})
+		}
+		return
+	}
+	// u holds the norm until the Atan2 loop: FromCartesian's zero test.
+	for k := range x {
+		norm := geom.Vec3{X: x[k], Y: y[k], Z: z[k]}.Norm()
+		u[k], v[k] = norm, y[k]/norm
+	}
+	for k := range v {
+		v[k] = math.Asin(v[k])
+	}
+	for k := range u {
+		if u[k] == 0 {
+			// The zero vector, and any whose squares underflow: both
+			// ToPlane's early return and FromCartesian's Spherical{}
+			// come out as lsERP(0, 0) = (0.5, 0.5) exactly.
+			u[k], v[k] = 0, 0
+			continue
+		}
+		u[k] = math.Atan2(x[k], z[k])
+	}
+	for k := range u {
+		u[k], v[k] = lsERP(u[k], v[k])
+	}
+}
+
 // ToSphere maps normalized planar frame coordinates to a unit direction on
 // the viewing sphere, inverting ToPlane.
 func ToSphere(m Method, u, v float64) geom.Vec3 {

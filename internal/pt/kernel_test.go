@@ -18,13 +18,13 @@ func benchRender() (Config, *frame.Frame, geom.Orientation) {
 	return cfg, randomFrame(320, 160, 19), geom.Orientation{Yaw: 0.7, Pitch: -0.2, Roll: 0.05}
 }
 
-// TestRenderRowsMatchesMapSample holds the band kernel to the per-pixel
+// TestRenderRowsMatchesMapSample holds the row kernel to the per-pixel
 // oracle — Mapper.Map then Config.Sample, pixel by pixel — for every
 // projection and filter, at poses on the ERP seam, at both poles and rolled,
 // over a viewport wider than one column chunk and split into uneven bands.
 func TestRenderRowsMatchesMapSample(t *testing.T) {
 	full := randomFrame(96, 48, 19)
-	vp := projection.Viewport{Width: colChunk + 37, Height: 23, FOVX: geom.Radians(100), FOVY: geom.Radians(80)}
+	vp := projection.Viewport{Width: ColChunk + 37, Height: 23, FOVX: geom.Radians(100), FOVY: geom.Radians(80)}
 	for _, o := range []geom.Orientation{
 		{},
 		{Yaw: math.Pi - 0.01, Pitch: 0.1},
@@ -57,8 +57,12 @@ func TestRenderRowsMatchesMapSample(t *testing.T) {
 }
 
 // TestRenderAllocations: a render allocates its viewport and under 1 kB more
-// — the per-column products live on the band's stack, not the heap.
+// — the column chunk and the passes' rows live on each band's stack, not the
+// heap — serially and split over two workers. One P: the band goroutines'
+// runtime records are then reused from the first run on, not allocated
+// while the scheduler balances its free lists across Ps.
 func TestRenderAllocations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg, full, o := benchRender()
 	measure := func(fn func()) uint64 {
 		best := ^uint64(0)
@@ -72,13 +76,25 @@ func TestRenderAllocations(t *testing.T) {
 		return best
 	}
 	viewport := measure(func() { frame.New(cfg.Viewport.Width, cfg.Viewport.Height) })
-	render := measure(func() {
-		if _, err := RenderChecked(cfg, full, o); err != nil {
-			t.Fatal(err)
+	for _, r := range []struct {
+		name   string
+		render func() (*frame.Frame, error)
+	}{
+		{"RenderChecked", func() (*frame.Frame, error) { return RenderChecked(cfg, full, o) }},
+		{"RenderParallelChecked/2", func() (*frame.Frame, error) {
+			for pixPool.Get() != nil { // drained: the output frame is paid for
+			}
+			return RenderParallelChecked(cfg, full, o, 2)
+		}},
+	} {
+		render := measure(func() {
+			if _, err := r.render(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if render > viewport+1<<10 {
+			t.Errorf("%s allocated %d bytes, the viewport alone is %d: more than 1 kB over", r.name, render, viewport)
 		}
-	})
-	if render > viewport+1<<10 {
-		t.Errorf("render allocated %d bytes, the viewport alone is %d: more than 1 kB over", render, viewport)
 	}
 }
 

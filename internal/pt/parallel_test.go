@@ -186,16 +186,33 @@ func TestRecycleTwiceNoAlias(t *testing.T) {
 	}
 }
 
-func TestMapperMatchesMapPixel(t *testing.T) {
-	cfg := Config{Projection: projection.EAC, Filter: Bilinear, Viewport: testViewport()}
-	o := geom.Orientation{Yaw: 1.1, Pitch: -0.4, Roll: 0.2}
-	m := cfg.NewMapper(o, 128, 64)
-	for j := 0; j < cfg.Viewport.Height; j += 7 {
-		for i := 0; i < cfg.Viewport.Width; i += 7 {
-			u1, v1 := m.Map(i, j)
-			u2, v2 := cfg.MapPixel(o, 128, 64, i, j)
-			if u1 != u2 || v1 != v2 {
-				t.Fatalf("Mapper (%v, %v) != MapPixel (%v, %v) at (%d, %d)", u1, v1, u2, v2, i, j)
+// TestMapMatchesRayToPlane holds Mapper.Map to the per-pixel definition it
+// hoists — Viewport.Ray, then projection.ToPlane, scaled to pixels — bit for
+// bit, for every projection, at poses on the ERP seam, at both poles and
+// rolled.
+func TestMapMatchesRayToPlane(t *testing.T) {
+	const fw, fh = 128, 64
+	vp := testViewport()
+	for _, o := range []geom.Orientation{
+		{Yaw: 1.1, Pitch: -0.4, Roll: 0.2},
+		{Yaw: math.Pi},
+		{Yaw: -math.Pi, Pitch: 0.3, Roll: -0.7},
+		{Pitch: math.Pi / 2},
+		{Yaw: 2, Pitch: -math.Pi / 2, Roll: 1.3},
+		{Yaw: -0.6, Roll: math.Pi / 2},
+	} {
+		for _, pm := range projection.Methods {
+			cfg := Config{Projection: pm, Filter: Bilinear, Viewport: vp}
+			m := cfg.NewMapper(o, fw, fh)
+			for j := 0; j < vp.Height; j++ {
+				for i := 0; i < vp.Width; i++ {
+					u, v := m.Map(i, j)
+					nu, nv := projection.ToPlane(pm, vp.Ray(o, i, j))
+					wu, wv := nu*fw-0.5, nv*fh-0.5
+					if math.Float64bits(u) != math.Float64bits(wu) || math.Float64bits(v) != math.Float64bits(wv) {
+						t.Fatalf("%v pose %+v pixel (%d, %d): Map (%v, %v), Ray+ToPlane (%v, %v)", pm, o, i, j, u, v, wu, wv)
+					}
+				}
 			}
 		}
 	}

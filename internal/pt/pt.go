@@ -80,17 +80,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// MapPixel runs the perspective-update and mapping stages for output pixel
-// (i, j): it returns the input-frame coordinates (u, v) in pixels (not yet
-// normalized to integers — the filtering stage decides how to sample). Only
-// the input frame's dimensions matter here, so the signature takes them
-// directly; hot loops should build a Mapper once per frame instead of
-// calling this per pixel.
-func (c Config) MapPixel(o geom.Orientation, fullW, fullH, i, j int) (u, v float64) {
-	m := c.NewMapper(o, fullW, fullH)
-	return m.Map(i, j)
-}
-
 // Mapper holds the per-frame constants of the perspective-update and mapping
 // stages: the head rotation matrix, the FOV tangents, and the input-frame
 // scale factors. These depend only on (Config, Orientation, input size), so
@@ -119,10 +108,11 @@ func (c Config) NewMapper(o geom.Orientation, fullW, fullH int) *Mapper {
 	}
 }
 
-// Map returns the input-frame pixel coordinates for output pixel (i, j).
-// It performs the exact float operations of Viewport.Ray + ToPlane, so the
-// result is bit-identical to the per-pixel MapPixel path. Renders walk
-// Band instead; Map (with Config.Sample) stays as Band's per-pixel oracle.
+// Map returns the input-frame pixel coordinates for output pixel (i, j):
+// (u, v) in pixels, not yet rounded — the filtering stage decides how to
+// sample. It performs the exact float operations of Viewport.Ray + ToPlane.
+// Renders walk Row instead; Map (with Config.Sample) stays as Row's
+// per-pixel oracle.
 func (m *Mapper) Map(i, j int) (u, v float64) {
 	px := (2*(float64(i)+0.5)/m.vpW - 1) * m.tx
 	py := (1 - 2*(float64(j)+0.5)/m.vpH) * m.ty
@@ -134,37 +124,54 @@ func (m *Mapper) Map(i, j int) (u, v float64) {
 	return nu*m.fullW - 0.5, nv*m.fullH - 0.5
 }
 
-// colChunk is how many output columns of perspective-update products a band
-// holds at once: on its stack, so a render allocates nothing per column.
-const colChunk = 256
+// ColChunk is how many output columns one Chunk spans: a raster walk maps
+// a row ColChunk columns at a time, so its scratch is a fixed ~16 kB on the
+// caller's stack and a render allocates nothing per row.
+const ColChunk = 256
 
-// Band runs the perspective-update and mapping stages over output rows
-// [j0, j1), calling px with every pixel's input-frame coordinates — the value
-// Map returns for (i, j), bit for bit — rows in raster order within each
-// chunk of colChunk columns. It is Map with the raster scan's invariants
-// hoisted: M·(px, py, 1) needs M[·][0]·px once per column and M[·][1]·py once
-// per row, and only the two adds, kept in Mat3.Apply's order, per pixel.
-func (m *Mapper) Band(j0, j1 int, px func(i, j int, u, v float64)) {
-	var cols [colChunk][3]float64
-	for i0, w := 0, int(m.vpW); i0 < w; i0 += colChunk {
-		n := min(colChunk, w-i0)
-		for k := 0; k < n; k++ {
-			x := (2*(float64(i0+k)+0.5)/m.vpW - 1) * m.tx
-			cols[k] = [3]float64{m.mat[0][0] * x, m.mat[1][0] * x, m.mat[2][0] * x}
-		}
-		for j := j0; j < j1; j++ {
-			y := (1 - 2*(float64(j)+0.5)/m.vpH) * m.ty
-			r0, r1, r2 := m.mat[0][1]*y, m.mat[1][1]*y, m.mat[2][1]*y
-			for k, col := range cols[:n] {
-				dir := geom.Vec3{
-					X: col[0] + r0 + m.mat[0][2],
-					Y: col[1] + r1 + m.mat[1][2],
-					Z: col[2] + r2 + m.mat[2][2],
-				}.Normalize()
-				nu, nv := projection.ToPlane(m.proj, dir)
-				px(i0+k, j, nu*m.fullW-0.5, nv*m.fullH-0.5)
-			}
-		}
+// Chunk is the caller-owned state of a chunked raster walk: the per-column
+// half of the perspective update for the n output columns Mapper.Columns
+// last set, and the direction rows Row's passes write.
+type Chunk struct {
+	n       int
+	cols    [ColChunk][3]float64
+	x, y, z [ColChunk]float64
+}
+
+// Columns points ch at output columns [i0, min(i0+ColChunk, width)) and
+// returns their count. The ray of pixel (i, j) is M·(px_i, py_j, 1);
+// Mat3.Apply sums each component as (M[r][0]·px + M[r][1]·py) + M[r][2],
+// so M[r][0]·px_i is formed here once per column and Row adds the rest.
+func (m *Mapper) Columns(ch *Chunk, i0 int) int {
+	ch.n = min(ColChunk, int(m.vpW)-i0)
+	for k := 0; k < ch.n; k++ {
+		x := (2*(float64(i0+k)+0.5)/m.vpW - 1) * m.tx
+		ch.cols[k] = [3]float64{m.mat[0][0] * x, m.mat[1][0] * x, m.mat[2][0] * x}
+	}
+	return ch.n
+}
+
+// Row fills u[k], v[k] with Map(i0+k, j) — bit for bit — for the n columns
+// [i0, i0+n) ch was set to; u and v must hold n. It forms M[r][1]·py_j once, then runs in
+// passes over the chunk: the two adds per pixel in Mat3.Apply's order and
+// Normalize; projection.ToPlaneRow; the pixel scaling.
+func (m *Mapper) Row(ch *Chunk, j int, u, v []float64) {
+	n := ch.n
+	u, v = u[:n], v[:n]
+	x, y, z := ch.x[:n], ch.y[:n], ch.z[:n]
+	py := (1 - 2*(float64(j)+0.5)/m.vpH) * m.ty
+	r0, r1, r2 := m.mat[0][1]*py, m.mat[1][1]*py, m.mat[2][1]*py
+	for k, col := range ch.cols[:n] {
+		d := geom.Vec3{
+			X: col[0] + r0 + m.mat[0][2],
+			Y: col[1] + r1 + m.mat[1][2],
+			Z: col[2] + r2 + m.mat[2][2],
+		}.Normalize()
+		x[k], y[k], z[k] = d.X, d.Y, d.Z
+	}
+	projection.ToPlaneRow(m.proj, x, y, z, u, v)
+	for k := range u {
+		u[k], v[k] = u[k]*m.fullW-0.5, v[k]*m.fullH-0.5
 	}
 }
 
@@ -236,9 +243,42 @@ func CheckInput(full *frame.Frame) error {
 // disjoint row bands of the same output frame may render concurrently.
 func (c Config) renderRows(full *frame.Frame, o geom.Orientation, out *frame.Frame, j0, j1 int) {
 	m := c.NewMapper(o, full.W, full.H)
-	pix, w := out.Pix, out.W
-	m.Band(j0, j1, func(i, j int, u, v float64) {
-		p := pix[(j*w+i)*3:][:3]
-		p[0], p[1], p[2] = c.Sample(full, u, v)
-	})
+	var ch Chunk
+	var u, v [ColChunk]float64
+	for i0 := 0; i0 < out.W; i0 += ColChunk {
+		n := m.Columns(&ch, i0)
+		for j := j0; j < j1; j++ {
+			m.Row(&ch, j, u[:n], v[:n])
+			c.sampleRow(full, u[:n], v[:n], out.Pix[(j*out.W+i0)*3:][:n*3])
+		}
+	}
+}
+
+// sampleRow is Sample over one mapped row, writing pixel k to dst[3k:3k+3]:
+// the filter and edge policy are picked once per row, not per pixel.
+func (c Config) sampleRow(full *frame.Frame, u, v []float64, dst []byte) {
+	v = v[:len(u)]
+	wrap := c.Projection.WrapsX()
+	switch {
+	case c.Filter == Bilinear && wrap:
+		for k := range u {
+			p := dst[3*k:][:3]
+			p[0], p[1], p[2] = full.BilinearAtWrapX(u[k], v[k])
+		}
+	case c.Filter == Bilinear:
+		for k := range u {
+			p := dst[3*k:][:3]
+			p[0], p[1], p[2] = full.BilinearAt(u[k], v[k])
+		}
+	case wrap:
+		for k := range u {
+			p := dst[3*k:][:3]
+			p[0], p[1], p[2] = full.AtWrapX(int(math.Round(u[k])), int(math.Round(v[k])))
+		}
+	default:
+		for k := range u {
+			p := dst[3*k:][:3]
+			p[0], p[1], p[2] = full.At(int(math.Round(u[k])), int(math.Round(v[k])))
+		}
+	}
 }

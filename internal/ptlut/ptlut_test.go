@@ -3,6 +3,7 @@ package ptlut_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -348,6 +349,58 @@ func TestTraceTableSharing(t *testing.T) {
 			t.Errorf("step %.2f°: %d poses → %d tables, want 106200 → %d", c.stepDeg, poses, len(distinct), c.tables)
 		}
 	}
+}
+
+// TestBuildAllocations: one Build at the gated benchmark's geometry (a
+// 320×160 ERP panorama onto the 213×120, 110° viewport) allocates its
+// tables and under 1 kB more, for every layout and on one or two workers —
+// the column chunk and the mapped rows live on each band's stack. One P, as
+// in pt.TestRenderAllocations: the band goroutines' runtime records are
+// reused, not allocated while the scheduler balances its free lists.
+func TestBuildAllocations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const fullW, fullH, w, h = 320, 160, 213, 120
+	measure := func(fn func()) uint64 {
+		best := ^uint64(0)
+		var before, after runtime.MemStats
+		for n := 0; n < 5; n++ {
+			runtime.ReadMemStats(&before)
+			fn()
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	var idx []int32 // the tables' layouts, allocated alone for the baseline
+	var f64 [2][]float64
+	var q8 [2][]uint16
+	cfg := testConfig(projection.ERP, pt.Bilinear, w, h)
+	cfg.Viewport.FOVX, cfg.Viewport.FOVY = geom.Radians(110), geom.Radians(110)
+	pose := geom.Orientation{Yaw: 0.7, Pitch: -0.2, Roll: 0.05}
+	for _, c := range []struct {
+		name   string
+		filter pt.Filter
+		quant  bool
+		tables func()
+	}{
+		{"nearest", pt.Nearest, false, func() { idx = make([]int32, w*h) }},
+		{"exact", pt.Bilinear, false, func() { idx, f64 = make([]int32, 4*w*h), [2][]float64{make([]float64, w*h), make([]float64, w*h)} }},
+		{"quant", pt.Bilinear, true, func() { idx, q8 = make([]int32, 4*w*h), [2][]uint16{make([]uint16, w*h), make([]uint16, w*h)} }},
+	} {
+		cfg.Filter = c.filter
+		tables := measure(c.tables)
+		for _, workers := range []int{1, 2} {
+			build := measure(func() {
+				if _, err := ptlut.Build(cfg, pose, fullW, fullH, c.quant, workers); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if build > tables+1<<10 {
+				t.Errorf("%s on %d workers: Build allocated %d bytes, its tables alone are %d: more than 1 kB over", c.name, workers, build, tables)
+			}
+		}
+	}
+	_, _, _ = idx, f64, q8
 }
 
 // BenchmarkRender times the mapping-LUT hot path against the pt reference

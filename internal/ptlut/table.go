@@ -111,29 +111,41 @@ func (t *Table) buildRows(cfg pt.Config, o geom.Orientation, fullW, fullH, j0, j
 	m := cfg.NewMapper(o, fullW, fullH)
 	wrap := cfg.Projection.WrapsX()
 	offset := func(x, y int) int32 { return int32((y*fullW + x) * 3) }
-	m.Band(j0, j1, func(i, j int, u, v float64) {
-		p := j*t.w + i
-		if t.mode == modeNearest {
-			t.idx[p] = offset(frame.Resolve(fullW, fullH, wrap, int(math.Round(u)), int(math.Round(v))))
-			return
+	var ch pt.Chunk
+	var us, vs [pt.ColChunk]float64
+	for i0 := 0; i0 < t.w; i0 += pt.ColChunk {
+		n := m.Columns(&ch, i0)
+		for j := j0; j < j1; j++ {
+			u, v := us[:n], vs[:n]
+			m.Row(&ch, j, u, v)
+			p0 := j*t.w + i0
+			if t.mode == modeNearest {
+				for k := range u {
+					t.idx[p0+k] = offset(frame.Resolve(fullW, fullH, wrap, int(math.Round(u[k])), int(math.Round(v[k]))))
+				}
+				continue
+			}
+			for k := range u {
+				p := p0 + k
+				x0 := int(math.Floor(u[k]))
+				y0 := int(math.Floor(v[k]))
+				fx := u[k] - float64(x0)
+				fy := v[k] - float64(y0)
+				xa, ya, xb, yb := frame.Stencil(fullW, fullH, wrap, x0, y0)
+				t.taps[4*p+0] = offset(xa, ya)
+				t.taps[4*p+1] = offset(xb, ya)
+				t.taps[4*p+2] = offset(xa, yb)
+				t.taps[4*p+3] = offset(xb, yb)
+				if t.mode == modeBilinearQuant {
+					t.wx[p] = uint16(math.Round(fx * 256))
+					t.wy[p] = uint16(math.Round(fy * 256))
+				} else {
+					t.fx[p] = fx
+					t.fy[p] = fy
+				}
+			}
 		}
-		x0 := int(math.Floor(u))
-		y0 := int(math.Floor(v))
-		fx := u - float64(x0)
-		fy := v - float64(y0)
-		xa, ya, xb, yb := frame.Stencil(fullW, fullH, wrap, x0, y0)
-		t.taps[4*p+0] = offset(xa, ya)
-		t.taps[4*p+1] = offset(xb, ya)
-		t.taps[4*p+2] = offset(xa, yb)
-		t.taps[4*p+3] = offset(xb, yb)
-		if t.mode == modeBilinearQuant {
-			t.wx[p] = uint16(math.Round(fx * 256))
-			t.wy[p] = uint16(math.Round(fy * 256))
-		} else {
-			t.fx[p] = fx
-			t.fy[p] = fy
-		}
-	})
+	}
 }
 
 // Render produces the FOV frame of one input frame through the table, rows
