@@ -38,6 +38,18 @@
 #                             included) for every projection, on random rows
 #                             holding one fuzzed direction (±0, NaN, ±Inf,
 #                             subnormal squares).
+#   FuzzRasterMatchesColorAt  scene.Raster, the ingest renderer that maps each
+#     (5 s)                   pixel once and tests caps by dot product, equals
+#                             the per-direction ColorAt byte for byte at random
+#                             videos, times and sizes in every projection, and
+#                             Instant.Color equals it along directions seeded
+#                             within 1e-12 rad of every cap and rim boundary
+#                             (the guard-band path).
+#   FuzzStoreReadFrom (5 s)   store.ReadFrom against an in-memory reference
+#                             reader, seeded with a small ingest's snapshot:
+#                             any input errors or loads a store whose snapshot
+#                             reads back equal, and a failure keeps exactly
+#                             the records before the failing one.
 #   kernel benchmarks         display Scaler.Apply and Warp.Apply (one hit
 #                             frame), delivery Assemble and the pt row
 #                             kernel at the gated benchmark's geometry, and the
@@ -86,6 +98,8 @@ go test ./internal/fixed -run='^$' -fuzz=FuzzFixedOps -fuzztime=5s
 go test ./internal/display -run='^$' -fuzz=FuzzScaler -fuzztime=5s
 go test ./internal/display -run='^$' -fuzz=FuzzHitWarp -fuzztime=5s
 go test ./internal/projection -run='^$' -fuzz=FuzzToPlaneRow -fuzztime=5s
+go test ./internal/scene -run='^$' -fuzz=FuzzRasterMatchesColorAt -fuzztime=5s
+go test ./internal/store -run='^$' -fuzz=FuzzStoreReadFrom -fuzztime=5s
 go test ./internal/display -run='^$' -bench='^BenchmarkScale$' -benchtime=1x
 go test ./internal/display -run='^$' -bench='^BenchmarkHitWarp$' -benchtime=1x
 go test ./internal/codec -run='^$' -bench='^BenchmarkDecodeSegment$' -benchtime=1x

@@ -370,6 +370,7 @@ var linkAllowlist = map[string]string{
 	"pt.(*Mapper).Map":               "oracle: the per-pixel map pt TestRenderRowsMatchesMapSample holds Row to; TestMapMatchesRayToPlane holds it to Viewport.Ray + ToPlane",
 	"pt.Config.Sample":               "oracle: the per-pixel filter pt TestRenderRowsMatchesMapSample holds sampleRow to",
 	"display.ToRGB":                  "oracle: codec's reference decoder (reference_test.go) converts chroma-coded frames back with it",
+	"scene.VideoSpec.ColorAt":        "oracle: the per-direction exact-angle colour scene TestRasterMatchesColorAt and FuzzRasterMatchesColorAt hold Raster.Frame and Instant.Color to byte for byte",
 }
 
 // genericShape matches one innermost type-argument list of a linker symbol,

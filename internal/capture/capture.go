@@ -84,8 +84,10 @@ func (r Rig) Validate() error {
 }
 
 // Capture renders each camera's view of the scene at time t — the raw
-// sensor images before stitching.
+// sensor images before stitching. The objects are placed once for all
+// cameras.
 func (r Rig) Capture(v scene.VideoSpec, t float64) []*frame.Frame {
+	in := v.At(t)
 	out := make([]*frame.Frame, len(r.Cameras))
 	for ci, cam := range r.Cameras {
 		vp := cam.viewport()
@@ -93,7 +95,7 @@ func (r Rig) Capture(v scene.VideoSpec, t float64) []*frame.Frame {
 		for y := 0; y < cam.H; y++ {
 			for x := 0; x < cam.W; x++ {
 				dir := vp.Ray(cam.Orientation, x, y)
-				cr, cg, cb := v.ColorAt(t, dir)
+				cr, cg, cb := in.Color(dir)
 				img.Set(x, y, cr, cg, cb)
 			}
 		}

@@ -102,10 +102,19 @@ func (c Config) Validate() error {
 
 // Encoder compresses a sequence of equally-sized frames. Frames must be fed
 // in display order. The zero value is unusable; use NewEncoder.
+//
+// Like Decoder, an Encoder reuses its rasters: the reconstruction alternates
+// between two frames (the reference and the one being rebuilt), the luma
+// planes motion search reads and the bit writer's buffer are kept, and the
+// block coder is built once. A steady-state frame allocates only its body.
 type Encoder struct {
-	cfg   Config
-	ref   *frame.Frame // reconstructed previous frame (what the decoder sees)
-	count int          // frames since last I-frame
+	cfg        Config
+	ref        *frame.Frame // reconstructed previous frame (what the decoder sees)
+	spare      *frame.Frame // the raster the next frame is reconstructed into
+	srcY, refY []uint8      // luma planes of the source and the reference
+	coder      *blockCoder
+	w          bitWriter // scratch; each body is copied out at its length
+	count      int       // frames since last I-frame
 }
 
 // NewEncoder builds an encoder, or reports why the configuration is invalid.
@@ -369,22 +378,28 @@ func (e *Encoder) Encode(f *frame.Frame) ([]byte, FrameType, error) {
 	if e.ref == nil || e.count == 0 {
 		ft = IFrame
 	}
-	w := &bitWriter{}
+	if e.coder == nil {
+		e.coder = newBlockCoder(e.cfg.Quality, e.cfg.ChromaCoding, e.cfg.HalfPel)
+	}
+	e.w = bitWriter{buf: e.w.buf[:0]}
 	// In chroma mode the whole prediction loop runs in YCbCr.
 	src := f
 	if e.cfg.ChromaCoding {
 		src = display.ToYCbCr(f)
 	}
+	// Every block of the reconstruction is written, so the spare raster
+	// needs no clearing.
 	fe := frameEncoder{
-		blockCoder:  newBlockCoder(e.cfg.Quality, e.cfg.ChromaCoding, e.cfg.HalfPel),
-		w:           w,
+		blockCoder:  e.coder,
+		w:           &e.w,
 		src:         src,
 		ref:         e.ref,
-		recon:       frame.New(f.W, f.H),
+		recon:       raster(&e.spare, f.W, f.H),
 		searchRange: e.cfg.SearchRange,
 	}
 	if ft == PFrame {
-		fe.srcY, fe.refY = lumaPlane(src), lumaPlane(e.ref)
+		e.srcY, e.refY = lumaPlane(e.srcY, src), lumaPlane(e.refY, e.ref)
+		fe.srcY, fe.refY = e.srcY, e.refY
 	}
 	for by := 0; by < f.H; by += blockSize {
 		for bx := 0; bx < f.W; bx += blockSize {
@@ -395,12 +410,12 @@ func (e *Encoder) Encode(f *frame.Frame) ([]byte, FrameType, error) {
 			}
 		}
 	}
-	e.ref = fe.recon
+	e.ref, e.spare = fe.recon, e.ref
 	e.count++
 	if e.count >= e.cfg.GOP {
 		e.count = 0
 	}
-	return w.bytes(), ft, nil
+	return append([]byte(nil), e.w.bytes()...), ft, nil
 }
 
 // frameEncoder is the state of one Encode call.
@@ -469,9 +484,13 @@ func (e *frameEncoder) interBlock(bx, by int) {
 func luma601(r, g, b byte) int { return (299*int(r) + 587*int(g) + 114*int(b)) / 1000 }
 
 // lumaPlane returns the luma of every pixel, row-major, so motion search
-// reads one byte per sample.
-func lumaPlane(f *frame.Frame) []uint8 {
-	y := make([]uint8, f.W*f.H)
+// reads one byte per sample. It writes into y, reallocated only when it is
+// too short.
+func lumaPlane(y []uint8, f *frame.Frame) []uint8 {
+	if cap(y) < f.W*f.H {
+		y = make([]uint8, f.W*f.H)
+	}
+	y = y[:f.W*f.H]
 	for i := range y {
 		y[i] = uint8(luma601(f.Pix[i*3], f.Pix[i*3+1], f.Pix[i*3+2]))
 	}

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"evr/internal/frame"
@@ -46,6 +47,38 @@ func TestDecodeSteadyStateAllocatesNothing(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%+v: steady-state %c-frame Decode allocates %.0f times, want 0", cfg, bs.Types[i], allocs)
 			}
+		}
+	}
+}
+
+// TestEncodeAllocations: once an encoder holds its two reconstruction
+// rasters and luma planes, a P-frame at the benchmark's ingest geometry
+// allocates its body and at most 1 kB besides — no raster, no luma plane,
+// no block coder, no growing bit buffer.
+func TestEncodeAllocations(t *testing.T) {
+	frames := rsFrames(t, 320, 160, 4)
+	enc, err := NewEncoder(segmentConfigs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames[:3] {
+		if _, _, err := enc.Encode(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		body, ft, err := enc.Encode(frames[2+i%2])
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ft != PFrame {
+			t.Fatalf("frame %d is %c, want a P-frame", 3+i, ft)
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(body))+1024; got > limit {
+			t.Errorf("steady-state P-frame Encode allocated %d B for a %d B body, want ≤ %d", got, len(body), limit)
 		}
 	}
 }

@@ -35,10 +35,9 @@ import (
 
 // IngestConfig sets the pixel-pipeline parameters. Resolutions are scaled
 // down from the nominal 4K so ingest stays tractable; the geometry (FOV,
-// margins, segment length) matches the behavioral model. Ingest fans
-// segment frame rendering, per-cluster FOV pre-rendering/encoding and tile
-// encoding out over pt.DefaultWorkers (GOMAXPROCS) workers; the manifest
-// and every stored payload are byte-identical for any GOMAXPROCS.
+// margins, segment length) matches the behavioral model. Ingest builds
+// segments side by side over pt.DefaultWorkers (GOMAXPROCS) workers; the
+// manifest and every stored payload are byte-identical for any GOMAXPROCS.
 type IngestConfig struct {
 	SAS   sas.Config
 	Codec codec.Config
@@ -316,13 +315,14 @@ func baseManifest(v scene.VideoSpec, cfg IngestConfig) *Manifest {
 	return man
 }
 
-// renderSegmentFrames renders one segment's original frames, fanning frames
-// out across the worker pool (scene sampling is pure per frame). Shared by
-// batch ingest and the live producer.
-func renderSegmentFrames(v scene.VideoSpec, cfg IngestConfig, start, frames int) []*frame.Frame {
+// renderSegmentFrames renders one segment's original frames from the
+// video's raster, fanning frames out over workers goroutines (a Raster is
+// read-only, so its frames render concurrently). Shared by batch ingest
+// and the live producer.
+func renderSegmentFrames(r *scene.Raster, fps, start, frames, workers int) []*frame.Frame {
 	full := make([]*frame.Frame, frames)
-	parallelFor(frames, pt.DefaultWorkers(), func(f int) error {
-		full[f] = v.RenderFrame(float64(start+f)/float64(v.FPS), cfg.Projection, cfg.FullW, cfg.FullH)
+	parallelFor(frames, workers, func(f int) error {
+		full[f] = r.Frame(float64(start+f) / float64(fps))
 		return nil
 	})
 	return full
@@ -339,7 +339,27 @@ func encodeOrigPayload(v scene.VideoSpec, cfg IngestConfig, si int, full []*fram
 	return codec.AppendSegment(nil, origBits)
 }
 
+// segmentSize returns the first frame and the frame count of segment si
+// of a total-frame video.
+func segmentSize(cfg IngestConfig, total, si int) (start, frames int) {
+	start = si * cfg.SAS.SegmentFrames
+	frames = cfg.SAS.SegmentFrames
+	if start+frames > total {
+		frames = total - start
+	}
+	return start, frames
+}
+
 // Ingest runs the cloud pipeline for one video and fills the SAS store.
+//
+// Segments are built side by side, at most pt.DefaultWorkers (GOMAXPROCS)
+// at a time, each holding its own frames only while it builds; the
+// workers a build fans its frames, tiles and clusters out over are the
+// pool's share per segment in flight. The builds' payloads are then
+// committed — store puts, manifest appends, report counters — in segment
+// order, so the manifest and the store are byte-identical for any
+// GOMAXPROCS. A failed build commits nothing: the store is left as it was
+// and the error is that of the lowest failing segment.
 func Ingest(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*Manifest, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -349,80 +369,149 @@ func Ingest(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*Manifest, er
 	}
 	man := baseManifest(v, cfg)
 	total, nSegs := segmentSpan(v, cfg)
-	vp := cfg.viewport()
-	ptCfg := pt.Config{Projection: cfg.Projection, Filter: pt.Bilinear, Viewport: vp}
-
-	for si := 0; si < nSegs; si++ {
-		start := si * cfg.SAS.SegmentFrames
-		frames := cfg.SAS.SegmentFrames
-		if start+frames > total {
-			frames = total - start
-		}
-		// Render the original segment once, then encode and store it.
-		full := renderSegmentFrames(v, cfg, start, frames)
-		origPayload, err := encodeOrigPayload(v, cfg, si, full)
+	b := segmentBuilder{
+		v: v, cfg: cfg, tiling: man.Tiling,
+		raster: v.Raster(cfg.Projection, cfg.FullW, cfg.FullH),
+		ptCfg:  pt.Config{Projection: cfg.Projection, Filter: pt.Bilinear, Viewport: cfg.viewport()},
+	}
+	pool := pt.DefaultWorkers()
+	inFlight := min(pool, nSegs)
+	b.workers = 1
+	if inFlight > 0 {
+		b.workers = (pool + inFlight - 1) / inFlight
+	}
+	builds := make([]segmentBuild, nSegs)
+	errs := make([]error, nSegs)
+	parallelFor(nSegs, inFlight, func(si int) error {
+		start, frames := segmentSize(cfg, total, si)
+		builds[si], errs[si] = b.build(si, start, frames)
+		return nil
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		if err := st.Put(Ref{Video: v.Name, Kind: Orig, Seg: si}.StoreKey(), origPayload, nil); err != nil {
+	}
+	for i := range builds {
+		if err := builds[i].commit(v.Name, st, man); err != nil {
 			return nil, err
 		}
-		// Tiled delivery: cut the segment into the tile grid, encode every
-		// tile at each quality rung, and store the low-res backfill stream.
-		var tileInfo *TileSegInfo
-		if man.Tiling != nil {
-			tileInfo, err = ingestTiles(v, cfg, man.Tiling, st, full, si)
-			if err != nil {
-				return nil, err
-			}
-		}
-
-		// Segment analysis: per-cluster trajectory orientations, either
-		// from the detection+tracking pipeline (§5.3, Fig. 7) or from
-		// capture-embedded semantics (§9 co-design). Live streams skip
-		// analysis entirely.
-		var tracks [][]geom.Orientation
-		if cfg.LiveMode {
-			// no FOV videos for live content
-		} else if cfg.EmbeddedSemantics {
-			tracks = embeddedClusterTracks(v, start, frames)
-			man.Report.EmbeddedSemantics = true
-		} else {
-			tracks = detectedClusterTracks(v, cfg, full, &man.Report)
-		}
-		segInfo := SegmentInfo{Index: si, Frames: frames, OrigBytes: len(origPayload), Tiles: tileInfo}
-		// Pre-render and encode every cluster's FOV video concurrently;
-		// store writes and manifest appends happen afterwards in cluster
-		// order, so the output is deterministic for any worker count.
-		rendered := make([]renderedCluster, len(tracks))
-		// Split the worker budget: clusters fan out across the pool, and
-		// each cluster's per-frame PT uses the workers left over (all of
-		// them when the segment has a single cluster).
-		innerWorkers := 1
-		if len(tracks) > 0 {
-			innerWorkers = (pt.DefaultWorkers() + len(tracks) - 1) / len(tracks)
-		}
-		err = parallelFor(len(tracks), pt.DefaultWorkers(), func(ci int) error {
-			rc, err := preRenderCluster(v, cfg, ptCfg, full, si, ci, tracks[ci], innerWorkers)
-			if err != nil {
-				return err
-			}
-			rendered[ci] = rc
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for ci, rc := range rendered {
-			if err := st.Put(Ref{Video: v.Name, Kind: FOV, Seg: si, A: ci}.StoreKey(), rc.payload, rc.meta); err != nil {
-				return nil, err
-			}
-			man.Report.PreRenderedFrames += frames
-			segInfo.Clusters = append(segInfo.Clusters, rc.info)
-		}
-		man.Segments = append(man.Segments, segInfo)
+		builds[i] = segmentBuild{} // the store holds copies
 	}
 	return man, nil
+}
+
+// segmentBuilder holds what every segment build of one ingest shares: the
+// video's raster, the configuration and the workers per build. It is
+// read-only, so segments build concurrently.
+type segmentBuilder struct {
+	v       scene.VideoSpec
+	cfg     IngestConfig
+	tiling  *TilingInfo // nil unless tiled
+	raster  *scene.Raster
+	ptCfg   pt.Config
+	workers int
+}
+
+// segmentBuild is everything one segment contributes to the store, the
+// manifest and the report, built without touching any of them.
+type segmentBuild struct {
+	info     SegmentInfo
+	orig     []byte
+	tiles    [][][]byte // [tile][rung], tiled ingests only
+	low      []byte     // the tile backfill stream, tiled ingests only
+	clusters []renderedCluster
+	report   IngestReport
+}
+
+// build renders segment si, encodes its original stream, its tiles and
+// backfill, analyses it and pre-renders its FOV videos. The frames are
+// dropped when it returns; only payloads are kept.
+func (b *segmentBuilder) build(si, start, frames int) (segmentBuild, error) {
+	v, cfg := b.v, b.cfg
+	full := renderSegmentFrames(b.raster, v.FPS, start, frames, b.workers)
+	orig, err := encodeOrigPayload(v, cfg, si, full)
+	if err != nil {
+		return segmentBuild{}, err
+	}
+	sb := segmentBuild{info: SegmentInfo{Index: si, Frames: frames, OrigBytes: len(orig)}, orig: orig}
+	// Tiled delivery: cut the segment into the tile grid, encode every
+	// tile at each quality rung, and the low-res backfill stream.
+	if b.tiling != nil {
+		if err := b.buildTiles(&sb, full); err != nil {
+			return segmentBuild{}, err
+		}
+	}
+
+	// Segment analysis: per-cluster trajectory orientations, either
+	// from the detection+tracking pipeline (§5.3, Fig. 7) or from
+	// capture-embedded semantics (§9 co-design). Live streams skip
+	// analysis entirely.
+	var tracks [][]geom.Orientation
+	if cfg.LiveMode {
+		// no FOV videos for live content
+	} else if cfg.EmbeddedSemantics {
+		tracks = embeddedClusterTracks(v, start, frames)
+		sb.report.EmbeddedSemantics = true
+	} else {
+		tracks = detectedClusterTracks(v, cfg, full, &sb.report)
+	}
+	// Pre-render and encode every cluster's FOV video concurrently,
+	// splitting the build's workers: clusters fan out across them, and
+	// each cluster's per-frame PT uses the workers left over (all of them
+	// when the segment has a single cluster).
+	sb.clusters = make([]renderedCluster, len(tracks))
+	innerWorkers := 1
+	if len(tracks) > 0 {
+		innerWorkers = (b.workers + len(tracks) - 1) / len(tracks)
+	}
+	err = parallelFor(len(tracks), b.workers, func(ci int) error {
+		rc, err := preRenderCluster(v, cfg, b.ptCfg, full, si, ci, tracks[ci], innerWorkers)
+		if err != nil {
+			return err
+		}
+		sb.clusters[ci] = rc
+		return nil
+	})
+	if err != nil {
+		return segmentBuild{}, err
+	}
+	for _, rc := range sb.clusters {
+		sb.info.Clusters = append(sb.info.Clusters, rc.info)
+		sb.report.PreRenderedFrames += frames
+	}
+	return sb, nil
+}
+
+// commit writes a built segment's payloads to the store and appends it to
+// the manifest and its report.
+func (sb *segmentBuild) commit(video string, st *store.Store, man *Manifest) error {
+	si := sb.info.Index
+	if err := st.Put(Ref{Video: video, Kind: Orig, Seg: si}.StoreKey(), sb.orig, nil); err != nil {
+		return err
+	}
+	for t, rungs := range sb.tiles {
+		for r, payload := range rungs {
+			if err := st.Put(Ref{Video: video, Kind: Tile, Seg: si, A: t, B: r}.StoreKey(), payload, nil); err != nil {
+				return err
+			}
+		}
+	}
+	if sb.info.Tiles != nil {
+		if err := st.Put(Ref{Video: video, Kind: TileLow, Seg: si}.StoreKey(), sb.low, nil); err != nil {
+			return err
+		}
+	}
+	for ci, rc := range sb.clusters {
+		if err := st.Put(Ref{Video: video, Kind: FOV, Seg: si, A: ci}.StoreKey(), rc.payload, rc.meta); err != nil {
+			return err
+		}
+	}
+	man.Segments = append(man.Segments, sb.info)
+	man.Report.DetectorInvocations += sb.report.DetectorInvocations
+	man.Report.PreRenderedFrames += sb.report.PreRenderedFrames
+	man.Report.EmbeddedSemantics = man.Report.EmbeddedSemantics || sb.report.EmbeddedSemantics
+	return nil
 }
 
 // rungQuality maps a quality rung to a codec quality: each rung doubles
@@ -438,18 +527,18 @@ func rungQuality(base, rung int) int {
 	return q
 }
 
-// ingestTiles cuts one rendered segment into the tile grid, encodes every
-// tile at each quality rung, and stores the payloads plus the low-res
-// backfill stream. Encoding fans out across the worker pool; store commits
-// happen afterwards in (tile, rung) order so the result is deterministic
-// for any worker count.
-func ingestTiles(v scene.VideoSpec, cfg IngestConfig, lay *TilingInfo, st *store.Store, full []*frame.Frame, si int) (*TileSegInfo, error) {
+// buildTiles cuts one rendered segment into the tile grid, encodes every
+// tile at each quality rung, and the low-res backfill stream, into sb.
+// Encoding fans out across the build's workers; each payload lands in its
+// (tile, rung) slot, so the result is the same for any worker count.
+func (b *segmentBuilder) buildTiles(sb *segmentBuild, full []*frame.Frame) error {
+	v, cfg, lay, si := b.v, b.cfg, b.tiling, sb.info.Index
 	g := tiling.Grid{Cols: lay.Cols, Rows: lay.Rows}
 	nTiles := g.Tiles()
 	// Cut each tile's frame sequence once; every rung re-encodes the same
 	// pixels at a different quality.
 	tileFrames := make([][]*frame.Frame, nTiles)
-	if err := parallelFor(nTiles, pt.DefaultWorkers(), func(t int) error {
+	if err := parallelFor(nTiles, b.workers, func(t int) error {
 		tf := make([]*frame.Frame, len(full))
 		for f, fr := range full {
 			tf[f] = g.Extract(fr, t)
@@ -457,13 +546,13 @@ func ingestTiles(v scene.VideoSpec, cfg IngestConfig, lay *TilingInfo, st *store
 		tileFrames[t] = tf
 		return nil
 	}); err != nil {
-		return nil, err
+		return err
 	}
-	payloads := make([][][]byte, nTiles)
-	for t := range payloads {
-		payloads[t] = make([][]byte, lay.Rungs)
+	sb.tiles = make([][][]byte, nTiles)
+	for t := range sb.tiles {
+		sb.tiles[t] = make([][]byte, lay.Rungs)
 	}
-	err := parallelFor(nTiles*lay.Rungs, pt.DefaultWorkers(), func(i int) error {
+	err := parallelFor(nTiles*lay.Rungs, b.workers, func(i int) error {
 		t, r := i/lay.Rungs, i%lay.Rungs
 		cc := cfg.Codec
 		cc.Quality = rungQuality(cfg.Codec.Quality, r)
@@ -475,20 +564,17 @@ func ingestTiles(v scene.VideoSpec, cfg IngestConfig, lay *TilingInfo, st *store
 		if err != nil {
 			return err
 		}
-		payloads[t][r] = payload
+		sb.tiles[t][r] = payload
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	info := &TileSegInfo{TileBytes: make([][]int, nTiles)}
-	for t := 0; t < nTiles; t++ {
-		info.TileBytes[t] = make([]int, lay.Rungs)
-		for r := 0; r < lay.Rungs; r++ {
-			if err := st.Put(Ref{Video: v.Name, Kind: Tile, Seg: si, A: t, B: r}.StoreKey(), payloads[t][r], nil); err != nil {
-				return nil, err
-			}
-			info.TileBytes[t][r] = len(payloads[t][r])
+	for t, rungs := range sb.tiles {
+		info.TileBytes[t] = make([]int, len(rungs))
+		for r, payload := range rungs {
+			info.TileBytes[t][r] = len(payload)
 		}
 	}
 	// Backfill stream: the whole panorama downscaled by the layout's LowDiv,
@@ -496,29 +582,26 @@ func ingestTiles(v scene.VideoSpec, cfg IngestConfig, lay *TilingInfo, st *store
 	// over mispredicted or lost tiles.
 	down, err := display.NewScaler(cfg.FullW/lay.LowDiv, cfg.FullH/lay.LowDiv)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lowFrames := make([]*frame.Frame, len(full))
 	for f, fr := range full {
 		if lowFrames[f], err = down.Apply(fr); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	lc := cfg.Codec
 	lc.Quality = rungQuality(cfg.Codec.Quality, lay.Rungs-1)
 	lowBits, err := codec.EncodeSequence(lc, lowFrames)
 	if err != nil {
-		return nil, fmt.Errorf("server: encoding tile backfill of %s segment %d: %w", v.Name, si, err)
+		return fmt.Errorf("server: encoding tile backfill of %s segment %d: %w", v.Name, si, err)
 	}
-	lowPayload, err := codec.AppendSegment(nil, lowBits)
-	if err != nil {
-		return nil, err
+	if sb.low, err = codec.AppendSegment(nil, lowBits); err != nil {
+		return err
 	}
-	if err := st.Put(Ref{Video: v.Name, Kind: TileLow, Seg: si}.StoreKey(), lowPayload, nil); err != nil {
-		return nil, err
-	}
-	info.LowBytes = len(lowPayload)
-	return info, nil
+	info.LowBytes = len(sb.low)
+	sb.info.Tiles = info
+	return nil
 }
 
 // detectedClusterTracks runs the full vision pipeline on a segment: detect

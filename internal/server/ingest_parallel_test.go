@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -19,48 +21,68 @@ import (
 var ingestWorkerCounts = []int{1, 4}
 
 // TestIngestDeterministicAcrossWorkerCounts checks the parallel fan-out
-// contract: the manifest and every stored payload (original segments, FOV
-// videos, metadata) are byte-identical whether ingest runs on one worker or
-// many. Run with -race to check the segment/cluster fan-out.
+// contract: the manifest (with the in-process FOV metadata) and every stored
+// key — original segments, tiles at every rung, tile backfill, FOV videos
+// and their metadata — are byte-identical whether ingest runs on one worker
+// or many. Three tiled segments make the segment builds overlap at 4
+// workers. Run with -race to check the segment/tile/cluster fan-out.
 func TestIngestDeterministicAcrossWorkerCounts(t *testing.T) {
 	v, _ := scene.ByName("RS")
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := smallIngest()
+	cfg.MaxSegments = 3
+	cfg.Tiled = true
 
-	type result struct {
-		man *Manifest
-		st  *store.Store
-	}
-	var results []result
+	var (
+		firstMan  *Manifest
+		firstSnap []byte
+	)
 	for _, procs := range ingestWorkerCounts {
 		runtime.GOMAXPROCS(procs)
 		st := store.New()
-		man, err := Ingest(v, smallIngest(), st)
+		man, err := Ingest(v, cfg, st)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		results = append(results, result{man, st})
-	}
-
-	a, b := results[0], results[1]
-	aj, _ := json.Marshal(a.man)
-	bj, _ := json.Marshal(b.man)
-	if string(aj) != string(bj) {
-		t.Error("manifests differ between worker counts")
-	}
-	for _, seg := range a.man.Segments {
-		keys := []string{Ref{Video: v.Name, Kind: Orig, Seg: seg.Index}.StoreKey()}
-		for _, cl := range seg.Clusters {
-			keys = append(keys, Ref{Video: v.Name, Kind: FOV, Seg: seg.Index, A: cl.ID}.StoreKey())
+		if len(man.Segments) != cfg.MaxSegments {
+			t.Fatalf("GOMAXPROCS=%d: %d segments, want %d", procs, len(man.Segments), cfg.MaxSegments)
 		}
-		for _, key := range keys {
-			ap, am, aok := a.st.Get(key)
-			bp, bm, bok := b.st.Get(key)
-			if !aok || !bok {
-				t.Fatalf("missing key %s: %v / %v", key, aok, bok)
+		kinds := map[Kind]int{}
+		for _, seg := range man.Segments {
+			refs := []Ref{{Video: v.Name, Kind: Orig, Seg: seg.Index}, {Video: v.Name, Kind: TileLow, Seg: seg.Index}}
+			for _, cl := range seg.Clusters {
+				refs = append(refs, Ref{Video: v.Name, Kind: FOV, Seg: seg.Index, A: cl.ID})
 			}
-			if string(ap) != string(bp) || string(am) != string(bm) {
-				t.Errorf("payload for %s differs between worker counts", key)
+			for tile, rungs := range seg.Tiles.TileBytes {
+				for r := range rungs {
+					refs = append(refs, Ref{Video: v.Name, Kind: Tile, Seg: seg.Index, A: tile, B: r})
+				}
 			}
+			for _, ref := range refs {
+				if _, _, ok := st.Get(ref.StoreKey()); !ok {
+					t.Fatalf("GOMAXPROCS=%d: missing key %s", procs, ref.StoreKey())
+				}
+				kinds[ref.Kind]++
+			}
+		}
+		for _, k := range []Kind{Orig, FOV, Tile, TileLow} {
+			if kinds[k] == 0 {
+				t.Fatalf("GOMAXPROCS=%d: the ingest stored no %v payload", procs, k)
+			}
+		}
+		var snap bytes.Buffer
+		if _, err := st.WriteTo(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if firstMan == nil {
+			firstMan, firstSnap = man, snap.Bytes()
+			continue
+		}
+		if !reflect.DeepEqual(man, firstMan) {
+			t.Errorf("GOMAXPROCS=%d: manifest differs from the 1-worker ingest", procs)
+		}
+		if !bytes.Equal(snap.Bytes(), firstSnap) {
+			t.Errorf("GOMAXPROCS=%d: stored keys or payloads differ from the 1-worker ingest", procs)
 		}
 	}
 }
@@ -92,9 +114,10 @@ func TestIngestLUTByteIdentical(t *testing.T) {
 		}
 
 		ptCfg := pt.Config{Projection: cfg.Projection, Filter: pt.Bilinear, Viewport: cfg.viewport()}
+		raster := v.Raster(cfg.Projection, cfg.FullW, cfg.FullH)
 		repeats := 0
 		for _, seg := range man.Segments {
-			full := renderSegmentFrames(v, cfg, seg.Index*cfg.SAS.SegmentFrames, seg.Frames)
+			full := renderSegmentFrames(raster, v.FPS, seg.Index*cfg.SAS.SegmentFrames, seg.Frames, 1)
 			for _, cl := range seg.Clusters {
 				direct := make([]*frame.Frame, len(cl.Meta))
 				for f, m := range cl.Meta {

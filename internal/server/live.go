@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"evr/internal/pt"
 	"evr/internal/scene"
 	"evr/internal/store"
 )
@@ -144,6 +145,7 @@ type liveSegment struct {
 // responses with PublishedAtHeader, and purge caches on each publish.
 type LiveStream struct {
 	spec     scene.VideoSpec
+	raster   *scene.Raster // the spec's pixel grid, mapped once
 	cfg      IngestConfig
 	st       *store.Store
 	clock    Clock
@@ -191,6 +193,7 @@ func NewLiveStream(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*LiveS
 	}
 	ls := &LiveStream{
 		spec:      v,
+		raster:    v.Raster(cfg.Projection, cfg.FullW, cfg.FullH),
 		cfg:       cfg,
 		st:        st,
 		clock:     clock,
@@ -206,11 +209,7 @@ func NewLiveStream(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*LiveS
 	man := baseManifest(v, cfg)
 	man.Live = true
 	for si := 0; si < nSegs; si++ {
-		start := si * cfg.SAS.SegmentFrames
-		frames := cfg.SAS.SegmentFrames
-		if start+frames > total {
-			frames = total - start
-		}
+		_, frames := segmentSize(cfg, total, si)
 		man.Segments = append(man.Segments, SegmentInfo{Index: si, Frames: frames})
 	}
 	ls.man.Store(man)
@@ -313,12 +312,8 @@ func (ls *LiveStream) producer(queue chan<- liveSegment, credits chan<- struct{}
 			ls.stalls.Add(1)
 			credits <- struct{}{}
 		}
-		start := si * ls.cfg.SAS.SegmentFrames
-		frames := ls.cfg.SAS.SegmentFrames
-		if start+frames > ls.total {
-			frames = ls.total - start
-		}
-		full := renderSegmentFrames(ls.spec, ls.cfg, start, frames)
+		start, frames := segmentSize(ls.cfg, ls.total, si)
+		full := renderSegmentFrames(ls.raster, ls.spec.FPS, start, frames, pt.DefaultWorkers())
 		payload, err := encodeOrigPayload(ls.spec, ls.cfg, si, full)
 		if err != nil {
 			ls.fail(err)

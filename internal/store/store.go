@@ -130,7 +130,11 @@ const (
 )
 
 // ReadFrom replays a snapshot produced by WriteTo into the store (existing
-// keys are overwritten — replay is idempotent).
+// keys are overwritten — replay is idempotent). A record is put only once
+// its key, data and meta have all been read, so when ReadFrom fails the
+// store holds exactly what it held before plus the records before the
+// failing one. A store it loads without error writes a snapshot that
+// ReadFrom accepts back into an equal store.
 func (s *Store) ReadFrom(r io.Reader) (int64, error) {
 	var read int64
 	var hdr [4]byte
