@@ -1,6 +1,6 @@
 // Micro-benchmarks for the kernels no other benchmark times: head-trace
-// synthesis, capture stitching, SSIM, object detection, the streaming DES,
-// and the ABR session. Run with
+// synthesis, capture stitching, SSIM, object detection and the capped
+// streaming timeline. Run with
 //
 //	go test -run='^$' -bench=. -benchmem
 //
@@ -13,7 +13,6 @@ package evr_test
 import (
 	"testing"
 
-	"evr/internal/abr"
 	"evr/internal/capture"
 	"evr/internal/headtrace"
 	"evr/internal/netsim"
@@ -62,35 +61,27 @@ func BenchmarkVisionDetect(b *testing.B) {
 	}
 }
 
-func BenchmarkStreamingSessionDES(b *testing.B) {
-	s := netsim.DefaultSession(netsim.WiFi300())
+// BenchmarkStreamingTimeline plays a 60-segment session through the capped
+// buffer/stall timeline at the Cmp 2 policy (2-segment startup, 4-segment
+// cap). Ten-segment runs alternate between 0.04 s and 1.6 s transfers of
+// 1 s segments: the cap holds the downloader back in the fast runs, so the
+// slow runs stall (uncapped, the same session never stalls).
+func BenchmarkStreamingTimeline(b *testing.B) {
 	segs := make([]int64, 60)
 	for i := range segs {
 		segs[i] = 200_000
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(segs, 1.0); err != nil {
-			b.Fatal(err)
+		if i/10%2 == 1 {
+			segs[i] = 8_000_000
 		}
 	}
-}
-
-func BenchmarkABRSession(b *testing.B) {
-	ladder := abr.DefaultLadder()
-	ctrl, err := abr.NewBufferController(ladder.Rungs(), 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	segs := make([]int64, 60)
-	for i := range segs {
-		segs[i] = 1_500_000
-	}
 	link := netsim.Link{BandwidthBps: 40e6, RTTSeconds: 5e-3}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := abr.Simulate(link, ladder, ctrl, segs, 1.0, 2); err != nil {
-			b.Fatal(err)
+		tl := netsim.Timeline{Link: link, SegmentDuration: 1.0, StartupSegments: 2, BufferCapSegments: 4}
+		for _, s := range segs {
+			tl.Advance(s)
+		}
+		if tl.Stalls == 0 {
+			b.Fatal("the capped session never stalled")
 		}
 	}
 }

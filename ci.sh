@@ -60,6 +60,10 @@
 #                             reused codec.Decoder), the PTE datapath per
 #                             output pixel at the same geometry, and the
 #                             fixed-point CORDIC Atan2.
+#   root benchmarks           the root package's micro-benchmarks (head-trace
+#                             synthesis, capture stitch, SSIM, detection, the
+#                             capped streaming Timeline), one iteration each,
+#                             so they cannot rot either.
 #   evrconform -fast, full    renderers against the committed golden manifest:
 #                             byte identities, pte-vs-pt error budgets,
 #                             regenerate-and-diff, metamorphic suite
@@ -108,6 +112,7 @@ go test ./internal/fixed -run='^$' -bench='^BenchmarkAtan2$' -benchtime=1x
 go test ./internal/delivery -run='^$' -bench='^BenchmarkAssemble$' -benchtime=1x
 go test ./internal/pt -run='^$' -bench='^BenchmarkRenderRows$' -benchtime=1x
 go test ./internal/ptlut -run='^$' -bench='^BenchmarkRender$' -benchtime=1x
+go test . -run='^$' -bench=. -benchtime=1x
 go run ./cmd/evrconform -fast
 go run ./cmd/evrconform
 go run ./cmd/evrbench -sport-fast

@@ -172,8 +172,8 @@ func (c Config) Validate() error {
 
 // Result aggregates one playback run.
 type Result struct {
-	Ledger energy.Ledger
-	Net    netsim.Stats
+	Ledger    energy.Ledger
+	Rebuffers int // blocking mid-segment fetches that stalled playback
 
 	FramesTotal   int
 	FramesHit     int // displayed directly from a FOV video
@@ -193,7 +193,7 @@ type Result struct {
 // Add accumulates another playback's accounting into r.
 func (r *Result) Add(o Result) {
 	r.Ledger.Merge(o.Ledger)
-	r.Net.Add(o.Net)
+	r.Rebuffers += o.Rebuffers
 	r.FramesTotal += o.FramesTotal
 	r.FramesHit += o.FramesHit
 	r.FramesPT += o.FramesPT
@@ -351,14 +351,14 @@ func (s *simulator) fetch(bytes int64, blocking bool) {
 		// Local playback: the payload is read from storage only.
 		s.res.Ledger.Add(energy.Storage, float64(bytes)*m.StorageJPerByte)
 	default:
-		d := s.res.Net.Transfer(wifi, bytes)
+		d := wifi.TransferSeconds(bytes)
 		s.res.Ledger.Add(energy.Network, float64(bytes)*m.NetJPerByte)
 		// Streamed bytes are cached: written then read back.
 		s.res.Ledger.Add(energy.Storage, 2*float64(bytes)*m.StorageJPerByte)
 		if blocking {
 			stall := d - prefetchSlackSec
 			if stall > 0 {
-				s.res.Net.Rebuffer(stall)
+				s.res.Rebuffers++
 				s.res.DroppedFrames += int(stall/s.frameSeconds()) + 1
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"evr/internal/abr"
 	"evr/internal/delivery"
 	"evr/internal/frame"
 	"evr/internal/geom"
@@ -49,16 +48,17 @@ const fetchMarginDeg = 10
 const maxPanoramaPixels = 7680 * 3840
 
 // tiledSession is the per-Play state of the tiled delivery mode: the grid
-// geometry from the manifest, the policy engine, the rung controller, and
-// the modeled playback timeline whose buffer level feeds both. The head
-// pose at segment display time comes from the constant-velocity linear
-// predictor; the visible-tile set is computed at that pose.
+// geometry from the manifest, the policy engine, the rung count, and the
+// modeled playback timeline whose buffer level feeds the policy and the
+// rung pick. The head pose at segment display time comes from the
+// constant-velocity linear predictor; the visible-tile set is computed at
+// that pose.
 type tiledSession struct {
 	grid     tiling.Grid
 	method   projection.Method
 	policy   delivery.PolicyConfig
 	force    delivery.Mode
-	ctrl     *abr.Controller
+	rungs    int
 	timeline *netsim.Timeline
 	// fetchVP is the viewport tile visibility is computed against at the
 	// predicted pose: the HMD FOV plus the fetch margin (capped at the
@@ -92,6 +92,9 @@ func newTiledSession(cfg TiledConfig, man *server.Manifest, hmdFOVXDeg, hmdFOVYD
 	if err := grid.Validate(man.FullW, man.FullH); err != nil {
 		return nil, fmt.Errorf("client: manifest tiling: %w", err)
 	}
+	if man.Tiling.Rungs < 1 {
+		return nil, fmt.Errorf("client: manifest tiling has %d rungs, need at least one", man.Tiling.Rungs)
+	}
 	if man.FPS <= 0 || man.SegmentFrames <= 0 {
 		return nil, fmt.Errorf("client: manifest has no timing (fps %d, segment %d frames)", man.FPS, man.SegmentFrames)
 	}
@@ -113,10 +116,6 @@ func newTiledSession(cfg TiledConfig, man *server.Manifest, hmdFOVXDeg, hmdFOVYD
 	if err := policy.Validate(); err != nil {
 		return nil, err
 	}
-	ctrl, err := abr.NewBufferController(man.Tiling.Rungs, segDur)
-	if err != nil {
-		return nil, err
-	}
 	asm, err := delivery.NewAssembler(grid, man.FullW, man.FullH)
 	if err != nil {
 		return nil, err
@@ -128,7 +127,7 @@ func newTiledSession(cfg TiledConfig, man *server.Manifest, hmdFOVXDeg, hmdFOVYD
 		method:   projection.Method(man.Projection),
 		policy:   policy,
 		force:    cfg.Force,
-		ctrl:     ctrl,
+		rungs:    man.Tiling.Rungs,
 		timeline: &netsim.Timeline{Link: link, SegmentDuration: segDur},
 		fetchVP: projection.Viewport{
 			Width: man.FOVW, Height: man.FOVH,
@@ -179,7 +178,7 @@ func (ts *tiledSession) plan(seg *server.SegmentInfo, tr headtrace.Trace, frameI
 	for t := range dist {
 		dist[t] = fwd.Angle(ts.grid.Center(t, ts.method))
 	}
-	rungs := delivery.PickTileRungs(visible, seg.Tiles.TileBytes, ts.ctrl.Pick(ts.timeline.Buffer()), ts.policy.ByteBudget(), dist)
+	rungs := delivery.PickTileRungs(visible, seg.Tiles.TileBytes, delivery.BufferRung(ts.timeline.Buffer(), ts.timeline.SegmentDuration, ts.rungs), ts.policy.ByteBudget(), dist)
 	// Acuity falloff: tiles beyond the HMD half-FOV from the predicted
 	// gaze are peripheral — ship them coarser.
 	delivery.DemotePeripheral(rungs, seg.Tiles.TileBytes, dist, ts.needVP.FOVX/2)

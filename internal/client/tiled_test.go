@@ -319,6 +319,22 @@ func TestTiledSessionRejectsShortTileTable(t *testing.T) {
 	}
 }
 
+// TestTiledSessionRejectsZeroRungs: the rung pick needs at least one rung,
+// and the count comes from the manifest, which is outside input.
+func TestTiledSessionRejectsZeroRungs(t *testing.T) {
+	for _, rungs := range []int{0, -1} {
+		man := &server.Manifest{
+			FPS: 30, FullW: 96, FullH: 48, FOVW: 32, FOVH: 32, FOVXDeg: 150, FOVYDeg: 150, SegmentFrames: 30,
+			Tiling:   &server.TilingInfo{Cols: 1, Rows: 1, Rungs: rungs, LowDiv: 2},
+			Segments: []server.SegmentInfo{{Frames: 30, OrigBytes: 1000, Tiles: &server.TileSegInfo{LowBytes: 100, TileBytes: [][]int{{100}}}}},
+		}
+		ts, err := newTiledSession(TiledConfig{Enabled: true}, man, 110, 110)
+		if err == nil || ts != nil || !strings.Contains(err.Error(), "rungs") {
+			t.Errorf("%d rungs: session built (err %v), want a rung error", rungs, err)
+		}
+	}
+}
+
 // TestTiledSessionBoundsPanorama: the session allocates its assembly canvas
 // at the manifest's declared size, so a panorama above maxPanoramaPixels is
 // refused first — also when its dimensions' product overflows int, as

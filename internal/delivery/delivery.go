@@ -1,8 +1,8 @@
 // Package delivery implements the three-way per-segment delivery policy —
 // cluster FOV stream vs per-tile set vs full-orig fallback — plus the tile
 // transport pieces it needs: a tile wire format, viewport assembly with
-// low-res backfill, per-tile rung selection under a byte budget, and an
-// incremental playback timeline for buffer-based rate control.
+// low-res backfill, and buffer-based rung selection, per tile under a byte
+// budget.
 //
 // The package is a leaf: it depends only on codec/frame/display/geom/
 // projection/tiling/netsim so that both the server (ingest, HTTP) and the
@@ -96,8 +96,8 @@ func (p PolicyConfig) Validate() error {
 	if p.SegmentDuration <= 0 {
 		return fmt.Errorf("delivery: SegmentDuration %v must be positive", p.SegmentDuration)
 	}
-	if p.Link.BandwidthBps <= 0 {
-		return fmt.Errorf("delivery: Link.BandwidthBps %v must be positive", p.Link.BandwidthBps)
+	if err := p.Link.Validate(); err != nil {
+		return fmt.Errorf("delivery: policy link: %w", err)
 	}
 	return nil
 }
@@ -216,13 +216,26 @@ func DemotePeripheral(rungs []int, tileBytes [][]int, dist []float64, cutoff flo
 	}
 }
 
+// BufferRung is the buffer-based rung pick (BOLA-style): the fuller the
+// playback buffer, the finer the rung. Rung r of rungs (0 finest) needs
+// (rungs−1−r) segment durations buffered, so the finest needs rungs−1
+// segments and the coarsest none.
+func BufferRung(bufferSec, segDur float64, rungs int) int {
+	for r := 0; r < rungs-1; r++ {
+		if bufferSec >= float64(rungs-1-r)*segDur {
+			return r
+		}
+	}
+	return rungs - 1
+}
+
 // PickTileRungs assigns a quality rung to every visible tile under a byte
-// budget. Visible tiles start at baseRung (the ABR pick); while the total
-// exceeds the budget, the visible tile farthest from the gaze direction
-// that is not yet at the lowest rung is demoted one rung. Invisible tiles
-// get -1. tileBytes[t][r] is the encoded size of tile t at rung r (rung 0
-// finest); dist[t] is the angular distance from the predicted gaze to the
-// tile center. A budget <= 0 means unlimited.
+// budget. Visible tiles start at baseRung (the BufferRung pick); while the
+// total exceeds the budget, the visible tile farthest from the gaze
+// direction that is not yet at the lowest rung is demoted one rung.
+// Invisible tiles get -1. tileBytes[t][r] is the encoded size of tile t at
+// rung r (rung 0 finest); dist[t] is the angular distance from the predicted
+// gaze to the tile center. A budget <= 0 means unlimited.
 func PickTileRungs(visible []bool, tileBytes [][]int, baseRung int, budget int64, dist []float64) []int {
 	n := len(visible)
 	rungs := make([]int, n)

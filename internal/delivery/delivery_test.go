@@ -2,6 +2,7 @@ package delivery
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"evr/internal/geom"
@@ -40,9 +41,15 @@ func TestPolicyValidate(t *testing.T) {
 	if err := DefaultPolicy(1.0).Validate(); err != nil {
 		t.Fatalf("default policy invalid: %v", err)
 	}
+	nan := math.NaN()
 	bad := []PolicyConfig{
 		{SegmentDuration: 0, Link: netsim.WiFi300()},
 		{SegmentDuration: 1},
+		// NaN fails every comparison, so a bare "<= 0" check let these
+		// through and ByteBudget converted NaN into an int64.
+		{SegmentDuration: 1, Link: netsim.Link{BandwidthBps: nan}},
+		{SegmentDuration: 1, Link: netsim.Link{BandwidthBps: 300e6, LossRate: nan}},
+		{SegmentDuration: 1, Link: netsim.Link{BandwidthBps: 300e6, LossRate: 1}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -101,6 +108,151 @@ func TestFOVConfidence(t *testing.T) {
 	}
 	if c := FOVConfidence(o, o, 0); c != 0 {
 		t.Errorf("zero tolerance confidence = %v, want 0", c)
+	}
+}
+
+func TestBufferRung(t *testing.T) {
+	// Three rungs at 1 s segments: rung 0 needs 2 s, rung 1 needs 1 s,
+	// rung 2 none.
+	for _, c := range []struct {
+		buffer, segDur float64
+		rungs, want    int
+	}{
+		{5, 1, 3, 0}, {2, 1, 3, 0}, {1.5, 1, 3, 1}, {1, 1, 3, 1}, {0.99, 1, 3, 2}, {0, 1, 3, 2},
+		{1, 0.5, 3, 0}, {0.5, 0.5, 3, 1},
+		{0, 1, 1, 0}, {9, 1, 1, 0},
+	} {
+		if got := BufferRung(c.buffer, c.segDur, c.rungs); got != c.want {
+			t.Errorf("BufferRung(%v, %v, %d) = %d, want %d", c.buffer, c.segDur, c.rungs, got, c.want)
+		}
+	}
+}
+
+// abrRatios is a three-rung ladder: full, medium, economy.
+var abrRatios = []float64{1.0, 0.6, 0.35}
+
+// abrSession runs a buffer-based rate controller over a Timeline: the
+// startup segments go at the coarsest rung (fast start), then each segment
+// at the BufferRung of the live buffer. Rung r costs top[i]·ratios[r].
+func abrSession(link netsim.Link, ratios []float64, top []int64, segDur float64, startup int) (netsim.Timeline, []int) {
+	tl := netsim.Timeline{Link: link, SegmentDuration: segDur, StartupSegments: startup}
+	var picked []int
+	for _, b := range top {
+		rung := len(ratios) - 1
+		if tl.Started() {
+			rung = BufferRung(tl.Buffer(), segDur, len(ratios))
+		}
+		picked = append(picked, rung)
+		tl.Advance(int64(float64(b) * ratios[rung]))
+	}
+	return tl, picked
+}
+
+func constSegs(n int, bytes int64) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = bytes
+	}
+	return out
+}
+
+// TestBufferRungSessionPinned pins rung selection over the shared Timeline
+// to what the earlier stand-alone controller produced for the same session
+// (recorded bit for bit), at startup 1 and 2.
+func TestBufferRungSessionPinned(t *testing.T) {
+	link := netsim.Link{BandwidthBps: 8e6, RTTSeconds: 0.02}
+	top := []int64{4e6, 3e6, 5e6, 1e6, 6e6, 4e6, 2e6, 4e6}
+	for _, want := range []struct {
+		startup      int
+		rungs        []int
+		startupDelay float64
+		stalls       int
+		stallSec     float64
+		bytes        int64
+	}{
+		{1, []int{2, 1, 1, 1, 1, 1, 1, 1}, 1.42, 6, 8.140000000000002, 16400000},
+		{2, []int{2, 2, 0, 1, 1, 1, 1, 1}, 2.49, 5, 8.320000000000002, 17650000},
+	} {
+		tl, rungs := abrSession(link, abrRatios, top, 1.0, want.startup)
+		if !reflect.DeepEqual(rungs, want.rungs) || tl.StartupDelay != want.startupDelay ||
+			tl.Stalls != want.stalls || tl.StallSec != want.stallSec || tl.Bytes != want.bytes {
+			t.Errorf("startup %d: rungs %v, startup delay %v, %d stalls, %v s, %d bytes; want %v, %v, %d, %v s, %d bytes",
+				want.startup, rungs, tl.StartupDelay, tl.Stalls, tl.StallSec, tl.Bytes,
+				want.rungs, want.startupDelay, want.stalls, want.stallSec, want.bytes)
+		}
+	}
+}
+
+// TestBufferRungSessionAccounting checks that the rung loop's byte total is
+// exactly the sum of each segment's bytes at the rung it picked, and that it
+// picks one rung per segment.
+func TestBufferRungSessionAccounting(t *testing.T) {
+	ratios := []float64{1.0, 0.5}
+	tl, rungs := abrSession(netsim.Link{BandwidthBps: 80e6}, ratios, constSegs(4, 1_000_000), 1.0, 1)
+	var want int64
+	for _, rung := range rungs {
+		want += int64(1_000_000 * ratios[rung])
+	}
+	if tl.Bytes != want {
+		t.Errorf("bytes = %d, want %d", tl.Bytes, want)
+	}
+	if len(rungs) != 4 {
+		t.Errorf("rungs = %v", rungs)
+	}
+}
+
+func TestBufferRungFastStartUsesLowestRung(t *testing.T) {
+	tl, rungs := abrSession(netsim.Link{BandwidthBps: 80e6}, abrRatios, constSegs(6, 1_000_000), 1.0, 2)
+	for i := 0; i < 2; i++ {
+		if rungs[i] != 2 {
+			t.Errorf("startup segment %d at rung %d, want lowest", i, rungs[i])
+		}
+	}
+	if tl.StartupDelay <= 0 {
+		t.Error("no startup delay recorded")
+	}
+}
+
+func TestBufferRungFastLinkStaysTopRung(t *testing.T) {
+	// 1 MB segments, 1 s each, on an 80 Mbps link (10 MB/s): plenty of
+	// headroom — after fast start the controller should sit at rung 0.
+	tl, rungs := abrSession(netsim.Link{BandwidthBps: 80e6}, abrRatios, constSegs(20, 1_000_000), 1.0, 2)
+	if tl.Stalls != 0 {
+		t.Errorf("fast link stalled %d times", tl.Stalls)
+	}
+	top := 0
+	for _, rung := range rungs[5:] {
+		if rung == 0 {
+			top++
+		}
+	}
+	if top < len(rungs[5:])*3/4 {
+		t.Errorf("fast link rarely reached top rung: %v", rungs)
+	}
+}
+
+func TestBufferRungSlowLinkDegradesInsteadOfStalling(t *testing.T) {
+	// Segments that take 1.8 s at top rung on this link but hold 1 s of
+	// content: fixed-top stalls constantly, the controller drops rungs.
+	top := constSegs(30, 1_800_000)
+	link := netsim.Link{BandwidthBps: 8e6} // 1 MB/s
+	fixed, _ := abrSession(link, []float64{1.0}, top, 1.0, 2)
+	adaptive, rungs := abrSession(link, abrRatios, top, 1.0, 2)
+	if fixed.Stalls == 0 {
+		t.Fatal("fixed-top should stall on the slow link")
+	}
+	if adaptive.StallSec >= fixed.StallSec {
+		t.Errorf("adaptive stall time %v not below fixed %v", adaptive.StallSec, fixed.StallSec)
+	}
+	sum := 0
+	for _, r := range rungs {
+		sum += r
+	}
+	if mean := float64(sum) / float64(len(rungs)); mean <= 0.1 {
+		t.Errorf("mean rung %v — it never degraded", mean)
+	}
+	if adaptive.Bytes >= fixed.Bytes {
+		t.Error("adaptive session should also fetch fewer bytes")
 	}
 }
 

@@ -60,7 +60,7 @@ func AblationSegmentLength(users int) Table {
 			pct(sh.MissRate()),
 			f1(sh.DeviceSavingPct(base)) + "%",
 			f2(plan.StorageOverhead()) + "x",
-			f1(float64(sh.Net.RebufferCount) / float64(sh.Users)),
+			f1(float64(sh.Rebuffers) / float64(sh.Users)),
 		})
 	}
 	return t

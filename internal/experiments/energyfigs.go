@@ -159,7 +159,7 @@ func Fig13(users int) Table {
 			v.Name,
 			f2(sh.FPSDropPct()) + "%",
 			f1(sh.BandwidthSavingPct()) + "%",
-			f1(float64(sh.Net.RebufferCount) / float64(sh.Users)),
+			f1(float64(sh.Rebuffers) / float64(sh.Users)),
 		})
 	}
 	return t

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"evr/internal/abr"
+	"evr/internal/delivery"
 	"evr/internal/geom"
 	"evr/internal/headtrace"
 	"evr/internal/hmp"
@@ -13,10 +13,10 @@ import (
 	"evr/internal/scene"
 )
 
-// QoETable runs the discrete-event streaming-session model over the real
-// per-segment byte sequences of baseline and S+H streaming: startup delay,
-// stall behaviour, and buffer occupancy on the paper's 300 Mbps link. This
-// deepens Fig. 13's FPS-drop result with a full buffering timeline.
+// QoETable plays the real per-segment byte sequences of baseline and S+H
+// streaming through the buffer/stall timeline: startup delay, stall
+// behaviour, and buffer occupancy on the paper's 300 Mbps link. This deepens
+// Fig. 13's FPS-drop result with a full buffering timeline.
 func QoETable(users int) Table {
 	t := Table{
 		ID:     "Cmp 2",
@@ -28,7 +28,6 @@ func QoETable(users int) Table {
 			"oversized fallback fetches (the source of its rare stalls)",
 		},
 	}
-	session := netsim.DefaultSession(netsim.WiFi300())
 	cfg := sas.DefaultConfig()
 	for _, v := range scene.EvalSet() {
 		plan, err := sas.BuildPlan(v, cfg)
@@ -36,40 +35,39 @@ func QoETable(users int) Table {
 			panic(err)
 		}
 		segDur := float64(cfg.SegmentFrames) / float64(v.FPS)
+		session := func(segs []int64) netsim.Timeline {
+			tl := netsim.Timeline{Link: netsim.WiFi300(), SegmentDuration: segDur, StartupSegments: 2, BufferCapSegments: 4}
+			for _, b := range segs {
+				tl.Advance(b)
+			}
+			return tl
+		}
 
 		// Baseline: the original segment sequence, user-independent.
 		var baseSegs []int64
 		for _, seg := range plan.Segments {
 			baseSegs = append(baseSegs, seg.OrigBytes)
 		}
-		baseRes, err := session.Run(baseSegs, segDur)
-		if err != nil {
-			panic(err)
-		}
+		base := session(baseSegs)
 
 		// S+H: per-user sequences — chosen FOV video per segment, plus the
 		// original appended to the same slot on a fallback.
 		var startup, stallT, buffer float64
 		var stalls int
 		for u := 0; u < users; u++ {
-			tr := headtrace.Generate(v, u)
-			segs := sasSegmentBytes(plan, tr, cfg)
-			r, err := session.Run(segs, segDur)
-			if err != nil {
-				panic(err)
-			}
+			r := session(sasSegmentBytes(plan, headtrace.Generate(v, u), cfg))
 			startup += r.StartupDelay
-			stallT += r.TotalStall
-			stalls += r.StallCount()
-			buffer += r.MeanBufferSec
+			stallT += r.StallSec
+			stalls += r.Stalls
+			buffer += r.MeanBufferLead()
 		}
 		n := float64(users)
 		t.Rows = append(t.Rows,
 			[]string{v.Name, "baseline",
-				fmt.Sprintf("%.1f", baseRes.StartupDelay*1e3),
-				fmt.Sprintf("%d", baseRes.StallCount()),
-				fmt.Sprintf("%.1f", baseRes.TotalStall*1e3),
-				f2(baseRes.MeanBufferSec)},
+				fmt.Sprintf("%.1f", base.StartupDelay*1e3),
+				fmt.Sprintf("%d", base.Stalls),
+				fmt.Sprintf("%.1f", base.StallSec*1e3),
+				f2(base.MeanBufferLead())},
 			[]string{v.Name, "S+H",
 				fmt.Sprintf("%.1f", startup/n*1e3),
 				f1(float64(stalls) / n),
@@ -165,13 +163,7 @@ func ABRTable(users int) Table {
 		panic(err)
 	}
 	segDur := float64(cfg.SegmentFrames) / float64(v.FPS)
-	ladder := abr.DefaultLadder()
-	ctrl, err := abr.NewBufferController(ladder.Rungs(), segDur)
-	if err != nil {
-		panic(err)
-	}
-	fixedLadder := abr.Ladder{Ratios: []float64{1.0}}
-	fixedCtrl := &abr.Controller{Thresholds: []float64{0}}
+	ratios := []float64{1.0, 0.6, 0.35} // rung r costs ratios[r] of the top rung's bytes
 
 	for _, link := range []struct {
 		name string
@@ -181,28 +173,28 @@ func ABRTable(users int) Table {
 		{"40 Mbps", netsim.Link{BandwidthBps: 40e6, RTTSeconds: 5e-3}},
 		{"15 Mbps", netsim.Link{BandwidthBps: 15e6, RTTSeconds: 10e-3}},
 	} {
-		var fStalls, fStallT, fBytes, aStalls, aStallT, aBytes, aRung, topBytes float64
+		var fStalls, fStallT, aStalls, aStallT, aBytes, aRung, topBytes float64
 		for u := 0; u < users; u++ {
-			tr := headtrace.Generate(v, u)
-			top := sasSegmentBytes(plan, tr, cfg)
+			top := sasSegmentBytes(plan, headtrace.Generate(v, u), cfg)
+			fixed := netsim.Timeline{Link: link.l, SegmentDuration: segDur, StartupSegments: 2}
+			adaptive := fixed
+			var rungSum float64
 			for _, b := range top {
 				topBytes += float64(b)
+				fixed.Advance(b)
+				rung := len(ratios) - 1 // fast start
+				if adaptive.Started() {
+					rung = delivery.BufferRung(adaptive.Buffer(), segDur, len(ratios))
+				}
+				rungSum += float64(rung)
+				adaptive.Advance(int64(float64(b) * ratios[rung]))
 			}
-			fr, err := abr.Simulate(link.l, fixedLadder, fixedCtrl, top, segDur, 2)
-			if err != nil {
-				panic(err)
-			}
-			ar, err := abr.Simulate(link.l, ladder, ctrl, top, segDur, 2)
-			if err != nil {
-				panic(err)
-			}
-			fStalls += float64(fr.Stalls)
-			fStallT += fr.StallTime
-			fBytes += float64(fr.Bytes)
-			aStalls += float64(ar.Stalls)
-			aStallT += ar.StallTime
-			aBytes += float64(ar.Bytes)
-			aRung += ar.MeanRung
+			fStalls += float64(fixed.Stalls)
+			fStallT += fixed.StallSec
+			aStalls += float64(adaptive.Stalls)
+			aStallT += adaptive.StallSec
+			aBytes += float64(adaptive.Bytes)
+			aRung += rungSum / float64(len(top))
 		}
 		n := float64(users)
 		t.Rows = append(t.Rows,

@@ -1,7 +1,7 @@
 // Package netsim models the streaming network path of the evaluation setup:
-// a WiFi link with an effective bandwidth of 300 Mbps (§8.2), used to
-// compute transfer times (and hence rebuffering pauses on FOV misses) and
-// to drive the network component of the device energy model.
+// a WiFi link with an effective bandwidth of 300 Mbps (§8.2) that prices
+// transfer times, and the one buffer/stall Timeline of segmented playback
+// that turns those times into startup delay, stalls and buffer lead.
 package netsim
 
 import (
@@ -66,38 +66,4 @@ func (l Link) TransferSeconds(bytes int64) float64 {
 	}
 	goodput := l.BandwidthBps * (1 - l.LossRate)
 	return l.RTTSeconds + float64(bytes)*8/goodput
-}
-
-// Stats accumulates transfer activity for bandwidth accounting.
-type Stats struct {
-	Requests      int
-	Bytes         int64
-	BusySeconds   float64
-	RebufferCount int
-	RebufferSecs  float64
-}
-
-// Transfer records a fetch and returns its duration.
-func (s *Stats) Transfer(l Link, bytes int64) float64 {
-	d := l.TransferSeconds(bytes)
-	s.Requests++
-	s.Bytes += bytes
-	s.BusySeconds += d
-	return d
-}
-
-// Rebuffer records a playback stall of the given duration (a blocking
-// mid-stream fetch, e.g. a FOV miss re-requesting the original segment).
-func (s *Stats) Rebuffer(seconds float64) {
-	s.RebufferCount++
-	s.RebufferSecs += seconds
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(o Stats) {
-	s.Requests += o.Requests
-	s.Bytes += o.Bytes
-	s.BusySeconds += o.BusySeconds
-	s.RebufferCount += o.RebufferCount
-	s.RebufferSecs += o.RebufferSecs
 }

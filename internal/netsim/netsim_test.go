@@ -124,31 +124,3 @@ func TestSegmentRebufferUnderPaperBound(t *testing.T) {
 		t.Errorf("segment rebuffer %v s implausibly high for 300 Mbps", d)
 	}
 }
-
-func TestStatsAccumulate(t *testing.T) {
-	l := Link{BandwidthBps: 8e6, RTTSeconds: 0}
-	var s Stats
-	d := s.Transfer(l, 2e6)
-	if math.Abs(d-2.0) > 1e-9 {
-		t.Errorf("transfer duration = %v", d)
-	}
-	s.Transfer(l, 1e6)
-	if s.Requests != 2 || s.Bytes != 3e6 {
-		t.Errorf("stats = %+v", s)
-	}
-	if math.Abs(s.BusySeconds-3.0) > 1e-9 {
-		t.Errorf("busy = %v", s.BusySeconds)
-	}
-	s.Rebuffer(0.004)
-	if s.RebufferCount != 1 || s.RebufferSecs != 0.004 {
-		t.Errorf("rebuffer stats = %+v", s)
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Requests: 1, Bytes: 10, BusySeconds: 0.5, RebufferCount: 1, RebufferSecs: 0.1}
-	a.Add(Stats{Requests: 2, Bytes: 20, BusySeconds: 1.0, RebufferCount: 0, RebufferSecs: 0})
-	if a.Requests != 3 || a.Bytes != 30 || a.BusySeconds != 1.5 || a.RebufferCount != 1 {
-		t.Errorf("Add = %+v", a)
-	}
-}
