@@ -21,7 +21,9 @@
 #                             tiled on and off, every payload missing), and
 #                             the differential fuzz over the render family
 #                             (pt / ptlut / pte pixel identities at
-#                             random dims and worker counts).
+#                             random dims and worker counts), and the
+#                             encoder's forward DCT against the dense
+#                             oracle bit for bit (FuzzFDCT).
 #   FuzzFixedOps (5 s)        the raw-integer fixed-point core equals the
 #                             reference arithmetic bit for bit, every op, for
 #                             random formats and operands at the path
@@ -57,7 +59,9 @@
 #                             one iteration each, so they cannot rot; beside
 #                             them the HAR kernels: the decode kernel (one
 #                             30-frame RS segment at 320×160 through one
-#                             reused codec.Decoder), the PTE datapath per
+#                             reused codec.Decoder) and the encode kernel
+#                             (the same segment at ingest's codec settings,
+#                             one encoder per segment), the PTE datapath per
 #                             output pixel at the same geometry, and the
 #                             fixed-point CORDIC Atan2.
 #   root benchmarks           the root package's micro-benchmarks (head-trace
@@ -97,6 +101,7 @@ go test ./internal/headtrace -run='^$' -fuzz=FuzzHeadtraceCSV -fuzztime=5s
 go test ./internal/delivery -run='^$' -fuzz=FuzzUnmarshalTile -fuzztime=5s
 go test ./internal/chaos -run='^$' -fuzz=FuzzChaosScenario -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzDecode -fuzztime=5s
+go test ./internal/codec -run='^$' -fuzz=FuzzFDCT -fuzztime=5s
 go test ./internal/conformance -run='^$' -fuzz=FuzzRenderFamily -fuzztime=5s
 go test ./internal/fixed -run='^$' -fuzz=FuzzFixedOps -fuzztime=5s
 go test ./internal/display -run='^$' -fuzz=FuzzScaler -fuzztime=5s
@@ -107,6 +112,7 @@ go test ./internal/store -run='^$' -fuzz=FuzzStoreReadFrom -fuzztime=5s
 go test ./internal/display -run='^$' -bench='^BenchmarkScale$' -benchtime=1x
 go test ./internal/display -run='^$' -bench='^BenchmarkHitWarp$' -benchtime=1x
 go test ./internal/codec -run='^$' -bench='^BenchmarkDecodeSegment$' -benchtime=1x
+go test ./internal/codec -run='^$' -bench='^BenchmarkEncodeSegment$' -benchtime=1x
 go test ./internal/pte -run='^$' -bench='^BenchmarkPixel$' -benchtime=1x
 go test ./internal/fixed -run='^$' -bench='^BenchmarkAtan2$' -benchtime=1x
 go test ./internal/delivery -run='^$' -bench='^BenchmarkAssemble$' -benchtime=1x

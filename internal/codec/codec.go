@@ -51,6 +51,7 @@ package codec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"evr/internal/display"
@@ -226,8 +227,22 @@ func (c *blockCoder) quantize(px, pred *pixBlock, ch int, q *[blockLen]int32) (n
 		spatial[i] = float64(px[i*3+ch]) - float64(pred[i*3+ch])
 	}
 	fdct(&spatial, &freq)
+	return c.levels(&freq, ch, q)
+}
+
+// levels quantizes the coefficients freq of channel ch into q, each to
+// int32(f/step ± 0.5) rounding half away from zero, and returns the mask of
+// the nonzero levels. A coefficient with |f| < step/4 is set to 0 without
+// the divide, which is exact: step/4 is a power-of-two scaling, so such an
+// f has |f/step| ≤ 1/4 after rounding, and f/step ± 0.5 truncates to 0.
+func (c *blockCoder) levels(freq *[blockLen]float64, ch int, q *[blockLen]int32) (nz uint64) {
+	steps := &c.steps[ch]
 	for i, f := range freq {
-		f /= c.steps[ch][i]
+		if math.Abs(f) < 0.25*steps[i] {
+			q[i] = 0
+			continue
+		}
+		f /= steps[i]
 		if f >= 0 {
 			q[i] = int32(f + 0.5)
 		} else {
@@ -499,27 +514,27 @@ func lumaPlane(y []uint8, f *frame.Frame) []uint8 {
 
 // motionSearch finds the (dx, dy) within the search range minimizing the
 // luma SAD between the source block and the reference; among equal SADs
-// the first in raster order of (dy, dx) wins.
+// the first in raster order of (dy, dx) wins. A candidate stops summing at
+// the first row that leaves its SAD no better than the best so far.
 func (e *frameEncoder) motionSearch(bx, by int) (dx, dy int) {
 	w, h := e.src.W, e.src.H
+	var src [blockSize][blockSize]uint8
+	for y := range src {
+		src[y] = [blockSize]uint8(e.srcY[(by+y)*w+bx:])
+	}
 	bestSAD := int(^uint(0) >> 1)
 	for cy := -e.searchRange; cy <= e.searchRange; cy++ {
 		for cx := -e.searchRange; cx <= e.searchRange; cx++ {
 			x0, y0 := bx+cx, by+cy
-			inside := x0 >= 0 && y0 >= 0 && x0+blockSize <= w && y0+blockSize <= h
-			sad := 0
-			for y := 0; y < blockSize && sad < bestSAD; y++ {
-				srcRow := e.srcY[(by+y)*w+bx:][:blockSize]
-				if inside {
-					refRow := e.refY[(y0+y)*w+x0:][:blockSize]
-					for x, s := range srcRow {
-						sad += absInt(int(s) - int(refRow[x]))
+			var sad int
+			if x0 >= 0 && y0 >= 0 && x0+blockSize <= w && y0+blockSize <= h {
+				sad = blockSAD(&src, e.refY[y0*w+x0:], w, bestSAD)
+			} else {
+				for y := 0; y < blockSize && sad < bestSAD; y++ {
+					refRow := e.refY[clampTo(y0+y, h-1)*w:][:w]
+					for x, v := range src[y] {
+						sad += absInt(int(v) - int(refRow[clampTo(x0+x, w-1)]))
 					}
-					continue
-				}
-				refRow := e.refY[clampTo(y0+y, h-1)*w:][:w]
-				for x, s := range srcRow {
-					sad += absInt(int(s) - int(refRow[clampTo(x0+x, w-1)]))
 				}
 			}
 			if sad < bestSAD {
@@ -528,6 +543,28 @@ func (e *frameEncoder) motionSearch(bx, by int) (dx, dy int) {
 		}
 	}
 	return dx, dy
+}
+
+// blockSAD returns the SAD between src and the 8×8 block of ref whose rows
+// start stride apart, summing row by row and stopping before a row once
+// the sum is no longer below limit.
+func blockSAD(src *[blockSize][blockSize]uint8, ref []uint8, stride, limit int) (sad int) {
+	for y := range src {
+		if sad >= limit {
+			break
+		}
+		s, r := &src[y], (*[blockSize]uint8)(ref[y*stride:])
+		sad += absDiff(s[0], r[0]) + absDiff(s[1], r[1]) + absDiff(s[2], r[2]) + absDiff(s[3], r[3]) +
+			absDiff(s[4], r[4]) + absDiff(s[5], r[5]) + absDiff(s[6], r[6]) + absDiff(s[7], r[7])
+	}
+	return sad
+}
+
+// absDiff returns |a − b| without a branch.
+func absDiff(a, b uint8) int {
+	d := int(a) - int(b)
+	m := d >> (bits.UintSize - 1)
+	return (d ^ m) - m
 }
 
 func absInt(v int) int {

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -396,6 +397,167 @@ func TestSparseIDCTMatchesDense(t *testing.T) {
 			if out != ref {
 				t.Fatalf("block %d (mask %#x), coder %d: reconstruct differs from the dense route", b, blk.nz, n)
 			}
+		}
+	}
+}
+
+// requireFDCTMatchesDense fails unless fdct and the dense oracle refFDCT
+// agree on in in all 64 outputs by bit pattern.
+func requireFDCTMatchesDense(t testing.TB, name string, in *[blockLen]float64) {
+	t.Helper()
+	var got, want [blockLen]float64
+	fdct(in, &got)
+	refFDCT(in, &want)
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: output %d is %v (%#x), dense %v (%#x); input %v", name, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), *in)
+		}
+	}
+}
+
+// TestFDCTMatchesDense: the forward transform that skips all-zero rows and
+// runs each pass's eight sums as separate chains equals the dense oracle
+// (refFDCT) in all 64 outputs by bit pattern. The blocks cover the all-zero
+// block (+0 and −0 samples), one ±1 / ±255 sample at each of the 64
+// positions, every zero-row mask over a random block, random dense and
+// sparse residuals in [−255, 255], and rows of cancelling pairs: a row of
+// one +v and one −v has an exact +0 DC term, so a column of the second pass
+// sums only ±0 products and its sign rests on the +0 start of each sum.
+func TestFDCTMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var zero [blockLen]float64
+	requireFDCTMatchesDense(t, "zero block", &zero)
+	for i := range zero {
+		zero[i] = math.Copysign(0, -1)
+	}
+	requireFDCTMatchesDense(t, "−0 block", &zero)
+	for i := 0; i < blockLen; i++ {
+		for _, v := range []float64{1, -1, 255, -255} {
+			var in [blockLen]float64
+			in[i] = v
+			requireFDCTMatchesDense(t, fmt.Sprintf("sample %v at %d", v, i), &in)
+		}
+	}
+	residual := func() float64 { return float64(rng.Intn(511) - 255) }
+	var dense [blockLen]float64
+	for i := range dense {
+		dense[i] = residual()
+	}
+	for mask := 0; mask < 1<<blockSize; mask++ {
+		in := dense
+		for y := 0; y < blockSize; y++ {
+			if mask&(1<<y) == 0 {
+				clear(in[y*blockSize : (y+1)*blockSize])
+			}
+		}
+		requireFDCTMatchesDense(t, fmt.Sprintf("row mask %#02x", mask), &in)
+	}
+	for n := 0; n < 20000; n++ {
+		var in [blockLen]float64
+		switch n % 3 {
+		case 0: // dense
+			for i := range in {
+				in[i] = residual()
+			}
+		case 1: // sparse
+			for i := range in {
+				if rng.Intn(8) == 0 {
+					in[i] = residual()
+				}
+			}
+		default: // cancelling pairs in random rows
+			for y := 0; y < blockSize; y++ {
+				if rng.Intn(3) == 0 {
+					v, a, b := residual(), rng.Intn(blockSize), rng.Intn(blockSize)
+					if a != b {
+						in[y*blockSize+a], in[y*blockSize+b] = v, -v
+					}
+				}
+			}
+		}
+		requireFDCTMatchesDense(t, fmt.Sprintf("random block %d", n), &in)
+	}
+}
+
+// TestQuantizeMatchesDivide: quantize's dead zone, which sets a level to 0
+// without dividing when |f| < step/4, yields the same levels and nonzero
+// mask as dividing every coefficient. It runs every step of qualities
+// 1–64, luma and chroma, at ±step/4 and ±step/2 and the math.Nextafter
+// neighbours of each on both sides, at ±0, at random values within ±3
+// steps, and random residual blocks through the whole quantize (transform
+// included) against refFDCT and refLevels.
+func TestQuantizeMatchesDivide(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	// probes returns the values probed at one step: ±0, then ±step/4 and
+	// ±step/2, each with its neighbours toward and away from zero.
+	probes := func(step float64) []float64 {
+		p := []float64{0, math.Copysign(0, -1)}
+		for _, b := range []float64{step / 4, -step / 4, step / 2, -step / 2} {
+			p = append(p, b, math.Nextafter(b, 0), math.Nextafter(b, 2*b))
+		}
+		return p
+	}
+	nProbes := len(probes(1))
+	check := func(c *blockCoder, ch int, freq *[blockLen]float64, name string) {
+		t.Helper()
+		var got, want [blockLen]int32
+		for i := range got {
+			got[i] = 7 // levels must overwrite every entry
+		}
+		gotNZ := c.levels(freq, ch, &got)
+		wantNZ := refLevels(freq, &c.steps[ch], &want)
+		if got != want || gotNZ != wantNZ {
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s: coefficient %d = %v (step %v): level %d, divide gives %d (masks %#x, %#x)",
+						name, i, freq[i], c.steps[ch][i], got[i], want[i], gotNZ, wantNZ)
+				}
+			}
+			t.Fatalf("%s: mask %#x, divide gives %#x", name, gotNZ, wantNZ)
+		}
+	}
+	for quality := 1; quality <= 64; quality++ {
+		for _, chroma := range []bool{false, true} {
+			c := newBlockCoder(quality, chroma, false)
+			for ch := 0; ch < 3; ch++ {
+				name := fmt.Sprintf("quality %d chroma %v channel %d", quality, chroma, ch)
+				var freq [blockLen]float64
+				for p := 0; p < nProbes; p++ {
+					for i, step := range c.steps[ch] {
+						freq[i] = probes(step)[p]
+					}
+					check(c, ch, &freq, fmt.Sprintf("%s probe %d", name, p))
+				}
+				for n := 0; n < 20; n++ {
+					for i, step := range c.steps[ch] {
+						freq[i] = (rng.Float64()*6 - 3) * step
+					}
+					check(c, ch, &freq, fmt.Sprintf("%s random %d", name, n))
+				}
+			}
+		}
+	}
+	for n := 0; n < 3000; n++ {
+		c := newBlockCoder(1+rng.Intn(64), n%2 == 1, false)
+		ch := n % 3
+		var px, pred pixBlock
+		for i := range px {
+			px[i], pred[i] = byte(rng.Intn(256)), byte(rng.Intn(256))
+			if n%4 < 2 && rng.Intn(4) > 0 { // mostly-zero residuals
+				pred[i] = px[i]
+			}
+		}
+		var spatial, freq [blockLen]float64
+		for i := range spatial {
+			spatial[i] = float64(px[i*3+ch]) - float64(pred[i*3+ch])
+		}
+		refFDCT(&spatial, &freq)
+		var got, want [blockLen]int32
+		gotNZ := c.quantize(&px, &pred, ch, &got)
+		wantNZ := refLevels(&freq, &c.steps[ch], &want)
+		if got != want || gotNZ != wantNZ {
+			t.Fatalf("random block %d: quantize levels %v (mask %#x), dense divide route %v (mask %#x)", n, got, gotNZ, want, wantNZ)
 		}
 	}
 }

@@ -23,28 +23,48 @@ func init() {
 	}
 }
 
-// fdct computes the 2-D forward DCT of an 8×8 spatial block.
-func fdct(in *[blockSize * blockSize]float64, out *[blockSize * blockSize]float64) {
-	var tmp [blockSize * blockSize]float64
-	// Rows.
-	for y := 0; y < blockSize; y++ {
-		for k := 0; k < blockSize; k++ {
-			var s float64
-			for n := 0; n < blockSize; n++ {
-				s += in[y*blockSize+n] * cosTable[k][n]
-			}
-			tmp[y*blockSize+k] = s
+// fdct computes the 2-D forward DCT of an 8×8 spatial block: a row pass
+// tmp[y][k] = Σₙ in[y][n]·c[k][n], then a column pass out[k][x] =
+// Σₙ tmp[n][x]·c[k][n], each sum begun at +0 and taking its terms in
+// ascending n, each product rounded before it is added (amd64 code fuses
+// no multiply-add). That order is the contract the encoder's bytes rest
+// on: any other order can round differently and move a level. Within it, the
+// eight sums of a row (row pass) or of an output row k (column pass) run
+// as independent chains, and a row of in whose eight samples are all zero
+// is skipped in both passes: its terms are ±0, and adding ±0 to a sum begun
+// at +0 never changes it (see idct).
+func fdct(in, out *[blockLen]float64) {
+	var tmp [blockSize][blockSize]float64
+	var rows uint8 // bit y: row y of in holds a nonzero sample
+	for y := range tmp {
+		r := (*[blockSize]float64)(in[y*blockSize:])
+		// Shifting out the sign bit makes −0 count as zero.
+		if (math.Float64bits(r[0])|math.Float64bits(r[1])|math.Float64bits(r[2])|math.Float64bits(r[3])|
+			math.Float64bits(r[4])|math.Float64bits(r[5])|math.Float64bits(r[6])|math.Float64bits(r[7]))<<1 == 0 {
+			continue
+		}
+		rows |= 1 << y
+		for k := range cosTable {
+			c := &cosTable[k]
+			tmp[y][k] = 0 + r[0]*c[0] + r[1]*c[1] + r[2]*c[2] + r[3]*c[3] + r[4]*c[4] + r[5]*c[5] + r[6]*c[6] + r[7]*c[7]
 		}
 	}
-	// Columns.
-	for x := 0; x < blockSize; x++ {
-		for k := 0; k < blockSize; k++ {
-			var s float64
-			for n := 0; n < blockSize; n++ {
-				s += tmp[n*blockSize+x] * cosTable[k][n]
-			}
-			out[k*blockSize+x] = s
+	for k := range cosTable {
+		c := &cosTable[k]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for m := rows; m != 0; m &= m - 1 {
+			n := bits.TrailingZeros8(m) & (blockSize - 1)
+			v, t := c[n], &tmp[n]
+			s0 += t[0] * v
+			s1 += t[1] * v
+			s2 += t[2] * v
+			s3 += t[3] * v
+			s4 += t[4] * v
+			s5 += t[5] * v
+			s6 += t[6] * v
+			s7 += t[7] * v
 		}
+		*(*[blockSize]float64)(out[k*blockSize:]) = [blockSize]float64{s0, s1, s2, s3, s4, s5, s6, s7}
 	}
 }
 

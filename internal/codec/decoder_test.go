@@ -142,3 +142,24 @@ func BenchmarkDecodeSegment(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEncodeSegment encodes one segment of the benchmark's playback
+// video at its geometry and ingest codec settings — RS, 320×160, 30 frames,
+// GOP 30, quality 6, search range 2 — with one encoder per segment, as
+// ingest builds each segment.
+func BenchmarkEncodeSegment(b *testing.B) {
+	frames := rsFrames(b, 320, 160, 30)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc, err := NewEncoder(segmentConfigs[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range frames {
+			if _, _, err := enc.Encode(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"math"
@@ -358,4 +359,30 @@ func fuzzRoundTrip(t *testing.T, dec *Decoder, cfg Config, frames []*frame.Frame
 			}
 		}
 	}
+}
+
+// FuzzFDCT: the production forward transform equals the dense oracle
+// refFDCT in all 64 outputs by bit pattern. The input is read as 64
+// little-endian int16 residuals clamped to [−255, 255]; a short input leaves
+// the remaining samples zero, so zero rows come often.
+func FuzzFDCT(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0xff, 0xff}) // 1, −1: a cancelling pair in row 0
+	rng := rand.New(rand.NewSource(47))
+	dense := make([]byte, 2*blockLen)
+	rng.Read(dense)
+	f.Add(dense)
+	pairs := make([]byte, 2*blockLen) // row 1 holds 9 and −9, every other row is zero
+	binary.LittleEndian.PutUint16(pairs[2*(blockSize+1):], 9)
+	binary.LittleEndian.PutUint16(pairs[2*(blockSize+4):], uint16(0xffff-8))
+	f.Add(pairs)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var in [blockLen]float64
+		for i := range in {
+			if 2*i+1 < len(data) {
+				in[i] = float64(max(-255, min(255, int(int16(binary.LittleEndian.Uint16(data[2*i:]))))))
+			}
+		}
+		requireFDCTMatchesDense(t, "fuzzed block", &in)
+	})
 }

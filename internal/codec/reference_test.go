@@ -126,6 +126,34 @@ func (r *refBitReader) readSE() (int32, error) {
 
 type refBlock = [blockSize * blockSize]float64
 
+// refFDCT is the dense 8×8 forward DCT: every sample, row pass then column
+// pass, each sum begun at +0 and taken in ascending n. The production fdct
+// skips all-zero rows and runs each pass's sums as separate chains, and must
+// equal it bit for bit.
+func refFDCT(in *refBlock, out *refBlock) {
+	var tmp refBlock
+	// Rows.
+	for y := 0; y < blockSize; y++ {
+		for k := 0; k < blockSize; k++ {
+			var s float64
+			for n := 0; n < blockSize; n++ {
+				s += in[y*blockSize+n] * cosTable[k][n]
+			}
+			tmp[y*blockSize+k] = s
+		}
+	}
+	// Columns.
+	for x := 0; x < blockSize; x++ {
+		for k := 0; k < blockSize; k++ {
+			var s float64
+			for n := 0; n < blockSize; n++ {
+				s += tmp[n*blockSize+x] * cosTable[k][n]
+			}
+			out[k*blockSize+x] = s
+		}
+	}
+}
+
 // refIDCT is the dense 8×8 inverse DCT: every coefficient, column pass then
 // row pass, each sum in ascending k. The production idct skips zero
 // coefficients and must equal it bit for bit.
@@ -200,7 +228,7 @@ func refChQuality(cfg Config, ch int) int {
 // dequantized coefficients' inverse transform in recon.
 func refQuantize(spatial *refBlock, quality int, q *[blockSize * blockSize]int32, recon *refBlock) {
 	var freq refBlock
-	fdct(spatial, &freq)
+	refFDCT(spatial, &freq)
 	for ky := 0; ky < blockSize; ky++ {
 		for kx := 0; kx < blockSize; kx++ {
 			i := ky*blockSize + kx
@@ -215,6 +243,24 @@ func refQuantize(spatial *refBlock, quality int, q *[blockSize * blockSize]int32
 		}
 	}
 	refIDCT(&freq, recon)
+}
+
+// refLevels quantizes freq dividing every coefficient by its step and
+// rounding half away from zero. The production levels skips the divide
+// below step/4 and must equal it level for level.
+func refLevels(freq, steps *[blockLen]float64, q *[blockLen]int32) (nz uint64) {
+	for i, f := range freq {
+		f /= steps[i]
+		if f >= 0 {
+			q[i] = int32(f + 0.5)
+		} else {
+			q[i] = int32(f - 0.5)
+		}
+		if q[i] != 0 {
+			nz |= 1 << uint(i)
+		}
+	}
+	return nz
 }
 
 func refWriteCoeffs(w *refBitWriter, q *[blockSize * blockSize]int32) {

@@ -561,35 +561,53 @@ func TestBitIOMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSegmentBytesPinned pins the exact size of one RS segment at the
-// benchmark's ingest settings (GOP 30, quality 6, search range 2), at the
-// playback workloads' 320×160 and serve_zipf's 128×64, so any change to
-// the entropy layer or the container shows in this package's tests and not
-// only in the benchmark's wire bytes. It also pins the per-tile floor: the
-// smallest tile segment a 96×48 tiled ingest stores (segment 1, tile 3 of
-// the 4×2 grid of 24×24 tiles, the coarsest rung's quality 24), whose tile
-// payload is this segment behind the 9-byte tile envelope.
+// TestSegmentBytesPinned pins the exact size and the FNV-64a digest of
+// one RS segment at the benchmark's ingest settings (GOP 30, quality 6,
+// search range 2), at the playback workloads' 320×160 and serve_zipf's
+// 128×64, so any change to the transform, the quantizer, motion search, the
+// entropy layer or the container shows in this package's tests and not only
+// in the benchmark's wire bytes; a same-length bit flip moves the digest. A
+// third RS row turns ChromaCoding and HalfPel on, so the chroma quantizer
+// steps and predict's bilinear path are pinned too. It also pins the
+// per-tile floor: the smallest tile segment a 96×48 tiled ingest stores
+// (segment 1, tile 3 of the 4×2 grid of 24×24 tiles, the coarsest rung's
+// quality 24), whose tile payload is this segment behind the 9-byte tile
+// envelope.
 func TestSegmentBytesPinned(t *testing.T) {
+	check := func(name string, bs *Bitstream, total int, digest uint64) {
+		t.Helper()
+		if got := bs.TotalBytes(); got != total {
+			t.Errorf("%s: segment %d B, want %d", name, got, total)
+		}
+		seg, err := AppendSegment(nil, bs)
+		if err != nil || len(seg) != bs.TotalBytes() {
+			t.Errorf("%s: AppendSegment wrote %d B (err %v), TotalBytes says %d", name, len(seg), err, bs.TotalBytes())
+		}
+		h := fnv.New64a()
+		h.Write(seg)
+		if got := h.Sum64(); got != digest {
+			t.Errorf("%s: segment digest %#016x, want %#016x", name, got, digest)
+		}
+	}
 	for _, tc := range []struct {
+		cfg           Config
 		w, h          int
 		iFrame, total int
+		digest        uint64
 	}{
-		{320, 160, 7039, 27169},
-		{128, 64, 1864, 6162},
+		{Config{GOP: 30, Quality: 6, SearchRange: 2}, 320, 160, 7039, 27169, 0xdb96910b0906fdf8},
+		{Config{GOP: 30, Quality: 6, SearchRange: 2}, 128, 64, 1864, 6162, 0x22baae546e3a4fc5},
+		{Config{GOP: 30, Quality: 6, SearchRange: 2, ChromaCoding: true, HalfPel: true}, 128, 64, 881, 5641, 0x811853ed841d2a67},
 	} {
-		bs, err := EncodeSequence(Config{GOP: 30, Quality: 6, SearchRange: 2}, rsFrames(t, tc.w, tc.h, 30))
+		name := fmt.Sprintf("RS %d×%d %+v", tc.w, tc.h, tc.cfg)
+		bs, err := EncodeSequence(tc.cfg, rsFrames(t, tc.w, tc.h, 30))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := len(bs.Frames[0]); got != tc.iFrame {
-			t.Errorf("RS %d×%d: I-frame body %d B, want %d", tc.w, tc.h, got, tc.iFrame)
+			t.Errorf("%s: I-frame body %d B, want %d", name, got, tc.iFrame)
 		}
-		if got := bs.TotalBytes(); got != tc.total {
-			t.Errorf("RS %d×%d: segment %d B, want %d", tc.w, tc.h, got, tc.total)
-		}
-		if seg, err := AppendSegment(nil, bs); err != nil || len(seg) != bs.TotalBytes() {
-			t.Errorf("RS %d×%d: AppendSegment wrote %d B (err %v), TotalBytes says %d", tc.w, tc.h, len(seg), err, bs.TotalBytes())
-		}
+		check(name, bs, tc.total, tc.digest)
 	}
 	tile := make([]*frame.Frame, 30)
 	for i, f := range rsFrames(t, 96, 48, 60)[30:] {
@@ -602,7 +620,5 @@ func TestSegmentBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := bs.TotalBytes(), 161; got != want {
-		t.Errorf("smallest 96×48-grid tile segment %d B, want %d", got, want)
-	}
+	check("smallest 96×48-grid tile", bs, 161, 0xc3ad6e4c85af4860)
 }
