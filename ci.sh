@@ -2,6 +2,9 @@
 # CI gate. What each step protects (per-PR history is in CHANGES.md):
 #
 #   gofmt / vet / build       the tree is formatted, vets clean and compiles.
+#   GOARCH=arm64 go vet       the arm64 build still type-checks and vets (no
+#                             test runs there: arm64 fuses a*b+c, so the byte
+#                             pins and goldens hold on amd64 only; DESIGN.md).
 #   go test -race -shuffle    every package's tests, race-clean and free of
 #                             inter-test ordering dependencies: the band
 #                             driver behind every renderer, ingest fan-out,
@@ -86,6 +89,7 @@ set -eux
 
 test -z "$(gofmt -l .)"
 go vet ./...
+GOARCH=arm64 go vet ./...
 go build ./...
 go test -race -shuffle=on ./...
 (cd bench && go test ./...)

@@ -7,13 +7,8 @@ import (
 	"sync"
 
 	"evr/internal/delivery"
-	"evr/internal/energy"
 	"evr/internal/frame"
-	"evr/internal/hmd"
 	"evr/internal/loadgen"
-	"evr/internal/projection"
-	"evr/internal/pt"
-	"evr/internal/pte"
 )
 
 // psnrCap stands in for +Inf when a frame is byte-identical to the
@@ -76,23 +71,20 @@ type frontierRow struct {
 	wireBytes int64
 	stalls    int
 	stallSec  float64
-	psnrDB    float64
+	psnr      string // mean viewport PSNR in dB, "ref" for the reference
 	energyJ   float64
 	fovSegs   int
 	tiledSegs int
 	origSegs  int
-	misses    int
 }
 
 // runFrontier sweeps the three forced delivery modes plus the auto policy
 // against one in-process server and prints the policy frontier: bytes on
-// the wire vs modeled stalls vs viewport PSNR vs client energy. The orig
-// mode — every frame client-rendered from the full panorama — is the
-// quality reference the other modes are scored against.
+// the wire vs modeled stalls vs viewport PSNR vs client energy, the
+// players' own ledgers. The orig mode — every frame client-rendered from
+// the full panorama — is the quality reference the other modes are scored
+// against.
 func runFrontier(w io.Writer, base loadgen.Config, fullW, fullH int) error {
-	dev := energy.TX2()
-	ptJ := pte.DefaultConfig(projection.ERP, pt.Bilinear, hmd.OSVRHDK2().Viewport()).FrameEnergyJ(fullW, fullH)
-
 	var rows []frontierRow
 	var ref *frameStore
 	users := 0
@@ -122,29 +114,24 @@ func runFrontier(w io.Writer, base loadgen.Config, fullW, fullH int) error {
 			row.fovSegs += ps.ModeFOVSegments
 			row.tiledSegs += ps.ModeTiledSegments
 			row.origSegs += ps.ModeOrigSegments
-			row.misses += ps.Misses
+			row.energyJ += ps.Ledger.Total()
 		}
-		row.energyJ = float64(row.wireBytes)*(dev.NetJPerByte+dev.DecodeJPerByte) + float64(row.misses)*ptJ
 		if ref == nil {
 			ref = store // orig runs first: the quality reference
-			row.psnrDB = math.Inf(1)
+			row.psnr = "ref"
 		} else {
-			row.psnrDB = meanPSNR(store, ref)
+			row.psnr = fmt.Sprintf("%.2f", meanPSNR(store, ref))
 		}
 		rows = append(rows, row)
 	}
 
-	fmt.Fprintf(w, "delivery-policy frontier: %d users, %d segments, %dx%d panorama (PT frame %.2f mJ on TX2-class client)\n",
-		users, base.Segments, fullW, fullH, 1e3*ptJ)
+	fmt.Fprintf(w, "delivery-policy frontier: %d users, %d segments, %dx%d panorama\n",
+		users, base.Segments, fullW, fullH)
 	fmt.Fprintf(w, "%-6s %12s %7s %9s %10s %10s %20s\n",
 		"mode", "wire-bytes", "stalls", "stall-sec", "psnr(dB)", "energy(J)", "segments f/t/o")
 	for _, r := range rows {
-		psnr := "ref"
-		if !math.IsInf(r.psnrDB, 1) {
-			psnr = fmt.Sprintf("%.2f", r.psnrDB)
-		}
 		fmt.Fprintf(w, "%-6s %12d %7d %9.2f %10s %10.2f %12d/%d/%d\n",
-			r.name, r.wireBytes, r.stalls, r.stallSec, psnr, r.energyJ,
+			r.name, r.wireBytes, r.stalls, r.stallSec, r.psnr, r.energyJ,
 			r.fovSegs, r.tiledSegs, r.origSegs)
 	}
 
@@ -152,12 +139,8 @@ func runFrontier(w io.Writer, base loadgen.Config, fullW, fullH int) error {
 	fmt.Fprintln(w, "| mode | wire bytes | modeled stalls | stall sec | viewport PSNR (dB) | client energy (J) | segments fov/tiled/orig |")
 	fmt.Fprintln(w, "|------|-----------:|---------------:|----------:|-------------------:|------------------:|------------------------:|")
 	for _, r := range rows {
-		psnr := "ref"
-		if !math.IsInf(r.psnrDB, 1) {
-			psnr = fmt.Sprintf("%.2f", r.psnrDB)
-		}
 		fmt.Fprintf(w, "| %s | %d | %d | %.2f | %s | %.2f | %d/%d/%d |\n",
-			r.name, r.wireBytes, r.stalls, r.stallSec, psnr, r.energyJ,
+			r.name, r.wireBytes, r.stalls, r.stallSec, r.psnr, r.energyJ,
 			r.fovSegs, r.tiledSegs, r.origSegs)
 	}
 	return nil

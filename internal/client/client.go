@@ -24,9 +24,6 @@ import (
 	"evr/internal/headtrace"
 	"evr/internal/hmd"
 	"evr/internal/netsim"
-	"evr/internal/projection"
-	"evr/internal/pt"
-	"evr/internal/pte"
 	"evr/internal/sas"
 	"evr/internal/scene"
 )
@@ -118,17 +115,9 @@ type Config struct {
 
 // The simulated device's constants.
 const (
-	// nominalW/H are the full panoramic frame dimensions the energy model
-	// charges for (the paper's videos are 4K: 3840×2160).
-	nominalW, nominalH = 3840, 2160
-
 	// prefetchSlackSec is how much of a mid-segment original fetch the
 	// client's buffer hides before playback visibly stalls.
 	prefetchSlackSec = 0.16
-
-	// checkOverheadJ is the per-frame CPU cost of the SAS client support
-	// (§5.4): pose/metadata comparison and dual-pipeline management.
-	checkOverheadJ = 1.5e-3
 
 	// resyncSegments is the prefetch pipeline depth: FOV videos are
 	// requested this many segments ahead to hide transfer latency, so a
@@ -145,13 +134,11 @@ const (
 	tiledPixelRatio = 0.55
 )
 
-// The paper's evaluation device, which Simulate charges and Player drives.
+// The paper's evaluation device, which Simulate charges and Player drives;
+// its prices are in price.go.
 var (
 	headset = hmd.OSVRHDK2()
-	device  = energy.TX2()
 	wifi    = netsim.WiFi300()
-	// pteCfg is the accelerator H and S+H render misses on.
-	pteCfg = pte.DefaultConfig(projection.ERP, pt.Bilinear, headset.Viewport())
 )
 
 // DefaultConfig returns the shipped design for a variant and use-case.
@@ -172,7 +159,7 @@ func (c Config) Validate() error {
 
 // Result aggregates one playback run.
 type Result struct {
-	Ledger    energy.Ledger
+	Energy
 	Rebuffers int // blocking mid-segment fetches that stalled playback
 
 	FramesTotal   int
@@ -184,15 +171,14 @@ type Result struct {
 
 	StreamedBytes         int64 // bytes actually fetched
 	BaselineStreamedBytes int64 // bytes the baseline would fetch
-
-	// PT-attributable energy, for the Fig. 3b "VR tax" split.
-	PTComputeJ float64
-	PTMemoryJ  float64
+	// SegmentBytes is StreamedBytes per played segment (a fallback's
+	// original in its segment's slot); Add leaves this one session's alone.
+	SegmentBytes []int64
 }
 
 // Add accumulates another playback's accounting into r.
 func (r *Result) Add(o Result) {
-	r.Ledger.Merge(o.Ledger)
+	r.Energy.Add(o.Energy)
 	r.Rebuffers += o.Rebuffers
 	r.FramesTotal += o.FramesTotal
 	r.FramesHit += o.FramesHit
@@ -202,8 +188,6 @@ func (r *Result) Add(o Result) {
 	r.DroppedFrames += o.DroppedFrames
 	r.StreamedBytes += o.StreamedBytes
 	r.BaselineStreamedBytes += o.BaselineStreamedBytes
-	r.PTComputeJ += o.PTComputeJ
-	r.PTMemoryJ += o.PTMemoryJ
 }
 
 // MissRate returns the per-frame FOV checker miss rate.
@@ -238,41 +222,29 @@ func Simulate(v scene.VideoSpec, tr headtrace.Trace, plan *sas.Plan, cfg Config)
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	sim := &simulator{cfg: cfg, sas: plan.Cfg, video: v}
+	// Per-byte decode work is charged as a frame's share of the nominal bitrate.
+	bytesShare := energy.NominalBitrateMbps(v.Complexity) * 1e6 / 8 / float64(v.FPS)
+	if cfg.Variant == Tiled {
+		bytesShare *= tiledByteRatio
+	}
+	sim := &simulator{cfg: cfg, sas: plan.Cfg, dt: 1.0 / float64(v.FPS), bytesShare: bytesShare}
 	sim.run(tr, plan)
 	return sim.res, nil
 }
 
 // simulator carries per-run state.
 type simulator struct {
-	cfg   Config
-	sas   sas.Config // the played plan's geometry governs hit checking
-	video scene.VideoSpec
-	res   Result
-}
-
-func (s *simulator) frameSeconds() float64 { return 1.0 / float64(s.video.FPS) }
-
-// fullFrameBytes is the raw size of a decoded panoramic frame.
-func (s *simulator) fullFrameBytes() int64 {
-	return int64(nominalW) * int64(nominalH) * 3
-}
-
-// vpBytes is the raw size of a displayed viewport frame.
-func (s *simulator) vpBytes() int64 {
-	vp := headset.Viewport()
-	return int64(vp.Pixels()) * 3
-}
-
-// fovFrameBytes is the raw size of a decoded margin-padded FOV frame.
-func (s *simulator) fovFrameBytes() int64 {
-	scale := (headset.FOVXDeg + s.sas.MarginDeg) / headset.FOVXDeg
-	return int64(float64(s.vpBytes()) * scale * scale)
+	cfg        Config
+	sas        sas.Config // the played plan's geometry governs hit checking
+	dt         float64    // one frame's display time
+	bytesShare float64    // one frame's compressed bytes
+	res        Result
 }
 
 func (s *simulator) run(tr headtrace.Trace, plan *sas.Plan) {
 	useSAS := (s.cfg.Variant == S || s.cfg.Variant == SH) && s.cfg.UseCase == OnlineStreaming
 	usePTE := s.cfg.Variant == H || s.cfg.Variant == SH
+	offline := s.cfg.UseCase == OfflinePlayback
 
 	frames := len(tr.Samples)
 	resync := 0 // segments left in the prefetch hole after a fallback
@@ -285,6 +257,7 @@ func (s *simulator) run(tr headtrace.Trace, plan *sas.Plan) {
 			segFrames = frames - seg.Start
 		}
 		s.res.BaselineStreamedBytes += seg.OrigBytes * int64(segFrames) / int64(seg.Frames)
+		s.res.SegmentBytes = append(s.res.SegmentBytes, 0)
 
 		ti := -1
 		if useSAS && resync == 0 && len(seg.Tracks) > 0 {
@@ -304,7 +277,8 @@ func (s *simulator) run(tr headtrace.Trace, plan *sas.Plan) {
 			}
 			s.fetch(bytes, false)
 			for f := 0; f < segFrames; f++ {
-				s.chargeFrameBase()
+				s.res.FramesTotal++
+				s.res.chargeFrame(s.dt, s.cfg.ExtraComputeJPerFrame, offline)
 				s.chargePTFrame(usePTE)
 			}
 			continue
@@ -314,9 +288,10 @@ func (s *simulator) run(tr headtrace.Trace, plan *sas.Plan) {
 		s.fetch(seg.FOVBytes[ti], false)
 		fallback := false
 		for f := 0; f < segFrames; f++ {
-			s.chargeFrameBase()
+			s.res.FramesTotal++
+			s.res.chargeFrame(s.dt, s.cfg.ExtraComputeJPerFrame, offline)
 			s.res.FOVChecks++
-			s.res.Ledger.Add(energy.Compute, checkOverheadJ)
+			s.res.chargeFOVCheck()
 			hit := s.cfg.ForceAllHits || s.sas.Hit(&seg.Tracks[ti], f, tr.Samples[seg.Start+f].O)
 			if !hit {
 				s.res.FOVMisses++
@@ -330,150 +305,51 @@ func (s *simulator) run(tr headtrace.Trace, plan *sas.Plan) {
 				fallback = true
 				resync = resyncSegments
 				s.fetch(seg.OrigBytes, true)
-				s.chargeCatchUpDecode(f + 1)
+				s.res.chargeCatchUp(f + 1)
 			}
 			if !fallback && hit {
-				s.chargeHitFrame()
+				s.res.FramesHit++
+				s.res.chargeHit(fovFrameBytes(headset.FOVXDeg+s.sas.MarginDeg), s.cfg.Variant == SH)
+				s.res.chargeDecodeBytes(s.bytesShare)
 			} else {
 				s.chargePTFrame(usePTE)
 			}
 		}
 	}
-	s.res.Ledger.AdvanceTime(float64(s.res.FramesTotal) * s.frameSeconds())
+	s.res.Ledger.AdvanceTime(float64(s.res.FramesTotal) * s.dt)
 }
 
-// fetch charges network and storage for a payload; blocking mid-segment
-// fetches also model the rebuffering stall.
+// fetch charges a payload to the current segment's slot; blocking
+// mid-segment fetches also model the rebuffering stall.
 func (s *simulator) fetch(bytes int64, blocking bool) {
-	m := device
-	switch s.cfg.UseCase {
-	case OfflinePlayback:
-		// Local playback: the payload is read from storage only.
-		s.res.Ledger.Add(energy.Storage, float64(bytes)*m.StorageJPerByte)
-	default:
-		d := wifi.TransferSeconds(bytes)
-		s.res.Ledger.Add(energy.Network, float64(bytes)*m.NetJPerByte)
-		// Streamed bytes are cached: written then read back.
-		s.res.Ledger.Add(energy.Storage, 2*float64(bytes)*m.StorageJPerByte)
-		if blocking {
-			stall := d - prefetchSlackSec
-			if stall > 0 {
-				s.res.Rebuffers++
-				s.res.DroppedFrames += int(stall/s.frameSeconds()) + 1
-			}
+	offline := s.cfg.UseCase == OfflinePlayback
+	s.res.chargeReceived(bytes, offline)
+	if blocking && !offline {
+		stall := wifi.TransferSeconds(bytes) - prefetchSlackSec
+		if stall > 0 {
+			s.res.Rebuffers++
+			s.res.DroppedFrames += int(stall/s.dt) + 1
 		}
 	}
 	s.res.StreamedBytes += bytes
-}
-
-// chargeFrameBase charges the always-on per-frame costs.
-func (s *simulator) chargeFrameBase() {
-	m := device
-	dt := s.frameSeconds()
-	s.res.FramesTotal++
-	s.res.Ledger.AddPower(energy.Display, m.DisplayPowerW, dt)
-	s.res.Ledger.AddPower(energy.Compute, m.CPUBaseW, dt)
-	s.res.Ledger.AddPower(energy.Memory, m.DRAMStaticW, dt)
-	if s.cfg.ExtraComputeJPerFrame > 0 {
-		s.res.Ledger.Add(energy.Compute, s.cfg.ExtraComputeJPerFrame)
-	}
-	if s.cfg.UseCase != OfflinePlayback {
-		s.res.Ledger.AddPower(energy.Network, m.NetIdleW, dt)
-	}
-	// Display processor scans out the viewport every frame.
-	vp := headset.Viewport()
-	s.res.Ledger.Add(energy.Compute, m.DisplayProcJPerPixel*float64(vp.Pixels()))
-}
-
-// chargeHitFrame charges a FOV-hit frame: decode the (small) FOV frame and
-// forward it to the display, bypassing PT entirely.
-func (s *simulator) chargeHitFrame() {
-	m := device
-	s.res.FramesHit++
-	fovPx := float64(s.fovFrameBytes()) / 3
-	perFrameBytes := float64(s.fovFrameBytes())
-	// Decode: compressed-byte share is charged via segment amortization in
-	// decodeBytes below; pixel share here.
-	s.res.Ledger.Add(energy.Compute, m.DecodeJPerPixel*fovPx)
-	s.res.Ledger.Add(energy.Memory, m.DRAMJPerByte*perFrameBytes) // decode output write
-	if s.cfg.Variant == SH {
-		// PTE passthrough (Fig. 8): the decoded FOV frame streams to the
-		// frame buffer over the zero-copy path of Fig. 2, so only the
-		// engine's DMA energy is charged, not a DRAM round trip.
-		s.res.Ledger.Add(energy.Compute, pteCfg.PassthroughEnergyJ(s.fovFrameBytes()))
-	}
-	s.chargeScanout()
-	s.decodeBytesShare()
-}
-
-// chargeScanout charges the display processor's frame-buffer read.
-func (s *simulator) chargeScanout() {
-	s.res.Ledger.Add(energy.Memory, device.DRAMJPerByte*float64(s.vpBytes()))
+	s.res.SegmentBytes[len(s.res.SegmentBytes)-1] += bytes
 }
 
 // chargePTFrame charges a conventionally-rendered frame: decode the full
-// panorama and run PT on the configured engine.
+// panorama (out-of-sight tiles at reduced resolution under Tiled) and run
+// PT on the configured engine.
 func (s *simulator) chargePTFrame(usePTE bool) {
-	m := device
 	s.res.FramesPT++
-	fullPx := float64(nominalW) * float64(nominalH)
-	fullBytes := float64(s.fullFrameBytes())
-	decPx, decBytes := fullPx, fullBytes
+	decPx, decBytes := float64(nominalW)*float64(nominalH), float64(panoramaBytes)
 	if s.cfg.Variant == Tiled {
-		// Out-of-sight tiles decode at reduced resolution.
 		decPx *= tiledPixelRatio
 		decBytes *= tiledPixelRatio
 	}
-	// Decode the panoramic frame (full or mixed-resolution tiles).
-	s.res.Ledger.Add(energy.Compute, m.DecodeJPerPixel*decPx)
-	s.res.Ledger.Add(energy.Memory, m.DRAMJPerByte*decBytes) // decode output write
-	s.decodeBytesShare()
-
-	// Projective transformation.
+	s.res.chargeDecode(decPx, decBytes)
+	s.res.chargeDecodeBytes(s.bytesShare)
 	if usePTE {
-		secs, rd, wr := pteCfg.FrameWork(nominalW, nominalH)
-		if s.cfg.Ext.FusedPTE {
-			// Display-processor integration (§6.3): the PT output streams
-			// straight to scanout — no FOV-frame write, no re-read.
-			wr = 0
-		} else {
-			s.chargeScanout()
-		}
-		e := secs * pteCfg.PowerW()
-		mem := m.DRAMJPerByte * float64(rd+wr)
-		s.res.Ledger.Add(energy.Compute, e)
-		s.res.Ledger.Add(energy.Memory, mem)
-		s.res.PTComputeJ += e
-		s.res.PTMemoryJ += mem
+		s.res.chargePTE(s.cfg.Ext.FusedPTE)
 	} else {
-		e := energy.GPUFrameJ(headset.Viewport().Pixels())
-		mem := m.DRAMJPerByte * (fullBytes + float64(s.vpBytes()))
-		s.res.Ledger.Add(energy.Compute, e)
-		s.res.Ledger.Add(energy.Memory, mem)
-		s.res.PTComputeJ += e
-		s.res.PTMemoryJ += mem
-		s.chargeScanout()
+		s.res.chargeGPU()
 	}
-}
-
-// chargeCatchUpDecode charges the fast-forward decode of a fallback
-// segment's already-played prefix (the original segment is only decodable
-// from its keyframe).
-func (s *simulator) chargeCatchUpDecode(prefixFrames int) {
-	m := device
-	fullPx := float64(nominalW) * float64(nominalH)
-	fullBytes := float64(s.fullFrameBytes())
-	s.res.Ledger.Add(energy.Compute, m.DecodeJPerPixel*fullPx*float64(prefixFrames))
-	s.res.Ledger.Add(energy.Memory, m.DRAMJPerByte*fullBytes*float64(prefixFrames))
-}
-
-// decodeBytesShare charges the per-compressed-byte decode energy, amortized
-// as one frame's share of the video's nominal bitrate.
-func (s *simulator) decodeBytesShare() {
-	m := device
-	bytesPerFrame := energy.NominalBitrateMbps(s.video.Complexity) * 1e6 / 8 / float64(s.video.FPS)
-	if s.cfg.Variant == Tiled {
-		bytesPerFrame *= tiledByteRatio
-	}
-	s.res.Ledger.Add(energy.Compute, m.DecodeJPerByte*bytesPerFrame)
 }

@@ -161,8 +161,10 @@ func checkLadder(t *testing.T, name string, pin ladderPin) string {
 }
 
 // ladderStats formats the non-zero playback counters, leaving out the
-// fetch-layer ones: prefetch timing moves them run to run.
+// fetch-layer ones and the energy ledger, which prices BytesFetched:
+// prefetch timing moves them run to run.
 func ladderStats(s PlaybackStats) string {
+	s.Energy = Energy{}
 	s.BytesFetched, s.CacheHits, s.PrefetchHits, s.Retries, s.RetryAfterWaits, s.TimedOut = 0, 0, 0, 0, 0, 0
 	s.LiveWaits, s.LiveSegments, s.BehindLiveMaxSec = 0, 0, 0
 	var parts []string

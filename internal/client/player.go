@@ -92,8 +92,10 @@ type Player struct {
 // PlaybackStats summarizes one playback run. Every displayed frame is
 // either a Hit (shown directly from a FOV video) or a Miss (needed the
 // original stream — FOV checker miss, segment-level fallback, or frozen
-// frame), so Hits+Misses == Frames always holds.
+// frame), so Hits+Misses == Frames always holds. Energy is the run priced
+// by the price list Simulate charges (price.go).
 type PlaybackStats struct {
+	Energy
 	Frames int
 	Hits   int
 	Misses int
@@ -137,6 +139,7 @@ type PlaybackStats struct {
 // Add sums another run's counters into s: the one way sessions are summed.
 // BehindLiveMaxSec keeps the larger of the two.
 func (s *PlaybackStats) Add(o PlaybackStats) {
+	s.Energy.Add(o.Energy)
 	s.Frames += o.Frames
 	s.Hits += o.Hits
 	s.Misses += o.Misses
@@ -194,6 +197,7 @@ func (p *Player) Fetcher() *Fetcher {
 func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats PlaybackStats, displayed []*frame.Frame, err error) {
 	ftch := p.Fetcher()
 	before := ftch.Counters()
+	var frameSec float64 // one frame's display time, from the manifest
 	defer func() {
 		// Let in-flight prefetches land before accounting so BytesFetched
 		// is stable run to run.
@@ -208,6 +212,10 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		stats.LiveWaits = int(after.LiveWaits - before.LiveWaits)
 		stats.LiveSegments = int(after.LiveSegments - before.LiveSegments)
 		stats.BehindLiveMaxSec = float64(after.BehindLiveNsMax) / 1e9
+		// Every received byte is priced once, as decoded.
+		stats.chargeReceived(stats.BytesFetched, false)
+		stats.chargeDecodeBytes(float64(stats.BytesFetched))
+		stats.Ledger.AdvanceTime(float64(stats.Frames) * frameSec)
 	}()
 
 	man, err := ftch.Manifest(p.BaseURL, video)
@@ -223,6 +231,11 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 	if err != nil {
 		return stats, nil, err
 	}
+	if man.FPS <= 0 {
+		return stats, nil, fmt.Errorf("client: manifest has no frame rate (fps %d)", man.FPS)
+	}
+	frameSec = 1 / float64(man.FPS)
+	fovBytes := fovFrameBytes(man.FOVXDeg)
 	vp := headset.ScaledViewport(p.ViewportScale)
 	method := projection.Method(man.Projection)
 	refCfg := pt.Config{Projection: method, Filter: pt.Bilinear, Viewport: vp}
@@ -232,11 +245,13 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		return stats, nil, err
 	}
 	// Pick the fallback-frame renderer once: the PTE, the mapping LUT, or
-	// the reference float pipeline. rendered counts the frames it produced.
+	// the reference float pipeline. rendered counts the frames it produced;
+	// chargePT prices them, the LUT as the float path it copies.
 	render := func(full *frame.Frame, o geom.Orientation) (*frame.Frame, error) {
 		return pt.RenderParallelChecked(refCfg, full, o, p.Workers)
 	}
 	var rendered *int
+	chargePT := stats.chargeGPU
 	switch {
 	case p.UseHAR:
 		pcfg := pte.DefaultConfig(method, pt.Bilinear, vp)
@@ -251,6 +266,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			return engine.RenderParallelChecked(full, o, p.Workers)
 		}
 		rendered = &stats.PTEFrames
+		chargePT = func() { stats.chargePTE(false) }
 	case p.UseLUT:
 		if p.LUTCache == nil {
 			p.LUTCache = ptlut.NewCache(0, nil) // reused across Play calls
@@ -402,12 +418,15 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			if src == fromFOV && f < fov.frames() { // the fetcher checked one pose per frame
 				meta = geom.Orientation{Yaw: fovMeta[f].Yaw, Pitch: fovMeta[f].Pitch}
 				hit = o.AngularDistance(meta) <= tolerance
+				stats.chargeFOVCheck()
 			}
 			sp.Stop(telemetry.StageFOVCheck)
 			var err error
 			if src == fromFOV && !hit {
-				// FOV miss: the rest of the segment plays from the original.
+				// FOV miss: the rest of the segment plays from the original,
+				// whose P-chain is decoded from its keyframe up to frame f.
 				src, err = enter(fromOrig)
+				stats.chargeCatchUp(f)
 			}
 			// img is the frame this one is made from, decoded on demand from
 			// src; nil means nothing is decodable. A frame that does not
@@ -453,6 +472,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 				sp.Start(telemetry.StageDisplay)
 				out, err = warp.Apply(img, meta.Matrix().Transpose().Mul(o.Matrix()))
 				sp.Stop(telemetry.StageDisplay)
+				stats.chargeHit(fovBytes, p.UseHAR)
 			case img != nil:
 				// A panorama, original or assembled: the client pays PT.
 				sp.Start(telemetry.StageRender)
@@ -460,6 +480,10 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 				sp.Stop(telemetry.StageRender)
 				if err == nil && rendered != nil {
 					*rendered++
+				}
+				if err == nil {
+					stats.chargeDecode(float64(nominalW)*float64(nominalH), panoramaBytes)
+					chargePT()
 				}
 			case p.Resilient && len(displayed) > 0:
 				// Nothing decodable: repeat the last good frame.
@@ -474,6 +498,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			}
 			displayed = append(displayed, out)
 			stats.Frames++
+			stats.chargeFrame(frameSec, 0, false)
 			sp.SetHit(hit)
 			sp.Finish()
 		}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"evr/internal/energy"
 	"evr/internal/geom"
 	"evr/internal/headtrace"
 	"evr/internal/hmd"
@@ -191,11 +192,12 @@ func TestLiveStreamPlayback(t *testing.T) {
 
 // TestPlaybackStatsAddCoversEveryField fills every counter with a distinct
 // value and checks Add sums each one, except BehindLiveMaxSec, which keeps
-// the larger: a counter added to PlaybackStats without a line in Add fails
-// here.
+// the larger, and merges the embedded Energy: a counter added to
+// PlaybackStats without a line in Add fails here.
 func TestPlaybackStatsAddCoversEveryField(t *testing.T) {
 	var a, b PlaybackStats
 	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	energyType := reflect.TypeOf(Energy{})
 	for i := 0; i < va.NumField(); i++ {
 		switch va.Field(i).Kind() {
 		case reflect.Int, reflect.Int64:
@@ -205,10 +207,16 @@ func TestPlaybackStatsAddCoversEveryField(t *testing.T) {
 			va.Field(i).SetFloat(float64(i + 1))
 			vb.Field(i).SetFloat(float64(100 * (i + 1)))
 		default:
-			t.Fatalf("field %s has kind %v: teach Add and this test about it", va.Type().Field(i).Name, va.Field(i).Kind())
+			if va.Field(i).Type() != energyType {
+				t.Fatalf("field %s has kind %v: teach Add and this test about it", va.Type().Field(i).Name, va.Field(i).Kind())
+			}
 		}
 	}
+	a.Energy, b.Energy = energyOf(1), energyOf(100)
 	a.Add(b)
+	if a.Energy != energyOf(101) {
+		t.Errorf("Energy after Add = %+v, want %+v", a.Energy, energyOf(101))
+	}
 	for i := 0; i < va.NumField(); i++ {
 		name := va.Type().Field(i).Name
 		want := float64(101 * (i + 1))
@@ -216,15 +224,40 @@ func TestPlaybackStatsAddCoversEveryField(t *testing.T) {
 			want = float64(100 * (i + 1))
 		}
 		var got float64
-		if f := va.Field(i); f.CanInt() {
+		switch f := va.Field(i); {
+		case f.Type() == energyType:
+			continue
+		case f.CanInt():
 			got = float64(f.Int())
-		} else {
+		default:
 			got = f.Float()
 		}
 		if got != want {
 			t.Errorf("%s after Add = %v, want %v", name, got, want)
 		}
 	}
+}
+
+// TestResultAddMergesEnergy: Result.Add merges the ledger, its covered
+// time and the PT split, as PlaybackStats.Add does.
+func TestResultAddMergesEnergy(t *testing.T) {
+	a, b := Result{Energy: energyOf(1)}, Result{Energy: energyOf(100)}
+	a.Add(b)
+	if a.Energy != energyOf(101) {
+		t.Errorf("Energy after Add = %+v, want %+v", a.Energy, energyOf(101))
+	}
+}
+
+// energyOf charges every ledger component, the covered time and the PT
+// split with a distinct multiple of k (exact in float64 for small k).
+func energyOf(k float64) Energy {
+	var e Energy
+	for i, c := range energy.Components {
+		e.Ledger.Add(c, k*float64(i+1))
+	}
+	e.Ledger.AdvanceTime(k)
+	e.PTComputeJ, e.PTMemoryJ = 7*k, 8*k
+	return e
 }
 
 // TestHitToleranceFromManifest: the hit tolerance is half the narrower of

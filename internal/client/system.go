@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 
-	"evr/internal/energy"
 	"evr/internal/headtrace"
 	"evr/internal/sas"
 	"evr/internal/scene"
@@ -66,21 +65,6 @@ type Summary struct {
 	Users   int
 
 	Result
-}
-
-// ComputeMemoryJ returns the compute+memory energy — the paper's "compute
-// energy" axis in Figs. 12 and 15.
-func (s Summary) ComputeMemoryJ() float64 {
-	return s.Ledger.Joules(energy.Compute) + s.Ledger.Joules(energy.Memory)
-}
-
-// PTShare returns PT's fraction of compute+memory energy (Fig. 3b).
-func (s Summary) PTShare() float64 {
-	cm := s.ComputeMemoryJ()
-	if cm == 0 {
-		return 0
-	}
-	return (s.PTComputeJ + s.PTMemoryJ) / cm
 }
 
 // ComputeSavingPct returns this summary's compute+memory energy saving

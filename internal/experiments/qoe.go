@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"evr/internal/client"
 	"evr/internal/delivery"
 	"evr/internal/geom"
 	"evr/internal/headtrace"
@@ -55,7 +56,7 @@ func QoETable(users int) Table {
 		var startup, stallT, buffer float64
 		var stalls int
 		for u := 0; u < users; u++ {
-			r := session(sasSegmentBytes(plan, headtrace.Generate(v, u), cfg))
+			r := session(shSegmentBytes(v, plan, u))
 			startup += r.StartupDelay
 			stallT += r.StallSec
 			stalls += r.Stalls
@@ -78,37 +79,15 @@ func QoETable(users int) Table {
 	return t
 }
 
-// sasSegmentBytes replays one user's segment-level fetch decisions and
-// returns the byte sequence their S+H session downloads.
-func sasSegmentBytes(plan *sas.Plan, tr headtrace.Trace, cfg sas.Config) []int64 {
-	var out []int64
-	resync := 0
-	for _, seg := range plan.Segments {
-		if seg.Start >= len(tr.Samples) {
-			break
-		}
-		ti := -1
-		if resync == 0 && len(seg.Tracks) > 0 {
-			ti = sas.ChooseTrack(&seg, tr.Samples[seg.Start].O)
-		}
-		if resync > 0 {
-			resync--
-		}
-		if ti < 0 {
-			out = append(out, seg.OrigBytes)
-			continue
-		}
-		bytes := seg.FOVBytes[ti]
-		for f := 0; f < seg.Frames && seg.Start+f < len(tr.Samples); f++ {
-			if !cfg.Hit(&seg.Tracks[ti], f, tr.Samples[seg.Start+f].O) {
-				bytes += seg.OrigBytes // fallback fetch lands in this slot
-				resync = 3
-				break
-			}
-		}
-		out = append(out, bytes)
+// shSegmentBytes returns the byte sequence one user's S+H session streams
+// per segment, as the client model plays it: the chosen FOV video, plus
+// the original in the same slot on a fallback.
+func shSegmentBytes(v scene.VideoSpec, plan *sas.Plan, user int) []int64 {
+	r, err := client.Simulate(v, headtrace.Generate(v, user), plan, client.DefaultConfig(client.SH, client.OnlineStreaming))
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return r.SegmentBytes
 }
 
 // PredictionTable measures head-motion prediction accuracy vs horizon for a
@@ -175,7 +154,7 @@ func ABRTable(users int) Table {
 	} {
 		var fStalls, fStallT, aStalls, aStallT, aBytes, aRung, topBytes float64
 		for u := 0; u < users; u++ {
-			top := sasSegmentBytes(plan, headtrace.Generate(v, u), cfg)
+			top := shSegmentBytes(v, plan, u)
 			fixed := netsim.Timeline{Link: link.l, SegmentDuration: segDur, StartupSegments: 2}
 			adaptive := fixed
 			var rungSum float64

@@ -6,9 +6,7 @@ import (
 
 	"evr/internal/client"
 	"evr/internal/delivery"
-	"evr/internal/energy"
 	"evr/internal/fixed"
-	"evr/internal/hmd"
 	"evr/internal/netsim"
 	"evr/internal/scene"
 	"evr/internal/telemetry"
@@ -116,7 +114,7 @@ func (cs *ClassSpec) tiledConfig() *client.TiledConfig {
 }
 
 // ClassStats aggregates one class's sessions across every pass: the summed
-// playback counters of its successful sessions, and the class's own rates.
+// playback counters and ledger of its successful sessions, and its rates.
 type ClassStats struct {
 	client.PlaybackStats
 	Name     string
@@ -124,10 +122,6 @@ type ClassStats struct {
 	Sessions int // total across passes
 	Failures int
 	HitRate  float64
-	// EnergyJ is the modeled client-device energy across the class's
-	// successful sessions: network + decode per wire byte, display
-	// processing per rendered viewport pixel (TX2 coefficients).
-	EnergyJ float64
 	// Live freshness quantiles, from sessions that fetched at or past the
 	// live edge (the maximum is PlaybackStats.BehindLiveMaxSec).
 	BehindLiveP50Sec float64
@@ -167,17 +161,6 @@ func newFleetState(classes []ClassSpec, totalUsers int) (*fleetState, error) {
 	return fs, nil
 }
 
-// sessionEnergyJ models one session's client-device energy draw with the
-// TX2 coefficients: every wire byte is received and decoded, every
-// displayed frame pays display processing per viewport pixel.
-func sessionEnergyJ(stats client.PlaybackStats, viewportScale int) float64 {
-	m := energy.TX2()
-	vp := hmd.OSVRHDK2().ScaledViewport(viewportScale)
-	bytes := float64(stats.BytesFetched)
-	pixels := float64(stats.Frames) * float64(vp.Width) * float64(vp.Height)
-	return bytes*(m.NetJPerByte+m.DecodeJPerByte) + pixels*m.DisplayProcJPerPixel
-}
-
 // aggregateClasses folds every session result into per-class stats.
 func aggregateClasses(fs *fleetState, results []UserResult) []ClassStats {
 	out := make([]ClassStats, len(fs.classes))
@@ -194,7 +177,6 @@ func aggregateClasses(fs *fleetState, results []UserResult) []ClassStats {
 			continue
 		}
 		st.Add(r.Stats)
-		st.EnergyJ += r.energyJ
 	}
 	for ci := range out {
 		if out[ci].Frames > 0 {

@@ -8,6 +8,7 @@ import (
 
 	"evr/internal/delivery"
 	"evr/internal/server"
+	"evr/internal/store"
 )
 
 // TestFleetClassesRunAndAggregate is the heterogeneous-fleet gate: a run
@@ -25,7 +26,14 @@ func classNamed(rep *Report, name string) (ClassStats, bool) {
 }
 
 func TestFleetClassesRunAndAggregate(t *testing.T) {
-	svc := soakService(t, server.DefaultServiceOptions())
+	// A 5° margin per side over the HMD's 110° makes gaze jitter miss the
+	// FOV video, so both classes render, and price, PT frames.
+	ingest := soakIngest()
+	ingest.FOVXDeg, ingest.FOVYDeg = 120, 120
+	svc := server.NewService(store.New())
+	if _, err := svc.IngestVideo(soakSpec(), ingest); err != nil {
+		t.Fatal(err)
+	}
 	baseURL, shutdown, err := Serve(svc)
 	if err != nil {
 		t.Fatal(err)
@@ -108,16 +116,25 @@ func TestFleetClassesRunAndAggregate(t *testing.T) {
 	if got := int(har.BytesFetched + sw.BytesFetched); got != bytes {
 		t.Errorf("class bytes sum %d != flat sum %d", got, bytes)
 	}
-	if har.EnergyJ <= 0 || sw.EnergyJ <= 0 {
-		t.Errorf("modeled energy missing: har %.3fJ sw %.3fJ", har.EnergyJ, sw.EnergyJ)
-	}
-	// Energy is charged at each player's effective viewport scale.
-	var wantJ float64
+	// A class's ledger is its sessions' ledgers summed.
+	sessionJ := map[string]float64{}
 	for _, r := range rep.Results {
-		wantJ += sessionEnergyJ(r.Stats, 32)
+		sessionJ[r.Class] += r.Stats.Ledger.Total()
 	}
-	if got := har.EnergyJ + sw.EnergyJ; math.Abs(got-wantJ) > 1e-9*wantJ {
-		t.Errorf("class energy %.6fJ, want %.6fJ at viewport scale 32", got, wantJ)
+	for _, cs := range []ClassStats{har, sw} {
+		if got, want := cs.Ledger.Total(), sessionJ[cs.Name]; want <= 0 || math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%s: class ledger %.9gJ, sessions sum to %.9gJ", cs.Name, got, want)
+		}
+	}
+	// The players price PT by engine: a PTE frame costs an order of
+	// magnitude less PT compute than a float (GPU-priced) frame, so under
+	// half is a margin no summation rounding can fake.
+	harPT, swPT := har.PTEFrames, sw.Misses-sw.FrozenFrames
+	if harPT == 0 || swPT == 0 {
+		t.Fatalf("no PT frames to price: har %d, sw %d", harPT, swPT)
+	}
+	if perHar, perSw := har.PTComputeJ/float64(harPT), sw.PTComputeJ/float64(swPT); perHar >= perSw/2 {
+		t.Errorf("PT compute per frame: har %.4gJ not below half of sw-orig's %.4gJ", perHar, perSw)
 	}
 	if sw.LiveSegments != 0 || sw.BehindLiveP99Sec != 0 {
 		t.Errorf("VOD class reported live freshness: %d segs p99 %.3fs", sw.LiveSegments, sw.BehindLiveP99Sec)

@@ -92,9 +92,6 @@ type UserResult struct {
 	// order. Identical traces must produce identical checksums regardless
 	// of cache configuration or concurrency — the soak's core assertion.
 	Checksum uint64
-	// energyJ is the session's modeled client-device energy at the
-	// player's effective viewport scale.
-	energyJ float64
 }
 
 // HitRate returns the session's FOV-hit fraction.
@@ -417,7 +414,6 @@ func runSession(cfg Config, fetch client.FetchConfig, httpClient *http.Client, c
 		Elapsed:  time.Since(start),
 		Stats:    stats,
 		Checksum: ChecksumFrames(frames),
-		energyJ:  sessionEnergyJ(stats, p.ViewportScale),
 	}
 }
 

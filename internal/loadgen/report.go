@@ -73,7 +73,7 @@ func (r *Report) WriteText(w io.Writer, perUser bool) {
 			}
 			fmt.Fprintf(w, "  %-14s %5d %5d %6.1f%% %10s %7.2fJ %6d %10s %9s %9s %9d\n",
 				cs.Name, cs.Users, cs.Failures, 100*cs.HitRate, byteSize(cs.BytesFetched),
-				cs.EnergyJ, cs.LiveWaits, behind50, behind99, behindMax, cs.ModeledStalls)
+				cs.Ledger.Total(), cs.LiveWaits, behind50, behind99, behindMax, cs.ModeledStalls)
 		}
 	}
 

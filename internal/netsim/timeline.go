@@ -2,10 +2,11 @@ package netsim
 
 // Timeline is the buffer/stall model of segmented playback: a downloader
 // fetching segments back to back over a link, and a playback clock that
-// starts once StartupSegments have landed and pauses — a stall — whenever
-// it catches up with the download. It is advanced one segment at a time, so
-// a rate controller (experiments.ABRTable, the tiled Player) can consult the
-// live buffer level between fetch decisions.
+// starts once StartupSegments have landed (a shorter session never starts:
+// it reads StartupDelay 0, MeanBufferLead 0 and Started false) and pauses —
+// a stall — whenever it catches up with the download. It is advanced one
+// segment at a time, so a rate controller (experiments.ABRTable, the tiled
+// Player) can consult the live buffer level between fetch decisions.
 type Timeline struct {
 	Link            Link
 	SegmentDuration float64
