@@ -3,8 +3,15 @@
 #
 #   gofmt / vet / build       the tree is formatted, vets clean and compiles.
 #   GOARCH=arm64 go vet       the arm64 build still type-checks and vets (no
-#                             test runs there: arm64 fuses a*b+c, so the byte
-#                             pins and goldens hold on amd64 only; DESIGN.md).
+#                             test runs there: arm64 fuses a*b+c in the render
+#                             and display kernels, so the playback pins and
+#                             goldens hold on amd64 only; DESIGN.md).
+#   arm64 codec FMA check     no fused multiply-add in the arm64 assembly of
+#                             package codec or of frame.(*Frame).bilinear (the
+#                             half-pel predictor): every product there is
+#                             written float64(a*b), so a segment encodes and
+#                             decodes to the same bytes and pixels on every
+#                             CPU architecture.
 #   go test -race -shuffle    every package's tests, race-clean and free of
 #                             inter-test ordering dependencies: the band
 #                             driver behind every renderer, ingest fan-out,
@@ -66,7 +73,9 @@
 #                             (the same segment at ingest's codec settings,
 #                             one encoder per segment), the PTE datapath per
 #                             output pixel at the same geometry, and the
-#                             fixed-point CORDIC Atan2.
+#                             fixed-point CORDIC Atan2; and the serving tier's
+#                             routed request (an edge hit and a shard forward
+#                             through Cluster.Handler, with allocations).
 #   root benchmarks           the root package's micro-benchmarks (head-trace
 #                             synthesis, capture stitch, SSIM, detection, the
 #                             capped streaming Timeline), one iteration each,
@@ -90,6 +99,11 @@ set -eux
 test -z "$(gofmt -l .)"
 go vet ./...
 GOARCH=arm64 go vet ./...
+GOARCH=arm64 go build -gcflags=-S ./internal/codec ./internal/frame 2>&1 | awk '
+	/^[^\t]/ { fn = $1 }
+	fn == "evr/internal/frame.(*Frame).bilinear" { seen = 1 }
+	/\tFN?M(ADD|SUB)D\t/ && (fn ~ /^evr\/internal\/codec\./ || fn == "evr/internal/frame.(*Frame).bilinear") { print "fused multiply-add in " fn ":" $0; bad = 1 }
+	END { exit bad || !seen }'
 go build ./...
 go test -race -shuffle=on ./...
 (cd bench && go test ./...)
@@ -122,6 +136,7 @@ go test ./internal/fixed -run='^$' -bench='^BenchmarkAtan2$' -benchtime=1x
 go test ./internal/delivery -run='^$' -bench='^BenchmarkAssemble$' -benchtime=1x
 go test ./internal/pt -run='^$' -bench='^BenchmarkRenderRows$' -benchtime=1x
 go test ./internal/ptlut -run='^$' -bench='^BenchmarkRender$' -benchtime=1x
+go test ./internal/cluster -run='^$' -bench='^BenchmarkRoutedRequest$' -benchtime=1x
 go test . -run='^$' -bench=. -benchtime=1x
 go run ./cmd/evrconform -fast
 go run ./cmd/evrconform

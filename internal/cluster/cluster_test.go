@@ -657,6 +657,89 @@ func TestEdgeHitPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// reusedWriter is a ResponseWriter reset between requests, as a server
+// reuses its per-connection state: what a request allocates beyond it is
+// the serving tier's own cost.
+type reusedWriter struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
+}
+
+func (w *reusedWriter) Header() http.Header { return w.header }
+
+func (w *reusedWriter) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
+	}
+}
+
+func (w *reusedWriter) Write(b []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return w.body.Write(b)
+}
+
+// serve runs one reused request through h into w.
+func (w *reusedWriter) serve(h http.Handler, r *http.Request) {
+	clear(w.header)
+	w.status = 0
+	w.body.Reset()
+	h.ServeHTTP(w, r)
+}
+
+// TestRoutedEdgeHitDoesNotAllocate guards the whole routed edge hit that
+// serve_zipf's head takes: Cluster.Handler's shortcut, the edge cache and
+// the replay, whose header values are the ones the edge entry holds.
+func TestRoutedEdgeHitDoesNotAllocate(t *testing.T) {
+	c := newTestCluster(t, 2, 1<<20)
+	h := c.Handler()
+	r := httptest.NewRequest(http.MethodGet, "/v/CLUSTER/fov/1/0", nil)
+	w := &reusedWriter{header: make(http.Header)}
+	w.serve(h, r)
+	w.serve(h, r)
+	if w.status != http.StatusOK || w.header.Get("X-EVR-Edge") != "hit" {
+		t.Fatalf("repeat request: status %d, X-EVR-Edge %q; want an edge hit", w.status, w.header.Get("X-EVR-Edge"))
+	}
+	if n := testing.AllocsPerRun(200, func() { w.serve(h, r) }); n != 0 {
+		t.Errorf("routed edge hit allocates %v times per request, want 0", n)
+	}
+}
+
+// BenchmarkRoutedRequest times one payload GET through Cluster.Handler with
+// a reused request and writer: an edge hit (router only), and a shard
+// forward with the edge tier off (router, then the owning shard's handler
+// answering from its response cache).
+func BenchmarkRoutedRequest(b *testing.B) {
+	for _, bc := range []struct {
+		name      string
+		edgeBytes int64
+	}{{"edge-hit", 1 << 20}, {"shard-forward", -1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			opts := DefaultOptions()
+			opts.EdgeCacheBytes = bc.edgeBytes
+			c, err := New(nil, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.Ingest(clusterSpec(), clusterIngest()); err != nil {
+				b.Fatal(err)
+			}
+			h := c.Handler()
+			r := httptest.NewRequest(http.MethodGet, "/v/CLUSTER/fov/1/0", nil)
+			w := &reusedWriter{header: make(http.Header)}
+			w.serve(h, r)
+			if w.status != http.StatusOK {
+				b.Fatalf("status %d: %s", w.status, w.body.String())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.serve(h, r)
+			}
+		})
+	}
+}
+
 // TestPanickingShardHandlerDoesNotStrandKey is the routed face of the
 // stranded-flight fix: a shard handler that panics mid-request (net/http
 // recovers it per connection and keeps serving) must cost only that one

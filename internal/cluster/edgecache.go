@@ -14,12 +14,14 @@ import (
 // the Retry-After shed hint, the live publish timestamp, and the body —
 // plus the shard that served it, the ownership record targeted purges match
 // against. publishedAt is safe to cache: a segment's timestamp is immutable
-// per publish, and every publish purges its edge entries first.
+// per publish, and every publish purges its edge entries first. The header
+// values are kept as the one-element slices writeResp assigns (nil = not
+// set), so a replay allocates nothing.
 type edgeResp struct {
 	status      int
-	contentType string
-	retryAfter  string
-	publishedAt string // X-EVR-Published-At-Ns, "" for VOD payloads
+	contentType []string
+	retryAfter  []string
+	publishedAt []string // X-EVR-Published-At-Ns, nil for VOD payloads
 	body        []byte
 	owner       int // shard index, -1 when no shard answered
 }

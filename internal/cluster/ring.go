@@ -14,6 +14,13 @@
 // purged. The golden-playback and conformance gates hold byte-identical
 // through the routed path because shards serve the same store bytes the
 // single-server path does.
+//
+// Routing: the router's Handler is server.Front over its own ServeMux, as a
+// shard's is. A canonical payload request is parsed once at the router and
+// goes straight to the edge cache; on a miss it is forwarded in-process to
+// the owning shard's handler, which parses it once more, its own tier's one
+// parse. An edge hit replays header values the edge entry holds, so it
+// allocates nothing.
 package cluster
 
 import (

@@ -1,10 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"evr/internal/cache"
 	"evr/internal/server"
@@ -16,8 +16,19 @@ import (
 // catalog and manifests come from any live shard; every payload route goes
 // through the edge cache, then to the shard owning its (video, segment);
 // /metrics is the router + edge + per-shard snapshot and /healthz the router's
-// liveness and live shard count.
+// liveness and live shard count. A canonical payload request skips the mux
+// (server.Front) and reaches serveRef with its parsed address; the shard it
+// is forwarded to parses it once more, its own tier's one parse.
 func (c *Cluster) Handler() http.Handler {
+	return server.Front(c.mux(), func(w http.ResponseWriter, r *http.Request, key server.Ref) {
+		c.requests.Inc()
+		c.serveRef(w, r, key)
+	})
+}
+
+// mux is the router's ServeMux: every route Handler serves, the payload
+// routes behind the shards' own canonical-address gate.
+func (c *Cluster) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", c.serveMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -31,21 +42,24 @@ func (c *Cluster) Handler() http.Handler {
 	return mux
 }
 
-// serveKeyed answers one payload request from the edge tier, routing it to
-// the owning shard — once per concurrent wave — when it is not resident.
-// Uncacheable responses pass through to everyone waiting on them. The path
-// goes through the same canonical-address gate the shards apply, so every
-// edge key is the one spelling of its payload and a malformed request is
-// answered here, without costing a shard a request. Tiles route on (video,
-// seg) — the ring position of the segment's other payload kinds — so a single
-// shard owns every tile of a segment and its respcache sees the segment's
-// whole tile working set.
+// serveKeyed is a payload route of the mux: it puts the request through the
+// same canonical-address gate the shards apply, so every edge key is the one
+// spelling of its payload and a malformed request is answered here, without
+// costing a shard a request.
 func (c *Cluster) serveKeyed(w http.ResponseWriter, r *http.Request) {
 	c.requests.Inc()
-	key, ok := server.ParseRef(w, r)
-	if !ok {
-		return
+	if key, ok := server.ParseRef(w, r); ok {
+		c.serveRef(w, r, key)
 	}
+}
+
+// serveRef answers one payload request from the edge tier, routing it to
+// the owning shard — once per concurrent wave — when it is not resident.
+// Uncacheable responses pass through to everyone waiting on them. Tiles
+// route on (video, seg) — the ring position of the segment's other payload
+// kinds — so a single shard owns every tile of a segment and its respcache
+// sees the segment's whole tile working set.
+func (c *Cluster) serveRef(w http.ResponseWriter, r *http.Request, key server.Ref) {
 	resp, outcome, _ := c.edge.Get(key, func() (*edgeResp, error) {
 		resp := c.route(key.Video, key.Seg, r)
 		if !resp.cacheable() {
@@ -67,7 +81,7 @@ func (c *Cluster) serveKeyed(w http.ResponseWriter, r *http.Request) {
 type capture struct {
 	status int
 	header http.Header
-	body   bytes.Buffer
+	body   []byte
 }
 
 func newCapture() *capture { return &capture{header: make(http.Header)} }
@@ -84,7 +98,22 @@ func (cp *capture) Write(b []byte) (int, error) {
 	if cp.status == 0 {
 		cp.status = http.StatusOK
 	}
-	return cp.body.Write(b)
+	if cp.body == nil {
+		// A shard declares every payload's length: size the buffer once.
+		n, _ := strconv.Atoi(cp.header.Get("Content-Length"))
+		cp.body = make([]byte, 0, max(n, len(b)))
+	}
+	cp.body = append(cp.body, b...)
+	return len(b), nil
+}
+
+// firstValue keeps a header entry's first value, the one Header.Get reads,
+// as a slice writeResp can assign without copying; nil when Get reads "".
+func firstValue(v []string) []string {
+	if len(v) == 0 || v[0] == "" {
+		return nil
+	}
+	return v[:1:1]
 }
 
 // resp converts the captured response into the router's envelope.
@@ -95,10 +124,10 @@ func (cp *capture) resp() *edgeResp {
 	}
 	return &edgeResp{
 		status:      status,
-		contentType: cp.header.Get("Content-Type"),
-		retryAfter:  cp.header.Get("Retry-After"),
-		publishedAt: cp.header.Get(server.PublishedAtHeader),
-		body:        cp.body.Bytes(),
+		contentType: firstValue(cp.header["Content-Type"]),
+		retryAfter:  firstValue(cp.header["Retry-After"]),
+		publishedAt: firstValue(cp.header[publishedAtKey]),
+		body:        cp.body,
 	}
 }
 
@@ -133,7 +162,7 @@ func (c *Cluster) forward(si int, r *http.Request) (*edgeResp, bool) {
 func noShardResp() *edgeResp {
 	return &edgeResp{
 		status:     http.StatusServiceUnavailable,
-		retryAfter: "1",
+		retryAfter: oneSecond,
 		body:       []byte("no live shard\n"),
 		owner:      -1,
 	}
@@ -186,23 +215,35 @@ func (c *Cluster) proxyAny(w http.ResponseWriter, r *http.Request) {
 	writeResp(w, noShardResp(), false)
 }
 
+// Header keys and values writeResp assigns straight into the header map,
+// under their canonical keys (no per-request canonicalisation or value
+// slice). A shared value slice is never modified in place: a later Set or
+// Add replaces it.
+var (
+	publishedAtKey = http.CanonicalHeaderKey(server.PublishedAtHeader)
+	oneSecond      = []string{"1"}
+	edgeHit        = []string{"hit"}
+	edgeMiss       = []string{"miss"}
+)
+
 // writeResp replays a routed (or edge-cached) response onto the wire. The
 // X-EVR-Edge header makes the serving tier observable per response —
 // load-test assertions and debugging read it; clients ignore it.
-func writeResp(w http.ResponseWriter, resp *edgeResp, edgeHit bool) {
-	if resp.contentType != "" {
-		w.Header().Set("Content-Type", resp.contentType)
+func writeResp(w http.ResponseWriter, resp *edgeResp, hit bool) {
+	h := w.Header()
+	if resp.contentType != nil {
+		h["Content-Type"] = resp.contentType
 	}
-	if resp.retryAfter != "" {
-		w.Header().Set("Retry-After", resp.retryAfter)
+	if resp.retryAfter != nil {
+		h["Retry-After"] = resp.retryAfter
 	}
-	if resp.publishedAt != "" {
-		w.Header().Set(server.PublishedAtHeader, resp.publishedAt)
+	if resp.publishedAt != nil {
+		h[publishedAtKey] = resp.publishedAt
 	}
-	if edgeHit {
-		w.Header().Set("X-EVR-Edge", "hit")
+	if hit {
+		h["X-Evr-Edge"] = edgeHit
 	} else {
-		w.Header().Set("X-EVR-Edge", "miss")
+		h["X-Evr-Edge"] = edgeMiss
 	}
 	w.WriteHeader(resp.status)
 	w.Write(resp.body) //nolint:errcheck // client hung up; nothing to tell it

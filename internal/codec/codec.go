@@ -354,7 +354,7 @@ func readCoeffs(r *bitReader, q *[blockLen]int32) (nz uint64, err error) {
 func (c *blockCoder) predict(ref *frame.Frame, bx, by, mvx, mvy int, dst *pixBlock) {
 	if c.halfPel {
 		if (mvx|mvy)&1 != 0 {
-			fx, fy := float64(mvx)/2, float64(mvy)/2
+			fx, fy := float64(float64(mvx)/2), float64(float64(mvy)/2)
 			for y := 0; y < blockSize; y++ {
 				for x := 0; x < blockSize; x++ {
 					i := y*rowBytes + x*3
@@ -598,8 +598,8 @@ func (e *frameEncoder) refineHalfPel(bx, by, dx, dy int) (mvx, mvy int) {
 				srcRow := e.srcY[(by+y)*e.src.W+bx:][:blockSize]
 				for x, s := range srcRow {
 					sad += absInt(int(s) - luma601(e.ref.BilinearAt(
-						float64(bx+x)+float64(cx)/2,
-						float64(by+y)+float64(cy)/2)))
+						float64(bx+x)+float64(float64(cx)/2),
+						float64(by+y)+float64(float64(cy)/2))))
 				}
 			}
 			if sad < best {

@@ -26,8 +26,9 @@ func init() {
 // fdct computes the 2-D forward DCT of an 8×8 spatial block: a row pass
 // tmp[y][k] = Σₙ in[y][n]·c[k][n], then a column pass out[k][x] =
 // Σₙ tmp[n][x]·c[k][n], each sum begun at +0 and taking its terms in
-// ascending n, each product rounded before it is added (amd64 code fuses
-// no multiply-add). That order is the contract the encoder's bytes rest
+// ascending n, each product rounded before it is added (written
+// float64(a*b), which no architecture fuses into a multiply-add; every float
+// product in this package is). That order is the contract the encoder's bytes rest
 // on: any other order can round differently and move a level. Within it, the
 // eight sums of a row (row pass) or of an output row k (column pass) run
 // as independent chains, and a row of in whose eight samples are all zero
@@ -46,7 +47,8 @@ func fdct(in, out *[blockLen]float64) {
 		rows |= 1 << y
 		for k := range cosTable {
 			c := &cosTable[k]
-			tmp[y][k] = 0 + r[0]*c[0] + r[1]*c[1] + r[2]*c[2] + r[3]*c[3] + r[4]*c[4] + r[5]*c[5] + r[6]*c[6] + r[7]*c[7]
+			tmp[y][k] = 0 + float64(r[0]*c[0]) + float64(r[1]*c[1]) + float64(r[2]*c[2]) + float64(r[3]*c[3]) +
+				float64(r[4]*c[4]) + float64(r[5]*c[5]) + float64(r[6]*c[6]) + float64(r[7]*c[7])
 		}
 	}
 	for k := range cosTable {
@@ -55,14 +57,14 @@ func fdct(in, out *[blockLen]float64) {
 		for m := rows; m != 0; m &= m - 1 {
 			n := bits.TrailingZeros8(m) & (blockSize - 1)
 			v, t := c[n], &tmp[n]
-			s0 += t[0] * v
-			s1 += t[1] * v
-			s2 += t[2] * v
-			s3 += t[3] * v
-			s4 += t[4] * v
-			s5 += t[5] * v
-			s6 += t[6] * v
-			s7 += t[7] * v
+			s0 += float64(t[0] * v)
+			s1 += float64(t[1] * v)
+			s2 += float64(t[2] * v)
+			s3 += float64(t[3] * v)
+			s4 += float64(t[4] * v)
+			s5 += float64(t[5] * v)
+			s6 += float64(t[6] * v)
+			s7 += float64(t[7] * v)
 		}
 		*(*[blockSize]float64)(out[k*blockSize:]) = [blockSize]float64{s0, s1, s2, s3, s4, s5, s6, s7}
 	}
@@ -92,7 +94,7 @@ func idct(in *[blockLen]float64, nz uint64, out *[blockLen]float64) {
 		i := bits.TrailingZeros64(m)
 		v, c := in[i], &cosTable[i/blockSize]
 		for n, x := 0, i%blockSize; n < blockSize; n++ {
-			tmp[n*blockSize+x] += v * c[n]
+			tmp[n*blockSize+x] += float64(v * c[n])
 		}
 	}
 	// Rows: a column that carries no coefficient is +0 in every row of tmp.
@@ -106,7 +108,7 @@ func idct(in *[blockLen]float64, nz uint64, out *[blockLen]float64) {
 		for y := 0; y < blockSize; y++ {
 			v, o := tmp[y*blockSize+k], out[y*blockSize:][:blockSize]
 			for n := range o {
-				o[n] += v * c[n]
+				o[n] += float64(v * c[n])
 			}
 		}
 	}
@@ -146,6 +148,6 @@ func min(a, b int) int {
 // quality scale: a flat base with a frequency-proportional ramp, scaled
 // linearly with Quality (1 = finest).
 func quantStep(ky, kx, quality int) float64 {
-	base := 4.0 + 1.5*float64(ky+kx)
+	base := 4.0 + float64(1.5*float64(ky+kx))
 	return base * float64(quality)
 }

@@ -137,7 +137,7 @@ func refFDCT(in *refBlock, out *refBlock) {
 		for k := 0; k < blockSize; k++ {
 			var s float64
 			for n := 0; n < blockSize; n++ {
-				s += in[y*blockSize+n] * cosTable[k][n]
+				s += float64(in[y*blockSize+n] * cosTable[k][n])
 			}
 			tmp[y*blockSize+k] = s
 		}
@@ -147,7 +147,7 @@ func refFDCT(in *refBlock, out *refBlock) {
 		for k := 0; k < blockSize; k++ {
 			var s float64
 			for n := 0; n < blockSize; n++ {
-				s += tmp[n*blockSize+x] * cosTable[k][n]
+				s += float64(tmp[n*blockSize+x] * cosTable[k][n])
 			}
 			out[k*blockSize+x] = s
 		}
@@ -164,7 +164,7 @@ func refIDCT(in *refBlock, out *refBlock) {
 		for n := 0; n < blockSize; n++ {
 			var s float64
 			for k := 0; k < blockSize; k++ {
-				s += in[k*blockSize+x] * cosTable[k][n]
+				s += float64(in[k*blockSize+x] * cosTable[k][n])
 			}
 			tmp[n*blockSize+x] = s
 		}
@@ -174,7 +174,7 @@ func refIDCT(in *refBlock, out *refBlock) {
 		for n := 0; n < blockSize; n++ {
 			var s float64
 			for k := 0; k < blockSize; k++ {
-				s += tmp[y*blockSize+k] * cosTable[k][n]
+				s += float64(tmp[y*blockSize+k] * cosTable[k][n])
 			}
 			out[y*blockSize+n] = s
 		}
@@ -365,8 +365,8 @@ func refRefineHalfPel(src, ref *frame.Frame, bx, by, dx, dy int) (mvx, mvy int) 
 			for y := 0; y < blockSize && sad < best; y++ {
 				for x := 0; x < blockSize; x++ {
 					r, g, b := ref.BilinearAt(
-						float64(bx+x)+float64(cx)/2,
-						float64(by+y)+float64(cy)/2)
+						float64(bx+x)+float64(float64(cx)/2),
+						float64(by+y)+float64(float64(cy)/2))
 					refLuma := (299*int(r) + 587*int(g) + 114*int(b)) / 1000
 					sad += absInt(src.Luma(bx+x, by+y) - refLuma)
 				}
@@ -384,8 +384,8 @@ func refPredict(ref *frame.Frame, bx, by, mvx, mvy, ch int, halfPel bool, dst *r
 		refChannelBlock(ref, bx+mvx, by+mvy, ch, dst)
 		return
 	}
-	fx := float64(mvx) / 2
-	fy := float64(mvy) / 2
+	fx := float64(float64(mvx) / 2)
+	fy := float64(float64(mvy) / 2)
 	for y := 0; y < blockSize; y++ {
 		for x := 0; x < blockSize; x++ {
 			r, g, b := ref.BilinearAt(float64(bx+x)+fx, float64(by+y)+fy)

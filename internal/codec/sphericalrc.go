@@ -63,7 +63,7 @@ func SphericalAllocate(h, bands, targetBytes int, weighted bool) ([]BandAllocati
 		areaFrac := (math.Cos(math.Pi*float64(y0)/float64(h)) - math.Cos(math.Pi*float64(y1)/float64(h))) / 2
 		share[i] = rowFrac
 		if weighted {
-			share[i] = (1-areaBlend)*rowFrac + areaBlend*areaFrac
+			share[i] = float64((1-areaBlend)*rowFrac) + float64(areaBlend*areaFrac)
 		}
 		out[i] = BandAllocation{Y0: y0, Y1: y1, AreaFrac: areaFrac}
 	}
@@ -73,7 +73,7 @@ func SphericalAllocate(h, bands, targetBytes int, weighted bool) ([]BandAllocati
 	assigned := 0
 	rem := make([]float64, bands)
 	for i := range out {
-		exact := float64(targetBytes) * share[i]
+		exact := float64(float64(targetBytes) * share[i])
 		t := int(exact)
 		if t < 1 {
 			t = 1

@@ -119,7 +119,10 @@ func (f *Frame) BilinearAt(u, v float64) (r, g, b byte) { return f.bilinear(u, v
 // neighbor column from the opposite edge instead of repeating the border.
 func (f *Frame) BilinearAtWrapX(u, v float64) (r, g, b byte) { return f.bilinear(u, v, true) }
 
-// bilinear is the one float blend, over the taps Stencil resolves.
+// bilinear is the one float blend, over the taps Stencil resolves. Every
+// product is written float64(a*b) so no architecture fuses it into a
+// multiply-add: the codec's half-pel predictor calls it on both the encoder
+// and the decoder side, which must round alike on every CPU.
 func (f *Frame) bilinear(u, v float64, wrapX bool) (r, g, b byte) {
 	x0 := int(math.Floor(u))
 	y0 := int(math.Floor(v))
@@ -129,9 +132,9 @@ func (f *Frame) bilinear(u, v float64, wrapX bool) (r, g, b byte) {
 	p00, p10 := f.Pix[(ya*f.W+xa)*3:][:3], f.Pix[(ya*f.W+xb)*3:][:3]
 	p01, p11 := f.Pix[(yb*f.W+xa)*3:][:3], f.Pix[(yb*f.W+xb)*3:][:3]
 	gx, gy := 1-fx, 1-fy
-	return RoundByte((float64(p00[0])*gx+float64(p10[0])*fx)*gy + (float64(p01[0])*gx+float64(p11[0])*fx)*fy),
-		RoundByte((float64(p00[1])*gx+float64(p10[1])*fx)*gy + (float64(p01[1])*gx+float64(p11[1])*fx)*fy),
-		RoundByte((float64(p00[2])*gx+float64(p10[2])*fx)*gy + (float64(p01[2])*gx+float64(p11[2])*fx)*fy)
+	return RoundByte(float64((float64(float64(p00[0])*gx)+float64(float64(p10[0])*fx))*gy) + float64((float64(float64(p01[0])*gx)+float64(float64(p11[0])*fx))*fy)),
+		RoundByte(float64((float64(float64(p00[1])*gx)+float64(float64(p10[1])*fx))*gy) + float64((float64(float64(p01[1])*gx)+float64(float64(p11[1])*fx))*fy)),
+		RoundByte(float64((float64(float64(p00[2])*gx)+float64(float64(p10[2])*fx))*gy) + float64((float64(float64(p01[2])*gx)+float64(float64(p11[2])*fx))*fy))
 }
 
 // RoundByte is the blend's output conversion, shared by every float sampler

@@ -29,10 +29,10 @@ type Service struct {
 	live      map[string]*LiveStream
 	metrics   *Metrics
 
-	opts       ServiceOptions
 	storeDelay atomic.Int64  // nanoseconds; mutable at runtime (fault injection)
 	cache      *respCache    // nil (caches nothing) when RespCacheBytes ≤ 0
 	inflight   chan struct{} // nil when MaxInFlight ≤ 0
+	retryAfter []string      // the 503's Retry-After value: whole seconds, ≥ 1
 	throttled  *telemetry.Counter
 	tooEarly   *telemetry.Counter
 	liveBehind *telemetry.Histogram
@@ -46,17 +46,15 @@ func NewService(st *store.Store) *Service {
 
 // NewServiceOpts returns an empty service with explicit serving options.
 func NewServiceOpts(st *store.Store, opts ServiceOptions) *Service {
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = time.Second
-	}
 	m := newMetrics()
 	s := &Service{
 		store:     st,
 		manifests: make(map[string]*Manifest),
 		live:      make(map[string]*LiveStream),
 		metrics:   m,
-		opts:      opts,
 		cache:     newRespCache(opts.RespCacheBytes, m.Registry()),
+		// RetryAfter 0 (or anything under half a second) advertises 1 s.
+		retryAfter: []string{strconv.Itoa(max(1, int(opts.RetryAfter.Round(time.Second)/time.Second)))},
 	}
 	s.storeDelay.Store(int64(opts.StoreDelay))
 	m.reg.SetHelp(promThrottled, "segment requests shed by admission control (503)")
@@ -176,8 +174,17 @@ func (s *Service) Videos() []string {
 
 // Handler returns the HTTP API: the catalog (GET /videos), the manifest
 // (GET /v/{video}/manifest), one payload route per row of Kinds (DESIGN §10
-// "Payload address"), and /metrics and /healthz.
+// "Payload address"), and /metrics and /healthz. A canonical payload
+// request skips the mux (Front): its path is parsed once and never
+// pattern-matched.
 func (s *Service) Handler() http.Handler {
+	return Front(s.routes())
+}
+
+// routes builds the mux behind Handler and the payload handler Front calls
+// directly. A payload kind counts on one endpoint class whichever way its
+// request arrives, including the 400s and 404s of the mux route's gate.
+func (s *Service) routes() (*http.ServeMux, func(http.ResponseWriter, *http.Request, Ref)) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", s.serveMetricsHTTP)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -198,12 +205,31 @@ func (s *Service) Handler() http.Handler {
 			s.metrics.noteWriteError("manifest")
 		}
 	}))
+	var endpoints [len(Kinds)]*endpointMetrics
 	for k := range Kinds {
-		kind := Kind(k)
-		mux.HandleFunc(kind.Pattern(), s.metrics.instrument(kind.String(), s.segmentHandler(kind)))
+		e := s.metrics.getOrCreate(Kind(k).String())
+		endpoints[k] = e
+		mux.HandleFunc(Kind(k).Pattern(), func(w http.ResponseWriter, r *http.Request) {
+			e.serve(w, func(w http.ResponseWriter) {
+				if ref, ok := ParseRef(w, r); ok {
+					s.servePayload(w, r, ref, e)
+				}
+			})
+		})
 	}
-	return mux
+	return mux, func(w http.ResponseWriter, r *http.Request, ref Ref) {
+		e := endpoints[ref.Kind]
+		e.serve(w, func(w http.ResponseWriter) { s.servePayload(w, r, ref, e) })
+	}
 }
+
+// Header values the payload path writes, each under its canonical key
+// straight into the header map (no per-request canonicalisation). A shared
+// value slice is never modified in place: a later Set or Add replaces it.
+var (
+	octetStream    = []string{"application/octet-stream"}
+	publishedAtKey = http.CanonicalHeaderKey(PublishedAtHeader)
+)
 
 // liveAdmit rejects a request at or past a live stream's edge with 425 Too
 // Early, plus a Retry-After hint when the next publish is ≥ 1 s out
@@ -216,7 +242,7 @@ func (s *Service) liveAdmit(w http.ResponseWriter, video string, seg int) bool {
 		return true
 	}
 	if secs := ls.RetryAfterSeconds(seg); secs >= 1 {
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header()["Retry-After"] = []string{strconv.Itoa(secs)}
 	}
 	s.tooEarly.Inc()
 	http.Error(w, "segment not yet published (live edge)", http.StatusTooEarly)
@@ -234,41 +260,36 @@ func (s *Service) stampLive(w http.ResponseWriter, video string, seg int) {
 	if !ok {
 		return
 	}
-	w.Header().Set(PublishedAtHeader, strconv.FormatInt(ns, 10))
+	w.Header()[publishedAtKey] = []string{strconv.FormatInt(ns, 10)}
 	s.liveBehind.Observe(float64(ls.Clock().Now().UnixNano()-ns) / 1e9)
 }
 
-// segmentHandler serves one payload kind through the canonical-address gate,
-// admission control and the response cache.
-func (s *Service) segmentHandler(kind Kind) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ref, ok := ParseRef(w, r)
-		if !ok {
-			return
-		}
-		if !s.liveAdmit(w, ref.Video, ref.Seg) {
-			return
-		}
-		if !s.admit(w) {
-			return
-		}
-		defer s.release()
-		data, ok := s.payload(ref)
-		if !ok {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		// The whole payload is in hand: declare its length rather than
-		// stream it chunked, so the client reads it into one buffer.
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		s.stampLive(w, ref.Video, ref.Seg)
-		if _, err := w.Write(data); err != nil {
-			// Nothing to send the client anymore, but a half-delivered
-			// segment is exactly what the fetch layer's retries mask —
-			// surface it in the metrics instead of dropping it.
-			s.metrics.noteWriteError(kind.String())
-		}
+// servePayload serves one payload through the live-edge gate, admission
+// control and the response cache; e is the endpoint class it counts on.
+func (s *Service) servePayload(w http.ResponseWriter, r *http.Request, ref Ref, e *endpointMetrics) {
+	if !s.liveAdmit(w, ref.Video, ref.Seg) {
+		return
+	}
+	if !s.admit(w) {
+		return
+	}
+	defer s.release()
+	data, ok := s.payload(ref)
+	if !ok {
+		http.NotFound(w, r)
+		return
+	}
+	h := w.Header()
+	h["Content-Type"] = octetStream
+	// The whole payload is in hand: declare its length rather than
+	// stream it chunked, so the client reads it into one buffer.
+	h["Content-Length"] = []string{strconv.Itoa(len(data))}
+	s.stampLive(w, ref.Video, ref.Seg)
+	if _, err := w.Write(data); err != nil {
+		// Nothing to send the client anymore, but a half-delivered
+		// segment is exactly what the fetch layer's retries mask —
+		// surface it in the metrics instead of dropping it.
+		e.writeErrors.Inc()
 	}
 }
 
@@ -303,11 +324,7 @@ func (s *Service) admit(w http.ResponseWriter) bool {
 		return true
 	default:
 		s.throttled.Inc()
-		secs := int(s.opts.RetryAfter.Round(time.Second) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header()["Retry-After"] = s.retryAfter
 		http.Error(w, "segment request capacity exceeded", http.StatusServiceUnavailable)
 		return false
 	}

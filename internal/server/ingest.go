@@ -4,6 +4,13 @@
 // into the SAS store — and the streaming service that serves FOV videos and
 // original segments to clients over HTTP.
 //
+// Routing: Service.Handler is Front over a ServeMux. A payload request in its
+// canonical spelling (canonicalRef) is parsed once and handed straight to its
+// kind's handler, skipping the mux; every other request — catalog, manifest,
+// metrics, and each payload address the mux answers 400, 404, 405 or with a
+// redirect — goes through the mux unchanged. The payload path writes its
+// headers under their canonical keys from precomputed values.
+//
 // This is the pixel-exact counterpart of the behavioral planner in package
 // sas: every FOV frame served here was produced by running the actual
 // projective transformation server-side (the paper's "pre-rendering"), and

@@ -84,8 +84,10 @@ func newMetrics() *Metrics {
 func (m *Metrics) Registry() *telemetry.Registry { return m.reg }
 
 // getOrCreate returns the instruments of one endpoint class, registering
-// them on first use — the single init path for observe, noteWriteError,
-// and instrument.
+// them on first use — the single init path for instrument, the payload
+// routes and noteWriteError. Handlers look theirs up once, when they are
+// built, so /metrics lists every endpoint of a built Handler, zero-valued
+// until its first request.
 func (m *Metrics) getOrCreate(endpoint string) *endpointMetrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -106,8 +108,7 @@ func (m *Metrics) getOrCreate(endpoint string) *endpointMetrics {
 }
 
 // observe records one served request.
-func (m *Metrics) observe(endpoint string, status int, bytes int64, d time.Duration) {
-	e := m.getOrCreate(endpoint)
+func (e *endpointMetrics) observe(status int, bytes int64, d time.Duration) {
 	e.requests.Inc()
 	if status < 200 || status > 299 {
 		e.errors.Inc()
@@ -187,20 +188,27 @@ func (w *countingWriter) Flush() {
 // extended interfaces (Flusher, Hijacker, deadlines).
 func (w *countingWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
+// serve runs one request on the endpoint's instruments: the in-flight
+// gauge around it, then its status, body bytes and service time. h writes
+// through the counting writer it is handed.
+func (e *endpointMetrics) serve(w http.ResponseWriter, h func(http.ResponseWriter)) {
+	e.inFlight.Inc()
+	defer e.inFlight.Dec()
+	cw := &countingWriter{ResponseWriter: w}
+	start := time.Now()
+	h(cw)
+	if cw.status == 0 {
+		cw.status = http.StatusOK
+	}
+	e.observe(cw.status, cw.bytes, time.Since(start))
+}
+
 // instrument wraps a handler with per-endpoint metrics, including the
-// in-flight gauge.
+// in-flight gauge. The endpoint's instruments are looked up here, once.
 func (m *Metrics) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	e := m.getOrCreate(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
-		e := m.getOrCreate(endpoint)
-		e.inFlight.Inc()
-		defer e.inFlight.Dec()
-		cw := &countingWriter{ResponseWriter: w}
-		start := time.Now()
-		h(cw, r)
-		if cw.status == 0 {
-			cw.status = http.StatusOK
-		}
-		m.observe(endpoint, cw.status, cw.bytes, time.Since(start))
+		e.serve(w, func(w http.ResponseWriter) { h(w, r) })
 	}
 }
 

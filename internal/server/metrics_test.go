@@ -15,6 +15,12 @@ import (
 	"evr/internal/store"
 )
 
+// observe records one served request on an endpoint class, as instrument
+// does after the handler returns.
+func (m *Metrics) observe(endpoint string, status int, bytes int64, d time.Duration) {
+	m.getOrCreate(endpoint).observe(status, bytes, d)
+}
+
 func TestMetricsCountRequests(t *testing.T) {
 	v, _ := scene.ByName("RS")
 	svc := NewService(store.New())

@@ -126,11 +126,11 @@ func ParseRefPath(path string) (Ref, error) {
 	return Ref{}, ErrNotPayload
 }
 
-// ParseRef is the gate both serving tiers put in front of a payload route:
-// it parses the request's path, answering 404 for a path that is not a
-// payload's (only reachable percent-encoded, e.g. /orig/0%2Fextra, which the
-// mux matches but its literal counterpart would not) and 400 for a
-// non-canonical index.
+// ParseRef is the gate both serving tiers put in front of a payload route
+// of their mux (the requests Front does not take): it parses the request's
+// path, answering 404 for a path that is not a payload's (only reachable
+// percent-encoded, e.g. /orig/0%2Fextra, which the mux matches but its
+// literal counterpart would not) and 400 for a non-canonical index.
 func ParseRef(w http.ResponseWriter, r *http.Request) (Ref, bool) {
 	ref, err := ParseRefPath(r.URL.Path)
 	switch {
@@ -142,6 +142,47 @@ func ParseRef(w http.ResponseWriter, r *http.Request) (Ref, bool) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
 	return Ref{}, false
+}
+
+// Front is the entry point both serving tiers put before their mux (DESIGN
+// §10 "Payload address"). A request canonicalRef accepts goes straight to
+// payload with its parsed Ref: one parse per tier and no pattern match.
+// Everything else — the catalog, manifests, metrics, and every payload
+// address the mux would answer 400, 404, 405 or redirect — goes to mux,
+// whose Kind routes keep ParseRef's gate, so those answers do not change.
+func Front(mux *http.ServeMux, payload func(http.ResponseWriter, *http.Request, Ref)) http.Handler {
+	return &front{mux: mux, payload: payload}
+}
+
+type front struct {
+	mux     *http.ServeMux
+	payload func(http.ResponseWriter, *http.Request, Ref)
+}
+
+func (f *front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if ref, ok := canonicalRef(r); ok {
+		f.payload(w, r, ref)
+		return
+	}
+	f.mux.ServeHTTP(w, r)
+}
+
+// canonicalRef parses a request the mux would route, unchanged, to its
+// kind's Pattern: a GET or HEAD whose path ParseRefPath accepts, spelled
+// without percent-encoding (URL.RawPath empty, so the mux's escaped path
+// splits into the same elements as URL.Path), with a video other than "."
+// or ".." (the one element ServeMux would clean and redirect; every other
+// element is a kind name or a digit string). ok is false for every other
+// request, which Front leaves to the mux.
+func canonicalRef(r *http.Request) (Ref, bool) {
+	if (r.Method != http.MethodGet && r.Method != http.MethodHead) || r.URL.RawPath != "" {
+		return Ref{}, false
+	}
+	ref, err := ParseRefPath(r.URL.Path)
+	if err != nil || ref.Video == "." || ref.Video == ".." {
+		return Ref{}, false
+	}
+	return ref, true
 }
 
 // canonicalIndex parses the canonical decimal form of a non-negative int:
