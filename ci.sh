@@ -34,6 +34,12 @@
 #                             random dims and worker counts), and the
 #                             encoder's forward DCT against the dense
 #                             oracle bit for bit (FuzzFDCT).
+#   FuzzRouterMatchesService  the cluster router answers any method and path
+#     (5 s)                   (payload kinds, 404, 400, the live 425 and stamped
+#                             200, a saturated shard's 503) with the status,
+#                             body and headers a single Service over the same
+#                             store sends, X-Evr-Edge aside: the in-process
+#                             shard answer drops no header and copies no byte.
 #   FuzzFixedOps (5 s)        the raw-integer fixed-point core equals the
 #                             reference arithmetic bit for bit, every op, for
 #                             random formats and operands at the path
@@ -121,6 +127,7 @@ go test ./internal/chaos -run='^$' -fuzz=FuzzChaosScenario -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzDecode -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzFDCT -fuzztime=5s
 go test ./internal/conformance -run='^$' -fuzz=FuzzRenderFamily -fuzztime=5s
+go test ./internal/cluster -run='^$' -fuzz=FuzzRouterMatchesService -fuzztime=5s
 go test ./internal/fixed -run='^$' -fuzz=FuzzFixedOps -fuzztime=5s
 go test ./internal/display -run='^$' -fuzz=FuzzScaler -fuzztime=5s
 go test ./internal/display -run='^$' -fuzz=FuzzHitWarp -fuzztime=5s

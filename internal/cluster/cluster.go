@@ -52,7 +52,8 @@ const (
 type shard struct {
 	name     string
 	svc      *server.Service
-	handler  http.Handler
+	handler  http.Handler                   // catalog and manifests (proxyAny)
+	answer   func(server.Ref) server.Answer // payloads: svc.Answer, a test seam
 	down     atomic.Bool
 	requests *telemetry.Counter // evr_router_shard_requests_total{shard=...}
 	shed     *telemetry.Counter // 503s this shard answered through the router
@@ -127,6 +128,7 @@ func New(st *store.Store, opts Options) (*Cluster, error) {
 			name:     name,
 			svc:      svc,
 			handler:  svc.Handler(),
+			answer:   svc.Answer,
 			requests: reg.Counter(promRouterShardRequests, telemetry.L("shard", name)),
 			shed:     reg.Counter("evr_router_shard_shed_total", telemetry.L("shard", name)),
 		})

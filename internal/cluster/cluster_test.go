@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -316,6 +318,14 @@ func TestKillAllShardsShedsThenRecovers(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("full-outage 503 missing Retry-After")
 	}
+	// The router's own shed is written as http.Error writes it.
+	want := httptest.NewRecorder()
+	http.Error(want, "no live shard", http.StatusServiceUnavailable)
+	want.Header()["Retry-After"] = []string{"1"}
+	want.Header()["X-Evr-Edge"] = []string{"miss"}
+	if !reflect.DeepEqual(rec.Header(), want.Header()) || rec.Body.String() != want.Body.String() {
+		t.Errorf("full-outage 503: %v %q, want %v %q", rec.Header(), rec.Body.String(), want.Header(), want.Body.String())
+	}
 	if rec := get(router, "/videos"); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("full outage catalog: status %d, want 503", rec.Code)
 	}
@@ -534,7 +544,7 @@ func TestNewRejectsBadOptions(t *testing.T) {
 // live shard's 200 — the same rule serveKeyed applies.
 func routed(status int, body string, owner int) func() (*edgeResp, error) {
 	return func() (*edgeResp, error) {
-		resp := &edgeResp{status: status, body: []byte(body), owner: owner}
+		resp := &edgeResp{Answer: server.Answer{Status: status, Body: []byte(body)}, owner: owner}
 		if !resp.cacheable() {
 			return resp, errPassThrough
 		}
@@ -635,7 +645,7 @@ func TestEdgeUncacheableResponsesPassThrough(t *testing.T) {
 		key := server.Ref{Video: "V", Seg: seg, Kind: server.Orig}
 		for i := 0; i < 2; i++ {
 			resp, outcome, _ := ec.Get(key, routed(tc.status, "nope", tc.owner))
-			if outcome != cache.Miss || resp.status != tc.status || string(resp.body) != "nope" {
+			if outcome != cache.Miss || resp.Status != tc.status || string(resp.Body) != "nope" {
 				t.Errorf("%s request %d: outcome %v, response %+v; want the routed response, uncached", tc.name, i, outcome, resp)
 			}
 		}
@@ -705,6 +715,55 @@ func TestRoutedEdgeHitDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestRoutedShardForwardAllocates guards serve_zipf's shard forward: the
+// router hands the owning shard the parsed Ref and replays its answer, so
+// with the edge tier off a routed request allocates at most one object and
+// fewer bytes than its body — the body is the shard's response-cache slice,
+// never copied. With the edge on, the forwarded answer becomes resident as
+// it is, and the repeat allocates nothing.
+func TestRoutedShardForwardAllocates(t *testing.T) {
+	r := httptest.NewRequest(http.MethodGet, "/v/CLUSTER/fov/1/0", nil)
+	w := &reusedWriter{header: make(http.Header)}
+
+	h := newTestCluster(t, 2, -1).Handler()
+	w.serve(h, r)
+	w.serve(h, r)
+	if w.status != http.StatusOK || w.header.Get("X-EVR-Edge") != "miss" {
+		t.Fatalf("status %d, X-EVR-Edge %q; want a routed 200", w.status, w.header.Get("X-EVR-Edge"))
+	}
+	body := w.body.Len()
+	if n := testing.AllocsPerRun(200, func() { w.serve(h, r) }); n > 1 {
+		t.Errorf("routed shard forward allocates %v times per request, want ≤ 1", n)
+	}
+	if b := bytesPerRun(200, func() { w.serve(h, r) }); b >= uint64(body) {
+		t.Errorf("routed shard forward allocates %d B per request, a %d B body's worth: the body is copied", b, body)
+	}
+
+	h = newTestCluster(t, 2, 1<<20).Handler()
+	r = httptest.NewRequest(http.MethodGet, "/v/CLUSTER/orig/1", nil)
+	w.serve(h, r)
+	if w.status != http.StatusOK || w.header.Get("X-EVR-Edge") != "miss" {
+		t.Fatalf("first request: status %d, X-EVR-Edge %q; want a routed 200", w.status, w.header.Get("X-EVR-Edge"))
+	}
+	if n := testing.AllocsPerRun(200, func() { w.serve(h, r) }); n != 0 || w.header.Get("X-EVR-Edge") != "hit" {
+		t.Errorf("repeat of a forward allocates %v times per request (X-EVR-Edge %q), want 0 on an edge hit", n, w.header.Get("X-EVR-Edge"))
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for heap bytes: the average bytes f
+// allocates over runs calls, after one warm-up call, on one P.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // BenchmarkRoutedRequest times one payload GET through Cluster.Handler with
 // a reused request and writer: an edge hit (router only), and a shard
 // forward with the edge tier off (router, then the owning shard's handler
@@ -741,13 +800,14 @@ func BenchmarkRoutedRequest(b *testing.B) {
 }
 
 // TestPanickingShardHandlerDoesNotStrandKey is the routed face of the
-// stranded-flight fix: a shard handler that panics mid-request (net/http
-// recovers it per connection and keeps serving) must cost only that one
-// request, not every later request for the key.
+// stranded-flight fix: a shard that panics mid-request (net/http recovers
+// it per connection and keeps serving) must cost only that one request, not
+// every later request for the key. The panic is injected into what the
+// router calls on the owning shard, its answer.
 func TestPanickingShardHandlerDoesNotStrandKey(t *testing.T) {
 	c := newTestCluster(t, 1, 1<<20)
-	healthy := c.shards[0].handler
-	c.shards[0].handler = http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("shard bug") })
+	healthy := c.shards[0].answer
+	c.shards[0].answer = func(server.Ref) server.Answer { panic("shard bug") }
 	router := c.Handler()
 	func() {
 		defer func() {
@@ -757,7 +817,7 @@ func TestPanickingShardHandlerDoesNotStrandKey(t *testing.T) {
 		}()
 		get(router, "/v/CLUSTER/orig/0")
 	}()
-	c.shards[0].handler = healthy
+	c.shards[0].answer = healthy
 	done := make(chan int, 1)
 	go func() { done <- get(router, "/v/CLUSTER/orig/0").Code }()
 	select {

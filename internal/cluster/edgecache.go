@@ -9,28 +9,24 @@ import (
 	"evr/internal/telemetry"
 )
 
-// edgeResp is one upstream response held by the edge tier: enough of the
-// HTTP surface to replay it byte-identically — status, the content type,
-// the Retry-After shed hint, the live publish timestamp, and the body —
-// plus the shard that served it, the ownership record targeted purges match
-// against. publishedAt is safe to cache: a segment's timestamp is immutable
-// per publish, and every publish purges its edge entries first. The header
-// values are kept as the one-element slices writeResp assigns (nil = not
-// set), so a replay allocates nothing.
+// edgeResp is one routed response as the edge tier holds it: the owning
+// shard's server.Answer as it is — status, header values and body, the body
+// the shard's response-cache slice, never copied — plus the shard that
+// served it, the ownership record targeted purges match against. A live
+// segment's PublishedAt is safe to cache: its timestamp is immutable per
+// publish, and every publish purges its edge entries first. The header
+// values are the shared slices Answer.Write assigns, so a replay allocates
+// nothing.
 type edgeResp struct {
-	status      int
-	contentType []string
-	retryAfter  []string
-	publishedAt []string // X-EVR-Published-At-Ns, nil for VOD payloads
-	body        []byte
-	owner       int // shard index, -1 when no shard answered
+	server.Answer
+	owner int // shard index, -1 when no shard answered
 }
 
 // cacheable reports whether the response may enter the edge cache: only
 // successful payloads from a live shard. Shed signals (503 + Retry-After),
 // 404s, and errors pass through uncached so a recovered shard is visible
 // immediately.
-func (r *edgeResp) cacheable() bool { return r.status == http.StatusOK && r.owner >= 0 }
+func (r *edgeResp) cacheable() bool { return r.Status == http.StatusOK && r.owner >= 0 }
 
 // errPassThrough rides beside an uncacheable response through the cache
 // core: the response is handed to the requests waiting on it, never retained.
@@ -44,8 +40,8 @@ type EdgeStats = cache.Stats
 const promEdge = "evr_edge"
 
 // edgeCache is the router's second-level response cache, the cache core
-// (internal/cache) keyed on the payload address and holding full response
-// envelopes. It is what absorbs the head of a Zipf popularity distribution
+// (internal/cache) keyed on the payload address and holding the shards'
+// answers. It is what absorbs the head of a Zipf popularity distribution
 // before it reaches any shard.
 type edgeCache = cache.Cache[server.Ref, *edgeResp]
 
@@ -56,7 +52,7 @@ func newEdgeCache(maxBytes int64, reg *telemetry.Registry) *edgeCache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	return cache.New[server.Ref](maxBytes, func(r *edgeResp) int64 { return int64(len(r.body)) }, reg, promEdge, cache.Help{
+	return cache.New[server.Ref](maxBytes, func(r *edgeResp) int64 { return int64(len(r.Body)) }, reg, promEdge, cache.Help{
 		Hits:      "segment responses served from the edge cache",
 		Misses:    "segment responses routed to a shard",
 		Coalesced: "segment requests that joined an in-flight identical routed load",

@@ -17,9 +17,10 @@
 //
 // Routing: the router's Handler is server.Front over its own ServeMux, as a
 // shard's is. A canonical payload request is parsed once at the router and
-// goes straight to the edge cache; on a miss it is forwarded in-process to
-// the owning shard's handler, which parses it once more, its own tier's one
-// parse. An edge hit replays header values the edge entry holds, so it
+// goes straight to the edge cache; on a miss the owning shard answers the
+// parsed Ref in-process (server.Service.Answer) — no second request, parse
+// or body copy — and the edge keeps that server.Answer as it is. A replay,
+// hit or miss, writes the answer's own header values, so an edge hit
 // allocates nothing.
 package cluster
 

@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"evr/internal/cache"
 	"evr/internal/server"
@@ -17,12 +17,13 @@ import (
 // through the edge cache, then to the shard owning its (video, segment);
 // /metrics is the router + edge + per-shard snapshot and /healthz the router's
 // liveness and live shard count. A canonical payload request skips the mux
-// (server.Front) and reaches serveRef with its parsed address; the shard it
-// is forwarded to parses it once more, its own tier's one parse.
+// (server.Front) and reaches serveRef with its parsed address, which is all
+// the owning shard is handed: its answer is one in-process call
+// (server.Service.Answer), not a second HTTP request.
 func (c *Cluster) Handler() http.Handler {
-	return server.Front(c.mux(), func(w http.ResponseWriter, r *http.Request, key server.Ref) {
+	return server.Front(c.mux(), func(w http.ResponseWriter, _ *http.Request, key server.Ref) {
 		c.requests.Inc()
-		c.serveRef(w, r, key)
+		c.serveRef(w, key)
 	})
 }
 
@@ -49,7 +50,7 @@ func (c *Cluster) mux() *http.ServeMux {
 func (c *Cluster) serveKeyed(w http.ResponseWriter, r *http.Request) {
 	c.requests.Inc()
 	if key, ok := server.ParseRef(w, r); ok {
-		c.serveRef(w, r, key)
+		c.serveRef(w, key)
 	}
 }
 
@@ -59,25 +60,25 @@ func (c *Cluster) serveKeyed(w http.ResponseWriter, r *http.Request) {
 // route on (video, seg) — the ring position of the segment's other payload
 // kinds — so a single shard owns every tile of a segment and its respcache
 // sees the segment's whole tile working set.
-func (c *Cluster) serveRef(w http.ResponseWriter, r *http.Request, key server.Ref) {
-	resp, outcome, _ := c.edge.Get(key, func() (*edgeResp, error) {
-		resp := c.route(key.Video, key.Seg, r)
+func (c *Cluster) serveRef(w http.ResponseWriter, key server.Ref) {
+	resp, outcome, err := c.edge.Get(key, func() (*edgeResp, error) {
+		resp := c.route(key)
 		if !resp.cacheable() {
 			return resp, errPassThrough
 		}
 		return resp, nil
 	})
-	if resp == nil {
-		// The request this one was waiting on panicked inside its shard
-		// handler; answer a retryable error rather than nothing.
-		resp = &edgeResp{status: http.StatusInternalServerError, body: []byte("shard handler failed\n"), owner: -1}
+	if errors.Is(err, cache.ErrLoadPanicked) {
+		// The request this one was waiting on panicked inside its shard;
+		// answer a retryable error rather than nothing.
+		resp = &shardFailed
 	}
 	writeResp(w, resp, outcome == cache.Hit)
 }
 
-// capture is the in-process ResponseWriter the router hands a shard
-// handler: it buffers the whole response so the router can cache it,
-// replay it, or discard it and re-route.
+// capture is the in-process ResponseWriter proxyAny hands a shard's
+// handler: it buffers the whole response so the router can replay it, or
+// discard it and re-route.
 type capture struct {
 	status int
 	header http.Header
@@ -95,20 +96,13 @@ func (cp *capture) WriteHeader(code int) {
 }
 
 func (cp *capture) Write(b []byte) (int, error) {
-	if cp.status == 0 {
-		cp.status = http.StatusOK
-	}
-	if cp.body == nil {
-		// A shard declares every payload's length: size the buffer once.
-		n, _ := strconv.Atoi(cp.header.Get("Content-Length"))
-		cp.body = make([]byte, 0, max(n, len(b)))
-	}
+	cp.WriteHeader(http.StatusOK)
 	cp.body = append(cp.body, b...)
 	return len(b), nil
 }
 
 // firstValue keeps a header entry's first value, the one Header.Get reads,
-// as a slice writeResp can assign without copying; nil when Get reads "".
+// as a slice Answer.Write can assign without copying; nil when Get reads "".
 func firstValue(v []string) []string {
 	if len(v) == 0 || v[0] == "" {
 		return nil
@@ -116,71 +110,77 @@ func firstValue(v []string) []string {
 	return v[:1:1]
 }
 
-// resp converts the captured response into the router's envelope.
-func (cp *capture) resp() *edgeResp {
-	status := cp.status
-	if status == 0 {
-		status = http.StatusOK // handler wrote nothing: empty 200
-	}
-	return &edgeResp{
-		status:      status,
-		contentType: firstValue(cp.header["Content-Type"]),
-		retryAfter:  firstValue(cp.header["Retry-After"]),
-		publishedAt: firstValue(cp.header[publishedAtKey]),
-		body:        cp.body,
+// answer returns the captured response as an Answer: the status (200 when
+// nothing was written), every header an Answer carries, and the body.
+func (cp *capture) answer() server.Answer {
+	cp.WriteHeader(http.StatusOK)
+	return server.Answer{
+		Status:        cp.status,
+		ContentType:   firstValue(cp.header["Content-Type"]),
+		Nosniff:       firstValue(cp.header["X-Content-Type-Options"]),
+		ContentLength: firstValue(cp.header["Content-Length"]),
+		RetryAfter:    firstValue(cp.header["Retry-After"]),
+		PublishedAt:   firstValue(cp.header[publishedAtKey]),
+		Body:          cp.body,
 	}
 }
 
-// forward runs one request against one shard in-process. ok is false when
-// the shard is (or went) down — a response captured from a shard that was
-// killed mid-request is discarded, because a real dead replica's bytes
-// never make it onto the wire either; the caller re-routes.
-func (c *Cluster) forward(si int, r *http.Request) (*edgeResp, bool) {
+// forward asks shard si for one answer in-process. ok is false when the
+// shard is (or went) down — an answer from a shard that was killed
+// mid-request is discarded, because a real dead replica's bytes never make
+// it onto the wire either; the caller re-routes.
+func (c *Cluster) forward(si int, ask func(*shard) server.Answer) (*edgeResp, bool) {
 	sh := c.shards[si]
 	if sh.down.Load() {
 		return nil, false
 	}
-	cp := newCapture()
-	sh.handler.ServeHTTP(cp, r)
+	a := ask(sh)
 	if sh.down.Load() {
 		return nil, false
 	}
 	sh.requests.Inc()
-	resp := cp.resp()
-	resp.owner = si
-	if resp.status == http.StatusServiceUnavailable {
+	if a.Status == http.StatusServiceUnavailable {
 		sh.shed.Inc()
 		c.shedForwarded.Inc()
 	}
-	return resp, true
+	return &edgeResp{Answer: a, owner: si}, true
 }
 
-// noShardResp is what the router sheds when the ring is empty (or every
-// candidate died mid-request): a 503 with a Retry-After hint, the same
-// shape as shard admission control, so the client fetch layer backs off
-// and retries instead of failing the session.
-func noShardResp() *edgeResp {
-	return &edgeResp{
-		status:     http.StatusServiceUnavailable,
-		retryAfter: oneSecond,
-		body:       []byte("no live shard\n"),
-		owner:      -1,
-	}
+// textError is the answer http.Error(w, msg, status) writes, from no shard.
+func textError(status int, msg string) edgeResp {
+	cp := newCapture()
+	http.Error(cp, msg, status)
+	return edgeResp{Answer: cp.answer(), owner: -1}
 }
 
-// route forwards a segment request to the shard owning (video, seg),
+var (
+	// noShardResp is what the router sheds when the ring is empty (or every
+	// candidate died mid-request): a 503 with a Retry-After hint, the same
+	// shape as shard admission control, so the client fetch layer backs off
+	// and retries instead of failing the session.
+	noShardResp = func() edgeResp {
+		resp := textError(http.StatusServiceUnavailable, "no live shard")
+		resp.RetryAfter = []string{"1"}
+		return resp
+	}()
+	// shardFailed answers the requests that joined a routed load whose
+	// shard panicked.
+	shardFailed = textError(http.StatusInternalServerError, "shard handler failed")
+)
+
+// route forwards a payload request to the shard owning (video, seg),
 // walking the ring past dead shards. The response records the shard that
 // served it (owner -1 when nothing could). The ring snapshot is re-read on
 // every attempt so a concurrent kill's rebuild takes effect mid-loop.
-func (c *Cluster) route(video string, seg int, r *http.Request) *edgeResp {
+func (c *Cluster) route(key server.Ref) *edgeResp {
 	for attempt := 0; attempt <= len(c.shards); attempt++ {
 		ring := c.currentRing()
-		si := ring.ownerSkipping(segKey(video, seg), func(i int) bool { return c.shards[i].down.Load() })
+		si := ring.ownerSkipping(segKey(key.Video, key.Seg), func(i int) bool { return c.shards[i].down.Load() })
 		if si < 0 {
 			c.noShard.Inc()
-			return noShardResp()
+			return &noShardResp
 		}
-		if resp, ok := c.forward(si, r); ok {
+		if resp, ok := c.forward(si, func(sh *shard) server.Answer { return sh.answer(key) }); ok {
 			return resp
 		}
 		// The owner died between lookup and forward: the rebuilt ring (or
@@ -188,7 +188,7 @@ func (c *Cluster) route(video string, seg int, r *http.Request) *edgeResp {
 		c.rerouted.Inc()
 	}
 	c.noShard.Inc()
-	return noShardResp()
+	return &noShardResp
 }
 
 // proxyAny serves an unkeyed endpoint (catalog, manifest) from any live
@@ -198,30 +198,33 @@ func (c *Cluster) proxyAny(w http.ResponseWriter, r *http.Request) {
 	c.requests.Inc()
 	live := c.currentRing().shards()
 	if len(live) == 0 {
-		writeResp(w, noShardResp(), false)
+		writeResp(w, &noShardResp, false)
 		c.noShard.Inc()
 		return
 	}
 	start := int(c.rrNext.Add(1))
 	for n := 0; n < len(live); n++ {
 		si := live[(start+n)%len(live)]
-		if resp, ok := c.forward(si, r); ok {
+		if resp, ok := c.forward(si, func(sh *shard) server.Answer {
+			cp := newCapture()
+			sh.handler.ServeHTTP(cp, r)
+			return cp.answer()
+		}); ok {
 			writeResp(w, resp, false)
 			return
 		}
 		c.rerouted.Inc()
 	}
 	c.noShard.Inc()
-	writeResp(w, noShardResp(), false)
+	writeResp(w, &noShardResp, false)
 }
 
-// Header keys and values writeResp assigns straight into the header map,
+// Header keys and values the router assigns straight into a header map,
 // under their canonical keys (no per-request canonicalisation or value
 // slice). A shared value slice is never modified in place: a later Set or
 // Add replaces it.
 var (
 	publishedAtKey = http.CanonicalHeaderKey(server.PublishedAtHeader)
-	oneSecond      = []string{"1"}
 	edgeHit        = []string{"hit"}
 	edgeMiss       = []string{"miss"}
 )
@@ -230,23 +233,12 @@ var (
 // X-EVR-Edge header makes the serving tier observable per response —
 // load-test assertions and debugging read it; clients ignore it.
 func writeResp(w http.ResponseWriter, resp *edgeResp, hit bool) {
-	h := w.Header()
-	if resp.contentType != nil {
-		h["Content-Type"] = resp.contentType
-	}
-	if resp.retryAfter != nil {
-		h["Retry-After"] = resp.retryAfter
-	}
-	if resp.publishedAt != nil {
-		h[publishedAtKey] = resp.publishedAt
-	}
 	if hit {
-		h["X-Evr-Edge"] = edgeHit
+		w.Header()["X-Evr-Edge"] = edgeHit
 	} else {
-		h["X-Evr-Edge"] = edgeMiss
+		w.Header()["X-Evr-Edge"] = edgeMiss
 	}
-	w.WriteHeader(resp.status)
-	w.Write(resp.body) //nolint:errcheck // client hung up; nothing to tell it
+	resp.Write(w) //nolint:errcheck // client hung up; nothing to tell it
 }
 
 // serveMetrics serves the cluster snapshot as JSON, or the router registry

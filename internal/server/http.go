@@ -28,11 +28,12 @@ type Service struct {
 	manifests map[string]*Manifest
 	live      map[string]*LiveStream
 	metrics   *Metrics
+	endpoints [len(Kinds)]*endpointMetrics // one per payload Kind
 
 	storeDelay atomic.Int64  // nanoseconds; mutable at runtime (fault injection)
 	cache      *respCache    // nil (caches nothing) when RespCacheBytes ≤ 0
 	inflight   chan struct{} // nil when MaxInFlight ≤ 0
-	retryAfter []string      // the 503's Retry-After value: whole seconds, ≥ 1
+	overCap    Answer        // the 503 admission control sheds with
 	throttled  *telemetry.Counter
 	tooEarly   *telemetry.Counter
 	liveBehind *telemetry.Histogram
@@ -54,7 +55,8 @@ func NewServiceOpts(st *store.Store, opts ServiceOptions) *Service {
 		metrics:   m,
 		cache:     newRespCache(opts.RespCacheBytes, m.Registry()),
 		// RetryAfter 0 (or anything under half a second) advertises 1 s.
-		retryAfter: []string{strconv.Itoa(max(1, int(opts.RetryAfter.Round(time.Second)/time.Second)))},
+		overCap: textError(http.StatusServiceUnavailable, "segment request capacity exceeded",
+			[]string{strconv.Itoa(max(1, int(opts.RetryAfter.Round(time.Second)/time.Second)))}),
 	}
 	s.storeDelay.Store(int64(opts.StoreDelay))
 	m.reg.SetHelp(promThrottled, "segment requests shed by admission control (503)")
@@ -65,6 +67,9 @@ func NewServiceOpts(st *store.Store, opts ServiceOptions) *Service {
 	s.liveBehind = m.reg.Histogram(promLiveBehind, telemetry.DefaultLatencyBuckets())
 	if opts.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, opts.MaxInFlight)
+	}
+	for k := range s.endpoints {
+		s.endpoints[k] = m.getOrCreate(Kind(k).String())
 	}
 	return s
 }
@@ -205,129 +210,192 @@ func (s *Service) routes() (*http.ServeMux, func(http.ResponseWriter, *http.Requ
 			s.metrics.noteWriteError("manifest")
 		}
 	}))
-	var endpoints [len(Kinds)]*endpointMetrics
-	for k := range Kinds {
-		e := s.metrics.getOrCreate(Kind(k).String())
-		endpoints[k] = e
+	for k, e := range s.endpoints {
 		mux.HandleFunc(Kind(k).Pattern(), func(w http.ResponseWriter, r *http.Request) {
-			e.serve(w, func(w http.ResponseWriter) {
-				if ref, ok := ParseRef(w, r); ok {
-					s.servePayload(w, r, ref, e)
-				}
-			})
+			ref, err := ParseRefPath(r.URL.Path)
+			if err != nil {
+				e.serve(w, func(w http.ResponseWriter) { writeRefError(w, r, err) })
+				return
+			}
+			s.serve(w, ref)
 		})
 	}
-	return mux, func(w http.ResponseWriter, r *http.Request, ref Ref) {
-		e := endpoints[ref.Kind]
-		e.serve(w, func(w http.ResponseWriter) { s.servePayload(w, r, ref, e) })
-	}
+	return mux, func(w http.ResponseWriter, _ *http.Request, ref Ref) { s.serve(w, ref) }
 }
 
-// Header values the payload path writes, each under its canonical key
-// straight into the header map (no per-request canonicalisation). A shared
-// value slice is never modified in place: a later Set or Add replaces it.
+// Answer is one payload request's whole response as the service decides
+// it: the status, the header values it sets and the body. Handler writes it
+// to the wire; the cluster router asks the owning shard for it in-process
+// (Service.Answer) and replays it, edge-cached or not. Each header value is
+// a one-element slice that answers share (nil = not set), and a 200's Body
+// is the response cache's slice of the payload: read them, never modify
+// them.
+type Answer struct {
+	Status int
+	// ContentType is octet-stream on a 200. A 404, 425 or 503 is what
+	// http.Error writes: text/plain, with Nosniff (X-Content-Type-Options).
+	ContentType, Nosniff []string
+	// ContentLength is a 200's, formatted once per response-cache load:
+	// the whole payload is in hand, so it is declared rather than streamed
+	// chunked, and the client reads it into one buffer.
+	ContentLength []string
+	RetryAfter    []string // the 503's, and the 425's when the next publish is ≥ 1 s out
+	PublishedAt   []string // PublishedAtHeader, on a live segment's 200
+	Body          []byte
+}
+
+// Write sends the answer onto w — its headers, its status, then its body —
+// and returns what w's Write did with the body. The header values go into
+// w's header map as they are: a later Set or Add replaces one, never
+// modifies it.
+func (a *Answer) Write(w http.ResponseWriter) (int, error) {
+	h := w.Header()
+	if a.ContentType != nil {
+		h["Content-Type"] = a.ContentType
+	}
+	if a.Nosniff != nil {
+		h["X-Content-Type-Options"] = a.Nosniff
+	}
+	if a.ContentLength != nil {
+		h["Content-Length"] = a.ContentLength
+	}
+	if a.RetryAfter != nil {
+		h["Retry-After"] = a.RetryAfter
+	}
+	if a.PublishedAt != nil {
+		h[publishedAtKey] = a.PublishedAt
+	}
+	w.WriteHeader(a.Status)
+	return w.Write(a.Body)
+}
+
+// Header values and bodies the payload path answers with, each header
+// value under its canonical key (no per-request canonicalisation). The
+// error answers are http.Error's, byte for byte.
 var (
 	octetStream    = []string{"application/octet-stream"}
+	textPlain      = []string{"text/plain; charset=utf-8"}
+	nosniff        = []string{"nosniff"}
 	publishedAtKey = http.CanonicalHeaderKey(PublishedAtHeader)
+
+	notFound = textError(http.StatusNotFound, "404 page not found", nil)
 )
 
-// liveAdmit rejects a request at or past a live stream's edge with 425 Too
-// Early, plus a Retry-After hint when the next publish is ≥ 1 s out
-// (sub-second schedules leave the pacing to client backoff). Segments past
-// the stream's end fall through to the normal 404. Non-live videos always
-// pass.
-func (s *Service) liveAdmit(w http.ResponseWriter, video string, seg int) bool {
-	ls := s.liveStream(video)
-	if ls == nil || seg >= ls.Segments() || seg < ls.Edge() {
-		return true
-	}
-	if secs := ls.RetryAfterSeconds(seg); secs >= 1 {
-		w.Header()["Retry-After"] = []string{strconv.Itoa(secs)}
-	}
-	s.tooEarly.Inc()
-	http.Error(w, "segment not yet published (live edge)", http.StatusTooEarly)
-	return false
+// textError is the answer http.Error(w, msg, status) writes, with
+// retryAfter as its Retry-After value.
+func textError(status int, msg string, retryAfter []string) Answer {
+	return Answer{Status: status, ContentType: textPlain, Nosniff: nosniff, RetryAfter: retryAfter, Body: []byte(msg + "\n")}
 }
 
-// stampLive adds the publish-timestamp header to responses for published
-// live segments and observes server-side time-behind-live.
-func (s *Service) stampLive(w http.ResponseWriter, video string, seg int) {
-	ls := s.liveStream(video)
-	if ls == nil {
-		return
+// Answer answers one payload request in-process: the call the cluster
+// router makes on the owning shard, with the Ref it has already parsed,
+// instead of an HTTP round trip. It is Handler's payload route without the
+// wire: the live-edge gate (425), admission control (503), the response
+// cache (404 when the store does not hold the payload), the live publish
+// stamp, and the request counted on ref's kind endpoint — its latency
+// without a wire write, its bytes the body's. The admission slot is
+// released before Answer returns. ref is an address ParseRefPath returned.
+func (s *Service) Answer(ref Ref) Answer { return s.serve(nil, ref) }
+
+// serve answers ref and records it on its kind's endpoint. With a non-nil
+// w it writes the answer there, inside the admission slot (a slow client
+// holds its slot through the body write) and counts the bytes written.
+func (s *Service) serve(w http.ResponseWriter, ref Ref) Answer {
+	e := s.endpoints[ref.Kind]
+	e.inFlight.Inc()
+	defer e.inFlight.Dec()
+	start := time.Now()
+	a := s.admit(ref)
+	if a.Status == 0 {
+		defer s.release()
+		a = s.payload(ref)
 	}
-	ns, ok := ls.PublishedAtNs(seg)
-	if !ok {
-		return
+	n := len(a.Body)
+	if w != nil {
+		var err error
+		if n, err = a.Write(w); err != nil {
+			// Nothing to send the client anymore, but a half-delivered
+			// segment is exactly what the fetch layer's retries mask —
+			// surface it in the metrics instead of dropping it.
+			e.writeErrors.Inc()
+		}
 	}
-	w.Header()[publishedAtKey] = []string{strconv.FormatInt(ns, 10)}
-	s.liveBehind.Observe(float64(ls.Clock().Now().UnixNano()-ns) / 1e9)
+	e.observe(a.Status, int64(n), time.Since(start))
+	return a
 }
 
-// servePayload serves one payload through the live-edge gate, admission
-// control and the response cache; e is the endpoint class it counts on.
-func (s *Service) servePayload(w http.ResponseWriter, r *http.Request, ref Ref, e *endpointMetrics) {
-	if !s.liveAdmit(w, ref.Video, ref.Seg) {
-		return
+// admit puts ref through the live-edge gate and admission control. It
+// returns the zero Answer when ref may be served, holding an in-flight slot
+// the caller must release, and otherwise what to answer: 425 Too Early for
+// a segment at or past a live stream's edge (with a Retry-After hint when
+// the next publish is ≥ 1 s out; sub-second schedules leave the pacing to
+// client backoff), 503 + Retry-After when the in-flight cap is reached.
+// Segments past a live stream's end fall through to the normal 404; non-live
+// videos always pass the gate, and every request passes when no cap is set.
+func (s *Service) admit(ref Ref) Answer {
+	if ls := s.liveStream(ref.Video); ls != nil && ref.Seg < ls.Segments() && ref.Seg >= ls.Edge() {
+		s.tooEarly.Inc()
+		var retry []string
+		if secs := ls.RetryAfterSeconds(ref.Seg); secs >= 1 {
+			retry = []string{strconv.Itoa(secs)}
+		}
+		return textError(http.StatusTooEarly, "segment not yet published (live edge)", retry)
 	}
-	if !s.admit(w) {
-		return
+	if s.inflight == nil {
+		return Answer{}
 	}
-	defer s.release()
-	data, ok := s.payload(ref)
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	h := w.Header()
-	h["Content-Type"] = octetStream
-	// The whole payload is in hand: declare its length rather than
-	// stream it chunked, so the client reads it into one buffer.
-	h["Content-Length"] = []string{strconv.Itoa(len(data))}
-	s.stampLive(w, ref.Video, ref.Seg)
-	if _, err := w.Write(data); err != nil {
-		// Nothing to send the client anymore, but a half-delivered
-		// segment is exactly what the fetch layer's retries mask —
-		// surface it in the metrics instead of dropping it.
-		e.writeErrors.Inc()
+	select {
+	case s.inflight <- struct{}{}:
+		return Answer{}
+	default:
+		s.throttled.Inc()
+		return s.overCap
 	}
 }
 
-// payload returns one segment payload, through the response cache when it
-// is enabled (hot payloads skip the store read and its copy; concurrent
-// identical misses coalesce into one load).
-func (s *Service) payload(ref Ref) ([]byte, bool) {
-	data, _, err := s.cache.Get(ref, func() ([]byte, error) {
+// payload answers an admitted request: the response cache's 200 (hot
+// payloads skip the store read and its copy; concurrent identical misses
+// coalesce into one load), stamped when it is a published live segment, or
+// a 404 when the store does not hold the payload.
+func (s *Service) payload(ref Ref) Answer {
+	a, _, err := s.cache.Get(ref, func() (Answer, error) {
 		if d := time.Duration(s.storeDelay.Load()); d > 0 {
 			time.Sleep(d)
 		}
 		data, meta, ok := s.store.Get(ref.StoreKey())
 		if !ok {
-			return nil, errNotStored
+			return Answer{}, errNotStored
 		}
 		if ref.Kind == FOVMeta {
-			return meta, nil
+			data = meta
 		}
-		return data, nil
+		return Answer{
+			Status:        http.StatusOK,
+			ContentType:   octetStream,
+			ContentLength: []string{strconv.Itoa(len(data))},
+			Body:          data,
+		}, nil
 	})
-	return data, err == nil
+	if err != nil {
+		return notFound
+	}
+	s.stampLive(&a, ref)
+	return a
 }
 
-// admit reserves an in-flight slot, or sheds the request with 503 +
-// Retry-After when the cap is reached. Always admits when no cap is set.
-func (s *Service) admit(w http.ResponseWriter) bool {
-	if s.inflight == nil {
-		return true
+// stampLive adds the publish timestamp to the answer of a published live
+// segment and observes server-side time-behind-live.
+func (s *Service) stampLive(a *Answer, ref Ref) {
+	ls := s.liveStream(ref.Video)
+	if ls == nil {
+		return
 	}
-	select {
-	case s.inflight <- struct{}{}:
-		return true
-	default:
-		s.throttled.Inc()
-		w.Header()["Retry-After"] = s.retryAfter
-		http.Error(w, "segment request capacity exceeded", http.StatusServiceUnavailable)
-		return false
+	ns, ok := ls.PublishedAtNs(ref.Seg)
+	if !ok {
+		return
 	}
+	a.PublishedAt = []string{strconv.FormatInt(ns, 10)}
+	s.liveBehind.Observe(float64(ls.Clock().Now().UnixNano()-ns) / 1e9)
 }
 
 // release frees the in-flight slot admit reserved.

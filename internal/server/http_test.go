@@ -223,7 +223,7 @@ func TestResponseCacheServesSecondRequest(t *testing.T) {
 func TestResponseCachePurgedOnReingest(t *testing.T) {
 	svc := fabricateService(t, DefaultServiceOptions())
 	key := Ref{Video: "V", Kind: Orig}
-	if data, ok := svc.payload(key); !ok || len(data) == 0 {
+	if a := svc.payload(key); a.Status != http.StatusOK || len(a.Body) == 0 {
 		t.Fatal("seed payload unavailable")
 	}
 	// Simulate a republish: new store content, then the purge IngestVideo
@@ -233,8 +233,7 @@ func TestResponseCachePurgedOnReingest(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.cache.PurgeKeys(OfVideo("V"))
-	data, ok := svc.payload(key)
-	if !ok || string(data) != string(fresh) {
+	if a := svc.payload(key); a.Status != http.StatusOK || string(a.Body) != string(fresh) {
 		t.Error("stale payload served after republish purge")
 	}
 }

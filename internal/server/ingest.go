@@ -8,8 +8,12 @@
 // canonical spelling (canonicalRef) is parsed once and handed straight to its
 // kind's handler, skipping the mux; every other request — catalog, manifest,
 // metrics, and each payload address the mux answers 400, 404, 405 or with a
-// redirect — goes through the mux unchanged. The payload path writes its
-// headers under their canonical keys from precomputed values.
+// redirect — goes through the mux unchanged. What a payload request gets is
+// decided in one place, Service.Answer: the live gate, admission, the
+// response cache, the 404 and the live stamp, counted on the kind's
+// endpoint. It returns an Answer (status, header values, body) that
+// Handler writes to the wire and the cluster router takes in-process; the
+// header values are precomputed, shared slices under their canonical keys.
 //
 // This is the pixel-exact counterpart of the behavioral planner in package
 // sas: every FOV frame served here was produced by running the actual

@@ -133,15 +133,20 @@ func ParseRefPath(path string) (Ref, error) {
 // literal counterpart would not) and 400 for a non-canonical index.
 func ParseRef(w http.ResponseWriter, r *http.Request) (Ref, bool) {
 	ref, err := ParseRefPath(r.URL.Path)
-	switch {
-	case err == nil:
-		return ref, true
-	case errors.Is(err, ErrNotPayload):
-		http.NotFound(w, r)
-	default:
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if err != nil {
+		writeRefError(w, r, err)
+		return Ref{}, false
 	}
-	return Ref{}, false
+	return ref, true
+}
+
+// writeRefError answers a path ParseRefPath rejected with err.
+func writeRefError(w http.ResponseWriter, r *http.Request, err error) {
+	if errors.Is(err, ErrNotPayload) {
+		http.NotFound(w, r)
+		return
+	}
+	http.Error(w, err.Error(), http.StatusBadRequest)
 }
 
 // Front is the entry point both serving tiers put before their mux (DESIGN

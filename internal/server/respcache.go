@@ -42,13 +42,14 @@ func DefaultServiceOptions() ServiceOptions {
 // RespCacheStats is a point-in-time view of the response cache.
 type RespCacheStats = cache.Stats
 
-// respCache is the shard's instance of the cache core (internal/cache):
-// encoded response payloads — immutable byte slices served to many requests
-// concurrently — budgeted by payload bytes, not entry count, because FOV
-// metadata is ~KBs while segments are ~MBs. A payload missing from the store
+// respCache is the shard's instance of the cache core (internal/cache): the
+// 200 Answer of each encoded payload — an immutable byte slice served to
+// many requests concurrently, with its Content-Length formatted once —
+// budgeted by payload bytes, not entry count, because FOV metadata is ~KBs
+// while segments are ~MBs. A payload missing from the store
 // is reported as errNotStored: shared with the concurrent requests that
 // asked for it, never cached, so a later request retries.
-type respCache = cache.Cache[Ref, []byte]
+type respCache = cache.Cache[Ref, Answer]
 
 var errNotStored = errors.New("server: payload not in the store")
 
@@ -68,7 +69,7 @@ func newRespCache(maxBytes int64, reg *telemetry.Registry) *respCache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	return cache.New[Ref](maxBytes, func(data []byte) int64 { return int64(len(data)) }, reg, promRespCache, cache.Help{
+	return cache.New[Ref](maxBytes, func(a Answer) int64 { return int64(len(a.Body)) }, reg, promRespCache, cache.Help{
 		Hits:      "segment responses served from the response cache",
 		Misses:    "segment responses loaded from the store",
 		Coalesced: "segment requests that joined an in-flight identical load",

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"net/http"
 	"testing"
 	"time"
 
@@ -23,8 +24,8 @@ func rk(video string, seg int) Ref {
 	return Ref{Video: video, Seg: seg, Kind: Orig}
 }
 
-func cached(data string) func() ([]byte, error) {
-	return func() ([]byte, error) { return []byte(data), nil }
+func cached(data string) func() (Answer, error) {
+	return func() (Answer, error) { return Answer{Status: 200, Body: []byte(data)}, nil }
 }
 
 // TestRefKindsDoNotAlias pins that the five payload kinds of one
@@ -46,9 +47,9 @@ func TestRefKindsDoNotAlias(t *testing.T) {
 		c.Get(key, cached(fmt.Sprint(i)))
 	}
 	for i, key := range keys {
-		data, _, _ := c.Get(key, func() ([]byte, error) { t.Errorf("key %d %+v was evicted or aliased", i, key); return nil, nil })
-		if string(data) != fmt.Sprint(i) {
-			t.Errorf("key %d %+v serves %q", i, key, data)
+		a, _, _ := c.Get(key, func() (Answer, error) { t.Errorf("key %d %+v was evicted or aliased", i, key); return Answer{}, nil })
+		if string(a.Body) != fmt.Sprint(i) {
+			t.Errorf("key %d %+v serves %q", i, key, a.Body)
 		}
 	}
 }
@@ -88,10 +89,10 @@ func TestRespPurgePredicates(t *testing.T) {
 	done := make(chan struct{}, 2)
 	for _, seg := range []int{1, 2} {
 		go func() {
-			c.Get(Ref{Video: "a", Seg: seg, Kind: FOV}, func() ([]byte, error) {
+			c.Get(Ref{Video: "a", Seg: seg, Kind: FOV}, func() (Answer, error) {
 				started <- struct{}{}
 				<-release
-				return []byte("in flight"), nil
+				return cached("in flight")()
 			})
 			done <- struct{}{}
 		}()
@@ -130,7 +131,7 @@ func TestPayloadNotStoredSharedNotCached(t *testing.T) {
 	svc := fabricateService(t, DefaultServiceOptions())
 	missing := Ref{Video: "V", Seg: 9, Kind: Orig}
 	for i := 0; i < 2; i++ {
-		if _, ok := svc.payload(missing); ok {
+		if a := svc.payload(missing); a.Status != http.StatusNotFound {
 			t.Fatal("missing payload reported ok")
 		}
 	}
@@ -162,8 +163,7 @@ func TestServiceReingestDuringSlowLoad(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, ok := svc.payload(Ref{Video: "V", Seg: 0, Kind: Orig})
-		if !ok {
+		if a := svc.payload(Ref{Video: "V", Seg: 0, Kind: Orig}); a.Status != http.StatusOK {
 			done <- fmt.Errorf("in-flight request failed")
 			return
 		}
@@ -184,11 +184,11 @@ func TestServiceReingestDuringSlowLoad(t *testing.T) {
 	// The doomed flight's payload must not be cached: this request has to
 	// miss and read the republished store.
 	missesBefore := svc.cache.Stats().Misses
-	data, ok := svc.payload(Ref{Video: "V", Seg: 0, Kind: Orig})
-	if !ok {
+	a := svc.payload(Ref{Video: "V", Seg: 0, Kind: Orig})
+	if a.Status != http.StatusOK {
 		t.Fatal("post-republish request failed")
 	}
-	if string(data) != string(fresh) {
+	if string(a.Body) != string(fresh) {
 		t.Fatal("post-republish request served the pre-republish payload")
 	}
 	if got := svc.cache.Stats().Misses - missesBefore; got != 1 {
@@ -208,10 +208,10 @@ func TestNewRespCacheDisabled(t *testing.T) {
 	opts := DefaultServiceOptions()
 	opts.RespCacheBytes = 0
 	svc := fabricateService(t, opts)
-	if _, ok := svc.payload(rk("V", 0)); !ok {
+	if a := svc.payload(rk("V", 0)); a.Status != http.StatusOK {
 		t.Error("cacheless service failed to serve a stored payload")
 	}
-	if _, ok := svc.payload(rk("V", 9)); ok {
+	if a := svc.payload(rk("V", 9)); a.Status != http.StatusNotFound {
 		t.Error("cacheless service served a payload the store does not hold")
 	}
 	svc.Publish(svc.manifests["V"]) // purges must tolerate the absent cache
