@@ -16,9 +16,6 @@
 #                             inter-test ordering dependencies: the band
 #                             driver behind every renderer, ingest fan-out,
 #                             the cache core, prefetcher, telemetry, admission.
-#   (cd bench && go test)     the benchmark module — nested, so the root
-#                             `go test ./...` does not reach it — still
-#                             builds against the tree and checks every payload.
 #   -count repeats            the cache core under -race, and two tests that
 #                             were once flaky stay de-flaked.
 #   telemetry bench smoke     the disabled-path overhead benchmarks still run.
@@ -34,6 +31,14 @@
 #                             random dims and worker counts), and the
 #                             encoder's forward DCT against the dense
 #                             oracle bit for bit (FuzzFDCT).
+#   FuzzRangeCoder (5 s)      the frame-body range coder: any script of context
+#                             bins, bypass runs and exp-Golomb values decodes
+#                             back exactly from a body equal to the reference
+#                             encoder's, and arbitrary bytes under any script
+#                             never panic and are refused exactly when the
+#                             reference decoder refuses them (bins past the
+#                             3-byte slack, bytes left over, a code the
+#                             encoder cannot write).
 #   FuzzRouterMatchesService  the cluster router answers any method and path
 #     (5 s)                   (payload kinds, 404, 400, the live 425 and stamped
 #                             200, a saturated shard's 503) with the status,
@@ -100,6 +105,13 @@
 #   evrload -chaos ci-smoke   the survival gate, under -race, twice: zero
 #                             checksum divergence, SLOs met, and both runs
 #                             produce identical fault schedules and checksums.
+#   (cd bench && go test)     the benchmark module — nested, so the root
+#                             `go test ./...` does not reach it — still
+#                             builds against the tree and checks every payload.
+#                             It runs last: a failure there (ROADMAP
+#                             "Failing": TestSeedDeterminism's serve_zipf leg)
+#                             still fails the script, but no longer stops every
+#                             gate above it from running.
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -112,7 +124,6 @@ GOARCH=arm64 go build -gcflags=-S ./internal/codec ./internal/frame 2>&1 | awk '
 	END { exit bad || !seen }'
 go build ./...
 go test -race -shuffle=on ./...
-(cd bench && go test ./...)
 go test -race -count=5 ./internal/cache
 go test -count=20 -run 'TestLiveBackpressure|TestSingleflightCoalesces' ./internal/server ./internal/cache
 go test ./internal/telemetry -run=NONE -bench=TelemetryOverhead -benchtime=1x
@@ -126,6 +137,7 @@ go test ./internal/delivery -run='^$' -fuzz=FuzzUnmarshalTile -fuzztime=5s
 go test ./internal/chaos -run='^$' -fuzz=FuzzChaosScenario -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzDecode -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzFDCT -fuzztime=5s
+go test ./internal/codec -run='^$' -fuzz=FuzzRangeCoder -fuzztime=5s
 go test ./internal/conformance -run='^$' -fuzz=FuzzRenderFamily -fuzztime=5s
 go test ./internal/cluster -run='^$' -fuzz=FuzzRouterMatchesService -fuzztime=5s
 go test ./internal/fixed -run='^$' -fuzz=FuzzFixedOps -fuzztime=5s
@@ -154,3 +166,4 @@ go run ./cmd/evrload -shards 2 -users 6 -passes 1 -segments 2 -width 96 \
     -viewport-scale 32 -mode auto -verify-single
 go run ./cmd/evrload -mode frontier -users 2 -segments 1 -width 96 -viewport-scale 32
 go run -race ./cmd/evrload -chaos ci-smoke -chaos-runs 2
+(cd bench && go test ./...)

@@ -289,76 +289,76 @@ var ladderPins = map[string]ladderPin{
 	"live/fov+orig-frame10/strict/float":       {"client: frame 10: codec: truncated or corrupt bitstream", "Frames:10 Misses:10 Fallbacks:1", 0xcbf29ce484222325, "dr×10 d×1"},
 	"live/fov+orig-frame10/res/har":            {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:20 PayloadErrors:2 FrozenFrames:40", 0x257cdcbd45f9349e, "dr×10 d×20 dr×10 d×20"},
 	"live/fov+orig-frame10/res/float":          {"nil", "Frames:60 Misses:60 Fallbacks:2 PayloadErrors:2 FrozenFrames:40", 0x3c02d653cd1a7e70, "dr×10 d×20 dr×10 d×20"},
-	"tiled/healthy/auto/strict":                {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:1 PTEFrames:34 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 MispredictedTiles:30 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3439", 0x14aa83bf8c66b6b4, "hds×26 dr×34"},
-	"tiled/healthy/auto/res":                   {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:1 PTEFrames:34 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 MispredictedTiles:30 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3439", 0x14aa83bf8c66b6b4, "hds×26 dr×34"},
-	"tiled/healthy/tiled/strict":               {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:30 ModeledStartupSec:0.002032826666666667 ModeledBytes:2790", 0xfba00723ac9a7608, "dr×60"},
-	"tiled/healthy/tiled/res":                  {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:30 ModeledStartupSec:0.002032826666666667 ModeledBytes:2790", 0xfba00723ac9a7608, "dr×60"},
-	"tiled/healthy/fov/strict":                 {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3176", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
-	"tiled/healthy/fov/res":                    {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3176", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
-	"tiled/healthy/orig/strict":                {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
-	"tiled/healthy/orig/res":                   {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/healthy/auto/strict":                {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:1 PTEFrames:34 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 MispredictedTiles:30 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2645", 0x14aa83bf8c66b6b4, "hds×26 dr×34"},
+	"tiled/healthy/auto/res":                   {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:1 PTEFrames:34 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 MispredictedTiles:30 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2645", 0x14aa83bf8c66b6b4, "hds×26 dr×34"},
+	"tiled/healthy/tiled/strict":               {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:30 ModeledStartupSec:0.0020254933333333333 ModeledBytes:2130", 0xfba00723ac9a7608, "dr×60"},
+	"tiled/healthy/tiled/res":                  {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:30 ModeledStartupSec:0.0020254933333333333 ModeledBytes:2130", 0xfba00723ac9a7608, "dr×60"},
+	"tiled/healthy/fov/strict":                 {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2526", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
+	"tiled/healthy/fov/res":                    {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2526", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
+	"tiled/healthy/orig/strict":                {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/healthy/orig/res":                   {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
 	"tiled/backfill-payload/auto/strict":       {"codec: segment quality 231 out of [1, 64]", "Frames:30 Hits:26 Misses:4 Fallbacks:1 PTEFrames:4 ModeFOVSegments:1 ModeTiledSegments:1", 0xcbf29ce484222325, "hds×26 dr×4"},
-	"tiled/backfill-payload/auto/res":          {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:2 PTEFrames:34 PayloadErrors:1 ModeFOVSegments:1 ModeTiledSegments:1 ModeledStartupSec:0.0020501333333333336 ModeledBytes:5241", 0xbcc5d9197d540b52, "hds×26 dr×34"},
+	"tiled/backfill-payload/auto/res":          {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:2 PTEFrames:34 PayloadErrors:1 ModeFOVSegments:1 ModeTiledSegments:1 ModeledStartupSec:0.0020392266666666666 ModeledBytes:3579", 0xbcc5d9197d540b52, "hds×26 dr×34"},
 	"tiled/backfill-payload/tiled/strict":      {"codec: segment quality 231 out of [1, 64]", "ModeTiledSegments:1", 0xcbf29ce484222325, ""},
-	"tiled/backfill-payload/tiled/res":         {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 PayloadErrors:2 ModeTiledSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
-	"tiled/backfill-payload/fov/strict":        {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3176", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
-	"tiled/backfill-payload/fov/res":           {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3176", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
-	"tiled/backfill-payload/orig/strict":       {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
-	"tiled/backfill-payload/orig/res":          {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/backfill-payload/tiled/res":         {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 PayloadErrors:2 ModeTiledSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/backfill-payload/fov/strict":        {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2526", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
+	"tiled/backfill-payload/fov/res":           {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2526", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
+	"tiled/backfill-payload/orig/strict":       {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/backfill-payload/orig/res":          {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
 	"tiled/backfill-frame10/auto/strict":       {"client: frame 10: codec: truncated or corrupt bitstream", "Frames:40 Hits:26 Misses:14 Fallbacks:1 PTEFrames:14 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 MispredictedTiles:10", 0xcbf29ce484222325, "hds×26 dr×14 d×1"},
-	"tiled/backfill-frame10/auto/res":          {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:2 PTEFrames:34 PayloadErrors:1 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 MispredictedTiles:10 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3439", 0x2cc0847733ec8d47, "hds×26 dr×34"},
+	"tiled/backfill-frame10/auto/res":          {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:2 PTEFrames:34 PayloadErrors:1 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 MispredictedTiles:10 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2645", 0x2cc0847733ec8d47, "hds×26 dr×34"},
 	"tiled/backfill-frame10/tiled/strict":      {"client: frame 10: codec: truncated or corrupt bitstream", "Frames:10 Misses:10 PTEFrames:10 ModeTiledSegments:1 TiledTiles:4", 0xcbf29ce484222325, "dr×10 d×1"},
-	"tiled/backfill-frame10/tiled/res":         {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 PayloadErrors:2 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:10 ModeledStartupSec:0.002032826666666667 ModeledBytes:2790", 0xe55d22d0aa148e9f, "dr×60"},
-	"tiled/backfill-frame10/fov/strict":        {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3176", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
-	"tiled/backfill-frame10/fov/res":           {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3176", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
-	"tiled/backfill-frame10/orig/strict":       {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
-	"tiled/backfill-frame10/orig/res":          {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
-	"tiled/tile-payload/auto/strict":           {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:1 PTEFrames:34 ModeFOVSegments:1 ModeTiledSegments:1 TiledTileErrors:5 MispredictedTiles:120 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3439", 0xd8c6d290791f64be, "hds×26 dr×34"},
-	"tiled/tile-payload/auto/res":              {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:1 PTEFrames:34 ModeFOVSegments:1 ModeTiledSegments:1 TiledTileErrors:5 MispredictedTiles:120 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3439", 0xd8c6d290791f64be, "hds×26 dr×34"},
-	"tiled/tile-payload/tiled/strict":          {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTileErrors:9 MispredictedTiles:240 ModeledStartupSec:0.002032826666666667 ModeledBytes:2790", 0x984eeda98bfb1a81, "dr×60"},
-	"tiled/tile-payload/tiled/res":             {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTileErrors:9 MispredictedTiles:240 ModeledStartupSec:0.002032826666666667 ModeledBytes:2790", 0x984eeda98bfb1a81, "dr×60"},
-	"tiled/tile-payload/fov/strict":            {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3176", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
-	"tiled/tile-payload/fov/res":               {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3176", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
-	"tiled/tile-payload/orig/strict":           {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
-	"tiled/tile-payload/orig/res":              {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
-	"tiled/tile-frame10/auto/strict":           {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:1 PTEFrames:34 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 TiledTileErrors:5 MispredictedTiles:90 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3439", 0x8f838cfe2191096f, "hds×26 dr×34"},
-	"tiled/tile-frame10/auto/res":              {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:1 PTEFrames:34 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 TiledTileErrors:5 MispredictedTiles:90 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3439", 0x8f838cfe2191096f, "hds×26 dr×34"},
-	"tiled/tile-frame10/tiled/strict":          {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 TiledTileErrors:9 MispredictedTiles:170 ModeledStartupSec:0.002032826666666667 ModeledBytes:2790", 0x4477ed9c17cd7713, "dr×60"},
-	"tiled/tile-frame10/tiled/res":             {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 TiledTileErrors:9 MispredictedTiles:170 ModeledStartupSec:0.002032826666666667 ModeledBytes:2790", 0x4477ed9c17cd7713, "dr×60"},
-	"tiled/tile-frame10/fov/strict":            {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3176", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
-	"tiled/tile-frame10/fov/res":               {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3176", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
-	"tiled/tile-frame10/orig/strict":           {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
-	"tiled/tile-frame10/orig/res":              {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/backfill-frame10/tiled/res":         {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 PayloadErrors:2 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:10 ModeledStartupSec:0.0020254933333333333 ModeledBytes:2130", 0xe55d22d0aa148e9f, "dr×60"},
+	"tiled/backfill-frame10/fov/strict":        {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2526", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
+	"tiled/backfill-frame10/fov/res":           {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2526", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
+	"tiled/backfill-frame10/orig/strict":       {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/backfill-frame10/orig/res":          {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/tile-payload/auto/strict":           {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:1 PTEFrames:34 ModeFOVSegments:1 ModeTiledSegments:1 TiledTileErrors:5 MispredictedTiles:120 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2645", 0xd8c6d290791f64be, "hds×26 dr×34"},
+	"tiled/tile-payload/auto/res":              {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:1 PTEFrames:34 ModeFOVSegments:1 ModeTiledSegments:1 TiledTileErrors:5 MispredictedTiles:120 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2645", 0xd8c6d290791f64be, "hds×26 dr×34"},
+	"tiled/tile-payload/tiled/strict":          {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTileErrors:9 MispredictedTiles:240 ModeledStartupSec:0.0020254933333333333 ModeledBytes:2130", 0x984eeda98bfb1a81, "dr×60"},
+	"tiled/tile-payload/tiled/res":             {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTileErrors:9 MispredictedTiles:240 ModeledStartupSec:0.0020254933333333333 ModeledBytes:2130", 0x984eeda98bfb1a81, "dr×60"},
+	"tiled/tile-payload/fov/strict":            {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2526", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
+	"tiled/tile-payload/fov/res":               {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2526", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
+	"tiled/tile-payload/orig/strict":           {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/tile-payload/orig/res":              {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/tile-frame10/auto/strict":           {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:1 PTEFrames:34 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 TiledTileErrors:5 MispredictedTiles:90 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2645", 0x8f838cfe2191096f, "hds×26 dr×34"},
+	"tiled/tile-frame10/auto/res":              {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:1 PTEFrames:34 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 TiledTileErrors:5 MispredictedTiles:90 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2645", 0x8f838cfe2191096f, "hds×26 dr×34"},
+	"tiled/tile-frame10/tiled/strict":          {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 TiledTileErrors:9 MispredictedTiles:170 ModeledStartupSec:0.0020254933333333333 ModeledBytes:2130", 0x4477ed9c17cd7713, "dr×60"},
+	"tiled/tile-frame10/tiled/res":             {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 TiledTileErrors:9 MispredictedTiles:170 ModeledStartupSec:0.0020254933333333333 ModeledBytes:2130", 0x4477ed9c17cd7713, "dr×60"},
+	"tiled/tile-frame10/fov/strict":            {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2526", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
+	"tiled/tile-frame10/fov/res":               {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PTEFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2526", 0x2ad41fc609102aa0, "hds×26 dr×4 hds×13 dr×17"},
+	"tiled/tile-frame10/orig/strict":           {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/tile-frame10/orig/res":              {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
 	"tiled/backfill+orig-payload/auto/strict":  {"codec: segment quality 249 out of [1, 64]", "Frames:26 Hits:26 ModeFOVSegments:1", 0xcbf29ce484222325, "hds×26 -×1"},
-	"tiled/backfill+orig-payload/auto/res":     {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:2 PayloadErrors:3 FrozenFrames:34 ModeFOVSegments:1 ModeTiledSegments:1 ModeledStartupSec:0.0020501333333333336 ModeledBytes:5241", 0xd906e3241cdd1a93, "hds×26 d×34"},
+	"tiled/backfill+orig-payload/auto/res":     {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:2 PayloadErrors:3 FrozenFrames:34 ModeFOVSegments:1 ModeTiledSegments:1 ModeledStartupSec:0.0020392266666666666 ModeledBytes:3579", 0xd906e3241cdd1a93, "hds×26 d×34"},
 	"tiled/backfill+orig-payload/tiled/strict": {"codec: segment quality 231 out of [1, 64]", "ModeTiledSegments:1", 0xcbf29ce484222325, ""},
-	"tiled/backfill+orig-payload/tiled/res":    {"nil", "Frames:60 Misses:60 Fallbacks:2 PayloadErrors:4 FrozenFrames:59 ModeTiledSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0xbc71e7769f1eb325, "d×60"},
+	"tiled/backfill+orig-payload/tiled/res":    {"nil", "Frames:60 Misses:60 Fallbacks:2 PayloadErrors:4 FrozenFrames:59 ModeTiledSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0xbc71e7769f1eb325, "d×60"},
 	"tiled/backfill+orig-payload/fov/strict":   {"codec: segment quality 249 out of [1, 64]", "Frames:26 Hits:26 ModeFOVSegments:1", 0xcbf29ce484222325, "hds×26 -×1"},
-	"tiled/backfill+orig-payload/fov/res":      {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PayloadErrors:2 FrozenFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3176", 0x9036dd7c9b518e42, "hds×26 d×4 hds×13 d×17"},
+	"tiled/backfill+orig-payload/fov/res":      {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PayloadErrors:2 FrozenFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2526", 0x9036dd7c9b518e42, "hds×26 d×4 hds×13 d×17"},
 	"tiled/backfill+orig-payload/orig/strict":  {"codec: segment quality 249 out of [1, 64]", "ModeOrigSegments:1", 0xcbf29ce484222325, ""},
-	"tiled/backfill+orig-payload/orig/res":     {"nil", "Frames:60 Misses:60 Fallbacks:2 PayloadErrors:2 FrozenFrames:59 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0xbc71e7769f1eb325, "d×60"},
+	"tiled/backfill+orig-payload/orig/res":     {"nil", "Frames:60 Misses:60 Fallbacks:2 PayloadErrors:2 FrozenFrames:59 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0xbc71e7769f1eb325, "d×60"},
 	"tiled/backfill+orig-frame10/auto/strict":  {"client: frame 10: codec: truncated or corrupt bitstream", "Frames:26 Hits:26 Fallbacks:1 ModeFOVSegments:1", 0xcbf29ce484222325, "hds×26 d×1"},
-	"tiled/backfill+orig-frame10/auto/res":     {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:2 PTEFrames:10 PayloadErrors:3 FrozenFrames:24 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 MispredictedTiles:10 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3439", 0xbe358f1156bd9ca9, "hds×26 d×4 dr×10 d×20"},
+	"tiled/backfill+orig-frame10/auto/res":     {"nil", "Frames:60 Hits:26 Misses:34 Fallbacks:2 PTEFrames:10 PayloadErrors:3 FrozenFrames:24 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 MispredictedTiles:10 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2645", 0xbe358f1156bd9ca9, "hds×26 d×4 dr×10 d×20"},
 	"tiled/backfill+orig-frame10/tiled/strict": {"client: frame 10: codec: truncated or corrupt bitstream", "Frames:10 Misses:10 PTEFrames:10 ModeTiledSegments:1 TiledTiles:4", 0xcbf29ce484222325, "dr×10 d×1"},
-	"tiled/backfill+orig-frame10/tiled/res":    {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:20 PayloadErrors:4 FrozenFrames:40 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:10 ModeledStartupSec:0.002032826666666667 ModeledBytes:2790", 0x72da9cd11f1a4098, "dr×10 d×20 dr×10 d×20"},
+	"tiled/backfill+orig-frame10/tiled/res":    {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:20 PayloadErrors:4 FrozenFrames:40 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:10 ModeledStartupSec:0.0020254933333333333 ModeledBytes:2130", 0x72da9cd11f1a4098, "dr×10 d×20 dr×10 d×20"},
 	"tiled/backfill+orig-frame10/fov/strict":   {"client: frame 10: codec: truncated or corrupt bitstream", "Frames:26 Hits:26 Fallbacks:1 ModeFOVSegments:1", 0xcbf29ce484222325, "hds×26 d×1"},
-	"tiled/backfill+orig-frame10/fov/res":      {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PayloadErrors:2 FrozenFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3176", 0x9036dd7c9b518e42, "hds×26 d×4 hds×13 d×17"},
+	"tiled/backfill+orig-frame10/fov/res":      {"nil", "Frames:60 Hits:39 Misses:21 Fallbacks:2 PayloadErrors:2 FrozenFrames:21 ModeFOVSegments:2 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2526", 0x9036dd7c9b518e42, "hds×26 d×4 hds×13 d×17"},
 	"tiled/backfill+orig-frame10/orig/strict":  {"client: frame 10: codec: truncated or corrupt bitstream", "Frames:10 Misses:10 Fallbacks:1 PTEFrames:10 ModeOrigSegments:1", 0xcbf29ce484222325, "dr×10 d×1"},
-	"tiled/backfill+orig-frame10/orig/res":     {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:20 PayloadErrors:2 FrozenFrames:40 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x257cdcbd45f9349e, "dr×10 d×20 dr×10 d×20"},
+	"tiled/backfill+orig-frame10/orig/res":     {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:20 PayloadErrors:2 FrozenFrames:40 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x257cdcbd45f9349e, "dr×10 d×20 dr×10 d×20"},
 	"tiled/fov-payload/auto/strict":            {"codec: segment quality 249 out of [1, 64]", "ModeFOVSegments:1", 0xcbf29ce484222325, ""},
-	"tiled/fov-payload/auto/res":               {"nil", "Frames:60 Misses:60 Fallbacks:1 PTEFrames:60 PayloadErrors:1 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 MispredictedTiles:30 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3439", 0xc6a57cf614dd17fb, "dr×60"},
-	"tiled/fov-payload/tiled/strict":           {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:30 ModeledStartupSec:0.002032826666666667 ModeledBytes:2790", 0xfba00723ac9a7608, "dr×60"},
-	"tiled/fov-payload/tiled/res":              {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:30 ModeledStartupSec:0.002032826666666667 ModeledBytes:2790", 0xfba00723ac9a7608, "dr×60"},
+	"tiled/fov-payload/auto/res":               {"nil", "Frames:60 Misses:60 Fallbacks:1 PTEFrames:60 PayloadErrors:1 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 MispredictedTiles:30 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2645", 0xc6a57cf614dd17fb, "dr×60"},
+	"tiled/fov-payload/tiled/strict":           {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:30 ModeledStartupSec:0.0020254933333333333 ModeledBytes:2130", 0xfba00723ac9a7608, "dr×60"},
+	"tiled/fov-payload/tiled/res":              {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:30 ModeledStartupSec:0.0020254933333333333 ModeledBytes:2130", 0xfba00723ac9a7608, "dr×60"},
 	"tiled/fov-payload/fov/strict":             {"codec: segment quality 249 out of [1, 64]", "ModeFOVSegments:1", 0xcbf29ce484222325, ""},
-	"tiled/fov-payload/fov/res":                {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 PayloadErrors:2 ModeFOVSegments:2 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3176", 0x9bceddb43c759e9, "dr×60"},
-	"tiled/fov-payload/orig/strict":            {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
-	"tiled/fov-payload/orig/res":               {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/fov-payload/fov/res":                {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 PayloadErrors:2 ModeFOVSegments:2 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2526", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/fov-payload/orig/strict":            {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/fov-payload/orig/res":               {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
 	"tiled/fov-frame10/auto/strict":            {"client: frame 10: codec: truncated or corrupt bitstream", "Frames:10 Hits:10 ModeFOVSegments:1", 0xcbf29ce484222325, "hds×10 d×1"},
-	"tiled/fov-frame10/auto/res":               {"nil", "Frames:60 Hits:10 Misses:50 Fallbacks:1 PTEFrames:50 PayloadErrors:1 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 MispredictedTiles:30 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3439", 0x29dc16dba41628c2, "hds×10 dr×50"},
-	"tiled/fov-frame10/tiled/strict":           {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:30 ModeledStartupSec:0.002032826666666667 ModeledBytes:2790", 0xfba00723ac9a7608, "dr×60"},
-	"tiled/fov-frame10/tiled/res":              {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:30 ModeledStartupSec:0.002032826666666667 ModeledBytes:2790", 0xfba00723ac9a7608, "dr×60"},
+	"tiled/fov-frame10/auto/res":               {"nil", "Frames:60 Hits:10 Misses:50 Fallbacks:1 PTEFrames:50 PayloadErrors:1 ModeFOVSegments:1 ModeTiledSegments:1 TiledTiles:5 MispredictedTiles:30 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2645", 0x29dc16dba41628c2, "hds×10 dr×50"},
+	"tiled/fov-frame10/tiled/strict":           {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:30 ModeledStartupSec:0.0020254933333333333 ModeledBytes:2130", 0xfba00723ac9a7608, "dr×60"},
+	"tiled/fov-frame10/tiled/res":              {"nil", "Frames:60 Misses:60 PTEFrames:60 ModeTiledSegments:2 TiledTiles:9 MispredictedTiles:30 ModeledStartupSec:0.0020254933333333333 ModeledBytes:2130", 0xfba00723ac9a7608, "dr×60"},
 	"tiled/fov-frame10/fov/strict":             {"client: frame 10: codec: truncated or corrupt bitstream", "Frames:10 Hits:10 ModeFOVSegments:1", 0xcbf29ce484222325, "hds×10 d×1"},
-	"tiled/fov-frame10/fov/res":                {"nil", "Frames:60 Hits:20 Misses:40 Fallbacks:2 PTEFrames:40 PayloadErrors:2 ModeFOVSegments:2 ModeledStartupSec:0.0020501333333333336 ModeledBytes:3176", 0x40b8b55acf636593, "hds×10 dr×20 hds×10 dr×20"},
-	"tiled/fov-frame10/orig/strict":            {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
-	"tiled/fov-frame10/orig/res":               {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020926666666666667 ModeledBytes:6836", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/fov-frame10/fov/res":                {"nil", "Frames:60 Hits:20 Misses:40 Fallbacks:2 PTEFrames:40 PayloadErrors:2 ModeFOVSegments:2 ModeledStartupSec:0.0020392266666666666 ModeledBytes:2526", 0x40b8b55acf636593, "hds×10 dr×20 hds×10 dr×20"},
+	"tiled/fov-frame10/orig/strict":            {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
+	"tiled/fov-frame10/orig/res":               {"nil", "Frames:60 Misses:60 Fallbacks:2 PTEFrames:60 ModeOrigSegments:2 ModeledStartupSec:0.0020578666666666665 ModeledBytes:4278", 0x9bceddb43c759e9, "dr×60"},
 }

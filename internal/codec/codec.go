@@ -13,39 +13,47 @@
 //     30 frames), because a segment must be independently decodable.
 //
 // The format is a toy relative to H.264 — 8×8 float DCT, uniform
-// quantization, exp-Golomb entropy coding, full-search motion compensation —
-// but it is a real, deterministic codec: every byte the system streams,
-// stores, or measures is produced by Encode and consumed by Decode.
+// quantization, full-search motion compensation — with a real entropy
+// layer: every frame body is one context-adaptive binary range code in the
+// manner of LZMA and CABAC. It is a deterministic codec: every byte the
+// system streams, stores, or measures is produced by Encode and consumed by
+// Decode.
 //
 // Segment layout (DESIGN.md §2 has the table). A segment is one GOP-aligned
 // run of frames with one header; nothing is repeated per frame but the
-// body's length. Fixed-width fields are big endian, uvarints are
-// encoding/binary's minimal form, and frame bodies are bit streams read MSB
-// first:
+// body's length. Fixed-width fields are big endian and uvarints are
+// encoding/binary's minimal form:
 //
 //	segment := "EVS1"  W:u16  H:u16  quality:u8  flags:u8  n:uvarint
 //	           types:⌈n/8⌉ bytes (bit i%8 of byte i/8 set: frame i is a P-frame)
 //	           { len:uvarint  body }×n
-//	flags   := bit0 ChromaCoding, bit1 HalfPel, bit2 skip/CBP syntax (required),
-//	           bit3 last-flag coefficient lists (required)
-//	body    := block*                                  -- raster order, zero-padded to a byte
-//	I block := coeffs(ch0) coeffs(ch1) coeffs(ch2)
-//	P block := skip:1                                  -- 1: copy of the reference block
-//	         | skip:1=0  SE(mvx) SE(mvy)  cbp:3  coeffs(ch) for each set cbp bit
-//	coeffs  := { UE(run) SE(level) last:1 }+           -- zigzag order; last=1 ends the list
-//	         | UE(64)                                  -- escape: no coefficient, I-blocks only
+//	flags   := bit0 ChromaCoding, bit1 HalfPel, bit2 skip/CBP syntax,
+//	           bit3 last-flag coefficient lists, bit4 range-coded bodies
+//	           (bits 2–4 required)
+//
+// A body is the range code (rangecoder.go) of its blocks' bins in raster
+// order; c is a bin coded under an adaptive context, b an equiprobable
+// bypass bin, and every context starts afresh in each body:
+//
+//	I block := { coded:c  [list] }×3              -- per channel; list DC is the difference from the left block's
+//	P block := skip:c                             -- 1: copy of the reference block
+//	         | skip:c=0  mvd mvd  cbp:c×3  { list }  -- a list per set cbp bit
+//	mvd     := nonzero:c [ unary(|d|−1):c≤8 [EG0:b] sign:b ]  -- d: component − median of left, top, top-right
+//	list    := { sig:c [ last:c ] }               -- zigzag positions up to the last level; 63 implied
+//	           { gt1:c [ unary:c≤13 [EG0:b] ] sign:b }  -- |level|−1 of each level, last to first
 //
 // ParseSegment checks the header once for every frame; Decode checks only
-// what a body needs: enough bits for its blocks and, for a P-frame, a
-// reference.
+// what a body needs: enough bytes for its blocks' floor and, for a P-frame,
+// a reference, and that its bins end exactly where its bytes do.
 //
 // A P-block is a skip when its motion vector is (0, 0) and all three
 // channels quantize to zero; cbp bit ch says whether channel ch carries any
-// coefficient. An empty P-block therefore costs one bit, not two motion
-// components and three coefficient lists. A coded channel's list is never
-// empty, so it ends on the last flag of its final pair — one bit, where an
-// end-of-block run would cost thirteen. Only an I-block channel can be
-// empty, and it spends the 13-bit escape: a run no list can reach.
+// coefficient. Contexts (syntax.go) follow what is coded around a bin: the
+// skips left and above, the position band of a significance or last flag
+// (× intra/inter × luma/chroma), how many levels were 1 or more so far. A
+// run of skipped blocks therefore costs a few hundredths of a bit each, and
+// the decoder's floor (minBinCost per context bin) bounds the blocks a body
+// can describe.
 package codec
 
 import (
@@ -114,8 +122,9 @@ type Encoder struct {
 	spare      *frame.Frame // the raster the next frame is reconstructed into
 	srcY, refY []uint8      // luma planes of the source and the reference
 	coder      *blockCoder
-	w          bitWriter // scratch; each body is copied out at its length
-	count      int       // frames since last I-frame
+	rc         rangeEncoder // scratch; each body is copied out at its length
+	syn        blockSyntax
+	count      int // frames since last I-frame
 }
 
 // NewEncoder builds an encoder, or reports why the configuration is invalid.
@@ -126,22 +135,24 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	return &Encoder{cfg: cfg}, nil
 }
 
-// Segment flag bits. flagSkipCBP and flagLastFlag mark the block and
-// coefficient syntax of the package comment; every segment this package
-// writes sets both and ParseSegment refuses a segment without them, so a
-// payload from before a syntax change fails loudly instead of decoding
-// garbage.
+// Segment flag bits. flagSkipCBP, flagLastFlag and flagRangeCoded mark the
+// block, coefficient and entropy syntax of the package comment; every
+// segment this package writes sets all three and ParseSegment refuses a
+// segment without them, so a payload from before a syntax change fails
+// loudly instead of decoding garbage.
 const (
-	flagChroma   = 1 << iota // ChromaCoding
-	flagHalfPel              // motion vectors in half-pel units
-	flagSkipCBP              // P-blocks carry a skip flag and a coded-block pattern
-	flagLastFlag             // coefficient lists end on a last flag, not an end-of-block run
-	flagsKnown   = flagChroma | flagHalfPel | flagSkipCBP | flagLastFlag
+	flagChroma     = 1 << iota // ChromaCoding
+	flagHalfPel                // motion vectors in half-pel units
+	flagSkipCBP                // P-blocks carry a skip flag and a coded-block pattern
+	flagLastFlag               // coefficient lists end on a last flag, not an end-of-block run
+	flagRangeCoded             // frame bodies are context-adaptive range-coded bins, not exp-Golomb words
+	flagsKnown     = flagChroma | flagHalfPel | flagSkipCBP | flagLastFlag | flagRangeCoded
 )
 
 // ErrStaleFormat reports a payload written before the current format — the
-// one-header segment container or the last-flag coefficient syntax: its
-// bytes cannot be decoded by this package any more.
+// one-header segment container, the last-flag coefficient syntax or the
+// range-coded frame bodies: its bytes cannot be decoded by this package
+// any more.
 var ErrStaleFormat = errors.New("codec: payload predates the current segment format; re-ingest the video")
 
 const (
@@ -149,14 +160,17 @@ const (
 	rowBytes   = blockSize * 3 // one block row of interleaved RGB
 	blockBytes = blockSize * rowBytes
 
-	escapeRun = blockLen // first run of an empty coefficient list
-	// The fewest bits a block can take: three one-coefficient lists
-	// (UE(0) SE(±1) last, 5 bits, under the 13-bit escape) in an I-frame,
-	// one skip flag in a P-frame. Decode checks a frame's block count
-	// against them before it allocates the frame.
-	minIntraBlockBits = 3 * 5
-	minInterBlockBits = 1
-	maxMotion         = 128 // largest motion component the decoder accepts
+	maxMotion = 128 // largest motion component the decoder accepts
+)
+
+// The fewest bits, in units of 2^-16 bit, a block takes: three channel
+// flags in an I-frame, one skip flag in a P-frame, each a context-coded bin
+// that costs at least minBinCost. A body of n bytes holds bins costing
+// less than 8n bits, so Decode refuses a body too short for its blocks'
+// floor before it allocates the frame.
+const (
+	minIntraBlockCost = 3 * minBinCost
+	minInterBlockCost = minBinCost
 )
 
 // pixBlock is one 8×8 block of interleaved RGB, rows of rowBytes.
@@ -200,6 +214,9 @@ func copyBlock(dst, src *frame.Frame, bx, by int) {
 type blockCoder struct {
 	steps   [3][blockLen]float64 // quantizer step per channel and coefficient
 	halfPel bool
+	// reconstruct's scratch, kept so a call does not clear 1 kB: idct reads
+	// freq only on the mask reconstruct writes, and writes all of rec.
+	freq, rec [blockLen]float64
 }
 
 func newBlockCoder(quality int, chroma, halfPel bool) *blockCoder {
@@ -260,12 +277,12 @@ func (c *blockCoder) levels(freq *[blockLen]float64, ch int, q *[blockLen]int32)
 // to [0, 255], into channel ch of out. Encoder and decoder both build their
 // reference frames with it, so both pay only for the levels a block carries.
 func (c *blockCoder) reconstruct(q *[blockLen]int32, nz uint64, pred, out *pixBlock, ch int) {
-	var freq, rec [blockLen]float64
+	freq, rec := &c.freq, &c.rec
 	for m := nz; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		freq[i] = float64(q[i]) * c.steps[ch][i]
 	}
-	idct(&freq, nz, &rec)
+	idct(freq, nz, rec)
 	for i, r := range rec {
 		v := int(r + float64(pred[i*3+ch]) + 0.5)
 		if v < 0 {
@@ -275,74 +292,6 @@ func (c *blockCoder) reconstruct(q *[blockLen]int32, nz uint64, pred, out *pixBl
 			v = 255
 		}
 		out[i*3+ch] = byte(v)
-	}
-}
-
-// writeCoeffs entropy-codes one quantized block as (run, level, last)
-// triples in zigzag order; the triple of the final nonzero level has last
-// set. A block with no nonzero level is the escape run alone.
-func writeCoeffs(w *bitWriter, q *[blockLen]int32) {
-	end := blockLen - 1
-	for end >= 0 && q[zigzag[end]] == 0 {
-		end--
-	}
-	if end < 0 {
-		w.writeUE(escapeRun)
-		return
-	}
-	run := uint32(0)
-	for k, zi := range zigzag[:end+1] {
-		if q[zi] == 0 {
-			run++
-			continue
-		}
-		w.writeUE(run)
-		w.writeSE(q[zi])
-		if k == end {
-			w.writeBits(1, 1)
-		} else {
-			w.writeBits(0, 1)
-		}
-		run = 0
-	}
-}
-
-// readCoeffs is the inverse of writeCoeffs; q must be zero on entry. It
-// returns the mask of q's nonzero levels (bit i for q[i]) for reconstruct.
-// The mask is zero exactly when the list is the escape; an escape anywhere
-// but the first run, a zero level, or runs that pass the last coefficient
-// are errors. So every list is at least UE(0) SE(±1) last, 5 bits, or the
-// 13-bit escape.
-func readCoeffs(r *bitReader, q *[blockLen]int32) (nz uint64, err error) {
-	pos := 0
-	for {
-		run, err := r.readUE()
-		if err != nil {
-			return 0, err
-		}
-		if run == escapeRun && pos == 0 {
-			return 0, nil
-		}
-		if run >= uint32(blockLen-pos) {
-			return 0, errBitstream
-		}
-		pos += int(run)
-		i := zigzag[pos]
-		if q[i], err = r.readSE(); err != nil {
-			return 0, err
-		}
-		if q[i] == 0 { // the encoder codes nonzero levels only
-			return 0, errBitstream
-		}
-		nz |= 1 << uint(i)
-		last, err := r.readBits(1)
-		if err != nil {
-			return 0, err
-		}
-		if last == 1 {
-			return nz, nil
-		}
-		pos++
 	}
 }
 
@@ -396,7 +345,8 @@ func (e *Encoder) Encode(f *frame.Frame) ([]byte, FrameType, error) {
 	if e.coder == nil {
 		e.coder = newBlockCoder(e.cfg.Quality, e.cfg.ChromaCoding, e.cfg.HalfPel)
 	}
-	e.w = bitWriter{buf: e.w.buf[:0]}
+	e.rc.reset()
+	e.syn.startFrame(f.W / blockSize)
 	// In chroma mode the whole prediction loop runs in YCbCr.
 	src := f
 	if e.cfg.ChromaCoding {
@@ -406,7 +356,8 @@ func (e *Encoder) Encode(f *frame.Frame) ([]byte, FrameType, error) {
 	// needs no clearing.
 	fe := frameEncoder{
 		blockCoder:  e.coder,
-		w:           &e.w,
+		rc:          &e.rc,
+		syn:         &e.syn,
 		src:         src,
 		ref:         e.ref,
 		recon:       raster(&e.spare, f.W, f.H),
@@ -418,6 +369,7 @@ func (e *Encoder) Encode(f *frame.Frame) ([]byte, FrameType, error) {
 	}
 	for by := 0; by < f.H; by += blockSize {
 		for bx := 0; bx < f.W; bx += blockSize {
+			e.syn.startBlock(bx/blockSize, by/blockSize)
 			if ft == IFrame {
 				fe.intraBlock(bx, by)
 			} else {
@@ -430,29 +382,42 @@ func (e *Encoder) Encode(f *frame.Frame) ([]byte, FrameType, error) {
 	if e.count >= e.cfg.GOP {
 		e.count = 0
 	}
-	return append([]byte(nil), e.w.bytes()...), ft, nil
+	return append([]byte(nil), e.rc.bytes()...), ft, nil
 }
 
 // frameEncoder is the state of one Encode call.
 type frameEncoder struct {
 	*blockCoder
-	w           *bitWriter
+	rc          *rangeEncoder
+	syn         *blockSyntax
 	src, ref    *frame.Frame // ref is nil in an I-frame
 	recon       *frame.Frame // what the decoder will reconstruct
 	srcY, refY  []uint8      // luma planes of src and ref, P-frames only
 	searchRange int
 }
 
+// intraBlock codes each channel's levels with the DC level replaced by its
+// difference from the left block's; a channel whose list would then be
+// empty is only its coded flag.
 func (e *frameEncoder) intraBlock(bx, by int) {
 	var px, out pixBlock
 	loadBlock(e.src, bx, by, &px)
+	var n neighbour
 	for ch := 0; ch < 3; ch++ {
 		var q [blockLen]int32
 		nz := e.quantize(&px, &intraPred, ch, &q)
-		writeCoeffs(e.w, &q)
+		dc := q[0]
+		q[0] -= e.syn.left.dc[ch]
+		n.dc[ch], n.coded[ch] = dc, q[0] != 0 || nz&^1 != 0
+		e.rc.encode(e.syn.codedContext(ch, &n), b2u(n.coded[ch]))
+		if n.coded[ch] {
+			writeList(e.rc, e.syn.lists(false, ch), &q)
+		}
+		q[0] = dc
 		e.reconstruct(&q, nz, &intraPred, &out, ch)
 	}
 	storeBlock(e.recon, bx, by, &out)
+	e.syn.endBlock(n)
 }
 
 // interBlock quantizes all three channels before it writes anything: the
@@ -476,23 +441,29 @@ func (e *frameEncoder) interBlock(bx, by int) {
 			cbp |= 1 << ch
 		}
 	}
-	if cbp == 0 && mvx == 0 && mvy == 0 {
-		e.w.writeBits(1, 1)
+	skip := cbp == 0 && mvx == 0 && mvy == 0
+	e.rc.encode(e.syn.skipContext(), b2u(skip))
+	if skip {
 		copyBlock(e.recon, e.ref, bx, by)
+		e.syn.endBlock(neighbour{skip: true})
 		return
 	}
-	e.w.writeBits(0, 1)
-	e.w.writeSE(int32(mvx))
-	e.w.writeSE(int32(mvy))
-	e.w.writeBits(cbp, 3)
+	n := neighbour{mvx: int32(mvx), mvy: int32(mvy)}
+	px0, py0 := e.syn.mvPredictor()
+	e.syn.writeMotion(e.rc, 0, n.mvx-px0)
+	e.syn.writeMotion(e.rc, 1, n.mvy-py0)
+	for ch := range q {
+		e.rc.encode(e.syn.cbpContext(uint32(cbp), ch), uint32(cbp>>ch&1))
+	}
 	out := pred // an uncoded channel reconstructs to its prediction
 	for ch := range q {
 		if cbp&(1<<ch) != 0 {
-			writeCoeffs(e.w, &q[ch])
+			writeList(e.rc, e.syn.lists(true, ch), &q[ch])
 			e.reconstruct(&q[ch], nz[ch], &pred, &out, ch)
 		}
 	}
 	storeBlock(e.recon, bx, by, &out)
+	e.syn.endBlock(n)
 }
 
 // luma601 is the integer BT.601 luma of frame.Luma, in [0, 255].
@@ -631,6 +602,8 @@ type Decoder struct {
 
 	coder *blockCoder
 	hdr   Header // the header coder was built for
+	rc    rangeDecoder
+	syn   blockSyntax
 }
 
 // NewDecoder returns a fresh decoder.
@@ -660,7 +633,7 @@ func (d *Decoder) blockCoder(h Header) (*blockCoder, error) {
 
 // Decode decompresses frame i of bs into the decoder's rasters under bs's
 // header; the result is valid until the next Decode. A raster it allocates
-// is bounded by the payload: a body with fewer bits than its blocks need is
+// is bounded by the payload: a body too short for its blocks' floor is
 // rejected first. A frame that fails to decode leaves the reference as it
 // was.
 func (d *Decoder) Decode(bs *Bitstream, i int) (*frame.Frame, error) {
@@ -675,7 +648,7 @@ func (d *Decoder) Decode(bs *Bitstream, i int) (*frame.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	minBits := minIntraBlockBits
+	cost := int64(minIntraBlockCost)
 	if ft == PFrame {
 		if d.ref == nil {
 			return nil, fmt.Errorf("codec: P-frame without reference")
@@ -683,25 +656,34 @@ func (d *Decoder) Decode(bs *Bitstream, i int) (*frame.Frame, error) {
 		if d.ref.W != w || d.ref.H != h {
 			return nil, fmt.Errorf("codec: P-frame size %dx%d mismatches reference %dx%d", w, h, d.ref.W, d.ref.H)
 		}
-		minBits = minInterBlockBits
+		cost = minInterBlockCost
 	}
-	r := newBitReader(bs.Frames[i])
-	if blocks := (w / blockSize) * (h / blockSize); blocks*minBits > r.bitsLeft() {
+	body := bs.Frames[i]
+	if blocks := int64(w/blockSize) * int64(h/blockSize); blocks*cost >= int64(len(body))*8<<16 {
 		return nil, errBitstream
 	}
 	out := raster(&d.spare, w, h)
+	d.rc.reset(body)
+	d.syn.startFrame(w / blockSize)
 	for by := 0; by < h; by += blockSize {
 		for bx := 0; bx < w; bx += blockSize {
+			d.syn.startBlock(bx/blockSize, by/blockSize)
 			var err error
 			if ft == IFrame {
-				err = c.decodeIntraBlock(r, out, bx, by)
+				c.decodeIntraBlock(&d.rc, &d.syn, out, bx, by)
 			} else {
-				err = c.decodeInterBlock(r, out, d.ref, bx, by)
+				err = c.decodeInterBlock(&d.rc, &d.syn, out, d.ref, bx, by)
 			}
 			if err != nil {
 				return nil, err
 			}
+			if d.rc.overrun() {
+				return nil, errBitstream
+			}
 		}
+	}
+	if err := d.rc.finish(); err != nil {
+		return nil, err
 	}
 	d.ref, d.spare = out, d.ref
 	if bs.ChromaCoding {
@@ -712,65 +694,62 @@ func (d *Decoder) Decode(bs *Bitstream, i int) (*frame.Frame, error) {
 	return out, nil
 }
 
-func (c *blockCoder) decodeIntraBlock(r *bitReader, out *frame.Frame, bx, by int) error {
+// decodeIntraBlock reads each channel's coded flag and, if set, its list,
+// whose DC level is the difference from the left block's.
+func (c *blockCoder) decodeIntraBlock(r *rangeDecoder, s *blockSyntax, out *frame.Frame, bx, by int) {
 	var px pixBlock
+	var n neighbour
 	for ch := 0; ch < 3; ch++ {
 		var q [blockLen]int32
-		nz, err := readCoeffs(r, &q)
-		if err != nil {
-			return err
+		var nz uint64
+		n.coded[ch] = r.decode(s.codedContext(ch, &n)) == 1
+		if n.coded[ch] {
+			nz = readList(r, s.lists(false, ch), &q)
+		}
+		q[0] += s.left.dc[ch]
+		n.dc[ch] = q[0]
+		nz &^= 1
+		if q[0] != 0 {
+			nz |= 1
 		}
 		c.reconstruct(&q, nz, &intraPred, &px, ch)
 	}
 	storeBlock(out, bx, by, &px)
-	return nil
+	s.endBlock(n)
 }
 
 // decodeInterBlock does only what the syntax says is there: a skipped
 // block is eight row copies from the reference, an uncoded channel is a
 // byte copy of its prediction, and only coded channels are dequantized
 // and inverse-transformed.
-func (c *blockCoder) decodeInterBlock(r *bitReader, out, ref *frame.Frame, bx, by int) error {
-	skip, err := r.readBits(1)
-	if err != nil {
-		return err
-	}
-	if skip == 1 {
+func (c *blockCoder) decodeInterBlock(r *rangeDecoder, s *blockSyntax, out, ref *frame.Frame, bx, by int) error {
+	if r.decode(s.skipContext()) == 1 {
 		copyBlock(out, ref, bx, by)
+		s.endBlock(neighbour{skip: true})
 		return nil
 	}
-	mvx, err := r.readSE()
-	if err != nil {
-		return err
-	}
-	mvy, err := r.readSE()
-	if err != nil {
-		return err
-	}
-	if absInt(int(mvx)) > maxMotion || absInt(int(mvy)) > maxMotion {
+	px0, py0 := s.mvPredictor()
+	n := neighbour{mvx: px0 + s.readMotion(r, 0), mvy: py0 + s.readMotion(r, 1)}
+	if absInt(int(n.mvx)) > maxMotion || absInt(int(n.mvy)) > maxMotion {
 		return errBitstream
 	}
-	cbp, err := r.readBits(3)
-	if err != nil {
-		return err
+	var cbp uint32
+	for ch := 0; ch < 3; ch++ {
+		cbp |= r.decode(s.cbpContext(cbp, ch)) << ch
 	}
-	var pred pixBlock
-	c.predict(ref, bx, by, int(mvx), int(mvy), &pred)
-	px := pred
+	// An uncoded channel is its prediction; a coded one is rebuilt over
+	// it in place (reconstruct reads each sample before it writes it).
+	var px pixBlock
+	c.predict(ref, bx, by, int(n.mvx), int(n.mvy), &px)
 	for ch := 0; ch < 3; ch++ {
 		if cbp&(1<<ch) == 0 {
 			continue
 		}
 		var q [blockLen]int32
-		nz, err := readCoeffs(r, &q)
-		if err != nil {
-			return err
-		}
-		if nz == 0 { // a coded channel's list cannot be the escape
-			return errBitstream
-		}
-		c.reconstruct(&q, nz, &pred, &px, ch)
+		nz := readList(r, s.lists(true, ch), &q)
+		c.reconstruct(&q, nz, &px, &px, ch)
 	}
 	storeBlock(out, bx, by, &px)
+	s.endBlock(n)
 	return nil
 }

@@ -134,7 +134,7 @@ func TestInterBeatsIntraOnPannedVideo(t *testing.T) {
 func TestStaticSceneCostsAlmostNothing(t *testing.T) {
 	// The other half of §5.4: where nothing moves, a P-frame is close to
 	// free. With 41 fixed bits per block these were 4× smaller than their
-	// I-frame; a skipped block costs one bit.
+	// I-frame; a run of skipped blocks costs hundredths of a bit each.
 	still := rsFrames(t, 128, 64, 1)[0]
 	bs, err := EncodeSequence(Config{GOP: 30, Quality: 4, SearchRange: 4}, []*frame.Frame{still, still, still, still})
 	if err != nil {
@@ -261,44 +261,98 @@ func TestEncoderDecoderDriftFree(t *testing.T) {
 	}
 }
 
+// TestBitIORoundTrip: context bins under adapting models, bypass runs of
+// every width and exp-Golomb values round-trip through the range coder, and
+// the body ends exactly where the decoder's bins do.
 func TestBitIORoundTrip(t *testing.T) {
-	w := &bitWriter{}
-	values := []uint32{0, 1, 2, 3, 7, 64, 100, 1000, 65535}
-	for _, v := range values {
-		w.writeUE(v)
+	var e rangeEncoder
+	e.reset()
+	ctxs := [3]binContext{newBinContext, newBinContext, newBinContext}
+	values := []uint32{0, 1, 2, 3, 7, 64, 100, 1000, 65535, 1<<maxSuffixBits - 1}
+	for i := 0; i < 500; i++ {
+		e.encode(&ctxs[i%3], uint32(i/3%2|i%7/6))
 	}
-	svalues := []int32{0, 1, -1, 5, -5, 1000, -1000}
-	for _, v := range svalues {
-		w.writeSE(v)
-	}
-	w.writeBits(0xABCD, 16)
-	r := newBitReader(w.bytes())
 	for _, v := range values {
-		got, err := r.readUE()
-		if err != nil || got != v {
-			t.Fatalf("readUE = %v (%v), want %v", got, err, v)
+		writeExpGolomb(&e, v)
+	}
+	e.bypass(0xABCD, 16)
+	body := e.bytes()
+
+	var d rangeDecoder
+	d.reset(body)
+	ctxs = [3]binContext{newBinContext, newBinContext, newBinContext}
+	for i := 0; i < 500; i++ {
+		if got, want := d.decode(&ctxs[i%3]), uint32(i/3%2|i%7/6); got != want {
+			t.Fatalf("bin %d = %d, want %d", i, got, want)
 		}
 	}
-	for _, v := range svalues {
-		got, err := r.readSE()
-		if err != nil || got != v {
-			t.Fatalf("readSE = %v (%v), want %v", got, err, v)
+	for _, v := range values {
+		if got := readExpGolomb(&d); got != v {
+			t.Fatalf("exp-Golomb %d read back as %d", v, got)
 		}
 	}
-	if got, _ := r.readBits(16); got != 0xABCD {
-		t.Fatalf("readBits = %x", got)
+	if got := d.bypass(16); got != 0xABCD {
+		t.Fatalf("bypass = %x", got)
+	}
+	if err := d.finish(); err != nil {
+		t.Fatalf("body of %d bytes: %v", len(body), err)
 	}
 }
 
-func TestBitReaderEOF(t *testing.T) {
-	r := newBitReader([]byte{0x80})
-	if _, err := r.readBits(9); err == nil {
-		t.Error("read past end accepted")
+// TestMinBinCost derives the decode-work floor's unit: a context bin keeps
+// at most the share (1 − probFloor/probOne) of the range when it codes 0
+// under the highest probability, and when it codes 1 under the lowest it
+// keeps range − (range>>probBits)·probFloor, at most (1 − probFloor/probOne)
+// + (probOne−1)·probFloor/(probOne·range) of it, largest at the smallest
+// range 2^24. minBinCost is −log2 of that share in 2^-16 bit, rounded
+// down, and every (range, probability) at the extremes keeps no more.
+func TestMinBinCost(t *testing.T) {
+	keep := 1 - float64(probFloor)/probOne + float64(probOne-1)*probFloor/(probOne*float64(topValue))
+	if want := int(math.Floor(-math.Log2(keep) * (1 << 16))); minBinCost != want {
+		t.Fatalf("minBinCost = %d, derived %d", minBinCost, want)
 	}
-	// All-zero prefix longer than 32 bits must be rejected, not loop.
-	r = newBitReader(make([]byte, 10))
-	if _, err := r.readUE(); err == nil {
-		t.Error("degenerate exp-Golomb accepted")
+	for _, rng := range []uint32{topValue, topValue + 1, topValue + probOne - 1, 1<<31 + 12345, 0xFFFFFFFF} {
+		for _, p := range []uint32{probFloor, probHalf, probOne - probFloor} {
+			bound := (rng >> probBits) * p
+			for _, kept := range []uint32{bound, rng - bound} {
+				if cost := -math.Log2(float64(kept)/float64(rng)) * (1 << 16); cost < minBinCost {
+					t.Errorf("range %#x, p %d: a bin keeps %d, costing %.1f < %d", rng, p, kept, cost, minBinCost)
+				}
+			}
+		}
+	}
+}
+
+// TestBitReaderEOF: a body cut short makes the decoder read past its slack,
+// one with a byte appended ends before the body does, and an exp-Golomb
+// prefix longer than maxSuffixBits is corrupt.
+func TestBitReaderEOF(t *testing.T) {
+	var e rangeEncoder
+	e.reset()
+	for i := 0; i < 200; i++ {
+		e.bypass(uint32(i), 8)
+	}
+	body := e.bytes()
+	var d rangeDecoder
+	d.reset(body[:len(body)-1])
+	for i := 0; i < 200; i++ {
+		d.bypass(8)
+	}
+	if !d.overrun() || d.finish() == nil {
+		t.Error("truncated body read to the end")
+	}
+	d.reset(append(append([]byte(nil), body...), 0))
+	for i := 0; i < 200; i++ {
+		d.bypass(8)
+	}
+	if d.overrun() || d.finish() == nil {
+		t.Errorf("padded body: overrun %v, finish %v; want false and an error", d.overrun(), d.finish())
+	}
+	e.reset()
+	e.bypass(1<<(maxSuffixBits+1)-1, maxSuffixBits+1)
+	d.reset(e.bytes())
+	if readExpGolomb(&d); !d.overrun() {
+		t.Error("exp-Golomb prefix past maxSuffixBits accepted")
 	}
 }
 

@@ -137,13 +137,6 @@ func buildZigzag() [blockSize * blockSize]int {
 	return order
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // quantStep returns the quantizer step for coefficient index (ky, kx) at a
 // quality scale: a flat base with a frequency-proportional ramp, scaled
 // linearly with Quality (1 = finest).

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -128,55 +129,82 @@ func TestDecoderBoundedWorkOnAdversarialInput(t *testing.T) {
 	}
 }
 
-// zeroLevelIFrame is a segment of one 16×8 I-frame whose body is 24
-// one-bits: six lists UE(0) SE(0) last of 3 bits each. A zero level is not
-// a coefficient, so both decoders must refuse it; were it accepted, 15 bits
-// would not bound an I-block from below.
+// zeroLevelIFrame is a segment of one 16×8 I-frame in the exp-Golomb
+// syntax whose body is 24 one-bits: six lists UE(0) SE(0) last of 3 bits
+// each, which that syntax's decoders refused. Without flag bit 4 it is
+// stale now, and FuzzDecode starts from it.
 const zeroLevelIFrame = "4556533100100008040c010003ffffff"
 
-// TestIntraBlockBoundIsTight: the smallest I-block is three lists of one
-// coefficient, UE(0) SE(±1) last, 15 bits. A 64×8 I-frame of eight such
-// blocks is exactly 15 body bytes and decodes; a byte less is refused by
-// the block-count bound, before the decoder allocates a raster. Lists of a
-// zero level, which would be shorter, are refused by both decoders.
-func TestIntraBlockBoundIsTight(t *testing.T) {
-	w := &bitWriter{}
-	for k := 0; k < 8*3; k++ {
-		w.writeUE(0)
-		w.writeSE(1)
-		w.writeBits(1, 1)
-	}
-	data := w.bytes()
-	if len(data) != 15 {
-		t.Fatalf("crafted body is %d bytes, want 15", len(data))
-	}
-	bs := &Bitstream{Header: Header{W: 64, H: 8, Quality: 4}, Frames: [][]byte{data}, Types: []FrameType{IFrame}}
-	if _, err := NewDecoder().Decode(bs, 0); err != nil {
-		t.Errorf("smallest 64×8 I-frame: %v", err)
+// floorBytes is the shortest body Decode accepts for a frame of blocks
+// blocks: the least n with blocks·cost < 8n bits (cost in 2^-16 bit).
+func floorBytes(blocks int, cost int64) int {
+	return int(int64(blocks)*cost/(8<<16)) + 1
+}
+
+// requireFloorIsTight decodes body, the shortest the encoder writes for its
+// frame (frame 1 of bs, after the I-frame 0, or frame 0 alone), and the same
+// less its last byte: the body must be exactly at the floor and decode, and
+// the shorter one must be refused before the decoder allocates a raster.
+func requireFloorIsTight(t *testing.T, name string, bs *Bitstream, i int, cost int64) {
+	t.Helper()
+	body := bs.Frames[i]
+	blocks := (bs.W / blockSize) * (bs.H / blockSize)
+	if n := floorBytes(blocks, cost); len(body) != n {
+		t.Fatalf("%s: %d blocks in a %d-byte body, floor %d bytes", name, blocks, len(body), n)
 	}
 	dec := NewDecoder()
-	bs.Frames[0] = data[:len(data)-1]
-	if _, err := dec.Decode(bs, 0); !errors.Is(err, errBitstream) {
-		t.Errorf("one byte short: err = %v, want errBitstream", err)
+	for k := 0; k <= i; k++ {
+		if _, err := dec.Decode(bs, k); err != nil {
+			t.Fatalf("%s: frame %d at the floor: %v", name, k, err)
+		}
 	}
-	if dec.spare != nil {
-		t.Error("one byte short: the decoder allocated a raster before refusing the frame")
+	short := &Bitstream{Header: bs.Header, Frames: [][]byte{body[:len(body)-1]}, Types: []FrameType{bs.Types[i]}}
+	dec = NewDecoder()
+	if i > 0 {
+		if _, err := dec.Decode(bs, 0); err != nil {
+			t.Fatal(err)
+		}
+		short.Frames = [][]byte{bs.Frames[0], body[:len(body)-1]}
+		short.Types = bs.Types[:2]
 	}
+	spare := dec.spare
+	if _, err := dec.Decode(short, i); !errors.Is(err, errBitstream) {
+		t.Errorf("%s: one byte short: err = %v, want errBitstream", name, err)
+	}
+	if dec.spare != spare {
+		t.Errorf("%s: one byte short: the decoder allocated a raster before refusing the frame", name)
+	}
+}
 
-	seg, err := hex.DecodeString(zeroLevelIFrame)
+// TestBlockFloorIsTight: the most compressible P-frame — every block a
+// skip, every skip flag under one context whose probability settles on
+// its floor — takes floorBytes of minInterBlockCost and decodes; a byte
+// less is refused by the block-count bound before the decoder allocates a
+// raster. At 1536×64 that is 1536 blocks in 3 bytes.
+func TestBlockFloorIsTight(t *testing.T) {
+	still := noisyGradient(1536, 64, 140)
+	bs, err := EncodeSequence(Config{GOP: 2, Quality: 4}, []*frame.Frame{still, reconstructed(t, 4, still)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := ParseSegment(seg)
+	requireFloorIsTight(t, "all-skip P-frame", bs, 1, minInterBlockCost)
+}
+
+// TestIntraBlockBoundIsTight: the smallest I-block is three clear coded
+// flags, a mid-gray block; a flat mid-gray I-frame is exactly at the
+// floor of minIntraBlockCost and decodes, and a byte less is refused
+// before the decoder allocates a raster. At 256×64 that is 256 blocks in
+// 2 bytes.
+func TestIntraBlockBoundIsTight(t *testing.T) {
+	gray := frame.New(256, 64)
+	for i := range gray.Pix {
+		gray.Pix[i] = 128
+	}
+	bs, err := EncodeSequence(Config{GOP: 1, Quality: 4}, []*frame.Frame{gray})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDecoder().Decode(zero, 0); !errors.Is(err, errBitstream) {
-		t.Errorf("lists of a zero level: err = %v, want errBitstream", err)
-	}
-	if _, err := (&refDecoder{}).decode(zero, 0); !errors.Is(err, errBitstream) {
-		t.Errorf("lists of a zero level, reference decoder: err = %v, want errBitstream", err)
-	}
+	requireFloorIsTight(t, "mid-gray I-frame", bs, 0, minIntraBlockCost)
 }
 
 // TestDecodeSequenceChecksDeclaredDimensions: a bitstream's frames decode
@@ -238,7 +266,7 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	addSegment(gop2)
-	// A flat mid-gray I-frame: every list is the escape.
+	// A flat mid-gray I-frame: every coded flag is clear.
 	gray := frame.New(16, 16)
 	for i := range gray.Pix {
 		gray.Pix[i] = 128
@@ -257,6 +285,21 @@ func FuzzDecode(f *testing.F) {
 	iOld, _ := hex.DecodeString(preLastIFrame)
 	pOld, _ := hex.DecodeString(preLastPFrame)
 	f.Add(oldSegment(iOld, pOld))
+	// The most compressible P-body: 256 skipped blocks in one byte.
+	still := reconstructed(f, 4, noisyGradient(256, 64, 88))
+	skips, err := EncodeSequence(Config{GOP: 2, Quality: 4, SearchRange: 1}, []*frame.Frame{still, still})
+	if err != nil {
+		f.Fatal(err)
+	}
+	addSegment(skips)
+	// Levels past the unary prefix: random pixels at the finest quantizer.
+	coarse, err := EncodeSequence(Config{GOP: 2, Quality: 1, SearchRange: 3}, []*frame.Frame{garbage(16, 8, 89), garbage(16, 8, 90)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	addSegment(coarse)
+	// A segment of exp-Golomb bodies: flag bit 4 clear.
+	f.Add(mustHex(f, preRangeCoded))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, ref := NewDecoder(), &refDecoder{}
 		if bs, err := ParseSegment(data); err == nil {
@@ -269,7 +312,7 @@ func FuzzDecode(f *testing.F) {
 				if err != nil {
 					break
 				}
-				if blocks := got.W * got.H / (blockSize * blockSize); blocks > 8*len(body) {
+				if blocks := got.W * got.H / (blockSize * blockSize); len(body) < floorBytes(blocks, minInterBlockCost) {
 					t.Fatalf("frame %d: %d-byte body decoded to %d blocks", i, len(body), blocks)
 				}
 				if !got.Equal(want) {
@@ -359,6 +402,129 @@ func fuzzRoundTrip(t *testing.T, dec *Decoder, cfg Config, frames []*frame.Frame
 			}
 		}
 	}
+}
+
+// rangeOps reads data as a script of coder operations, one per byte b:
+// b%4 < 2 a context bin b>>5&1 under context b>>2&7; 2 a bypass run of
+// b>>2 bits (up to 32) of a value from the next four bytes; 3 an
+// exp-Golomb value of the next two bytes' bit width.
+type rangeOp struct {
+	kind, ctx int
+	v         uint32
+	n         int
+}
+
+func rangeOps(data []byte) []rangeOp {
+	var ops []rangeOp
+	next := func(i, n int) (v uint32) {
+		for k := 1; k <= n && i+k < len(data); k++ {
+			v = v<<8 | uint32(data[i+k])
+		}
+		return v
+	}
+	for i, b := range data {
+		op := rangeOp{kind: int(b % 4)}
+		switch op.kind {
+		case 0, 1:
+			op.kind, op.ctx, op.v = 0, int(b>>2&7), uint32(b>>5&1)
+			ops = append(ops, op)
+		case 2:
+			op.n = min(int(b>>2), 32)
+			op.v = next(i, 4) & uint32(1<<op.n-1)
+			ops = append(ops, op)
+		case 3:
+			op.v = next(i, 2) >> (b >> 4)
+			ops = append(ops, op)
+		}
+	}
+	return ops
+}
+
+// FuzzRangeCoder: any script of context bins, bypass runs and exp-Golomb
+// values (rangeOps) comes back from the range decoder exactly, in a body
+// that ends where its bins do and equals the reference encoder's. The same
+// bytes read as a body under the same script never panic, decode the same
+// values as the reference decoder until it finds them corrupt, and fail
+// exactly when it does: when the bins run past the slack, leave bytes
+// over, or decode a code the encoder cannot write.
+func FuzzRangeCoder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x00, 0x20, 0x04, 0x24, 0x82, 0xff, 0x00, 0x12, 0x34, 0x03, 0xff, 0xff})
+	f.Add(bytes.Repeat([]byte{0x20}, 300)) // one context driven to its floor
+	f.Add(bytes.Repeat([]byte{0x82, 0xff, 0xff, 0xff, 0xff}, 20))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := rangeOps(data)
+		var e rangeEncoder
+		e.reset()
+		ref := newRefRangeEncoder()
+		var ctxs [8]binContext
+		for i := range ctxs {
+			ctxs[i] = newBinContext
+		}
+		for _, op := range ops {
+			switch op.kind {
+			case 0:
+				e.encode(&ctxs[op.ctx], op.v)
+				ref.bin(ref.models.get("c%d", op.ctx), int(op.v))
+			case 2:
+				e.bypass(op.v, op.n)
+				for k := op.n - 1; k >= 0; k-- {
+					ref.bypass(int(op.v >> k & 1))
+				}
+			case 3:
+				writeExpGolomb(&e, op.v)
+				ref.expGolomb(int(op.v))
+			}
+		}
+		body := e.bytes()
+		if want := ref.bytes(); !bytes.Equal(body, want) {
+			t.Fatalf("body %x, reference encoder %x", body, want)
+		}
+		for _, in := range []struct {
+			body []byte
+			own  bool // the encoder's body: every value must come back
+		}{{body, true}, {data, false}} {
+			var d rangeDecoder
+			d.reset(in.body)
+			rd := newRefRangeDecoder(in.body)
+			for i := range ctxs {
+				ctxs[i] = newBinContext
+			}
+			for k, op := range ops {
+				var got, refGot uint32
+				switch op.kind {
+				case 0:
+					got, refGot = d.decode(&ctxs[op.ctx]), uint32(rd.bin(rd.models.get("c%d", op.ctx)))
+				case 2:
+					got = d.bypass(op.n)
+					for j := 0; j < op.n; j++ {
+						refGot = refGot<<1 | uint32(rd.bypass())
+					}
+				case 3:
+					got, refGot = readExpGolomb(&d), uint32(rd.expGolomb())
+				}
+				// Past a corrupt code the two are free to differ; only
+				// the verdict below must agree.
+				if got != refGot && rd.err == nil {
+					t.Fatalf("op %d (%+v): decoded %d, reference %d", k, op, got, refGot)
+				}
+				if in.own && got != op.v {
+					t.Fatalf("op %d (%+v): decoded %d", k, op, got)
+				}
+			}
+			refErr := rd.err
+			if refErr == nil && rd.pos != len(in.body)+rangeSlack {
+				refErr = errBitstream
+			}
+			err := d.finish()
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%d-byte body: finish %v, reference %v", len(in.body), err, refErr)
+			}
+			if in.own && err != nil {
+				t.Fatalf("the encoder's %d-byte body: %v", len(in.body), err)
+			}
+		}
+	})
 }
 
 // FuzzFDCT: the production forward transform equals the dense oracle

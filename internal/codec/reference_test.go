@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"math/big"
 	"math/bits"
 
 	"evr/internal/display"
@@ -9,119 +10,465 @@ import (
 )
 
 // The reference codec: the straightforward implementation the package
-// shipped before the block kernels — one append per bit, per-pixel At/Set,
-// Frame.Luma motion search, a dense decode that inverse-transforms every
-// channel of every block with the dense inverse transform below — speaking
-// the current block syntax. It shares only the forward DCT, the zigzag
-// table and quantStep with the production code, so the differential tests
-// compare two independent routes from pixels to bits and back.
+// shipped before the block kernels — per-pixel At/Set, Frame.Luma motion
+// search, a dense decode that inverse-transforms every channel of every
+// block with the dense inverse transform below — speaking the current
+// syntax through an entropy layer written separately from the production
+// one: contexts are named, not laid out in arrays, the encoder keeps its
+// code value as a big integer (so carries need no bookkeeping), and the
+// band table is spelled out. It shares only the forward DCT, the zigzag
+// table, quantStep and the coder's constants with the production code, so
+// the differential tests compare two independent routes from pixels to
+// bits and back.
 
-type refBitWriter struct {
-	buf  []byte
-	cur  byte
-	nCur uint
+// refBand is the context band of each zigzag position below 63.
+var refBand = [...]int{
+	0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 9, 9, 10, 10, 10, 11, 11, 11, 12, 12, 12, 12,
+	13, 13, 13, 13, 13, 13, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14,
+	15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15,
 }
 
-func (w *refBitWriter) writeBit(b uint) {
-	w.cur = w.cur<<1 | byte(b&1)
-	w.nCur++
-	if w.nCur == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.nCur = 0, 0
+// refModel is one adaptive bin model: p is the probability of a 0 bin in
+// 1/4096ths, n the bins it has coded.
+type refModel struct{ p, n int }
+
+// adapt moves the model toward bin: shift 1 for its first bin, 2 for the
+// next three, 3 for the six after, 4 up to its 21st, then 5; p stays within
+// [32, 4064].
+func (m *refModel) adapt(bin int) {
+	shift := 5
+	switch {
+	case m.n < 1:
+		shift = 1
+	case m.n < 4:
+		shift = 2
+	case m.n < 10:
+		shift = 3
+	case m.n < 21:
+		shift = 4
 	}
-}
-
-func (w *refBitWriter) writeBits(v uint64, n uint) {
-	for i := int(n) - 1; i >= 0; i-- {
-		w.writeBit(uint(v >> uint(i)))
-	}
-}
-
-func (w *refBitWriter) writeUE(v uint32) {
-	x := uint64(v) + 1
-	n := uint(bits.Len64(x))
-	w.writeBits(0, n-1)
-	w.writeBits(x, n)
-}
-
-func (w *refBitWriter) writeSE(v int32) {
-	if v > 0 {
-		w.writeUE(uint32(2*v - 1))
+	m.n++
+	if bin == 0 {
+		m.p += (4096 - m.p) >> shift
 	} else {
-		w.writeUE(uint32(-2 * v))
+		m.p -= m.p >> shift
+	}
+	m.p = min(max(m.p, 32), 4064)
+}
+
+// refModels are a frame's contexts by name, each created at p = 1/2 on
+// first use.
+type refModels map[string]*refModel
+
+func (ms refModels) get(format string, args ...any) *refModel {
+	name := fmt.Sprintf(format, args...)
+	m, ok := ms[name]
+	if !ok {
+		m = &refModel{p: 2048}
+		ms[name] = m
+	}
+	return m
+}
+
+// refRangeEncoder keeps the whole code value: low is the bottom of the
+// interval, scaled by 256 at every renormalisation, so a carry is just an
+// addition.
+type refRangeEncoder struct {
+	low    *big.Int
+	rng    uint64
+	shifts int
+	models refModels
+}
+
+func newRefRangeEncoder() *refRangeEncoder {
+	return &refRangeEncoder{low: new(big.Int), rng: 0xFFFFFFFF, models: refModels{}}
+}
+
+func (e *refRangeEncoder) renormalise() {
+	for e.rng < 1<<24 {
+		e.rng <<= 8
+		e.low.Lsh(e.low, 8)
+		e.shifts++
 	}
 }
 
-func (w *refBitWriter) bytes() []byte {
-	if w.nCur > 0 {
-		w.buf = append(w.buf, w.cur<<(8-w.nCur))
-		w.cur, w.nCur = 0, 0
+func (e *refRangeEncoder) bin(m *refModel, bin int) {
+	bound := (e.rng >> 12) * uint64(m.p)
+	if bin == 0 {
+		e.rng = bound
+	} else {
+		e.low.Add(e.low, new(big.Int).SetUint64(bound))
+		e.rng -= bound
 	}
-	return w.buf
+	m.adapt(bin)
+	e.renormalise()
 }
 
-type refBitReader struct {
-	buf []byte
-	pos int
-	bit uint
+func (e *refRangeEncoder) bypass(bin int) {
+	e.rng >>= 1
+	if bin == 1 {
+		e.low.Add(e.low, new(big.Int).SetUint64(e.rng))
+	}
+	e.renormalise()
 }
 
-func (r *refBitReader) readBit() (uint, error) {
-	if r.pos >= len(r.buf) {
-		return 0, errBitstream
-	}
-	b := uint(r.buf[r.pos]>>(7-r.bit)) & 1
-	r.bit++
-	if r.bit == 8 {
-		r.bit = 0
-		r.pos++
-	}
-	return b, nil
+// bytes picks the code value low rounded up to a multiple of 2^24: as a
+// number of 4 + shifts bytes its last three are zero, and the body is the
+// others.
+func (e *refRangeEncoder) bytes() []byte {
+	v := new(big.Int).Add(e.low, big.NewInt(1<<24-1))
+	v.Rsh(v, 24)
+	out := make([]byte, e.shifts+1)
+	return v.FillBytes(out)
 }
 
-func (r *refBitReader) readBits(n uint) (uint64, error) {
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		b, err := r.readBit()
-		if err != nil {
-			return 0, err
+func (e *refRangeEncoder) expGolomb(u int) {
+	n := bits.Len(uint(u+1)) - 1
+	for i := 0; i < n; i++ {
+		e.bypass(1)
+	}
+	e.bypass(0)
+	for i := n - 1; i >= 0; i-- {
+		e.bypass((u + 1) >> i & 1)
+	}
+}
+
+func (e *refRangeEncoder) sign(v int) {
+	if v < 0 {
+		e.bypass(1)
+	} else {
+		e.bypass(0)
+	}
+}
+
+// refRangeDecoder reads a body as the reference encoder writes it: four
+// bytes of lookahead, zeros for up to three bytes past the end, and the
+// body must end exactly there.
+type refRangeDecoder struct {
+	data      []byte
+	pos       int
+	rng, code uint64
+	err       error
+	models    refModels
+}
+
+func newRefRangeDecoder(data []byte) *refRangeDecoder {
+	d := &refRangeDecoder{data: data, rng: 0xFFFFFFFF, models: refModels{}}
+	for i := 0; i < 4; i++ {
+		d.code = d.code<<8 | d.readByte()
+	}
+	if d.code >= d.rng {
+		d.err = errBitstream
+	}
+	return d
+}
+
+func (d *refRangeDecoder) readByte() uint64 {
+	if d.pos >= len(d.data)+3 {
+		d.err = errBitstream
+		return 0
+	}
+	d.pos++
+	if d.pos <= len(d.data) {
+		return uint64(d.data[d.pos-1])
+	}
+	return 0
+}
+
+func (d *refRangeDecoder) renormalise() {
+	for d.rng < 1<<24 {
+		d.rng <<= 8
+		d.code = d.code<<8 | d.readByte()
+	}
+}
+
+func (d *refRangeDecoder) bin(m *refModel) int {
+	bound := (d.rng >> 12) * uint64(m.p)
+	bin := 0
+	if d.code < bound {
+		d.rng = bound
+	} else {
+		d.code -= bound
+		d.rng -= bound
+		bin = 1
+	}
+	m.adapt(bin)
+	d.renormalise()
+	return bin
+}
+
+func (d *refRangeDecoder) bypass() int {
+	d.rng >>= 1
+	bin := 0
+	if d.code >= d.rng {
+		d.code -= d.rng
+		bin = 1
+		if d.code >= d.rng {
+			d.err = errBitstream
 		}
-		v = v<<1 | uint64(b)
 	}
-	return v, nil
+	d.renormalise()
+	return bin
 }
 
-func (r *refBitReader) readUE() (uint32, error) {
-	var zeros uint
-	for {
-		b, err := r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 1 {
-			break
-		}
-		zeros++
-		if zeros > 32 {
-			return 0, errBitstream
+func (d *refRangeDecoder) expGolomb() int {
+	n := 0
+	for d.bypass() == 1 {
+		n++
+		if n > 20 {
+			d.err = errBitstream
+			return 0
 		}
 	}
-	rest, err := r.readBits(zeros)
-	if err != nil {
-		return 0, err
+	x := 1
+	for i := 0; i < n; i++ {
+		x = x<<1 | d.bypass()
 	}
-	return uint32((uint64(1)<<zeros | rest) - 1), nil
+	return x - 1
 }
 
-func (r *refBitReader) readSE() (int32, error) {
-	u, err := r.readUE()
-	if err != nil {
-		return 0, err
+func (d *refRangeDecoder) signed(mag int) int {
+	if d.bypass() == 1 {
+		return -mag
 	}
-	if u%2 == 1 {
-		return int32(u/2) + 1, nil
+	return mag
+}
+
+// refKind names the list contexts of channel ch.
+func refKind(inter bool, ch int) string {
+	kind := "intra"
+	if inter {
+		kind = "inter"
 	}
-	return -int32(u / 2), nil
+	if ch == 0 {
+		return kind + "/luma"
+	}
+	return kind + "/chroma"
+}
+
+// refBlockInfo is what the reference codecs remember of a coded block.
+type refBlockInfo struct {
+	skip     bool
+	mvx, mvy int
+	coded    [3]bool
+	dc       [3]int
+}
+
+// refNeighbours is a frame's block grid of refBlockInfo.
+type refNeighbours struct {
+	cols, rows int
+	info       []refBlockInfo
+}
+
+func newRefNeighbours(w, h int) *refNeighbours {
+	n := &refNeighbours{cols: w / blockSize, rows: h / blockSize}
+	n.info = make([]refBlockInfo, n.cols*n.rows)
+	return n
+}
+
+// at returns the block at (col, row) and whether it lies inside the frame.
+func (n *refNeighbours) at(col, row int) (refBlockInfo, bool) {
+	if col < 0 || row < 0 || col >= n.cols || row >= n.rows {
+		return refBlockInfo{}, false
+	}
+	return n.info[row*n.cols+col], true
+}
+
+func (n *refNeighbours) set(col, row int, b refBlockInfo) { n.info[row*n.cols+col] = b }
+
+// skipModel: skipped neighbours left and top, outside the frame counting as
+// skipped.
+func (n *refNeighbours) skipModel(ms refModels, col, row int) *refModel {
+	count := 0
+	if left, in := n.at(col-1, row); !in || left.skip {
+		count++
+	}
+	if top, in := n.at(col, row-1); !in || top.skip {
+		count++
+	}
+	return ms.get("skip/%d", count)
+}
+
+// predictor: the left vector on the first row, else the median of left,
+// top and top-right, a block outside the frame counting as (0, 0).
+func (n *refNeighbours) predictor(col, row int) (int, int) {
+	left, _ := n.at(col-1, row)
+	if row == 0 {
+		return left.mvx, left.mvy
+	}
+	top, _ := n.at(col, row-1)
+	topRight, _ := n.at(col+1, row-1)
+	median := func(a, b, c int) int {
+		s := []int{a, b, c}
+		if s[0] > s[1] {
+			s[0], s[1] = s[1], s[0]
+		}
+		if s[1] > s[2] {
+			s[1], s[2] = s[2], s[1]
+		}
+		if s[0] > s[1] {
+			s[0], s[1] = s[1], s[0]
+		}
+		return s[1]
+	}
+	return median(left.mvx, top.mvx, topRight.mvx), median(left.mvy, top.mvy, topRight.mvy)
+}
+
+// codedModel: whether the left block coded channel ch, plus, past channel
+// 0, whether this block coded channel ch−1.
+func (n *refNeighbours) codedModel(ms refModels, col, row, ch int, this refBlockInfo) *refModel {
+	count := 0
+	if left, _ := n.at(col-1, row); left.coded[ch] {
+		count++
+	}
+	if ch > 0 && this.coded[ch-1] {
+		count++
+	}
+	part := "luma"
+	if ch > 0 {
+		part = "chroma"
+	}
+	return ms.get("coded/%s/%d", part, count)
+}
+
+// refCBPModel: channel 0 on its own, channels 1 and 2 by whether the
+// previous channel is coded.
+func refCBPModel(ms refModels, ch, cbp int) *refModel {
+	if ch == 0 {
+		return ms.get("cbp/0")
+	}
+	return ms.get("cbp/%d/after %d", ch, cbp>>(ch-1)&1)
+}
+
+// refWriteList writes a coded channel's levels in zigzag order.
+func refWriteList(e *refRangeEncoder, kind string, q *[blockLen]int32) {
+	var levels []int // by zigzag position
+	last := -1
+	for k, zi := range zigzag {
+		levels = append(levels, int(q[zi]))
+		if q[zi] != 0 {
+			last = k
+		}
+	}
+	for k := 0; k < 63; k++ {
+		sig := 0
+		if levels[k] != 0 {
+			sig = 1
+		}
+		e.bin(e.models.get("%s/sig/%d", kind, refBand[k]), sig)
+		if sig == 1 {
+			if k == last {
+				e.bin(e.models.get("%s/last/%d", kind, refBand[k]), 1)
+				break
+			}
+			e.bin(e.models.get("%s/last/%d", kind, refBand[k]), 0)
+		}
+	}
+	eq1, gt1 := 0, 0
+	for k := last; k >= 0; k-- {
+		level := levels[k]
+		if level == 0 {
+			continue
+		}
+		mag := max(level, -level)
+		first := 0
+		if gt1 == 0 {
+			first = min(eq1+1, 4)
+		}
+		if mag == 1 {
+			e.bin(e.models.get("%s/gt1/%d", kind, first), 0)
+			eq1++
+		} else {
+			e.bin(e.models.get("%s/gt1/%d", kind, first), 1)
+			rest := e.models.get("%s/gtN/%d", kind, min(gt1, 4))
+			// Magnitudes 2 to 14 end on a 0 bin; 15 and up spend thirteen 1
+			// bins and an exp-Golomb suffix.
+			for m := 2; m < mag && m < 15; m++ {
+				e.bin(rest, 1)
+			}
+			if mag < 15 {
+				e.bin(rest, 0)
+			} else {
+				e.expGolomb(mag - 15)
+			}
+			gt1++
+		}
+		e.sign(level)
+	}
+}
+
+// refReadList reads a coded channel's levels into freq, dequantized with
+// the steps of quality.
+func refReadList(d *refRangeDecoder, kind string, q *[blockLen]int32) {
+	var positions []int
+	k := 0
+	for ; k < 63; k++ {
+		if d.bin(d.models.get("%s/sig/%d", kind, refBand[k])) == 1 {
+			positions = append(positions, k)
+			if d.bin(d.models.get("%s/last/%d", kind, refBand[k])) == 1 {
+				break
+			}
+		}
+	}
+	if k == 63 {
+		positions = append(positions, 63)
+	}
+	eq1, gt1 := 0, 0
+	for j := len(positions) - 1; j >= 0; j-- {
+		first := 0
+		if gt1 == 0 {
+			first = min(eq1+1, 4)
+		}
+		mag := 1
+		if d.bin(d.models.get("%s/gt1/%d", kind, first)) == 1 {
+			mag = 2
+			rest := d.models.get("%s/gtN/%d", kind, min(gt1, 4))
+			for mag < 15 && d.bin(rest) == 1 {
+				mag++
+			}
+			if mag == 15 {
+				mag += d.expGolomb()
+			}
+			gt1++
+		} else {
+			eq1++
+		}
+		q[zigzag[positions[j]]] = int32(d.signed(mag))
+	}
+}
+
+// refWriteMotion writes one component's difference from its predictor.
+func refWriteMotion(e *refRangeEncoder, comp string, diff int) {
+	if diff == 0 {
+		e.bin(e.models.get("mvzero/%s", comp), 0)
+		return
+	}
+	e.bin(e.models.get("mvzero/%s", comp), 1)
+	mag := max(diff, -diff)
+	// |d| − 1 in up to eight unary bins, then an exp-Golomb suffix.
+	for i := 0; i < mag-1 && i < 8; i++ {
+		e.bin(e.models.get("mv/%s/%d", comp, min(i, 3)), 1)
+	}
+	if mag-1 < 8 {
+		e.bin(e.models.get("mv/%s/%d", comp, min(mag-1, 3)), 0)
+	} else {
+		e.expGolomb(mag - 1 - 8)
+	}
+	e.sign(diff)
+}
+
+func refReadMotion(d *refRangeDecoder, comp string) int {
+	if d.bin(d.models.get("mvzero/%s", comp)) == 0 {
+		return 0
+	}
+	v := 0
+	for v < 8 && d.bin(d.models.get("mv/%s/%d", comp, min(v, 3))) == 1 {
+		v++
+	}
+	if v == 8 {
+		v += d.expGolomb()
+	}
+	return d.signed(v + 1)
 }
 
 type refBlock = [blockSize * blockSize]float64
@@ -263,77 +610,6 @@ func refLevels(freq, steps *[blockLen]float64, q *[blockLen]int32) (nz uint64) {
 	return nz
 }
 
-func refWriteCoeffs(w *refBitWriter, q *[blockSize * blockSize]int32) {
-	var runs []uint32
-	var levels []int32
-	run := uint32(0)
-	for _, zi := range zigzag {
-		if q[zi] == 0 {
-			run++
-			continue
-		}
-		runs = append(runs, run)
-		levels = append(levels, q[zi])
-		run = 0
-	}
-	if len(levels) == 0 {
-		w.writeUE(64)
-		return
-	}
-	for k := range levels {
-		w.writeUE(runs[k])
-		w.writeSE(levels[k])
-		if k == len(levels)-1 {
-			w.writeBit(1)
-		} else {
-			w.writeBit(0)
-		}
-	}
-}
-
-// refReadCoeffBlock entropy-decodes, dequantizes and inverse-transforms
-// one block. Only an intra list may be the escape (no coefficient); a
-// coded level is never zero.
-func refReadCoeffBlock(r *refBitReader, quality int, intra bool, out *refBlock) error {
-	var freq refBlock
-	pos := 0
-	for {
-		run, err := r.readUE()
-		if err != nil {
-			return err
-		}
-		if pos == 0 && run == 64 {
-			if !intra {
-				return errBitstream
-			}
-			break
-		}
-		if uint64(pos)+uint64(run) >= blockSize*blockSize {
-			return errBitstream
-		}
-		pos += int(run)
-		level, err := r.readSE()
-		if err != nil {
-			return err
-		}
-		if level == 0 {
-			return errBitstream
-		}
-		zi := zigzag[pos]
-		freq[zi] = float64(level) * quantStep(zi/blockSize, zi%blockSize, quality)
-		last, err := r.readBit()
-		if err != nil {
-			return err
-		}
-		if last == 1 {
-			break
-		}
-		pos++
-	}
-	refIDCT(&freq, out)
-	return nil
-}
-
 func refMotionSearch(src, ref *frame.Frame, bx, by, searchRange int) (dx, dy int) {
 	bestSAD := int(^uint(0) >> 1)
 	for cy := -searchRange; cy <= searchRange; cy++ {
@@ -406,7 +682,8 @@ func (e *refEncoder) encode(f *frame.Frame) []byte {
 	if e.ref == nil || e.count == 0 {
 		ft = IFrame
 	}
-	w := &refBitWriter{}
+	enc := newRefRangeEncoder()
+	blocks := newRefNeighbours(f.W, f.H)
 	src := f
 	if e.cfg.ChromaCoding {
 		src = display.ToYCbCr(f)
@@ -415,9 +692,9 @@ func (e *refEncoder) encode(f *frame.Frame) []byte {
 	for by := 0; by < f.H; by += blockSize {
 		for bx := 0; bx < f.W; bx += blockSize {
 			if ft == IFrame {
-				e.intraBlock(w, src, recon, bx, by)
+				e.intraBlock(enc, blocks, src, recon, bx, by)
 			} else {
-				e.interBlock(w, src, recon, bx, by)
+				e.interBlock(enc, blocks, src, recon, bx, by)
 			}
 		}
 	}
@@ -426,10 +703,13 @@ func (e *refEncoder) encode(f *frame.Frame) []byte {
 	if e.count >= e.cfg.GOP {
 		e.count = 0
 	}
-	return w.bytes()
+	return enc.bytes()
 }
 
-func (e *refEncoder) intraBlock(w *refBitWriter, src, recon *frame.Frame, bx, by int) {
+func (e *refEncoder) intraBlock(enc *refRangeEncoder, blocks *refNeighbours, src, recon *frame.Frame, bx, by int) {
+	col, row := bx/blockSize, by/blockSize
+	left, _ := blocks.at(col-1, row)
+	var this refBlockInfo
 	for ch := 0; ch < 3; ch++ {
 		var spatial, rec refBlock
 		var q [blockSize * blockSize]int32
@@ -438,21 +718,37 @@ func (e *refEncoder) intraBlock(w *refBitWriter, src, recon *frame.Frame, bx, by
 			spatial[i] -= 128
 		}
 		refQuantize(&spatial, refChQuality(e.cfg, ch), &q, &rec)
-		refWriteCoeffs(w, &q)
 		for i := range rec {
 			rec[i] += 128
 		}
 		refStoreBlock(recon, bx, by, ch, &rec)
+		// The list carries the DC level's difference from the left block's.
+		this.dc[ch] = int(q[0])
+		q[0] -= int32(left.dc[ch])
+		for _, level := range q {
+			if level != 0 {
+				this.coded[ch] = true
+			}
+		}
+		model := blocks.codedModel(enc.models, col, row, ch, this)
+		if !this.coded[ch] {
+			enc.bin(model, 0)
+			continue
+		}
+		enc.bin(model, 1)
+		refWriteList(enc, refKind(false, ch), &q)
 	}
+	blocks.set(col, row, this)
 }
 
-func (e *refEncoder) interBlock(w *refBitWriter, src, recon *frame.Frame, bx, by int) {
+func (e *refEncoder) interBlock(enc *refRangeEncoder, blocks *refNeighbours, src, recon *frame.Frame, bx, by int) {
+	col, row := bx/blockSize, by/blockSize
 	mvx, mvy := refMotionSearch(src, e.ref, bx, by, e.cfg.SearchRange)
 	if e.cfg.HalfPel {
 		mvx, mvy = refRefineHalfPel(src, e.ref, bx, by, mvx, mvy)
 	}
 	var q [3][blockSize * blockSize]int32
-	cbp := uint64(0)
+	cbp := 0
 	for ch := 0; ch < 3; ch++ {
 		var spatial, pred, rec refBlock
 		refChannelBlock(src, bx, by, ch, &spatial)
@@ -473,19 +769,25 @@ func (e *refEncoder) interBlock(w *refBitWriter, src, recon *frame.Frame, bx, by
 		}
 		refStoreBlock(recon, bx, by, ch, &rec)
 	}
+	skipModel := blocks.skipModel(enc.models, col, row)
 	if cbp == 0 && mvx == 0 && mvy == 0 {
-		w.writeBit(1)
+		enc.bin(skipModel, 1)
+		blocks.set(col, row, refBlockInfo{skip: true})
 		return
 	}
-	w.writeBit(0)
-	w.writeSE(int32(mvx))
-	w.writeSE(int32(mvy))
-	w.writeBits(cbp, 3)
+	enc.bin(skipModel, 0)
+	px, py := blocks.predictor(col, row)
+	refWriteMotion(enc, "x", mvx-px)
+	refWriteMotion(enc, "y", mvy-py)
+	for ch := 0; ch < 3; ch++ {
+		enc.bin(refCBPModel(enc.models, ch, cbp), cbp>>ch&1)
+	}
 	for ch := 0; ch < 3; ch++ {
 		if cbp&(1<<ch) != 0 {
-			refWriteCoeffs(w, &q[ch])
+			refWriteList(enc, refKind(true, ch), &q[ch])
 		}
 	}
+	blocks.set(col, row, refBlockInfo{mvx: mvx, mvy: mvy})
 }
 
 func refEncodeSequence(cfg Config, frames []*frame.Frame) [][]byte {
@@ -540,7 +842,6 @@ type refDecoder struct {
 // ParseSegment's, and the reference repeats them.
 func (d *refDecoder) decode(bs *Bitstream, i int) (*frame.Frame, error) {
 	data := bs.Frames[i]
-	r := &refBitReader{buf: data}
 	ft, w, h := bs.Types[i], bs.W, bs.H
 	cfg := Config{Quality: bs.Quality, ChromaCoding: bs.ChromaCoding, HalfPel: bs.HalfPel}
 	if (ft != IFrame && ft != PFrame) || w <= 0 || h <= 0 || w%blockSize != 0 || h%blockSize != 0 ||
@@ -550,24 +851,39 @@ func (d *refDecoder) decode(bs *Bitstream, i int) (*frame.Frame, error) {
 	if ft == PFrame && (d.ref == nil || d.ref.W != w || d.ref.H != h) {
 		return nil, fmt.Errorf("reference: P-frame without a matching reference")
 	}
-	// Every block takes at least a bit; without this a fuzzed header makes
-	// the reference allocate gigabytes before it runs out of payload.
-	if (w/blockSize)*(h/blockSize) > 8*len(data) {
+	// Every block takes at least one context bin (three in an I-frame),
+	// each removing at least minBinCost/2^16 bits of range, and a body of
+	// n bytes holds less than 8n bits of them; without this a fuzzed
+	// header makes the reference allocate gigabytes before it runs out of
+	// payload.
+	bins := (w / blockSize) * (h / blockSize)
+	if ft == IFrame {
+		bins *= 3
+	}
+	if float64(bins)*minBinCost/(1<<16) >= float64(8*len(data)) {
 		return nil, errBitstream
 	}
+	dec := newRefRangeDecoder(data)
+	blocks := newRefNeighbours(w, h)
 	out := frame.New(w, h)
-	for by := 0; by < h; by += blockSize {
-		for bx := 0; bx < w; bx += blockSize {
+	for by := 0; by < h && dec.err == nil; by += blockSize {
+		for bx := 0; bx < w && dec.err == nil; bx += blockSize {
 			var err error
 			if ft == IFrame {
-				err = d.intraBlock(r, out, bx, by, cfg)
+				d.intraBlock(dec, blocks, out, bx, by, cfg)
 			} else {
-				err = d.interBlock(r, out, bx, by, cfg)
+				err = d.interBlock(dec, blocks, out, bx, by, cfg)
 			}
 			if err != nil {
 				return nil, err
 			}
 		}
+	}
+	if dec.err != nil {
+		return nil, dec.err
+	}
+	if dec.pos != len(data)+3 {
+		return nil, fmt.Errorf("reference: the bins end %d bytes before the body", len(data)+3-dec.pos)
 	}
 	d.ref = out
 	if cfg.ChromaCoding {
@@ -576,51 +892,54 @@ func (d *refDecoder) decode(bs *Bitstream, i int) (*frame.Frame, error) {
 	return out, nil
 }
 
-func (d *refDecoder) intraBlock(r *refBitReader, out *frame.Frame, bx, by int, cfg Config) error {
+func (d *refDecoder) intraBlock(dec *refRangeDecoder, blocks *refNeighbours, out *frame.Frame, bx, by int, cfg Config) {
+	col, row := bx/blockSize, by/blockSize
+	left, _ := blocks.at(col-1, row)
+	var this refBlockInfo
 	for ch := 0; ch < 3; ch++ {
-		var rec refBlock
-		if err := refReadCoeffBlock(r, refChQuality(cfg, ch), true, &rec); err != nil {
-			return err
+		var q [blockLen]int32
+		if dec.bin(blocks.codedModel(dec.models, col, row, ch, this)) == 1 {
+			this.coded[ch] = true
+			refReadList(dec, refKind(false, ch), &q)
 		}
+		q[0] += int32(left.dc[ch])
+		this.dc[ch] = int(q[0])
+		var rec refBlock
+		refDequantize(&q, refChQuality(cfg, ch), &rec)
 		for i := range rec {
 			rec[i] += 128
 		}
 		refStoreBlock(out, bx, by, ch, &rec)
 	}
-	return nil
+	blocks.set(col, row, this)
 }
 
-func (d *refDecoder) interBlock(r *refBitReader, out *frame.Frame, bx, by int, cfg Config) error {
-	skip, err := r.readBit()
-	if err != nil {
-		return err
-	}
+func (d *refDecoder) interBlock(dec *refRangeDecoder, blocks *refNeighbours, out *frame.Frame, bx, by int, cfg Config) error {
+	col, row := bx/blockSize, by/blockSize
 	d.stats.blocks++
-	var mvx, mvy int32
-	var cbp uint64
-	if skip == 1 {
+	var this refBlockInfo
+	var cbp int
+	if dec.bin(blocks.skipModel(dec.models, col, row)) == 1 {
 		d.stats.skips++
+		this.skip = true
 	} else {
-		if mvx, err = r.readSE(); err != nil {
-			return err
-		}
-		if mvy, err = r.readSE(); err != nil {
-			return err
-		}
-		if absInt(int(mvx)) > 128 || absInt(int(mvy)) > 128 {
+		px, py := blocks.predictor(col, row)
+		this.mvx = px + refReadMotion(dec, "x")
+		this.mvy = py + refReadMotion(dec, "y")
+		if absInt(this.mvx) > 128 || absInt(this.mvy) > 128 {
 			return errBitstream
 		}
-		if cbp, err = r.readBits(3); err != nil {
-			return err
+		for ch := 0; ch < 3; ch++ {
+			cbp |= dec.bin(refCBPModel(dec.models, ch, cbp)) << ch
 		}
 		d.stats.cbp[cbp]++
 		// Where the displaced block lies, in half-pel units either way.
 		x0, y0, x1, y1 := 2*bx, 2*by, 2*(bx+blockSize), 2*(by+blockSize)
-		if cfg.HalfPel {
-			x0, y0, x1, y1 = x0+int(mvx), y0+int(mvy), x1+int(mvx), y1+int(mvy)
-		} else {
-			x0, y0, x1, y1 = x0+2*int(mvx), y0+2*int(mvy), x1+2*int(mvx), y1+2*int(mvy)
+		mvx, mvy := this.mvx, this.mvy
+		if !cfg.HalfPel {
+			mvx, mvy = 2*mvx, 2*mvy
 		}
+		x0, y0, x1, y1 = x0+mvx, y0+mvy, x1+mvx, y1+mvy
 		if x0 < 0 {
 			d.stats.left++
 		}
@@ -635,22 +954,29 @@ func (d *refDecoder) interBlock(r *refBitReader, out *frame.Frame, bx, by int, c
 		}
 	}
 	for ch := 0; ch < 3; ch++ {
-		var pred, rec refBlock
+		var q [blockLen]int32
 		if cbp&(1<<ch) != 0 {
-			if err := refReadCoeffBlock(r, refChQuality(cfg, ch), false, &rec); err != nil {
-				return err
-			}
-		} else {
-			var zero refBlock
-			refIDCT(&zero, &rec)
+			refReadList(dec, refKind(true, ch), &q)
 		}
-		refPredict(d.ref, bx, by, int(mvx), int(mvy), ch, cfg.HalfPel, &pred)
+		var pred, rec refBlock
+		refDequantize(&q, refChQuality(cfg, ch), &rec)
+		refPredict(d.ref, bx, by, this.mvx, this.mvy, ch, cfg.HalfPel, &pred)
 		for i := range rec {
 			rec[i] += pred[i]
 		}
 		refStoreBlock(out, bx, by, ch, &rec)
 	}
+	blocks.set(col, row, this)
 	return nil
+}
+
+// refDequantize scales levels by their steps and inverse-transforms them.
+func refDequantize(q *[blockLen]int32, quality int, out *refBlock) {
+	var freq refBlock
+	for i, level := range q {
+		freq[i] = float64(level) * quantStep(i/blockSize, i%blockSize, quality)
+	}
+	refIDCT(&freq, out)
 }
 
 // refDecodeSequence decodes a bitstream with the reference decoder.

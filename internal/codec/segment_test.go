@@ -26,7 +26,7 @@ func sampleSegment(t *testing.T) (*Bitstream, []byte) {
 	}
 	want := append([]byte("EVS1"), // 0–3 magic
 		0, 16, 0, 8, // 4–7 W, H
-		6, flagSkipCBP|flagLastFlag|flagHalfPel, // 8 quality, 9 flags
+		6, flagSkipCBP|flagLastFlag|flagRangeCoded|flagHalfPel, // 8 quality, 9 flags
 		3,          // 10 n
 		0b110,      // 11 types: frames 1 and 2 are P
 		0xC8, 0x01, // 12–13 len 200
@@ -86,9 +86,10 @@ func TestParseSegmentRejects(t *testing.T) {
 		{"height off the block grid", with(6, 0, 20), "dimensions 16x20", false},
 		{"quality 0", with(8, 0), "quality 0", false},
 		{"quality 65", with(8, 65), "quality 65", false},
-		{"unknown flag", with(9, 0x10|flagSkipCBP|flagLastFlag), "unknown bits", false},
-		{"flag bit 3 clear", with(9, flagSkipCBP), "bit 3", true},
-		{"flag bit 2 clear", with(9, flagLastFlag), "bit 2", false},
+		{"unknown flag", with(9, 0x20|flagSkipCBP|flagLastFlag|flagRangeCoded), "unknown bits", false},
+		{"flag bit 4 clear", with(9, flagSkipCBP|flagLastFlag), "bit 4", true},
+		{"flag bit 3 clear", with(9, flagSkipCBP|flagRangeCoded), "bit 3", true},
+		{"flag bit 2 clear", with(9, flagLastFlag|flagRangeCoded), "bit 2", false},
 		{"no frames", splice(10, 2, 0), "claims 0 frames", false},
 		{"more frames than bytes", splice(10, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x07), "claims 2147483647 frames", false},
 		{"count not minimal", splice(10, 1, 0x83, 0x00), "not minimal", false},

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"evr/internal/display"
 	"evr/internal/frame"
 	"evr/internal/projection"
 	"evr/internal/scene"
@@ -194,6 +195,66 @@ func TestDecodedFramesPinnedAcrossFormatChange(t *testing.T) {
 	}
 }
 
+// benchGeometrySequences are the codec inputs at the geometries the
+// benchmark streams (ingest settings: GOP 30, search range 2): an RS
+// segment at the playback workloads' 320×160 and quality 6, a 128² sequence
+// (the size of vod_sas's FOV frames), one 80² tile of the 4×2 grid at rung
+// 2's quality 24, and tiled_view's 80×40 backfill at the same quality.
+func benchGeometrySequences(t testing.TB) []corpusCase {
+	full := rsFrames(t, 320, 160, 30)
+	tile := make([]*frame.Frame, len(full))
+	low := make([]*frame.Frame, len(full))
+	down, err := display.NewScaler(80, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range full {
+		tile[i] = frame.New(80, 80)
+		for y := 0; y < 80; y++ {
+			copy(tile[i].Pix[y*80*3:(y+1)*80*3], f.Pix[(y*320+80)*3:(y*320+160)*3])
+		}
+		if low[i], err = down.Apply(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return []corpusCase{
+		{"RS 320×160 q6", Config{GOP: 30, Quality: 6, SearchRange: 2}, full},
+		{"RS 128×128 q6", Config{GOP: 30, Quality: 6, SearchRange: 2}, rsFrames(t, 128, 128, 30)},
+		{"tile 1 of 4×2, 80×80 q24", Config{GOP: 30, Quality: 24, SearchRange: 2}, tile},
+		{"backfill 80×40 q24", Config{GOP: 30, Quality: 24, SearchRange: 2}, low},
+	}
+}
+
+// TestDecodedSequencesPinnedAtBenchGeometry pins one FNV-1a digest over
+// every decoded frame of each benchGeometrySequences segment, recorded
+// before the context-adaptive entropy code: the entropy layer moves bytes
+// on the wire, never a decoded pixel.
+func TestDecodedSequencesPinnedAtBenchGeometry(t *testing.T) {
+	want := map[string]uint64{
+		"RS 320×160 q6":            0x25d70bd881d5fb57,
+		"RS 128×128 q6":            0xbe59756138059bc9,
+		"tile 1 of 4×2, 80×80 q24": 0xdb38663dc2d54bc1,
+		"backfill 80×40 q24":       0xa8ce4d6c65b263a6,
+	}
+	for _, tc := range benchGeometrySequences(t) {
+		bs, err := EncodeSequence(tc.cfg, tc.frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeSequence(bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, f := range decoded {
+			h.Write(f.Pix)
+		}
+		if got := h.Sum64(); got != want[tc.name] {
+			t.Errorf("%s: decoded frames digest %#016x, want %#016x", tc.name, got, want[tc.name])
+		}
+	}
+}
+
 // TestSkipShareOnWorkloadVideos measures the property the byte saving
 // depends on, on each video the benchmark's workloads stream at their
 // resolution and ingest codec settings (playback: RS at 320×160;
@@ -241,14 +302,14 @@ func TestSkipOnlyForZeroVectorAndZeroResidual(t *testing.T) {
 	blocks := (32 / blockSize) * (16 / blockSize)
 
 	// Textured content identical to the reference: the zero vector wins
-	// outright and the residual is zero, so the body is one set bit per
-	// block.
+	// outright and the residual is zero, so the body is eight skip bins,
+	// which fit one byte.
 	data, stats := pFrame(Config{GOP: 2, Quality: 4, SearchRange: 2}, textured, textured)
 	if stats.skips != blocks {
 		t.Errorf("static frame: %d of %d blocks skipped", stats.skips, blocks)
 	}
-	if !bytes.Equal(data, []byte{0xFF}) {
-		t.Errorf("static frame body = %x, want ff", data)
+	if len(data) != 1 {
+		t.Errorf("static frame body = %x, want one byte", data)
 	}
 
 	// Unchanged flat content: every candidate ties at SAD 0 and the search
@@ -294,114 +355,140 @@ func TestTruncatedInterSyntaxErrors(t *testing.T) {
 		}
 		return got, err
 	}
-	// coded starts a P-frame whose first block has a zero vector and codes
-	// channel 0 only.
-	coded := func() *bitWriter {
-		w := &bitWriter{}
-		w.writeBits(0, 1)
-		w.writeSE(0)
-		w.writeSE(0)
-		w.writeBits(0b001, 3)
-		return w
+	// craft codes a two-block 16×8 body with the encoder's syntax: blocks
+	// writes its bins.
+	craft := func(blocks func(e *rangeEncoder, s *blockSyntax)) []byte {
+		var e rangeEncoder
+		var s blockSyntax
+		e.reset()
+		s.startFrame(2)
+		blocks(&e, &s)
+		return append([]byte(nil), e.bytes()...)
+	}
+	skip := func(e *rangeEncoder, s *blockSyntax, col int) {
+		s.startBlock(col, 0)
+		e.encode(s.skipContext(), 1)
+		s.endBlock(neighbour{skip: true})
 	}
 
 	// Both blocks skipped: the reference again.
-	w := &bitWriter{}
-	w.writeBits(0b11, 2)
+	allSkip := craft(func(e *rangeEncoder, s *blockSyntax) { skip(e, s, 0); skip(e, s, 1) })
 	want, err := NewDecoder().Decode(key, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := decode(PFrame, w.bytes()); err != nil {
+	if got, err := decode(PFrame, allSkip); err != nil {
 		t.Fatalf("all-skip frame: %v", err)
 	} else if !got.Equal(want) {
 		t.Error("all-skip frame is not a copy of the reference")
 	}
 
-	// The payload ends after the first block's skip bit: the pad bits read
-	// as an unskipped block whose vector runs off the end.
-	w = &bitWriter{}
-	w.writeBits(1, 1)
-	if _, err := decode(PFrame, w.bytes()); !errors.Is(err, errBitstream) {
-		t.Errorf("stream ending after a skip bit: err = %v, want errBitstream", err)
+	// The same bins with a byte appended end before the body does, and
+	// without their last byte run past the slack.
+	if _, err := decode(PFrame, append(append([]byte(nil), allSkip...), 0)); !errors.Is(err, errBitstream) {
+		t.Errorf("body with a trailing byte: err = %v, want errBitstream", err)
+	}
+	long := craft(func(e *rangeEncoder, s *blockSyntax) {
+		// A coded first block whose vector and list take a few bytes.
+		s.startBlock(0, 0)
+		e.encode(s.skipContext(), 0)
+		s.writeMotion(e, 0, 1)
+		s.writeMotion(e, 1, -1)
+		for ch := 0; ch < 3; ch++ {
+			e.encode(s.cbpContext(1, ch), b2u(ch == 0))
+		}
+		var q [blockLen]int32
+		for i := range q {
+			q[i] = int32(i%5 - 2)
+		}
+		writeList(e, s.lists(true, 0), &q)
+		s.endBlock(neighbour{mvx: 1, mvy: -1})
+		skip(e, s, 1)
+	})
+	if _, err := decode(PFrame, long); err != nil {
+		t.Fatalf("coded block: %v", err)
+	}
+	if _, err := decode(PFrame, long[:len(long)-1]); !errors.Is(err, errBitstream) {
+		t.Errorf("body cut by a byte: err = %v, want errBitstream", err)
 	}
 
-	// skip=0, SE(1), SE(1) fill seven bits; the byte's last bit is the
-	// first of the three pattern bits and the payload ends there.
-	w = &bitWriter{}
-	w.writeBits(0, 1)
-	w.writeSE(1)
-	w.writeSE(1)
-	w.writeBits(1, 1)
-	if data := w.bytes(); len(data) != 1 {
-		t.Fatalf("crafted body is %d bytes, want 1", len(data))
-	} else if _, err := decode(PFrame, data); !errors.Is(err, errBitstream) {
-		t.Errorf("stream ending inside the block pattern: err = %v, want errBitstream", err)
+	// A vector the decoder refuses: 129 pixels from a (0, 0) predictor.
+	far := craft(func(e *rangeEncoder, s *blockSyntax) {
+		s.startBlock(0, 0)
+		e.encode(s.skipContext(), 0)
+		s.writeMotion(e, 0, maxMotion+1)
+		s.writeMotion(e, 1, 0)
+		for ch := 0; ch < 3; ch++ {
+			e.encode(s.cbpContext(0, ch), 0)
+		}
+		s.endBlock(neighbour{mvx: maxMotion + 1})
+		skip(e, s, 1)
+	})
+	if _, err := decode(PFrame, far); !errors.Is(err, errBitstream) {
+		t.Errorf("vector component %d: err = %v, want errBitstream", maxMotion+1, err)
 	}
 
-	// A coded channel's list is the escape, as an empty intra list would
-	// be; the second block is a skip so the frame is otherwise whole.
-	w = coded()
-	w.writeUE(escapeRun)
-	w.writeBits(1, 1)
-	if _, err := decode(PFrame, w.bytes()); !errors.Is(err, errBitstream) {
-		t.Errorf("escape in a coded P channel: err = %v, want errBitstream", err)
+	// A level suffix whose exp-Golomb prefix runs past maxSuffixBits.
+	runaway := craft(func(e *rangeEncoder, s *blockSyntax) {
+		s.startBlock(0, 0)
+		e.encode(s.skipContext(), 0)
+		s.writeMotion(e, 0, 0)
+		s.writeMotion(e, 1, 0)
+		for ch := 0; ch < 3; ch++ {
+			e.encode(s.cbpContext(1, ch), b2u(ch == 0))
+		}
+		c := s.lists(true, 0)
+		e.encode(&c.sig[0], 1)
+		e.encode(&c.last[0], 1)
+		e.encode(&c.gt1[1], 1)
+		for i := 1; i < levelPrefix; i++ {
+			e.encode(&c.gtN[0], 1)
+		}
+		e.bypass(1<<(maxSuffixBits+1)-1, maxSuffixBits+1)
+		e.bypass(0, 24)
+	})
+	if _, err := decode(PFrame, runaway); !errors.Is(err, errBitstream) {
+		t.Errorf("runaway level suffix: err = %v, want errBitstream", err)
 	}
 
-	// A coded level of zero carries nothing; the encoder never writes one.
-	w = coded()
-	w.writeUE(0)
-	w.writeSE(0)
-	w.writeBits(1, 1)
-	w.writeBits(1, 1)
-	if _, err := decode(PFrame, w.bytes()); !errors.Is(err, errBitstream) {
-		t.Errorf("zero level in a coded P channel: err = %v, want errBitstream", err)
+	// A list significant at every position has no last flag at all: the
+	// 64th level is implied. Both decoders read 64 levels.
+	full := craft(func(e *rangeEncoder, s *blockSyntax) {
+		s.startBlock(0, 0)
+		e.encode(s.skipContext(), 0)
+		s.writeMotion(e, 0, 0)
+		s.writeMotion(e, 1, 0)
+		for ch := 0; ch < 3; ch++ {
+			e.encode(s.cbpContext(0, ch), b2u(ch == 2))
+		}
+		var q [blockLen]int32
+		for i := range q {
+			q[i] = int32(1 - 2*(i%2))
+		}
+		writeList(e, s.lists(true, 2), &q)
+		s.endBlock(neighbour{})
+		skip(e, s, 1)
+	})
+	if _, err := decode(PFrame, full); err != nil {
+		t.Errorf("list of 64 levels: %v", err)
 	}
 
-	// Sixty-four one-coefficient pairs fill the block without a last flag;
-	// a sixty-fifth pair has no coefficient to land on.
-	w = coded()
-	for k := 0; k <= blockLen; k++ {
-		w.writeUE(0)
-		w.writeSE(1)
-		w.writeBits(0, 1)
-	}
-	if _, err := decode(PFrame, w.bytes()); !errors.Is(err, errBitstream) {
-		t.Errorf("list running past 64 coefficients: err = %v, want errBitstream", err)
-	}
-
-	// Six block bits, UE(7) and SE(1) end exactly on a byte: the payload
-	// ends between the level and its last flag.
-	w = coded()
-	w.writeUE(7)
-	w.writeSE(1)
-	if data := w.bytes(); len(data) != 2 {
-		t.Fatalf("crafted body is %d bytes, want 2", len(data))
-	} else if _, err := decode(PFrame, data); !errors.Is(err, errBitstream) {
-		t.Errorf("stream ending before a last flag: err = %v, want errBitstream", err)
-	}
-
-	// In an I-frame a list may be the escape, but only as its first run:
-	// six escapes are a mid-gray frame, an escape after a pair is corrupt.
-	w = &bitWriter{}
-	for k := 0; k < 6; k++ {
-		w.writeUE(escapeRun)
-	}
-	if got, err := decode(IFrame, w.bytes()); err != nil {
-		t.Errorf("I-frame of six escapes: %v", err)
+	// In an I-frame a channel may carry no list: six clear coded flags are
+	// a mid-gray frame.
+	gray := craft(func(e *rangeEncoder, s *blockSyntax) {
+		for col := 0; col < 2; col++ {
+			s.startBlock(col, 0)
+			var n neighbour
+			for ch := 0; ch < 3; ch++ {
+				e.encode(s.codedContext(ch, &n), 0)
+			}
+			s.endBlock(n)
+		}
+	})
+	if got, err := decode(IFrame, gray); err != nil {
+		t.Errorf("I-frame of six clear coded flags: %v", err)
 	} else if got.Pix[0] != 128 || got.Pix[len(got.Pix)-1] != 128 {
-		t.Errorf("I-frame of six escapes decodes to %d…%d, want mid-gray", got.Pix[0], got.Pix[len(got.Pix)-1])
-	}
-	w = &bitWriter{}
-	w.writeUE(0)
-	w.writeSE(1)
-	w.writeBits(0, 1)
-	w.writeUE(escapeRun)
-	for k := 0; k < 5; k++ {
-		w.writeUE(escapeRun)
-	}
-	if _, err := decode(IFrame, w.bytes()); !errors.Is(err, errBitstream) {
-		t.Errorf("escape after a list's first pair: err = %v, want errBitstream", err)
+		t.Errorf("I-frame of six clear coded flags decodes to %d…%d, want mid-gray", got.Pix[0], got.Pix[len(got.Pix)-1])
 	}
 }
 
@@ -416,14 +503,17 @@ const (
 	preLastPFrame = "50001000080604b56041"
 )
 
-// The same two frames in the current syntax as the stores written before
-// the segment container held them: a bare segment (W, H, count as
-// little-endian u16, u16, u32, then type u8, length u32 and a headed frame
-// per frame) and an "EVT1" tile (tile 5 of a 4×2 grid, rung 1; big-endian
-// W, H, count, then type, length and a headed frame per frame).
+// The same two frames in the last-flag syntax's exp-Golomb words, as the
+// stores written before the segment container held them: a bare segment
+// (W, H, count as little-endian u16, u16, u32, then type u8, length u32 and
+// a headed frame per frame) and an "EVT1" tile (tile 5 of a 4×2 grid, rung
+// 1; big-endian W, H, count, then type, length and a headed frame per
+// frame) — and as the segment container held them before the range-coded
+// bodies (flag bit 4).
 const (
 	preSegmentOrig = "1000080002000000492c0000004900100008060c85c24a04cc256171501530958740bd84ac2e125026612b0a8a407586b09586d4042c3584a850090000005000100008060cb570"
 	preSegmentTile = "4556543104020005010010000800000002490000002c4900100008060c85c24a04cc256171501530958740bd84ac2e125026612b0a8a407586b09586d4042c3584a850000000095000100008060cb570"
+	preRangeCoded  = "4556533100100008060c02022585c24a04cc256171501530958740bd84ac2e125026612b0a8a407586b09586d4042c3584a802b570"
 )
 
 // oldSegment wraps frames that still carry their 7-byte headers in a
@@ -449,39 +539,48 @@ func oldSegment(frames ...[]byte) []byte {
 
 // TestStaleFormatRejected: a payload from a store written before a format
 // change fails to parse with ErrStaleFormat, whose text tells the operator
-// to re-ingest — frames of an older block or coefficient syntax, and the
-// containers that held one header per frame.
+// to re-ingest — frames of an older block, coefficient or entropy syntax,
+// and the containers that held one header per frame.
 func TestStaleFormatRejected(t *testing.T) {
 	bs, err := EncodeSequence(Config{GOP: 2, Quality: 6, SearchRange: 1}, rsFrames(t, 16, 8, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, old := range []struct{ name, i, p, why string }{
-		{"pre-skip/CBP", preCBPIFrame, preCBPPFrame, "bit 3"},
-		{"pre-last-flag", preLastIFrame, preLastPFrame, "bit 3"},
+	words, _ := hex.DecodeString(preRangeCoded)
+	for _, old := range []struct {
+		name string
+		seg  []byte
+	}{
+		{"pre-skip/CBP", oldSegment(mustHex(t, preCBPIFrame), mustHex(t, preCBPPFrame))},
+		{"pre-last-flag", oldSegment(mustHex(t, preLastIFrame), mustHex(t, preLastPFrame))},
+		{"pre-range-coded", words},
 	} {
-		iOld, _ := hex.DecodeString(old.i)
-		pOld, _ := hex.DecodeString(old.p)
-		// The same quantized blocks, in fewer bytes.
-		for k, data := range [][]byte{iOld, pOld} {
-			if len(bs.Frames[k]) >= len(data)-7 {
-				t.Errorf("%s: %c-frame body is %d bytes, no smaller than the old format's %d", old.name, bs.Types[k], len(bs.Frames[k]), len(data)-7)
-			}
+		if _, err := ParseSegment(old.seg); !errors.Is(err, ErrStaleFormat) || !strings.Contains(err.Error(), "bit 4") {
+			t.Errorf("%s segment: err = %v, want ErrStaleFormat naming bit 4", old.name, err)
 		}
-		if _, err := ParseSegment(oldSegment(iOld, pOld)); !errors.Is(err, ErrStaleFormat) || !strings.Contains(err.Error(), old.why) {
-			t.Errorf("%s segment: err = %v, want ErrStaleFormat naming %s", old.name, err, old.why)
+	}
+	// The same quantized blocks in no more bytes than their exp-Golomb
+	// words, and the I-frame in fewer.
+	old, err := ParseSegment(append(words[:9:9], append([]byte{words[9] | flagRangeCoded}, words[10:]...)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range bs.Frames {
+		if len(bs.Frames[k]) > len(old.Frames[k]) || k == 0 && len(bs.Frames[k]) == len(old.Frames[k]) {
+			t.Errorf("%c-frame body is %d bytes against the exp-Golomb syntax's %d", bs.Types[k], len(bs.Frames[k]), len(old.Frames[k]))
 		}
 	}
 	orig, _ := hex.DecodeString(preSegmentOrig)
 	tile, _ := hex.DecodeString(preSegmentTile)
-	// The bodies behind those headers are this package's frames bit for bit:
-	// the container changed, not a pixel.
-	if b0, b1 := orig[8+5+7:8+5+0x2c], orig[len(orig)-2:]; !bytes.Equal(b0, bs.Frames[0]) || !bytes.Equal(b1, bs.Frames[1]) {
-		t.Errorf("old frame bodies %x %x, want this encoder's %x %x", b0, b1, bs.Frames[0], bs.Frames[1])
+	// The bodies behind the per-frame headers are the segment container's
+	// bit for bit: the container changed, not a pixel.
+	if b0, b1 := orig[8+5+7:8+5+0x2c], orig[len(orig)-2:]; !bytes.Equal(b0, old.Frames[0]) || !bytes.Equal(b1, old.Frames[1]) {
+		t.Errorf("old frame bodies %x %x, want the segment container's %x %x", b0, b1, old.Frames[0], old.Frames[1])
 	}
 	for name, data := range map[string][]byte{
 		"bare segment":                 orig,
 		"EVT1 tile, envelope stripped": tile[9:],
+		"exp-Golomb segment":           words,
 	} {
 		_, err := ParseSegment(data)
 		if !errors.Is(err, ErrStaleFormat) || !strings.Contains(err.Error(), "re-ingest the video") {
@@ -490,73 +589,80 @@ func TestStaleFormatRejected(t *testing.T) {
 	}
 }
 
-// TestBitIOMatchesReference drives the accumulator-based bit writer and
-// reader against the bit-at-a-time ones with random field sequences.
+func mustHex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestBitIOMatchesReference drives the range coder against the reference
+// one — named models, a big-integer code value — with random sequences of
+// context bins (over a few contexts, some heavily skewed so probabilities
+// reach their floor), bypass runs and exp-Golomb values: the bodies must be
+// identical and both decoders must read every value back and end exactly
+// at the body's end.
 func TestBitIOMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 200; trial++ {
-		w, ref := &bitWriter{}, &refBitWriter{}
+		var e rangeEncoder
+		e.reset()
+		ref := newRefRangeEncoder()
+		var ctxs [4]binContext
+		for i := range ctxs {
+			ctxs[i] = newBinContext
+		}
 		type field struct {
-			kind int
-			v    uint64
-			n    uint
+			kind, ctx int
+			v         uint32
 		}
 		var fields []field
-		for k := 0; k < 1+rng.Intn(40); k++ {
-			f := field{kind: rng.Intn(3), v: rng.Uint64() >> uint(rng.Intn(64)), n: uint(rng.Intn(57))}
-			if f.kind == 2 { // writeSE doubles its argument
-				f.v = uint64(int64(f.v%(1<<30)) * int64(1-2*rng.Intn(2)))
-			}
+		for k := 0; k < rng.Intn(400); k++ {
+			f := field{kind: rng.Intn(3), ctx: rng.Intn(len(ctxs))}
 			switch f.kind {
-			case 0:
-				f.v &= 1<<f.n - 1
-				w.writeBits(f.v, f.n)
-				ref.writeBits(f.v, f.n)
+			case 0: // context k skews its bins toward 1 with odds k:1
+				f.v = b2u(rng.Intn(f.ctx*8+2) != 0)
+				e.encode(&ctxs[f.ctx], f.v)
+				ref.bin(ref.models.get("c%d", f.ctx), int(f.v))
 			case 1:
-				w.writeUE(uint32(f.v))
-				ref.writeUE(uint32(f.v))
+				f.v = rng.Uint32() >> uint(rng.Intn(33)) & 1
+				e.bypass(f.v, 1)
+				ref.bypass(int(f.v))
 			case 2:
-				w.writeSE(int32(f.v))
-				ref.writeSE(int32(f.v))
+				f.v = rng.Uint32() >> uint(12+rng.Intn(21))
+				writeExpGolomb(&e, f.v)
+				ref.expGolomb(int(f.v))
 			}
 			fields = append(fields, f)
 		}
-		data := w.bytes()
-		if !bytes.Equal(data, ref.bytes()) {
-			t.Fatalf("trial %d: writers disagree", trial)
+		data := e.bytes()
+		if want := ref.bytes(); !bytes.Equal(data, want) {
+			t.Fatalf("trial %d: bodies differ:\n%x\n%x", trial, data, want)
 		}
-		r := newBitReader(data)
+		var d rangeDecoder
+		d.reset(data)
+		rd := newRefRangeDecoder(data)
+		for i := range ctxs {
+			ctxs[i] = newBinContext
+		}
 		for i, f := range fields {
-			var got uint64
-			var err error
+			var got, refGot uint32
 			switch f.kind {
 			case 0:
-				got, err = r.readBits(f.n)
+				got, refGot = d.decode(&ctxs[f.ctx]), uint32(rd.bin(rd.models.get("c%d", f.ctx)))
 			case 1:
-				var u uint32
-				u, err = r.readUE()
-				got, f.v = uint64(u), uint64(uint32(f.v))
+				got, refGot = d.bypass(1), uint32(rd.bypass())
 			case 2:
-				var s int32
-				s, err = r.readSE()
-				got, f.v = uint64(s), uint64(int32(f.v))
+				got, refGot = readExpGolomb(&d), uint32(rd.expGolomb())
 			}
-			if err != nil || got != f.v {
-				t.Fatalf("trial %d field %d (kind %d): read %d (%v), want %d", trial, i, f.kind, got, err, f.v)
+			if got != f.v || refGot != f.v {
+				t.Fatalf("trial %d field %d (kind %d): read %d / reference %d, want %d", trial, i, f.kind, got, refGot, f.v)
 			}
 		}
-		// Past the end both readers fail.
-		rr := &refBitReader{buf: data[:len(data)/2]}
-		r = newBitReader(data[:len(data)/2])
-		for {
-			a, errA := r.readUE()
-			b, errB := rr.readUE()
-			if a != b || (errA == nil) != (errB == nil) {
-				t.Fatalf("trial %d: truncated read %d (%v) vs reference %d (%v)", trial, a, errA, b, errB)
-			}
-			if errA != nil {
-				break
-			}
+		if err := d.finish(); err != nil || rd.err != nil || rd.pos != len(data)+rangeSlack {
+			t.Fatalf("trial %d: finish %v, reference %v at %d of %d+%d", trial, err, rd.err, rd.pos, len(data), rangeSlack)
 		}
 	}
 }
@@ -595,9 +701,9 @@ func TestSegmentBytesPinned(t *testing.T) {
 		iFrame, total int
 		digest        uint64
 	}{
-		{Config{GOP: 30, Quality: 6, SearchRange: 2}, 320, 160, 7039, 27169, 0xdb96910b0906fdf8},
-		{Config{GOP: 30, Quality: 6, SearchRange: 2}, 128, 64, 1864, 6162, 0x22baae546e3a4fc5},
-		{Config{GOP: 30, Quality: 6, SearchRange: 2, ChromaCoding: true, HalfPel: true}, 128, 64, 881, 5641, 0x811853ed841d2a67},
+		{Config{GOP: 30, Quality: 6, SearchRange: 2}, 320, 160, 4109, 19602, 0xa1fbeca76b9999b7},
+		{Config{GOP: 30, Quality: 6, SearchRange: 2}, 128, 64, 959, 4171, 0x45322c3e87a53a41},
+		{Config{GOP: 30, Quality: 6, SearchRange: 2, ChromaCoding: true, HalfPel: true}, 128, 64, 396, 4021, 0xbb3f8953752920b1},
 	} {
 		name := fmt.Sprintf("RS %d×%d %+v", tc.w, tc.h, tc.cfg)
 		bs, err := EncodeSequence(tc.cfg, rsFrames(t, tc.w, tc.h, 30))
@@ -620,5 +726,5 @@ func TestSegmentBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("smallest 96×48-grid tile", bs, 161, 0xc3ad6e4c85af4860)
+	check("smallest 96×48-grid tile", bs, 96, 0xcc9545bb089eb9b4)
 }

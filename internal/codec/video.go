@@ -38,9 +38,10 @@ func (h Header) check() error {
 	return nil
 }
 
-// flags is h's flags byte; every segment sets the two required syntax bits.
+// flags is h's flags byte; every segment sets the three required syntax
+// bits.
 func (h Header) flags() byte {
-	f := byte(flagSkipCBP | flagLastFlag)
+	f := byte(flagSkipCBP | flagLastFlag | flagRangeCoded)
 	if h.ChromaCoding {
 		f |= flagChroma
 	}
@@ -128,9 +129,10 @@ func AppendSegment(dst []byte, b *Bitstream) ([]byte, error) {
 // ParseSegment parses a segment written by AppendSegment. The header is
 // checked here, once for every frame: the dimensions are positive
 // multiples of the block size, the quality is in [1, 64], the flags are
-// known and carry both required syntax bits, frame 0 is an I-frame, and
-// the length fields add up to the payload exactly. A payload from before
-// the segment container or the last-flag syntax fails with ErrStaleFormat.
+// known and carry the three required syntax bits, frame 0 is an I-frame,
+// and the length fields add up to the payload exactly. A payload from
+// before the segment container, the last-flag syntax or the range-coded
+// bodies fails with ErrStaleFormat.
 // What is left for Decode are the per-frame checks a body needs.
 //
 // The bitstream aliases data: each frame body is a sub-slice of data, its
@@ -149,6 +151,9 @@ func ParseSegment(data []byte) (*Bitstream, error) {
 	flags := data[9]
 	if flags&^flagsKnown != 0 {
 		return nil, fmt.Errorf("codec: segment flags %#02x set unknown bits", flags)
+	}
+	if flags&flagRangeCoded == 0 {
+		return nil, fmt.Errorf("%w (flag bit 4, range-coded frame bodies, not set)", ErrStaleFormat)
 	}
 	if flags&flagLastFlag == 0 {
 		return nil, fmt.Errorf("%w (flag bit 3, last-flag coefficient lists, not set)", ErrStaleFormat)

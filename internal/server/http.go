@@ -362,12 +362,17 @@ func (s *Service) payload(ref Ref) Answer {
 		if d := time.Duration(s.storeDelay.Load()); d > 0 {
 			time.Sleep(d)
 		}
-		data, meta, ok := s.store.Get(ref.StoreKey())
+		// A FOVMeta payload is the metadata log's half of its FOV
+		// video's key; only the half served is copied.
+		var data []byte
+		var ok bool
+		if ref.Kind == FOVMeta {
+			data, ok = s.store.Meta(ref.StoreKey())
+		} else {
+			data, ok = s.store.Data(ref.StoreKey())
+		}
 		if !ok {
 			return Answer{}, errNotStored
-		}
-		if ref.Kind == FOVMeta {
-			data = meta
 		}
 		return Answer{
 			Status:        http.StatusOK,

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -216,6 +217,47 @@ func TestUnmarshalFrameMetaRejects(t *testing.T) {
 	}
 }
 
+// TestFOVMetaMissCopiesOnlyMeta: with no response cache every payload
+// request is a store load, and a FOVMeta load copies the 480-byte metadata
+// of its key and not the FOV video stored beside it — the answer allocates
+// its metadata plus under 1 kB of envelope, where the video alone is
+// several kilobytes at the benchmark's 128² FOV size.
+func TestFOVMetaMissCopiesOnlyMeta(t *testing.T) {
+	v, _ := scene.ByName("RS")
+	cfg := DefaultIngestConfig()
+	cfg.FullW, cfg.FullH = 320, 160
+	cfg.FOVW, cfg.FOVH = 128, 128
+	cfg.MaxSegments = 1
+	svc := NewServiceOpts(store.New(), ServiceOptions{})
+	man, err := svc.IngestVideo(v, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := man.Segments[0].Clusters[0]
+	ref := Ref{Video: "RS", Kind: FOVMeta, Seg: 0, A: cl.ID}
+	video := Ref{Video: "RS", Kind: FOV, Seg: 0, A: cl.ID}
+	if a := svc.Answer(video); len(a.Body) < 2<<10 {
+		t.Fatalf("FOV video is %d bytes; the guard needs one well over 1 kB", len(a.Body))
+	}
+	answer := func() {
+		if a := svc.Answer(ref); a.Status != http.StatusOK || len(a.Body) != 480 {
+			t.Fatalf("FOVMeta answer: status %d, %d bytes", a.Status, len(a.Body))
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	answer()
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		answer()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= 480+1<<10 {
+		t.Errorf("a FOVMeta miss allocates %d B, want its 480-byte metadata plus under 1 kB", got)
+	}
+}
+
 // TestControlPlaneBytesPinned pins what a session fetches besides video at
 // the gated benchmark's geometry (RS 320×160, 128² FOV, 2 segments): the
 // manifest carries one pose per FOV video, and every FOVMeta payload is 16
@@ -243,8 +285,10 @@ func TestControlPlaneBytesPinned(t *testing.T) {
 	body := get("/v/RS/manifest").Body.Bytes()
 	// 10 624 when every frame's pose was in it; 857 until the one-header
 	// segment container took a FOV video's byte count (10 156 → 9 863)
-	// down a digit.
-	const manifestBytes = 856
+	// down a digit, 856 until the range-coded bodies took five more
+	// (10 670 → 8 030, 11 859 → 8 856, 11 174 → 8 303, 11 473 → 8 546,
+	// 11 160 → 8 276).
+	const manifestBytes = 851
 	if len(body) != manifestBytes {
 		t.Errorf("manifest is %d bytes, pinned %d", len(body), manifestBytes)
 	}

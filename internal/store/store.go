@@ -52,18 +52,41 @@ func (s *Store) Put(key string, data, meta []byte) error {
 	return nil
 }
 
-// Get returns the latest data and metadata for a key.
+// Get returns copies of the latest data and metadata for a key.
 func (s *Store) Get(key string) (data, meta []byte, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	d, okD := s.data[key]
-	m, okM := s.meta[key]
-	if !okD || !okM {
+	if data, ok = read(s.data, s.dataLog, key); !ok {
 		return nil, nil, false
 	}
-	data = append([]byte(nil), s.dataLog[d.off:d.off+d.len]...)
-	meta = append([]byte(nil), s.metaLog[m.off:m.off+m.len]...)
+	meta, _ = read(s.meta, s.metaLog, key)
 	return data, meta, true
+}
+
+// Data returns a copy of the latest data for a key, and nothing of its
+// metadata.
+func (s *Store) Data(key string) ([]byte, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return read(s.data, s.dataLog, key)
+}
+
+// Meta returns a copy of the latest metadata for a key, and nothing of its
+// data.
+func (s *Store) Meta(key string) ([]byte, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return read(s.meta, s.metaLog, key)
+}
+
+// read copies key's object out of log through index; the caller holds
+// s.mu. Put indexes every key in both logs.
+func read(index map[string]span, log []byte, key string) ([]byte, bool) {
+	sp, ok := index[key]
+	if !ok {
+		return nil, false
+	}
+	return append([]byte(nil), log[sp.off:sp.off+sp.len]...), true
 }
 
 // DataBytes returns the data log size (including stale versions).

@@ -67,6 +67,39 @@ func TestGetReturnsCopies(t *testing.T) {
 	}
 }
 
+// TestDataAndMetaReadOneLog: Data and Meta each return a copy of one half
+// of what Get returns, allocating only that half, and miss as Get does.
+func TestDataAndMetaReadOneLog(t *testing.T) {
+	s := New()
+	s.Put("k", make([]byte, 64<<10), []byte("meta"))
+	d, m, _ := s.Get("k")
+	data, okD := s.Data("k")
+	meta, okM := s.Meta("k")
+	if !okD || !okM || string(data) != string(d) || string(meta) != string(m) {
+		t.Fatalf("Data/Meta = %d B %v / %q %v, Get = %d B / %q", len(data), okD, meta, okM, len(d), m)
+	}
+	meta[0] = 'Z'
+	if again, _ := s.Meta("k"); string(again) != "meta" {
+		t.Error("Meta returned aliased storage")
+	}
+	if n := testing.AllocsPerRun(20, func() { s.Meta("k") }); n != 1 {
+		t.Errorf("Meta allocates %v times, want 1 (its copy)", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Meta("k")
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<10 {
+		t.Errorf("Meta of a key with 64 kB of data allocated %d B, want its 4-byte copy", got)
+	}
+	if _, ok := s.Data("absent"); ok {
+		t.Error("Data of an absent key succeeded")
+	}
+	if _, ok := s.Meta("absent"); ok {
+		t.Error("Meta of an absent key succeeded")
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := New()
 	rng := rand.New(rand.NewSource(60))
