@@ -6,12 +6,16 @@
 #                             test runs there: arm64 fuses a*b+c in the render
 #                             and display kernels, so the playback pins and
 #                             goldens hold on amd64 only; DESIGN.md).
-#   arm64 codec FMA check     no fused multiply-add in the arm64 assembly of
-#                             package codec or of frame.(*Frame).bilinear (the
-#                             half-pel predictor): every product there is
-#                             written float64(a*b), so a segment encodes and
-#                             decodes to the same bytes and pixels on every
-#                             CPU architecture.
+#   arm64 FMA check           no fused multiply-add in the arm64 assembly of
+#                             package codec, of frame.(*Frame).bilinear (the
+#                             half-pel predictor), or of the playback decision:
+#                             the geom products under every FOV check and
+#                             track choice (Dot, Angle, Apply, Mul, Matrix,
+#                             Forward, AngularDistance), sas's rules and the
+#                             client's decision step. Every product there is
+#                             written float64(a*b), so a segment decodes to the
+#                             same pixels, and a session makes the same hits
+#                             and choices, on every CPU architecture.
 #   go test -race -shuffle    every package's tests, race-clean and free of
 #                             inter-test ordering dependencies: the band
 #                             driver behind every renderer, ingest fan-out,
@@ -117,11 +121,17 @@ set -eux
 test -z "$(gofmt -l .)"
 go vet ./...
 GOARCH=arm64 go vet ./...
-GOARCH=arm64 go build -gcflags=-S ./internal/codec ./internal/frame 2>&1 | awk '
-	/^[^\t]/ { fn = $1 }
-	fn == "evr/internal/frame.(*Frame).bilinear" { seen = 1 }
-	/\tFN?M(ADD|SUB)D\t/ && (fn ~ /^evr\/internal\/codec\./ || fn == "evr/internal/frame.(*Frame).bilinear") { print "fused multiply-add in " fn ":" $0; bad = 1 }
-	END { exit bad || !seen }'
+GOARCH=arm64 go build -gcflags=-S ./internal/codec ./internal/frame ./internal/geom ./internal/sas ./internal/client 2>&1 | awk '
+	BEGIN {
+		n = split("frame.(*Frame).bilinear geom.Vec3.Dot geom.Vec3.Angle geom.Mat3.Apply geom.Mat3.Mul geom.Orientation.Matrix geom.Orientation.Forward geom.Orientation.AngularDistance sas.ChooseTrack sas.Tolerance sas.Hit client.(*decision).segment client.(*decision).frame", names, " ")
+		for (i = 1; i <= n; i++) checked["evr/internal/" names[i]] = 1
+	}
+	/^[^\t]/ { fn = $1; if (fn in checked) seen[fn] = 1 }
+	/\tFN?M(ADD|SUB)D\t/ && (fn ~ /^evr\/internal\/codec\./ || (fn in checked)) { print "fused multiply-add in " fn ":" $0; bad = 1 }
+	END {
+		for (fn in checked) if (!(fn in seen)) { print "not in the arm64 listing: " fn; bad = 1 }
+		exit bad
+	}'
 go build ./...
 go test -race -shuffle=on ./...
 go test -race -count=5 ./internal/cache

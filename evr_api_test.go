@@ -371,6 +371,7 @@ var linkAllowlist = map[string]string{
 	"pt.Config.Sample":               "oracle: the per-pixel filter pt TestRenderRowsMatchesMapSample holds sampleRow to",
 	"display.ToRGB":                  "oracle: codec's reference decoder (reference_test.go) converts chroma-coded frames back with it",
 	"scene.VideoSpec.ColorAt":        "oracle: the per-direction exact-angle colour scene TestRasterMatchesColorAt and FuzzRasterMatchesColorAt hold Raster.Frame and Instant.Color to byte for byte",
+	"client.Variant.String":          "fmt.Stringer of the facade's evr.Variant: no binary formats a Variant since the experiments cache key became a struct (it was the one %v caller); TestVariantUseCaseStrings pins the names",
 }
 
 // genericShape matches one innermost type-argument list of a linker symbol,

@@ -19,8 +19,10 @@ package client
 
 import (
 	"fmt"
+	"math"
 
 	"evr/internal/energy"
+	"evr/internal/geom"
 	"evr/internal/headtrace"
 	"evr/internal/hmd"
 	"evr/internal/netsim"
@@ -50,20 +52,10 @@ const (
 
 // String implements fmt.Stringer.
 func (v Variant) String() string {
-	switch v {
-	case Baseline:
-		return "baseline"
-	case S:
-		return "S"
-	case H:
-		return "H"
-	case SH:
-		return "S+H"
-	case Tiled:
-		return "tiled"
-	default:
-		return fmt.Sprintf("Variant(%d)", int(v))
+	if names := [...]string{"baseline", "S", "H", "S+H", "tiled"}; v >= 0 && int(v) < len(names) {
+		return names[v]
 	}
+	return fmt.Sprintf("Variant(%d)", int(v))
 }
 
 // UseCase selects the §8 deployment scenario.
@@ -80,16 +72,10 @@ const (
 
 // String implements fmt.Stringer.
 func (u UseCase) String() string {
-	switch u {
-	case OnlineStreaming:
-		return "online-streaming"
-	case LiveStreaming:
-		return "live-streaming"
-	case OfflinePlayback:
-		return "offline-playback"
-	default:
-		return fmt.Sprintf("UseCase(%d)", int(u))
+	if names := [...]string{"online-streaming", "live-streaming", "offline-playback"}; u >= 0 && int(u) < len(names) {
+		return names[u]
 	}
+	return fmt.Sprintf("UseCase(%d)", int(u))
 }
 
 // Config selects what the simulated device plays and how: the variant and
@@ -166,7 +152,7 @@ type Result struct {
 	FramesHit     int // displayed directly from a FOV video
 	FramesPT      int // rendered through projective transformation
 	FOVChecks     int // frames that ran the FOV checker
-	FOVMisses     int // checker misses (before segment fallback)
+	FOVMisses     int // checker misses, after a segment's fallback too
 	DroppedFrames int
 
 	StreamedBytes         int64 // bytes actually fetched
@@ -214,6 +200,53 @@ func (r Result) BandwidthSavingPct() float64 {
 	return 100 * (1 - float64(r.StreamedBytes)/float64(r.BaselineStreamedBytes))
 }
 
+// decision is the client's one playback decision (§5.3–§5.4), made by
+// sas's rules: Simulate prices it and Player.Play executes it.
+type decision struct {
+	tolerance float64 // how far a gaze may stray from a FOV frame's pose; +Inf hits every frame
+	onFOV     bool    // the segment plays its FOV video and has not missed
+}
+
+// outcome is what the decision makes of one frame.
+type outcome uint8
+
+const (
+	ptFrame   outcome = iota // rendered from the original through PT
+	hitFrame                 // shown from the FOV frame, no PT
+	firstMiss                // the FOV check's first miss: the original from here on
+)
+
+// segment picks a segment's source: the index of the FOV video whose
+// first-frame pose in first is nearest the gaze (§5.3), or -1 for the
+// original when first is empty, as in the model's resync hole.
+func (d *decision) segment(first []geom.Orientation, gaze geom.Orientation) int {
+	ti := sas.ChooseTrack(first, gaze)
+	d.onFOV = ti >= 0
+	return ti
+}
+
+// frame decides frame f at gaze against the pose its FOV frame was rendered
+// for; hit is the checker's verdict, whatever the outcome.
+func (d *decision) frame(f int, pose, gaze geom.Orientation) (out outcome, hit bool, catchUp int) {
+	hit = sas.Hit(pose, gaze, d.tolerance)
+	switch {
+	case !d.onFOV:
+		return ptFrame, hit, 0
+	case hit:
+		return hitFrame, hit, 0
+	}
+	out, catchUp = d.miss(f)
+	return out, hit, catchUp
+}
+
+// miss ends the FOV video at frame f, checked or not: the original decodes
+// from its keyframe, so its frames [0, f) are decoded again, unseen — the
+// catch-up (§5.4).
+func (d *decision) miss(f int) (outcome, int) {
+	d.onFOV = false
+	return firstMiss, f
+}
+
 // Simulate plays one head trace against one video's SAS plan under the
 // configured variant/use-case and returns the energy and QoE accounting.
 // The plan supplies segment boundaries and byte sizes even when SAS itself
@@ -227,7 +260,12 @@ func Simulate(v scene.VideoSpec, tr headtrace.Trace, plan *sas.Plan, cfg Config)
 	if cfg.Variant == Tiled {
 		bytesShare *= tiledByteRatio
 	}
-	sim := &simulator{cfg: cfg, sas: plan.Cfg, dt: 1.0 / float64(v.FPS), bytesShare: bytesShare}
+	sim := &simulator{cfg: cfg, dt: 1.0 / float64(v.FPS), bytesShare: bytesShare,
+		fovBytes: fovFrameBytes(headset.FOVXDeg + plan.Cfg.MarginDeg)}
+	sim.dec.tolerance = sas.Tolerance(plan.Cfg.MarginDeg, plan.Cfg.MarginDeg)
+	if cfg.ForceAllHits {
+		sim.dec.tolerance = math.Inf(1)
+	}
 	sim.run(tr, plan)
 	return sim.res, nil
 }
@@ -235,9 +273,10 @@ func Simulate(v scene.VideoSpec, tr headtrace.Trace, plan *sas.Plan, cfg Config)
 // simulator carries per-run state.
 type simulator struct {
 	cfg        Config
-	sas        sas.Config // the played plan's geometry governs hit checking
-	dt         float64    // one frame's display time
-	bytesShare float64    // one frame's compressed bytes
+	dt         float64  // one frame's display time
+	bytesShare float64  // one frame's compressed bytes
+	fovBytes   int64    // one decoded FOV frame of the played plan
+	dec        decision // the played plan's geometry governs hit checking
 	res        Result
 }
 
@@ -248,6 +287,7 @@ func (s *simulator) run(tr headtrace.Trace, plan *sas.Plan) {
 
 	frames := len(tr.Samples)
 	resync := 0 // segments left in the prefetch hole after a fallback
+	var first []geom.Orientation
 	for _, seg := range plan.Segments {
 		if seg.Start >= frames {
 			break
@@ -259,61 +299,55 @@ func (s *simulator) run(tr headtrace.Trace, plan *sas.Plan) {
 		s.res.BaselineStreamedBytes += seg.OrigBytes * int64(segFrames) / int64(seg.Frames)
 		s.res.SegmentBytes = append(s.res.SegmentBytes, 0)
 
-		ti := -1
-		if useSAS && resync == 0 && len(seg.Tracks) > 0 {
-			ti = s.chooseTrack(&seg, tr)
-		}
-		if resync > 0 {
-			resync--
-		}
-		if ti < 0 {
-			// No SAS (or no FOV videos, or re-syncing after a fallback):
-			// stream/read the original segment and render every frame
-			// through PT. The Tiled variant streams and decodes less but
-			// renders identically — the §9 contrast.
-			bytes := seg.OrigBytes
-			if s.cfg.Variant == Tiled {
-				bytes = int64(float64(bytes) * tiledByteRatio)
+		first = first[:0]
+		if useSAS && resync == 0 {
+			for _, t := range seg.Tracks {
+				first = append(first, t.Centers[0])
 			}
-			s.fetch(bytes, false)
-			for f := 0; f < segFrames; f++ {
-				s.res.FramesTotal++
-				s.res.chargeFrame(s.dt, s.cfg.ExtraComputeJPerFrame, offline)
-				s.chargePTFrame(usePTE)
-			}
-			continue
 		}
-
-		// SAS path: fetch the chosen FOV video up front.
-		s.fetch(seg.FOVBytes[ti], false)
-		fallback := false
+		gaze := tr.Samples[seg.Start].O
+		if s.cfg.Ext.PredictiveChoice {
+			gaze = predictGaze(tr, seg.Start, seg.Frames/2)
+		}
+		ti := s.dec.segment(first, gaze)
+		resync = max(resync-1, 0)
+		// Fetch the chosen FOV video up front, or the original: no SAS, no
+		// FOV videos, or re-syncing after a fallback. The Tiled variant
+		// streams and decodes less but renders identically — the §9 contrast.
+		bytes := seg.OrigBytes
+		if ti >= 0 {
+			bytes = seg.FOVBytes[ti]
+		} else if s.cfg.Variant == Tiled {
+			bytes = int64(float64(bytes) * tiledByteRatio)
+		}
+		s.fetch(bytes, false)
 		for f := 0; f < segFrames; f++ {
 			s.res.FramesTotal++
 			s.res.chargeFrame(s.dt, s.cfg.ExtraComputeJPerFrame, offline)
-			s.res.FOVChecks++
-			s.res.chargeFOVCheck()
-			hit := s.cfg.ForceAllHits || s.sas.Hit(&seg.Tracks[ti], f, tr.Samples[seg.Start+f].O)
-			if !hit {
-				s.res.FOVMisses++
+			if ti >= 0 {
+				// The model runs the FOV checker on every frame of a FOV
+				// video, after a fallback too.
+				s.res.FOVChecks++
+				s.res.chargeFOVCheck()
+				out, hit, catchUp := s.dec.frame(f, seg.Tracks[ti].Centers[f], tr.Samples[seg.Start+f].O)
+				if !hit {
+					s.res.FOVMisses++
+				}
+				if out == hitFrame {
+					s.res.FramesHit++
+					s.res.chargeHit(s.fovBytes, s.cfg.Variant == SH)
+					s.res.chargeDecodeBytes(s.bytesShare)
+					continue
+				}
+				if out == firstMiss {
+					// Re-request the original (§5.4) and lose the prefetch
+					// pipeline's next FOV videos: re-sync through it.
+					resync = resyncSegments
+					s.fetch(seg.OrigBytes, true)
+					s.res.chargeCatchUp(catchUp)
+				}
 			}
-			if !fallback && !hit {
-				// First miss: re-request the original segment (§5.4). The
-				// P-frame chain forces decoding from the segment keyframe,
-				// so the already-played prefix is decoded again in
-				// catch-up, and the prefetch pipeline loses the next
-				// segment's FOV video (re-sync through the original).
-				fallback = true
-				resync = resyncSegments
-				s.fetch(seg.OrigBytes, true)
-				s.res.chargeCatchUp(f + 1)
-			}
-			if !fallback && hit {
-				s.res.FramesHit++
-				s.res.chargeHit(fovFrameBytes(headset.FOVXDeg+s.sas.MarginDeg), s.cfg.Variant == SH)
-				s.res.chargeDecodeBytes(s.bytesShare)
-			} else {
-				s.chargePTFrame(usePTE)
-			}
+			s.chargePTFrame(usePTE)
 		}
 	}
 	s.res.Ledger.AdvanceTime(float64(s.res.FramesTotal) * s.dt)

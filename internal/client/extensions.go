@@ -3,7 +3,6 @@ package client
 import (
 	"evr/internal/geom"
 	"evr/internal/headtrace"
-	"evr/internal/sas"
 )
 
 // This file implements the paper's proposed extensions (discussed but not
@@ -33,29 +32,12 @@ type Extensions struct {
 	FusedPTE bool
 }
 
-// chooseTrack picks the FOV video for a segment, optionally using the
-// predictive extension.
-func (s *simulator) chooseTrack(seg *sas.SegmentPlan, tr headtrace.Trace) int {
-	horizon := 0
-	if s.cfg.Ext.PredictiveChoice {
-		horizon = seg.Frames / 2
-	}
-	return sas.ChooseTrack(seg, predictGaze(tr, seg.Start, horizon))
-}
-
 // predictGaze is the extension's oracle prediction: it reads the trace
 // horizon frames ahead, clamped to its ends — the generous §8.5
 // assumption, reused here.
 func predictGaze(tr headtrace.Trace, frame, horizon int) geom.Orientation {
-	i := frame + horizon
 	if len(tr.Samples) == 0 {
 		return geom.Orientation{}
 	}
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(tr.Samples) {
-		i = len(tr.Samples) - 1
-	}
-	return tr.Samples[i].O
+	return tr.Samples[min(max(frame+horizon, 0), len(tr.Samples)-1)].O
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"evr/internal/energy"
+	"evr/internal/geom"
 	"evr/internal/headtrace"
 	"evr/internal/sas"
 	"evr/internal/scene"
@@ -70,34 +71,46 @@ func TestPredictiveChoiceImprovesBandwidth(t *testing.T) {
 }
 
 // TestPredictiveChoiceLooksHalfASegmentAhead pins the extension's horizon:
-// the predictive choice takes the track the pose half a segment ahead
-// selects, the shipped choice the track of the segment's first pose.
+// a head that turns from one FOV video's pose to another's half a segment
+// in gets the first video from the shipped choice, made with the segment's
+// first pose, and the second from the predictive one.
 func TestPredictiveChoiceLooksHalfASegmentAhead(t *testing.T) {
 	v, _ := scene.ByName("RS")
-	plan, err := sas.BuildPlan(v, sas.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	a, b := geom.Orientation{}, geom.Orientation{Yaw: 1}
+	seg := sas.SegmentPlan{Frames: 30, OrigBytes: 1, FOVBytes: []int64{10, 20}}
+	tr := headtrace.Trace{Samples: make([]headtrace.Sample, seg.Frames)}
+	for _, pose := range []geom.Orientation{a, b} {
+		track := sas.ClusterTrack{Centers: make([]geom.Orientation, seg.Frames)}
+		for f := range track.Centers {
+			track.Centers[f] = pose
+		}
+		seg.Tracks = append(seg.Tracks, track)
 	}
-	tr := headtrace.Generate(v, 0)
-	shipped := &simulator{cfg: DefaultConfig(SH, OnlineStreaming)}
-	pred := &simulator{cfg: shipped.cfg}
-	pred.cfg.Ext.PredictiveChoice = true
-	checked := 0
-	for i := range plan.Segments {
-		seg := &plan.Segments[i]
-		if seg.Start >= len(tr.Samples) || len(seg.Tracks) == 0 {
-			continue
+	for f := range tr.Samples {
+		tr.Samples[f].O = a
+		if f >= seg.Frames/2 {
+			tr.Samples[f].O = b
 		}
-		if got, want := shipped.chooseTrack(seg, tr), sas.ChooseTrack(seg, tr.Samples[seg.Start].O); got != want {
-			t.Errorf("segment %d: shipped choice %d, want %d (first pose)", i, got, want)
-		}
-		if got, want := pred.chooseTrack(seg, tr), sas.ChooseTrack(seg, predictGaze(tr, seg.Start, seg.Frames/2)); got != want {
-			t.Errorf("segment %d: predictive choice %d, want %d (half a segment ahead)", i, got, want)
-		}
-		checked++
 	}
-	if checked == 0 {
-		t.Fatal("no segment had FOV tracks to choose from")
+	plan := &sas.Plan{Cfg: sas.DefaultConfig(), Segments: []sas.SegmentPlan{seg}}
+	shipped := DefaultConfig(SH, OnlineStreaming)
+	pred := shipped
+	pred.Ext.PredictiveChoice = true
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want int64 // the chosen FOV video's bytes, and the original's on a fallback
+	}{
+		{"shipped", shipped, 10 + 1},
+		{"predictive", pred, 20 + 1},
+	} {
+		res, err := Simulate(v, tr, plan, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SegmentBytes[0] != tc.want {
+			t.Errorf("%s choice streamed %d bytes, want %d", tc.name, res.SegmentBytes[0], tc.want)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"evr/internal/pt"
 	"evr/internal/pte"
 	"evr/internal/ptlut"
+	"evr/internal/sas"
 	"evr/internal/server"
 	"evr/internal/telemetry"
 )
@@ -227,7 +228,8 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		// count toward freshness, the DVR backlog behind it does not.
 		ftch.SetLiveEdge(video, man.LiveEdge)
 	}
-	tolerance, err := hitTolerance(man, headset)
+	vp := headset.ScaledViewport(p.ViewportScale)
+	warp, tolerance, err := hitWarp(man, headset, vp)
 	if err != nil {
 		return stats, nil, err
 	}
@@ -236,7 +238,6 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 	}
 	frameSec = 1 / float64(man.FPS)
 	fovBytes := fovFrameBytes(man.FOVXDeg)
-	vp := headset.ScaledViewport(p.ViewportScale)
 	method := projection.Method(man.Projection)
 	refCfg := pt.Config{Projection: method, Filter: pt.Bilinear, Viewport: vp}
 	// Reject a nonsensical manifest (unknown projection, degenerate
@@ -250,7 +251,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 	render := func(full *frame.Frame, o geom.Orientation) (*frame.Frame, error) {
 		return pt.RenderParallelChecked(refCfg, full, o, p.Workers)
 	}
-	var rendered *int
+	rendered := new(int) // the float path keeps no count
 	chargePT := stats.chargeGPU
 	switch {
 	case p.UseHAR:
@@ -288,10 +289,8 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 	}
 
 	frameIdx := 0
-	warp, err := display.NewWarp(vp, geom.Radians(man.FOVXDeg), geom.Radians(man.FOVYDeg))
-	if err != nil {
-		return stats, nil, err
-	}
+	dec := decision{tolerance: tolerance}
+	var first []geom.Orientation // a segment's FOV videos' first-frame poses
 	// One reader per stream role for the whole session: segments are
 	// independently decodable GOPs (§5.3), so a reader moves to the next
 	// segment's stream and keeps its decoder's rasters.
@@ -316,17 +315,17 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			break
 		}
 		gaze := imu.At(frameIdx)
-		// The segment starts on the FOV video whose first-frame metadata is
-		// nearest the current gaze (§5.3), or on the original if none is.
-		choice := bestCluster(seg, gaze, tolerance)
-		src := fromOrig
-		if choice >= 0 {
+		// The segment starts on its FOV video nearest the gaze, or on the
+		// original if it has none. A real prefetcher has no resync hole.
+		first = clusterPoses(first, seg)
+		ci, src := dec.segment(first, gaze), fromOrig // ci indexes seg.Clusters
+		if ci >= 0 {
 			src = fromFOV
 		}
 		// Tiled delivery: the three-way policy decision picks the source.
 		var plan tiledPlan
 		if ts != nil && seg.Tiles != nil {
-			plan = ts.plan(seg, imu.Trace(), frameIdx, choice, tolerance)
+			plan = ts.plan(seg, imu.Trace(), frameIdx, ci, tolerance)
 			switch plan.mode {
 			case delivery.ModeFOV:
 				stats.ModeFOVSegments++
@@ -350,8 +349,9 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		if ts == nil && si+1 < len(man.Segments) {
 			next := man.Segments[si+1]
 			if !(maxSegments > 0 && next.Index >= maxSegments) {
-				if nc := bestCluster(&next, gaze, tolerance); nc >= 0 {
-					ftch.Prefetch(p.BaseURL, server.Ref{Video: video, Kind: server.FOV, Seg: next.Index, A: nc})
+				first = clusterPoses(first, &next)
+				if i := sas.ChooseTrack(first, gaze); i >= 0 {
+					ftch.Prefetch(p.BaseURL, server.Ref{Video: video, Kind: server.FOV, Seg: next.Index, A: next.Clusters[i].ID})
 				}
 				ftch.Prefetch(p.BaseURL, server.Ref{Video: video, Kind: server.Orig, Seg: next.Index})
 			}
@@ -369,7 +369,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 				var err error
 				switch src {
 				case fromFOV:
-					bits, fovMeta, err = ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.FOV, Seg: seg.Index, A: choice})
+					bits, fovMeta, err = ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.FOV, Seg: seg.Index, A: seg.Clusters[ci].ID})
 					fov.load(bits)
 				case fromTiles:
 					err = p.fetchTiled(ts, video, seg, plan, &stats)
@@ -412,21 +412,25 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		for f := 0; f < seg.Frames && frameIdx < imu.Frames(); f, frameIdx = f+1, frameIdx+1 {
 			sp := p.Trace.StartFrame(seg.Index, frameIdx)
 			o := imu.At(frameIdx)
-			hit := false
+			verdict, catchUp := ptFrame, 0
 			var meta geom.Orientation // the pose the FOV frame was rendered for
 			sp.Start(telemetry.StageFOVCheck)
-			if src == fromFOV && f < fov.frames() { // the fetcher checked one pose per frame
-				meta = geom.Orientation{Yaw: fovMeta[f].Yaw, Pitch: fovMeta[f].Pitch}
-				hit = o.AngularDistance(meta) <= tolerance
-				stats.chargeFOVCheck()
+			if src == fromFOV {
+				if f < fov.frames() { // the fetcher checked one pose per frame
+					meta = geom.Orientation{Yaw: fovMeta[f].Yaw, Pitch: fovMeta[f].Pitch}
+					verdict, _, catchUp = dec.frame(f, meta, o)
+					stats.chargeFOVCheck()
+				} else { // a FOV video shorter than its segment misses unchecked
+					verdict, catchUp = dec.miss(f)
+				}
 			}
 			sp.Stop(telemetry.StageFOVCheck)
+			hit := verdict == hitFrame
 			var err error
-			if src == fromFOV && !hit {
-				// FOV miss: the rest of the segment plays from the original,
-				// whose P-chain is decoded from its keyframe up to frame f.
+			if verdict == firstMiss {
+				// The rest of the segment plays from the original.
 				src, err = enter(fromOrig)
-				stats.chargeCatchUp(f)
+				stats.chargeCatchUp(catchUp)
 			}
 			// img is the frame this one is made from, decoded on demand from
 			// src; nil means nothing is decodable. A frame that does not
@@ -478,10 +482,8 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 				sp.Start(telemetry.StageRender)
 				out, err = render(img, o)
 				sp.Stop(telemetry.StageRender)
-				if err == nil && rendered != nil {
-					*rendered++
-				}
 				if err == nil {
+					*rendered++
 					stats.chargeDecode(float64(nominalW)*float64(nominalH), panoramaBytes)
 					chargePT()
 				}
@@ -569,35 +571,29 @@ func (r *streamReader) frame(i int) (*frame.Frame, error) {
 	return r.cur, nil
 }
 
-// bestCluster returns the ID of the segment's FOV video whose first-frame
-// orientation is nearest the gaze, or -1 when none is close enough.
-func bestCluster(seg *server.SegmentInfo, gaze geom.Orientation, tolerance float64) int {
-	choice := -1
-	bestAng := tolerance * 4
+// clusterPoses fills buf with each of a segment's FOV videos' first pose.
+func clusterPoses(buf []geom.Orientation, seg *server.SegmentInfo) []geom.Orientation {
+	buf = buf[:0]
 	for _, cl := range seg.Clusters {
-		o := geom.Orientation{Yaw: cl.Pose.Yaw, Pitch: cl.Pose.Pitch}
-		if ang := gaze.AngularDistance(o); ang < bestAng {
-			bestAng = ang
-			choice = cl.ID
-		}
+		buf = append(buf, geom.Orientation{Yaw: cl.Pose.Yaw, Pitch: cl.Pose.Pitch})
 	}
-	return choice
+	return buf
 }
 
-// hitTolerance is how far a gaze may stray from a FOV frame's pose and still
-// be shown from it: half the narrower of the manifest's two FOV margins over
-// the HMD's. A manifest that is not wider than the HMD on both axes is
-// refused, and so is one whose margin would let a hit turn a viewport corner
-// ray to or past 90° from the frame's axis, where the hit warp's plane ends.
-func hitTolerance(man *server.Manifest, h hmd.Config) (float64, error) {
+// hitWarp returns the warp showing a hit from the manifest's FOV frames on
+// vp, and the hit tolerance: sas.Tolerance of their margins over the HMD's.
+// It refuses a manifest not wider than the HMD on both axes, or one letting
+// a hit turn a viewport corner to or past 90° off axis, where the plane ends.
+func hitWarp(man *server.Manifest, h hmd.Config, vp projection.Viewport) (*display.Warp, float64, error) {
 	if !(man.FOVXDeg > h.FOVXDeg && man.FOVYDeg > h.FOVYDeg) {
-		return 0, fmt.Errorf("client: manifest FOV %v°×%v° not wider than HMD %v°×%v°", man.FOVXDeg, man.FOVYDeg, h.FOVXDeg, h.FOVYDeg)
+		return nil, 0, fmt.Errorf("client: manifest FOV %v°×%v° not wider than HMD %v°×%v°", man.FOVXDeg, man.FOVYDeg, h.FOVXDeg, h.FOVYDeg)
 	}
-	tolerance := geom.Radians(min(man.FOVXDeg-h.FOVXDeg, man.FOVYDeg-h.FOVYDeg) / 2)
+	tolerance := sas.Tolerance(man.FOVXDeg-h.FOVXDeg, man.FOVYDeg-h.FOVYDeg)
 	corner := math.Atan(math.Hypot(math.Tan(geom.Radians(h.FOVXDeg)/2), math.Tan(geom.Radians(h.FOVYDeg)/2)))
 	if corner+tolerance >= math.Pi/2 {
-		return 0, fmt.Errorf("client: manifest FOV %v°×%v° too wide for HMD %v°×%v°: a hit may turn a viewport corner %.1f° from the frame's axis",
+		return nil, 0, fmt.Errorf("client: manifest FOV %v°×%v° too wide for HMD %v°×%v°: a hit may turn a viewport corner %.1f° from the frame's axis",
 			man.FOVXDeg, man.FOVYDeg, h.FOVXDeg, h.FOVYDeg, geom.Degrees(corner+tolerance))
 	}
-	return tolerance, nil
+	warp, err := display.NewWarp(vp, geom.Radians(man.FOVXDeg), geom.Radians(man.FOVYDeg))
+	return warp, tolerance, err
 }

@@ -283,7 +283,7 @@ func TestHitToleranceFromManifest(t *testing.T) {
 		{179, 179, 0, "client: manifest FOV 179°×179° too wide for HMD 110°×110°: a hit may turn a viewport corner 98.2° from the frame's axis"},
 	} {
 		man := &server.Manifest{FOVXDeg: tc.fovX, FOVYDeg: tc.fovY}
-		tol, err := hitTolerance(man, h)
+		_, tol, err := hitWarp(man, h, h.ScaledViewport(40))
 		if tc.err != "" {
 			if err == nil || err.Error() != tc.err {
 				t.Errorf("%v°×%v°: err = %v, want %q", tc.fovX, tc.fovY, err, tc.err)

@@ -109,11 +109,13 @@ func (s *System) Evaluate(video string, variant Variant, uc UseCase, opts Evalua
 	cfg := opts.Config
 	cfg.Variant = variant
 	cfg.UseCase = uc
+	if err := cfg.Validate(); err != nil {
+		return Summary{}, fmt.Errorf("client: simulating %s: %w", video, err)
+	}
 
 	// Users are independent: simulate them concurrently, then merge in
 	// user order so float accumulation stays deterministic.
 	results := make([]Result, users)
-	errs := make([]error, users)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for u := 0; u < users; u++ {
@@ -122,18 +124,14 @@ func (s *System) Evaluate(video string, variant Variant, uc UseCase, opts Evalua
 		go func(u int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			tr := headtrace.Generate(spec, u)
-			results[u], errs[u] = Simulate(spec, tr, plan, cfg)
+			results[u], _ = Simulate(spec, headtrace.Generate(spec, u), plan, cfg) // cfg is valid
 		}(u)
 	}
 	wg.Wait()
 
 	sum := Summary{Video: video, Variant: variant, UseCase: uc, Users: users}
-	for u := 0; u < users; u++ {
-		if errs[u] != nil {
-			return Summary{}, fmt.Errorf("client: simulating %s user %d: %w", video, u, errs[u])
-		}
-		sum.Add(results[u])
+	for _, r := range results {
+		sum.Add(r)
 	}
 	return sum, nil
 }

@@ -155,21 +155,17 @@ type tiledPlan struct {
 
 // plan runs the three-way delivery decision for one segment: predict the
 // pose at segment display time, price the tile set the prediction makes
-// visible, and let the policy engine (or a forced mode) choose.
-func (ts *tiledSession) plan(seg *server.SegmentInfo, tr headtrace.Trace, frameIdx, choice int, tolerance float64) tiledPlan {
+// visible, and let the policy engine (or a forced mode) choose. ci is the
+// chosen FOV video's index in seg.Clusters, -1 for none.
+func (ts *tiledSession) plan(seg *server.SegmentInfo, tr headtrace.Trace, frameIdx, ci int, tolerance float64) tiledPlan {
 	predicted := hmp.LinearPredictor{}.Predict(tr, frameIdx, seg.Frames/2)
 
 	var fovBytes int64
 	confidence := 0.0
-	if choice >= 0 {
-		for _, cl := range seg.Clusters {
-			if cl.ID == choice {
-				o := geom.Orientation{Yaw: cl.Pose.Yaw, Pitch: cl.Pose.Pitch}
-				confidence = delivery.FOVConfidence(predicted, o, tolerance)
-				fovBytes = int64(cl.Bytes)
-				break
-			}
-		}
+	if ci >= 0 {
+		cl := &seg.Clusters[ci]
+		confidence = delivery.FOVConfidence(predicted, geom.Orientation{Yaw: cl.Pose.Yaw, Pitch: cl.Pose.Pitch}, tolerance)
+		fovBytes = int64(cl.Bytes)
 	}
 
 	visible := ts.grid.Visible(ts.fetchVP, predicted, ts.method)

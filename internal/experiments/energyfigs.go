@@ -12,11 +12,21 @@ import (
 )
 
 // evalCache memoizes evaluation runs: several figures reuse the same
-// (video, variant, use-case, users) summaries.
+// summaries.
 var evalCache = struct {
 	sync.Mutex
-	m map[string]client.Summary
-}{m: make(map[string]client.Summary)}
+	m map[evalKey]client.Summary
+}{m: make(map[evalKey]client.Summary)}
+
+// evalKey is one evaluation run, the whole device config included.
+type evalKey struct {
+	utilization float64
+	video       string
+	variant     client.Variant
+	uc          client.UseCase
+	users       int
+	cfg         client.Config
+}
 
 // systems caches prepared System instances keyed by SAS utilization.
 var systems = struct {
@@ -49,7 +59,7 @@ func evaluate(video string, variant client.Variant, uc client.UseCase, users int
 // evaluateAt runs a summary at a given utilization with an optional device
 // config override (zero value = defaults).
 func evaluateAt(utilization float64, video string, variant client.Variant, uc client.UseCase, users int, cfg client.Config) client.Summary {
-	key := fmt.Sprintf("%v|%s|%d|%d|%d|%v|%v", utilization, video, variant, uc, users, cfg.ForceAllHits, cfg.ExtraComputeJPerFrame)
+	key := evalKey{utilization, video, variant, uc, users, cfg}
 	evalCache.Lock()
 	if s, ok := evalCache.m[key]; ok {
 		evalCache.Unlock()

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"evr/internal/client"
 )
 
 // testUsers keeps the experiment tests fast while exercising the full
@@ -363,5 +365,15 @@ func TestWriteReport(t *testing.T) {
 		if !strings.Contains(out, id) {
 			t.Errorf("report missing %s", id)
 		}
+	}
+}
+
+// TestEvalCacheKeysTheWholeConfig: two configs that differ only in their
+// extensions are two runs, not one cached summary.
+func TestEvalCacheKeysTheWholeConfig(t *testing.T) {
+	plain := evaluateAt(1.0, "RS", client.SH, client.OnlineStreaming, 1, client.Config{})
+	fused := evaluateAt(1.0, "RS", client.SH, client.OnlineStreaming, 1, client.Config{Ext: client.Extensions{FusedPTE: true}})
+	if fused.ComputeMemoryJ() >= plain.ComputeMemoryJ() {
+		t.Errorf("fused PTE run %.6g J not below the plain run's %.6g J: one cached summary served both", fused.ComputeMemoryJ(), plain.ComputeMemoryJ())
 	}
 }

@@ -26,8 +26,12 @@ func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
 // Scale returns v scaled by s.
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 
-// Dot returns the dot product v · w.
-func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
+// Dot returns the dot product v · w. Each product is rounded on its own,
+// written float64(a*b), so no architecture fuses it into a multiply-add: a
+// hit and a track choice come out the same on every CPU.
+func (v Vec3) Dot(w Vec3) float64 {
+	return float64(v.X*w.X) + float64(v.Y*w.Y) + float64(v.Z*w.Z)
+}
 
 // Angle returns the angle in radians between unit vectors v and w: the
 // arccosine of their dot product, clamped to [-1, 1] so rounding past
@@ -59,23 +63,24 @@ func (v Vec3) Normalize() Vec3 {
 // Mat3 is a 3×3 row-major matrix.
 type Mat3 [3][3]float64
 
-// Mul returns the matrix product m × n.
+// Mul returns the matrix product m × n, its products unfused as in Dot.
 func (m Mat3) Mul(n Mat3) Mat3 {
 	var r Mat3
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			r[i][j] = m[i][0]*n[0][j] + m[i][1]*n[1][j] + m[i][2]*n[2][j]
+			r[i][j] = float64(m[i][0]*n[0][j]) + float64(m[i][1]*n[1][j]) + float64(m[i][2]*n[2][j])
 		}
 	}
 	return r
 }
 
-// Apply returns the matrix-vector product m × v.
+// Apply returns the matrix-vector product m × v, its products unfused as in
+// Dot.
 func (m Mat3) Apply(v Vec3) Vec3 {
 	return Vec3{
-		m[0][0]*v.X + m[0][1]*v.Y + m[0][2]*v.Z,
-		m[1][0]*v.X + m[1][1]*v.Y + m[1][2]*v.Z,
-		m[2][0]*v.X + m[2][1]*v.Y + m[2][2]*v.Z,
+		float64(m[0][0]*v.X) + float64(m[0][1]*v.Y) + float64(m[0][2]*v.Z),
+		float64(m[1][0]*v.X) + float64(m[1][1]*v.Y) + float64(m[1][2]*v.Z),
+		float64(m[2][0]*v.X) + float64(m[2][1]*v.Y) + float64(m[2][2]*v.Z),
 	}
 }
 

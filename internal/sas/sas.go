@@ -79,12 +79,6 @@ func (c Config) Validate() error {
 // angle — their FOV videos would be near-identical.
 const dedupeAngRad = 0.15
 
-// HitToleranceRad returns the angular gaze deviation a FOV frame tolerates:
-// half the pre-rendered margin.
-func (c Config) HitToleranceRad() float64 {
-	return geom.Radians(c.MarginDeg / 2)
-}
-
 // ClusterTrack is one FOV video's trajectory: the pre-rendered head
 // orientation for each frame of a segment (the metadata streamed alongside
 // the FOV frames, §5.2).
@@ -274,28 +268,27 @@ func (p *Plan) StorageOverhead() float64 {
 	return float64(fov) / float64(orig)
 }
 
-// ChooseTrack picks the FOV video whose first-frame metadata is closest to
-// the user's gaze at the segment boundary — the client request decision of
-// §5.3. It returns -1 for segments with no FOV videos.
-func ChooseTrack(seg *SegmentPlan, o geom.Orientation) int {
+// ChooseTrack is the client's request decision (§5.3): the index into first,
+// each FOV video's first-frame pose, of the one nearest the gaze at the
+// segment boundary, or -1 when first is empty.
+func ChooseTrack(first []geom.Orientation, gaze geom.Orientation) int {
 	best, bestAng := -1, math.Inf(1)
-	for i, tr := range seg.Tracks {
-		if len(tr.Centers) == 0 {
-			continue
-		}
-		if ang := o.AngularDistance(tr.Centers[0]); ang < bestAng {
+	for i, o := range first {
+		if ang := gaze.AngularDistance(o); ang < bestAng {
 			best, bestAng = i, ang
 		}
 	}
 	return best
 }
 
-// Hit implements the client FOV checker (§5.4): the frame is a hit if the
-// desired gaze deviates from the FOV frame's metadata orientation by no
-// more than the pre-rendered margin tolerance.
-func (c Config) Hit(track *ClusterTrack, frameInSeg int, o geom.Orientation) bool {
-	if track == nil || frameInSeg < 0 || frameInSeg >= len(track.Centers) {
-		return false
-	}
-	return o.AngularDistance(track.Centers[frameInSeg]) <= c.HitToleranceRad()
+// Tolerance is how far, in radians, a gaze may stray from a FOV frame's pose
+// and still be shown from it: half the narrower axis's pre-rendered margin.
+func Tolerance(marginXDeg, marginYDeg float64) float64 {
+	return geom.Radians(min(marginXDeg, marginYDeg) / 2)
+}
+
+// Hit is the client FOV checker (§5.4): a frame is a hit when the gaze is
+// within the tolerance of the pose its FOV frame was rendered for.
+func Hit(pose, gaze geom.Orientation, tolerance float64) bool {
+	return gaze.AngularDistance(pose) <= tolerance
 }

@@ -121,37 +121,40 @@ func TestStorageOverheadPlausible(t *testing.T) {
 }
 
 func TestChooseTrackPicksNearest(t *testing.T) {
-	seg := &SegmentPlan{
-		Tracks: []ClusterTrack{
-			{Cluster: 0, Centers: []geom.Orientation{{Yaw: 0}}},
-			{Cluster: 1, Centers: []geom.Orientation{{Yaw: 2.0}}},
-		},
-	}
-	if got := ChooseTrack(seg, geom.Orientation{Yaw: 1.8}); got != 1 {
+	first := []geom.Orientation{{Yaw: 0}, {Yaw: 2.0}}
+	if got := ChooseTrack(first, geom.Orientation{Yaw: 1.8}); got != 1 {
 		t.Errorf("chose track %d, want 1", got)
 	}
-	if got := ChooseTrack(seg, geom.Orientation{Yaw: -0.1}); got != 0 {
+	if got := ChooseTrack(first, geom.Orientation{Yaw: -0.1}); got != 0 {
 		t.Errorf("chose track %d, want 0", got)
 	}
-	if got := ChooseTrack(&SegmentPlan{}, geom.Orientation{}); got != -1 {
+	// No cap: the nearest video is chosen however far the gaze strays.
+	if got := ChooseTrack(first, geom.Orientation{Yaw: 2.0 + math.Pi/2}); got != 1 {
+		t.Errorf("chose track %d for a gaze 90° from the nearest, want 1", got)
+	}
+	if got := ChooseTrack(nil, geom.Orientation{}); got != -1 {
 		t.Errorf("empty segment should give -1, got %d", got)
 	}
 }
 
 func TestHitChecker(t *testing.T) {
-	cfg := DefaultConfig() // tolerance = 15°
-	track := &ClusterTrack{Centers: []geom.Orientation{{Yaw: 0}, {Yaw: 0.1}}}
-	if !cfg.Hit(track, 0, geom.Orientation{Yaw: geom.Radians(10)}) {
-		t.Error("10° deviation should hit with a 15° tolerance")
+	cfg := DefaultConfig()
+	tol := Tolerance(cfg.MarginDeg, cfg.MarginDeg)
+	if math.Abs(geom.Degrees(tol)-20) > 1e-12 {
+		t.Errorf("tolerance %v°, want half the 40° margin", geom.Degrees(tol))
 	}
-	if cfg.Hit(track, 0, geom.Orientation{Yaw: geom.Radians(20)}) {
-		t.Error("20° deviation should miss")
+	if got := Tolerance(40, 20); got != geom.Radians(10) {
+		t.Errorf("tolerance %v°, want half the narrower margin, 10°", geom.Degrees(got))
 	}
-	if cfg.Hit(track, 5, geom.Orientation{}) {
-		t.Error("out-of-range frame should miss")
+	pose := geom.Orientation{Yaw: 0}
+	if !Hit(pose, geom.Orientation{Yaw: geom.Radians(15)}, tol) {
+		t.Error("15° deviation should hit with a 20° tolerance")
 	}
-	if cfg.Hit(nil, 0, geom.Orientation{}) {
-		t.Error("nil track should miss")
+	if Hit(pose, geom.Orientation{Yaw: geom.Radians(25)}, tol) {
+		t.Error("25° deviation should miss")
+	}
+	if !Hit(pose, geom.Orientation{Yaw: math.Pi}, math.Inf(1)) {
+		t.Error("an infinite tolerance should hit every frame")
 	}
 }
 
@@ -162,7 +165,7 @@ func TestHitRatesMatchPaperBand(t *testing.T) {
 	missRate := func(name string, users int) float64 {
 		v, _ := scene.ByName(name)
 		p, _ := BuildPlan(v, DefaultConfig())
-		cfg := p.Cfg
+		tol := Tolerance(p.Cfg.MarginDeg, p.Cfg.MarginDeg)
 		misses, total := 0, 0
 		for u := 0; u < users; u++ {
 			tr := headtrace.Generate(v, u)
@@ -170,13 +173,17 @@ func TestHitRatesMatchPaperBand(t *testing.T) {
 				if s.Start >= len(tr.Samples) {
 					break
 				}
-				ti := ChooseTrack(&s, tr.Samples[s.Start].O)
+				var first []geom.Orientation
+				for _, track := range s.Tracks {
+					first = append(first, track.Centers[0])
+				}
+				ti := ChooseTrack(first, tr.Samples[s.Start].O)
 				if ti < 0 {
 					continue
 				}
 				for f := 0; f < s.Frames && s.Start+f < len(tr.Samples); f++ {
 					total++
-					if !cfg.Hit(&s.Tracks[ti], f, tr.Samples[s.Start+f].O) {
+					if !Hit(s.Tracks[ti].Centers[f], tr.Samples[s.Start+f].O, tol) {
 						misses++
 					}
 				}
