@@ -101,6 +101,10 @@
 #                             (regenerate with `go run ./cmd/evrconform -update`).
 #   evrbench -sport-fast      a latitude-aware pipeline matches flat S-PSNR at
 #                             strictly lower modeled energy.
+#   evrload (README default)  the single-server target (no -shards, no -mode:
+#                             a Shards-0 tier, one server and no router), one
+#                             short pass under a small admission limit, so its
+#                             report line and flag wiring run outside go test.
 #   evrload -verify-single    routed (2 shards, edge cache, a shard killed) and
 #                             tiled auto-policy playback are byte-identical to
 #                             a single server.
@@ -170,6 +174,7 @@ go test . -run='^$' -bench=. -benchtime=1x
 go run ./cmd/evrconform -fast
 go run ./cmd/evrconform
 go run ./cmd/evrbench -sport-fast
+go run ./cmd/evrload -users 4 -passes 1 -segments 1 -width 96 -viewport-scale 32 -max-inflight 4
 go run ./cmd/evrload -shards 2 -zipf 1.1 -zipf-videos 2 -users 8 -passes 2 \
     -segments 1 -width 96 -viewport-scale 32 -kill-shard 0 -kill-pass 2 -verify-single
 go run ./cmd/evrload -shards 2 -users 6 -passes 1 -segments 2 -width 96 \

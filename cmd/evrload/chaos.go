@@ -10,10 +10,8 @@ import (
 	"evr/internal/client"
 	"evr/internal/cluster"
 	"evr/internal/loadgen"
-	"evr/internal/projection"
 	"evr/internal/scene"
 	"evr/internal/server"
-	"evr/internal/store"
 )
 
 // chaosRun is one full scenario execution's comparable outcome: the fault
@@ -34,17 +32,6 @@ type chaosIngestPlan struct {
 	live bool
 }
 
-func projectionMethod(name string) projection.Method {
-	switch name {
-	case "cmp":
-		return projection.CMP
-	case "eac":
-		return projection.EAC
-	default:
-		return projection.ERP
-	}
-}
-
 // chaosPlans maps each distinct fleet video to its ingest recipe.
 func chaosPlans(sc *chaos.Scenario) (map[string]*chaosIngestPlan, error) {
 	plans := make(map[string]*chaosIngestPlan)
@@ -61,7 +48,11 @@ func chaosPlans(sc *chaos.Scenario) (map[string]*chaosIngestPlan, error) {
 				cfg.FullH = cfg.FullW / 2
 			}
 			cfg.MaxSegments = sc.Segments
-			cfg.Projection = projectionMethod(c.Projection)
+			proj, err := c.ProjectionMethod()
+			if err != nil {
+				return nil, err
+			}
+			cfg.Projection = proj
 			plan = &chaosIngestPlan{spec: spec, cfg: cfg}
 			plans[c.Video] = plan
 		}
@@ -98,28 +89,17 @@ func runChaosOnce(sc *chaos.Scenario, w io.Writer) (*chaosRun, error) {
 		opts.RespCacheBytes = int64(sc.RespCacheMiB) << 20
 	}
 
-	engine := chaos.NewEngine(sc)
-	st := store.New()
-	var clu *cluster.Cluster
-	var svc *server.Service
-	var baseURL string
-	var shutdown func()
-	if sc.Shards >= 2 {
-		copts := cluster.Options{Shards: sc.Shards, Shard: opts}
-		if sc.EdgeCacheMiB > 0 {
-			copts.EdgeCacheBytes = int64(sc.EdgeCacheMiB) << 20
-		}
-		clu, err = cluster.New(st, copts)
-		if err != nil {
-			return nil, err
-		}
-		engine.Cluster = clu
-		baseURL, shutdown, err = loadgen.ServeHandler(clu.Handler())
-	} else {
-		svc = server.NewServiceOpts(st, opts)
-		engine.Service = svc
-		baseURL, shutdown, err = loadgen.Serve(svc)
+	copts := cluster.Options{Shards: sc.Shards, Shard: opts}
+	if sc.EdgeCacheMiB > 0 {
+		copts.EdgeCacheBytes = int64(sc.EdgeCacheMiB) << 20
 	}
+	tier, err := cluster.New(nil, copts)
+	if err != nil {
+		return nil, err
+	}
+	engine := chaos.NewEngine(sc)
+	engine.Tier = tier
+	baseURL, shutdown, err := loadgen.ServeHandler(tier.Handler())
 	if err != nil {
 		return nil, err
 	}
@@ -129,11 +109,7 @@ func runChaosOnce(sc *chaos.Scenario, w io.Writer) (*chaosRun, error) {
 	// pipeline below instead.
 	batchIngest := func(video string) error {
 		plan := plans[video]
-		if clu != nil {
-			_, err := clu.Ingest(plan.spec, plan.cfg)
-			return err
-		}
-		_, err := svc.IngestVideo(plan.spec, plan.cfg)
+		_, err := tier.Ingest(plan.spec, plan.cfg)
 		return err
 	}
 	for video, plan := range plans {
@@ -154,15 +130,11 @@ func runChaosOnce(sc *chaos.Scenario, w io.Writer) (*chaosRun, error) {
 	var ls *server.LiveStream
 	if sc.Live != nil {
 		plan := plans[sc.Live.Video]
-		ls, err = server.NewLiveStream(plan.spec, plan.cfg, st)
+		ls, err = server.NewLiveStream(plan.spec, plan.cfg, tier.Store())
 		if err != nil {
 			return nil, fmt.Errorf("live stream: %v", err)
 		}
-		if clu != nil {
-			clu.ServeLive(ls)
-		} else {
-			svc.ServeLive(ls)
-		}
+		tier.ServeLive(ls)
 		engine.Live = ls
 	}
 	engine.Prepare()
@@ -177,8 +149,7 @@ func runChaosOnce(sc *chaos.Scenario, w io.Writer) (*chaosRun, error) {
 		Classes:       sc.FleetSpecs(),
 		WrapTransport: engine.WrapTransport,
 		OnPassStart:   engine.OnPassStart,
-		Cluster:       clu,
-		Service:       svc,
+		Tier:          tier,
 	}
 
 	if ls != nil {

@@ -6,7 +6,7 @@
 //
 // With no -url it ingests the video and serves it in-process on a loopback
 // listener — a self-contained load experiment — and can then also report
-// the server-side response-cache and admission-control deltas per pass.
+// the shards' response-cache and admission-control deltas per pass.
 // Point -url at a running evrserver to drive a remote target instead.
 //
 // The flags describe one class of users (loadgen.ClassSpec): -users
@@ -25,9 +25,10 @@
 //	        [-har] [-resilient] [-timeout 10s] [-retries 3] [-cache 8]
 //	        [-prefetch] [-per-user] [-mode auto|fov|tiled|orig|frontier]
 //
-// Cluster mode (-shards N) serves in-process through a consistent-hash
-// router over N shard replicas with an edge cache, reporting per-shard
-// load skew and edge hit rate per pass:
+// -shards picks the in-process tier (cluster.Options.Shards): 0 = one
+// server, no router; N ≥ 1 = N shards behind the consistent-hash router
+// with an edge cache, and the report adds per-shard load skew and edge hit
+// rate per pass:
 //
 //	evrload -shards 3 [-edge-cache 32] [-vnodes 64]
 //	        [-zipf 1.1 -zipf-videos 3]
@@ -57,7 +58,6 @@ import (
 	"evr/internal/loadgen"
 	"evr/internal/scene"
 	"evr/internal/server"
-	"evr/internal/store"
 )
 
 func main() {
@@ -79,12 +79,12 @@ func main() {
 	prefetch := flag.Bool("prefetch", true, "prefetch the next segment in the background")
 	perUser := flag.Bool("per-user", false, "print one result row per session")
 	mode := flag.String("mode", "", "delivery mode: auto lets the tiled pipeline's policy decide per segment, fov|tiled|orig pin it to one mode, frontier sweeps orig, fov, tiled and auto and prints the policy-frontier table (empty = classic FOV/orig player, no tile ingest)")
-	shards := flag.Int("shards", 0, "serve in-process through an N-shard consistent-hash cluster (0 = single server)")
+	shards := flag.Int("shards", 0, "in-process serving tier: 0 = one server, no router; N ≥ 1 = N shards behind the consistent-hash router")
 	edgeCache := flag.Int64("edge-cache", 32, "cluster router edge-cache budget in MiB (≤ 0 = off)")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the ring (0 = default)")
 	zipf := flag.Float64("zipf", 0, "Zipf video-popularity exponent over the first -zipf-videos catalog entries (0 = single video)")
 	zipfVideos := flag.Int("zipf-videos", 3, "catalog videos in the Zipf draw (most popular first)")
-	killShard := flag.Int("kill-shard", -1, "kill this shard at the start of -kill-pass (cluster mode)")
+	killShard := flag.Int("kill-shard", -1, "kill this shard at the start of -kill-pass (needs -shards above it, no -url)")
 	killPass := flag.Int("kill-pass", 2, "pass at whose start -kill-shard dies")
 	verifySingle := flag.Bool("verify-single", false, "replay the cluster run against a single server and require identical per-user frame checksums")
 	chaosName := flag.String("chaos", "", "run a chaos scenario (builtin name or JSON file) instead of the flag-driven load shape")
@@ -129,6 +129,15 @@ func main() {
 	if _, err := loadgen.ValidateClasses(classes); err != nil {
 		log.Fatal(err) // before any ingest: a bad -mode word fails fast
 	}
+	// So do flags the chosen target cannot honour.
+	switch {
+	case *killShard >= 0 && (*url != "" || *killShard >= *shards):
+		log.Fatalf("-kill-shard %d needs an in-process routed tier with that shard (-shards > %d, no -url)", *killShard, *killShard)
+	case *verifySingle && (*url != "" || *shards == 0):
+		log.Fatal("-verify-single requires cluster mode (-shards N, no -url)")
+	case *mode == frontier && (*url != "" || *shards > 0):
+		log.Fatal("-mode=frontier needs the in-process single-server target (no -url, no -shards)")
+	}
 
 	cfg := loadgen.Config{
 		BaseURL:       *url,
@@ -155,85 +164,47 @@ func main() {
 	ingest.MaxSegments = *segments
 	ingest.Tiled = *mode != ""
 
-	var clu *cluster.Cluster
-	switch {
-	case *url != "":
-		// Remote target: flags below are in-process only.
-
-	case *shards > 0:
-		copts := cluster.Options{
-			Shards:       *shards,
-			VirtualNodes: *vnodes,
-			Shard:        opts,
-		}
+	var tier *cluster.Cluster
+	if *url == "" {
+		copts := cluster.Options{Shards: *shards, VirtualNodes: *vnodes, EdgeCacheBytes: -1, Shard: opts}
 		if *edgeCache > 0 {
 			copts.EdgeCacheBytes = *edgeCache << 20
-		} else {
-			copts.EdgeCacheBytes = -1 // 0 or negative MiB: no edge tier
 		}
 		var err error
-		clu, err = cluster.New(store.New(), copts)
-		if err != nil {
+		if tier, err = cluster.New(nil, copts); err != nil {
 			log.Fatal(err)
 		}
 		start := time.Now()
 		for _, spec := range specs {
-			if _, err := clu.Ingest(spec, ingest); err != nil {
-				log.Fatalf("ingesting %s: %v", spec.Name, err)
-			}
-		}
-		log.Printf("ingested %d video(s) across %d shards in %v",
-			len(specs), *shards, time.Since(start).Round(time.Millisecond))
-
-		baseURL, shutdown, err := loadgen.ServeHandler(clu.Handler())
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer shutdown()
-		log.Printf("routing on %s (%d shards, edge cache %d MiB, respcache %d MiB/shard)",
-			baseURL, *shards, *edgeCache, *respcache)
-		cfg.BaseURL = baseURL
-		cfg.Cluster = clu
-		if *killShard >= 0 {
-			if *killShard >= *shards {
-				log.Fatalf("-kill-shard %d out of range [0,%d)", *killShard, *shards)
-			}
-			cfg.OnPassStart = func(pass int) {
-				if pass == *killPass {
-					log.Printf("killing shard %d at pass %d", *killShard, pass)
-					if err := clu.KillShard(*killShard); err != nil {
-						log.Fatal(err)
-					}
-				}
-			}
-		}
-
-	default:
-		svc := server.NewServiceOpts(store.New(), opts)
-		start := time.Now()
-		for _, spec := range specs {
-			if _, err := svc.IngestVideo(spec, ingest); err != nil {
+			if _, err := tier.Ingest(spec, ingest); err != nil {
 				log.Fatalf("ingesting %s: %v", spec.Name, err)
 			}
 		}
 		log.Printf("ingested %d video(s) in-process (%d segments at %dx%d) in %v",
 			len(specs), *segments, ingest.FullW, ingest.FullH, time.Since(start).Round(time.Millisecond))
 
-		baseURL, shutdown, err := loadgen.Serve(svc)
+		baseURL, shutdown, err := loadgen.ServeHandler(tier.Handler())
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer shutdown()
-		log.Printf("serving on %s (respcache %d MiB, max in-flight %d, store delay %v)",
-			baseURL, *respcache, *maxInflight, *storeDelay)
+		log.Printf("serving on %s: %d shards (0 = one server, no router), edge cache %d MiB, respcache %d MiB/shard, max in-flight %d, store delay %v",
+			baseURL, *shards, *edgeCache, *respcache, *maxInflight, *storeDelay)
 		cfg.BaseURL = baseURL
-		cfg.Service = svc
+		cfg.Tier = tier
+	}
+	if *killShard >= 0 {
+		cfg.OnPassStart = func(pass int) {
+			if pass == *killPass {
+				log.Printf("killing shard %d at pass %d", *killShard, pass)
+				if err := tier.KillShard(*killShard); err != nil {
+					log.Fatal(err)
+				}
+			}
+		}
 	}
 
 	if *mode == frontier {
-		if *url != "" || *shards > 0 {
-			log.Fatal("-mode=frontier needs the in-process single-server target (no -url, no -shards)")
-		}
 		if err := runFrontier(os.Stdout, cfg, ingest.FullW, ingest.FullH); err != nil {
 			log.Fatal(err)
 		}
@@ -251,10 +222,7 @@ func main() {
 	}
 
 	if *verifySingle {
-		if clu == nil {
-			log.Fatal("-verify-single requires cluster mode (-shards N, no -url)")
-		}
-		if err := verifyAgainstSingle(clu, specs, cfg, opts, rep); err != nil {
+		if err := verifyAgainstSingle(tier, specs, cfg, opts, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "evrload: single-server verification FAILED: %v\n", err)
 			os.Exit(1)
 		}
@@ -262,20 +230,23 @@ func main() {
 	}
 }
 
-// verifyAgainstSingle replays the run against one plain server over the
-// cluster's store (manifests re-published, no re-ingest) and requires every
-// user's displayed-frame checksum to match the routed run — the gate that
-// proves the sharded tier never changes pixels.
+// verifyAgainstSingle replays the run against one plain server — a Shards-0
+// tier over the cluster's store (manifests re-published, no re-ingest) —
+// and requires every user's displayed-frame checksum to match the routed
+// run: the gate that proves the sharded tier never changes pixels.
 func verifyAgainstSingle(clu *cluster.Cluster, specs []scene.VideoSpec, cfg loadgen.Config, opts server.ServiceOptions, routed *loadgen.Report) error {
-	svc := server.NewServiceOpts(clu.Store(), opts)
+	oracle, err := cluster.New(clu.Store(), cluster.Options{Shard: opts})
+	if err != nil {
+		return err
+	}
 	for _, spec := range specs {
 		man, ok := clu.Shard(0).Manifest(spec.Name)
 		if !ok {
 			return fmt.Errorf("shard 0 has no manifest for %s", spec.Name)
 		}
-		svc.Publish(man)
+		oracle.Publish(man)
 	}
-	baseURL, shutdown, err := loadgen.ServeHandler(svc.Handler())
+	baseURL, shutdown, err := loadgen.ServeHandler(oracle.Handler())
 	if err != nil {
 		return err
 	}
@@ -283,8 +254,7 @@ func verifyAgainstSingle(clu *cluster.Cluster, specs []scene.VideoSpec, cfg load
 
 	single := cfg
 	single.BaseURL = baseURL
-	single.Cluster = nil
-	single.Service = svc
+	single.Tier = oracle
 	single.OnPassStart = nil
 	single.Passes = 1
 	ref, err := loadgen.Run(single)

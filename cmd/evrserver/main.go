@@ -9,10 +9,10 @@
 //	          [-pprof localhost:6060]
 //	          [-shards 3] [-edge-cache 32] [-vnodes 64]
 //
-// With -shards N the process serves through the consistent-hash routed
-// tier (internal/cluster): N shard replicas over one store behind a
-// router with an edge cache. The HTTP surface is unchanged — clients
-// can't tell a cluster from a single server.
+// -shards picks the serving tier (internal/cluster): 0 = one server, no
+// router; N ≥ 1 = N shard replicas over one store behind a consistent-hash
+// router with an edge cache. The HTTP surface is unchanged — clients can't
+// tell a cluster from a single server.
 //
 // Endpoints: /videos, /v/{video}/manifest, one route per payload kind
 // (DESIGN.md §10 "Payload address"; the tile routes answer only with -tiled),
@@ -48,7 +48,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "admission limit on concurrent segment requests (0 = unlimited)")
 	retryAfter := flag.Duration("retry-after", server.DefaultServiceOptions().RetryAfter, "Retry-After hint on shed (503) responses")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
-	shards := flag.Int("shards", 0, "serve through an N-shard consistent-hash routed tier (0 = single server)")
+	shards := flag.Int("shards", 0, "serving tier: 0 = one server, no router; N ≥ 1 = N shards behind the consistent-hash router")
 	edgeCache := flag.Int64("edge-cache", 32, "router edge-cache budget in MiB with -shards (≤ 0 = off)")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the ring (0 = default)")
 	flag.Parse()
@@ -82,31 +82,16 @@ func main() {
 	opts.MaxInFlight = *maxInflight
 	opts.RetryAfter = *retryAfter
 
-	// Single-server and routed-cluster targets expose the same ingest and
-	// HTTP surface; -shards only swaps what sits behind it.
-	var (
-		ingestOne func(scene.VideoSpec) (*server.Manifest, error)
-		handler   http.Handler
-	)
-	if *shards > 0 {
-		copts := cluster.Options{Shards: *shards, VirtualNodes: *vnodes, Shard: opts}
-		if *edgeCache > 0 {
-			copts.EdgeCacheBytes = *edgeCache << 20
-		} else {
-			copts.EdgeCacheBytes = -1
-		}
-		clu, err := cluster.New(st, copts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ingestOne = func(v scene.VideoSpec) (*server.Manifest, error) { return clu.Ingest(v, cfg) }
-		handler = clu.Handler()
-		log.Printf("routed tier: %d shards, %d virtual nodes, edge cache %d MiB", *shards, *vnodes, *edgeCache)
-	} else {
-		svc := server.NewServiceOpts(st, opts)
-		ingestOne = func(v scene.VideoSpec) (*server.Manifest, error) { return svc.IngestVideo(v, cfg) }
-		handler = svc.Handler()
+	// -shards only swaps what sits behind the one ingest and HTTP surface.
+	copts := cluster.Options{Shards: *shards, VirtualNodes: *vnodes, EdgeCacheBytes: -1, Shard: opts}
+	if *edgeCache > 0 {
+		copts.EdgeCacheBytes = *edgeCache << 20
 	}
+	tier, err := cluster.New(st, copts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("serving tier: %d shards (0 = one server, no router), %d virtual nodes, edge cache %d MiB", *shards, *vnodes, *edgeCache)
 
 	for _, name := range strings.Split(*videos, ",") {
 		name = strings.TrimSpace(name)
@@ -115,7 +100,7 @@ func main() {
 			log.Fatalf("unknown video %q (catalog: Elephant, Paris, RS, NYC, Rhino, Timelapse)", name)
 		}
 		start := time.Now()
-		man, err := ingestOne(v)
+		man, err := tier.Ingest(v, cfg)
 		if err != nil {
 			log.Fatalf("ingesting %s: %v", name, err)
 		}
@@ -138,7 +123,7 @@ func main() {
 		log.Printf("saved store snapshot %s", *snapshot)
 	}
 	log.Printf("EVR server listening on %s", *addr)
-	log.Fatal(http.ListenAndServe(*addr, handler))
+	log.Fatal(http.ListenAndServe(*addr, tier.Handler()))
 }
 
 func byteSize(n int64) string {

@@ -13,6 +13,7 @@ import (
 	"evr/internal/client"
 	"evr/internal/delivery"
 	"evr/internal/loadgen"
+	"evr/internal/projection"
 )
 
 func validScenario() *Scenario {
@@ -85,6 +86,30 @@ func TestScenarioValidateRejects(t *testing.T) {
 	}
 	if err := validScenario().Validate(); err != nil {
 		t.Fatalf("unmutated scenario must validate: %v", err)
+	}
+}
+
+// TestProjectionMethod pins the one parse of a class's projection word:
+// every word Validate accepts names the method the runner ingests with, so
+// "" and "erp" are one projection for the classes sharing a video.
+func TestProjectionMethod(t *testing.T) {
+	for word, want := range map[string]projection.Method{"": projection.ERP, "erp": projection.ERP, "cmp": projection.CMP, "eac": projection.EAC} {
+		c := Class{Name: "c", Projection: word}
+		if got, err := c.ProjectionMethod(); err != nil || got != want {
+			t.Errorf("%q: got %v, %v; want %v", word, got, err, want)
+		}
+	}
+	for _, word := range []string{"ERP", "fisheye", " erp"} {
+		c := Class{Name: "c", Projection: word}
+		if _, err := c.ProjectionMethod(); err == nil {
+			t.Errorf("%q accepted", word)
+		}
+	}
+	sc := validScenario()
+	sc.Fleet[1].Projection = "erp"
+	sc.Fleet[2].Video, sc.Fleet[2].Projection = sc.Fleet[1].Video, ""
+	if err := sc.Validate(); err != nil {
+		t.Errorf(`"" and "erp" sharing a video rejected: %v`, err)
 	}
 }
 

@@ -17,11 +17,8 @@ import (
 // scenario uses before the run; the zero fields are simply never faulted.
 type Engine struct {
 	sc *Scenario
-	// Cluster receives shard kills/restarts and slow-shard latency; nil
-	// for single-service targets.
-	Cluster *cluster.Cluster
-	// Service receives slow-shard latency when there is no cluster.
-	Service *server.Service
+	// Tier receives shard kills/restarts and slow-shard latency.
+	Tier *cluster.Cluster
 	// Live receives drop-publish holds.
 	Live *server.LiveStream
 	// Reingest republishes one VOD video (same spec, same bytes) — the
@@ -70,24 +67,21 @@ func (e *Engine) OnPassStart(pass int) {
 		}
 		switch f.Type {
 		case FaultKillShard:
-			if e.Cluster != nil {
-				if err := e.Cluster.KillShard(f.Shard); err == nil {
+			if e.Tier != nil {
+				if err := e.Tier.KillShard(f.Shard); err == nil {
 					e.logf("pass %d: kill-shard %d", pass, f.Shard)
 				}
 			}
 		case FaultRestartShard:
-			if e.Cluster != nil {
-				if err := e.Cluster.RestartShard(f.Shard); err == nil {
+			if e.Tier != nil {
+				if err := e.Tier.RestartShard(f.Shard); err == nil {
 					e.logf("pass %d: restart-shard %d", pass, f.Shard)
 				}
 			}
 		case FaultSlowShard:
 			d := time.Duration(f.DelayMs) * time.Millisecond
-			switch {
-			case e.Cluster != nil:
-				e.Cluster.Shard(f.Shard).SetStoreDelay(d)
-			case e.Service != nil:
-				e.Service.SetStoreDelay(d)
+			if e.Tier != nil {
+				e.Tier.Shard(f.Shard).SetStoreDelay(d)
 			}
 			e.logf("pass %d: slow-shard %d store delay %v", pass, f.Shard, d)
 		case FaultReingest:

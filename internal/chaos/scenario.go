@@ -16,10 +16,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 
 	"evr/internal/fixed"
 	"evr/internal/loadgen"
 	"evr/internal/netsim"
+	"evr/internal/projection"
 	"evr/internal/scene"
 )
 
@@ -46,8 +48,9 @@ type Scenario struct {
 	Width int `json:"width,omitempty"`
 	// ViewportScale shrinks rendered viewports (0 = player default).
 	ViewportScale int `json:"viewportScale,omitempty"`
-	// Shards is the serving replica count; 0 or 1 = a single unsharded
-	// service (shard faults then require ≥ 2).
+	// Shards is the serving tier's topology, as cluster.Options.Shards
+	// reads it: 0 = one server, no router; N ≥ 1 = N shards behind the
+	// router. Shard faults require ≥ 2.
 	Shards int `json:"shards,omitempty"`
 	// EdgeCacheMiB / RespCacheMiB bound the router edge cache and the
 	// per-shard response caches (0 = defaults).
@@ -77,8 +80,8 @@ type Class struct {
 	Users int    `json:"users"`
 	Video string `json:"video"`
 	// Projection picks the ingest projection for this class's video:
-	// "erp" (default), "cmp", or "eac". Classes sharing a video must
-	// share a projection — a video is ingested exactly once.
+	// "erp" (default), "cmp", or "eac" (ProjectionMethod). Classes sharing
+	// a video must share a projection — a video is ingested exactly once.
 	Projection string `json:"projection,omitempty"`
 	// Delivery is the class's loadgen delivery mode (ClassSpec.Delivery):
 	// "" for the classic FOV/orig player, or a delivery.Mode word for the
@@ -133,7 +136,19 @@ type SLO struct {
 	FreshnessP99Ms int `json:"freshnessP99Ms,omitempty"`
 }
 
-var projections = map[string]bool{"": true, "erp": true, "cmp": true, "eac": true}
+// ProjectionMethod is the ingest projection the class's Projection word
+// names: a projection.Methods name in lower case, or "" for ERP.
+func (c *Class) ProjectionMethod() (projection.Method, error) {
+	if c.Projection == "" {
+		return projection.ERP, nil
+	}
+	for _, m := range projection.Methods {
+		if c.Projection == strings.ToLower(m.String()) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("chaos: class %q: unknown projection %q (erp, cmp, eac)", c.Name, c.Projection)
+}
 
 // Validate rejects structurally unusable scenarios. The fleet's class
 // basics (names, users, videos, delivery words, link classes) are
@@ -177,16 +192,17 @@ func (sc *Scenario) Validate() error {
 		}
 		liveVideo = sc.Live.Video
 	}
-	videoProj := make(map[string]string)
+	videoProj := make(map[string]projection.Method)
 	for i := range sc.Fleet {
 		c := &sc.Fleet[i]
-		if !projections[c.Projection] {
-			return fmt.Errorf("chaos: class %q: unknown projection %q", c.Name, c.Projection)
+		proj, err := c.ProjectionMethod()
+		if err != nil {
+			return err
 		}
-		if prev, ok := videoProj[c.Video]; ok && prev != c.Projection {
-			return fmt.Errorf("chaos: video %q ingested with both projection %q and %q — classes sharing a video must share its projection", c.Video, prev, c.Projection)
+		if prev, ok := videoProj[c.Video]; ok && prev != proj {
+			return fmt.Errorf("chaos: video %q ingested with both projection %v and %v — classes sharing a video must share its projection", c.Video, prev, proj)
 		}
-		videoProj[c.Video] = c.Projection
+		videoProj[c.Video] = proj
 		if c.Video == liveVideo && c.Delivery != "" {
 			return fmt.Errorf("chaos: class %q: live video %q is orig-only, delivery %q needs tile streams", c.Name, c.Video, c.Delivery)
 		}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -352,5 +353,94 @@ func TestRouterDeclaresContentLength(t *testing.T) {
 		if resp.ContentLength != int64(len(big)) || slices.Contains(resp.TransferEncoding, "chunked") {
 			t.Errorf("%s: ContentLength %d, TransferEncoding %v; want %d, not chunked", tc.name, resp.ContentLength, resp.TransferEncoding, len(big))
 		}
+	}
+}
+
+// TestUnroutedTierIsItsService: a Shards-0 tier is one server.Service with
+// nothing in front of it. Over the same store, its Handler answers the
+// catalog, a manifest, every payload kind (a miss, then a response-cache
+// hit), the error answers and /healthz as a plain Service does, status,
+// body and every header, with no X-Evr-Edge; /metrics is the service's
+// own, JSON and Prometheus text alike, equal once the request timings are
+// set aside. Stats report that one shard's response-cache and admission
+// counters and neither router nor edge, and no shard can be killed.
+func TestUnroutedTierIsItsService(t *testing.T) {
+	st := store.New()
+	tier, err := New(st, Options{Shard: server.DefaultServiceOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := tier.Ingest(clusterSpec(), tiledClusterIngest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := server.NewService(st)
+	svc.Publish(man)
+	th, sh := tier.Handler(), svc.Handler()
+
+	paths := []string{"/videos", "/v/CLUSTER/manifest", "/healthz"}
+	kinds := map[string]bool{}
+	for _, tc := range diffCases {
+		if !tc.saturated && !strings.HasPrefix(tc.path, "/v/LIVE/") {
+			paths = append(paths, tc.path)
+			kinds[strings.Split(tc.path, "/")[3]] = true
+		}
+	}
+	if len(kinds) != len(server.Kinds)+1 { // + the manifest route's word
+		t.Fatalf("paths cover %d payload kinds of %d: %v", len(kinds)-1, len(server.Kinds), kinds)
+	}
+	for round := 0; round < 2; round++ {
+		for _, path := range paths {
+			got, want := get(th, path), get(sh, path)
+			if edge := got.Header().Values("X-Evr-Edge"); len(edge) != 0 {
+				t.Errorf("%s: unrouted tier sent X-Evr-Edge %v", path, edge)
+			}
+			if diff := sameAnswer(got, want); diff != "" {
+				t.Errorf("%s (round %d): %s", path, round, diff)
+			}
+		}
+	}
+
+	var gotSnap, wantSnap server.MetricsSnapshot
+	for _, m := range []struct {
+		h    http.Handler
+		snap *server.MetricsSnapshot
+	}{{th, &gotSnap}, {sh, &wantSnap}} {
+		rec := get(m.h, "/metrics")
+		if err := json.Unmarshal(rec.Body.Bytes(), m.snap); err != nil {
+			t.Fatalf("/metrics: %v: %s", err, rec.Body.String())
+		}
+		m.snap.UptimeSeconds = 0
+		for _, e := range m.snap.Endpoints {
+			e.TotalMs, e.MaxMs, e.P50Ms, e.P95Ms, e.P99Ms = 0, 0, 0, 0, 0
+		}
+	}
+	if !reflect.DeepEqual(gotSnap, wantSnap) {
+		t.Errorf("/metrics JSON: tier %+v, service %+v", gotSnap, wantSnap)
+	}
+	untimed := func(h http.Handler) string {
+		rec := get(h, "/metrics?format=prom")
+		lines := strings.Split(rec.Header().Get("Content-Type")+"\n"+rec.Body.String(), "\n")
+		return strings.Join(slices.DeleteFunc(lines, func(l string) bool {
+			return strings.Contains(l, "evr_http_request_seconds")
+		}), "\n")
+	}
+	if got, want := untimed(th), untimed(sh); got != want || !strings.Contains(got, "evr_http_requests_total") {
+		t.Errorf("/metrics?format=prom, timings aside: tier\n%s\nservice\n%s", got, want)
+	}
+
+	stats := tier.Stats()
+	rc, _ := tier.Shard(0).RespCacheStats()
+	if stats.Router != nil || stats.Edge != nil || len(stats.Shards) != 1 {
+		t.Fatalf("Stats = %+v, want one shard and no router or edge", stats)
+	}
+	if sh := stats.Shards[0]; !sh.Alive || sh.RespCache == nil || *sh.RespCache != rc || rc.Hits == 0 || sh.Throttled != tier.Shard(0).Throttled() {
+		t.Errorf("shard stats %+v, want alive with respcache %+v (hits > 0), %d throttled", sh, rc, tier.Shard(0).Throttled())
+	}
+	if err := tier.KillShard(0); err == nil {
+		t.Error("KillShard on an unrouted tier accepted")
+	}
+	if err := tier.RestartShard(0); err == nil {
+		t.Error("RestartShard on an unrouted tier accepted")
 	}
 }

@@ -14,7 +14,9 @@ import (
 
 // Options configures a cluster.
 type Options struct {
-	// Shards is the number of serving replicas (≥ 1).
+	// Shards is the tier's topology: 0 = one server.Service, no router and
+	// no edge tier (Handler is that service's own); N ≥ 1 = N replicas
+	// behind the consistent-hash router.
 	Shards int
 	// VirtualNodes is the ring points per shard (≤ 0 = 64). More points
 	// flatten load skew at a small ring-build cost.
@@ -59,11 +61,12 @@ type shard struct {
 	shed     *telemetry.Counter // 503s this shard answered through the router
 }
 
-// Cluster is the sharded serving tier: N server.Service replicas over one
-// shared SAS store, fronted by a consistent-hash router with an edge
-// cache. All replicas serve identical bytes (same store, same manifests),
-// so routing is purely a cache-affinity and load-spreading decision — and
-// playback through the router is byte-identical to a single server.
+// Cluster is the serving tier: N server.Service replicas over one shared
+// SAS store, fronted by a consistent-hash router with an edge cache — or,
+// with Shards 0, one Service on its own. All replicas serve identical bytes
+// (same store, same manifests), so routing is purely a cache-affinity and
+// load-spreading decision — and playback through the router is
+// byte-identical to a single server.
 type Cluster struct {
 	opts   Options
 	store  *store.Store
@@ -86,19 +89,23 @@ type Cluster struct {
 	ring   *ring
 }
 
-// New builds a cluster of opts.Shards replicas over st (nil = a fresh
-// store). The shards come up live with an empty catalog; Ingest or Publish
-// populates them.
+// New builds a tier of opts.Shards replicas over st (nil = a fresh store);
+// Shards 0 builds one replica and no edge tier. The shards come up live
+// with an empty catalog; Ingest or Publish populates them.
 func New(st *store.Store, opts Options) (*Cluster, error) {
-	if opts.Shards < 1 {
-		return nil, fmt.Errorf("cluster: Shards %d must be ≥ 1", opts.Shards)
+	if opts.Shards < 0 {
+		return nil, fmt.Errorf("cluster: Shards %d must be ≥ 0", opts.Shards)
 	}
 	if opts.VirtualNodes <= 0 {
 		opts.VirtualNodes = defaultVirtualNodes
 	}
-	if opts.EdgeCacheBytes == 0 {
+	switch {
+	case opts.Shards == 0:
+		opts.EdgeCacheBytes = -1 // no router, so nothing to cache in front of it
+	case opts.EdgeCacheBytes == 0:
 		opts.EdgeCacheBytes = 32 << 20
 	}
+	replicas := max(opts.Shards, 1)
 	if st == nil {
 		st = store.New()
 	}
@@ -120,8 +127,8 @@ func New(st *store.Store, opts Options) (*Cluster, error) {
 		noShard:       reg.Counter(promRouterNoShard),
 		liveShardsG:   reg.Gauge(promRouterLiveShards),
 	}
-	alive := make([]int, opts.Shards)
-	for i := 0; i < opts.Shards; i++ {
+	alive := make([]int, replicas)
+	for i := 0; i < replicas; i++ {
 		name := fmt.Sprintf("shard-%d", i)
 		svc := server.NewServiceOpts(st, opts.Shard)
 		c.shards = append(c.shards, &shard{
@@ -135,7 +142,7 @@ func New(st *store.Store, opts Options) (*Cluster, error) {
 		alive[i] = i
 	}
 	c.ring = buildRing(alive, opts.VirtualNodes)
-	c.liveShardsG.Set(int64(opts.Shards))
+	c.liveShardsG.Set(int64(replicas))
 	return c, nil
 }
 
@@ -186,14 +193,26 @@ func (c *Cluster) ServeLive(ls *server.LiveStream) {
 	ls.OnPublish(func(seg int) { c.edge.PurgeKeys(server.OfSegment(video, seg)) })
 }
 
+// checkShard refuses a topology change of shard i: one out of range, or
+// any shard of an unrouted tier (nothing would re-route its requests).
+func (c *Cluster) checkShard(i int) error {
+	if c.opts.Shards == 0 {
+		return fmt.Errorf("cluster: shard %d: a Shards-0 tier has no router to take it off", i)
+	}
+	if i < 0 || i >= len(c.shards) {
+		return fmt.Errorf("cluster: shard %d out of range [0,%d)", i, len(c.shards))
+	}
+	return nil
+}
+
 // KillShard takes one replica off the ring: its keys move to their ring
 // successors (which serve them from the shared store), edge entries it
 // served are purged, and requests already routed to it re-route. Killing
 // an already-dead shard is a no-op; killing the last live shard is allowed
 // — the router then sheds everything with 503 until a restart.
 func (c *Cluster) KillShard(i int) error {
-	if i < 0 || i >= len(c.shards) {
-		return fmt.Errorf("cluster: shard %d out of range [0,%d)", i, len(c.shards))
+	if err := c.checkShard(i); err != nil {
+		return err
 	}
 	c.topoMu.Lock()
 	defer c.topoMu.Unlock()
@@ -209,8 +228,8 @@ func (c *Cluster) KillShard(i int) error {
 // keys are purged. Its response cache restarts cold — a restarted process
 // would too.
 func (c *Cluster) RestartShard(i int) error {
-	if i < 0 || i >= len(c.shards) {
-		return fmt.Errorf("cluster: shard %d out of range [0,%d)", i, len(c.shards))
+	if err := c.checkShard(i); err != nil {
+		return err
 	}
 	c.topoMu.Lock()
 	defer c.topoMu.Unlock()
@@ -264,24 +283,25 @@ type ShardStats struct {
 	RespCache *server.RespCacheStats `json:"respCache,omitempty"`
 }
 
-// Stats is the full cluster snapshot: router counters, the edge tier, and
-// every shard.
+// Stats is the full tier snapshot: router counters and the edge tier (nil
+// when the tier has none), and every shard.
 type Stats struct {
-	Router RouterStats  `json:"router"`
+	Router *RouterStats `json:"router,omitempty"`
 	Edge   *EdgeStats   `json:"edge,omitempty"`
 	Shards []ShardStats `json:"shards"`
 }
 
-// Stats snapshots the cluster.
+// Stats snapshots the tier.
 func (c *Cluster) Stats() Stats {
-	st := Stats{
-		Router: RouterStats{
+	var st Stats
+	if c.opts.Shards > 0 {
+		st.Router = &RouterStats{
 			Requests:      c.requests.Value(),
 			Rerouted:      c.rerouted.Value(),
 			ShedForwarded: c.shedForwarded.Value(),
 			NoShard:       c.noShard.Value(),
 			LiveShards:    len(c.currentRing().shards()),
-		},
+		}
 	}
 	if c.edge != nil {
 		es := c.edge.Stats()

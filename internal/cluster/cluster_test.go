@@ -521,8 +521,11 @@ func TestClusterMetricsEndpoints(t *testing.T) {
 
 // TestNewRejectsBadOptions pins the constructor edges.
 func TestNewRejectsBadOptions(t *testing.T) {
-	if _, err := New(nil, Options{Shards: 0}); err == nil {
-		t.Error("Shards=0 accepted")
+	if _, err := New(nil, Options{Shards: -1}); err == nil {
+		t.Error("Shards=-1 accepted")
+	}
+	if _, err := New(nil, Options{Shards: 0}); err != nil {
+		t.Errorf("Shards=0 (one server, no router) rejected: %v", err)
 	}
 	c, err := New(nil, Options{Shards: 1, EdgeCacheBytes: -1, Shard: server.DefaultServiceOptions()})
 	if err != nil {

@@ -19,8 +19,12 @@ import (
 // liveness and live shard count. A canonical payload request skips the mux
 // (server.Front) and reaches serveRef with its parsed address, which is all
 // the owning shard is handed: its answer is one in-process call
-// (server.Service.Answer), not a second HTTP request.
+// (server.Service.Answer), not a second HTTP request. A Shards-0 tier has
+// no router: its Handler is its one service's own.
 func (c *Cluster) Handler() http.Handler {
+	if c.opts.Shards == 0 {
+		return c.shards[0].handler
+	}
 	return server.Front(c.mux(), func(w http.ResponseWriter, _ *http.Request, key server.Ref) {
 		c.requests.Inc()
 		c.serveRef(w, key)

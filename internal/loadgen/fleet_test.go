@@ -6,9 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"evr/internal/cluster"
 	"evr/internal/delivery"
 	"evr/internal/server"
-	"evr/internal/store"
 )
 
 // TestFleetClassesRunAndAggregate is the heterogeneous-fleet gate: a run
@@ -30,11 +30,14 @@ func TestFleetClassesRunAndAggregate(t *testing.T) {
 	// FOV video, so both classes render, and price, PT frames.
 	ingest := soakIngest()
 	ingest.FOVXDeg, ingest.FOVYDeg = 120, 120
-	svc := server.NewService(store.New())
-	if _, err := svc.IngestVideo(soakSpec(), ingest); err != nil {
+	tier, err := cluster.New(nil, cluster.Options{Shard: server.DefaultServiceOptions()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	baseURL, shutdown, err := Serve(svc)
+	if _, err := tier.Ingest(soakSpec(), ingest); err != nil {
+		t.Fatal(err)
+	}
+	baseURL, shutdown, err := ServeHandler(tier.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +49,7 @@ func TestFleetClassesRunAndAggregate(t *testing.T) {
 		BaseURL:       baseURL,
 		Passes:        2,
 		ViewportScale: 32,
-		Service:       svc,
+		Tier:          tier,
 		Classes: []ClassSpec{
 			{Name: "har-fov", Users: 2, Video: "SOAK", Spec: soakSpec(), UseHAR: true, CacheSegments: 4},
 			{Name: "sw-orig", Users: 3, Video: "SOAK", Spec: soakSpec(), Link: "dsl20"},

@@ -25,14 +25,13 @@ import (
 	"evr/internal/frame"
 	"evr/internal/headtrace"
 	"evr/internal/hmd"
-	"evr/internal/server"
 	"evr/internal/telemetry"
 )
 
 // Config describes one load run.
 type Config struct {
-	// BaseURL is the target server. Required; Serve starts an in-process
-	// one.
+	// BaseURL is the target server. Required; ServeHandler puts an
+	// in-process tier's Handler on one.
 	BaseURL string
 	// Classes is the user population, at least one class: each class
 	// contributes its own user count, video, delivery mode, PTE bitwidth,
@@ -56,14 +55,11 @@ type Config struct {
 	// players is deliberate — connection reuse is what a real multi-user
 	// edge sees.
 	HTTP *http.Client
-	// Service, when the target is in-process, lets the report include
-	// server-side response-cache and admission deltas per pass.
-	Service *server.Service
-	// Cluster, when the target is an in-process routed cluster, lets the
-	// report include per-shard load skew, reroute counts, and edge-cache
-	// deltas per pass. Mutually composable with Service (leave Service nil
-	// for cluster targets; shards carry their own response caches).
-	Cluster *cluster.Cluster
+	// Tier, when the target is in-process, lets the report include the
+	// serving tier's deltas per pass: its shards' summed response-cache and
+	// admission counters and, behind a router (Shards ≥ 1), per-shard load
+	// skew, reroute counts and edge-cache deltas.
+	Tier *cluster.Cluster
 	// OnPassStart, when set, runs before each pass's sessions launch —
 	// the hook evrload's mid-run shard kill uses.
 	OnPassStart func(pass int)
@@ -102,15 +98,6 @@ func (r UserResult) HitRate() float64 {
 	return float64(r.Stats.Hits) / float64(r.Stats.Frames)
 }
 
-// ServerDelta is the change in server-side serving counters over one pass
-// (in-process targets only).
-type ServerDelta struct {
-	CacheHits      int64
-	CacheMisses    int64
-	CacheCoalesced int64
-	Throttled      int64
-}
-
 // PassStats aggregates one pass: the summed playback counters of its
 // successful sessions, and the pass's own timing and serving deltas.
 type PassStats struct {
@@ -121,8 +108,7 @@ type PassStats struct {
 	Failures     int
 	HitRate      float64
 	FramesPerSec float64
-	Server       *ServerDelta  // nil for remote targets
-	Cluster      *ClusterDelta // nil for non-cluster targets
+	Tier         *ClusterDelta // nil for remote targets
 	// P50/P99 are this pass's request-latency quantiles (histogram-delta
 	// estimates) — how a mid-run shard kill shows up as a tail-latency
 	// bump without corrupting frames.
@@ -189,15 +175,10 @@ func (t *timingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
-// Serve exposes a service on an ephemeral loopback listener, returning its
-// base URL and a shutdown func. It is how evrload and the soak test run
-// "against an in-process server" without leaving the process.
-func Serve(svc *server.Service) (baseURL string, shutdown func(), err error) {
-	return ServeHandler(svc.Handler())
-}
-
-// ServeHandler is Serve for any handler — the routed-cluster target
-// (internal/cluster's router) uses it. The shutdown func drains
+// ServeHandler exposes a handler — an in-process tier's — on an ephemeral
+// loopback listener, returning its base URL and a shutdown func. It is how
+// evrload and the soak test run "against an in-process server" without
+// leaving the process. The shutdown func drains
 // gracefully: in-flight requests get up to 5 s to complete before the
 // server is torn down hard. (It used to call http.Server.Close, which
 // dropped in-flight requests on the floor and salted multi-pass runs with
@@ -230,7 +211,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	if cfg.BaseURL == "" {
-		return nil, fmt.Errorf("loadgen: BaseURL required (use Serve for an in-process server)")
+		return nil, fmt.Errorf("loadgen: BaseURL required (use ServeHandler for an in-process server)")
 	}
 	if cfg.Passes < 1 {
 		cfg.Passes = 1
@@ -301,16 +282,9 @@ func Run(cfg Config) (*Report, error) {
 		if cfg.OnPassStart != nil {
 			cfg.OnPassStart(pass)
 		}
-		var before server.RespCacheStats
-		var beforeThrottled int64
-		serverSide := false
-		if cfg.Service != nil {
-			before, serverSide = cfg.Service.RespCacheStats()
-			beforeThrottled = cfg.Service.Throttled()
-		}
-		var beforeCluster cluster.Stats
-		if cfg.Cluster != nil {
-			beforeCluster = cfg.Cluster.Stats()
+		var beforeTier cluster.Stats
+		if cfg.Tier != nil {
+			beforeTier = cfg.Tier.Stats()
 		}
 		beforeLatency := tt.hist.Snapshot()
 
@@ -340,18 +314,8 @@ func Run(cfg Config) (*Report, error) {
 			ps.HitRate = float64(ps.Hits) / float64(ps.Frames)
 			ps.FramesPerSec = float64(ps.Frames) / passElapsed.Seconds()
 		}
-		if cfg.Service != nil {
-			after, _ := cfg.Service.RespCacheStats()
-			delta := &ServerDelta{Throttled: cfg.Service.Throttled() - beforeThrottled}
-			if serverSide {
-				delta.CacheHits = after.Hits - before.Hits
-				delta.CacheMisses = after.Misses - before.Misses
-				delta.CacheCoalesced = after.Coalesced - before.Coalesced
-			}
-			ps.Server = delta
-		}
-		if cfg.Cluster != nil {
-			ps.Cluster = clusterDelta(beforeCluster, cfg.Cluster.Stats())
+		if cfg.Tier != nil {
+			ps.Tier = clusterDelta(beforeTier, cfg.Tier.Stats())
 		}
 		passLatency := deltaSnapshot(beforeLatency, tt.hist.Snapshot())
 		ps.P50 = time.Duration(passLatency.Quantile(0.50) * float64(time.Second))

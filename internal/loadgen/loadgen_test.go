@@ -14,7 +14,6 @@ import (
 	"evr/internal/cluster"
 	"evr/internal/scene"
 	"evr/internal/server"
-	"evr/internal/store"
 )
 
 // soakSpec is a tiny deterministic video: 2 segments of 30 frames with one
@@ -46,16 +45,20 @@ func soakIngest() server.IngestConfig {
 	return cfg
 }
 
-// soakService ingests soakSpec into a fresh in-process service. StoreDelay
-// widens the cache-miss window so that 32 simultaneous first requests for
-// the same segment must coalesce rather than racing past each other.
-func soakService(t *testing.T, opts server.ServiceOptions) *server.Service {
+// soakTier ingests soakSpec into a fresh in-process Shards-0 tier: one
+// server, no router. StoreDelay widens the cache-miss window so that 32
+// simultaneous first requests for the same segment must coalesce rather
+// than racing past each other.
+func soakTier(t *testing.T, opts server.ServiceOptions) *cluster.Cluster {
 	t.Helper()
-	svc := server.NewServiceOpts(store.New(), opts)
-	if _, err := svc.IngestVideo(soakSpec(), soakIngest()); err != nil {
+	tier, err := cluster.New(nil, cluster.Options{Shard: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tier.Ingest(soakSpec(), soakIngest()); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
-	return svc
+	return tier
 }
 
 // TestSoak32ConcurrentSessions is the CI concurrency soak: 32 users × 2
@@ -67,9 +70,9 @@ func soakService(t *testing.T, opts server.ServiceOptions) *server.Service {
 func TestSoak32ConcurrentSessions(t *testing.T) {
 	opts := server.DefaultServiceOptions()
 	opts.StoreDelay = 15 * time.Millisecond
-	svc := soakService(t, opts)
+	tier := soakTier(t, opts)
 
-	baseURL, shutdown, err := Serve(svc)
+	baseURL, shutdown, err := ServeHandler(tier.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestSoak32ConcurrentSessions(t *testing.T) {
 		// 1/32 of the panel keeps 64 pixel-exact sessions affordable
 		// under -race; the checksums still cover every displayed pixel.
 		ViewportScale: 32,
-		Service:       svc,
+		Tier:          tier,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,20 +126,23 @@ func TestSoak32ConcurrentSessions(t *testing.T) {
 		if ps.Hits+ps.Misses != ps.Frames {
 			t.Errorf("pass %d: hits %d + misses %d != frames %d", ps.Pass, ps.Hits, ps.Misses, ps.Frames)
 		}
-		if ps.Server == nil {
+		if ps.Tier == nil {
 			t.Fatalf("pass %d: no server-side delta for in-process target", ps.Pass)
+		}
+		if ps.Tier.Shards != nil {
+			t.Errorf("pass %d: a tier without a router reported shard deltas %+v", ps.Pass, ps.Tier.Shards)
 		}
 	}
 
 	// Singleflight: 32 users fetch the same manifest and segments at once
 	// while the store is slow, so concurrent identical misses must coalesce.
-	p1 := rep.PerPass[0].Server
+	p1 := rep.PerPass[0].Tier
 	if p1.CacheCoalesced == 0 {
 		t.Error("pass 1 coalesced no concurrent identical misses")
 	}
 	// Response cache: pass 2 replays the same traces through fresh players
 	// (cold client caches), so the server must serve it from cache.
-	p2 := rep.PerPass[1].Server
+	p2 := rep.PerPass[1].Tier
 	if p2.CacheHits == 0 {
 		t.Error("pass 2 got no server response-cache hits")
 	}
@@ -162,10 +168,13 @@ func TestSoak32ConcurrentSessions(t *testing.T) {
 	var sb strings.Builder
 	rep.WriteText(&sb, true)
 	out := sb.String()
-	for _, want := range []string{"p50", "p95", "p99", "FOV hit", "coalesced", "per-user FOV-hit rate"} {
+	for _, want := range []string{"p50", "p95", "p99", "FOV hit", "server respcache", "coalesced", "per-user FOV-hit rate"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "cluster:") {
+		t.Errorf("a tier without a router printed a cluster block:\n%s", out)
 	}
 }
 
@@ -187,8 +196,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 
 // TestServeRoundTrip exercises the in-process listener helper on its own.
 func TestServeRoundTrip(t *testing.T) {
-	svc := soakService(t, server.DefaultServiceOptions())
-	baseURL, shutdown, err := Serve(svc)
+	tier := soakTier(t, server.DefaultServiceOptions())
+	baseURL, shutdown, err := ServeHandler(tier.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +208,7 @@ func TestServeRoundTrip(t *testing.T) {
 		Classes:       soakClass(2),
 		Segments:      1,
 		ViewportScale: 32,
-		Service:       svc,
+		Tier:          tier,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +230,8 @@ func TestServeRoundTrip(t *testing.T) {
 func TestShutdownDrainsInflightRequests(t *testing.T) {
 	opts := server.DefaultServiceOptions()
 	opts.StoreDelay = 150 * time.Millisecond // hold requests in flight
-	svc := soakService(t, opts)
-	baseURL, shutdown, err := Serve(svc)
+	tier := soakTier(t, opts)
+	baseURL, shutdown, err := ServeHandler(tier.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +319,7 @@ func TestZipfRoutedRunAcrossVideos(t *testing.T) {
 		Classes:       ZipfClasses(specs, 12, 1.2, ClassSpec{}),
 		Passes:        2,
 		ViewportScale: 32,
-		Cluster:       clu,
+		Tier:          clu,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +344,7 @@ func TestZipfRoutedRunAcrossVideos(t *testing.T) {
 	// Per-pass cluster deltas: skew bounded, edge absorbing repeats by
 	// pass 2 (fresh players, same segments).
 	for _, ps := range rep.PerPass {
-		cd := ps.Cluster
+		cd := ps.Tier
 		if cd == nil {
 			t.Fatalf("pass %d missing cluster delta", ps.Pass)
 		}
@@ -346,7 +355,7 @@ func TestZipfRoutedRunAcrossVideos(t *testing.T) {
 			t.Errorf("pass %d: p99 %v < p50 %v", ps.Pass, ps.P99, ps.P50)
 		}
 	}
-	p2 := rep.PerPass[1].Cluster
+	p2 := rep.PerPass[1].Tier
 	if p2.EdgeHits == 0 {
 		t.Error("pass 2 hit the edge cache zero times")
 	}
@@ -354,11 +363,12 @@ func TestZipfRoutedRunAcrossVideos(t *testing.T) {
 		t.Errorf("pass 2 skew %.2f < 1", skew)
 	}
 
-	// The text report renders the cluster section.
+	// The text report renders the shards' summed response-cache line and
+	// the cluster section.
 	var sb strings.Builder
 	rep.WriteText(&sb, false)
 	out := sb.String()
-	for _, want := range []string{"over 3 videos", "edge hit rate", "skew", "shard-0"} {
+	for _, want := range []string{"over 3 videos", "server respcache", "edge hit rate", "skew", "shard-0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
@@ -370,7 +380,7 @@ func TestZipfRoutedRunAcrossVideos(t *testing.T) {
 // absorbed — the pass's summed payload errors, frozen frames and fallbacks;
 // the same run against a healthy server prints no such line.
 func TestWriteTextShowsDegradation(t *testing.T) {
-	svc := soakService(t, server.DefaultServiceOptions())
+	svc := soakTier(t, server.DefaultServiceOptions()).Handler()
 	run := func(h http.Handler) (*Report, string) {
 		t.Helper()
 		baseURL, shutdown, err := ServeHandler(h)
@@ -396,17 +406,17 @@ func TestWriteTextShowsDegradation(t *testing.T) {
 		return rep, out.String()
 	}
 
-	if _, out := run(svc.Handler()); strings.Contains(out, "degraded:") {
+	if _, out := run(svc); strings.Contains(out, "degraded:") {
 		t.Errorf("healthy run reports degradation:\n%s", out)
 	}
 
 	truncating := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !strings.Contains(r.URL.Path, "/fov/") && !strings.Contains(r.URL.Path, "/orig/") {
-			svc.Handler().ServeHTTP(w, r)
+			svc.ServeHTTP(w, r)
 			return
 		}
 		rec := httptest.NewRecorder()
-		svc.Handler().ServeHTTP(rec, r)
+		svc.ServeHTTP(rec, r)
 		w.WriteHeader(rec.Code)
 		w.Write(rec.Body.Bytes()[:rec.Body.Len()/2]) //nolint:errcheck // client may hang up
 	})

@@ -29,9 +29,9 @@ func (r *Report) WriteText(w io.Writer, perUser bool) {
 		}
 		fmt.Fprintln(w)
 		fmt.Fprintf(w, "        client cache hits %d, retries %d", ps.CacheHits, ps.Retries)
-		if ps.Server != nil {
+		if td := ps.Tier; td != nil {
 			fmt.Fprintf(w, "; server respcache %d hits / %d misses / %d coalesced, %d throttled",
-				ps.Server.CacheHits, ps.Server.CacheMisses, ps.Server.CacheCoalesced, ps.Server.Throttled)
+				td.CacheHits, td.CacheMisses, td.CacheCoalesced, td.Throttled)
 		}
 		fmt.Fprintln(w)
 		if n := ps.ModeFOVSegments + ps.ModeTiledSegments + ps.ModeOrigSegments; n > 0 {
@@ -46,7 +46,7 @@ func (r *Report) WriteText(w io.Writer, perUser bool) {
 		}
 		fmt.Fprintf(w, "        latency p50 %v  p99 %v\n",
 			ps.P50.Round(time.Microsecond), ps.P99.Round(time.Microsecond))
-		if cd := ps.Cluster; cd != nil {
+		if cd := ps.Tier; cd != nil && cd.Shards != nil {
 			fmt.Fprintf(w, "        cluster: edge hit rate %.1f%% (%d hits / %d misses / %d coalesced), %d rerouted, %d no-shard, skew %.2f×\n",
 				100*cd.EdgeHitRate(), cd.EdgeHits, cd.EdgeMisses, cd.EdgeCoalesced,
 				cd.Rerouted, cd.NoShard, cd.Skew())

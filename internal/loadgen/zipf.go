@@ -73,9 +73,16 @@ type ShardDelta struct {
 	Shed     int64
 }
 
-// ClusterDelta is the change in routed-tier counters over one pass
-// (in-process cluster targets only).
+// ClusterDelta is the change in an in-process serving tier's counters over
+// one pass.
 type ClusterDelta struct {
+	// Summed over every shard: response-cache lookups and admission sheds.
+	CacheHits      int64
+	CacheMisses    int64
+	CacheCoalesced int64
+	Throttled      int64
+	// The router's block; all zero, and Shards nil, for a tier without a
+	// router (Shards 0).
 	Rerouted      int64
 	NoShard       int64
 	EdgeHits      int64
@@ -112,24 +119,35 @@ func (d *ClusterDelta) Skew() float64 {
 	return float64(max) / (float64(total) / float64(n))
 }
 
-// clusterDelta diffs two cluster snapshots into a pass delta.
+// clusterDelta diffs two snapshots of one tier into a pass delta.
 func clusterDelta(before, after cluster.Stats) *ClusterDelta {
-	d := &ClusterDelta{
-		Rerouted: after.Router.Rerouted - before.Router.Rerouted,
-		NoShard:  after.Router.NoShard - before.Router.NoShard,
+	d := &ClusterDelta{}
+	for i, sh := range after.Shards {
+		b := before.Shards[i]
+		d.Throttled += sh.Throttled - b.Throttled
+		if sh.RespCache != nil && b.RespCache != nil {
+			d.CacheHits += sh.RespCache.Hits - b.RespCache.Hits
+			d.CacheMisses += sh.RespCache.Misses - b.RespCache.Misses
+			d.CacheCoalesced += sh.RespCache.Coalesced - b.RespCache.Coalesced
+		}
 	}
+	if after.Router == nil {
+		return d
+	}
+	d.Rerouted = after.Router.Rerouted - before.Router.Rerouted
+	d.NoShard = after.Router.NoShard - before.Router.NoShard
 	if before.Edge != nil && after.Edge != nil {
 		d.EdgeHits = after.Edge.Hits - before.Edge.Hits
 		d.EdgeMisses = after.Edge.Misses - before.Edge.Misses
 		d.EdgeCoalesced = after.Edge.Coalesced - before.Edge.Coalesced
 	}
 	for i, sh := range after.Shards {
-		sd := ShardDelta{Name: sh.Name, Alive: sh.Alive, Requests: sh.Requests, Shed: sh.Shed}
-		if i < len(before.Shards) {
-			sd.Requests -= before.Shards[i].Requests
-			sd.Shed -= before.Shards[i].Shed
-		}
-		d.Shards = append(d.Shards, sd)
+		d.Shards = append(d.Shards, ShardDelta{
+			Name:     sh.Name,
+			Alive:    sh.Alive,
+			Requests: sh.Requests - before.Shards[i].Requests,
+			Shed:     sh.Shed - before.Shards[i].Shed,
+		})
 	}
 	return d
 }
