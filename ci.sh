@@ -22,6 +22,7 @@
 #                             the cache core, prefetcher, telemetry, admission.
 #   -count repeats            the cache core under -race, and two tests that
 #                             were once flaky stay de-flaked.
+#                             A prefetch never adds an original (-race, 5×).
 #   telemetry bench smoke     the disabled-path overhead benchmarks still run.
 #   fuzz smokes (5 s each)    every decoder of outside input (segment
 #                             container, manifest, FOV metadata, payload
@@ -139,6 +140,7 @@ GOARCH=arm64 go build -gcflags=-S ./internal/codec ./internal/frame ./internal/g
 go build ./...
 go test -race -shuffle=on ./...
 go test -race -count=5 ./internal/cache
+go test -race -count=5 -run '^TestPrefetchFetchesNoUnreadOriginal$' ./internal/client
 go test -count=20 -run 'TestLiveBackpressure|TestSingleflightCoalesces' ./internal/server ./internal/cache
 go test ./internal/telemetry -run=NONE -bench=TelemetryOverhead -benchtime=1x
 go test ./internal/server -run='^$' -fuzz=FuzzUnmarshalBitstream -fuzztime=5s

@@ -51,7 +51,7 @@ func main() {
 	timeout := flag.Duration("timeout", client.DefaultFetchConfig().Timeout, "per-request HTTP timeout (0 = none)")
 	retries := flag.Int("retries", client.DefaultFetchConfig().MaxRetries, "retries per request on transient failures")
 	cache := flag.Int("cache", client.DefaultFetchConfig().CacheSegments, "segment LRU cache capacity (0 = off)")
-	prefetch := flag.Bool("prefetch", true, "prefetch the next segment's FOV video and fallback in the background")
+	prefetch := flag.Bool("prefetch", true, "prefetch what the next segment plays (its FOV video, or its original when it has none) in the background")
 	maxResponse := flag.Int64("max-response", client.DefaultFetchConfig().MaxResponseBytes, "response size cap in bytes (0 = unlimited)")
 	tiledMode := flag.String("tiled-mode", "", "viewport-adaptive tiled delivery (needs a tiled ingest): auto lets the policy choose per segment between the FOV stream, a per-tile fetch set, and the full original; fov|tiled|orig pin one (empty = classic FOV/orig player)")
 	useTelemetry := flag.Bool("telemetry", false, "trace per-frame pipeline stages and print the breakdown")

@@ -359,14 +359,25 @@ func (s *simulator) fetch(bytes int64, blocking bool) {
 	offline := s.cfg.UseCase == OfflinePlayback
 	s.res.chargeReceived(bytes, offline)
 	if blocking && !offline {
-		stall := wifi.TransferSeconds(bytes) - prefetchSlackSec
-		if stall > 0 {
+		if dropped := fallbackStall(bytes, s.dt); dropped > 0 {
 			s.res.Rebuffers++
-			s.res.DroppedFrames += int(stall/s.dt) + 1
+			s.res.DroppedFrames += dropped
 		}
 	}
 	s.res.StreamedBytes += bytes
 	s.res.SegmentBytes[len(s.res.SegmentBytes)-1] += bytes
+}
+
+// fallbackStall is the stall rule of a blocking mid-segment fetch of bytes
+// (§5.4's fallback to the original): the frames dt seconds long it drops,
+// its transfer time on the modeled link beyond what the client's buffer
+// hides; 0 means no stall. Simulate and Player.Play both count by it.
+func fallbackStall(bytes int64, dt float64) int {
+	stall := wifi.TransferSeconds(bytes) - prefetchSlackSec
+	if stall <= 0 {
+		return 0
+	}
+	return int(stall/dt) + 1
 }
 
 // chargePTFrame charges a conventionally-rendered frame: decode the full

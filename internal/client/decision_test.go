@@ -1,6 +1,7 @@
 package client
 
 import (
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -112,7 +113,8 @@ func TestSimulateChargesCatchUpOnce(t *testing.T) {
 // its displayed frames. Two pricing differences stand and are not compared:
 // the model runs the FOV checker on every frame of a FOV segment, after a
 // fallback too, where Play stops checking at the fallback; and the model
-// prices its own bytes (nominal sizes, the blocking-fetch stall).
+// prices its own bytes (nominal sizes). The fallback's stall is one rule
+// (TestFallbackStallMatchesSimulate).
 func TestPlayMatchesSimulate(t *testing.T) {
 	const segments = 4
 	for _, v := range scene.EvalSet() {
@@ -314,4 +316,78 @@ func playerSegments(t *testing.T, frames []telemetry.FrameTrace, demanded []serv
 		}
 	}
 	return out
+}
+
+// TestFallbackStallMatchesSimulate: a fallback's stall is one rule,
+// fallbackStall, counted by both executors. RS is played by six users twice:
+// at its ingested sizes, and through a manifest that sizes every original
+// past what the buffer hides. The model prices each segment alone, as a
+// one-segment plan of the same sizes (no resync hole), and the player must
+// count exactly the stalls the model does: none at the true sizes, one per
+// mid-segment fallback at the inflated ones.
+func TestFallbackStallMatchesSimulate(t *testing.T) {
+	const segments, big = 4, 8 << 20
+	v, _ := scene.ByName("RS")
+	if fallbackStall(big, 1/float64(v.FPS)) == 0 {
+		t.Fatalf("a %d B original does not stall: size the test past the slack", big)
+	}
+	svc := server.NewService(store.New())
+	man, err := svc.IngestVideo(v, testIngestConfig(segments))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := svc.Handler()
+	plain := httptest.NewServer(mux)
+	defer plain.Close()
+	inflated := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v/"+v.Name+"/manifest" {
+			mux.ServeHTTP(w, r)
+			return
+		}
+		m := *man
+		m.Segments = append([]server.SegmentInfo(nil), man.Segments...)
+		for i := range m.Segments {
+			m.Segments[i].OrigBytes = big
+		}
+		json.NewEncoder(w).Encode(&m) //nolint:errcheck // client may hang up
+	}))
+	defer inflated.Close()
+	plan := planOf(t, man)
+
+	for _, tc := range []struct {
+		name string
+		url  string
+		size func(si int) int64 // each segment's original, as the player's manifest says
+	}{
+		{"ingested", plain.URL, func(si int) int64 { return int64(man.Segments[si].OrigBytes) }},
+		{"inflated", inflated.URL, func(int) int64 { return big }},
+	} {
+		total := 0
+		for u := 0; u < 6; u++ {
+			tr := headtrace.Generate(v, u)
+			stats, _, err := NewPlayer(tc.url).Play(v.Name, hmd.NewIMU(tr), segments)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			for si := range plan.Segments {
+				alone := *plan
+				alone.Segments = []sas.SegmentPlan{plan.Segments[si]}
+				alone.Segments[0].OrigBytes = tc.size(si)
+				res, err := Simulate(v, tr, &alone, DefaultConfig(SH, OnlineStreaming))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += res.Rebuffers
+			}
+			if stats.Rebuffers != want {
+				t.Errorf("%s user %d: player counted %d stalls, model %d", tc.name, u, stats.Rebuffers, want)
+			}
+			total += want
+		}
+		t.Logf("%s: %d stalls over six users", tc.name, total)
+		if (total > 0) != (tc.name == "inflated") {
+			t.Errorf("%s: %d stalls over six users", tc.name, total)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,9 @@ import (
 	"evr/internal/frame"
 	"evr/internal/headtrace"
 	"evr/internal/hmd"
+	"evr/internal/scene"
+	"evr/internal/server"
+	"evr/internal/store"
 )
 
 // assertAccounting checks the playback invariant: every displayed frame is
@@ -304,4 +308,109 @@ func TestCacheAvoidsRedownloadOnReplay(t *testing.T) {
 	if s2.BytesFetched >= s1.BytesFetched/2 {
 		t.Errorf("replay fetched %d bytes vs first run's %d — cache not engaged", s2.BytesFetched, s1.BytesFetched)
 	}
+}
+
+// refLogServer serves segments of v at test size — a live ingest, with no
+// FOV videos, when live is set — and logs the address of every payload
+// request; served returns the log so far and clears it.
+func refLogServer(t *testing.T, v scene.VideoSpec, segments int, live bool) (ts *httptest.Server, served func() []server.Ref) {
+	t.Helper()
+	cfg := testIngestConfig(segments)
+	cfg.LiveMode = live
+	svc := server.NewService(store.New())
+	if _, err := svc.IngestVideo(v, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var log []server.Ref
+	mux := svc.Handler()
+	ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if ref, err := server.ParseRefPath(r.URL.Path); err == nil {
+			mu.Lock()
+			log = append(log, ref)
+			mu.Unlock()
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts, func() []server.Ref {
+		mu.Lock()
+		defer mu.Unlock()
+		out := log
+		log = nil
+		return out
+	}
+}
+
+// TestPrefetchFetchesNoUnreadOriginal: the prefetcher warms only what the
+// next segment's decision plays, so a FOV segment's original is fetched at
+// its first miss or not at all. Over the evaluation set × users 0–5, the
+// originals served to a session with the cache and prefetch on are the ones
+// served with both off, and the frames are byte-identical. On a live ingest
+// (no FOV videos) the original is what every segment plays, so every next
+// original is still a prefetch hit.
+func TestPrefetchFetchesNoUnreadOriginal(t *testing.T) {
+	const segments = 3
+	origs := func(refs []server.Ref) map[server.Ref]bool {
+		out := map[server.Ref]bool{}
+		for _, ref := range refs {
+			if ref.Kind == server.Orig {
+				out[ref] = true
+			}
+		}
+		return out
+	}
+	for _, v := range scene.EvalSet() {
+		t.Run(v.Name, func(t *testing.T) {
+			ts, served := refLogServer(t, v, segments, false)
+			fallbacks, hits := 0, 0
+			for u := 0; u < 6; u++ {
+				imu := func() *hmd.IMU { return hmd.NewIMU(headtrace.Generate(v, u)) }
+				on := NewPlayer(ts.URL)
+				on.Fetch.BackoffBase = time.Millisecond
+				sOn, fOn, err := on.Play(v.Name, imu(), segments)
+				if err != nil {
+					t.Fatal(err)
+				}
+				onOrigs := origs(served())
+
+				off := NewPlayer(ts.URL)
+				off.Fetch.CacheSegments = 0
+				off.Fetch.Prefetch = false
+				off.Fetch.BackoffBase = time.Millisecond
+				_, fOff, err := off.Play(v.Name, imu(), segments)
+				if err != nil {
+					t.Fatal(err)
+				}
+				offOrigs := origs(served())
+
+				if !framesEqual(fOn, fOff) {
+					t.Errorf("user %d: prefetch changed displayed pixels", u)
+				}
+				if !maps.Equal(onOrigs, offOrigs) {
+					t.Errorf("user %d: originals served with prefetch %v, without %v", u, onOrigs, offOrigs)
+				}
+				fallbacks += len(offOrigs)
+				hits += sOn.PrefetchHits
+			}
+			t.Logf("%d originals fetched and %d prefetch hits over six users", fallbacks, hits)
+			if hits == 0 {
+				t.Error("the prefetcher never hid a fetch")
+			}
+		})
+	}
+	t.Run("live", func(t *testing.T) {
+		v, _ := scene.ByName("RS")
+		ts, served := refLogServer(t, v, segments, true)
+		stats, _, err := NewPlayer(ts.URL).Play(v.Name, hmd.NewIMU(headtrace.Generate(v, 0)), segments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(origs(served())); got != segments {
+			t.Errorf("%d originals served, want all %d", got, segments)
+		}
+		if stats.PrefetchHits != segments-1 {
+			t.Errorf("%d prefetch hits, want every next original: %d", stats.PrefetchHits, segments-1)
+		}
+	})
 }

@@ -46,9 +46,11 @@ type FetchConfig struct {
 	// so a hit saves the network, not the decode. 0 disables caching — and
 	// with it prefetching, which has nowhere to park its results.
 	CacheSegments int
-	// Prefetch enables background fetching of the next segment's
-	// best-guess FOV video and its original-segment fallback while the
-	// current segment is displayed (§5.3's latency-hiding counterpart).
+	// Prefetch enables background fetching of the next segment's planned
+	// payload while the current segment is displayed (§5.3's
+	// latency-hiding counterpart): the FOV video the playback decision
+	// would choose, or the original of a segment without FOV videos. A
+	// FOV segment's original is fetched on demand, at its first miss.
 	// Prefetched segments are not decoded until a frame needs them.
 	Prefetch bool
 	// LiveWaitMax bounds the total time one request spends waiting out

@@ -103,7 +103,12 @@ type PlaybackStats struct {
 	// Fallbacks counts the segments played from the original stream, from
 	// their first frame (no FOV video, an orig policy decision) or from a
 	// FOV miss or a degrade on.
-	Fallbacks     int
+	Fallbacks int
+	// Rebuffers counts the mid-segment fetches of an original that stall
+	// playback by the model's rule (fallbackStall): its manifest size over
+	// the modeled WiFi link outlasts what the buffer hides. It is counted
+	// as Simulate's Rebuffers is, whatever the real transfer took.
+	Rebuffers     int
 	BytesFetched  int64 // bytes received over the wire (cache hits fetch nothing)
 	PTEFrames     int
 	LUTFrames     int // fallback frames rendered through the mapping-LUT cache
@@ -145,6 +150,7 @@ func (s *PlaybackStats) Add(o PlaybackStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Fallbacks += o.Fallbacks
+	s.Rebuffers += o.Rebuffers
 	s.BytesFetched += o.BytesFetched
 	s.PTEFrames += o.PTEFrames
 	s.LUTFrames += o.LUTFrames
@@ -213,9 +219,9 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		stats.LiveWaits = int(after.LiveWaits - before.LiveWaits)
 		stats.LiveSegments = int(after.LiveSegments - before.LiveSegments)
 		stats.BehindLiveMaxSec = float64(after.BehindLiveNsMax) / 1e9
-		// Every received byte is priced once, as decoded.
+		// Every received byte is priced once, as received; the codec's
+		// per-byte work was priced as each payload was loaded.
 		stats.chargeReceived(stats.BytesFetched, false)
-		stats.chargeDecodeBytes(float64(stats.BytesFetched))
 		stats.Ledger.AdvanceTime(float64(stats.Frames) * frameSec)
 	}()
 
@@ -338,10 +344,12 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			}
 		}
 
-		// While this segment plays, warm the cache with the next segment's
-		// best-guess FOV video and its original-segment fallback, so the
-		// segment-boundary fetch — and a mid-segment FOV miss there —
-		// find the bytes waiting (§5.3 latency hiding). The fetcher
+		// While this segment plays, warm the cache with what the next
+		// segment's decision will play, so its segment-boundary fetch finds
+		// the bytes waiting (§5.3 latency hiding): the FOV video nearest the
+		// current gaze, or the original of a segment with none. The
+		// original of a FOV segment is fetched at its first miss, the §5.4
+		// fallback the model prices, never on speculation. The fetcher
 		// deduplicates against the demand fetches below via singleflight.
 		// Tiled sessions skip this warm-up: which payloads the next segment
 		// needs is the policy's call, and speculative full-segment fetches
@@ -349,11 +357,12 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		if ts == nil && si+1 < len(man.Segments) {
 			next := man.Segments[si+1]
 			if !(maxSegments > 0 && next.Index >= maxSegments) {
+				ref := server.Ref{Video: video, Kind: server.Orig, Seg: next.Index}
 				first = clusterPoses(first, &next)
 				if i := sas.ChooseTrack(first, gaze); i >= 0 {
-					ftch.Prefetch(p.BaseURL, server.Ref{Video: video, Kind: server.FOV, Seg: next.Index, A: next.Clusters[i].ID})
+					ref = server.Ref{Video: video, Kind: server.FOV, Seg: next.Index, A: next.Clusters[i].ID}
 				}
-				ftch.Prefetch(p.BaseURL, server.Ref{Video: video, Kind: server.Orig, Seg: next.Index})
+				ftch.Prefetch(p.BaseURL, ref)
 			}
 		}
 
@@ -362,7 +371,8 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 		// that is not resilient returns the error; a resilient one counts it
 		// and steps down to the original (§5.4), and an original that fails
 		// leaves a nil stream, whose frames freeze. Every entry to the
-		// original is a Fallback.
+		// original is a Fallback. A loaded payload is priced as decoded; a
+		// prefetched one no reader loads costs the radio only.
 		enter := func(src source) (source, error) {
 			for {
 				var bits *codec.Bitstream
@@ -376,6 +386,9 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 				default:
 					bits, _, err = ftch.Segment(p.BaseURL, server.Ref{Video: video, Kind: server.Orig, Seg: seg.Index})
 					orig.load(bits)
+				}
+				if bits != nil {
+					stats.chargeDecodeBytes(float64(bits.TotalBytes()))
 				}
 				if err != nil {
 					if !p.Resilient {
@@ -392,6 +405,14 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 				}
 				src = fromOrig
 			}
+		}
+		// fallBack moves the rest of the segment to the original, fetched
+		// now: a blocking fetch, whose stall is counted by the model's rule.
+		fallBack := func() (source, error) {
+			if fallbackStall(int64(seg.OrigBytes), frameSec) > 0 {
+				stats.Rebuffers++
+			}
+			return enter(fromOrig)
 		}
 		fov.load(nil)
 		orig.load(nil)
@@ -429,7 +450,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 			var err error
 			if verdict == firstMiss {
 				// The rest of the segment plays from the original.
-				src, err = enter(fromOrig)
+				src, err = fallBack()
 				stats.chargeCatchUp(catchUp)
 			}
 			// img is the frame this one is made from, decoded on demand from
@@ -451,7 +472,7 @@ func (p *Player) Play(video string, imu *hmd.IMU, maxSegments int) (stats Playba
 					err = nil
 					break
 				}
-				src, err = enter(fromOrig)
+				src, err = fallBack()
 			}
 			if err != nil {
 				sp.Finish() // record the partially-timed frame

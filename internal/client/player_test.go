@@ -18,6 +18,17 @@ import (
 	"evr/internal/store"
 )
 
+// testIngestConfig is the test-size ingest: a 96×48 panorama, 32² FOV
+// frames and the first segments segments.
+func testIngestConfig(segments int) server.IngestConfig {
+	cfg := server.DefaultIngestConfig()
+	cfg.FullW, cfg.FullH = 96, 48
+	cfg.FOVW, cfg.FOVH = 32, 32
+	cfg.MaxSegments = segments
+	cfg.Codec.SearchRange = 1
+	return cfg
+}
+
 // startTestServer ingests a short slice of a video and serves it.
 func startTestServer(t *testing.T, video string, segments int) (*httptest.Server, scene.VideoSpec) {
 	t.Helper()
@@ -25,13 +36,8 @@ func startTestServer(t *testing.T, video string, segments int) (*httptest.Server
 	if !ok {
 		t.Fatalf("unknown video %q", video)
 	}
-	cfg := server.DefaultIngestConfig()
-	cfg.FullW, cfg.FullH = 96, 48
-	cfg.FOVW, cfg.FOVH = 32, 32
-	cfg.MaxSegments = segments
-	cfg.Codec.SearchRange = 1
 	svc := server.NewService(store.New())
-	if _, err := svc.IngestVideo(v, cfg); err != nil {
+	if _, err := svc.IngestVideo(v, testIngestConfig(segments)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(svc.Handler())

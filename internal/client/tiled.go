@@ -216,10 +216,11 @@ func (ts *tiledSession) plan(seg *server.SegmentInfo, tr headtrace.Trace, frameI
 }
 
 // fetchTiled downloads one segment's low-res backfill stream and its
-// planned tile set concurrently, and points the session's readers at them. A
-// failed tile fetch never aborts the segment — that tile's rectangle simply
-// stays at backfill quality (counted in stats). A missing backfill stream
-// fails the whole segment: there is nothing to paint tiles over.
+// planned tile set concurrently, points the session's readers at them and
+// prices their decode. A failed tile fetch never aborts the segment — that
+// tile's rectangle simply stays at backfill quality (counted in stats). A
+// missing backfill stream fails the whole segment: there is nothing to
+// paint tiles over.
 func (p *Player) fetchTiled(ts *tiledSession, video string, seg *server.SegmentInfo, plan tiledPlan, stats *PlaybackStats) error {
 	ftch := p.Fetcher()
 	for t := range ts.tiles {
@@ -234,6 +235,7 @@ func (p *Player) fetchTiled(ts *tiledSession, video string, seg *server.SegmentI
 		mu              sync.Mutex
 		wg              sync.WaitGroup
 		fetched, failed int
+		loaded          = low.TotalBytes() // priced once, in a fixed order
 	)
 	for t, r := range plan.rungs {
 		if r < 0 {
@@ -251,11 +253,13 @@ func (p *Player) fetchTiled(ts *tiledSession, video string, seg *server.SegmentI
 			}
 			ts.tiles[t].load(bits)
 			fetched++
+			loaded += bits.TotalBytes()
 		}(t, r)
 	}
 	wg.Wait()
 	stats.TiledTiles += fetched
 	stats.TiledTileErrors += failed
+	stats.chargeDecodeBytes(float64(loaded))
 	return nil
 }
 
